@@ -20,7 +20,9 @@
 //!   hierarchical protocol.
 //!
 //! The lookup side ([`Directory::lookup`]) implements the paper's §5 API:
-//! regex matching on the service name and on the partition list.
+//! regex matching on the service name and on the partition list. Request
+//! routers, which hold a literal name and one partition number, use the
+//! typed scan [`Directory::providers`] instead.
 
 mod lookup;
 mod shared;

@@ -110,8 +110,34 @@ impl Directory {
                 }
             }
         }
-        out.sort_by_key(|m| (m.node, m.service.clone()));
+        out.sort_by(|a, b| (a.node, &a.service).cmp(&(b.node, &b.service)));
         out
+    }
+
+    /// Request routing: the nodes currently believed to host `partition`
+    /// of the service named exactly `service` (`None` = any partition,
+    /// including none), in `NodeId` order, once per matching declaration.
+    ///
+    /// The typed counterpart of [`Directory::lookup`] for callers that
+    /// already hold a literal name and a partition number: no pattern is
+    /// compiled and nothing is allocated. For a metacharacter-free name
+    /// it yields exactly the `.node`s that `lookup_service` returns for
+    /// the partition's decimal form (`""` for `None`), in the same order
+    /// and multiplicity.
+    pub fn providers<'a>(
+        &'a self,
+        service: &'a str,
+        partition: Option<u16>,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        self.entries().flat_map(move |e| {
+            e.record
+                .services
+                .iter()
+                .filter(move |s| {
+                    s.name == service && partition.is_none_or(|p| s.partitions.contains(p))
+                })
+                .map(|_| e.record.node)
+        })
     }
 
     /// Convenience: lookup by raw strings (compiles the query each call).

@@ -82,16 +82,16 @@ impl DirectoryClient {
     }
 
     /// Resolve `(service, partition)` through the current view: the node
-    /// ids currently believed to host that service partition, in
-    /// directory order. The router-facing form of
-    /// [`lookup_service`](Self::lookup_service): malformed patterns and
-    /// unknown services both resolve to an empty candidate set instead
-    /// of an error, which is what request routing wants.
+    /// ids currently believed to host that partition of the service
+    /// named exactly `service`, in directory order
+    /// ([`Directory::providers`]). The router-facing query: `service` is
+    /// a literal, not a pattern (`"ind.x"` does not find `index`), and
+    /// an unknown service resolves to an empty candidate set. Patterns
+    /// go through [`lookup_service`](Self::lookup_service).
     pub fn resolve(&self, service: &str, partition: u16) -> Vec<NodeId> {
-        self.lookup_service(service, &partition.to_string())
-            .unwrap_or_default()
-            .into_iter()
-            .map(|m| m.node)
+        self.inner
+            .read()
+            .providers(service, Some(partition))
             .collect()
     }
 

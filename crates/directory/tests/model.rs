@@ -4,7 +4,10 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use tamp_directory::{Directory, Provenance};
-use tamp_wire::{NodeId, NodeRecord};
+use tamp_wire::{NodeId, NodeRecord, PartitionSet, ServiceDecl};
+
+#[path = "common/routing.rs"]
+mod routing;
 
 /// One scripted operation.
 #[derive(Debug, Clone)]
@@ -175,6 +178,47 @@ proptest! {
             );
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// Differential routing lock: the typed scan routers use returns
+    /// exactly what the pattern API returns for a literal name.
+    #[test]
+    fn providers_match_lookup_service(
+        ops in routing::arb_ops(),
+        name in routing::NAME,
+        partition in 0u16..7,
+    ) {
+        routing::check(&routing::build(&ops), &name, partition)?;
+    }
+}
+
+/// Routing takes the service name literally: what `lookup_service` reads
+/// as a pattern, or matches against the empty string, finds nothing.
+#[test]
+fn providers_take_the_name_literally() {
+    let mut dir = Directory::new();
+    for (id, name) in [(1, "index"), (2, "doc")] {
+        let rec = NodeRecord::new(NodeId(id), 1)
+            .with_service(ServiceDecl::new(name, PartitionSet::from_iter([0])));
+        dir.apply_join(rec, Provenance::Direct, 0);
+    }
+    for pattern in ["ind.x", "(index|doc)", ".*"] {
+        assert!(!dir.lookup_service(pattern, "").unwrap().is_empty());
+    }
+    for name in ["ind.x", "(index|doc)", ".*", "inde", "indexes", ""] {
+        for partition in [Some(0), None] {
+            assert_eq!(dir.providers(name, partition).count(), 0, "{name:?}");
+        }
+    }
+    assert_eq!(
+        dir.providers("index", Some(0)).collect::<Vec<_>>(),
+        [NodeId(1)]
+    );
+    assert_eq!(dir.providers("index", Some(1)).count(), 0);
+    assert_eq!(dir.providers("doc", None).collect::<Vec<_>>(), [NodeId(2)]);
 }
 
 /// Scripted operation for the digest differential: every mutation class

@@ -173,10 +173,11 @@ impl LoadGenNode {
         if self.warmed {
             return true;
         }
-        let client = self.inner.directory_client();
-        self.warmed = (0..self.cfg.index_partitions)
-            .all(|p| !client.resolve("index", p).is_empty())
-            && (0..self.cfg.doc_partitions).all(|p| !client.resolve("doc", p).is_empty());
+        let hosted = |service, parts: u16| {
+            (0..parts).all(|p| !self.inner.resolve_service(service, Some(p)).is_empty())
+        };
+        self.warmed =
+            hosted("index", self.cfg.index_partitions) && hosted("doc", self.cfg.doc_partitions);
         self.warmed
     }
 
@@ -266,12 +267,8 @@ impl LoadGenNode {
             return;
         };
         let (service, partition) = req.target();
-        let candidates: Vec<NodeId> = self
-            .inner
-            .resolve_service(service, partition)
-            .into_iter()
-            .filter(|n| !req.tried.contains(n))
-            .collect();
+        let mut candidates = self.inner.resolve_service(service, Some(partition));
+        candidates.retain(|n| !req.tried.contains(n));
 
         if !candidates.is_empty() && req.attempts < self.cfg.max_local_attempts {
             let i = (self.rng.next_u64() % candidates.len() as u64) as usize;
@@ -283,14 +280,10 @@ impl LoadGenNode {
         // Proxy fallback (paper Fig. 6): route the step through a local
         // membership proxy to a remote data center.
         if !req.step_used_proxy {
-            let proxies = self
-                .inner
-                .directory_client()
-                .lookup_service(PROXY_SERVICE, "")
-                .unwrap_or_default();
+            let proxies = self.inner.resolve_service(PROXY_SERVICE, None);
             if !proxies.is_empty() {
                 let i = (self.rng.next_u64() % proxies.len() as u64) as usize;
-                let proxy = proxies[i].node;
+                let proxy = proxies[i];
                 self.reqs.get_mut(&serial).unwrap().step_used_proxy = true;
                 self.send_attempt(ctx, serial, proxy, service, partition, true);
                 return;
@@ -378,7 +371,7 @@ impl LoadGenNode {
         let stale = !proxied
             && !self
                 .inner
-                .resolve_service(service, partition)
+                .resolve_service(service, Some(partition))
                 .contains(&target);
         if stale {
             ctx.count("load", "errors.routed_to_dead", 1);

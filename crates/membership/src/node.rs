@@ -299,12 +299,14 @@ impl MembershipNode {
     }
 
     /// Resolve `(service, partition)` through this node's live view:
-    /// the node ids currently believed to host that service partition.
+    /// the node ids currently believed to host that partition (`None` =
+    /// any) of the service named exactly `service`, in `NodeId` order.
     /// The view-resolution entry point used by request routers
-    /// (gateways, the `tamp-load` generator) — equivalent to
+    /// (gateways, proxies, the `tamp-load` generator) — equivalent to
     /// `directory_client().resolve(...)` without constructing a client.
-    pub fn resolve_service(&self, service: &str, partition: u16) -> Vec<NodeId> {
-        self.directory.client().resolve(service, partition)
+    pub fn resolve_service(&self, service: &str, partition: Option<u16>) -> Vec<NodeId> {
+        self.directory
+            .read(|d| d.providers(service, partition).collect())
     }
 
     /// Command queue for mutating this node's published services and

@@ -262,13 +262,10 @@ impl GatewayNode {
         if self.warmed {
             return true;
         }
-        let client = self.inner.directory_client();
-        self.warmed = self
-            .cfg
-            .workflow
-            .steps
-            .iter()
-            .all(|s| (0..s.partition_count).all(|p| !client.resolve(&s.service, p).is_empty()));
+        self.warmed = self.cfg.workflow.steps.iter().all(|s| {
+            (0..s.partition_count)
+                .all(|p| !self.inner.resolve_service(&s.service, Some(p)).is_empty())
+        });
         self.warmed
     }
 
@@ -331,8 +328,7 @@ impl GatewayNode {
         let s = &q.subs[sub];
         let candidates: Vec<NodeId> = self
             .inner
-            .directory_client()
-            .resolve(&step.service, s.partition)
+            .resolve_service(&step.service, Some(s.partition))
             .into_iter()
             .filter(|n| !s.tried.contains(n))
             .collect();
@@ -358,14 +354,7 @@ impl GatewayNode {
         // Proxy fallback (Fig. 6 step 1): ask a local membership proxy.
         let q = self.queries.get(&qid).unwrap();
         if !q.subs[sub].used_proxy {
-            let proxies: Vec<NodeId> = self
-                .inner
-                .directory_client()
-                .lookup_service(PROXY_SERVICE, "")
-                .unwrap_or_default()
-                .into_iter()
-                .map(|m| m.node)
-                .collect();
+            let proxies = self.inner.resolve_service(PROXY_SERVICE, None);
             if !proxies.is_empty() {
                 let i = ctx.rand_below(proxies.len() as u64) as usize;
                 let proxy = proxies[i];

@@ -366,17 +366,17 @@ impl ProxyNode {
                 }
             }
         } else if req.hops_left == 1 {
-            // Step (3): pick a local backend instance.
-            let machines = self
+            // Step (3): pick a local backend instance. The service name
+            // came off the wire: it is compared literally, like step
+            // (2)'s `RemoteView::find`, never compiled as a pattern.
+            let backends = self
                 .inner
-                .directory_client()
-                .lookup_service(&req.service, &req.partition.to_string())
-                .unwrap_or_default();
-            let target = if machines.is_empty() {
+                .resolve_service(&req.service, Some(req.partition));
+            let target = if backends.is_empty() {
                 None
             } else {
-                let i = ctx.rand_below(machines.len() as u64) as usize;
-                Some(machines[i].node)
+                let i = ctx.rand_below(backends.len() as u64) as usize;
+                Some(backends[i])
             };
             match target {
                 Some(node) => {
@@ -559,6 +559,9 @@ impl Actor for ProxyNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+    use tamp_netsim::{collect_effects, Destination, Effect};
+    use tamp_topology::HostId;
 
     fn mk_proxy(id: u32) -> ProxyNode {
         ProxyNode::new(
@@ -604,6 +607,80 @@ mod tests {
         );
         p.evaluate_leadership(0);
         assert_eq!(vips.get(DcId(2)), Some(NodeId(7)));
+    }
+
+    /// Fig. 6 step (3) on a proxy whose cluster view holds backends
+    /// `index` (node 10) and `doc` (node 11), partition 0 each: what
+    /// the proxy does with an inbound request for `service`.
+    fn step3(service: &str) -> Vec<Effect> {
+        let mut p = mk_proxy(3);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let _ = collect_effects(0, HostId(3), &mut rng, |ctx| p.on_start(ctx));
+        for (from, name) in [(10, "index"), (11, "doc")] {
+            let record = tamp_wire::NodeRecord::new(NodeId(from), 1)
+                .with_service(ServiceDecl::new(name, PartitionSet::from_iter([0])));
+            let hb = Message::Heartbeat(Heartbeat {
+                from: NodeId(from),
+                level: 0,
+                seq: 1,
+                is_leader: false,
+                backup: None,
+                latest_update_seq: 0,
+                record,
+            });
+            let meta = PacketMeta::multicast(HostId(from), ChannelId(0), 1, 228);
+            let _ = collect_effects(SECS, HostId(3), &mut rng, |ctx| p.on_packet(ctx, meta, &hb));
+        }
+        let req = Message::ServiceRequest(ServiceRequest {
+            id: (20 << 32) | 1,
+            from: NodeId(30),
+            service: service.to_string(),
+            partition: 0,
+            payload: Vec::new(),
+            hops_left: 1,
+        });
+        let meta = PacketMeta::unicast(HostId(30), 64);
+        collect_effects(2 * SECS, HostId(3), &mut rng, |ctx| {
+            p.on_packet(ctx, meta, &req)
+        })
+    }
+
+    fn counted(effects: &[Effect], counter: &str) -> bool {
+        effects.iter().any(
+            |e| matches!(e, Effect::Count { subsystem: "proxy", name, .. } if *name == counter),
+        )
+    }
+
+    #[test]
+    fn step3_forwards_a_literal_service_name() {
+        let effects = step3("index");
+        assert!(counted(&effects, "requests_forwarded"));
+        assert!(effects.iter().any(|e| matches!(
+            e,
+            Effect::Send {
+                dest: Destination::Unicast(h),
+                msg: Message::ServiceRequest(r),
+            } if h.0 == 10 && r.hops_left == 0
+        )));
+    }
+
+    #[test]
+    fn step3_never_reads_a_wire_service_name_as_a_pattern() {
+        for service in ["ind.x", ".*", "(index|doc)", "("] {
+            let effects = step3(service);
+            assert!(counted(&effects, "requests_rejected"), "{service:?}");
+            assert!(!counted(&effects, "requests_forwarded"), "{service:?}");
+            assert!(
+                !effects.iter().any(|e| matches!(
+                    e,
+                    Effect::Send {
+                        msg: Message::ServiceRequest(_),
+                        ..
+                    }
+                )),
+                "{service:?} reached a backend"
+            );
+        }
     }
 
     #[test]
