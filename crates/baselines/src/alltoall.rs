@@ -183,7 +183,7 @@ impl Actor for AllToAllNode {
         self.last_heard.insert(hb.from, now);
         let (was, applied) = self.directory.update(|d| {
             let was = d.contains(hb.from);
-            let a = d.apply_join_with(
+            let (a, _) = d.apply_join_with(
                 hb.record.node,
                 hb.record.incarnation,
                 Provenance::Direct,

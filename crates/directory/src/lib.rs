@@ -143,7 +143,7 @@ impl Directory {
         self.entries.is_empty()
     }
 
-    /// Live node ids, unordered.
+    /// Live node ids, in `NodeId` order (see [`Directory::entries`]).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.entries.keys().copied()
     }
@@ -191,6 +191,7 @@ impl Directory {
             || record.clone(),
             |e| *e == record,
         )
+        .0
     }
 
     /// Generic form of [`Directory::apply_join`]: the acceptance rules
@@ -207,6 +208,10 @@ impl Directory {
     /// (dominant) same-incarnation refresh case. A conservative `same`
     /// that answers `false` is safe: the record is materialized and
     /// compared-by-storage, converging to the same final state.
+    ///
+    /// Also reports whether `node` had an entry before the call: callers
+    /// that announce first sightings get it from the same walk instead
+    /// of a `contains` before it.
     pub fn apply_join_with(
         &mut self,
         node: NodeId,
@@ -215,13 +220,15 @@ impl Directory {
         now: Nanos,
         make_record: impl FnOnce() -> NodeRecord,
         same: impl FnOnce(&NodeRecord) -> bool,
-    ) -> Applied {
+    ) -> (Applied, bool) {
         if let Some(&(dead_inc, at)) = self.dead.get(&node) {
             if incarnation <= dead_inc && now.saturating_sub(at) < self.tombstone_ttl {
-                return Applied::Ignored;
+                return (Applied::Ignored, self.entries.contains_key(&node));
             }
         }
-        let applied = match self.entries.get_mut(&node) {
+        let existing = self.entries.get_mut(&node);
+        let was_known = existing.is_some();
+        let applied = match existing {
             None => {
                 let record = make_record();
                 debug_assert_eq!((record.node, record.incarnation), (node, incarnation));
@@ -269,7 +276,7 @@ impl Directory {
             }
         };
         self.debug_assert_digest_coherent();
-        applied
+        (applied, was_known)
     }
 
     /// Declare `node`'s given incarnation dead. A stale leave (for an
@@ -790,7 +797,7 @@ mod tests {
             || unreachable!("fast path must not materialize"),
             |_| true,
         );
-        assert_eq!(applied, Applied::Ignored);
+        assert_eq!(applied, (Applied::Ignored, true));
         assert_eq!(d.get(NodeId(1)).unwrap().last_refresh, 7);
         // Older incarnation: also no materialization.
         let applied = d.apply_join_with(
@@ -801,13 +808,28 @@ mod tests {
             || unreachable!("stale join must not materialize"),
             |_| false,
         );
-        assert_eq!(applied, Applied::Ignored);
+        assert_eq!(applied, (Applied::Ignored, true));
         // Newer incarnation materializes and lands.
         let applied =
             d.apply_join_with(NodeId(1), 4, Provenance::Direct, 9, || rec(1, 4), |_| false);
-        assert!(applied.changed());
+        assert_eq!(applied, (Applied::Changed, true));
         assert_eq!(d.get(NodeId(1)).unwrap().record.incarnation, 4);
         assert_eq!(d.digest()[0].incarnation, 4);
+        // A first sighting reports the node as not known before, and a
+        // join a fresh tombstone rejects still answers for the entry.
+        let applied =
+            d.apply_join_with(NodeId(2), 1, Provenance::Direct, 9, || rec(2, 1), |_| false);
+        assert_eq!(applied, (Applied::Changed, false));
+        d.apply_leave(NodeId(2), 1, 10);
+        let applied = d.apply_join_with(
+            NodeId(2),
+            1,
+            Provenance::Direct,
+            11,
+            || unreachable!("tombstoned join must not materialize"),
+            |_| false,
+        );
+        assert_eq!(applied, (Applied::Ignored, false));
     }
 
     #[test]
@@ -818,7 +840,7 @@ mod tests {
         // wasted materialization) but final state is unchanged.
         let applied =
             d.apply_join_with(NodeId(1), 3, Provenance::Direct, 5, || rec(1, 3), |_| false);
-        assert!(applied.changed());
+        assert_eq!(applied, (Applied::Changed, true));
         assert_eq!(d.get(NodeId(1)).unwrap().record, rec(1, 3));
         assert!(d.digest_is_coherent());
     }

@@ -11,10 +11,13 @@
 use tamp_topology::Nanos;
 use tamp_wire::NodeId;
 
-use std::collections::BTreeMap;
-
 /// What we know about one peer heard on a group channel.
-#[derive(Debug, Clone, Copy)]
+///
+/// Fields are readable everywhere but writable only through
+/// [`GroupState::heard`] / [`GroupState::heard_heartbeat`]: the table
+/// hands out `&PeerState` only, because [`GroupState`]'s sweep floors
+/// rest on these times never being lowered behind its back.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeerState {
     /// Last time any packet from this peer arrived on this channel.
     pub last_heard: Nanos,
@@ -36,6 +39,18 @@ pub struct PeerState {
 const EWMA_ALPHA: f64 = 0.125;
 
 impl PeerState {
+    /// A peer first heard at `now`, by a packet that asserted nothing.
+    fn first_heard(now: Nanos) -> Self {
+        PeerState {
+            last_heard: now,
+            claims_leader: false,
+            incarnation: 0,
+            ewma_interval: 0.0,
+            ewma_var: 0.0,
+            last_heartbeat: 0,
+        }
+    }
+
     /// Adaptive failure timeout for this peer: `max_loss` expected
     /// inter-arrivals plus a 4-sigma safety margin. Falls back to
     /// `fallback` until enough samples exist. Under packet loss the
@@ -64,13 +79,86 @@ pub enum Election {
     Candidate { deadline: Nanos },
 }
 
+/// The peers heard on one group channel: a sorted id column and a
+/// parallel state column. A group holds ~20 peers, so a lookup is a
+/// binary search over one or two cache lines of ids plus one line of
+/// state, and iteration is ascending `NodeId` — the determinism
+/// requirement every downstream byte (backup choice, expiry order,
+/// relay order) rests on. Read-only outside this module; all mutation
+/// goes through [`GroupState`].
+#[derive(Debug, Clone, Default)]
+pub struct PeerTable {
+    ids: Vec<NodeId>,
+    states: Vec<PeerState>,
+}
+
+impl PeerTable {
+    pub fn get(&self, peer: &NodeId) -> Option<&PeerState> {
+        self.ids.binary_search(peer).ok().map(|i| &self.states[i])
+    }
+
+    pub fn contains_key(&self, peer: &NodeId) -> bool {
+        self.ids.binary_search(peer).is_ok()
+    }
+
+    /// Peer ids, ascending.
+    pub fn keys(&self) -> std::slice::Iter<'_, NodeId> {
+        self.ids.iter()
+    }
+
+    /// Peer states, in ascending id order.
+    pub fn values(&self) -> std::slice::Iter<'_, PeerState> {
+        self.states.iter()
+    }
+
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &PeerState)> {
+        self.ids.iter().copied().zip(&self.states)
+    }
+
+    /// The state of `peer`, inserted as `fresh` if absent; the flag says
+    /// whether it was inserted.
+    fn entry(&mut self, peer: NodeId, fresh: PeerState) -> (&mut PeerState, bool) {
+        match self.ids.binary_search(&peer) {
+            Ok(i) => (&mut self.states[i], false),
+            Err(i) => {
+                self.ids.insert(i, peer);
+                self.states.insert(i, fresh);
+                (&mut self.states[i], true)
+            }
+        }
+    }
+
+    fn remove(&mut self, peer: NodeId) -> Option<PeerState> {
+        let i = self.ids.binary_search(&peer).ok()?;
+        self.ids.remove(i);
+        Some(self.states.remove(i))
+    }
+}
+
 /// This node's view of one membership group.
 #[derive(Debug, Clone)]
 pub struct GroupState {
     pub level: u8,
-    /// Peers currently heard on this channel (not including ourselves),
-    /// ordered by id for deterministic iteration.
-    pub peers: BTreeMap<NodeId, PeerState>,
+    /// Peers currently heard on this channel (not including ourselves).
+    peers: PeerTable,
+    /// Sweep floors: `heard_floor ≤` every peer's `last_heard`,
+    /// `hb_floor ≤` every non-zero `last_heartbeat`, `max_ewma ≥` every
+    /// `ewma_interval`. They let the 100 ms sweep prove "no peer can be
+    /// expired / late yet" without walking the table. They stay valid
+    /// between scans because per-peer times only grow, a new peer enters
+    /// at the time it was heard, and a removal only loosens a bound; a
+    /// scan that does run recomputes them exactly.
+    heard_floor: Nanos,
+    hb_floor: Nanos,
+    max_ewma: f64,
     /// Current believed leader (may be ourselves).
     pub leader: Option<NodeId>,
     /// Backup designated by the current leader.
@@ -90,7 +178,10 @@ impl GroupState {
     pub fn new(level: u8, now: Nanos) -> Self {
         GroupState {
             level,
-            peers: BTreeMap::new(),
+            peers: PeerTable::default(),
+            heard_floor: Nanos::MAX,
+            hb_floor: Nanos::MAX,
+            max_ewma: 0.0,
             leader: None,
             backup: None,
             election: Election::Idle,
@@ -101,18 +192,19 @@ impl GroupState {
         }
     }
 
+    /// Peers currently heard on this channel, ordered by id.
+    pub fn peers(&self) -> &PeerTable {
+        &self.peers
+    }
+
     /// Record a non-heartbeat packet from `peer`: refreshes liveness but
     /// not the cadence statistics (control traffic arrives irregularly
     /// and would corrupt the adaptive detector's inter-arrival model).
     pub fn heard(&mut self, peer: NodeId, now: Nanos, claims_leader: bool, incarnation: u64) {
-        let e = self.peers.entry(peer).or_insert(PeerState {
-            last_heard: now,
-            claims_leader,
-            incarnation,
-            ewma_interval: 0.0,
-            ewma_var: 0.0,
-            last_heartbeat: 0,
-        });
+        let (e, inserted) = self.peers.entry(peer, PeerState::first_heard(now));
+        if inserted {
+            self.heard_floor = self.heard_floor.min(now);
+        }
         e.last_heard = e.last_heard.max(now);
         // Control traffic can only *assert* leadership (a Coordinator),
         // never silently retract it — elections and digests pass `false`
@@ -120,6 +212,7 @@ impl GroupState {
         // next heartbeat (the authoritative periodic signal) may clear it.
         e.claims_leader = e.claims_leader || claims_leader;
         e.incarnation = e.incarnation.max(incarnation);
+        self.debug_assert_floors();
     }
 
     /// Record a *heartbeat* from `peer`: refreshes liveness and feeds
@@ -132,14 +225,10 @@ impl GroupState {
         claims_leader: bool,
         incarnation: u64,
     ) {
-        let e = self.peers.entry(peer).or_insert(PeerState {
-            last_heard: now,
-            claims_leader,
-            incarnation,
-            ewma_interval: 0.0,
-            ewma_var: 0.0,
-            last_heartbeat: 0,
-        });
+        let (e, inserted) = self.peers.entry(peer, PeerState::first_heard(now));
+        if inserted {
+            self.heard_floor = self.heard_floor.min(now);
+        }
         if e.last_heartbeat > 0 && now > e.last_heartbeat {
             let interval = (now - e.last_heartbeat) as f64;
             if e.ewma_interval <= 0.0 {
@@ -149,13 +238,20 @@ impl GroupState {
                 e.ewma_var = (1.0 - EWMA_ALPHA) * e.ewma_var + EWMA_ALPHA * dev * dev;
                 e.ewma_interval = (1.0 - EWMA_ALPHA) * e.ewma_interval + EWMA_ALPHA * interval;
             }
+            self.max_ewma = self.max_ewma.max(e.ewma_interval);
         }
         if now > e.last_heartbeat {
+            if e.last_heartbeat == 0 {
+                // First heartbeat from this peer: a new time enters the
+                // cadence column (later ones only move an old one up).
+                self.hb_floor = self.hb_floor.min(now);
+            }
             e.last_heartbeat = now;
         }
         e.last_heard = e.last_heard.max(now);
         e.claims_leader = claims_leader;
         e.incarnation = e.incarnation.max(incarnation);
+        self.debug_assert_floors();
     }
 
     /// Remove a peer; returns its last known state.
@@ -166,20 +262,41 @@ impl GroupState {
         if self.backup == Some(peer) {
             self.backup = None;
         }
-        self.peers.remove(&peer)
+        // The floors stay: dropping a peer can only loosen them.
+        self.peers.remove(peer)
     }
 
-    /// Peers whose last contact is older than `timeout` at `now`.
-    pub fn expired_peers(&self, now: Nanos, timeout: Nanos) -> Vec<NodeId> {
+    fn expired_scan(&self, now: Nanos, timeout: Nanos) -> impl Iterator<Item = NodeId> + '_ {
         self.peers
             .iter()
-            .filter(|(_, p)| now.saturating_sub(p.last_heard) >= timeout)
-            .map(|(&n, _)| n)
-            .collect()
+            .filter(move |(_, p)| now.saturating_sub(p.last_heard) >= timeout)
+            .map(|(n, _)| n)
+    }
+
+    /// Peers whose last contact is older than `timeout` at `now`. Walks
+    /// the table only once the oldest contact it could hold is that old.
+    pub fn expired_peers(&mut self, now: Nanos, timeout: Nanos) -> Vec<NodeId> {
+        if now.saturating_sub(self.heard_floor) < timeout {
+            debug_assert!(
+                self.expired_scan(now, timeout).next().is_none(),
+                "expiry gate skipped a due scan: floor={} now={now} timeout={timeout}",
+                self.heard_floor
+            );
+            return Vec::new();
+        }
+        self.heard_floor = self
+            .peers
+            .values()
+            .map(|p| p.last_heard)
+            .min()
+            .unwrap_or(Nanos::MAX);
+        self.expired_scan(now, timeout).collect()
     }
 
     /// Like [`GroupState::expired_peers`], but each peer gets its own
-    /// adaptive deadline (see [`PeerState::adaptive_timeout`]).
+    /// adaptive deadline (see [`PeerState::adaptive_timeout`]). Those
+    /// deadlines can shrink between sweeps, so no floor bounds them:
+    /// this one walks the table every time.
     pub fn expired_peers_adaptive(
         &self,
         now: Nanos,
@@ -191,8 +308,78 @@ impl GroupState {
             .filter(|(_, p)| {
                 now.saturating_sub(p.last_heard) >= p.adaptive_timeout(max_loss, fallback)
             })
-            .map(|(&n, _)| n)
+            .map(|(n, _)| n)
             .collect()
+    }
+
+    /// Peers that look late at `now`: EWMA inter-arrival estimate or
+    /// current heartbeat silence (whichever is worse) beyond `late_after`
+    /// nanoseconds. A peer that never heartbeated has no silence yet.
+    fn late_peers(&self, now: Nanos, late_after: f64) -> usize {
+        self.peers
+            .values()
+            .filter(|p| {
+                let silence = if p.last_heartbeat > 0 {
+                    now.saturating_sub(p.last_heartbeat) as f64
+                } else {
+                    0.0
+                };
+                p.ewma_interval.max(silence) > late_after
+            })
+            .count()
+    }
+
+    /// This group's loss-distress verdict: at least half of its peers
+    /// look late — EWMA inter-arrival estimate or current heartbeat
+    /// silence beyond `late_after` nanoseconds. Groups with fewer than
+    /// three peers carry no usable correlation signal. Walks the table
+    /// only once some peer could be late.
+    pub fn distressed(&mut self, now: Nanos, late_after: f64) -> bool {
+        let len = self.peers.len();
+        if len < 3 {
+            return false;
+        }
+        if self.max_ewma <= late_after && now.saturating_sub(self.hb_floor) as f64 <= late_after {
+            debug_assert_eq!(
+                self.late_peers(now, late_after),
+                0,
+                "distress gate skipped a scan with late peers: hb_floor={} max_ewma={} now={now}",
+                self.hb_floor,
+                self.max_ewma
+            );
+            return false;
+        }
+        self.hb_floor = Nanos::MAX;
+        self.max_ewma = 0.0;
+        for p in self.peers.values() {
+            if p.last_heartbeat > 0 {
+                self.hb_floor = self.hb_floor.min(p.last_heartbeat);
+            }
+            self.max_ewma = self.max_ewma.max(p.ewma_interval);
+        }
+        self.late_peers(now, late_after) * 2 >= len
+    }
+
+    /// True iff the three sweep floors bound the peer table — the
+    /// invariant both gates rest on. Checked after every mutation in
+    /// debug builds, and by the model tests.
+    pub fn floors_hold(&self) -> bool {
+        self.peers.values().all(|p| {
+            self.heard_floor <= p.last_heard
+                && (p.last_heartbeat == 0 || self.hb_floor <= p.last_heartbeat)
+                && self.max_ewma >= p.ewma_interval
+        })
+    }
+
+    fn debug_assert_floors(&self) {
+        debug_assert!(
+            self.floors_hold(),
+            "sweep floors no longer bound the peer table: heard_floor={} hb_floor={} max_ewma={} peers={:?}",
+            self.heard_floor,
+            self.hb_floor,
+            self.max_ewma,
+            self.peers
+        );
     }
 
     /// True if `me` has the lowest id among `me` and all live peers —
@@ -206,7 +393,7 @@ impl GroupState {
         self.peers
             .iter()
             .filter(|(_, p)| p.claims_leader)
-            .map(|(&n, _)| n)
+            .map(|(n, _)| n)
             .min()
     }
 
@@ -251,7 +438,7 @@ mod tests {
         let mut s = g();
         s.heard(NodeId(5), 10, false, 1);
         s.heard(NodeId(5), 20, true, 1);
-        let p = s.peers[&NodeId(5)];
+        let p = *s.peers().get(&NodeId(5)).unwrap();
         assert_eq!(p.last_heard, 20);
         assert!(p.claims_leader);
     }
@@ -261,7 +448,7 @@ mod tests {
         let mut s = g();
         s.heard(NodeId(5), 20, false, 3);
         s.heard(NodeId(5), 10, false, 2);
-        let p = s.peers[&NodeId(5)];
+        let p = *s.peers().get(&NodeId(5)).unwrap();
         assert_eq!(p.last_heard, 20);
         assert_eq!(p.incarnation, 3);
     }

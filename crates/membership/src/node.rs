@@ -74,7 +74,7 @@ fn token_kind(token: u64) -> (u64, u8) {
 /// Shared introspection snapshot, updated by the node as it runs. Lets
 /// tests and the experiment harness observe protocol state without
 /// reaching into the actor.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ProbeState {
     /// `leaders[ℓ]` = believed leader of our level-ℓ group (None when
     /// the level is inactive or leaderless).
@@ -420,13 +420,12 @@ impl MembershipNode {
         (level <= self.cfg.top_level()).then_some(level)
     }
 
-    fn active_levels(&self) -> Vec<u8> {
+    fn active_levels(&self) -> impl Iterator<Item = u8> + '_ {
         self.groups
             .iter()
             .enumerate()
             .filter(|(_, g)| g.is_some())
             .map(|(l, _)| l as u8)
-            .collect()
     }
 
     fn am_leader(&self, level: u8) -> bool {
@@ -438,7 +437,8 @@ impl MembershipNode {
     fn update_probe(&self) {
         let member_count = self.directory.read(|d| d.len());
         let mut p = self.probe.lock();
-        // Reuse the probe's buffers: this runs every sweep on every node,
+        // Reuse the probe's buffers: this runs every sweep on every node
+        // and after every packet that moved something the probe carries,
         // and fresh allocations here show up at 10k-node scale.
         p.leaders.clear();
         p.leaders.extend(
@@ -447,23 +447,17 @@ impl MembershipNode {
                 .map(|g| g.as_ref().and_then(|g| g.leader)),
         );
         p.active_levels.clear();
-        p.active_levels.extend(
-            self.groups
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| g.is_some())
-                .map(|(l, _)| l as u8),
-        );
+        p.active_levels.extend(self.active_levels());
         p.incarnation = self.incarnation;
         p.member_count = member_count;
         p.counters = self.counters;
     }
 
     /// Apply a record heard *directly* (heartbeat from the node itself);
-    /// returns whether the directory changed and whether the node is
-    /// newly known. Routes through the directory's lazy-materialization
-    /// join so borrowed wire views skip decoding on the dominant
-    /// same-incarnation refresh path.
+    /// returns whether the directory changed. Routes through the
+    /// directory's lazy-materialization join so borrowed wire views skip
+    /// decoding on the dominant same-incarnation refresh path, which is
+    /// one walk of the directory.
     fn apply_direct_with(
         &mut self,
         ctx: &mut Context,
@@ -471,11 +465,10 @@ impl MembershipNode {
         incarnation: u64,
         make_record: &impl Fn() -> NodeRecord,
         same: &impl Fn(&NodeRecord) -> bool,
-    ) -> (bool, bool) {
+    ) -> bool {
         let now = ctx.now();
-        let (was_known, applied) = self.directory.update(|d| {
-            let was = d.contains(node);
-            let applied = d.apply_join_with(
+        let (applied, was_known) = self.directory.update(|d| {
+            let (applied, was_known) = d.apply_join_with(
                 node,
                 incarnation,
                 Provenance::Direct,
@@ -483,12 +476,12 @@ impl MembershipNode {
                 make_record,
                 same,
             );
-            (applied.changed(), (was, applied))
+            (applied.changed(), (applied, was_known))
         });
-        if applied == Applied::Changed && !was_known {
+        if applied.changed() && !was_known {
             ctx.observe_added(node);
         }
-        (applied == Applied::Changed, !was_known)
+        applied.changed()
     }
 
     /// Groups to relay an event into, given the level it arrived on
@@ -496,7 +489,6 @@ impl MembershipNode {
     /// participate in (upward path). `arrival` itself is excluded.
     fn relay_levels(&self, arrival: u8) -> Vec<u8> {
         self.active_levels()
-            .into_iter()
             .filter(|&l| l != arrival && (self.am_leader(l) || l > arrival))
             .collect()
     }
@@ -506,7 +498,6 @@ impl MembershipNode {
     /// every group we lead plus every higher-level group we sit in.
     fn relay_levels_all(&self) -> Vec<u8> {
         self.active_levels()
-            .into_iter()
             .filter(|&l| self.am_leader(l) || l > 0)
             .collect()
     }
@@ -584,30 +575,19 @@ impl MembershipNode {
     /// no usable correlation signal of their own, yet share the same
     /// network as the well-populated level-0 group, so any distressed
     /// group stretches every level's windows.
-    fn raw_distress(&self, now: u64) -> bool {
+    ///
+    /// The per-group verdict is [`GroupState::distressed`], which skips
+    /// its walk while the group's floors prove no peer is late.
+    fn raw_distress(&mut self, now: u64) -> bool {
         let th = self.cfg.degrade_stretch_threshold;
         if th <= 0.0 {
             return false;
         }
-        let period = self.cfg.heartbeat_period as f64;
-        self.groups.iter().flatten().any(|g| {
-            if g.peers.len() < 3 {
-                return false;
-            }
-            let late = g
-                .peers
-                .values()
-                .filter(|p| {
-                    let silence = if p.last_heartbeat > 0 {
-                        now.saturating_sub(p.last_heartbeat) as f64
-                    } else {
-                        0.0
-                    };
-                    p.ewma_interval.max(silence) > th * period
-                })
-                .count();
-            late * 2 >= g.peers.len()
-        })
+        let late_after = th * self.cfg.heartbeat_period as f64;
+        self.groups
+            .iter_mut()
+            .flatten()
+            .any(|g| g.distressed(now, late_after))
     }
 
     /// Latched view of [`MembershipNode::raw_distress`]: the current
@@ -833,7 +813,7 @@ impl MembershipNode {
             .iter()
             .filter(|(n, _)| {
                 self.groups.iter().flatten().any(|g| {
-                    g.peers.get(n).is_some_and(|p| {
+                    g.peers().get(n).is_some_and(|p| {
                         now.saturating_sub(p.last_heard) <= 2 * self.cfg.heartbeat_period
                     })
                 })
@@ -896,7 +876,7 @@ impl MembershipNode {
                 .groups
                 .get(s.level as usize)
                 .and_then(|g| g.as_ref())
-                .map_or(0, |g| g.peers.len());
+                .map_or(0, |g| g.peers().len());
             let h = self
                 .cfg
                 .cut_high_watermark
@@ -1055,7 +1035,7 @@ impl MembershipNode {
                 .groups
                 .iter()
                 .flatten()
-                .any(|g| g.peers.contains_key(&peer));
+                .any(|g| g.peers().contains_key(&peer));
             let dir_inc = self
                 .directory
                 .read(|d| d.get(peer).map(|e| e.record.incarnation));
@@ -1114,8 +1094,9 @@ impl MembershipNode {
     }
 
     fn send_heartbeats(&mut self, ctx: &mut Context) {
-        for l in self.active_levels() {
-            let g = self.groups[l as usize].as_mut().unwrap();
+        for (l, g) in self.groups.iter_mut().enumerate() {
+            let Some(g) = g else { continue };
+            let l = l as u8;
             g.hb_seq += 1;
             let msg = Message::Heartbeat(Heartbeat {
                 from: self.me,
@@ -1243,7 +1224,7 @@ impl MembershipNode {
             .groups
             .iter()
             .flatten()
-            .any(|g| g.peers.contains_key(&peer));
+            .any(|g| g.peers().contains_key(&peer));
         if heard_elsewhere {
             return;
         }
@@ -1331,7 +1312,7 @@ impl MembershipNode {
                 if g.backup == Some(me) {
                     // Fast path: the paper's backup takeover.
                     self.become_leader(ctx, level);
-                } else if g.backup.is_some_and(|b| g.peers.contains_key(&b)) {
+                } else if g.backup.is_some_and(|b| g.peers().contains_key(&b)) {
                     // A live backup exists; give it a grace period.
                     g.election = Election::AwaitingBackup {
                         deadline: now + cfg_backup_grace,
@@ -1399,7 +1380,7 @@ impl MembershipNode {
                         // restart's higher incarnation re-adds us cleanly.
                         let inc = self.incarnation;
                         let me = self.me;
-                        let levels = self.active_levels();
+                        let levels = self.active_levels().collect();
                         self.relay_events(ctx, vec![MemberEvent::Leave(me, inc)], levels);
                         for l in self.active_levels() {
                             ctx.unsubscribe(self.cfg.channel(l));
@@ -1426,24 +1407,22 @@ impl MembershipNode {
         // timeout (in effect widening MAX_LOSS) while the distress lasts.
         // One evaluation covers every level in this sweep.
         let stretch = self.distress_stretch(now);
-        for level in self.active_levels() {
-            let timeout = (self.cfg.timeout(level) as f64 * stretch) as u64;
-            let adaptive = self.cfg.adaptive_timeout;
-            let max_loss = self.cfg.max_loss;
-            let expired = {
-                let g = self.groups[level as usize].as_mut().unwrap();
-                let ex = if adaptive {
-                    // Level scaling carries over: the fixed per-level
-                    // timeout acts as the floor/fallback.
-                    g.expired_peers_adaptive(now, max_loss, timeout)
-                } else {
-                    g.expired_peers(now, timeout)
-                };
-                for &p in &ex {
-                    g.remove_peer(p);
-                }
-                ex
+        let levels = self.groups.len() as u8;
+        for level in 0..levels {
+            let Some(g) = self.groups[level as usize].as_mut() else {
+                continue;
             };
+            let timeout = (self.cfg.timeout(level) as f64 * stretch) as u64;
+            let expired = if self.cfg.adaptive_timeout {
+                // Level scaling carries over: the fixed per-level
+                // timeout acts as the floor/fallback.
+                g.expired_peers_adaptive(now, self.cfg.max_loss, timeout)
+            } else {
+                g.expired_peers(now, timeout)
+            };
+            for &p in &expired {
+                g.remove_peer(p);
+            }
             for peer in expired {
                 self.handle_peer_timeout(ctx, peer, level);
             }
@@ -1452,8 +1431,8 @@ impl MembershipNode {
         self.process_cuts(ctx);
         self.process_quarantines(ctx);
         // Leadership invariant: we sit at level ℓ+1 only while leading ℓ.
-        for level in self.active_levels() {
-            if level > 0 && !self.am_leader(level - 1) {
+        for level in 1..levels {
+            if self.groups[level as usize].is_some() && !self.am_leader(level - 1) {
                 self.groups[level as usize] = None;
                 ctx.unsubscribe(self.cfg.channel(level));
                 // Entries only that group covered may now be catch-all
@@ -1461,15 +1440,27 @@ impl MembershipNode {
                 self.next_catchall = 0;
             }
         }
-        // Elections and backup maintenance.
-        for level in self.active_levels() {
+        // Elections and backup maintenance, for the levels active *now*:
+        // winning level ℓ activates ℓ+1, which waits for the next sweep.
+        // Only iteration ℓ can activate ℓ+1, so sampling ℓ+1 just before
+        // it is that snapshot without allocating it.
+        let mut active = self.groups[0].is_some();
+        for level in 0..levels {
+            let was_active = active;
+            active = self
+                .groups
+                .get(level as usize + 1)
+                .is_some_and(|g| g.is_some());
+            if !was_active {
+                continue;
+            }
             self.start_or_progress_election(ctx, level);
             // A leader whose backup died picks a fresh one.
             if self.am_leader(level) {
                 let salt = ctx.rand_below(u64::MAX);
                 let g = self.groups[level as usize].as_mut().unwrap();
-                let backup_alive = g.backup.is_some_and(|b| g.peers.contains_key(&b));
-                if !backup_alive && !g.peers.is_empty() {
+                let backup_alive = g.backup.is_some_and(|b| g.peers().contains_key(&b));
+                if !backup_alive && !g.peers().is_empty() {
                     g.backup = g.pick_backup(salt);
                     let backup = g.backup;
                     ctx.send_multicast(
@@ -1496,7 +1487,7 @@ impl MembershipNode {
                 .groups
                 .iter()
                 .flatten()
-                .flat_map(|g| g.peers.keys().copied())
+                .flat_map(|g| g.peers().keys().copied())
                 .collect();
             // Relayed entries must be re-vouched by *somebody's* digest
             // within a few anti-entropy periods, or they rot: the last line
@@ -1548,7 +1539,7 @@ impl MembershipNode {
     /// every group we lead.
     fn send_digests(&mut self, ctx: &mut Context) {
         let entries: Vec<DigestEntry> = self.own_digest_entries();
-        for l in self.active_levels() {
+        for l in 0..self.groups.len() as u8 {
             if self.am_leader(l) {
                 self.counters.digests_sent += 1;
                 ctx.count("membership", "digests_sent", 1);
@@ -1779,6 +1770,11 @@ impl MembershipNode {
         };
         let now = ctx.now();
         g.heard_heartbeat(hb.from, now, hb.is_leader, hb.rec_incarnation);
+        // What the probe carries and this handler can move: the group's
+        // leader (losing ours also drops the levels above), the member
+        // count (only with `changed` below) and the counters.
+        let leader_before = g.leader;
+        let counters_before = self.counters;
 
         // Leader adoption & rivalry resolution.
         let mut reassert = false;
@@ -1805,7 +1801,7 @@ impl MembershipNode {
                     // forever would wedge the group in disagreement);
                     // otherwise adopt the claimant. Two live claimants
                     // resolve to the lower id.
-                    let incumbent_alive = g.peers.get(&l).is_some_and(|p| p.claims_leader);
+                    let incumbent_alive = g.peers().get(&l).is_some_and(|p| p.claims_leader);
                     if !incumbent_alive || hb.from < l {
                         g.leader = Some(hb.from);
                         g.backup = hb.backup;
@@ -1854,7 +1850,7 @@ impl MembershipNode {
         // directory's generic join only calls `make_record` when it
         // stores. A relayed Join reuses the freshly stored record (an
         // Arc bump) instead of materializing again.
-        let (changed, _is_new) =
+        let changed =
             self.apply_direct_with(ctx, hb.rec_node, hb.rec_incarnation, &make_record, &same);
         if changed {
             let stored = self
@@ -1897,7 +1893,12 @@ impl MembershipNode {
         if advertised > self.seqs.last_applied(hb.from).unwrap_or(0) {
             self.maybe_sync_poll(ctx, hb.from);
         }
-        self.update_probe();
+        // The steady-state heartbeat moved nothing the probe carries:
+        // republishing it would be a lock and two buffer refills per
+        // packet for an identical snapshot.
+        if changed || leader_now != leader_before || self.counters != counters_before {
+            self.update_probe();
+        }
     }
 
     fn apply_relayed_records(
@@ -1918,10 +1919,16 @@ impl MembershipNode {
             } else {
                 Provenance::Relayed(relayer)
             };
-            let (was_known, applied) = self.directory.update(|d| {
-                let was = d.contains(node);
-                let a = d.apply_join(rr.record.clone(), provenance, now);
-                (a.changed(), (was, a))
+            let (applied, was_known) = self.directory.update(|d| {
+                let (applied, was_known) = d.apply_join_with(
+                    node,
+                    rr.record.incarnation,
+                    provenance,
+                    now,
+                    || rr.record.clone(),
+                    |e| *e == rr.record,
+                );
+                (applied.changed(), (applied, was_known))
             });
             if applied == Applied::Changed {
                 if !was_known {
@@ -2085,7 +2092,7 @@ impl MembershipNode {
                     // were fresh right up to the announcement.
                     let heard_recently = relayer != *n
                         && self.groups.iter().flatten().any(|g| {
-                            g.peers.get(n).is_some_and(|p| {
+                            g.peers().get(n).is_some_and(|p| {
                                 now.saturating_sub(p.last_heard) <= 2 * self.cfg.heartbeat_period
                             })
                         });
@@ -2124,7 +2131,7 @@ impl MembershipNode {
                     // refute on the suspect's behalf (the group-leader
                     // path — we hear the node, the accuser cannot).
                     let heard_recently = self.groups.iter().flatten().any(|g| {
-                        g.peers.get(&n).is_some_and(|p| {
+                        g.peers().get(&n).is_some_and(|p| {
                             now.saturating_sub(p.last_heard) <= 2 * self.cfg.heartbeat_period
                         })
                     });
@@ -2179,7 +2186,7 @@ impl MembershipNode {
                     // refutation we already hold) answers with proof
                     // instead of recording the report.
                     let heard_recently = self.groups.iter().flatten().any(|g| {
-                        g.peers.get(&n).is_some_and(|p| {
+                        g.peers().get(&n).is_some_and(|p| {
                             now.saturating_sub(p.last_heard) <= 2 * self.cfg.heartbeat_period
                         })
                     });
@@ -2300,6 +2307,7 @@ impl MembershipNode {
                         events,
                     }),
                 );
+                self.update_probe(); // the served-sync counters
                 return;
             }
         }
@@ -2314,6 +2322,7 @@ impl MembershipNode {
                 records,
             }),
         );
+        self.update_probe(); // the served-sync counters
     }
 
     fn handle_sync_response(&mut self, ctx: &mut Context, r: &SyncResponse) {
@@ -2342,7 +2351,7 @@ impl MembershipNode {
                 // its own group. The leader itself still objects.
                 let follows_other_leader = g
                     .leader
-                    .is_some_and(|l| l != self.me && g.peers.contains_key(&l));
+                    .is_some_and(|l| l != self.me && g.peers().contains_key(&l));
                 if follows_other_leader {
                     return;
                 }
@@ -2573,6 +2582,87 @@ mod tests {
         assert_eq!(c.member_count(), 0, "empty before start");
         let p = node.probe();
         assert_eq!(p.lock().incarnation, 0);
+    }
+
+    fn drive(
+        node: &mut MembershipNode,
+        now: u64,
+        f: impl FnOnce(&mut MembershipNode, &mut Context),
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let host = tamp_topology::HostId(node.me.0);
+        tamp_netsim::collect_effects(now, host, &mut rng, |ctx| f(node, ctx));
+    }
+
+    fn hear(node: &mut MembershipNode, now: u64, from: u32, is_leader: bool, latest: u64) {
+        let hb = Heartbeat {
+            from: NodeId(from),
+            level: 0,
+            seq: 1,
+            is_leader,
+            backup: None,
+            latest_update_seq: latest,
+            record: NodeRecord::new(NodeId(from), 1),
+        };
+        drive(node, now, |n, ctx| n.handle_heartbeat(ctx, &hb));
+    }
+
+    /// The published probe, checked against what publishing right now
+    /// would give.
+    fn truthful_probe(node: &MembershipNode) -> ProbeState {
+        let published = node.probe.lock().clone();
+        node.update_probe();
+        assert_eq!(published, *node.probe.lock(), "published probe is stale");
+        published
+    }
+
+    #[test]
+    fn heartbeats_publish_the_probe_when_and_only_when_it_moved() {
+        use tamp_topology::MILLIS;
+        let mut node = MembershipNode::new(NodeId(5), MembershipConfig::default());
+        drive(&mut node, 0, |n, ctx| n.on_start(ctx));
+        assert_eq!(truthful_probe(&node).member_count, 1);
+
+        // A new member, then a leader: each visible before any sweep.
+        hear(&mut node, MILLIS, 7, false, 0);
+        assert_eq!(truthful_probe(&node).member_count, 2);
+        hear(&mut node, 2 * MILLIS, 3, true, 0);
+        let p = truthful_probe(&node);
+        assert_eq!((p.member_count, p.leaders[0]), (3, Some(NodeId(3))));
+
+        // Steady state: nothing the probe carries moves, so nothing is
+        // published (the marker survives) and nothing is missed.
+        node.probe.lock().incarnation = u64::MAX;
+        for i in 0..1000u64 {
+            let (from, is_leader) = if i % 2 == 0 { (7, false) } else { (3, true) };
+            hear(&mut node, (3 + i) * 50 * MILLIS, from, is_leader, 0);
+        }
+        assert_eq!(node.probe.lock().incarnation, u64::MAX);
+        node.probe.lock().incarnation = node.incarnation;
+        assert_eq!(truthful_probe(&node), p);
+
+        // Counters: a sync poll (the sender advertises updates we never
+        // applied), then a refuted suspicion.
+        let now = 60_000 * MILLIS;
+        hear(&mut node, now, 7, false, 4);
+        assert_eq!(truthful_probe(&node).counters.sync_polls_sent, 1);
+        node.suspicions.insert(
+            NodeId(7),
+            Suspicion {
+                incarnation: 1,
+                level: 0,
+                since: now,
+                window: 0,
+                advisory: false,
+            },
+        );
+        hear(&mut node, now + MILLIS, 7, false, 4);
+        assert_eq!(truthful_probe(&node).counters.suspicions_refuted, 1);
+
+        // A lower-id rival takes the group over from the leader we follow.
+        hear(&mut node, now + 2 * MILLIS, 2, true, 0);
+        assert_eq!(truthful_probe(&node).leaders[0], Some(NodeId(2)));
     }
 
     #[test]
