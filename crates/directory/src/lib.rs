@@ -25,9 +25,11 @@
 //! typed scan [`Directory::providers`] instead.
 
 mod lookup;
+mod reconcile;
 mod shared;
 
 pub use lookup::{LookupQuery, Machine};
+pub use reconcile::Reconcile;
 pub use shared::{DirectoryClient, SharedDirectory};
 
 use std::collections::BTreeMap;
@@ -57,7 +59,7 @@ impl Provenance {
 }
 
 /// One directory entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Entry {
     pub record: NodeRecord,
     pub provenance: Provenance,
@@ -84,7 +86,7 @@ impl Applied {
 }
 
 /// The yellow-page directory: complete view of cluster membership.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Directory {
     entries: BTreeMap<NodeId, Entry>,
     /// Incarnations known dead: `dead[n]` is the highest incarnation of

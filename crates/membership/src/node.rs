@@ -32,14 +32,14 @@ use crate::config::{MembershipConfig, RemovalDiscipline};
 use crate::group::{Election, GroupState};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use tamp_directory::{Applied, Provenance, SharedDirectory};
+use tamp_directory::{Provenance, Reconcile, SharedDirectory};
 use tamp_netsim::{Actor, ChannelId, Context, PacketMeta, ProtocolEvent};
 
 use tamp_wire::piggyback::UpdateLog;
 use tamp_wire::seqnum::SeqTracker;
 use tamp_wire::{
     DigestEntry, DigestMsg, DirectoryExchange, ElectionMsg, Heartbeat, MemberEvent, Message,
-    NodeId, NodeRecord, RelayedRecord, SyncRequest, SyncResponse, UpdateMsg,
+    NodeId, NodeRecord, RecordSource, SyncRequest, SyncResponse, UpdateMsg,
 };
 
 /// The header fields of a heartbeat, copied out of either an owned
@@ -53,8 +53,6 @@ struct HeartbeatHeader {
     is_leader: bool,
     backup: Option<NodeId>,
     latest_update_seq: u64,
-    rec_node: NodeId,
-    rec_incarnation: u64,
 }
 
 /// Timer tokens: kind in the low byte, group level in the next byte.
@@ -458,28 +456,21 @@ impl MembershipNode {
     /// directory's lazy-materialization join so borrowed wire views skip
     /// decoding on the dominant same-incarnation refresh path, which is
     /// one walk of the directory.
-    fn apply_direct_with(
-        &mut self,
-        ctx: &mut Context,
-        node: NodeId,
-        incarnation: u64,
-        make_record: &impl Fn() -> NodeRecord,
-        same: &impl Fn(&NodeRecord) -> bool,
-    ) -> bool {
+    fn apply_direct_with(&mut self, ctx: &mut Context, record: &impl RecordSource) -> bool {
         let now = ctx.now();
         let (applied, was_known) = self.directory.update(|d| {
             let (applied, was_known) = d.apply_join_with(
-                node,
-                incarnation,
+                record.node(),
+                record.incarnation(),
                 Provenance::Direct,
                 now,
-                make_record,
-                same,
+                || record.to_record(),
+                |e| record.matches(e),
             );
             (applied.changed(), (applied, was_known))
         });
         if applied.changed() && !was_known {
-            ctx.observe_added(node);
+            ctx.observe_added(record.node());
         }
         applied.changed()
     }
@@ -1557,15 +1548,11 @@ impl MembershipNode {
     }
 
     /// Reconcile against a leader's digest: pull what we miss, drop what
-    /// this relayer no longer vouches for.
-    fn handle_digest(&mut self, ctx: &mut Context, meta: PacketMeta, d: &DigestMsg) {
-        self.handle_digest_generic(ctx, meta, d.from, d.level, d.entries.iter().copied());
-    }
-
-    /// The single digest implementation behind both the owned path and
-    /// the borrowed wire view (whose entry iterator decodes 12-byte
-    /// chunks in place — no `Vec<DigestEntry>` is ever allocated).
-    fn handle_digest_generic(
+    /// this relayer no longer vouches for. One implementation behind the
+    /// owned message and the borrowed wire view (whose entry iterator
+    /// decodes 12-byte chunks in place — no `Vec<DigestEntry>` is ever
+    /// allocated).
+    fn handle_digest(
         &mut self,
         ctx: &mut Context,
         meta: PacketMeta,
@@ -1579,22 +1566,22 @@ impl MembershipNode {
         if let Some(g) = self.groups.get_mut(level as usize).and_then(|g| g.as_mut()) {
             g.heard(from, ctx.now(), false, 0);
         }
-        let in_digest: std::collections::HashMap<NodeId, u64> =
-            entries.clone().map(|e| (e.node, e.incarnation)).collect();
-        // A digest is the leader vouching for everything it lists:
-        // refresh matching entries so vouched-for relayed knowledge never
-        // hits the staleness expiry below (sweep's relayed-entry rot).
         let now = ctx.now();
-        self.directory.update(|dir| {
-            for e in entries.clone() {
-                if dir
-                    .get(e.node)
-                    .is_some_and(|have| have.record.incarnation == e.incarnation)
-                {
-                    dir.refresh(e.node, now);
-                }
-            }
-            (false, ())
+        let me = self.me;
+        let settled = 3 * self.cfg.heartbeat_period;
+        let stale_before = now.saturating_sub(self.cfg.anti_entropy_period / 2);
+        // A digest is the leader vouching for everything it lists: the
+        // reconcile refreshes matching entries in place, so vouched-for
+        // relayed knowledge never hits the staleness expiry (sweep's
+        // relayed-entry rot), and reports what is left to do — all in
+        // one walk of the directory in step with the digest.
+        let Reconcile {
+            dead_listed,
+            missing,
+            orphans,
+        } = self.directory.update(|dir| {
+            let r = dir.reconcile_digest(me, from, entries, now, settled, stale_before);
+            (false, r)
         });
         // Death knowledge must flow *against* the vouching direction
         // too: if the digest lists a node we hold a fresh tombstone for,
@@ -1603,25 +1590,11 @@ impl MembershipNode {
         // re-infects us. (Presence propagates by pull; without this,
         // absence always loses the race after a partition of knowledge —
         // found by the `views_always_converge_to_live_set` property.)
-        // Settling gate: a *young* tombstone may be a false positive
-        // about to be refuted by the victim's own heartbeats — pushing
-        // it would amplify a local mistake into a global one. After a
-        // few heartbeat periods of continued silence, the death is
-        // considered confirmed.
-        let settled = 3 * self.cfg.heartbeat_period;
-        let dead_listed: Vec<(NodeId, u64)> = self.directory.read(|dir| {
-            entries
-                .clone()
-                .filter(|e| !dir.contains(e.node))
-                .filter_map(|e| {
-                    dir.tombstone_of(e.node).and_then(|(dead_inc, at)| {
-                        let age = now.saturating_sub(at);
-                        (dead_inc >= e.incarnation && age >= settled && age < dir.tombstone_ttl())
-                            .then_some((e.node, dead_inc))
-                    })
-                })
-                .collect()
-        });
+        // Settling gate (`settled`): a *young* tombstone may be a false
+        // positive about to be refuted by the victim's own heartbeats —
+        // pushing it would amplify a local mistake into a global one.
+        // After a few heartbeat periods of continued silence, the death
+        // is considered confirmed.
         if !dead_listed.is_empty() {
             let mut events = Vec::new();
             for (n, inc) in dead_listed {
@@ -1636,41 +1609,19 @@ impl MembershipNode {
                 }),
             );
         }
-
         // Anything the leader knows that we lack (or only know at an
         // older incarnation) is worth a full pull — ignoring nodes whose
         // death we just pushed back.
-        let missing = self.directory.read(|dir| {
-            entries.clone().any(|e| {
-                e.node != self.me
-                    && dir
-                        .fresh_tombstone(e.node, now)
-                        .is_none_or(|i| i < e.incarnation)
-                    && dir
-                        .get(e.node)
-                        .is_none_or(|have| have.record.incarnation < e.incarnation)
-            })
-        });
         if missing {
             self.maybe_sync_poll(ctx, from);
         }
         // Entries we hold *on this leader's word* that it no longer
         // vouches for are orphans: drop them (no tombstone — the node may
         // be alive and will come back via the normal paths if so). The
-        // freshness gate matters under heavy loss: an entry refreshed
-        // since the digest was cut (a sync response or update racing the
-        // digest) must not be dropped on the digest's older word.
-        let stale_before = ctx.now().saturating_sub(self.cfg.anti_entropy_period / 2);
-        let orphans: Vec<NodeId> = self.directory.read(|dir| {
-            dir.entries()
-                .filter(|e| {
-                    e.provenance == Provenance::Relayed(from)
-                        && !in_digest.contains_key(&e.record.node)
-                        && e.last_refresh <= stale_before
-                })
-                .map(|e| e.record.node)
-                .collect()
-        });
+        // freshness gate (`stale_before`) matters under heavy loss: an
+        // entry refreshed since the digest was cut (a sync response or
+        // update racing the digest) must not be dropped on the digest's
+        // older word.
         if !orphans.is_empty() {
             let mut events = Vec::new();
             for n in orphans {
@@ -1716,11 +1667,8 @@ impl MembershipNode {
                 is_leader: hb.is_leader,
                 backup: hb.backup,
                 latest_update_seq: hb.latest_update_seq,
-                rec_node: hb.record.node,
-                rec_incarnation: hb.record.incarnation,
             },
-            || hb.record.clone(),
-            |e| *e == hb.record,
+            &hb.record,
         );
     }
 
@@ -1737,26 +1685,21 @@ impl MembershipNode {
                 is_leader: hb.is_leader,
                 backup: hb.backup,
                 latest_update_seq: hb.latest_update_seq,
-                rec_node: hb.record.node,
-                rec_incarnation: hb.record.incarnation,
             },
-            || hb.record.to_record(),
-            |e| hb.record.matches(e),
+            hb.record,
         );
     }
 
     /// The single heartbeat implementation behind both the owned and
-    /// the borrowed paths. `make_record` materializes the sender's
-    /// record (cheap Arc bump when owned, a decode when borrowed) and
-    /// `same` answers content-equality against a stored record without
-    /// materializing; a conservative `false` only costs one
-    /// materialization.
+    /// the borrowed paths. `record` is the sender's, materialized (a
+    /// cheap Arc bump when owned, a decode when borrowed) only where it
+    /// is stored or relayed; its `matches` may answer a conservative
+    /// `false`, which only costs one materialization.
     fn handle_heartbeat_generic(
         &mut self,
         ctx: &mut Context,
         hb: HeartbeatHeader,
-        make_record: impl Fn() -> NodeRecord,
-        same: impl Fn(&NodeRecord) -> bool,
+        record: impl RecordSource,
     ) {
         if hb.from == self.me {
             return;
@@ -1769,7 +1712,7 @@ impl MembershipNode {
             return;
         };
         let now = ctx.now();
-        g.heard_heartbeat(hb.from, now, hb.is_leader, hb.rec_incarnation);
+        g.heard_heartbeat(hb.from, now, hb.is_leader, record.incarnation());
         // What the probe carries and this handler can move: the group's
         // leader (losing ours also drops the levels above), the member
         // count (only with `changed` below) and the counters.
@@ -1847,15 +1790,14 @@ impl MembershipNode {
 
         // Yellow-page maintenance + join detection. On the dominant
         // same-incarnation refresh path the record is never built: the
-        // directory's generic join only calls `make_record` when it
+        // directory's generic join only calls `to_record` when it
         // stores. A relayed Join reuses the freshly stored record (an
         // Arc bump) instead of materializing again.
-        let changed =
-            self.apply_direct_with(ctx, hb.rec_node, hb.rec_incarnation, &make_record, &same);
+        let changed = self.apply_direct_with(ctx, &record);
         if changed {
             let stored = self
                 .directory
-                .read(|d| d.get(hb.rec_node).map(|e| e.record.clone()));
+                .read(|d| d.get(record.node()).map(|e| e.record.clone()));
             if let Some(rec) = stored {
                 let levels = self.relay_levels(level);
                 self.relay_events(ctx, vec![MemberEvent::Join(rec)], levels);
@@ -1867,9 +1809,9 @@ impl MembershipNode {
         // suspicion travelled — for a plain member the relay set is
         // empty, so only leaders speak for their members upward (the
         // "group leader refutes on the suspect's behalf" path).
-        if self.refute_suspicion(ctx, hb.from, hb.rec_incarnation, true) {
+        if self.refute_suspicion(ctx, hb.from, record.incarnation(), true) {
             let levels = self.relay_levels(level);
-            self.relay_events(ctx, vec![MemberEvent::Refute(make_record())], levels);
+            self.relay_events(ctx, vec![MemberEvent::Refute(record.to_record())], levels);
         }
 
         // Bootstrap pull: first leader heard on this channel.
@@ -1901,85 +1843,103 @@ impl MembershipNode {
         }
     }
 
-    fn apply_relayed_records(
+    /// Apply the records of a full-view transfer from `relayer`, owned
+    /// or still in wire form, and return the `Join`s worth relaying on.
+    /// One directory update per message, so readers see a whole sync or
+    /// none of it; a record already held is compared in place and never
+    /// materialized.
+    fn apply_relayed_records<R: RecordSource>(
         &mut self,
         ctx: &mut Context,
         relayer: NodeId,
-        records: &[RelayedRecord],
+        records: impl Iterator<Item = R>,
     ) -> Vec<MemberEvent> {
         let now = ctx.now();
         let mut fresh = Vec::new();
-        for rr in records {
-            let node = rr.record.node;
-            if node == self.me {
-                continue;
-            }
-            let provenance = if node == relayer {
-                Provenance::Direct
-            } else {
-                Provenance::Relayed(relayer)
-            };
-            let (applied, was_known) = self.directory.update(|d| {
-                let (applied, was_known) = d.apply_join_with(
+        // The write lock is held across the loop through a second
+        // handle, which leaves `self` free for the suspicion book.
+        self.directory.clone().update(|d| {
+            for rr in records {
+                let node = rr.node();
+                if node == self.me {
+                    continue;
+                }
+                let provenance = if node == relayer {
+                    Provenance::Direct
+                } else {
+                    Provenance::Relayed(relayer)
+                };
+                // Filled exactly when the directory stores the record.
+                let mut stored = None;
+                let (_, was_known) = d.apply_join_with(
                     node,
-                    rr.record.incarnation,
+                    rr.incarnation(),
                     provenance,
                     now,
-                    || rr.record.clone(),
-                    |e| *e == rr.record,
+                    || stored.insert(rr.to_record()).clone(),
+                    |e| rr.matches(e),
                 );
-                (applied.changed(), (applied, was_known))
-            });
-            if applied == Applied::Changed {
-                if !was_known {
-                    ctx.observe_added(node);
+                if let Some(rec) = stored {
+                    if !was_known {
+                        ctx.observe_added(node);
+                    }
+                    fresh.push(MemberEvent::Join(rec));
                 }
-                fresh.push(MemberEvent::Join(rr.record.clone()));
-            }
-            // Snapshot records refute suspicions the same way Join events
-            // do: a higher incarnation always, same incarnation only for
-            // advisory suspicions (the relayer vouches; the origin group
-            // keeps the confirmation call for its own suspicions).
-            if let Some(s) = self.suspicions.get(&node).copied() {
-                let inc = rr.record.incarnation;
-                if inc > s.incarnation || (s.advisory && inc >= s.incarnation) {
-                    self.refute_suspicion(ctx, node, inc.max(s.incarnation), false);
+                // Snapshot records refute suspicions the same way Join
+                // events do: a higher incarnation always, same incarnation
+                // only for advisory suspicions (the relayer vouches; the
+                // origin group keeps the confirmation call for its own
+                // suspicions).
+                if let Some(s) = self.suspicions.get(&node).copied() {
+                    let inc = rr.incarnation();
+                    if inc > s.incarnation || (s.advisory && inc >= s.incarnation) {
+                        self.refute_suspicion(ctx, node, inc.max(s.incarnation), false);
+                    }
                 }
             }
-        }
+            (!fresh.is_empty(), ())
+        });
         fresh
     }
 
-    fn handle_exchange(&mut self, ctx: &mut Context, meta: PacketMeta, d: &DirectoryExchange) {
-        if d.from == self.me {
+    fn handle_exchange<R: RecordSource>(
+        &mut self,
+        ctx: &mut Context,
+        meta: PacketMeta,
+        from: NodeId,
+        reply_wanted: bool,
+        latest_seq: u64,
+        records: impl Iterator<Item = R>,
+    ) {
+        if from == self.me {
             return;
         }
         // Adopt the sender's update baseline: its past updates are
         // subsumed by this snapshot and must not register as gaps.
-        self.seqs.advance(d.from, d.latest_seq);
+        self.seqs.advance(from, latest_seq);
         // Only a *unicast* reply from our group leader completes the
         // bootstrap handshake. A leader's multicast snapshot (provenance
         // re-stamping after takeover) must not: the paper's bootstrap is
         // two-way — "the group leader also asks the new node for the
         // membership information that it is aware of" — and our offer has
         // not been made yet.
-        if !d.reply_wanted && meta.channel.is_none() {
+        if !reply_wanted && meta.channel.is_none() {
             for g in self.groups.iter_mut().flatten() {
-                if g.leader == Some(d.from) {
+                if g.leader == Some(from) {
                     g.bootstrapped = true;
                 }
             }
         }
-        let fresh = self.apply_relayed_records(ctx, d.from, &d.records);
+        let fresh = self.apply_relayed_records(ctx, from, records);
         // Anything new travels onward: up the tree and into every group
         // we lead (the exchange was point-to-point, so no group already
         // carried it).
         let levels = self.relay_levels_all();
         self.relay_events(ctx, fresh, levels);
-        if d.reply_wanted {
+        if reply_wanted {
             let records = self.directory.read(|d| d.snapshot());
             ctx.send_unicast(
-                d.from,
+                from,
                 Message::DirectoryExchange(DirectoryExchange {
                     from: self.me,
                     reply_wanted: false,
@@ -2325,9 +2285,15 @@ impl MembershipNode {
         self.update_probe(); // the served-sync counters
     }
 
-    fn handle_sync_response(&mut self, ctx: &mut Context, r: &SyncResponse) {
-        let fresh = self.apply_relayed_records(ctx, r.from, &r.records);
-        self.seqs.advance(r.from, r.latest_seq);
+    fn handle_sync_response<R: RecordSource>(
+        &mut self,
+        ctx: &mut Context,
+        from: NodeId,
+        latest_seq: u64,
+        records: impl Iterator<Item = R>,
+    ) {
+        let fresh = self.apply_relayed_records(ctx, from, records);
+        self.seqs.advance(from, latest_seq);
         let levels = self.relay_levels_all();
         self.relay_events(ctx, fresh, levels);
         self.update_probe();
@@ -2507,21 +2473,36 @@ impl Actor for MembershipNode {
         match msg {
             Message::Heartbeat(hb) => self.handle_heartbeat(ctx, hb),
             Message::Update(u) => self.handle_update(ctx, meta, u),
-            Message::DirectoryExchange(d) => self.handle_exchange(ctx, meta, d),
+            Message::DirectoryExchange(d) => self.handle_exchange(
+                ctx,
+                meta,
+                d.from,
+                d.reply_wanted,
+                d.latest_seq,
+                d.records.iter().map(|r| &r.record),
+            ),
             Message::SyncRequest(q) => self.handle_sync_request(ctx, q),
-            Message::SyncResponse(r) => self.handle_sync_response(ctx, r),
+            Message::SyncResponse(r) => self.handle_sync_response(
+                ctx,
+                r.from,
+                r.latest_seq,
+                r.records.iter().map(|r| &r.record),
+            ),
             Message::Election(e) => self.handle_election(ctx, e),
-            Message::Digest(d) => self.handle_digest(ctx, meta, d),
+            Message::Digest(d) => {
+                self.handle_digest(ctx, meta, d.from, d.level, d.entries.iter().copied())
+            }
             // Proxy / gossip / RPC traffic is handled by other actors.
             _ => {}
         }
     }
 
     /// Zero-copy receive: heartbeats — the overwhelming share of packets
-    /// — and digests are read straight off the wire bytes; both funnel
-    /// into the same generic handlers as the owned path, so the two
-    /// codec modes cannot diverge. Everything else materializes once and
-    /// takes the owned dispatch.
+    /// — digests and full-view transfers (sync responses, directory
+    /// exchanges) are read straight off the wire bytes; all funnel into
+    /// the same generic handlers as the owned path, so the two codec
+    /// modes cannot diverge. Everything else materializes once and takes
+    /// the owned dispatch.
     fn on_packet_view(
         &mut self,
         ctx: &mut Context,
@@ -2531,7 +2512,12 @@ impl Actor for MembershipNode {
         if let Some(hb) = view.as_heartbeat() {
             self.handle_heartbeat_view(ctx, &hb);
         } else if let Some(d) = view.as_digest() {
-            self.handle_digest_generic(ctx, meta, d.from, d.level, d.entries());
+            self.handle_digest(ctx, meta, d.from, d.level, d.entries());
+        } else if let Some(r) = view.as_sync_response() {
+            self.handle_sync_response(ctx, r.from, r.latest_seq, r.records.map(|r| r.record));
+        } else if let Some(d) = view.as_directory_exchange() {
+            let records = d.records.map(|r| r.record);
+            self.handle_exchange(ctx, meta, d.from, d.reply_wanted, d.latest_seq, records);
         } else {
             self.on_packet(ctx, meta, &view.to_owned());
         }
@@ -2588,11 +2574,209 @@ mod tests {
         node: &mut MembershipNode,
         now: u64,
         f: impl FnOnce(&mut MembershipNode, &mut Context),
-    ) {
+    ) -> Vec<tamp_netsim::Effect> {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let host = tamp_topology::HostId(node.me.0);
-        tamp_netsim::collect_effects(now, host, &mut rng, |ctx| f(node, ctx));
+        tamp_netsim::collect_effects(now, host, &mut rng, |ctx| f(node, ctx))
+    }
+
+    /// The messages among `effects`, with their unicast destination
+    /// (`None` for a multicast).
+    fn sent(effects: &[tamp_netsim::Effect]) -> Vec<(Option<u32>, &Message)> {
+        use tamp_netsim::{Destination, Effect};
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send { dest, msg } => Some((
+                    match dest {
+                        Destination::Unicast(h) => Some(h.0),
+                        Destination::Multicast { .. } => None,
+                    },
+                    msg,
+                )),
+                _ => None,
+            })
+            .collect()
+    }
+
+    const LEADER: NodeId = NodeId(3);
+
+    fn from_leader(channel: Option<ChannelId>) -> PacketMeta {
+        PacketMeta {
+            src: tamp_topology::HostId(LEADER.0),
+            channel,
+            ttl: channel.map(|_| 1),
+            size: 0,
+        }
+    }
+
+    /// A full-view answer from [`LEADER`] carrying nodes `ids`.
+    fn sync_response(ids: std::ops::RangeInclusive<u32>) -> Message {
+        let records = ids
+            .map(|i| tamp_wire::RelayedRecord {
+                record: NodeRecord::new(NodeId(i), 1).with_attr("rack", format!("r{i}")),
+                relayed_by: None,
+            })
+            .collect();
+        Message::SyncResponse(SyncResponse {
+            from: LEADER,
+            latest_seq: 0,
+            records,
+        })
+    }
+
+    /// Node 5, started, holding nodes 1..=8 off one sync from [`LEADER`].
+    fn synced_node() -> MembershipNode {
+        let mut node = MembershipNode::new(NodeId(5), MembershipConfig::default());
+        drive(&mut node, 0, |n, ctx| n.on_start(ctx));
+        let sync = sync_response(1..=8);
+        drive(&mut node, 1, |n, ctx| {
+            n.on_packet(ctx, from_leader(None), &sync)
+        });
+        assert_eq!(node.directory.read(|d| d.len()), 8);
+        node
+    }
+
+    #[test]
+    fn a_sync_bumps_the_directory_version_once_or_not_at_all() {
+        let mut node = synced_node();
+        // Seven records went in (1..=8 without our own) under one bump
+        // on top of `on_start`'s: a reader sees the whole sync or none.
+        let v = node.directory.version();
+        assert_eq!(v, 2);
+        // The same image again changes nothing and says so.
+        let again = sync_response(1..=8);
+        drive(&mut node, 2, |n, ctx| {
+            n.on_packet(ctx, from_leader(None), &again)
+        });
+        assert_eq!(node.directory.version(), v);
+        // Three more members: one more bump, not three.
+        let wider = sync_response(1..=11);
+        drive(&mut node, 3, |n, ctx| {
+            n.on_packet(ctx, from_leader(None), &wider)
+        });
+        assert_eq!(node.directory.read(|d| d.len()), 11);
+        assert_eq!(node.directory.version(), v + 1);
+    }
+
+    #[test]
+    fn held_records_of_a_borrowed_sync_frame_are_not_materialized() {
+        use std::cell::Cell;
+        /// A wire record that counts its decodes.
+        struct Counted<'a>(tamp_wire::RecordView<'a>, &'a Cell<usize>);
+        impl RecordSource for Counted<'_> {
+            fn node(&self) -> NodeId {
+                self.0.node
+            }
+            fn incarnation(&self) -> u64 {
+                self.0.incarnation
+            }
+            fn to_record(&self) -> NodeRecord {
+                self.1.set(self.1.get() + 1);
+                self.0.to_record()
+            }
+            fn matches(&self, held: &NodeRecord) -> bool {
+                self.0.matches(held)
+            }
+        }
+        let decodes = Cell::new(0);
+        let apply = |node: &mut MembershipNode, now: u64, msg: &Message| {
+            let frame = tamp_wire::codec::encode(msg);
+            let view = tamp_wire::MessageView::parse(&frame).unwrap();
+            let sync = view.as_sync_response().unwrap();
+            let records = sync.records.map(|r| Counted(r.record, &decodes));
+            let mut fresh = Vec::new();
+            drive(node, now, |n, ctx| {
+                fresh = n.apply_relayed_records(ctx, sync.from, records)
+            });
+            fresh
+        };
+
+        let mut node = synced_node();
+        let v = node.directory.version();
+        // Everything offered is already held: compared in place,
+        // refreshed, never decoded.
+        assert!(apply(&mut node, 9, &sync_response(1..=8)).is_empty());
+        assert_eq!(decodes.get(), 0);
+        assert_eq!(node.directory.version(), v);
+        node.directory.read(|d| {
+            assert!(d
+                .entries()
+                .all(|e| e.last_refresh == 9 || e.record.node == node.me));
+        });
+        // Two newcomers among the eight held: two decodes, and the
+        // relayed `Join`s share the stored records' payloads.
+        let fresh = apply(&mut node, 10, &sync_response(1..=10));
+        assert_eq!(decodes.get(), 2);
+        assert_eq!(fresh.len(), 2);
+        for ev in &fresh {
+            let MemberEvent::Join(rec) = ev else {
+                panic!("a sync relays joins, got {ev:?}");
+            };
+            node.directory.read(|d| {
+                assert!(d.get(rec.node).unwrap().record.shares_payload_with(rec));
+            });
+        }
+
+        // The dispatch takes that path: a borrowed frame leaves the same
+        // directory behind as the owned message.
+        let mut owned = synced_node();
+        let mut borrowed = synced_node();
+        let msg = sync_response(4..=12);
+        let frame = tamp_wire::codec::encode(&msg);
+        let view = tamp_wire::MessageView::parse(&frame).unwrap();
+        let a = drive(&mut owned, 20, |n, ctx| {
+            n.on_packet(ctx, from_leader(None), &msg)
+        });
+        let b = drive(&mut borrowed, 20, |n, ctx| {
+            n.on_packet_view(ctx, from_leader(None), &view)
+        });
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(
+            owned.directory.read(|d| d.clone()),
+            borrowed.directory.read(|d| d.clone())
+        );
+    }
+
+    #[test]
+    fn a_converged_digest_refreshes_in_place_and_is_echoed_once() {
+        let mut node = synced_node();
+        let v = node.directory.version();
+        // The leader lists exactly what we hold, our own entry included.
+        let digest = Message::Digest(DigestMsg {
+            from: LEADER,
+            level: 0,
+            entries: node.own_digest_entries(),
+        });
+        let now = 7 * tamp_topology::SECS;
+        let multicast = from_leader(Some(ChannelId(0)));
+        let effects = drive(&mut node, now, |n, ctx| {
+            n.on_packet(ctx, multicast, &digest)
+        });
+        node.directory.read(|d| {
+            assert_eq!(d.len(), 8);
+            assert!(d.entries().all(|e| e.last_refresh == now));
+        });
+        assert_eq!(node.directory.version(), v, "a refresh is not a change");
+        // One unicast echo of our own digest back at the leader; no sync
+        // poll, no death push, nothing relayed.
+        let echo = Message::Digest(DigestMsg {
+            from: node.me,
+            level: 0,
+            entries: node.own_digest_entries(),
+        });
+        assert_eq!(sent(&effects), vec![(Some(LEADER.0), &echo)]);
+
+        // The same digest by unicast is itself an echo: nothing is sent.
+        let effects = drive(&mut node, now + 1, |n, ctx| {
+            n.on_packet(ctx, from_leader(None), &digest)
+        });
+        assert_eq!(sent(&effects), vec![]);
+        node.directory.read(|d| {
+            assert!(d.entries().all(|e| e.last_refresh == now + 1));
+        });
+        assert_eq!(node.directory.version(), v);
     }
 
     fn hear(node: &mut MembershipNode, now: u64, from: u32, is_leader: bool, latest: u64) {

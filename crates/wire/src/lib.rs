@@ -36,7 +36,10 @@ pub mod piggyback;
 pub mod seqnum;
 pub mod view;
 
-pub use view::{CodecKind, DigestView, HeartbeatView, MessageView, RecordView};
+pub use view::{
+    CodecKind, DigestView, DirectoryExchangeView, HeartbeatView, MessageView, RecordSource,
+    RecordView, RelayedRecordView, RelayedRecords, SyncResponseView,
+};
 
 pub use messages::{
     DcId, DigestEntry, DigestMsg, DirectoryExchange, ElectionMsg, Gossip, GossipEntry, Heartbeat,

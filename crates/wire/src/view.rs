@@ -3,7 +3,8 @@
 //! [`MessageView::parse`] validates an entire packet — every bounds
 //! check, tag, and UTF-8 string the owned [`codec::decode`] would check
 //! — without allocating a single byte. Receivers that only need a few
-//! header fields (the heartbeat flood, anti-entropy digests) read them
+//! header fields (the heartbeat flood, anti-entropy digests), or that
+//! mostly hold what a packet carries already (full-view syncs), read
 //! straight out of the packet buffer through the typed views below;
 //! receivers that need the full owned structure call
 //! [`MessageView::to_owned`], which delegates to the owned codec so the
@@ -116,10 +117,7 @@ impl<'a> MessageView<'a> {
         let level = s.u8().unwrap();
         let seq = s.u64().unwrap();
         let is_leader = s.u8().unwrap() != 0;
-        let backup = match s.u8().unwrap() {
-            0 => None,
-            _ => Some(NodeId(s.u32().unwrap())),
-        };
+        let backup = s.opt_node();
         let latest_update_seq = s.u64().unwrap();
         let record = RecordView::scan(&mut s);
         Some(HeartbeatView {
@@ -151,6 +149,39 @@ impl<'a> MessageView<'a> {
             level,
             count,
             entries,
+        })
+    }
+
+    /// Borrowed full-view sync answer, if this is a sync response.
+    pub fn as_sync_response(&self) -> Option<SyncResponseView<'a>> {
+        if self.tag() != 0x05 {
+            return None;
+        }
+        let mut s = Scan {
+            data: self.data,
+            pos: 1,
+        };
+        Some(SyncResponseView {
+            from: NodeId(s.u32().unwrap()),
+            latest_seq: s.u64().unwrap(),
+            records: RelayedRecords::scan(s),
+        })
+    }
+
+    /// Borrowed bootstrap directory transfer, if this is an exchange.
+    pub fn as_directory_exchange(&self) -> Option<DirectoryExchangeView<'a>> {
+        if self.tag() != 0x03 {
+            return None;
+        }
+        let mut s = Scan {
+            data: self.data,
+            pos: 1,
+        };
+        Some(DirectoryExchangeView {
+            from: NodeId(s.u32().unwrap()),
+            reply_wanted: s.u8().unwrap() != 0,
+            latest_seq: s.u64().unwrap(),
+            records: RelayedRecords::scan(s),
         })
     }
 }
@@ -247,6 +278,110 @@ impl<'a> RecordView<'a> {
     }
 }
 
+/// A node record on offer to a directory, owned or still in wire form:
+/// identity up front, content compared or materialized only on demand.
+/// What [`RecordView`] and `&NodeRecord` have in common, so one receive
+/// path serves both codecs.
+pub trait RecordSource {
+    fn node(&self) -> NodeId;
+    fn incarnation(&self) -> u64;
+    /// The owned record (an `Arc` bump when owned, a decode when not).
+    fn to_record(&self) -> NodeRecord;
+    /// True only if `to_record()` would equal `held`.
+    fn matches(&self, held: &NodeRecord) -> bool;
+}
+
+impl RecordSource for &NodeRecord {
+    fn node(&self) -> NodeId {
+        self.node
+    }
+    fn incarnation(&self) -> u64 {
+        self.incarnation
+    }
+    fn to_record(&self) -> NodeRecord {
+        (*self).clone()
+    }
+    fn matches(&self, held: &NodeRecord) -> bool {
+        *self == held
+    }
+}
+
+impl RecordSource for RecordView<'_> {
+    fn node(&self) -> NodeId {
+        self.node
+    }
+    fn incarnation(&self) -> u64 {
+        self.incarnation
+    }
+    fn to_record(&self) -> NodeRecord {
+        RecordView::to_record(self)
+    }
+    fn matches(&self, held: &NodeRecord) -> bool {
+        RecordView::matches(self, held)
+    }
+}
+
+/// Borrowed view of a [`crate::SyncResponse`]: the records stay wire
+/// bytes until a receiver asks for one.
+#[derive(Debug, Clone)]
+pub struct SyncResponseView<'a> {
+    pub from: NodeId,
+    pub latest_seq: u64,
+    pub records: RelayedRecords<'a>,
+}
+
+/// Borrowed view of a [`crate::DirectoryExchange`].
+#[derive(Debug, Clone)]
+pub struct DirectoryExchangeView<'a> {
+    pub from: NodeId,
+    pub reply_wanted: bool,
+    pub latest_seq: u64,
+    pub records: RelayedRecords<'a>,
+}
+
+/// Borrowed view of one [`crate::RelayedRecord`].
+#[derive(Debug, Clone, Copy)]
+pub struct RelayedRecordView<'a> {
+    pub record: RecordView<'a>,
+    pub relayed_by: Option<NodeId>,
+}
+
+/// The record list of a sync response or directory exchange, iterated
+/// straight out of the packet bytes.
+#[derive(Debug, Clone)]
+pub struct RelayedRecords<'a> {
+    rest: Scan<'a>,
+    left: usize,
+}
+
+impl<'a> RelayedRecords<'a> {
+    /// `s` stands at the list's count (validated bytes).
+    fn scan(mut s: Scan<'a>) -> Self {
+        let left = s.u32().unwrap() as usize;
+        RelayedRecords { rest: s, left }
+    }
+}
+
+impl<'a> Iterator for RelayedRecords<'a> {
+    type Item = RelayedRecordView<'a>;
+    fn next(&mut self) -> Option<RelayedRecordView<'a>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(RelayedRecordView {
+            record: RecordView::scan(&mut self.rest),
+            relayed_by: self.rest.opt_node(),
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for RelayedRecords<'_> {}
+
 /// Borrowed view of an anti-entropy digest; entries iterate straight
 /// out of the packet bytes as [`DigestEntry`] values (which are `Copy`
 /// — no allocation happens).
@@ -309,6 +444,7 @@ impl ExactSizeIterator for DigestIter<'_> {}
 /// Forward-only cursor for the validating walk. Mirrors the owned
 /// codec's `Reader` error behavior exactly: fixed-width reads fail with
 /// `Truncated`, length-prefixed spans with `BadLength`.
+#[derive(Debug, Clone)]
 struct Scan<'a> {
     data: &'a [u8],
     pos: usize,
@@ -362,6 +498,14 @@ impl<'a> Scan<'a> {
         let v = &self.data[self.pos..self.pos + len];
         self.pos += len;
         Ok(v)
+    }
+
+    /// An optional node id in already-validated bytes.
+    fn opt_node(&mut self) -> Option<NodeId> {
+        match self.u8().unwrap() {
+            0 => None,
+            _ => Some(NodeId(self.u32().unwrap())),
+        }
     }
 
     /// `u32` element count validated against a per-element minimum, same

@@ -324,6 +324,22 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// A borrowed record list against the owned one it encodes: same
+/// length, same identities and relayers, and each view materializes to,
+/// and matches, its owned record.
+fn assert_records_agree(
+    views: tamp_wire::RelayedRecords<'_>,
+    owned: &[tamp_wire::RelayedRecord],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(views.len(), owned.len());
+    for (v, o) in views.zip(owned) {
+        prop_assert_eq!(v.relayed_by, o.relayed_by);
+        prop_assert_eq!(v.record.to_record(), o.record.clone());
+        prop_assert!(v.record.matches(&o.record));
+    }
+    Ok(())
+}
+
 /// Both decoders on the same input: panic on either is a test failure
 /// (proptest catches unwinds), and the results must agree exactly.
 fn assert_decoders_agree(data: &[u8]) -> Result<(), TestCaseError> {
@@ -415,9 +431,24 @@ proptest! {
                 prop_assert_eq!(v.level, d.level);
                 prop_assert_eq!(v.entries().collect::<Vec<_>>(), d.entries.clone());
             }
+            Message::SyncResponse(r) => {
+                let v = view.as_sync_response().unwrap();
+                prop_assert_eq!((v.from, v.latest_seq), (r.from, r.latest_seq));
+                assert_records_agree(v.records, &r.records)?;
+            }
+            Message::DirectoryExchange(d) => {
+                let v = view.as_directory_exchange().unwrap();
+                prop_assert_eq!(
+                    (v.from, v.reply_wanted, v.latest_seq),
+                    (d.from, d.reply_wanted, d.latest_seq)
+                );
+                assert_records_agree(v.records, &d.records)?;
+            }
             _ => {
                 prop_assert!(view.as_heartbeat().is_none());
                 prop_assert!(view.as_digest().is_none());
+                prop_assert!(view.as_sync_response().is_none());
+                prop_assert!(view.as_directory_exchange().is_none());
             }
         }
     }
