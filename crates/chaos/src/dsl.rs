@@ -20,6 +20,7 @@
 //! `restart` and `rolling-restart` are sugar: they expand to kill/revive
 //! pairs at parse time, so every schedule is a flat timed event list.
 
+use crate::cluster::Protocol;
 use crate::schedule::{Action, Schedule, ScheduledFault, Target, TopoSpec};
 use tamp_topology::Nanos;
 
@@ -402,7 +403,7 @@ pub fn parse(text: &str) -> Result<Schedule, ParseError> {
                     return err(line, "protocol needs a name");
                 };
                 expect_end(&toks, 2, line)?;
-                if !crate::PROTOCOLS.contains(p) {
+                let Some(protocol) = Protocol::parse(p) else {
                     return err(
                         line,
                         format!(
@@ -410,8 +411,8 @@ pub fn parse(text: &str) -> Result<Schedule, ParseError> {
                             crate::PROTOCOLS
                         ),
                     );
-                }
-                schedule.protocol = Some(p.to_string());
+                };
+                schedule.protocol = Some(protocol);
             }
             "restart" => parse_restart(&toks[1..], line, &mut schedule.events)?,
             "rolling-restart" => parse_rolling(&toks[1..], line, &mut schedule.events)?,
@@ -574,7 +575,7 @@ at 70s router-up 1
     #[test]
     fn protocol_directive_round_trips_and_validates() {
         let s = parse("protocol swim\nsettle 30s\nat 5s kill host 1\n").unwrap();
-        assert_eq!(s.protocol.as_deref(), Some("swim"));
+        assert_eq!(s.protocol, Some(Protocol::Swim));
         let reparsed = parse(&s.render()).unwrap();
         assert_eq!(s, reparsed);
 

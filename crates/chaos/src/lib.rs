@@ -30,6 +30,7 @@
 //! See `docs/CHAOS.md` for the DSL grammar and the invariant catalogue,
 //! and `tamp-exp chaos` for the command-line harness.
 
+pub mod cluster;
 pub mod dsl;
 pub mod generator;
 pub mod inject;
@@ -40,6 +41,7 @@ pub mod schedule;
 pub mod shrink;
 pub mod truth;
 
+pub use cluster::{build_cluster, Cluster, Detection, Protocol};
 pub use dsl::ParseError;
 pub use generator::{
     adversarial_schedule, adversarial_sweep_on, random_schedule, seed_range, sweep, sweep_on,
@@ -48,7 +50,7 @@ pub use generator::{
 pub use inject::{FaultInjector, RuntimeInjector};
 pub use oracle::{OracleConfig, Violation};
 pub use proxy::{run_proxy_scenario, ProxyScenarioConfig};
-pub use runner::{apply_schedule, run_scenario, Protocol, ScenarioConfig, ScenarioRun};
+pub use runner::{apply_schedule, run_scenario, ScenarioConfig, ScenarioRun};
 pub use schedule::{Action, Schedule, ScheduledFault, Target, TopoSpec};
 pub use shrink::{shrink, shrink_on};
 pub use truth::GroundTruth;

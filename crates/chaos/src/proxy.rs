@@ -164,7 +164,7 @@ pub fn run_proxy_scenario(cfg: &ProxyScenarioConfig, schedule: &Schedule) -> Sce
         horizon,
         trace,
         metrics,
-        protocol: crate::runner::Protocol::Tamp,
+        protocol: crate::Protocol::Tamp,
         topo_desc: format!(
             "{} datacenters, {} hosts ({} members + {} proxies each)",
             cfg.datacenters, num_hosts, cfg.members_per_dc, cfg.proxies_per_dc

@@ -3,79 +3,17 @@
 //! oracle. Everything is deterministic in `(topology, schedule, seed)` —
 //! the same inputs produce a byte-identical [`ScenarioRun::report`].
 
+use crate::cluster::{build_cluster, Protocol};
 use crate::oracle::{self, OracleConfig, Violation};
 use crate::schedule::{fmt_duration, Action, Schedule, ScheduledFault, Target};
 use crate::truth::GroundTruth;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tamp_baselines::{
-    AllToAllConfig, AllToAllNode, GossipConfig, GossipNode, SwimConfig, SwimNode,
-};
-use tamp_membership::{MembershipConfig, MembershipNode, Probe, RemovalDiscipline};
+use tamp_baselines::{AllToAllConfig, GossipConfig, SwimConfig};
+use tamp_membership::{MembershipConfig, Probe};
 use tamp_netsim::telemetry::{MetricsSnapshot, CLUSTER};
 use tamp_netsim::{Engine, EngineConfig, TraceLog, TraceRecord};
 use tamp_topology::{HostId, RouterId, SegmentId, Topology};
-use tamp_wire::NodeId;
-
-/// Which membership protocol a scenario exercises. `Tamp` and
-/// `TampRapid` are the hierarchical node (timeout vs cut-detection
-/// removal discipline); the rest are the comparison baselines. One
-/// scenario file runs against any of them — the runner swaps the actors
-/// and sizes the oracle's removal window to the protocol's own
-/// detection bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// Hierarchical node, timeout/suspicion removal discipline.
-    Tamp,
-    /// Hierarchical node, Rapid-style multi-process cut detection.
-    TampRapid,
-    /// All-to-all heartbeat baseline.
-    AllToAll,
-    /// Gossip-style failure detection baseline.
-    Gossip,
-    /// SWIM probe/ping-req baseline.
-    Swim,
-}
-
-impl Protocol {
-    pub const ALL: [Protocol; 5] = [
-        Protocol::Tamp,
-        Protocol::TampRapid,
-        Protocol::AllToAll,
-        Protocol::Gossip,
-        Protocol::Swim,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Protocol::Tamp => "tamp",
-            Protocol::TampRapid => "tamp-rapid",
-            Protocol::AllToAll => "alltoall",
-            Protocol::Gossip => "gossip",
-            Protocol::Swim => "swim",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<Protocol> {
-        Protocol::ALL.into_iter().find(|p| p.name() == s)
-    }
-
-    /// Does this protocol run the hierarchical node (groups, leaders,
-    /// the full yellow-page machinery)?
-    pub fn is_hierarchical(self) -> bool {
-        matches!(self, Protocol::Tamp | Protocol::TampRapid)
-    }
-
-    /// Telemetry counter namespace the protocol's actors write.
-    pub fn counter_namespace(self) -> &'static str {
-        match self {
-            Protocol::Tamp | Protocol::TampRapid => "membership",
-            Protocol::AllToAll => "alltoall",
-            Protocol::Gossip => "gossip",
-            Protocol::Swim => "swim",
-        }
-    }
-}
 
 /// Everything a scenario run needs besides the schedule itself.
 pub struct ScenarioConfig {
@@ -114,11 +52,7 @@ impl ScenarioConfig {
     pub fn ring(segments: usize, hosts_per_segment: usize, seed: u64) -> Self {
         ScenarioConfig {
             topo: tamp_topology::generators::ring_of_segments(segments, hosts_per_segment),
-            seed,
-            membership: MembershipConfig::default(),
-            engine: EngineConfig::default(),
-            strict: false,
-            protocol: Protocol::Tamp,
+            ..ScenarioConfig::two_segments(seed)
         }
     }
 }
@@ -239,74 +173,6 @@ impl ScenarioRun {
             out.push_str("verdict: FAIL\n");
         }
         out
-    }
-}
-
-/// The built cluster a schedule executes against.
-struct Cluster {
-    engine: Engine,
-    clients: Vec<tamp_directory::DirectoryClient>,
-    /// `Some` per host for the hierarchical protocols (leadership
-    /// probes); `None` for the leaderless baselines.
-    probes: Vec<Option<Probe>>,
-}
-
-fn build(cfg: &ScenarioConfig, protocol: Protocol) -> Cluster {
-    // Chaos runs always meter the network and the protocol: a failing
-    // report must be able to explain itself without a re-run.
-    let mut engine_cfg = cfg.engine.clone();
-    engine_cfg.metrics = true;
-    let mut engine = Engine::new(cfg.topo.clone(), engine_cfg, cfg.seed);
-    let all_nodes: Vec<NodeId> = engine.hosts().iter().map(|h| NodeId(h.0)).collect();
-    let n = all_nodes.len();
-    let mut clients = Vec::new();
-    let mut probes = Vec::new();
-    for h in engine.hosts() {
-        match protocol {
-            Protocol::Tamp | Protocol::TampRapid => {
-                let mut mcfg = cfg.membership.clone();
-                if protocol == Protocol::TampRapid {
-                    mcfg.removal_discipline = RemovalDiscipline::CutDetection;
-                }
-                let node = MembershipNode::new(NodeId(h.0), mcfg);
-                clients.push(node.directory_client());
-                probes.push(Some(node.probe()));
-                engine.add_actor(h, Box::new(node));
-            }
-            Protocol::AllToAll => {
-                let node = AllToAllNode::new(NodeId(h.0), AllToAllConfig::default());
-                clients.push(node.directory_client());
-                probes.push(None);
-                engine.add_actor(h, Box::new(node));
-            }
-            Protocol::Gossip => {
-                let gcfg = GossipConfig {
-                    expected_cluster_size: n,
-                    seeds: all_nodes.clone(),
-                    ..Default::default()
-                };
-                let node = GossipNode::new(NodeId(h.0), gcfg);
-                clients.push(node.directory_client());
-                probes.push(None);
-                engine.add_actor(h, Box::new(node));
-            }
-            Protocol::Swim => {
-                let scfg = SwimConfig {
-                    seeds: all_nodes.clone(),
-                    ..Default::default()
-                };
-                let node = SwimNode::new(NodeId(h.0), scfg);
-                clients.push(node.directory_client());
-                probes.push(None);
-                engine.add_actor(h, Box::new(node));
-            }
-        }
-    }
-    engine.start();
-    Cluster {
-        engine,
-        clients,
-        probes,
     }
 }
 
@@ -657,31 +523,28 @@ fn fire(
 pub fn run_scenario(cfg: &ScenarioConfig, schedule: &Schedule) -> ScenarioRun {
     let mut schedule = schedule.clone();
     schedule.normalize();
-    let built;
-    let cfg = if let Some(spec) = schedule.topo {
-        built = ScenarioConfig {
-            topo: spec.build(),
-            seed: cfg.seed,
-            membership: cfg.membership.clone(),
-            engine: cfg.engine.clone(),
-            strict: cfg.strict,
-            protocol: cfg.protocol,
-        };
-        &built
-    } else {
-        cfg
-    };
+    let topo = schedule
+        .topo
+        .map_or_else(|| cfg.topo.clone(), |spec| spec.build());
+    let (segments, hosts) = (topo.num_segments(), topo.num_hosts());
     // A `protocol` directive in the scenario wins, like `topology`.
-    let protocol = schedule
-        .protocol
-        .as_deref()
-        .and_then(Protocol::parse)
-        .unwrap_or(cfg.protocol);
-    let mut cluster = build(cfg, protocol);
+    let protocol = schedule.protocol.unwrap_or(cfg.protocol);
+    // Chaos runs always meter the network and the protocol: a failing
+    // report must be able to explain itself without a re-run.
+    let mut engine_cfg = cfg.engine.clone();
+    engine_cfg.metrics = true;
+    let mut cluster = build_cluster(
+        topo,
+        engine_cfg,
+        cfg.seed,
+        protocol,
+        &cfg.membership,
+        |_| cfg.membership.services.clone(),
+    );
     let mut truth = GroundTruth::new();
     let resolved = apply_schedule(
         &mut cluster.engine,
-        &cluster.probes.clone(),
+        &cluster.probes,
         &schedule,
         cfg.seed,
         cfg.engine.loss.rate,
@@ -693,7 +556,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, schedule: &Schedule) -> ScenarioRun {
 
     // Oracle pass, with the removal window sized to the protocol's own
     // detection bound.
-    let max_level = (usize::BITS - cfg.topo.num_segments().leading_zeros()) as u8;
+    let max_level = (usize::BITS - segments.leading_zeros()) as u8;
     let mut ocfg = match protocol {
         Protocol::Tamp => {
             if cfg.strict {
@@ -711,10 +574,10 @@ pub fn run_scenario(cfg: &ScenarioConfig, schedule: &Schedule) -> ScenarioRun {
         }
         Protocol::AllToAll => OracleConfig::for_alltoall(&AllToAllConfig::default()),
         Protocol::Gossip => OracleConfig::for_gossip(&GossipConfig {
-            expected_cluster_size: cfg.topo.num_hosts(),
+            expected_cluster_size: hosts,
             ..Default::default()
         }),
-        Protocol::Swim => OracleConfig::for_swim(&SwimConfig::default(), cfg.topo.num_hosts()),
+        Protocol::Swim => OracleConfig::for_swim(&SwimConfig::default(), hosts),
     };
     if cfg.strict && !protocol.is_hierarchical() {
         // The baselines keep their lax-sized windows (already derived
@@ -744,11 +607,6 @@ pub fn run_scenario(cfg: &ScenarioConfig, schedule: &Schedule) -> ScenarioRun {
         .collect();
     let trace = cluster.engine.trace_log().records().cloned().collect();
     let metrics = cluster.engine.registry().snapshot();
-    let topo_desc = format!(
-        "{} segments, {} hosts",
-        cfg.topo.num_segments(),
-        cfg.topo.num_hosts()
-    );
     ScenarioRun {
         seed: cfg.seed,
         schedule,
@@ -759,7 +617,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, schedule: &Schedule) -> ScenarioRun {
         trace,
         metrics,
         protocol,
-        topo_desc,
+        topo_desc: format!("{segments} segments, {hosts} hosts"),
     }
 }
 
@@ -936,9 +794,22 @@ mod tests {
             action: Action::RouterDown(0),
         }]);
         let mut truth = GroundTruth::new();
-        let mut cluster = build(&cfg, Protocol::Tamp);
-        let probes = cluster.probes.clone();
-        apply_schedule(&mut cluster.engine, &probes, &schedule, 7, 0.0, &mut truth);
+        let mut cluster = build_cluster(
+            cfg.topo,
+            cfg.engine,
+            cfg.seed,
+            Protocol::Tamp,
+            &cfg.membership,
+            |_| Vec::new(),
+        );
+        apply_schedule(
+            &mut cluster.engine,
+            &cluster.probes,
+            &schedule,
+            7,
+            0.0,
+            &mut truth,
+        );
         // The star's only router is gone: segments 0/1 are unroutable,
         // recorded as a partition so quiescence checks hold off.
         assert!(truth.any_partition_active());
@@ -1042,7 +913,7 @@ mod tests {
     #[test]
     fn schedule_protocol_directive_overrides_config() {
         let schedule = Schedule {
-            protocol: Some("alltoall".to_string()),
+            protocol: Some(Protocol::AllToAll),
             ..Schedule::default()
         };
         let run = run_scenario(&ScenarioConfig::two_segments(7), &schedule);

@@ -6,6 +6,7 @@
 //! to canonical DSL text ([`Schedule::render`]), so a failing schedule
 //! can always be saved to a file and re-run verbatim.
 
+use crate::cluster::Protocol;
 use tamp_topology::Nanos;
 
 /// Who a kill/revive applies to. Symbolic targets are resolved by the
@@ -134,11 +135,10 @@ pub struct Schedule {
     /// Topology the scenario asks for (`topology` DSL directive); the
     /// driver's default applies when absent.
     pub topo: Option<TopoSpec>,
-    /// Protocol the scenario is written for (`protocol` DSL directive):
-    /// one of `tamp`, `tamp-rapid`, `alltoall`, `gossip`, `swim`. The
-    /// runner builds that protocol's actors and picks a matching oracle
-    /// removal window; absent means the driver's default (`tamp`).
-    pub protocol: Option<String>,
+    /// Protocol the scenario is written for (`protocol` DSL directive).
+    /// The runner builds that protocol's actors and picks a matching
+    /// oracle removal window; absent means the driver's default (`tamp`).
+    pub protocol: Option<Protocol>,
 }
 
 /// Default [`Schedule::settle`]: long enough for detection, re-election,
@@ -212,8 +212,8 @@ impl Schedule {
             };
             out.push_str(&format!("topology {kind} {s} {h}\n"));
         }
-        if let Some(p) = &self.protocol {
-            out.push_str(&format!("protocol {p}\n"));
+        if let Some(p) = self.protocol {
+            out.push_str(&format!("protocol {}\n", p.name()));
         }
         out.push_str(&format!("settle {}\n", fmt_duration(self.settle)));
         for e in &self.events {

@@ -1,35 +1,24 @@
 //! Ablations A1–A4 from DESIGN.md: design-choice sweeps beyond the
 //! paper's figures.
 
-use crate::common::{view_accuracy, view_accuracy_sampled, Scheme, SETTLE};
-use tamp_membership::{MembershipConfig, MembershipNode};
-use tamp_netsim::{Control, Engine, EngineConfig, LossModel, SECS};
+use crate::common::{false_removals, view_accuracy, view_accuracy_sampled, SETTLE};
+use tamp_chaos::{build_cluster, Cluster, Protocol};
+use tamp_membership::MembershipConfig;
+use tamp_netsim::{Control, EngineConfig, LossModel, SECS};
 use tamp_topology::{generators, HostId};
 use tamp_wire::NodeId;
 
-/// Build a hierarchical cluster with a custom config on the paper
-/// topology family.
+/// A hierarchical cluster with a custom config on the paper topology
+/// family.
 fn hierarchical_cluster(
     segments: usize,
     seg_size: usize,
     cfg: &MembershipConfig,
     engine_cfg: EngineConfig,
     seed: u64,
-) -> crate::common::Cluster {
+) -> Cluster {
     let topo = generators::star_of_segments(segments, seg_size);
-    let mut engine = Engine::new(topo, engine_cfg, seed);
-    let mut clients = Vec::new();
-    for h in engine.hosts() {
-        let node = MembershipNode::new(NodeId(h.0), cfg.clone());
-        clients.push(node.directory_client());
-        engine.add_actor(h, Box::new(node));
-    }
-    engine.start();
-    crate::common::Cluster {
-        engine,
-        clients,
-        scheme: Scheme::Hierarchical,
-    }
+    build_cluster(topo, engine_cfg, seed, Protocol::Tamp, cfg, |_| Vec::new())
 }
 
 // ------------------------------------------------------------------- A1
@@ -56,19 +45,11 @@ pub fn group_size_sweep(n: usize, group_sizes: &[usize], seed: u64) -> Vec<Group
             c.engine.run_until(SETTLE + window);
             let agg = c.engine.stats().totals().recv_bytes as f64 / (window as f64 / 1e9) / 1e3;
             // Convergence probe: kill the last node.
-            let kill_at = SETTLE + window;
-            let victim = HostId(n as u32 - 1);
-            c.engine.schedule(kill_at, Control::Kill(victim));
-            c.engine.run_until(kill_at + 30 * SECS);
-            let converge = c
-                .engine
-                .stats()
-                .last_removal(NodeId(victim.0))
-                .map_or(f64::NAN, |t| (t - kill_at) as f64 / 1e9);
+            let probe = c.kill_and_measure(HostId(n as u32 - 1), 30 * SECS);
             GroupSizeRow {
                 group_size: g,
                 agg_kbps: agg,
-                converge_s: converge,
+                converge_s: probe.converge_s,
                 accuracy: view_accuracy(&c),
             }
         })
@@ -138,26 +119,16 @@ pub fn loss_sweep(n: usize, rates: &[f64], seed: u64) -> Vec<LossRow> {
             let mut c = hierarchical_cluster(n / 20, 20, &cfg, engine_cfg, seed);
             c.engine.run_until(2 * SETTLE);
             let accuracy = view_accuracy_sampled(&mut c, 5, 2 * SECS);
-            // False positives so far: removals of nodes that never died.
-            let false_removals = (0..n as u32)
-                .map(|v| c.engine.stats().removal_observers(NodeId(v)).len())
-                .sum::<usize>();
+            // Nobody has died yet: every removal so far is a false positive.
+            let false_removals = false_removals(&c);
             // Detection under loss.
-            let kill_at = c.engine.now();
-            let victim = HostId(n as u32 - 1);
-            c.engine.schedule(kill_at, Control::Kill(victim));
-            c.engine.run_until(kill_at + 40 * SECS);
-            let detect = c
-                .engine
-                .stats()
-                .first_removal(NodeId(victim.0))
-                .map_or(f64::NAN, |t| t.saturating_sub(kill_at) as f64 / 1e9);
+            let probe = c.kill_and_measure(HostId(n as u32 - 1), 40 * SECS);
             rows.push(LossRow {
                 loss_pct: rate * 100.0,
                 anti_entropy,
                 max_loss,
                 accuracy,
-                detect_s: detect,
+                detect_s: probe.detect_s,
                 false_removals,
             });
         }
@@ -226,26 +197,13 @@ pub fn scale_sweep(sizes: &[usize], seed: u64) -> Vec<ScaleRow> {
             c.engine.run_until(SETTLE + window);
             let agg = c.engine.stats().totals().recv_bytes as f64 / (window as f64 / 1e9) / 1e3;
             let accuracy = view_accuracy(&c);
-            let kill_at = SETTLE + window;
-            let victim = HostId(n as u32 - 1);
-            c.engine.schedule(kill_at, Control::Kill(victim));
-            c.engine.run_until(kill_at + 30 * SECS);
-            let detect = c
-                .engine
-                .stats()
-                .first_removal(NodeId(victim.0))
-                .map_or(f64::NAN, |t| (t - kill_at) as f64 / 1e9);
-            let converge = c
-                .engine
-                .stats()
-                .last_removal(NodeId(victim.0))
-                .map_or(f64::NAN, |t| (t - kill_at) as f64 / 1e9);
+            let probe = c.kill_and_measure(HostId(n as u32 - 1), 30 * SECS);
             ScaleRow {
                 n,
                 agg_kbps: agg,
                 per_node_kbps: agg / n as f64,
-                detect_s: detect,
-                converge_s: converge,
+                detect_s: probe.detect_s,
+                converge_s: probe.converge_s,
                 accuracy,
             }
         })
@@ -307,19 +265,8 @@ pub fn leader_vs_leaf(n: usize, seed: u64) -> Vec<LeaderRow> {
                 Victim::RootLeader => HostId(0),
             };
             let kill_at = SETTLE;
-            c.engine.schedule(kill_at, Control::Kill(victim_host));
-            c.engine.run_until(kill_at + 60 * SECS);
+            let probe = c.kill_and_measure(victim_host, 60 * SECS);
             let subject = NodeId(victim_host.0);
-            let detect = c
-                .engine
-                .stats()
-                .first_removal(subject)
-                .map_or(f64::NAN, |t| (t - kill_at) as f64 / 1e9);
-            let converge = c
-                .engine
-                .stats()
-                .last_removal(subject)
-                .map_or(f64::NAN, |t| (t - kill_at) as f64 / 1e9);
             // Collateral: removal observations of *live* nodes after the
             // kill (transient view damage from losing a relayer).
             let collateral = c
@@ -338,8 +285,8 @@ pub fn leader_vs_leaf(n: usize, seed: u64) -> Vec<LeaderRow> {
                     Victim::Leaf => "leaf",
                     Victim::RootLeader => "root leader",
                 },
-                detect_s: detect,
-                converge_s: converge,
+                detect_s: probe.detect_s,
+                converge_s: probe.converge_s,
                 collateral_removals: collateral,
                 accuracy_after: view_accuracy(&c),
             }
@@ -486,21 +433,14 @@ pub fn topology_sweep(seed: u64) -> Vec<TopologyRow> {
                 max_ttl: topo.max_ttl().max(1),
                 ..Default::default()
             };
-            let mut engine = Engine::new(topo, EngineConfig::default(), seed);
-            let mut clients = Vec::new();
-            let mut probes = Vec::new();
-            for h in engine.hosts() {
-                let node = MembershipNode::new(NodeId(h.0), cfg.clone());
-                clients.push(node.directory_client());
-                probes.push(node.probe());
-                engine.add_actor(h, Box::new(node));
-            }
-            engine.start();
-            let mut c = crate::common::Cluster {
-                engine,
-                clients,
-                scheme: Scheme::Hierarchical,
-            };
+            let mut c = build_cluster(
+                topo,
+                EngineConfig::default(),
+                seed,
+                Protocol::Tamp,
+                &cfg,
+                |_| Vec::new(),
+            );
             // Deep chains need longer to settle (60 s covers 8 levels).
             c.engine.run_until(2 * SETTLE);
             c.engine.stats_mut().reset_traffic();
@@ -508,31 +448,20 @@ pub fn topology_sweep(seed: u64) -> Vec<TopologyRow> {
             c.engine.run_until(2 * SETTLE + window);
             let agg = c.engine.stats().totals().recv_bytes as f64 / (window as f64 / 1e9) / 1e3;
             let accuracy = view_accuracy(&c);
-            let tree_depth = probes
+            let tree_depth = c
+                .probes
                 .iter()
+                .flatten()
                 .map(|p| p.lock().active_levels.len())
                 .max()
                 .unwrap_or(0);
-            let kill_at = 2 * SETTLE + window;
-            let victim = HostId(n as u32 - 1);
-            c.engine.schedule(kill_at, Control::Kill(victim));
-            c.engine.run_until(kill_at + 30 * SECS);
-            let detect = c
-                .engine
-                .stats()
-                .first_removal(NodeId(victim.0))
-                .map_or(f64::NAN, |t| (t - kill_at) as f64 / 1e9);
-            let converge = c
-                .engine
-                .stats()
-                .last_removal(NodeId(victim.0))
-                .map_or(f64::NAN, |t| (t - kill_at) as f64 / 1e9);
+            let probe = c.kill_and_measure(HostId(n as u32 - 1), 30 * SECS);
             TopologyRow {
                 name,
                 tree_depth,
                 agg_kbps: agg,
-                detect_s: detect,
-                converge_s: converge,
+                detect_s: probe.detect_s,
+                converge_s: probe.converge_s,
                 accuracy,
             }
         })
@@ -599,23 +528,13 @@ pub fn detector_sweep(n: usize, rates: &[f64], seed: u64) -> Vec<DetectorRow> {
             let mut c = hierarchical_cluster(n / 20, 20, &cfg, engine_cfg, seed);
             c.engine.run_until(2 * SETTLE);
             let accuracy = view_accuracy_sampled(&mut c, 5, 2 * SECS);
-            let false_removals = (0..n as u32)
-                .map(|v| c.engine.stats().removal_observers(NodeId(v)).len())
-                .sum::<usize>();
-            let kill_at = c.engine.now();
-            let victim = HostId(n as u32 - 1);
-            c.engine.schedule(kill_at, Control::Kill(victim));
-            c.engine.run_until(kill_at + 60 * SECS);
-            let detect = c
-                .engine
-                .stats()
-                .first_removal(NodeId(victim.0))
-                .map_or(f64::NAN, |t| t.saturating_sub(kill_at) as f64 / 1e9);
+            let false_removals = false_removals(&c);
+            let probe = c.kill_and_measure(HostId(n as u32 - 1), 60 * SECS);
             rows.push(DetectorRow {
                 loss_pct: rate * 100.0,
                 detector: if adaptive { "adaptive" } else { "fixed" },
                 accuracy,
-                detect_s: detect,
+                detect_s: probe.detect_s,
                 false_removals,
             });
         }
@@ -709,11 +628,7 @@ pub fn suspicion_sweep_on(
             let mut c = hierarchical_cluster(n / 20, 20, &cfg, engine_cfg, seed);
             c.engine.run_until(2 * SETTLE);
             let accuracy = view_accuracy_sampled(&mut c, 5, 2 * SECS);
-            // Nobody has died yet: every removal observation so far is a
-            // false positive.
-            let false_removals = (0..n as u32)
-                .map(|v| c.engine.stats().removal_observers(NodeId(v)).len())
-                .sum::<usize>();
+            let false_removals = false_removals(&c);
             let refutations = c
                 .engine
                 .stats()
@@ -721,20 +636,12 @@ pub fn suspicion_sweep_on(
                 .iter()
                 .filter(|o| matches!(o.kind, tamp_netsim::ObservationKind::Refuted(_)))
                 .count();
-            let kill_at = c.engine.now();
-            let victim = HostId(n as u32 - 1);
-            c.engine.schedule(kill_at, Control::Kill(victim));
-            c.engine.run_until(kill_at + 40 * SECS);
-            let detect = c
-                .engine
-                .stats()
-                .first_removal(NodeId(victim.0))
-                .map_or(f64::NAN, |t| t.saturating_sub(kill_at) as f64 / 1e9);
+            let probe = c.kill_and_measure(HostId(n as u32 - 1), 40 * SECS);
             SuspicionRow {
                 suspicion_ms: w,
                 loss_pct: rate * 100.0,
                 accuracy,
-                detect_s: detect,
+                detect_s: probe.detect_s,
                 false_removals,
                 refutations,
             }

@@ -6,13 +6,14 @@
 //! incoming heartbeat packets. Then all numbers are added up to get the
 //! aggregated bandwidth consumption."
 
-use crate::common::{build_cluster, paper_topology, view_accuracy, Cluster, Scheme, SETTLE};
+use crate::common::{figure_cluster, figure_label, paper_topology, view_accuracy, SETTLE};
+use tamp_chaos::Protocol;
 use tamp_netsim::{EngineConfig, SECS};
 
-/// One (scheme, n) measurement.
+/// One (protocol, n) measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct BandwidthRow {
-    pub scheme: Scheme,
+    pub protocol: Protocol,
     pub n: usize,
     /// Aggregate received bytes/s across all nodes.
     pub agg_recv_bytes_per_s: f64,
@@ -24,10 +25,10 @@ pub struct BandwidthRow {
     pub accuracy: f64,
 }
 
-/// Measure steady-state bandwidth for one scheme and size.
-pub fn measure(scheme: Scheme, n: usize, seg_size: usize, seed: u64) -> BandwidthRow {
-    let mut c: Cluster = build_cluster(
-        scheme,
+/// Measure steady-state bandwidth for one protocol and size.
+pub fn measure(protocol: Protocol, n: usize, seg_size: usize, seed: u64) -> BandwidthRow {
+    let mut c = figure_cluster(
+        protocol,
         paper_topology(n, seg_size),
         seed,
         EngineConfig::default(),
@@ -39,7 +40,7 @@ pub fn measure(scheme: Scheme, n: usize, seg_size: usize, seed: u64) -> Bandwidt
     let totals = c.engine.stats().totals();
     let secs = window as f64 / 1e9;
     BandwidthRow {
-        scheme,
+        protocol,
         n,
         agg_recv_bytes_per_s: totals.recv_bytes as f64 / secs,
         agg_recv_pps: totals.recv_pkts as f64 / secs,
@@ -51,18 +52,23 @@ pub fn measure(scheme: Scheme, n: usize, seg_size: usize, seed: u64) -> Bandwidt
 /// The paper's sweep: 20..=100 nodes in 20-node networks.
 pub const PAPER_SIZES: [usize; 5] = [20, 40, 60, 80, 100];
 
-pub fn sweep(sizes: &[usize], seg_size: usize, seed: u64, schemes: &[Scheme]) -> Vec<BandwidthRow> {
+pub fn sweep(
+    sizes: &[usize],
+    seg_size: usize,
+    seed: u64,
+    protocols: &[Protocol],
+) -> Vec<BandwidthRow> {
     let mut rows = Vec::new();
     for &n in sizes {
-        for &scheme in schemes {
-            rows.push(measure(scheme, n, seg_size, seed));
+        for &protocol in protocols {
+            rows.push(measure(protocol, n, seg_size, seed));
         }
     }
     rows
 }
 
-pub fn run_and_print(sizes: &[usize], seed: u64, schemes: &[Scheme]) {
-    let rows = sweep(sizes, 20, seed, schemes);
+pub fn run_and_print(sizes: &[usize], seed: u64, protocols: &[Protocol]) {
+    let rows = sweep(sizes, 20, seed, protocols);
     let mut t = crate::report::Table::new(
         "Fig. 11 — aggregate bandwidth consumption (steady state)",
         &[
@@ -77,7 +83,7 @@ pub fn run_and_print(sizes: &[usize], seed: u64, schemes: &[Scheme]) {
     for r in &rows {
         t.row(vec![
             r.n.to_string(),
-            r.scheme.name().to_string(),
+            figure_label(r.protocol).to_string(),
             crate::report::kbps(r.agg_recv_bytes_per_s),
             format!("{:.0}", r.agg_recv_pps),
             crate::report::kbps(r.per_node_bytes_per_s),
@@ -100,8 +106,8 @@ mod tests {
 
     #[test]
     fn hierarchical_per_node_bandwidth_stays_flat() {
-        let b20 = measure(Scheme::Hierarchical, 20, 20, 5);
-        let b60 = measure(Scheme::Hierarchical, 60, 20, 5);
+        let b20 = measure(Protocol::Tamp, 20, 20, 5);
+        let b60 = measure(Protocol::Tamp, 60, 20, 5);
         let growth = b60.per_node_bytes_per_s / b20.per_node_bytes_per_s;
         assert!(
             growth < 1.6,
@@ -112,8 +118,8 @@ mod tests {
 
     #[test]
     fn all_to_all_per_node_bandwidth_grows_linearly() {
-        let b20 = measure(Scheme::AllToAll, 20, 20, 5);
-        let b60 = measure(Scheme::AllToAll, 60, 20, 5);
+        let b20 = measure(Protocol::AllToAll, 20, 20, 5);
+        let b60 = measure(Protocol::AllToAll, 60, 20, 5);
         let growth = b60.per_node_bytes_per_s / b20.per_node_bytes_per_s;
         assert!(
             (2.5..3.6).contains(&growth),
@@ -123,8 +129,8 @@ mod tests {
 
     #[test]
     fn swim_per_node_bandwidth_stays_flat() {
-        let b20 = measure(Scheme::Swim, 20, 20, 5);
-        let b60 = measure(Scheme::Swim, 60, 20, 5);
+        let b20 = measure(Protocol::Swim, 20, 20, 5);
+        let b60 = measure(Protocol::Swim, 60, 20, 5);
         let growth = b60.per_node_bytes_per_s / b20.per_node_bytes_per_s;
         assert!(
             growth < 1.6,
@@ -135,9 +141,9 @@ mod tests {
 
     #[test]
     fn hierarchical_cheapest_at_100() {
-        let h = measure(Scheme::Hierarchical, 100, 20, 6);
-        let a = measure(Scheme::AllToAll, 100, 20, 6);
-        let g = measure(Scheme::Gossip, 100, 20, 6);
+        let h = measure(Protocol::Tamp, 100, 20, 6);
+        let a = measure(Protocol::AllToAll, 100, 20, 6);
+        let g = measure(Protocol::Gossip, 100, 20, 6);
         assert!(
             h.agg_recv_bytes_per_s < a.agg_recv_bytes_per_s,
             "hier {} vs a2a {}",

@@ -8,15 +8,17 @@
 //! printed table and `results/baselines_grid.csv` are byte-identical at
 //! any `--jobs` width.
 
-use crate::common::{build_cluster, paper_topology, view_accuracy_sampled, Scheme, SETTLE};
-use tamp_netsim::{Control, EngineConfig, LossModel, SECS};
+use crate::common::{
+    false_removals, figure_cluster, paper_topology, view_accuracy_sampled, SETTLE,
+};
+use tamp_chaos::{Detection, Protocol};
+use tamp_netsim::{EngineConfig, LossModel, SECS};
 use tamp_par::Pool;
 use tamp_topology::HostId;
-use tamp_wire::NodeId;
 
 /// One (protocol, loss-rate) cell.
 pub struct BaselineCell {
-    pub scheme: Scheme,
+    pub protocol: Protocol,
     pub loss_pct: f64,
     /// Mean view accuracy over five samples at steady state (pre-kill).
     pub accuracy: f64,
@@ -28,83 +30,61 @@ pub struct BaselineCell {
     pub refutations: usize,
     /// Cluster-wide `deaths_declared` counter at the end of the run.
     pub deaths_declared: u64,
-    /// Kill-to-first-observation latency, seconds (NaN if undetected).
-    pub detect_s: f64,
-    /// Kill-to-last-observation latency, seconds.
-    pub converge_s: f64,
-    /// Survivors that observed the kill (complete protocols: n−1).
-    pub observers: usize,
+    /// The kill's detection probe (complete protocols: n−1 observers).
+    pub probe: Detection,
 }
 
 /// Measure one cell: settle under `rate` loss, sample accuracy and churn,
 /// then kill the highest-id node and wait out detection.
-pub fn measure(scheme: Scheme, n: usize, rate: f64, seed: u64) -> BaselineCell {
+pub fn measure(protocol: Protocol, n: usize, rate: f64, seed: u64) -> BaselineCell {
     let engine_cfg = EngineConfig {
         metrics: true,
         loss: LossModel { rate },
         ..Default::default()
     };
-    let mut c = build_cluster(scheme, paper_topology(n, 20), seed, engine_cfg);
+    let mut c = figure_cluster(protocol, paper_topology(n, 20), seed, engine_cfg);
     c.engine.run_until(2 * SETTLE);
     let accuracy = view_accuracy_sampled(&mut c, 5, 2 * SECS);
-    let false_removals = (0..n as u32)
-        .map(|v| c.engine.stats().removal_observers(NodeId(v)).len())
-        .sum::<usize>();
+    let false_removals = false_removals(&c);
 
-    let kill_at = c.engine.now();
-    let victim = HostId(n as u32 - 1);
-    c.engine.schedule(kill_at, Control::Kill(victim));
     // SWIM's lap is up to n−1 probe periods before the suspect timeout
     // starts; give every protocol the same generous window.
-    c.engine.run_until(kill_at + 60 * SECS);
-
-    let subject = NodeId(victim.0);
-    let first = c.engine.stats().first_removal(subject);
-    let last = c.engine.stats().last_removal(subject);
-    let observers = c
-        .engine
-        .stats()
-        .removal_observers(subject)
-        .into_iter()
-        .filter(|&h| h != victim)
-        .count();
+    let probe = c.kill_and_measure(HostId(n as u32 - 1), 60 * SECS);
     let snap = c.engine.registry().snapshot();
-    let ns = scheme.counter_namespace();
+    let ns = protocol.counter_namespace();
     BaselineCell {
-        scheme,
+        protocol,
         loss_pct: rate * 100.0,
         accuracy,
         false_removals,
         refutations: snap.counter_total(ns, "suspicions_refuted") as usize,
         deaths_declared: snap.counter_total(ns, "deaths_declared"),
-        detect_s: first.map_or(f64::NAN, |t| t.saturating_sub(kill_at) as f64 / 1e9),
-        converge_s: last.map_or(f64::NAN, |t| t.saturating_sub(kill_at) as f64 / 1e9),
-        observers,
+        probe,
     }
 }
 
-/// The full grid over `schemes` × `rates` on the pool; rows come back in
-/// the sequential scheme-major order regardless of pool width.
+/// The full grid over `protocols` × `rates` on the pool; rows come back
+/// in the sequential protocol-major order regardless of pool width.
 pub fn grid_on(
     pool: &Pool,
     n: usize,
-    schemes: &[Scheme],
+    protocols: &[Protocol],
     rates: &[f64],
     seed: u64,
 ) -> Vec<BaselineCell> {
-    let cells: Vec<(Scheme, f64)> = schemes
+    let cells: Vec<(Protocol, f64)> = protocols
         .iter()
-        .flat_map(|&s| rates.iter().map(move |&r| (s, r)))
+        .flat_map(|&p| rates.iter().map(move |&r| (p, r)))
         .collect();
     pool.ordered_map(cells.len(), |i| {
-        let (scheme, rate) = cells[i];
-        measure(scheme, n, rate, seed)
+        let (protocol, rate) = cells[i];
+        measure(protocol, n, rate, seed)
     })
 }
 
 /// Entry point for `tamp-exp baselines`. Returns the process exit code:
 /// 0 when every cell's kill was detected by every survivor at zero loss.
-pub fn run_and_print(seed: u64, quick: bool, jobs: usize, schemes: &[Scheme]) -> i32 {
+pub fn run_and_print(seed: u64, quick: bool, jobs: usize, protocols: &[Protocol]) -> i32 {
     let n = 40;
     let rates: &[f64] = if quick {
         &[0.0, 0.20]
@@ -112,7 +92,7 @@ pub fn run_and_print(seed: u64, quick: bool, jobs: usize, schemes: &[Scheme]) ->
         &[0.0, 0.10, 0.20]
     };
     let pool = Pool::new(jobs);
-    let cells = grid_on(&pool, n, schemes, rates, seed);
+    let cells = grid_on(&pool, n, protocols, rates, seed);
     let mut t = crate::report::Table::new(
         format!("A11 — protocol comparison grid (n={n}, loss sweep, kill at quiescence)"),
         &[
@@ -129,15 +109,15 @@ pub fn run_and_print(seed: u64, quick: bool, jobs: usize, schemes: &[Scheme]) ->
     );
     for c in &cells {
         t.row(vec![
-            c.scheme.protocol_name().to_string(),
+            c.protocol.name().to_string(),
             format!("{:.0}", c.loss_pct),
             format!("{:.2}", c.accuracy),
             c.false_removals.to_string(),
             c.refutations.to_string(),
             c.deaths_declared.to_string(),
-            format!("{:.2}", c.detect_s),
-            format!("{:.2}", c.converge_s),
-            c.observers.to_string(),
+            format!("{:.2}", c.probe.detect_s),
+            format!("{:.2}", c.probe.converge_s),
+            c.probe.observers.to_string(),
         ]);
     }
     t.print();
@@ -152,7 +132,7 @@ pub fn run_and_print(seed: u64, quick: bool, jobs: usize, schemes: &[Scheme]) ->
     let complete = cells
         .iter()
         .filter(|c| c.loss_pct == 0.0)
-        .all(|c| c.observers == n - 1);
+        .all(|c| c.probe.observers == n - 1);
     if complete {
         0
     } else {
@@ -168,37 +148,33 @@ mod tests {
     fn zero_loss_grid_is_complete_and_pool_invariant() {
         let key = |c: &BaselineCell| {
             (
-                c.scheme.protocol_name(),
+                c.protocol.name(),
                 format!("{:.2}", c.accuracy),
                 c.false_removals,
                 c.refutations,
                 c.deaths_declared,
-                format!("{:.3}", c.detect_s),
-                format!("{:.3}", c.converge_s),
-                c.observers,
+                format!("{:.3}", c.probe.detect_s),
+                format!("{:.3}", c.probe.converge_s),
+                c.probe.observers,
             )
         };
-        let seq = grid_on(&Pool::sequential(), 20, &Scheme::ALL, &[0.0], 17);
-        let par = grid_on(&Pool::new(4), 20, &Scheme::ALL, &[0.0], 17);
+        let seq = grid_on(&Pool::sequential(), 20, &Protocol::ALL, &[0.0], 17);
+        let par = grid_on(&Pool::new(4), 20, &Protocol::ALL, &[0.0], 17);
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(key(a), key(b), "pool width changed a cell");
         }
         for c in &seq {
-            assert_eq!(
-                c.observers,
-                19,
-                "{} incomplete at zero loss",
-                c.scheme.protocol_name()
-            );
-            assert_eq!(c.false_removals, 0, "{}", c.scheme.protocol_name());
-            assert!(c.deaths_declared > 0, "{}", c.scheme.protocol_name());
+            let name = c.protocol.name();
+            assert_eq!(c.probe.observers, 19, "{name} incomplete at zero loss");
+            assert_eq!(c.false_removals, 0, "{name}");
+            assert!(c.deaths_declared > 0, "{name}");
         }
     }
 
     #[test]
     fn rapid_absorbs_loss_churn_that_gossip_does_not() {
-        let rapid = measure(Scheme::Rapid, 20, 0.20, 17);
+        let rapid = measure(Protocol::TampRapid, 20, 0.20, 17);
         assert_eq!(
             rapid.false_removals, 0,
             "cut detection false-removed under loss"

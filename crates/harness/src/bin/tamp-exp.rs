@@ -35,6 +35,7 @@
 //!
 //! Options: `--seed <u64>` (default 2005), `--quick` (smaller sweeps).
 
+use tamp_chaos::Protocol;
 use tamp_harness::*;
 
 fn main() {
@@ -58,7 +59,7 @@ fn main() {
     let mut campaign = false;
     let mut open = false;
     let mut update = false;
-    let mut protocol: Option<String> = None;
+    let mut protocol: Option<Protocol> = None;
     let mut jobs = tamp_par::default_jobs();
     let mut shards: Option<usize> = None;
     let mut it = args.iter();
@@ -106,13 +107,12 @@ fn main() {
                 let p = it.next().unwrap_or_else(|| {
                     die("--protocol needs a name (tamp, tamp-rapid, alltoall, gossip, swim)")
                 });
-                if common::Scheme::parse(p).is_none() {
+                protocol = Some(Protocol::parse(p).unwrap_or_else(|| {
                     die(&format!(
                         "unknown protocol {p:?} (want one of {:?})",
                         tamp_chaos::PROTOCOLS
-                    ));
-                }
-                protocol = Some(p.to_string());
+                    ))
+                }));
             }
             "--campaign" => campaign = true,
             "--open" => open = true,
@@ -179,9 +179,9 @@ fn main() {
     let analysis_sizes: Vec<usize> = vec![20, 100, 500, 1000, 4000];
     // `--protocol` narrows figure sweeps to one column; default is all
     // five (the paper's three plus swim and tamp-rapid).
-    let schemes: Vec<common::Scheme> = match protocol.as_deref() {
-        Some(p) => vec![common::Scheme::parse(p).expect("validated above")],
-        None => common::Scheme::ALL.to_vec(),
+    let protocols: Vec<Protocol> = match protocol {
+        Some(p) => vec![p],
+        None => common::FIGURE_ORDER.to_vec(),
     };
 
     let run = |name: &str| {
@@ -192,15 +192,15 @@ fn main() {
 
     match cmd.as_str() {
         "fig2" => fig2::run_and_print(&fig2_sizes, seed),
-        "fig11" => bandwidth::run_and_print(&fig11_sizes, seed, &schemes),
+        "fig11" => bandwidth::run_and_print(&fig11_sizes, seed, &protocols),
         "fig12" if trials > 1 => {
-            detection::run_and_print_trials(&fig11_sizes, seed, trials, "fig12", &schemes)
+            detection::run_and_print_trials(&fig11_sizes, seed, trials, "fig12", &protocols)
         }
-        "fig12" => detection::run_and_print(&fig11_sizes, seed, "fig12", &schemes),
+        "fig12" => detection::run_and_print(&fig11_sizes, seed, "fig12", &protocols),
         "fig13" if trials > 1 => {
-            detection::run_and_print_trials(&fig11_sizes, seed, trials, "fig13", &schemes)
+            detection::run_and_print_trials(&fig11_sizes, seed, trials, "fig13", &protocols)
         }
-        "fig13" => detection::run_and_print(&fig11_sizes, seed, "fig13", &schemes),
+        "fig13" => detection::run_and_print(&fig11_sizes, seed, "fig13", &protocols),
         "fig14" => fig14::run_and_print(seed),
         "analysis" => analysis_tables::run_and_print(&analysis_sizes),
         "ablation-group-size" => ablations::run_group_size(seed),
@@ -247,7 +247,7 @@ fn main() {
                 strict,
                 adversarial,
                 jobs,
-                protocol: protocol.clone(),
+                protocol,
                 sharding: common::sharding_from(shards),
             });
             std::process::exit(code);
@@ -257,7 +257,7 @@ fn main() {
             std::process::exit(code);
         }
         "baselines" => {
-            let code = baselines_grid::run_and_print(seed, quick, jobs, &schemes);
+            let code = baselines_grid::run_and_print(seed, quick, jobs, &protocols);
             std::process::exit(code);
         }
         "slo-gate" => {
@@ -276,10 +276,10 @@ fn main() {
             run("§4 analysis");
             analysis_tables::run_and_print(&analysis_sizes);
             run("Fig. 11");
-            bandwidth::run_and_print(&fig11_sizes, seed, &schemes);
+            bandwidth::run_and_print(&fig11_sizes, seed, &protocols);
             run("Figs. 12 & 13");
-            detection::run_and_print(&fig11_sizes, seed, "fig12", &schemes);
-            detection::run_and_print(&fig11_sizes, seed, "fig13", &schemes);
+            detection::run_and_print(&fig11_sizes, seed, "fig12", &protocols);
+            detection::run_and_print(&fig11_sizes, seed, "fig13", &protocols);
             run("Fig. 14");
             fig14::run_and_print(seed);
             run("Ablations");
@@ -292,7 +292,7 @@ fn main() {
             ablations::run_detector(seed);
             ablations::run_suspicion(seed, jobs);
             run("A11 baselines grid");
-            let _ = baselines_grid::run_and_print(seed, quick, jobs, &schemes);
+            let _ = baselines_grid::run_and_print(seed, quick, jobs, &protocols);
         }
         other => die(&format!("unknown command {other}; try --help")),
     }
@@ -312,8 +312,8 @@ fn print_help() {
          \u{20}         --jobs <n>      worker threads for sweeps/grids (default: cores;\n\
          \u{20}                         output is byte-identical at any width)\n\
          \u{20}         --shards <n>    scale/chaos/load: split the *simulation itself* into\n\
-         \u{20}                         n topology shards run concurrently (default: TAMP_SHARDS\n\
-         \u{20}                         env, else 1 = sequential; output is byte-identical)\n\
+         \u{20}                         n topology shards run concurrently (default 1 =\n\
+         \u{20}                         sequential; output is byte-identical)\n\
          chaos:    --scenario <f>  run a fault-scenario DSL file\n\
          \u{20}         --sweep <n>     sweep n seeds, shrink first failure\n\
          \u{20}         --proxy         multi-datacenter proxy deployment\n\

@@ -6,8 +6,8 @@
 use crate::common::{chaos_trace_config, scenario_schedule};
 use tamp_chaos::{
     adversarial_schedule, adversarial_sweep_on, random_schedule, run_proxy_scenario, run_scenario,
-    seed_range, sweep_on, AdversarialConfig, GeneratorConfig, ProxyScenarioConfig, ScenarioConfig,
-    Schedule,
+    seed_range, sweep_on, AdversarialConfig, GeneratorConfig, Protocol, ProxyScenarioConfig,
+    ScenarioConfig, Schedule,
 };
 use tamp_membership::MembershipConfig;
 use tamp_netsim::ShardingKind;
@@ -40,7 +40,7 @@ pub struct ChaosOptions {
     pub jobs: usize,
     /// Which protocol the cluster runs (`--protocol`); `None` keeps the
     /// default (tamp). A schedule's own `protocol` directive still wins.
-    pub protocol: Option<String>,
+    pub protocol: Option<Protocol>,
     /// Engine sharding (`--shards`): run the simulation itself split
     /// across topology shards. Byte-identical output at any setting.
     pub sharding: ShardingKind,
@@ -69,14 +69,8 @@ fn scenario_config(seed: u64, opts: &ChaosOptions) -> ScenarioConfig {
     cfg.membership = membership(opts.broken);
     cfg.strict = opts.strict;
     cfg.engine.sharding = opts.sharding;
-    if let Some(p) = opts.protocol.as_deref() {
-        cfg.protocol = tamp_chaos::Protocol::parse(p).unwrap_or_else(|| {
-            eprintln!(
-                "tamp-exp: unknown protocol {p:?} (want one of {:?})",
-                tamp_chaos::PROTOCOLS
-            );
-            std::process::exit(2);
-        });
+    if let Some(p) = opts.protocol {
+        cfg.protocol = p;
     }
     if opts.trace {
         cfg.engine.trace = chaos_trace_config();
@@ -90,7 +84,7 @@ pub fn run(opts: &ChaosOptions) -> i32 {
     if opts.broken {
         println!("(broken config: MAX_LOSS = 0 — detection timeout < heartbeat period)\n");
     }
-    if opts.proxy && opts.protocol.as_deref().is_some_and(|p| p != "tamp") {
+    if opts.proxy && opts.protocol.is_some_and(|p| p != Protocol::Tamp) {
         eprintln!("tamp-exp: --proxy deployments are hierarchical-only (--protocol tamp)");
         return 2;
     }
@@ -228,10 +222,10 @@ fn load_schedule(opts: &ChaosOptions) -> Schedule {
 mod tests {
     use super::*;
 
-    #[test]
-    fn generated_single_run_passes_and_exits_zero() {
-        let opts = ChaosOptions {
-            seed: 4,
+    /// One generated scenario from `seed`, lax oracle, every switch off.
+    fn single_run(seed: u64) -> ChaosOptions {
+        ChaosOptions {
+            seed,
             scenario: None,
             sweep: None,
             broken: false,
@@ -242,24 +236,19 @@ mod tests {
             jobs: 1,
             sharding: ShardingKind::Sequential,
             protocol: None,
-        };
-        assert_eq!(run(&opts), 0);
+        }
+    }
+
+    #[test]
+    fn generated_single_run_passes_and_exits_zero() {
+        assert_eq!(run(&single_run(4)), 0);
     }
 
     #[test]
     fn strict_single_run_passes_with_suspicion_on() {
         let opts = ChaosOptions {
-            seed: 4,
-            scenario: None,
-            sweep: None,
-            broken: false,
-            proxy: false,
-            trace: false,
             strict: true,
-            adversarial: false,
-            jobs: 1,
-            sharding: ShardingKind::Sequential,
-            protocol: None,
+            ..single_run(4)
         };
         assert_eq!(run(&opts), 0);
     }
@@ -267,17 +256,9 @@ mod tests {
     #[test]
     fn adversarial_single_run_passes_strict() {
         let opts = ChaosOptions {
-            seed: 11,
-            scenario: None,
-            sweep: None,
-            broken: false,
-            proxy: false,
-            trace: false,
             strict: true,
             adversarial: true,
-            jobs: 1,
-            sharding: ShardingKind::Sequential,
-            protocol: None,
+            ..single_run(11)
         };
         assert_eq!(run(&opts), 0);
     }
@@ -285,7 +266,6 @@ mod tests {
     #[test]
     fn swim_scenario_file_passes_strict() {
         let opts = ChaosOptions {
-            seed: 4,
             scenario: Some(
                 concat!(
                     env!("CARGO_MANIFEST_DIR"),
@@ -293,15 +273,8 @@ mod tests {
                 )
                 .to_string(),
             ),
-            sweep: None,
-            broken: false,
-            proxy: false,
-            trace: false,
             strict: true,
-            adversarial: false,
-            jobs: 1,
-            sharding: ShardingKind::Sequential,
-            protocol: None,
+            ..single_run(4)
         };
         assert_eq!(run(&opts), 0);
     }
@@ -311,17 +284,9 @@ mod tests {
         // tamp-rapid via the flag (no directive in the generated
         // schedule) must run the cut-detection discipline end to end.
         let opts = ChaosOptions {
-            seed: 4,
-            scenario: None,
-            sweep: None,
-            broken: false,
-            proxy: false,
-            trace: false,
             strict: true,
-            adversarial: false,
-            jobs: 1,
-            sharding: ShardingKind::Sequential,
-            protocol: Some("tamp-rapid".to_string()),
+            protocol: Some(Protocol::TampRapid),
+            ..single_run(4)
         };
         assert_eq!(run(&opts), 0);
     }
@@ -329,17 +294,9 @@ mod tests {
     #[test]
     fn broken_config_exits_nonzero() {
         let opts = ChaosOptions {
-            seed: 4,
-            scenario: None,
             sweep: Some(1),
             broken: true,
-            proxy: false,
-            trace: false,
-            strict: false,
-            adversarial: false,
-            jobs: 1,
-            sharding: ShardingKind::Sequential,
-            protocol: None,
+            ..single_run(4)
         };
         assert_eq!(run(&opts), 1);
     }

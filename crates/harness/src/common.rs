@@ -1,95 +1,37 @@
 //! Shared cluster construction and measurement plumbing.
 
-use tamp_baselines::{
-    AllToAllConfig, AllToAllNode, GossipConfig, GossipNode, SwimConfig, SwimNode,
+use tamp_chaos::{
+    build_cluster, dsl, random_schedule, Cluster, GeneratorConfig, Protocol, Schedule,
 };
-use tamp_chaos::{dsl, random_schedule, GeneratorConfig, Schedule};
-use tamp_directory::DirectoryClient;
-use tamp_membership::{MembershipConfig, MembershipNode, RemovalDiscipline};
-use tamp_netsim::{Engine, EngineConfig, ShardingKind, SimTime, TraceConfig, SECS};
+use tamp_membership::MembershipConfig;
+use tamp_netsim::{EngineConfig, ShardingKind, SimTime, TraceConfig, SECS};
 use tamp_topology::{generators, HostId, Topology};
 use tamp_wire::{NodeId, PartitionSet, ServiceDecl};
 
-/// Which membership protocol a cluster runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheme {
-    AllToAll,
-    Gossip,
-    Hierarchical,
-    /// SWIM: randomized round-robin probing with indirect ping-req and
-    /// piggybacked dissemination ([`tamp_baselines::SwimNode`]).
-    Swim,
-    /// The hierarchical protocol with the Rapid-style multi-process
-    /// cut-detection removal discipline instead of per-observer
-    /// timeouts.
-    Rapid,
-}
+/// Row order of every `tamp-exp` table and CSV with a protocol column:
+/// the paper's three first, then the two later ones. (`Protocol::ALL`
+/// orders the same five for the chaos DSL and `benchmark/`.)
+pub const FIGURE_ORDER: [Protocol; 5] = [
+    Protocol::AllToAll,
+    Protocol::Gossip,
+    Protocol::Tamp,
+    Protocol::Swim,
+    Protocol::TampRapid,
+];
 
-impl Scheme {
-    /// Every protocol column, legacy three first so existing tables keep
-    /// their row order and the two new columns append.
-    pub const ALL: [Scheme; 5] = [
-        Scheme::AllToAll,
-        Scheme::Gossip,
-        Scheme::Hierarchical,
-        Scheme::Swim,
-        Scheme::Rapid,
-    ];
+/// The paper's original §2 comparison set (Figs. 11–13).
+pub const PAPER: [Protocol; 3] = [Protocol::AllToAll, Protocol::Gossip, Protocol::Tamp];
 
-    /// The paper's original §2 comparison set (Figs. 11–13).
-    pub const PAPER: [Scheme; 3] = [Scheme::AllToAll, Scheme::Gossip, Scheme::Hierarchical];
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scheme::AllToAll => "all-to-all",
-            Scheme::Gossip => "gossip",
-            Scheme::Hierarchical => "hierarchical",
-            Scheme::Swim => "swim",
-            Scheme::Rapid => "rapid",
-        }
+/// The `scheme` column of the figure tables and CSVs, which keep the
+/// paper's names for its three schemes.
+pub fn figure_label(p: Protocol) -> &'static str {
+    match p {
+        Protocol::AllToAll => "all-to-all",
+        Protocol::Gossip => "gossip",
+        Protocol::Tamp => "hierarchical",
+        Protocol::Swim => "swim",
+        Protocol::TampRapid => "rapid",
     }
-
-    /// Canonical `--protocol` flag value, shared with the chaos DSL's
-    /// `protocol` directive ([`tamp_chaos::PROTOCOLS`]).
-    pub fn protocol_name(&self) -> &'static str {
-        match self {
-            Scheme::AllToAll => "alltoall",
-            Scheme::Gossip => "gossip",
-            Scheme::Hierarchical => "tamp",
-            Scheme::Swim => "swim",
-            Scheme::Rapid => "tamp-rapid",
-        }
-    }
-
-    /// Parse a `--protocol` value. Accepts the canonical names plus the
-    /// legacy display aliases ("hierarchical", "all-to-all", "rapid").
-    pub fn parse(s: &str) -> Option<Scheme> {
-        match s {
-            "tamp" | "hierarchical" => Some(Scheme::Hierarchical),
-            "tamp-rapid" | "rapid" => Some(Scheme::Rapid),
-            "alltoall" | "all-to-all" => Some(Scheme::AllToAll),
-            "gossip" => Some(Scheme::Gossip),
-            "swim" => Some(Scheme::Swim),
-            _ => None,
-        }
-    }
-
-    /// Telemetry counter namespace each scheme's node registers under.
-    pub fn counter_namespace(&self) -> &'static str {
-        match self {
-            Scheme::AllToAll => "alltoall",
-            Scheme::Gossip => "gossip",
-            Scheme::Hierarchical | Scheme::Rapid => "membership",
-            Scheme::Swim => "swim",
-        }
-    }
-}
-
-/// A running cluster of one scheme.
-pub struct Cluster {
-    pub engine: Engine,
-    pub clients: Vec<DirectoryClient>,
-    pub scheme: Scheme,
 }
 
 /// The paper's testbed topology family: layer-2 networks of
@@ -107,99 +49,27 @@ fn demo_services(h: HostId) -> Vec<ServiceDecl> {
     )]
 }
 
-/// Build a cluster of `scheme` on `topo`, started and ready to run.
-pub fn build_cluster(scheme: Scheme, topo: Topology, seed: u64, cfg: EngineConfig) -> Cluster {
-    let n = topo.num_hosts();
-    let mut engine = Engine::new(topo, cfg, seed);
-    let mut clients = Vec::new();
-    match scheme {
-        Scheme::AllToAll => {
-            for h in engine.hosts() {
-                let node = AllToAllNode::new(
-                    NodeId(h.0),
-                    AllToAllConfig {
-                        services: demo_services(h),
-                        ..Default::default()
-                    },
-                );
-                clients.push(node.directory_client());
-                engine.add_actor(h, Box::new(node));
-            }
-        }
-        Scheme::Gossip => {
-            let seeds: Vec<NodeId> = engine.hosts().iter().map(|h| NodeId(h.0)).collect();
-            for h in engine.hosts() {
-                let node = GossipNode::new(
-                    NodeId(h.0),
-                    GossipConfig {
-                        expected_cluster_size: n,
-                        seeds: seeds.clone(),
-                        services: demo_services(h),
-                        ..Default::default()
-                    },
-                );
-                clients.push(node.directory_client());
-                engine.add_actor(h, Box::new(node));
-            }
-        }
-        Scheme::Hierarchical | Scheme::Rapid => {
-            let discipline = if scheme == Scheme::Rapid {
-                RemovalDiscipline::CutDetection
-            } else {
-                RemovalDiscipline::Timeout
-            };
-            for h in engine.hosts() {
-                let node = MembershipNode::new(
-                    NodeId(h.0),
-                    MembershipConfig {
-                        services: demo_services(h),
-                        removal_discipline: discipline,
-                        ..Default::default()
-                    },
-                );
-                clients.push(node.directory_client());
-                engine.add_actor(h, Box::new(node));
-            }
-        }
-        Scheme::Swim => {
-            let seeds: Vec<NodeId> = engine.hosts().iter().map(|h| NodeId(h.0)).collect();
-            for h in engine.hosts() {
-                let node = SwimNode::new(
-                    NodeId(h.0),
-                    SwimConfig {
-                        seeds: seeds.clone(),
-                        services: demo_services(h),
-                        ..Default::default()
-                    },
-                );
-                clients.push(node.directory_client());
-                engine.add_actor(h, Box::new(node));
-            }
-        }
-    }
-    engine.start();
-    Cluster {
-        engine,
-        clients,
-        scheme,
-    }
+/// What the figures measure: a cluster of `protocol` at default
+/// tunables, each host exporting one partition of a demo service.
+pub fn figure_cluster(
+    protocol: Protocol,
+    topo: Topology,
+    seed: u64,
+    engine_cfg: EngineConfig,
+) -> Cluster {
+    let membership = MembershipConfig::default();
+    build_cluster(topo, engine_cfg, seed, protocol, &membership, demo_services)
 }
 
 /// How long clusters get to reach steady state before measurements.
 pub const SETTLE: SimTime = 30 * SECS;
 
-/// Resolve the `--shards` flag into a [`ShardingKind`]: the flag wins,
-/// then the `TAMP_SHARDS` environment variable, then `Sequential`.
-/// `0` and `1` both mean sequential (no worker shards), so scripts can
-/// sweep `TAMP_SHARDS=1,2,4,...` uniformly. The engine's output is
+/// Resolve the `--shards` flag into a [`ShardingKind`]. `0`, `1` and an
+/// absent flag all mean sequential (no worker shards), so scripts can
+/// sweep `--shards 1,2,4,...` uniformly. The engine's output is
 /// byte-identical either way — this is purely a wall-clock knob.
 pub fn sharding_from(flag: Option<usize>) -> ShardingKind {
-    let n = flag.or_else(|| {
-        std::env::var("TAMP_SHARDS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-    });
-    match n {
+    match flag {
         Some(n) if n >= 2 => ShardingKind::Sharded(n),
         _ => ShardingKind::Sequential,
     }
@@ -262,6 +132,14 @@ pub fn view_accuracy(c: &Cluster) -> f64 {
     good as f64 / expect.max(1) as f64
 }
 
+/// Distinct (observer, subject) removals recorded so far. Read before
+/// anyone has been killed, every one is a false positive.
+pub fn false_removals(c: &Cluster) -> usize {
+    (0..c.clients.len() as u32)
+        .map(|v| c.engine.stats().removal_observers(NodeId(v)).len())
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,22 +154,13 @@ mod tests {
     }
 
     #[test]
-    fn protocol_names_round_trip() {
-        for scheme in Scheme::ALL {
-            assert_eq!(Scheme::parse(scheme.protocol_name()), Some(scheme));
-            assert_eq!(Scheme::parse(scheme.name()), Some(scheme));
-            assert!(tamp_chaos::PROTOCOLS.contains(&scheme.protocol_name()));
-        }
-        assert_eq!(Scheme::parse("raft"), None);
-    }
-
-    #[test]
     fn all_five_schemes_converge_on_small_cluster() {
-        for scheme in Scheme::ALL {
-            let mut c = build_cluster(scheme, paper_topology(20, 20), 9, EngineConfig::default());
+        for protocol in Protocol::ALL {
+            let mut c =
+                figure_cluster(protocol, paper_topology(20, 20), 9, EngineConfig::default());
             c.engine.run_until(SETTLE);
             let acc = view_accuracy(&c);
-            if scheme == Scheme::Gossip {
+            if protocol == Protocol::Gossip {
                 // "Its probabilistic property does not guarantee 100%
                 // accuracy" (§2): an early false positive blacklists a
                 // peer for 2×T_fail, so a node can still be catching up
@@ -304,7 +173,7 @@ mod tests {
                     );
                 }
             } else {
-                assert_eq!(acc, 1.0, "{} did not converge", scheme.name());
+                assert_eq!(acc, 1.0, "{} did not converge", protocol.name());
             }
         }
     }

@@ -1,15 +1,15 @@
 //! Paper Figs. 12 & 13: failure-detection time and view-convergence time
-//! vs cluster size, for all three schemes.
+//! vs cluster size, for every protocol column.
 //!
 //! "We kill the membership service daemon process on a node to emulate
 //! the node failure. … we find the earliest time when the failure is
 //! recorded … as the failure detection time, and the latest record time
 //! of the failure as the view convergence time."
 
-use crate::common::{build_cluster, paper_topology, Scheme, SETTLE};
-use tamp_netsim::{Control, EngineConfig, SimTime, SECS};
+use crate::common::{figure_cluster, figure_label, paper_topology, SETTLE};
+use tamp_chaos::{Detection, Protocol};
+use tamp_netsim::{EngineConfig, SECS};
 use tamp_topology::HostId;
-use tamp_wire::NodeId;
 
 /// Which node to kill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,31 +22,25 @@ pub enum Victim {
     RootLeader,
 }
 
-/// One (scheme, n) detection measurement.
+/// One (protocol, n) detection measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct DetectionRow {
-    pub scheme: Scheme,
+    pub protocol: Protocol,
     pub n: usize,
-    /// Earliest removal observation, seconds after the kill.
-    pub detect_s: f64,
-    /// Latest removal observation among all survivors, seconds after
-    /// the kill.
-    pub converge_s: f64,
-    /// Survivors that observed the failure (must be n−1 for a complete
-    /// protocol).
-    pub observers: usize,
+    /// `observers` must be n−1 for a complete protocol.
+    pub probe: Detection,
 }
 
 /// Kill one node at steady state and measure when everyone notices.
 pub fn measure(
-    scheme: Scheme,
+    protocol: Protocol,
     n: usize,
     seg_size: usize,
     victim: Victim,
     seed: u64,
 ) -> DetectionRow {
-    let mut c = build_cluster(
-        scheme,
+    let mut c = figure_cluster(
+        protocol,
         paper_topology(n, seg_size),
         seed,
         EngineConfig::default(),
@@ -57,28 +51,9 @@ pub fn measure(
         Victim::Leaf => HostId(n as u32 - 1),
         Victim::RootLeader => HostId(0),
     };
-    let kill_at: SimTime = SETTLE;
-    c.engine.schedule(kill_at, Control::Kill(victim_host));
     // Long enough for even gossip at n=100 (T_fail ≈ 12 s) plus spread.
-    c.engine.run_until(kill_at + 60 * SECS);
-
-    let subject = NodeId(victim_host.0);
-    let first = c.engine.stats().first_removal(subject);
-    let last = c.engine.stats().last_removal(subject);
-    let observers = c
-        .engine
-        .stats()
-        .removal_observers(subject)
-        .into_iter()
-        .filter(|&h| h != victim_host)
-        .count();
-    DetectionRow {
-        scheme,
-        n,
-        detect_s: first.map_or(f64::NAN, |t| (t - kill_at) as f64 / 1e9),
-        converge_s: last.map_or(f64::NAN, |t| (t - kill_at) as f64 / 1e9),
-        observers,
-    }
+    let probe = c.kill_and_measure(victim_host, 60 * SECS);
+    DetectionRow { protocol, n, probe }
 }
 
 pub fn sweep(
@@ -86,20 +61,20 @@ pub fn sweep(
     seg_size: usize,
     victim: Victim,
     seed: u64,
-    schemes: &[Scheme],
+    protocols: &[Protocol],
 ) -> Vec<DetectionRow> {
     let mut rows = Vec::new();
     for &n in sizes {
-        for &scheme in schemes {
-            rows.push(measure(scheme, n, seg_size, victim, seed));
+        for &protocol in protocols {
+            rows.push(measure(protocol, n, seg_size, victim, seed));
         }
     }
     rows
 }
 
-/// Multi-seed statistics for one (scheme, n): mean/min/max across trials.
+/// Multi-seed statistics for one (protocol, n): mean/min/max across trials.
 pub struct DetectionStats {
-    pub scheme: Scheme,
+    pub protocol: Protocol,
     pub n: usize,
     pub detect_mean_s: f64,
     pub detect_min_s: f64,
@@ -110,7 +85,7 @@ pub struct DetectionStats {
 
 /// Repeat [`measure`] across `trials` seeds and aggregate.
 pub fn measure_trials(
-    scheme: Scheme,
+    protocol: Protocol,
     n: usize,
     seg_size: usize,
     victim: Victim,
@@ -118,15 +93,15 @@ pub fn measure_trials(
     trials: usize,
 ) -> DetectionStats {
     let runs: Vec<DetectionRow> = (0..trials.max(1))
-        .map(|t| measure(scheme, n, seg_size, victim, base_seed + t as u64 * 7919))
+        .map(|t| measure(protocol, n, seg_size, victim, base_seed + t as u64 * 7919))
         .collect();
-    let detect: Vec<f64> = runs.iter().map(|r| r.detect_s).collect();
-    let converge: Vec<f64> = runs.iter().map(|r| r.converge_s).collect();
+    let detect: Vec<f64> = runs.iter().map(|r| r.probe.detect_s).collect();
+    let converge: Vec<f64> = runs.iter().map(|r| r.probe.converge_s).collect();
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let min = |v: &[f64]| v.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = |v: &[f64]| v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     DetectionStats {
-        scheme,
+        protocol,
         n,
         detect_mean_s: mean(&detect),
         detect_min_s: min(&detect),
@@ -142,7 +117,7 @@ pub fn run_and_print_trials(
     base_seed: u64,
     trials: usize,
     which: &str,
-    schemes: &[Scheme],
+    protocols: &[Protocol],
 ) {
     let (title, csv) = match which {
         "fig12" => (
@@ -167,11 +142,11 @@ pub fn run_and_print_trials(
         ],
     );
     for &n in sizes {
-        for &scheme in schemes {
-            let st = measure_trials(scheme, n, 20, Victim::Leaf, base_seed, trials);
+        for &protocol in protocols {
+            let st = measure_trials(protocol, n, 20, Victim::Leaf, base_seed, trials);
             t.row(vec![
                 n.to_string(),
-                scheme.name().to_string(),
+                figure_label(protocol).to_string(),
                 format!("{:.2}", st.detect_mean_s),
                 format!("{:.2}", st.detect_min_s),
                 format!("{:.2}", st.detect_max_s),
@@ -186,8 +161,8 @@ pub fn run_and_print_trials(
 
 /// Fig. 12 (detection) and Fig. 13 (convergence) come from the same runs;
 /// `which` only selects the headline column ordering.
-pub fn run_and_print(sizes: &[usize], seed: u64, which: &str, schemes: &[Scheme]) {
-    let rows = sweep(sizes, 20, Victim::Leaf, seed, schemes);
+pub fn run_and_print(sizes: &[usize], seed: u64, which: &str, protocols: &[Protocol]) {
+    let rows = sweep(sizes, 20, Victim::Leaf, seed, protocols);
     let (title, csv) = match which {
         "fig12" => ("Fig. 12 — failure detection time (s)", "fig12"),
         _ => ("Fig. 13 — view convergence time (s)", "fig13"),
@@ -199,10 +174,10 @@ pub fn run_and_print(sizes: &[usize], seed: u64, which: &str, schemes: &[Scheme]
     for r in &rows {
         t.row(vec![
             r.n.to_string(),
-            r.scheme.name().to_string(),
-            format!("{:.2}", r.detect_s),
-            format!("{:.2}", r.converge_s),
-            r.observers.to_string(),
+            figure_label(r.protocol).to_string(),
+            format!("{:.2}", r.probe.detect_s),
+            format!("{:.2}", r.probe.converge_s),
+            r.probe.observers.to_string(),
         ]);
     }
     t.print();
@@ -222,22 +197,22 @@ mod tests {
 
     #[test]
     fn heartbeat_schemes_detect_in_about_five_seconds() {
-        for scheme in [Scheme::AllToAll, Scheme::Hierarchical] {
-            let r = measure(scheme, 40, 20, Victim::Leaf, 3);
+        for protocol in [Protocol::AllToAll, Protocol::Tamp] {
+            let r = measure(protocol, 40, 20, Victim::Leaf, 3).probe;
             assert!(
                 (4.0..8.0).contains(&r.detect_s),
                 "{} detect {}",
-                scheme.name(),
+                protocol.name(),
                 r.detect_s
             );
-            assert_eq!(r.observers, 39, "{}", scheme.name());
+            assert_eq!(r.observers, 39, "{}", protocol.name());
         }
     }
 
     #[test]
     fn gossip_detection_slower_and_grows() {
-        let r20 = measure(Scheme::Gossip, 20, 20, Victim::Leaf, 3);
-        let r60 = measure(Scheme::Gossip, 60, 20, Victim::Leaf, 3);
+        let r20 = measure(Protocol::Gossip, 20, 20, Victim::Leaf, 3).probe;
+        let r60 = measure(Protocol::Gossip, 60, 20, Victim::Leaf, 3).probe;
         assert!(r20.detect_s > 7.0, "gossip(20) detect {}", r20.detect_s);
         assert!(
             r60.detect_s > r20.detect_s - 1.0,
@@ -250,7 +225,7 @@ mod tests {
 
     #[test]
     fn swim_detects_within_probe_lap_plus_suspect_timeout() {
-        let r = measure(Scheme::Swim, 40, 20, Victim::Leaf, 3);
+        let r = measure(Protocol::Swim, 40, 20, Victim::Leaf, 3).probe;
         // A full probe lap is ≤ n−1 periods; the suspect timeout adds
         // 5 s. In practice some node probes the victim within a few
         // periods of the kill.
@@ -264,8 +239,8 @@ mod tests {
 
     #[test]
     fn rapid_detection_stays_near_hierarchical_plus_batch_delay() {
-        let h = measure(Scheme::Hierarchical, 40, 20, Victim::Leaf, 3);
-        let r = measure(Scheme::Rapid, 40, 20, Victim::Leaf, 3);
+        let h = measure(Protocol::Tamp, 40, 20, Victim::Leaf, 3).probe;
+        let r = measure(Protocol::TampRapid, 40, 20, Victim::Leaf, 3).probe;
         assert_eq!(r.observers, 39, "rapid observers");
         assert!(
             r.detect_s >= h.detect_s - 1.0,
@@ -283,7 +258,7 @@ mod tests {
 
     #[test]
     fn hierarchical_convergence_close_to_detection() {
-        let r = measure(Scheme::Hierarchical, 60, 20, Victim::Leaf, 4);
+        let r = measure(Protocol::Tamp, 60, 20, Victim::Leaf, 4).probe;
         assert!(
             r.converge_s - r.detect_s < 4.0,
             "spread {}",

@@ -1,9 +1,10 @@
 //! # tamp-harness — experiment drivers for every paper figure
 //!
 //! One module per experiment; the `tamp-exp` binary exposes them as
-//! subcommands. Each experiment returns structured rows (so the Criterion
-//! benches and tests can reuse them) and can render an aligned text table
-//! — the same rows/series the paper's figures report.
+//! subcommands. Each experiment returns structured rows (so tests can
+//! reuse them) and can render an aligned text table — the same
+//! rows/series the paper's figures report. Wall-clock cost is not
+//! measured here: `benchmark/run.sh` is the perf ledger.
 //!
 //! | Paper figure | Module | Subcommand |
 //! |---|---|---|
@@ -38,5 +39,3 @@ pub mod scale;
 pub mod slo_gate;
 pub mod topo_tool;
 pub mod trace_tool;
-
-pub use common::Scheme;

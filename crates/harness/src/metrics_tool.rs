@@ -9,7 +9,8 @@
 //! metric dump land under `results/telemetry/` — both byte-identical
 //! across same-seed runs, so tests and CI diff them directly.
 
-use crate::common::{build_cluster, paper_topology, Cluster, Scheme, SETTLE};
+use crate::common::{figure_cluster, paper_topology, view_accuracy, FIGURE_ORDER, SETTLE};
+use tamp_chaos::{Cluster, Protocol};
 use tamp_netsim::telemetry::{
     events_to_jsonl, snapshot_to_csv, summary_table, EventRecord, MetricsSnapshot, CLUSTER,
 };
@@ -78,8 +79,8 @@ pub fn instrumented_config() -> EngineConfig {
 /// Run the instrumented scenario and collect every export as a string
 /// (nothing written to disk — `run_and_print` does that).
 pub fn collect(n: usize, seed: u64) -> MetricsRun {
-    let mut c = build_cluster(
-        Scheme::Hierarchical,
+    let mut c = figure_cluster(
+        Protocol::Tamp,
         paper_topology(n, 20),
         seed,
         instrumented_config(),
@@ -105,10 +106,10 @@ pub fn collect(n: usize, seed: u64) -> MetricsRun {
                 break;
             }
         }
-        while c.engine.now() < deadline && !views_converged(&c) {
+        while c.engine.now() < deadline && view_accuracy(&c) < 1.0 {
             c.engine.run_for(100 * MILLIS);
         }
-        if views_converged(&c) {
+        if view_accuracy(&c) == 1.0 {
             convergence.record(c.engine.now() - t_kill);
         }
     }
@@ -127,15 +128,6 @@ pub fn collect(n: usize, seed: u64) -> MetricsRun {
         dashboard,
         reconciliation,
     }
-}
-
-/// Every live node's view is exactly the live set.
-fn views_converged(c: &Cluster) -> bool {
-    let live: Vec<usize> = (0..c.clients.len())
-        .filter(|&i| c.engine.is_alive(HostId(i as u32)))
-        .collect();
-    live.iter()
-        .all(|&i| c.clients[i].member_count() == live.len())
 }
 
 /// Line up the simulator's own per-kind byte accounting with the
@@ -246,8 +238,8 @@ fn render_dashboard(
 }
 
 /// Per-protocol counter comparison: one small instrumented cluster per
-/// scheme, a kill at steady state, and the shared suspicion/removal
-/// counter vocabulary read from each scheme's namespace. Stand-alone so
+/// protocol, a kill at steady state, and the shared suspicion/removal
+/// counter vocabulary read from each protocol's namespace. Stand-alone so
 /// the golden-pinned [`collect`] exports are untouched.
 pub fn protocol_comparison(n: usize, seed: u64) -> String {
     let mut t = crate::report::Table::new(
@@ -261,9 +253,9 @@ pub fn protocol_comparison(n: usize, seed: u64) -> String {
             "detect s",
         ],
     );
-    for scheme in Scheme::ALL {
-        let mut c = build_cluster(
-            scheme,
+    for protocol in FIGURE_ORDER {
+        let mut c = figure_cluster(
+            protocol,
             paper_topology(n, 20),
             seed,
             EngineConfig {
@@ -272,19 +264,11 @@ pub fn protocol_comparison(n: usize, seed: u64) -> String {
             },
         );
         c.engine.run_until(SETTLE);
-        let victim = HostId(n as u32 - 1);
-        let t_kill = c.engine.now();
-        c.engine.kill_now(victim);
-        c.engine.run_for(60 * SECS);
-        let detect = c
-            .engine
-            .stats()
-            .first_removal(NodeId(victim.0))
-            .map_or(f64::NAN, |t| t.saturating_sub(t_kill) as f64 / 1e9);
+        let detect = c.kill_and_measure(HostId(n as u32 - 1), 60 * SECS).detect_s;
         let snap = c.engine.registry().snapshot();
-        let ns = scheme.counter_namespace();
+        let ns = protocol.counter_namespace();
         t.row(vec![
-            scheme.protocol_name().to_string(),
+            protocol.name().to_string(),
             snap.counter_total(ns, "deaths_declared").to_string(),
             snap.counter_total(ns, "suspicions_raised").to_string(),
             snap.counter_total(ns, "suspicions_refuted").to_string(),
@@ -413,7 +397,7 @@ mod tests {
     fn telemetry_overhead_within_five_percent() {
         let run_once = |cfg: EngineConfig| {
             let start = std::time::Instant::now();
-            let mut c = build_cluster(Scheme::Hierarchical, paper_topology(100, 20), 5, cfg);
+            let mut c = figure_cluster(Protocol::Tamp, paper_topology(100, 20), 5, cfg);
             c.engine.run_until(SETTLE + 30 * SECS);
             start.elapsed()
         };

@@ -27,6 +27,7 @@
 //!   the two times, exactly as in Figs. 12–13.
 
 use tamp_analysis::{hierarchical, ModelParams};
+use tamp_chaos::Detection;
 use tamp_directory::{Directory, Provenance};
 use tamp_membership::{MembershipConfig, MembershipNode};
 use tamp_netsim::{Control, Engine, EngineConfig, ShardingKind, SimTime, MILLIS, SECS};
@@ -228,16 +229,7 @@ pub fn measure_with_sharding(setup: &SizeSetup, seed: u64, sharding: ShardingKin
     let kill_at = engine.now();
     engine.schedule(kill_at, Control::Kill(victim));
     engine.run_until(kill_at + 12 * SECS);
-
-    let subject = NodeId(victim.0);
-    let first = engine.stats().first_removal(subject);
-    let last = engine.stats().last_removal(subject);
-    let observers = engine
-        .stats()
-        .removal_observers(subject)
-        .into_iter()
-        .filter(|&h| h != victim)
-        .count();
+    let probe = Detection::of(&engine, victim, kill_at);
 
     let p = ModelParams {
         n,
@@ -253,11 +245,11 @@ pub fn measure_with_sharding(setup: &SizeSetup, seed: u64, sharding: ShardingKin
         group_size,
         agg_recv_bytes_per_s,
         model_bytes_per_s: model.bandwidth_bytes_per_s,
-        detect_s: first.map_or(f64::NAN, |t| (t - kill_at) as f64 / 1e9),
+        detect_s: probe.detect_s,
         model_detect_s: model.detection_s,
-        converge_s: last.map_or(f64::NAN, |t| (t - kill_at) as f64 / 1e9),
+        converge_s: probe.converge_s,
         model_converge_s: model.convergence_s,
-        observers,
+        observers: probe.observers,
         wall_ms: wall.elapsed().as_millis() as u64,
     }
 }

@@ -1,8 +1,9 @@
 //! `tamp-exp topo <file>` — inspect a fabric description: distances,
 //! and the membership tree the protocol would form on it.
 
-use tamp_membership::{MembershipConfig, MembershipNode};
-use tamp_netsim::{Engine, EngineConfig, SECS};
+use tamp_chaos::{build_cluster, Protocol};
+use tamp_membership::MembershipConfig;
+use tamp_netsim::{EngineConfig, SECS};
 use tamp_topology::parse_topology;
 use tamp_wire::NodeId;
 
@@ -44,21 +45,14 @@ pub fn run(path: &str, seed: u64) -> Result<(), String> {
     };
     let host_names: std::collections::HashMap<u32, &String> =
         parsed.hosts.iter().map(|(name, h)| (h.0, name)).collect();
-    let mut engine = Engine::new(topo, EngineConfig::default(), seed);
-    let mut probes = Vec::new();
-    let mut clients = Vec::new();
-    for h in engine.hosts() {
-        let node = MembershipNode::new(NodeId(h.0), cfg.clone());
-        probes.push(node.probe());
-        clients.push(node.directory_client());
-        engine.add_actor(h, Box::new(node));
-    }
-    engine.start();
-    engine.run_until(60 * SECS);
+    let engine_cfg = EngineConfig::default();
+    let mut c = build_cluster(topo, engine_cfg, seed, Protocol::Tamp, &cfg, |_| Vec::new());
+    c.engine.run_until(60 * SECS);
 
-    let n = clients.len();
-    let full = clients.iter().filter(|c| c.member_count() == n).count();
+    let n = c.clients.len();
+    let full = c.clients.iter().filter(|c| c.member_count() == n).count();
     println!("complete views: {full}/{n}");
+    let probes: Vec<_> = c.probes.iter().flatten().collect();
     let max_levels = probes
         .iter()
         .map(|p| p.lock().active_levels.len())

@@ -2,12 +2,10 @@
 //! detection: a small cluster runs, one node dies, and every update /
 //! sync / election packet around the event is shown.
 
-use tamp_membership::{MembershipConfig, MembershipNode};
-use tamp_netsim::{
-    Control, Engine, EngineConfig, TraceConfig, TraceEvent, TraceLog, TraceRecord, SECS,
-};
+use tamp_chaos::{build_cluster, Protocol};
+use tamp_membership::MembershipConfig;
+use tamp_netsim::{EngineConfig, TraceConfig, TraceEvent, TraceLog, TraceRecord, SECS};
 use tamp_topology::{generators, HostId};
-use tamp_wire::NodeId;
 
 pub fn run(seed: u64) {
     let topo = generators::star_of_segments(2, 3);
@@ -28,30 +26,16 @@ pub fn run(seed: u64) {
         },
         ..Default::default()
     };
-    let mut engine = Engine::new(topo, cfg, seed);
-    let mut clients = Vec::new();
-    for h in engine.hosts() {
-        let node = MembershipNode::new(NodeId(h.0), MembershipConfig::default());
-        clients.push(node.directory_client());
-        engine.add_actor(h, Box::new(node));
-    }
-    engine.start();
-    engine.run_until(20 * SECS);
+    let membership = MembershipConfig::default();
+    let mut c = build_cluster(topo, cfg, seed, Protocol::Tamp, &membership, |_| Vec::new());
+    c.engine.run_until(20 * SECS);
 
     println!("2 racks × 3 nodes; killing n5 at t=20 s\n");
-    engine.schedule(20 * SECS, Control::Kill(HostId(5)));
-    engine.run_until(30 * SECS);
-
-    let detect = engine
-        .stats()
-        .first_removal(NodeId(5))
-        .map(|t| (t - 20 * SECS) as f64 / 1e9);
-    println!(
-        "detection after {:.2} s; timeline of control traffic from t=19 s:\n",
-        detect.unwrap_or(f64::NAN)
-    );
+    let detect = c.kill_and_measure(HostId(5), 10 * SECS).detect_s;
+    println!("detection after {detect:.2} s; timeline of control traffic from t=19 s:\n");
+    let log = c.engine.trace_log();
     let mut shown = 0;
-    for r in engine.trace_log().records() {
+    for r in log.records() {
         if r.time >= 19 * SECS {
             println!("{}", TraceLog::render(r));
             shown += 1;
@@ -63,8 +47,8 @@ pub fn run(seed: u64) {
     }
     println!(
         "\n{} control packets traced in total ({} retained).",
-        engine.trace_log().total_recorded(),
-        engine.trace_log().len()
+        log.total_recorded(),
+        log.len()
     );
 }
 
@@ -113,18 +97,10 @@ mod tests {
             trace: TraceConfig::all(),
             ..Default::default()
         };
-        let mut engine = Engine::new(topo, cfg, 3);
-        for h in engine.hosts() {
-            engine.add_actor(
-                h,
-                Box::new(MembershipNode::new(
-                    NodeId(h.0),
-                    MembershipConfig::default(),
-                )),
-            );
-        }
-        engine.start();
-        engine.schedule(15 * SECS, Control::Kill(HostId(5)));
+        let membership = MembershipConfig::default();
+        let mut engine =
+            build_cluster(topo, cfg, 3, Protocol::Tamp, &membership, |_| Vec::new()).engine;
+        engine.schedule(15 * SECS, tamp_netsim::Control::Kill(HostId(5)));
         engine.run_until(25 * SECS);
 
         let log = engine.trace_log();

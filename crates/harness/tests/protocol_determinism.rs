@@ -8,7 +8,6 @@
 
 use tamp_chaos::{dsl, run_scenario, sweep_on, GeneratorConfig, Protocol, ScenarioConfig};
 use tamp_harness::baselines_grid;
-use tamp_harness::common::Scheme;
 use tamp_par::Pool;
 
 fn cfg_for(protocol: Protocol) -> impl Fn(u64) -> ScenarioConfig + Sync {
@@ -24,13 +23,7 @@ fn cfg_for(protocol: Protocol) -> impl Fn(u64) -> ScenarioConfig + Sync {
 #[test]
 fn chaos_sweep_reports_are_pool_width_invariant_for_every_protocol() {
     let g = GeneratorConfig::default();
-    for &p in &[
-        Protocol::Tamp,
-        Protocol::TampRapid,
-        Protocol::AllToAll,
-        Protocol::Gossip,
-        Protocol::Swim,
-    ] {
+    for p in Protocol::ALL {
         let sequential = sweep_on(&Pool::sequential(), 300, 6, &g, cfg_for(p)).report();
         let parallel = sweep_on(&Pool::new(4), 300, 6, &g, cfg_for(p)).report();
         assert_eq!(
@@ -98,37 +91,26 @@ fn checked_in_regression_scenarios_pass_strict_for_new_protocols() {
 /// the same cells whether computed sequentially or on a 4-wide pool.
 #[test]
 fn baselines_grid_cells_are_pool_width_invariant() {
-    let schemes = [Scheme::Hierarchical, Scheme::Swim, Scheme::Rapid];
+    let protocols = [Protocol::Tamp, Protocol::Swim, Protocol::TampRapid];
     let rates = [0.0, 0.10];
-    let cells = |pool: &Pool| baselines_grid::grid_on(pool, 20, &schemes, &rates, 99);
+    let cells = |pool: &Pool| baselines_grid::grid_on(pool, 20, &protocols, &rates, 99);
     let sequential = cells(&Pool::sequential());
     let parallel = cells(&Pool::new(4));
     assert_eq!(sequential.len(), parallel.len());
+    let key = |c: &baselines_grid::BaselineCell| {
+        (
+            c.protocol,
+            c.loss_pct,
+            c.accuracy.to_bits(),
+            c.false_removals,
+            c.refutations,
+            c.deaths_declared,
+            c.probe.detect_s.to_bits(),
+            c.probe.converge_s.to_bits(),
+            c.probe.observers,
+        )
+    };
     for (s, p) in sequential.iter().zip(&parallel) {
-        assert_eq!(
-            (
-                s.scheme,
-                s.loss_pct,
-                s.accuracy.to_bits(),
-                s.false_removals,
-                s.refutations,
-                s.deaths_declared,
-                s.detect_s.to_bits(),
-                s.converge_s.to_bits(),
-                s.observers,
-            ),
-            (
-                p.scheme,
-                p.loss_pct,
-                p.accuracy.to_bits(),
-                p.false_removals,
-                p.refutations,
-                p.deaths_declared,
-                p.detect_s.to_bits(),
-                p.converge_s.to_bits(),
-                p.observers,
-            ),
-            "grid cell drifted with pool width"
-        );
+        assert_eq!(key(s), key(p), "grid cell drifted with pool width");
     }
 }

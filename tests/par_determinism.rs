@@ -6,8 +6,10 @@
 //! observable is.
 
 use tamp::chaos::{sweep_on, GeneratorConfig, ScenarioConfig, SweepReport};
-use tamp::membership::MembershipConfig;
 use tamp::par::Pool;
+
+#[path = "../crates/chaos/tests/common/par_sweep.rs"]
+mod par_sweep;
 
 fn passing_sweep(jobs: usize) -> SweepReport {
     sweep_on(
@@ -17,30 +19,6 @@ fn passing_sweep(jobs: usize) -> SweepReport {
         &GeneratorConfig::default(),
         ScenarioConfig::two_segments,
     )
-}
-
-/// `MAX_LOSS = 0` makes the detection timeout shorter than the
-/// heartbeat period, so every schedule fails: the sweep stops at its
-/// first seed and shrinks — exercising the early-stop and the parallel
-/// shrinker's candidate scan. The cluster and fault window are kept
-/// small: the broken config fails within the first sweep tick, and the
-/// suspicion storm it triggers makes each simulated second expensive
-/// (this test runs in debug CI).
-fn failing_sweep(jobs: usize) -> SweepReport {
-    let g = GeneratorConfig {
-        num_hosts: 6,
-        active_window_secs: 12,
-        max_events: 4,
-        ..GeneratorConfig::default()
-    };
-    sweep_on(&Pool::new(jobs), 1, 3, &g, |seed| ScenarioConfig {
-        topo: tamp::topology::generators::star_of_segments(2, 3),
-        membership: MembershipConfig {
-            max_loss: 0,
-            ..Default::default()
-        },
-        ..ScenarioConfig::two_segments(seed)
-    })
 }
 
 #[test]
@@ -60,32 +38,15 @@ fn parallel_passing_sweep_is_byte_identical_to_sequential() {
     assert!(seq.passed());
 }
 
+/// Fixed-budget slice of the failing sweep (early stop + parallel
+/// shrinker): the six assertions live with the chaos crate, whose
+/// `tests/par_determinism.rs` runs them at the wide budget in release.
 #[test]
 fn parallel_failing_sweep_and_shrink_are_byte_identical_to_sequential() {
-    let seq = failing_sweep(1);
-    let par = failing_sweep(4);
-    assert_eq!(
-        seq.report(),
-        par.report(),
-        "failure report bytes diverge between --jobs 1 and --jobs 4"
-    );
-    let (sf, pf) = (
-        seq.failure.as_ref().expect("broken config must fail"),
-        par.failure.as_ref().expect("broken config must fail"),
-    );
-    assert_eq!(sf.seed, pf.seed, "first-failure seed diverges");
-    assert_eq!(
-        sf.shrunk.render(),
-        pf.shrunk.render(),
-        "shrunk repro diverges — parallel candidate scan must adopt the same deletions"
-    );
-    assert_eq!(
-        sf.run.report(),
-        pf.run.report(),
-        "shrunk run report diverges"
-    );
-    // The sweep stopped at the first failing seed in both modes:
-    // speculative results for later seeds were discarded unseen.
-    assert_eq!(seq.runs.len(), par.runs.len());
-    assert_eq!(seq.runs.last().map(|&(_, p)| p), Some(false));
+    par_sweep::assert_failing_sweep_is_pool_width_invariant(&GeneratorConfig {
+        num_hosts: 4,
+        active_window_secs: 11,
+        max_events: 2,
+        ..Default::default()
+    });
 }
