@@ -189,7 +189,7 @@ impl Actor for AllToAllNode {
                 Provenance::Direct,
                 now,
                 || hb.record.to_record(),
-                |e| hb.record.matches(e),
+                |held| hb.record.same_payload(held),
             );
             (a.changed(), (was, a))
         });
@@ -230,9 +230,7 @@ impl Actor for AllToAllNode {
                     .collect();
                 for n in dead {
                     self.last_heard.remove(&n);
-                    let inc = self
-                        .directory
-                        .read(|d| d.get(n).map(|e| e.record.incarnation));
+                    let inc = self.directory.read(|d| d.get(n).map(|e| e.incarnation));
                     if let Some(inc) = inc {
                         self.directory
                             .update(|d| (d.apply_leave(n, inc, now).changed(), ()));

@@ -157,10 +157,10 @@ impl GossipNode {
     fn view(&self) -> Vec<GossipEntry> {
         let mut entries: Vec<GossipEntry> = self.directory.read(|d| {
             d.entries()
-                .filter(|e| e.record.node != self.me)
+                .filter(|e| e.node != self.me)
                 .map(|e| GossipEntry {
-                    record: e.record.clone(),
-                    heartbeat_counter: self.members.get(&e.record.node).map_or(0, |m| m.counter),
+                    record: e.record(),
+                    heartbeat_counter: self.members.get(&e.node).map_or(0, |m| m.counter),
                 })
                 .collect()
         });
@@ -241,9 +241,7 @@ impl Actor for GossipNode {
             // The blacklist wins over stale counters, but a *higher
             // incarnation* means a genuine restart: let it through.
             if let Some(&until) = self.blacklist.get(&node) {
-                let known_inc = self
-                    .directory
-                    .read(|d| d.get(node).map(|e| e.record.incarnation));
+                let known_inc = self.directory.read(|d| d.get(node).map(|e| e.incarnation));
                 let restarted = known_inc.is_none_or(|inc| e.record.incarnation > inc);
                 if now < until && !restarted {
                     continue;
@@ -313,9 +311,7 @@ impl Actor for GossipNode {
                 for n in failed {
                     self.members.remove(&n);
                     self.blacklist.insert(n, now + t_cleanup);
-                    let inc = self
-                        .directory
-                        .read(|d| d.get(n).map(|e| e.record.incarnation));
+                    let inc = self.directory.read(|d| d.get(n).map(|e| e.incarnation));
                     if let Some(inc) = inc {
                         self.directory
                             .update(|d| (d.apply_leave(n, inc, now).changed(), ()));

@@ -33,7 +33,10 @@ pub use reconcile::Reconcile;
 pub use shared::{DirectoryClient, SharedDirectory};
 
 use std::collections::BTreeMap;
-use tamp_wire::{DigestEntry, MemberEvent, NodeId, NodeRecord, RelayedRecord, ServiceAvail};
+use std::sync::Arc;
+use tamp_wire::{
+    DigestEntry, MemberEvent, NodeId, NodeRecord, RecordPayload, RelayedRecord, ServiceAvail,
+};
 
 /// Nanosecond timestamps, matching `tamp_topology::Nanos`.
 pub type Nanos = u64;
@@ -58,13 +61,30 @@ impl Provenance {
     }
 }
 
-/// One directory entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Entry {
-    pub record: NodeRecord,
+/// One directory entry: a row borrowed from the [`Directory`]'s columns.
+/// Services and attributes are reachable through `Deref`.
+#[derive(Debug, Clone, Copy)]
+pub struct Entry<'a> {
+    pub node: NodeId,
+    pub incarnation: u64,
+    payload: &'a Arc<RecordPayload>,
     pub provenance: Provenance,
     /// Last time a heartbeat or update touched this entry.
     pub last_refresh: Nanos,
+}
+
+impl Entry<'_> {
+    /// The stored yellow-page record (an `Arc` bump).
+    pub fn record(&self) -> NodeRecord {
+        NodeRecord::from_shared(self.node, self.incarnation, Arc::clone(self.payload))
+    }
+}
+
+impl std::ops::Deref for Entry<'_> {
+    type Target = RecordPayload;
+    fn deref(&self) -> &RecordPayload {
+        self.payload
+    }
 }
 
 /// Result of applying an event to the directory.
@@ -86,9 +106,27 @@ impl Applied {
 }
 
 /// The yellow-page directory: complete view of cluster membership.
+///
+/// One struct-of-arrays store sorted by `NodeId`: row `i` is
+/// `keys[i]`, `payload[i]`, `last_refresh[i]`, `provenance[i]`, and the
+/// four columns always have one length. Every node holds every other
+/// node's entry (§3), so a simulated cluster holds n² of these rows:
+/// 40 bytes each, a lookup a binary search over contiguous 16-byte
+/// keys, the heartbeat refresh one store into `last_refresh`, the
+/// expiry and relayer scans walks of one or two flat columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Directory {
-    entries: BTreeMap<NodeId, Entry>,
+    /// The key column, and the anti-entropy digest itself: one `(node,
+    /// incarnation)` pair per live entry, strictly ascending by node
+    /// id. Ascending order is a determinism requirement, not a
+    /// convenience: it reaches digests, relay cascades and expiry
+    /// scans, and must not vary by process or thread.
+    keys: Vec<DigestEntry>,
+    /// Services and attributes, shared with every other holder of the
+    /// same record.
+    payload: Vec<Arc<RecordPayload>>,
+    last_refresh: Vec<Nanos>,
+    provenance: Vec<Provenance>,
     /// Incarnations known dead: `dead[n]` is the highest incarnation of
     /// `n` declared dead plus when it was declared. Records must exceed
     /// the incarnation to be accepted while the tombstone is fresh.
@@ -98,25 +136,17 @@ pub struct Directory {
     /// (e.g. a healed partition), the node's own heartbeats re-add it
     /// once the tombstone ages out, without requiring re-incarnation.
     tombstone_ttl: Nanos,
-    /// Anti-entropy digest, maintained incrementally: one `(node,
-    /// incarnation)` pair per live entry, sorted by node id (the same
-    /// order the `entries` map iterates in). Every mutation path —
-    /// insert, incarnation bump, leave/tombstone, reconciliation
-    /// removal, expiry cascade, relayed purge — keeps it in sync, so
-    /// [`Directory::digest`] is a borrow instead of an O(members)
-    /// rescan per anti-entropy tick. Same-incarnation refreshes and
-    /// content republishes do not touch it: digest identity is the
-    /// `(node, incarnation)` pair only.
-    digest: Vec<DigestEntry>,
 }
 
 impl Default for Directory {
     fn default() -> Self {
         Directory {
-            entries: BTreeMap::new(),
+            keys: Vec::new(),
+            payload: Vec::new(),
+            last_refresh: Vec::new(),
+            provenance: Vec::new(),
             dead: BTreeMap::new(),
             tombstone_ttl: DEFAULT_TOMBSTONE_TTL,
-            digest: Vec::new(),
         }
     }
 }
@@ -138,33 +168,63 @@ impl Directory {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
     /// Live node ids, in `NodeId` order (see [`Directory::entries`]).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.keys().copied()
+        self.keys.iter().map(|k| k.node)
+    }
+
+    /// `node`'s row, or the row it would be inserted at.
+    fn slot(&self, node: NodeId) -> Result<usize, usize> {
+        self.keys.binary_search_by_key(&node, |k| k.node)
+    }
+
+    fn row(&self, i: usize) -> Entry<'_> {
+        Entry {
+            node: self.keys[i].node,
+            incarnation: self.keys[i].incarnation,
+            payload: &self.payload[i],
+            provenance: self.provenance[i],
+            last_refresh: self.last_refresh[i],
+        }
+    }
+
+    /// Take row `i` out of all four columns.
+    fn remove_row(&mut self, i: usize) -> NodeRecord {
+        let key = self.keys.remove(i);
+        self.last_refresh.remove(i);
+        self.provenance.remove(i);
+        NodeRecord::from_shared(key.node, key.incarnation, self.payload.remove(i))
+    }
+
+    /// Nodes held as `Relayed(relayer)`, in `NodeId` order.
+    fn relayed_by(&self, relayer: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let held = Provenance::Relayed(relayer);
+        self.provenance
+            .iter()
+            .zip(&self.keys)
+            .filter(move |(p, _)| **p == held)
+            .map(|(_, k)| k.node)
     }
 
     /// Look up one entry.
-    pub fn get(&self, node: NodeId) -> Option<&Entry> {
-        self.entries.get(&node)
+    pub fn get(&self, node: NodeId) -> Option<Entry<'_>> {
+        self.slot(node).ok().map(|i| self.row(i))
     }
 
     pub fn contains(&self, node: NodeId) -> bool {
-        self.entries.contains_key(&node)
+        self.slot(node).is_ok()
     }
 
-    /// All entries, in `NodeId` order. The ordered backing map is a
-    /// determinism requirement, not a convenience: iteration order here
-    /// reaches digests, relay cascades, and expiry scans, and must not
-    /// vary by process or thread.
-    pub fn entries(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values()
+    /// All entries, in `NodeId` order.
+    pub fn entries(&self) -> impl Iterator<Item = Entry<'_>> {
+        (0..self.len()).map(|i| self.row(i))
     }
 
     /// Insert or refresh a record.
@@ -191,7 +251,7 @@ impl Directory {
             provenance,
             now,
             || record.clone(),
-            |e| *e == record,
+            |held| *record == *held,
         )
         .0
     }
@@ -199,20 +259,21 @@ impl Directory {
     /// Generic form of [`Directory::apply_join`]: the acceptance rules
     /// run on `(node, incarnation)` alone, and the record is only
     /// produced — via `make_record` — when it will actually be stored.
-    /// `same` is consulted on a same-incarnation collision and must
-    /// answer "is the offered record content-identical to this one?";
-    /// a `true` must imply `make_record()` equals the existing record.
+    /// `same` is consulted on a same-incarnation collision, with the
+    /// services and attributes held, and must answer "is the offered
+    /// record content-identical to this one?"; a `true` must imply
+    /// `make_record()` carries an equal payload.
     ///
     /// This is the single implementation both the owned path and the
     /// borrowed wire-view path go through: a zero-copy caller passes
-    /// `make_record = || view.to_record()` and `same = |e|
-    /// view.matches(e)`, and skips materialization entirely on the
-    /// (dominant) same-incarnation refresh case. A conservative `same`
-    /// that answers `false` is safe: the record is materialized and
-    /// compared-by-storage, converging to the same final state.
+    /// `make_record = || view.to_record()` and `same = |held|
+    /// view.same_payload(held)`, and skips materialization entirely on
+    /// the (dominant) same-incarnation refresh case. A conservative
+    /// `same` that answers `false` is safe: the record is materialized
+    /// and compared-by-storage, converging to the same final state.
     ///
     /// Also reports whether `node` had an entry before the call: callers
-    /// that announce first sightings get it from the same walk instead
+    /// that announce first sightings get it from the same search instead
     /// of a `contains` before it.
     pub fn apply_join_with(
         &mut self,
@@ -221,63 +282,91 @@ impl Directory {
         provenance: Provenance,
         now: Nanos,
         make_record: impl FnOnce() -> NodeRecord,
-        same: impl FnOnce(&NodeRecord) -> bool,
+        same: impl FnOnce(&RecordPayload) -> bool,
     ) -> (Applied, bool) {
+        let mut no_hint = u32::MAX;
+        self.apply_join_hinted(
+            &mut no_hint,
+            node,
+            incarnation,
+            provenance,
+            now,
+            make_record,
+            same,
+        )
+    }
+
+    /// [`Directory::apply_join_with`] for a caller that remembers the
+    /// row it found `node` in last time, which is every heartbeat
+    /// receiver: `*hint` is believed only if that row still holds
+    /// `node`; otherwise `node` is searched for as usual. Either way
+    /// `*hint` leaves as the row `node` is in now (or would go in), so
+    /// the refresh of a settled directory is four array accesses and
+    /// no search.
+    #[allow(clippy::too_many_arguments)]
+    pub fn apply_join_hinted(
+        &mut self,
+        hint: &mut u32,
+        node: NodeId,
+        incarnation: u64,
+        provenance: Provenance,
+        now: Nanos,
+        make_record: impl FnOnce() -> NodeRecord,
+        same: impl FnOnce(&RecordPayload) -> bool,
+    ) -> (Applied, bool) {
+        let slot = match self.keys.get(*hint as usize) {
+            Some(k) if k.node == node => Ok(*hint as usize),
+            _ => self.slot(node),
+        };
+        let (Ok(i) | Err(i)) = slot;
+        *hint = i as u32;
+        let was_known = slot.is_ok();
         if let Some(&(dead_inc, at)) = self.dead.get(&node) {
             if incarnation <= dead_inc && now.saturating_sub(at) < self.tombstone_ttl {
-                return (Applied::Ignored, self.entries.contains_key(&node));
+                return (Applied::Ignored, was_known);
             }
         }
-        let existing = self.entries.get_mut(&node);
-        let was_known = existing.is_some();
-        let applied = match existing {
-            None => {
-                let record = make_record();
-                debug_assert_eq!((record.node, record.incarnation), (node, incarnation));
-                self.entries.insert(
-                    node,
-                    Entry {
-                        record,
-                        provenance,
-                        last_refresh: now,
-                    },
-                );
-                self.digest_upsert(node, incarnation);
+        let materialize = || {
+            let (n, inc, payload) = make_record().into_parts();
+            debug_assert_eq!((n, inc), (node, incarnation));
+            payload
+        };
+        let applied = match slot {
+            Err(i) => {
+                let payload = materialize();
+                self.keys.insert(i, DigestEntry { node, incarnation });
+                self.payload.insert(i, payload);
+                self.last_refresh.insert(i, now);
+                self.provenance.insert(i, provenance);
                 Applied::Changed
             }
-            Some(e) => {
-                if incarnation > e.record.incarnation
-                    || (incarnation == e.record.incarnation && !same(&e.record))
-                {
-                    let record = make_record();
-                    debug_assert_eq!((record.node, record.incarnation), (node, incarnation));
-                    let inc_changed = e.record.incarnation != incarnation;
-                    e.record = record;
-                    e.provenance = provenance;
-                    e.last_refresh = now;
-                    if inc_changed {
-                        self.digest_upsert(node, incarnation);
-                    }
+            Ok(i) => {
+                let held = self.keys[i].incarnation;
+                if incarnation > held || (incarnation == held && !same(&self.payload[i])) {
+                    self.keys[i].incarnation = incarnation;
+                    self.payload[i] = materialize();
+                    self.last_refresh[i] = now;
+                    self.provenance[i] = provenance;
                     Applied::Changed
-                } else if incarnation == e.record.incarnation {
-                    e.last_refresh = now;
-                    // Provenance re-stamping: relayed knowledge may be
-                    // upgraded to direct, or re-attributed to a new
-                    // relayer (the takeover leader re-announcing its
-                    // directory). Direct knowledge never downgrades to
-                    // relayed — we keep detecting the failure ourselves.
-                    if matches!(e.provenance, Provenance::Relayed(_))
-                        && !matches!(provenance, Provenance::Local)
-                    {
-                        e.provenance = provenance;
-                    }
-                    Applied::Ignored
                 } else {
+                    if incarnation == held {
+                        self.last_refresh[i] = now;
+                        // Provenance re-stamping: relayed knowledge may
+                        // be upgraded to direct, or re-attributed to a
+                        // new relayer (the takeover leader re-announcing
+                        // its directory). Direct knowledge never
+                        // downgrades to relayed — we keep detecting the
+                        // failure ourselves.
+                        if matches!(self.provenance[i], Provenance::Relayed(_))
+                            && !matches!(provenance, Provenance::Local)
+                        {
+                            self.provenance[i] = provenance;
+                        }
+                    }
                     Applied::Ignored
                 }
             }
         };
-        self.debug_assert_digest_coherent();
         (applied, was_known)
     }
 
@@ -288,16 +377,13 @@ impl Directory {
         if incarnation >= dead.0 {
             *dead = (incarnation, now);
         }
-        let applied = match self.entries.get(&node) {
-            Some(e) if e.record.incarnation <= incarnation => {
-                self.entries.remove(&node);
-                self.digest_remove(node);
+        match self.slot(node) {
+            Ok(i) if self.keys[i].incarnation <= incarnation => {
+                self.remove_row(i);
                 Applied::Changed
             }
             _ => Applied::Ignored,
-        };
-        self.debug_assert_digest_coherent();
-        applied
+        }
     }
 
     /// Apply a wire event.
@@ -344,25 +430,20 @@ impl Directory {
     /// reconciliation, where the node may well be alive and simply no
     /// longer vouched for by this relayer.
     pub fn remove(&mut self, node: NodeId) -> Option<NodeRecord> {
-        let removed = self.entries.remove(&node).map(|e| e.record);
-        if removed.is_some() {
-            self.digest_remove(node);
-        }
-        self.debug_assert_digest_coherent();
-        removed
+        self.slot(node).ok().map(|i| self.remove_row(i))
     }
 
     /// Touch `node`'s entry (heartbeat received) without changing content.
     /// Returns false if the node is unknown.
     pub fn refresh(&mut self, node: NodeId, now: Nanos) -> bool {
-        match self.entries.get_mut(&node) {
-            Some(e) => {
-                if now > e.last_refresh {
-                    e.last_refresh = now;
+        match self.slot(node) {
+            Ok(i) => {
+                if now > self.last_refresh[i] {
+                    self.last_refresh[i] = now;
                 }
                 true
             }
-            None => false,
+            Err(_) => false,
         }
     }
 
@@ -372,7 +453,7 @@ impl Directory {
     /// removed records (so the caller can announce departures).
     pub fn expire<F>(&mut self, now: Nanos, deadline_for: F) -> Vec<NodeRecord>
     where
-        F: FnMut(&Entry) -> Nanos,
+        F: FnMut(Entry<'_>) -> Nanos,
     {
         self.expire_with_next(now, deadline_for).0
     }
@@ -388,47 +469,34 @@ impl Directory {
         mut deadline_for: F,
     ) -> (Vec<NodeRecord>, Nanos)
     where
-        F: FnMut(&Entry) -> Nanos,
+        F: FnMut(Entry<'_>) -> Nanos,
     {
         let mut removed = Vec::new();
         let mut next_due = u64::MAX;
-        let stale: Vec<NodeId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| {
-                if matches!(e.provenance, Provenance::Local) {
-                    return false;
-                }
-                let deadline = deadline_for(e);
-                if now.saturating_sub(e.last_refresh) >= deadline {
-                    true
-                } else {
-                    if deadline != u64::MAX {
-                        next_due = next_due.min(e.last_refresh.saturating_add(deadline));
-                    }
-                    false
-                }
-            })
-            .map(|(&n, _)| n)
-            .collect();
-        let mut frontier = stale;
+        let mut frontier = Vec::new();
+        for i in 0..self.len() {
+            if matches!(self.provenance[i], Provenance::Local) {
+                continue;
+            }
+            let deadline = deadline_for(self.row(i));
+            let last_refresh = self.last_refresh[i];
+            if now.saturating_sub(last_refresh) >= deadline {
+                frontier.push(self.keys[i].node);
+            } else if deadline != u64::MAX {
+                next_due = next_due.min(last_refresh.saturating_add(deadline));
+            }
+        }
         while !frontier.is_empty() {
             let mut next = Vec::new();
             for n in frontier {
-                if let Some(e) = self.entries.remove(&n) {
-                    self.digest_remove(n);
+                if let Ok(i) = self.slot(n) {
+                    removed.push(self.remove_row(i));
                     // Cascade to everything this node relayed to us.
-                    for (&m, me) in &self.entries {
-                        if me.provenance.relayer() == Some(n) {
-                            next.push(m);
-                        }
-                    }
-                    removed.push(e.record);
+                    next.extend(self.relayed_by(n));
                 }
             }
             frontier = next;
         }
-        self.debug_assert_digest_coherent();
         (removed, next_due)
     }
 
@@ -440,31 +508,23 @@ impl Directory {
         let mut removed = Vec::new();
         let mut frontier = vec![relayer];
         while let Some(r) = frontier.pop() {
-            let victims: Vec<NodeId> = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.provenance.relayer() == Some(r))
-                .map(|(&n, _)| n)
-                .collect();
+            let victims: Vec<NodeId> = self.relayed_by(r).collect();
             for v in victims {
-                if let Some(e) = self.entries.remove(&v) {
-                    self.digest_remove(v);
-                    removed.push(e.record);
+                if let Ok(i) = self.slot(v) {
+                    removed.push(self.remove_row(i));
                     frontier.push(v);
                 }
             }
         }
-        self.debug_assert_digest_coherent();
         removed
     }
 
     /// Snapshot all entries as wire records with their relay provenance,
     /// for bootstrap/sync responses.
     pub fn snapshot(&self) -> Vec<RelayedRecord> {
-        self.entries
-            .values()
+        self.entries()
             .map(|e| RelayedRecord {
-                record: e.record.clone(),
+                record: e.record(),
                 relayed_by: e.provenance.relayer(),
             })
             .collect()
@@ -474,10 +534,9 @@ impl Directory {
     /// [`ServiceAvail`] per service name, with the union of partitions and
     /// the instance count, sorted by name for deterministic comparison.
     pub fn service_summary(&self) -> Vec<ServiceAvail> {
-        use std::collections::BTreeMap;
         let mut agg: BTreeMap<&str, (Vec<u16>, u16)> = BTreeMap::new();
-        for e in self.entries.values() {
-            for s in &e.record.services {
+        for p in &self.payload {
+            for s in &p.services {
                 let slot = agg.entry(s.name.as_str()).or_default();
                 slot.0.extend(s.partitions.iter());
                 slot.1 += 1;
@@ -493,69 +552,20 @@ impl Directory {
     }
 
     /// The anti-entropy digest: one `(node, incarnation)` pair per live
-    /// entry, sorted by node id. Maintained incrementally by every
-    /// mutation, so this is a borrow — no per-tick rescan.
+    /// entry, sorted by node id. It is the directory's key column, so
+    /// this is a borrow — no per-tick rescan, and nothing to keep in
+    /// sync.
     pub fn digest(&self) -> &[DigestEntry] {
-        &self.digest
-    }
-
-    /// Reference implementation of [`Directory::digest`]: rebuild the
-    /// digest from scratch by scanning the entries map. Used by the
-    /// differential tests (and the coherence debug-assert) to pin the
-    /// incremental digest against first principles.
-    pub fn rescan_digest(&self) -> Vec<DigestEntry> {
-        self.entries
-            .iter()
-            .map(|(&node, e)| DigestEntry {
-                node,
-                incarnation: e.record.incarnation,
-            })
-            .collect()
-    }
-
-    /// True iff the incremental digest matches a from-scratch rescan.
-    pub fn digest_is_coherent(&self) -> bool {
-        self.digest.len() == self.entries.len()
-            && self
-                .digest
-                .iter()
-                .zip(self.entries.iter())
-                .all(|(d, (&n, e))| d.node == n && d.incarnation == e.record.incarnation)
-    }
-
-    /// Insert or overwrite `node`'s digest entry, preserving sort order.
-    fn digest_upsert(&mut self, node: NodeId, incarnation: u64) {
-        match self.digest.binary_search_by_key(&node, |d| d.node) {
-            Ok(i) => self.digest[i].incarnation = incarnation,
-            Err(i) => self.digest.insert(i, DigestEntry { node, incarnation }),
-        }
-    }
-
-    fn digest_remove(&mut self, node: NodeId) {
-        if let Ok(i) = self.digest.binary_search_by_key(&node, |d| d.node) {
-            self.digest.remove(i);
-        }
-    }
-
-    /// Debug-profile tripwire: every mutation re-checks the incremental
-    /// digest against the entries map, so the whole chaos/property suite
-    /// (which runs in the debug profile) exercises the invariant after
-    /// every mutation batch. Release builds compile this away.
-    fn debug_assert_digest_coherent(&self) {
-        debug_assert!(
-            self.digest_is_coherent(),
-            "incremental digest diverged from entries: digest={:?} rescan={:?}",
-            self.digest,
-            self.rescan_digest()
-        );
+        &self.keys
     }
 
     /// Forget the dead-incarnation memory for nodes no longer present —
     /// bounded-memory hygiene for long-running simulations. Retains
     /// tombstones for live nodes (still needed for ordering).
     pub fn compact_tombstones(&mut self) {
-        let entries = &self.entries;
-        self.dead.retain(|n, _| entries.contains_key(n));
+        let keys = &self.keys;
+        self.dead
+            .retain(|n, _| keys.binary_search_by_key(n, |k| k.node).is_ok());
     }
 }
 
@@ -596,7 +606,7 @@ mod tests {
             Applied::Ignored
         );
         assert!(d.apply_join(rec(1, 3), Provenance::Direct, 5).changed());
-        assert_eq!(d.get(NodeId(1)).unwrap().record.incarnation, 3);
+        assert_eq!(d.get(NodeId(1)).unwrap().incarnation, 3);
     }
 
     #[test]
@@ -687,7 +697,7 @@ mod tests {
         d.apply_join(rec(7, 1), Provenance::Relayed(NodeId(5)), 100);
         d.apply_join(rec(8, 1), Provenance::Direct, 100);
         // Only node 5 is stale, but 6 and 7 must cascade with it.
-        let removed = d.expire(100, |e| if e.record.node == NodeId(5) { 50 } else { 500 });
+        let removed = d.expire(100, |e| if e.node == NodeId(5) { 50 } else { 500 });
         let mut ids: Vec<u32> = removed.iter().map(|r| r.node.0).collect();
         ids.sort();
         assert_eq!(ids, vec![5, 6, 7]);
@@ -763,14 +773,14 @@ mod tests {
         d.apply_join(rec(2, 5), Provenance::Direct, 1);
         assert_eq!(d.digest()[1].incarnation, 5);
         // Same-incarnation refresh leaves the digest alone.
+        let before = d.digest().to_vec();
         d.apply_join(rec(2, 5), Provenance::Direct, 2);
-        assert_eq!(d.digest(), d.rescan_digest().as_slice());
+        assert_eq!(d.digest(), before);
         // Leave removes; purge cascades; remove drops.
         d.apply_leave(NodeId(2), 5, 3);
         d.purge_relayed_by(NodeId(1));
         d.remove(NodeId(1));
         assert!(d.digest().is_empty());
-        assert!(d.digest_is_coherent());
     }
 
     #[test]
@@ -779,10 +789,9 @@ mod tests {
         d.apply_join(rec(5, 1), Provenance::Direct, 0);
         d.apply_join(rec(6, 1), Provenance::Relayed(NodeId(5)), 100);
         d.apply_join(rec(8, 1), Provenance::Direct, 100);
-        d.expire(100, |e| if e.record.node == NodeId(5) { 50 } else { 500 });
+        d.expire(100, |e| if e.node == NodeId(5) { 50 } else { 500 });
         let ids: Vec<u32> = d.digest().iter().map(|e| e.node.0).collect();
         assert_eq!(ids, vec![8]);
-        assert_eq!(d.digest(), d.rescan_digest().as_slice());
     }
 
     #[test]
@@ -815,7 +824,7 @@ mod tests {
         let applied =
             d.apply_join_with(NodeId(1), 4, Provenance::Direct, 9, || rec(1, 4), |_| false);
         assert_eq!(applied, (Applied::Changed, true));
-        assert_eq!(d.get(NodeId(1)).unwrap().record.incarnation, 4);
+        assert_eq!(d.get(NodeId(1)).unwrap().incarnation, 4);
         assert_eq!(d.digest()[0].incarnation, 4);
         // A first sighting reports the node as not known before, and a
         // join a fresh tombstone rejects still answers for the entry.
@@ -843,8 +852,7 @@ mod tests {
         let applied =
             d.apply_join_with(NodeId(1), 3, Provenance::Direct, 5, || rec(1, 3), |_| false);
         assert_eq!(applied, (Applied::Changed, true));
-        assert_eq!(d.get(NodeId(1)).unwrap().record, rec(1, 3));
-        assert!(d.digest_is_coherent());
+        assert_eq!(d.get(NodeId(1)).unwrap().record(), rec(1, 3));
     }
 
     #[test]

@@ -97,12 +97,12 @@ impl Directory {
     pub fn lookup(&self, query: &LookupQuery) -> Vec<Machine> {
         let mut out = Vec::new();
         for e in self.entries() {
-            for s in &e.record.services {
+            for s in &e.services {
                 if query.service.matches_full(&s.name) && query.partitions_match(&s.partitions) {
-                    let mut attrs = e.record.attrs.clone();
+                    let mut attrs = e.attrs.clone();
                     attrs.extend(s.attrs.iter().cloned());
                     out.push(Machine {
-                        node: e.record.node,
+                        node: e.node,
                         partitions: s.partitions.clone(),
                         service: s.name.clone(),
                         attrs,
@@ -129,14 +129,15 @@ impl Directory {
         service: &'a str,
         partition: Option<u16>,
     ) -> impl Iterator<Item = NodeId> + 'a {
-        self.entries().flat_map(move |e| {
-            e.record
+        let rows = self.keys.iter().zip(&self.payload);
+        rows.flat_map(move |(key, payload)| {
+            payload
                 .services
                 .iter()
                 .filter(move |s| {
                     s.name == service && partition.is_none_or(|p| s.partitions.contains(p))
                 })
-                .map(|_| e.record.node)
+                .map(|_| key.node)
         })
     }
 

@@ -42,7 +42,7 @@ impl Directory {
     /// own digest, so a caller under `SharedDirectory::update` reports
     /// "unchanged".
     ///
-    /// One walk of the entries in step with the digest; a digest that
+    /// One walk of the rows in step with the digest; a digest that
     /// is not strictly ascending by node id (none this code sends) goes
     /// through [`Directory::reconcile_digest_per_entry`] instead, and
     /// debug builds check every digest against it.
@@ -90,12 +90,13 @@ impl Directory {
         settled: Nanos,
         stale_before: Nanos,
     ) -> Option<Reconcile> {
-        let (dead, ttl) = (&self.dead, self.tombstone_ttl);
-        let orphaned = |e: &crate::Entry| {
-            e.provenance == Provenance::Relayed(from) && e.last_refresh <= stale_before
+        let held = Provenance::Relayed(from);
+        let orphaned = |provenance: Provenance, last_refresh: Nanos| {
+            provenance == held && last_refresh <= stale_before
         };
         let mut out = Reconcile::default();
-        let mut held = self.entries.iter_mut().peekable();
+        // The row the walk has reached, in step with the digest.
+        let mut i = 0;
         let mut prev = None;
         for listed in entries {
             if prev.is_some_and(|p| p >= listed.node) {
@@ -103,26 +104,31 @@ impl Directory {
             }
             prev = Some(listed.node);
             // Everything held below the listed id is unlisted.
-            while let Some((&n, e)) = held.next_if(|(&n, _)| n < listed.node) {
-                if orphaned(e) {
-                    out.orphans.push(n);
+            while i < self.len() && self.keys[i].node < listed.node {
+                if orphaned(self.provenance[i], self.last_refresh[i]) {
+                    out.orphans.push(self.keys[i].node);
                 }
+                i += 1;
             }
-            let held_inc = held.next_if(|(&n, _)| n == listed.node).map(|(_, e)| {
-                if e.record.incarnation == listed.incarnation && now > e.last_refresh {
-                    e.last_refresh = now;
+            let mut held_inc = None;
+            if i < self.len() && self.keys[i].node == listed.node {
+                let inc = self.keys[i].incarnation;
+                if inc == listed.incarnation && now > self.last_refresh[i] {
+                    self.last_refresh[i] = now;
                 }
-                e.record.incarnation
-            });
+                held_inc = Some(inc);
+                i += 1;
+            }
             if held_inc.is_some_and(|inc| inc >= listed.incarnation) {
                 continue;
             }
             // Lacked, or held at an older incarnation: the only cases
             // that consult the tombstones.
-            let fresh = dead
+            let fresh = self
+                .dead
                 .get(&listed.node)
                 .map(|&(inc, at)| (inc, now.saturating_sub(at)))
-                .filter(|&(_, age)| age < ttl);
+                .filter(|&(_, age)| age < self.tombstone_ttl);
             if let (None, Some((dead_inc, age))) = (held_inc, fresh) {
                 if dead_inc >= listed.incarnation && age >= settled {
                     out.dead_listed.push((listed.node, dead_inc));
@@ -133,8 +139,11 @@ impl Directory {
                 out.missing = true;
             }
         }
-        out.orphans
-            .extend(held.filter(|(_, e)| orphaned(e)).map(|(&n, _)| n));
+        out.orphans.extend(
+            (i..self.len())
+                .filter(|&i| orphaned(self.provenance[i], self.last_refresh[i]))
+                .map(|i| self.keys[i].node),
+        );
         Some(out)
     }
 
@@ -154,7 +163,7 @@ impl Directory {
         for e in entries.clone() {
             if self
                 .get(e.node)
-                .is_some_and(|have| have.record.incarnation == e.incarnation)
+                .is_some_and(|have| have.incarnation == e.incarnation)
             {
                 self.refresh(e.node, now);
             }
@@ -177,17 +186,17 @@ impl Directory {
                     .is_none_or(|i| i < e.incarnation)
                 && self
                     .get(e.node)
-                    .is_none_or(|have| have.record.incarnation < e.incarnation)
+                    .is_none_or(|have| have.incarnation < e.incarnation)
         });
         let listed: HashSet<NodeId> = entries.map(|e| e.node).collect();
         let orphans = self
             .entries()
             .filter(|e| {
                 e.provenance == Provenance::Relayed(from)
-                    && !listed.contains(&e.record.node)
+                    && !listed.contains(&e.node)
                     && e.last_refresh <= stale_before
             })
-            .map(|e| e.record.node)
+            .map(|e| e.node)
             .collect();
         Reconcile {
             dead_listed,

@@ -86,7 +86,7 @@ proptest! {
         // Same live set with the same incarnations.
         let mut got: Vec<(u8, u8)> = dir
             .entries()
-            .map(|e| (e.record.node.0 as u8, e.record.incarnation as u8))
+            .map(|e| (e.node.0 as u8, e.incarnation as u8))
             .collect();
         got.sort();
         let mut want: Vec<(u8, u8)> = model.live.iter().map(|(&n, &i)| (n, i)).collect();
@@ -133,51 +133,6 @@ proptest! {
         prop_assert!(!dir.apply_join(rec.clone(), Provenance::Direct, ttl - 1).changed());
         prop_assert!(dir.apply_join(rec, Provenance::Direct, ttl).changed());
     }
-
-    /// Differential digest lock: after *every* mutation — joins (direct
-    /// and relayed), leaves/tombstones, reconciliation removals, expiry
-    /// cascades, relayed purges — the incrementally-maintained digest
-    /// equals a from-scratch rescan of the entries map, and stays
-    /// sorted by node id.
-    #[test]
-    fn incremental_digest_matches_rescan(ops in arb_digest_ops()) {
-        let mut dir = Directory::new();
-        let mut now = 0u64;
-        for op in &ops {
-            now += 1;
-            match *op {
-                DigestOp::Join { node, inc, relayer } => {
-                    let prov = match relayer {
-                        Some(r) => Provenance::Relayed(NodeId(r as u32)),
-                        None => Provenance::Direct,
-                    };
-                    dir.apply_join(NodeRecord::new(NodeId(node as u32), inc as u64), prov, now);
-                }
-                DigestOp::Leave { node, inc } => {
-                    dir.apply_leave(NodeId(node as u32), inc as u64, now);
-                }
-                DigestOp::Remove { node } => {
-                    dir.remove(NodeId(node as u32));
-                }
-                DigestOp::Refresh { node } => {
-                    dir.refresh(NodeId(node as u32), now);
-                }
-                DigestOp::Expire { age } => {
-                    dir.expire(now, |_| age as u64);
-                }
-                DigestOp::Purge { relayer } => {
-                    dir.purge_relayed_by(NodeId(relayer as u32));
-                }
-            }
-            prop_assert!(dir.digest_is_coherent(), "after {:?}", op);
-            let rescan = dir.rescan_digest();
-            prop_assert_eq!(dir.digest(), rescan.as_slice(), "after {:?}", op);
-            prop_assert!(
-                dir.digest().windows(2).all(|w| w[0].node < w[1].node),
-                "digest not strictly sorted after {:?}", op
-            );
-        }
-    }
 }
 
 proptest! {
@@ -219,46 +174,4 @@ fn providers_take_the_name_literally() {
     );
     assert_eq!(dir.providers("index", Some(1)).count(), 0);
     assert_eq!(dir.providers("doc", None).collect::<Vec<_>>(), [NodeId(2)]);
-}
-
-/// Scripted operation for the digest differential: every mutation class
-/// the directory exposes.
-#[derive(Debug, Clone)]
-enum DigestOp {
-    Join {
-        node: u8,
-        inc: u8,
-        relayer: Option<u8>,
-    },
-    Leave {
-        node: u8,
-        inc: u8,
-    },
-    Remove {
-        node: u8,
-    },
-    Refresh {
-        node: u8,
-    },
-    Expire {
-        age: u8,
-    },
-    Purge {
-        relayer: u8,
-    },
-}
-
-fn arb_digest_ops() -> impl Strategy<Value = Vec<DigestOp>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (0u8..8, 1u8..6, proptest::option::of(0u8..8))
-                .prop_map(|(node, inc, relayer)| DigestOp::Join { node, inc, relayer }),
-            (0u8..8, 1u8..6).prop_map(|(node, inc)| DigestOp::Leave { node, inc }),
-            (0u8..8).prop_map(|node| DigestOp::Remove { node }),
-            (0u8..8).prop_map(|node| DigestOp::Refresh { node }),
-            (1u8..40).prop_map(|age| DigestOp::Expire { age }),
-            (0u8..8).prop_map(|relayer| DigestOp::Purge { relayer }),
-        ],
-        0..60,
-    )
 }

@@ -90,6 +90,11 @@ pub enum Election {
 pub struct PeerTable {
     ids: Vec<NodeId>,
     states: Vec<PeerState>,
+    /// The directory row each peer's entry was in when its last
+    /// heartbeat was applied (`u32::MAX` before the first): a hint the
+    /// directory checks before it believes it, so that the next
+    /// heartbeat's refresh skips the search.
+    dir_slots: Vec<u32>,
 }
 
 impl PeerTable {
@@ -123,15 +128,16 @@ impl PeerTable {
         self.ids.iter().copied().zip(&self.states)
     }
 
-    /// The state of `peer`, inserted as `fresh` if absent; the flag says
-    /// whether it was inserted.
-    fn entry(&mut self, peer: NodeId, fresh: PeerState) -> (&mut PeerState, bool) {
+    /// The row of `peer`, inserted with state `fresh` if absent; the
+    /// flag says whether it was inserted.
+    fn entry(&mut self, peer: NodeId, fresh: PeerState) -> (usize, bool) {
         match self.ids.binary_search(&peer) {
-            Ok(i) => (&mut self.states[i], false),
+            Ok(i) => (i, false),
             Err(i) => {
                 self.ids.insert(i, peer);
                 self.states.insert(i, fresh);
-                (&mut self.states[i], true)
+                self.dir_slots.insert(i, u32::MAX);
+                (i, true)
             }
         }
     }
@@ -139,6 +145,7 @@ impl PeerTable {
     fn remove(&mut self, peer: NodeId) -> Option<PeerState> {
         let i = self.ids.binary_search(&peer).ok()?;
         self.ids.remove(i);
+        self.dir_slots.remove(i);
         Some(self.states.remove(i))
     }
 }
@@ -201,10 +208,11 @@ impl GroupState {
     /// not the cadence statistics (control traffic arrives irregularly
     /// and would corrupt the adaptive detector's inter-arrival model).
     pub fn heard(&mut self, peer: NodeId, now: Nanos, claims_leader: bool, incarnation: u64) {
-        let (e, inserted) = self.peers.entry(peer, PeerState::first_heard(now));
+        let (i, inserted) = self.peers.entry(peer, PeerState::first_heard(now));
         if inserted {
             self.heard_floor = self.heard_floor.min(now);
         }
+        let e = &mut self.peers.states[i];
         e.last_heard = e.last_heard.max(now);
         // Control traffic can only *assert* leadership (a Coordinator),
         // never silently retract it — elections and digests pass `false`
@@ -217,18 +225,20 @@ impl GroupState {
 
     /// Record a *heartbeat* from `peer`: refreshes liveness and feeds
     /// the adaptive detector's inter-arrival EWMA (heartbeats are the
-    /// only periodic signal).
+    /// only periodic signal). Returns the peer's directory row hint
+    /// ([`GroupState::set_dir_slot`]).
     pub fn heard_heartbeat(
         &mut self,
         peer: NodeId,
         now: Nanos,
         claims_leader: bool,
         incarnation: u64,
-    ) {
-        let (e, inserted) = self.peers.entry(peer, PeerState::first_heard(now));
+    ) -> u32 {
+        let (i, inserted) = self.peers.entry(peer, PeerState::first_heard(now));
         if inserted {
             self.heard_floor = self.heard_floor.min(now);
         }
+        let e = &mut self.peers.states[i];
         if e.last_heartbeat > 0 && now > e.last_heartbeat {
             let interval = (now - e.last_heartbeat) as f64;
             if e.ewma_interval <= 0.0 {
@@ -252,6 +262,16 @@ impl GroupState {
         e.claims_leader = claims_leader;
         e.incarnation = e.incarnation.max(incarnation);
         self.debug_assert_floors();
+        self.peers.dir_slots[i]
+    }
+
+    /// Remember the directory row `peer`'s entry was found in, for its
+    /// next heartbeat. The directory validates the hint, so a stale or
+    /// absent one costs a search, never a wrong row.
+    pub fn set_dir_slot(&mut self, peer: NodeId, slot: u32) {
+        if let Ok(i) = self.peers.ids.binary_search(&peer) {
+            self.peers.dir_slots[i] = slot;
+        }
     }
 
     /// Remove a peer; returns its last known state.

@@ -455,17 +455,25 @@ impl MembershipNode {
     /// returns whether the directory changed. Routes through the
     /// directory's lazy-materialization join so borrowed wire views skip
     /// decoding on the dominant same-incarnation refresh path, which is
-    /// one walk of the directory.
-    fn apply_direct_with(&mut self, ctx: &mut Context, record: &impl RecordSource) -> bool {
+    /// one walk of the directory — or none, when `dir_slot` (the row
+    /// the sender's entry was in last time) still holds; it is brought
+    /// up to date either way.
+    fn apply_direct_with(
+        &mut self,
+        ctx: &mut Context,
+        record: &impl RecordSource,
+        dir_slot: &mut u32,
+    ) -> bool {
         let now = ctx.now();
         let (applied, was_known) = self.directory.update(|d| {
-            let (applied, was_known) = d.apply_join_with(
+            let (applied, was_known) = d.apply_join_hinted(
+                dir_slot,
                 record.node(),
                 record.incarnation(),
                 Provenance::Direct,
                 now,
                 || record.to_record(),
-                |e| record.matches(e),
+                |held| record.same_payload(held),
             );
             (applied.changed(), (applied, was_known))
         });
@@ -665,10 +673,7 @@ impl MembershipNode {
         if self.suspicions.get(&peer).is_some_and(|s| !s.advisory) {
             return; // already suspected by our own detector
         }
-        let Some(inc) = self
-            .directory
-            .read(|d| d.get(peer).map(|e| e.record.incarnation))
-        else {
+        let Some(inc) = self.directory.read(|d| d.get(peer).map(|e| e.incarnation)) else {
             // Nothing to suspect: the entry is already gone.
             self.seqs.forget(peer);
             return;
@@ -699,10 +704,7 @@ impl MembershipNode {
     /// can aggregate it, plus the usual upward/led relay set) and leave
     /// the removal to [`MembershipNode::process_cuts`].
     fn report_cut(&mut self, ctx: &mut Context, peer: NodeId, level: u8) {
-        let Some(inc) = self
-            .directory
-            .read(|d| d.get(peer).map(|e| e.record.incarnation))
-        else {
+        let Some(inc) = self.directory.read(|d| d.get(peer).map(|e| e.incarnation)) else {
             // Nothing to report: the entry is already gone.
             self.seqs.forget(peer);
             return;
@@ -814,7 +816,7 @@ impl MembershipNode {
         for (n, inc) in alive {
             self.cuts.remove(&n);
             if self.refute_suspicion(ctx, n, inc, true) {
-                if let Some(rec) = self.directory.read(|d| d.get(n).map(|e| e.record.clone())) {
+                if let Some(rec) = self.directory.read(|d| d.get(n).map(|e| e.record())) {
                     let levels = self.relay_levels_all();
                     self.relay_events(ctx, vec![MemberEvent::Refute(rec)], levels);
                 }
@@ -907,7 +909,7 @@ impl MembershipNode {
         let members: Vec<(NodeId, u64)> = self.directory.read(|d| {
             d.entries()
                 .filter(|e| e.provenance == Provenance::Relayed(relayer))
-                .map(|e| (e.record.node, e.record.incarnation))
+                .map(|e| (e.node, e.incarnation))
                 .collect()
         });
         if members.is_empty() {
@@ -1027,9 +1029,7 @@ impl MembershipNode {
                 .iter()
                 .flatten()
                 .any(|g| g.peers().contains_key(&peer));
-            let dir_inc = self
-                .directory
-                .read(|d| d.get(peer).map(|e| e.record.incarnation));
+            let dir_inc = self.directory.read(|d| d.get(peer).map(|e| e.incarnation));
             match dir_inc {
                 None => {
                     // Already removed (a relayed Leave beat us to it).
@@ -1242,9 +1242,7 @@ impl MembershipNode {
         let mut events: Vec<MemberEvent> = Vec::new();
 
         // Direct death: remove from the directory.
-        let inc = self
-            .directory
-            .read(|d| d.get(peer).map(|e| e.record.incarnation));
+        let inc = self.directory.read(|d| d.get(peer).map(|e| e.incarnation));
         if let Some(inc) = inc {
             let applied = self.directory.update(|d| {
                 let a = d.apply_leave(peer, inc, now);
@@ -1495,7 +1493,7 @@ impl MembershipNode {
                     Provenance::Local => u64::MAX,
                     Provenance::Relayed(_) => relayed_rot,
                     Provenance::Direct => {
-                        if in_groups.contains(&e.record.node) {
+                        if in_groups.contains(&e.node) {
                             u64::MAX // group sweeps own this entry
                         } else {
                             top_timeout
@@ -1712,7 +1710,7 @@ impl MembershipNode {
             return;
         };
         let now = ctx.now();
-        g.heard_heartbeat(hb.from, now, hb.is_leader, record.incarnation());
+        let dir_slot = g.heard_heartbeat(hb.from, now, hb.is_leader, record.incarnation());
         // What the probe carries and this handler can move: the group's
         // leader (losing ours also drops the levels above), the member
         // count (only with `changed` below) and the counters.
@@ -1793,11 +1791,17 @@ impl MembershipNode {
         // directory's generic join only calls `to_record` when it
         // stores. A relayed Join reuses the freshly stored record (an
         // Arc bump) instead of materializing again.
-        let changed = self.apply_direct_with(ctx, &record);
+        let mut slot = dir_slot;
+        let changed = self.apply_direct_with(ctx, &record, &mut slot);
+        if slot != dir_slot {
+            if let Some(g) = self.groups[level as usize].as_mut() {
+                g.set_dir_slot(hb.from, slot);
+            }
+        }
         if changed {
             let stored = self
                 .directory
-                .read(|d| d.get(record.node()).map(|e| e.record.clone()));
+                .read(|d| d.get(record.node()).map(|e| e.record()));
             if let Some(rec) = stored {
                 let levels = self.relay_levels(level);
                 self.relay_events(ctx, vec![MemberEvent::Join(rec)], levels);
@@ -1877,7 +1881,7 @@ impl MembershipNode {
                     provenance,
                     now,
                     || stored.insert(rr.to_record()).clone(),
-                    |e| rr.matches(e),
+                    |held| rr.same_payload(held),
                 );
                 if let Some(rec) = stored {
                     if !was_known {
@@ -2032,8 +2036,8 @@ impl MembershipNode {
                     if self.recently_refuted(*n, *inc, now) {
                         if let Some(rec) = self.directory.read(|d| {
                             d.get(*n)
-                                .filter(|e| e.record.incarnation >= *inc)
-                                .map(|e| e.record.clone())
+                                .filter(|e| e.incarnation >= *inc)
+                                .map(|e| e.record())
                         }) {
                             effective.push(MemberEvent::Refute(rec));
                         }
@@ -2059,8 +2063,8 @@ impl MembershipNode {
                     if heard_recently {
                         if let Some(rec) = self.directory.read(|d| {
                             d.get(*n)
-                                .filter(|e| e.record.incarnation >= *inc)
-                                .map(|e| e.record.clone())
+                                .filter(|e| e.incarnation >= *inc)
+                                .map(|e| e.record())
                         }) {
                             // Arm the Leave-blocker (fresh direct liveness
                             // is proof) so replays of this accusation are
@@ -2098,8 +2102,8 @@ impl MembershipNode {
                     if heard_recently || self.recently_refuted(n, inc, now) {
                         if let Some(rec) = self.directory.read(|d| {
                             d.get(n)
-                                .filter(|e| e.record.incarnation >= inc)
-                                .map(|e| e.record.clone())
+                                .filter(|e| e.incarnation >= inc)
+                                .map(|e| e.record())
                         }) {
                             effective.push(MemberEvent::Refute(rec));
                         }
@@ -2109,9 +2113,7 @@ impl MembershipNode {
                     // ourselves — the origin group does) so that a later
                     // relayed `Leave` finds the suspicion already
                     // observed here, and relay it onward exactly once.
-                    let known_at = self
-                        .directory
-                        .read(|d| d.get(n).map(|e| e.record.incarnation));
+                    let known_at = self.directory.read(|d| d.get(n).map(|e| e.incarnation));
                     let already = self
                         .suspicions
                         .get(&n)
@@ -2153,8 +2155,8 @@ impl MembershipNode {
                     if heard_recently || self.recently_refuted(n, inc, now) {
                         if let Some(rec) = self.directory.read(|d| {
                             d.get(n)
-                                .filter(|e| e.record.incarnation >= inc)
-                                .map(|e| e.record.clone())
+                                .filter(|e| e.incarnation >= inc)
+                                .map(|e| e.record())
                         }) {
                             effective.push(MemberEvent::Refute(rec));
                         }
@@ -2163,9 +2165,7 @@ impl MembershipNode {
                     // Aggregate the vote; a (subject, reporter) pair we
                     // had not seen travels onward exactly once, which
                     // terminates the flood.
-                    let known_at = self
-                        .directory
-                        .read(|d| d.get(n).map(|e| e.record.incarnation));
+                    let known_at = self.directory.read(|d| d.get(n).map(|e| e.incarnation));
                     if known_at.is_some_and(|k| k <= inc)
                         && self.record_cut_report(ctx, n, inc, rep, arrival, now)
                     {
@@ -2676,8 +2676,8 @@ mod tests {
                 self.1.set(self.1.get() + 1);
                 self.0.to_record()
             }
-            fn matches(&self, held: &NodeRecord) -> bool {
-                self.0.matches(held)
+            fn same_payload(&self, held: &tamp_wire::RecordPayload) -> bool {
+                self.0.same_payload(held)
             }
         }
         let decodes = Cell::new(0);
@@ -2703,7 +2703,7 @@ mod tests {
         node.directory.read(|d| {
             assert!(d
                 .entries()
-                .all(|e| e.last_refresh == 9 || e.record.node == node.me));
+                .all(|e| e.last_refresh == 9 || e.node == node.me));
         });
         // Two newcomers among the eight held: two decodes, and the
         // relayed `Join`s share the stored records' payloads.
@@ -2715,7 +2715,7 @@ mod tests {
                 panic!("a sync relays joins, got {ev:?}");
             };
             node.directory.read(|d| {
-                assert!(d.get(rec.node).unwrap().record.shares_payload_with(rec));
+                assert!(d.get(rec.node).unwrap().record().shares_payload_with(rec));
             });
         }
 

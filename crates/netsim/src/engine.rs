@@ -216,7 +216,7 @@ fn control_target(c: &Control) -> Option<HostId> {
 /// physical testbed.
 ///
 /// With [`ShardingKind::Sequential`] (the default) this is a thin
-/// wrapper over a single [`Shard`] — the classic engine, no threads,
+/// wrapper over a single shard — the classic engine, no threads,
 /// no buffering. With [`ShardingKind::Sharded`] it runs one shard per
 /// topology partition on a [`tamp_par::Pool`] rendezvous and merges
 /// their tagged outputs, producing byte-identical traces, stats,
@@ -270,7 +270,13 @@ impl Engine {
                 .collect(),
         );
         let topo = Arc::new(topo);
-        let jobs = config.shard_jobs.unwrap_or_else(tamp_par::default_jobs);
+        // One shard runs on the calling thread whatever the pool holds;
+        // only a sharded engine asks the host how wide it is.
+        let pool = if nshards > 1 {
+            Pool::new(config.shard_jobs.unwrap_or_else(tamp_par::default_jobs))
+        } else {
+            Pool::sequential()
+        };
         let shards: Vec<Shard> = (0..nshards)
             .map(|id| {
                 Shard::new(
@@ -292,7 +298,7 @@ impl Engine {
             shards,
             owner_of,
             lookahead: plan.lookahead,
-            pool: Pool::new(jobs),
+            pool,
             clock: 0,
             driver_ctr: 0,
             started: false,
@@ -456,7 +462,7 @@ impl Engine {
     /// executes up to `min(t, next_event + lookahead − 1)`, the shards
     /// exchange cross-shard sends as tag-stamped descriptors at the
     /// barrier, and the buffered measurements merge into the master
-    /// copies in global tag order. See [`crate::shard`].
+    /// copies in global tag order (`shard.rs`).
     pub fn run_until(&mut self, t: SimTime) {
         assert!(self.started, "call start() before run_until()");
         if !self.multi() {

@@ -52,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
-use tamp_telemetry::{Counter, Histogram, Registry, Sample, CLUSTER};
+use tamp_telemetry::{Counter, Histogram, Registry, CLUSTER};
 use tamp_topology::{HostId, RouterId, SegmentId, Topology};
 use tamp_wire::Message;
 
@@ -220,7 +220,15 @@ struct NetMeters {
     drop_unroutable: Counter,
     /// Send→deliver latency in ns, cluster-wide.
     delivery_ns: Histogram,
+    /// Handles for the actors' own samples (`Effect::Count` / `Emit`
+    /// and `Effect::Record`), by `(host, subsystem, name)`: fetched
+    /// from the registry — a `String` key, its lock, a map walk — the
+    /// first time a host reports a metric, not on every sample.
+    actor_counters: HashMap<ActorMetric, Counter>,
+    actor_histograms: HashMap<ActorMetric, Histogram>,
 }
+
+type ActorMetric = (u32, &'static str, &'static str);
 
 impl NetMeters {
     fn new(registry: &Registry, n: usize) -> Self {
@@ -246,7 +254,15 @@ impl NetMeters {
             drop_gray: registry.counter(CLUSTER, "net", "drop.gray"),
             drop_unroutable: registry.counter(CLUSTER, "net", "drop.unroutable"),
             delivery_ns: registry.histogram(CLUSTER, "net", "delivery_ns"),
+            actor_counters: HashMap::new(),
+            actor_histograms: HashMap::new(),
         }
+    }
+
+    fn actor_counter(&mut self, registry: &Registry, key: ActorMetric) -> &Counter {
+        self.actor_counters
+            .entry(key)
+            .or_insert_with(|| registry.counter(key.0, key.1, key.2))
     }
 
     fn on_drop(&self, host: HostId, reason: DropReason) {
@@ -1088,26 +1104,31 @@ impl Shard {
                     self.stats.observe(ob);
                 }
             }
+            // No meters, no registry to count into: both follow
+            // `EngineConfig::metrics`.
             Effect::Count { subsystem, name, n } => {
-                self.registry
-                    .apply(host.0, Sample::Count { subsystem, name, n });
+                if let Some(m) = &mut self.meters {
+                    m.actor_counter(&self.registry, (host.0, subsystem, name))
+                        .add(n);
+                }
             }
             Effect::Record {
                 subsystem,
                 name,
                 value,
             } => {
-                self.registry.apply(
-                    host.0,
-                    Sample::Record {
-                        subsystem,
-                        name,
-                        value,
-                    },
-                );
+                if let Some(m) = &mut self.meters {
+                    m.actor_histograms
+                        .entry((host.0, subsystem, name))
+                        .or_insert_with(|| self.registry.histogram(host.0, subsystem, name))
+                        .record(value);
+                }
             }
             Effect::Emit(event) => {
-                self.registry.counter(host.0, "events", event.name()).inc();
+                if let Some(m) = &mut self.meters {
+                    m.actor_counter(&self.registry, (host.0, "events", event.name()))
+                        .inc();
+                }
                 self.trace(TraceEvent::Protocol { node: host, event });
             }
         }

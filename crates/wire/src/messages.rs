@@ -184,6 +184,10 @@ impl RecordPayload {
     fn invalidate_wire_len(&mut self) {
         *self.wire_len.get_mut() = 0;
     }
+
+    fn same_content(&self, other: &Self) -> bool {
+        self.services == other.services && self.attrs == other.attrs
+    }
 }
 
 impl Clone for RecordPayload {
@@ -200,8 +204,13 @@ impl Clone for RecordPayload {
 }
 
 impl PartialEq for RecordPayload {
+    // Same allocation first: a holder that stores the payload apart
+    // from its record (the directory's columns) compares plain
+    // references, and the shared case is the common one — worth
+    // answering without a call.
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.services == other.services && self.attrs == other.attrs
+        std::ptr::eq(self, other) || self.same_content(other)
     }
 }
 
@@ -267,10 +276,10 @@ impl std::ops::DerefMut for NodeRecord {
 
 impl PartialEq for NodeRecord {
     fn eq(&self, other: &Self) -> bool {
+        // `RecordPayload::eq` answers "same allocation" first.
         self.node == other.node
             && self.incarnation == other.incarnation
-            && (std::sync::Arc::ptr_eq(&self.payload, &other.payload)
-                || self.payload == other.payload)
+            && *self.payload == *other.payload
     }
 }
 
@@ -301,6 +310,27 @@ impl NodeRecord {
                 attrs,
                 ..Default::default()
             }),
+        }
+    }
+
+    /// Split into identity and the shared payload, for a holder that
+    /// keeps the two in separate columns. The payload's cached wire
+    /// length is only dropped by mutation through a `NodeRecord`: do not
+    /// edit one through the `Arc`.
+    pub fn into_parts(self) -> (NodeId, u64, std::sync::Arc<RecordPayload>) {
+        (self.node, self.incarnation, self.payload)
+    }
+
+    /// The inverse of [`NodeRecord::into_parts`].
+    pub fn from_shared(
+        node: NodeId,
+        incarnation: u64,
+        payload: std::sync::Arc<RecordPayload>,
+    ) -> Self {
+        NodeRecord {
+            node,
+            incarnation,
+            payload,
         }
     }
 

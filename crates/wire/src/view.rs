@@ -24,7 +24,7 @@
 //! end to end.
 
 use crate::codec::{self, DecodeError};
-use crate::messages::{DigestEntry, Message, NodeId, NodeRecord};
+use crate::messages::{DigestEntry, Message, NodeId, NodeRecord, RecordPayload};
 
 /// Which decode implementation a receive path uses.
 ///
@@ -239,9 +239,12 @@ impl<'a> RecordView<'a> {
     /// self-generated traffic this is exact — and it lets the heartbeat
     /// flood skip record materialization entirely when nothing changed.
     pub fn matches(&self, rec: &NodeRecord) -> bool {
-        if self.node != rec.node || self.incarnation != rec.incarnation {
-            return false;
-        }
+        self.node == rec.node && self.incarnation == rec.incarnation && self.same_payload(rec)
+    }
+
+    /// The content half of [`RecordView::matches`]: services and
+    /// attributes against `rec`, identity left to the caller.
+    pub fn same_payload(&self, rec: &RecordPayload) -> bool {
         let mut s = Scan {
             data: self.body,
             pos: 0,
@@ -287,8 +290,10 @@ pub trait RecordSource {
     fn incarnation(&self) -> u64;
     /// The owned record (an `Arc` bump when owned, a decode when not).
     fn to_record(&self) -> NodeRecord;
-    /// True only if `to_record()` would equal `held`.
-    fn matches(&self, held: &NodeRecord) -> bool;
+    /// True only if `to_record()` would carry services and attributes
+    /// equal to `held`. Identity is the caller's to compare: a
+    /// directory holds `(node, incarnation)` apart from the payload.
+    fn same_payload(&self, held: &RecordPayload) -> bool;
 }
 
 impl RecordSource for &NodeRecord {
@@ -301,8 +306,9 @@ impl RecordSource for &NodeRecord {
     fn to_record(&self) -> NodeRecord {
         (*self).clone()
     }
-    fn matches(&self, held: &NodeRecord) -> bool {
-        *self == held
+    fn same_payload(&self, held: &RecordPayload) -> bool {
+        let mine: &RecordPayload = self;
+        mine == held
     }
 }
 
@@ -316,8 +322,8 @@ impl RecordSource for RecordView<'_> {
     fn to_record(&self) -> NodeRecord {
         RecordView::to_record(self)
     }
-    fn matches(&self, held: &NodeRecord) -> bool {
-        RecordView::matches(self, held)
+    fn same_payload(&self, held: &RecordPayload) -> bool {
+        RecordView::same_payload(self, held)
     }
 }
 

@@ -64,7 +64,7 @@ fn run_cluster(n: usize, seed: u64, kind: SchedulerKind) -> Fingerprint {
                             Provenance::Local => "local".to_string(),
                             p => format!("{p:?}"),
                         };
-                        (e.record.node.0, e.record.incarnation, prov, e.last_refresh)
+                        (e.node.0, e.incarnation, prov, e.last_refresh)
                     })
                     .collect();
                 v.sort();
