@@ -386,6 +386,16 @@ impl Engine {
         }
     }
 
+    /// The most entries the event queue ever held at once (summed over
+    /// the shards' own high-water marks when sharded — an upper bound,
+    /// since shards peak at different instants). The queue holds one
+    /// entry per armed timer, scheduled control and packet in flight, so
+    /// this is what a run's queue memory is proportional to. A
+    /// diagnostic: not part of any export or digest.
+    pub fn queue_peak(&self) -> usize {
+        self.shards.iter().map(Shard::queue_peak).sum()
+    }
+
     /// Run `on_start` for every installed actor. Idempotent.
     pub fn start(&mut self) {
         if self.started {

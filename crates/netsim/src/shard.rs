@@ -18,7 +18,7 @@
 //!    scheduled locally; they leave as [`Descriptor`]s stamped with the
 //!    `(time, key, seq)` total order of the sending event. At the epoch
 //!    barrier each shard expands the sorted batch of inbound
-//!    descriptors into local `Deliver` events.
+//!    descriptors into local deliveries.
 //! 3. **Drain**: trace records, observations and stats deltas — each
 //!    tagged with its global total order — are shipped to the facade
 //!    and merged, so the merged output is byte-identical to the
@@ -40,6 +40,24 @@
 //!   event tags) during the epoch; at the barrier it rewinds to the
 //!   epoch-start state and replays entries in tag order, interleaved
 //!   with the descriptor walk.
+//!
+//! # One queue entry per packet in flight
+//!
+//! A send — local, or a descriptor expanded at the barrier — rolls every
+//! receiver on the spot (ascending receiver order; loss, jitter, link
+//! queues, send-time drop records), but queues only the *earliest*
+//! delivery. The others wait with the packet in [`PktArena`], sorted by
+//! `(deliver_at, receiver)`, and each delivery queues the next as it
+//! fires, under the same seq ([`Shard::launch`], [`Shard::deliver`]).
+//! The event order is the one eager per-receiver events would give:
+//! entry *i + 1* is strictly later than entry *i* in `(time, key, seq)`
+//! and is in the queue before anything after entry *i* is popped, so it
+//! pops exactly where its eagerly pushed twin would have; the queue's
+//! earliest time is still the earliest pending delivery, which is all
+//! the epoch protocol asks of it. What changes is what a multicast
+//! costs while it is in flight: one queue entry, not one per listener
+//! (`crates/netsim/tests/fanout_golden.rs` holds the bytes to constants
+//! recorded from the eager engine).
 
 use crate::actor::{Actor, Context, Effect};
 use crate::engine::{Control, EngineConfig};
@@ -140,50 +158,68 @@ struct Pkt {
     sent_at: SimTime,
 }
 
-/// Refcounted packet arena: one send interns its payload once, every
-/// scheduled delivery holds a `u32` handle instead of an `Arc` clone,
-/// and slots are recycled through a free list so the steady-state hot
-/// path allocates nothing. The refcount is the number of still-pending
-/// deliveries; the last one returns the slot.
+/// One rolled delivery of a packet: when, to whom, and the receiver's
+/// epoch *at send time* (a receiver that has died since — even if it is
+/// alive again — must not hear a packet addressed to its previous life).
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    at: SimTime,
+    to: HostId,
+    epoch: u32,
+}
+
+/// An arena cell: the packet, and its deliveries that are not in the
+/// event queue yet — latest first, so the next one to queue is `pop()`.
+#[derive(Debug, Default)]
+struct PktSlot {
+    pkt: Option<Pkt>,
+    rest: Vec<Hop>,
+}
+
+/// Packet arena: one send interns its payload once and every scheduled
+/// delivery holds a `u32` handle instead of an `Arc` clone. A packet has
+/// **one** event in the queue however many receivers it has: all of them
+/// are rolled at send time, the earliest is queued, and the others wait
+/// here in `(deliver_at, receiver)` order until the one before fires
+/// (see [`Shard::launch`]). A cell lives until its last delivery has
+/// fired; cells — and the capacity of their `rest` lists — are recycled
+/// through a free list, so the steady-state hot path allocates nothing.
 #[derive(Debug, Default)]
 struct PktArena {
-    slots: Vec<(Option<Pkt>, u32)>,
+    slots: Vec<PktSlot>,
     free: Vec<u32>,
 }
 
 impl PktArena {
-    fn insert(&mut self, pkt: Pkt, refs: u32) -> u32 {
-        debug_assert!(refs > 0, "arena packet with no deliveries");
-        match self.free.pop() {
-            Some(id) => {
-                let slot = &mut self.slots[id as usize];
-                slot.0 = Some(pkt);
-                slot.1 = refs;
-                id
-            }
-            None => {
-                self.slots.push((Some(pkt), refs));
-                (self.slots.len() - 1) as u32
-            }
-        }
+    /// Intern `pkt` with its deliveries still to queue, latest first.
+    fn insert(&mut self, pkt: Pkt, rest: impl Iterator<Item = Hop>) -> u32 {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(PktSlot::default());
+            (self.slots.len() - 1) as u32
+        });
+        let slot = &mut self.slots[id as usize];
+        debug_assert!(slot.pkt.is_none() && slot.rest.is_empty());
+        slot.pkt = Some(pkt);
+        slot.rest.extend(rest);
+        id
     }
 
     /// Move the packet out for one delivery (the shard needs it by
-    /// value so the actor callback can borrow the shard mutably).
-    fn checkout(&mut self, id: u32) -> Pkt {
+    /// value so the actor callback can borrow the shard mutably),
+    /// together with the delivery to queue next, if any is left.
+    fn checkout(&mut self, id: u32) -> (Pkt, Option<Hop>) {
         let slot = &mut self.slots[id as usize];
-        slot.1 -= 1;
-        slot.0.take().expect("packet checked out twice")
+        let pkt = slot.pkt.take().expect("packet checked out twice");
+        (pkt, slot.rest.pop())
     }
 
-    /// Return the packet after a delivery; frees the slot when this was
-    /// the last pending reference.
-    fn restore(&mut self, id: u32, pkt: Pkt) {
-        let slot = &mut self.slots[id as usize];
-        if slot.1 == 0 {
+    /// Return the packet after a delivery, or — after its last one —
+    /// drop it and recycle the cell.
+    fn restore(&mut self, id: u32, pkt: Pkt, last: bool) {
+        if last {
             self.free.push(id);
         } else {
-            slot.0 = Some(pkt);
+            self.slots[id as usize].pkt = Some(pkt);
         }
     }
 }
@@ -433,14 +469,17 @@ pub(crate) struct Shard {
     pub(crate) alive: Vec<bool>,
     /// Bumped on every kill/revive; stale events are discarded by epoch.
     epoch: Vec<u32>,
-    subs: BTreeMap<ChannelId, BTreeSet<HostId>>,
+    /// Channel subscribers, indexed by the segment they sit on: a
+    /// fan-out list is built from the segments inside the TTL only, not
+    /// by filtering the channel's cluster-wide membership.
+    subs: BTreeMap<(SegmentId, ChannelId), BTreeSet<HostId>>,
     /// Multicast fan-out cache: `(channel, src segment, ttl)` → the
     /// subscriber list a send from that segment reaches (sorted by host
     /// id, sender included — skipped at use). Invalidated whenever the
     /// underlying subscription sets change.
     mcast_cache: HashMap<(u16, u16, u8), Vec<HostId>>,
-    /// Reusable per-send buffer of `(receiver, deliver_at)` pairs.
-    deliver_buf: Vec<(HostId, SimTime)>,
+    /// Reusable per-send buffer of rolled `(deliver_at, receiver)` pairs.
+    deliver_buf: Vec<(SimTime, HostId)>,
     blocked: HashSet<(u16, u16)>,
     /// Gray partitions: `(from, to)` directed segment pairs whose
     /// traffic is severed in that direction only.
@@ -586,6 +625,10 @@ impl Shard {
 
     pub(crate) fn next_time(&mut self) -> Option<SimTime> {
         self.queue.next_time()
+    }
+
+    pub(crate) fn queue_peak(&self) -> usize {
+        self.queue.peak_len()
     }
 
     pub(crate) fn take_outbox(&mut self) -> Vec<Descriptor> {
@@ -755,8 +798,12 @@ impl Shard {
                 self.egress_free[idx] = 0;
                 self.jlog(JEntry::LifeCycle { h, killed: true });
                 self.trace(TraceEvent::Fault("kill", h));
+                let seg = self.topo.segment_of(h);
                 let mut removed: Vec<ChannelId> = Vec::new();
-                for (&ch, set) in self.subs.iter_mut() {
+                for (&(_, ch), set) in self
+                    .subs
+                    .range_mut((seg, ChannelId(0))..=(seg, ChannelId(u16::MAX)))
+                {
                     if set.remove(&h) {
                         removed.push(ch);
                     }
@@ -924,10 +971,50 @@ impl Shard {
     fn deliver(&mut self, to: HostId, epoch: u32, pkt_id: u32) {
         // Move the packet out of the arena for the duration of the
         // callback (the shard must stay mutably borrowable); the last
-        // pending delivery recycles the slot.
-        let pkt = self.arena.checkout(pkt_id);
+        // delivery recycles the cell.
+        let (pkt, next) = self.arena.checkout(pkt_id);
+        // The packet's next receiver enters the queue before this one
+        // runs, under the same seq. It sorts strictly after the current
+        // event and nothing later has been popped yet, so it fires
+        // exactly where an event pushed at send time would have.
+        if let Some(hop) = next {
+            self.queue_hop(pkt_id, self.cur_seq, hop);
+        }
         self.deliver_pkt(to, epoch, &pkt);
-        self.arena.restore(pkt_id, pkt);
+        self.arena.restore(pkt_id, pkt, next.is_none());
+    }
+
+    fn queue_hop(&mut self, pkt: u32, seq: u64, hop: Hop) {
+        self.queue.push(Scheduled {
+            time: hop.at,
+            key: hop.to.0 + 1,
+            seq,
+            payload: EventKind::Deliver {
+                to: hop.to,
+                epoch: hop.epoch,
+                pkt,
+            },
+        });
+    }
+
+    /// Put a rolled packet in flight: intern it, queue its earliest
+    /// delivery, and park the others with it in `(deliver_at, receiver)`
+    /// order for [`Shard::deliver`] to queue one at a time. Every
+    /// receiver is stamped with its epoch as of now — the send instant
+    /// (during descriptor expansion: the replayed state of the send
+    /// instant). `rolled` comes back empty.
+    fn launch(&mut self, pkt: Pkt, seq: u64, rolled: &mut Vec<(SimTime, HostId)>) {
+        rolled.sort_unstable();
+        let mut hops = rolled.drain(..).map(|(at, to)| Hop {
+            at,
+            to,
+            epoch: self.epoch[to.index()],
+        });
+        let Some(first) = hops.next() else {
+            return;
+        };
+        let id = self.arena.insert(pkt, hops.rev());
+        self.queue_hop(id, seq, first);
     }
 
     fn deliver_pkt(&mut self, to: HostId, epoch: u32, pkt: &Pkt) {
@@ -1070,7 +1157,7 @@ impl Shard {
                 });
             }
             Effect::Subscribe(c) => {
-                if self.subs.entry(c).or_default().insert(host) {
+                if self.subs_of(host, c).insert(host) {
                     self.jlog(JEntry::Sub {
                         ch: c,
                         h: host,
@@ -1080,14 +1167,12 @@ impl Shard {
                 self.mcast_cache.retain(|k, _| k.0 != c.0);
             }
             Effect::Unsubscribe(c) => {
-                if let Some(set) = self.subs.get_mut(&c) {
-                    if set.remove(&host) {
-                        self.jlog(JEntry::Sub {
-                            ch: c,
-                            h: host,
-                            added: false,
-                        });
-                    }
+                if self.subs_of(host, c).remove(&host) {
+                    self.jlog(JEntry::Sub {
+                        ch: c,
+                        h: host,
+                        added: false,
+                    });
                 }
                 self.mcast_cache.retain(|k, _| k.0 != c.0);
             }
@@ -1149,23 +1234,40 @@ impl Shard {
         self.filter_subs(channel, src_seg, ttl)
     }
 
+    /// The set of `h`'s segment-mates subscribed to `ch` (created empty
+    /// on first use).
+    fn subs_of(&mut self, h: HostId, ch: ChannelId) -> &mut BTreeSet<HostId> {
+        let seg = self.topo.segment_of(h);
+        self.subs.entry((seg, ch)).or_default()
+    }
+
+    /// Every subscriber of `channel` within `ttl` of `src_seg`, sorted
+    /// by host id: the subscriber sets of the segments in scope, merged.
+    /// TTL 1 — the bulk of the paper's traffic — never leaves `src_seg`,
+    /// so only a wider scope looks at the other segments at all.
     fn filter_subs(&self, channel: ChannelId, src_seg: SegmentId, ttl: u8) -> Vec<HostId> {
-        match self.subs.get(&channel) {
-            None => Vec::new(),
-            Some(set) => set
-                .iter()
-                .copied()
-                .filter(|&h| {
-                    let hs = self.topo.segment_of(h);
-                    let dist = if hs == src_seg {
-                        1
-                    } else {
-                        self.topo.segment_hops(src_seg, hs).saturating_add(1)
-                    };
-                    dist <= ttl
-                })
-                .collect(),
-        }
+        let candidates = if ttl <= 1 {
+            src_seg.0..src_seg.0 + 1
+        } else {
+            0..self.topo.num_segments() as u16
+        };
+        let mut list: Vec<HostId> = candidates
+            .map(SegmentId)
+            .filter(|&s| {
+                let dist = if s == src_seg {
+                    1
+                } else {
+                    self.topo.segment_hops(src_seg, s).saturating_add(1)
+                };
+                dist <= ttl
+            })
+            .filter_map(|s| self.subs.get(&(s, channel)))
+            .flatten()
+            .copied()
+            .collect();
+        // Host ids need not ascend with segment ids.
+        list.sort_unstable();
+        list
     }
 
     fn stash_receivers(&mut self, channel: ChannelId, src_seg: u16, ttl: u8, list: Vec<HostId>) {
@@ -1399,18 +1501,18 @@ impl Shard {
         }
         // Roll loss and jitter per local receiver (in ascending host
         // order — roll order is part of the determinism contract) into a
-        // reusable buffer of scheduled deliveries.
+        // reusable buffer of rolled deliveries.
         let loss = self.effective_loss_at(self.clock);
         self.link_extra_buf.clear();
-        let mut pending = std::mem::take(&mut self.deliver_buf);
-        pending.clear();
+        let mut rolled = std::mem::take(&mut self.deliver_buf);
+        debug_assert!(rolled.is_empty());
         match (&receivers, dest) {
             (None, Destination::Unicast(to)) => {
                 if !remote_unicast {
                     if let Some(at) = self.roll_delivery(
                         src, act, to, channel, kind, size, self.clock, serialize, loss,
                     ) {
-                        pending.push((to, at));
+                        rolled.push((at, to));
                     }
                 }
             }
@@ -1422,7 +1524,7 @@ impl Shard {
                         if let Some(at) = self.roll_delivery(
                             src, act, to, channel, kind, size, self.clock, serialize, loss,
                         ) {
-                            pending.push((to, at));
+                            rolled.push((at, to));
                         }
                     }
                 }
@@ -1434,14 +1536,9 @@ impl Shard {
         }
         // Ship the cross-shard descriptor. A remote unicast moves the
         // message (no local delivery exists); a remote-capable multicast
-        // clones it (the local fan-out shares the packet).
-        if remote_unicast || remote_mcast {
-            let (dmsg, dbytes) = if remote_unicast {
-                debug_assert!(pending.is_empty());
-                (msg, bytes)
-            } else {
-                (msg.clone(), bytes.clone())
-            };
+        // with local receivers too keeps a clone for them.
+        let local = if remote_unicast || remote_mcast {
+            let local = (!rolled.is_empty()).then(|| (msg.clone(), bytes.clone()));
             let to = match dest {
                 Destination::Unicast(to) => to,
                 Destination::Multicast { .. } => src, // unused for multicast
@@ -1455,78 +1552,27 @@ impl Shard {
                 act,
                 channel,
                 to,
-                msg: dmsg,
-                bytes: dbytes,
+                msg,
+                bytes,
                 size,
                 serialize,
             });
-            if remote_unicast {
-                pending.clear();
-                self.deliver_buf = pending;
-                return;
-            }
-            if !pending.is_empty() {
-                let pkt_id = self.arena.insert(
-                    Pkt {
-                        src,
-                        msg: self
-                            .outbox
-                            .last()
-                            .map(|d| d.msg.clone())
-                            .expect("descriptor just pushed"),
-                        bytes: self.outbox.last().and_then(|d| d.bytes.clone()),
-                        size,
-                        channel,
-                        sent_at: self.clock,
-                    },
-                    pending.len() as u32,
-                );
-                for &(to, at) in pending.iter() {
-                    let epoch = self.epoch[to.index()];
-                    self.queue.push(Scheduled {
-                        time: at,
-                        key: to.0 + 1,
-                        seq: seq_of(src, act),
-                        payload: EventKind::Deliver {
-                            to,
-                            epoch,
-                            pkt: pkt_id,
-                        },
-                    });
-                }
-            }
-            pending.clear();
-            self.deliver_buf = pending;
-            return;
+            local
+        } else {
+            Some((msg, bytes))
+        };
+        if let Some((msg, bytes)) = local {
+            let pkt = Pkt {
+                src,
+                msg,
+                bytes,
+                size,
+                channel,
+                sent_at: self.clock,
+            };
+            self.launch(pkt, seq_of(src, act), &mut rolled);
         }
-        if !pending.is_empty() {
-            let pkt_id = self.arena.insert(
-                Pkt {
-                    src,
-                    msg,
-                    bytes,
-                    size,
-                    channel,
-                    sent_at: self.clock,
-                },
-                pending.len() as u32,
-            );
-            for &(to, at) in pending.iter() {
-                let epoch = self.epoch[to.index()];
-                self.queue.push(Scheduled {
-                    time: at,
-                    key: to.0 + 1,
-                    seq: seq_of(src, act),
-                    payload: EventKind::Deliver {
-                        to,
-                        epoch,
-                        pkt: pkt_id,
-                    },
-                });
-            }
-        }
-        pending.clear();
-        self.deliver_buf = pending;
+        self.deliver_buf = rolled;
     }
 
     // ------------------------------------------------------- expansion
@@ -1579,8 +1625,8 @@ impl Shard {
         let loss = self.effective_loss_at(d.time);
         self.link_extra_buf.clear();
         let kind = d.msg.kind();
-        let mut pending = std::mem::take(&mut self.deliver_buf);
-        pending.clear();
+        let mut rolled = std::mem::take(&mut self.deliver_buf);
+        debug_assert!(rolled.is_empty());
         let list: Vec<HostId> = match d.channel {
             None => {
                 debug_assert!(self.owns(d.to), "unicast descriptor routed to wrong shard");
@@ -1618,44 +1664,26 @@ impl Shard {
                      within epoch ending {}",
                     self.clock
                 );
-                pending.push((to, at));
+                rolled.push((at, to));
             }
         }
         if let Some((ch, ttl)) = d.channel {
             let src_seg = self.topo.segment_of(d.src);
             self.stash_fan(ch, src_seg.0, ttl, list);
         }
-        if !pending.is_empty() {
-            let pkt_id = self.arena.insert(
-                Pkt {
-                    src: d.src,
-                    msg: d.msg,
-                    bytes: d.bytes,
-                    size: d.size,
-                    channel: d.channel,
-                    sent_at: d.time,
-                },
-                pending.len() as u32,
-            );
-            for &(to, at) in pending.iter() {
-                // Stamped with the receiver's epoch *as of the send
-                // time* — that is what the journal replay of LifeCycle
-                // entries guarantees — matching the sequential stamp.
-                let epoch = self.epoch[to.index()];
-                self.queue.push(Scheduled {
-                    time: at,
-                    key: to.0 + 1,
-                    seq: seq_of(d.src, d.act),
-                    payload: EventKind::Deliver {
-                        to,
-                        epoch,
-                        pkt: pkt_id,
-                    },
-                });
-            }
-        }
-        pending.clear();
-        self.deliver_buf = pending;
+        // The hops are stamped with the receivers' epochs *as of the send
+        // time* — that is what the journal replay of LifeCycle entries
+        // guarantees — matching the sequential stamp.
+        let pkt = Pkt {
+            src: d.src,
+            msg: d.msg,
+            bytes: d.bytes,
+            size: d.size,
+            channel: d.channel,
+            sent_at: d.time,
+        };
+        self.launch(pkt, seq_of(d.src, d.act), &mut rolled);
+        self.deliver_buf = rolled;
     }
 
     /// Expansion-time fan-out lookup (separate from `mcast_cache`, which
@@ -1685,11 +1713,9 @@ impl Shard {
         match e {
             JEntry::Sub { ch, h, added } => {
                 if *added {
-                    if let Some(set) = self.subs.get_mut(ch) {
-                        set.remove(h);
-                    }
+                    self.subs_of(*h, *ch).remove(h);
                 } else {
-                    self.subs.entry(*ch).or_default().insert(*h);
+                    self.subs_of(*h, *ch).insert(*h);
                 }
             }
             JEntry::Loss { old, .. } => self.cfg.loss.rate = *old,
@@ -1742,9 +1768,9 @@ impl Shard {
         match e {
             JEntry::Sub { ch, h, added } => {
                 if *added {
-                    self.subs.entry(*ch).or_default().insert(*h);
-                } else if let Some(set) = self.subs.get_mut(ch) {
-                    set.remove(h);
+                    self.subs_of(*h, *ch).insert(*h);
+                } else {
+                    self.subs_of(*h, *ch).remove(h);
                 }
             }
             JEntry::Loss { new, .. } => self.cfg.loss.rate = *new,

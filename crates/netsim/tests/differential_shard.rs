@@ -14,6 +14,9 @@
 //! true lower bound on every cross-shard delivery latency — the safety
 //! invariant the epoch protocol rests on.
 
+mod common;
+
+use common::fingerprint;
 use proptest::prelude::*;
 use tamp_netsim::{
     Actor, ChannelId, Context, Control, Engine, EngineConfig, LossModel, PacketMeta, ShardingKind,
@@ -90,34 +93,6 @@ fn config(sharding: ShardingKind, jobs: usize) -> EngineConfig {
         shard_jobs: Some(jobs),
         ..Default::default()
     }
-}
-
-/// Serialize everything a run can possibly tell the outside world.
-fn fingerprint(eng: &Engine) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let records: Vec<_> = eng.trace_log().records().cloned().collect();
-    out.push_str(&tamp_netsim::telemetry::export::events_to_jsonl(&records));
-    writeln!(out, "trace_total={}", eng.trace_log().total_recorded()).unwrap();
-    for h in eng.hosts() {
-        writeln!(
-            out,
-            "{h:?} {:?} alive={}",
-            eng.stats().host(h),
-            eng.is_alive(h)
-        )
-        .unwrap();
-    }
-    writeln!(out, "totals={:?}", eng.stats().totals()).unwrap();
-    writeln!(out, "series={:?}", eng.stats().series()).unwrap();
-    writeln!(out, "obs={:?}", eng.stats().observations()).unwrap();
-    let mut kinds: Vec<_> = eng.stats().sends_by_kind().collect();
-    kinds.sort();
-    writeln!(out, "kinds={kinds:?}").unwrap();
-    out.push_str(&tamp_netsim::telemetry::export::snapshot_to_csv(
-        &eng.registry().snapshot(),
-    ));
-    out
 }
 
 /// The standard fault script: every control the engine supports, timed
