@@ -501,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn loss_bursts_stay_above_excuse_floor() {
+    fn loss_episodes_stay_above_excuse_floor() {
         let g = GeneratorConfig::default();
         for seed in 0..50 {
             for e in &random_schedule(seed, &g).events {

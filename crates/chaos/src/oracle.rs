@@ -18,6 +18,9 @@
 
 use crate::truth::GroundTruth;
 use tamp_directory::DirectoryClient;
+use tamp_membership::config::{
+    CUT_BATCH_DELAY, CUT_REPORT_TTL, DEGRADE_MAX_STRETCH, FLAP_SCORE_CAP, LEVEL_TIMEOUT_FACTOR,
+};
 use tamp_membership::{MembershipConfig, Probe};
 use tamp_netsim::{Observation, ObservationKind};
 use tamp_topology::{HostId, Nanos, Topology};
@@ -60,15 +63,15 @@ impl OracleConfig {
     /// `max_level` is the deepest hierarchy level the topology can form.
     pub fn for_membership(cfg: &MembershipConfig, max_level: u8) -> Self {
         let base = cfg.heartbeat_period * cfg.max_loss as u64;
-        let worst = base + (base as f64 * max_level as f64 * cfg.level_timeout_factor) as u64;
+        let worst = base + (base as f64 * max_level as f64 * LEVEL_TIMEOUT_FACTOR) as u64;
         // The robustness extensions delay a *correct* removal further:
         // the suspicion window (scaled by the flap-damping cap), both
         // timeout and suspicion stretched under measured distress, and a
         // quarantine hold for relayed subtrees. The window must cover
         // the slowest legitimate confirmation or the oracle would flag
         // correct-but-deliberate removals.
-        let stretch = cfg.degrade_max_stretch.max(1.0);
-        let flap_cap = 1.0 + cfg.flap_score_cap.max(0.0);
+        let stretch = DEGRADE_MAX_STRETCH;
+        let flap_cap = 1.0 + FLAP_SCORE_CAP;
         let suspicion_worst = (cfg.suspicion(max_level) as f64 * flap_cap * stretch) as u64;
         let detect_worst = (worst as f64 * stretch) as u64 + suspicion_worst;
         OracleConfig {
@@ -105,13 +108,13 @@ impl OracleConfig {
     /// Window for the Rapid-style cut-detection discipline: detection
     /// still starts from the timeout machinery, but confirmation waits
     /// for the vote pattern to stabilize — reports live for
-    /// `cut_report_ttl` and the batch fires only after `cut_batch_delay`
+    /// `CUT_REPORT_TTL` and the batch fires only after `CUT_BATCH_DELAY`
     /// of quiescence, so a correct removal can trail the fault by that
     /// much more than in timeout mode.
     pub fn for_cut_detection(cfg: &MembershipConfig, max_level: u8) -> Self {
         let base = OracleConfig::for_membership(cfg, max_level);
         OracleConfig {
-            removal_window: base.removal_window + cfg.cut_report_ttl + cfg.cut_batch_delay,
+            removal_window: base.removal_window + CUT_REPORT_TTL + CUT_BATCH_DELAY,
             ..base
         }
     }

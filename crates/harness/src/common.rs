@@ -19,9 +19,6 @@ pub const FIGURE_ORDER: [Protocol; 5] = [
     Protocol::TampRapid,
 ];
 
-/// The paper's original §2 comparison set (Figs. 11–13).
-pub const PAPER: [Protocol; 3] = [Protocol::AllToAll, Protocol::Gossip, Protocol::Tamp];
-
 /// The `scheme` column of the figure tables and CSVs, which keep the
 /// paper's names for its three schemes.
 pub fn figure_label(p: Protocol) -> &'static str {

@@ -34,14 +34,53 @@ pub enum RemovalDiscipline {
     /// Every node aggregates reports per subject, counting *distinct*
     /// reporters, and removes nothing until the report pattern is
     /// *stable* — every reported subject has reached the high watermark
-    /// `cut_high_watermark` (clamped to the observer count in small
-    /// groups) and the batch has been quiescent for `cut_batch_delay`.
+    /// [`CUT_HIGH_WATERMARK`] (clamped to the observer count in small
+    /// groups) and the batch has been quiescent for [`CUT_BATCH_DELAY`].
     /// The whole stable cut is then applied as one batched view change.
     /// Subjects stuck between one report and the watermark (e.g. one
     /// asymmetric reporter under a gray partition) block nothing and
-    /// expire after `cut_report_ttl`; refutations clear them instantly.
+    /// expire after [`CUT_REPORT_TTL`]; refutations clear them instantly.
     CutDetection,
 }
+
+/// Per-level timeout scaling: `timeout(ℓ) = max_loss × period ×
+/// (1 + ℓ × LEVEL_TIMEOUT_FACTOR)`. "Higher level groups are assigned
+/// with larger timeout values" so a lower group can re-elect before
+/// the higher group purges its subtree.
+pub const LEVEL_TIMEOUT_FACTOR: f64 = 0.5;
+/// Flap damping à la Rapid: each *refuted* suspicion of a node adds
+/// one unit of instability, decaying with this half-life. A node with
+/// instability `u` gets its suspicion window scaled by
+/// `1 + min(u, FLAP_SCORE_CAP)`.
+pub const FLAP_HALF_LIFE: Nanos = 30 * SECS;
+/// Upper bound on the flap-damping multiplier increment, so a
+/// persistently flapping node's confirmation latency stays bounded.
+pub const FLAP_SCORE_CAP: f64 = 3.0;
+/// Graceful degradation under measured heavy loss: a peer whose EWMA
+/// inter-arrival estimate (the A7 detector signal) or current heartbeat
+/// silence exceeds this multiple of the heartbeat period looks late;
+/// when half a group looks late, timeouts and suspicion windows stretch
+/// by [`DEGRADE_MAX_STRETCH`].
+pub const DEGRADE_STRETCH_THRESHOLD: f64 = 1.5;
+/// The loss-degradation stretch factor for timeouts and windows.
+pub const DEGRADE_MAX_STRETCH: f64 = 3.0;
+/// Cut-detection low watermark `L`: a subject with `[1, L)` distinct
+/// reporters is considered noise and never blocks a batch (it still
+/// expires via [`CUT_REPORT_TTL`]). Subjects in `[L, H)` mark the cut
+/// *unstable* and defer the view change.
+pub const CUT_LOW_WATERMARK: usize = 2;
+/// Cut-detection high watermark `H`: distinct reporters needed before
+/// a subject joins the stable cut. Clamped to the number of live
+/// observers at the subject's level so small groups stay live.
+pub const CUT_HIGH_WATERMARK: usize = 3;
+/// Quiescence delay before a stable cut is applied as a batched view
+/// change: the batch executes only after no report for any pending
+/// subject has arrived for this long.
+pub const CUT_BATCH_DELAY: Nanos = SECS;
+/// How long an unconfirmed report (reporter, subject) vote stays
+/// valid. Bounds how long a lone gray-partition reporter can keep a
+/// subject on the books.
+pub const CUT_REPORT_TTL: Nanos = 8 * SECS;
 
 /// All tunables of one membership node.
 #[derive(Debug, Clone)]
@@ -65,11 +104,6 @@ pub struct MembershipConfig {
     /// Events carried per update message (new event + piggybacked
     /// predecessors). The paper uses 4 (current + last 3).
     pub piggyback_window: usize,
-    /// Per-level timeout scaling: `timeout(ℓ) = max_loss × period ×
-    /// (1 + ℓ × level_timeout_factor)`. "Higher level groups are assigned
-    /// with larger timeout values" so a lower group can re-elect before
-    /// the higher group purges its subtree.
-    pub level_timeout_factor: f64,
     /// Random phase jitter applied to the first heartbeat so nodes do not
     /// beat in lockstep.
     pub startup_jitter: Nanos,
@@ -109,43 +143,9 @@ pub struct MembershipConfig {
     /// leader to re-vouch for it, instead of being purged outright. 0
     /// falls back to the paper's immediate subtree purge.
     pub quarantine_window: Nanos,
-    /// Flap damping à la Rapid: each *refuted* suspicion of a node adds
-    /// one unit of instability, decaying with this half-life. A node with
-    /// instability `u` gets its suspicion window scaled by
-    /// `1 + min(u, flap_score_cap)`. 0 disables damping.
-    pub flap_half_life: Nanos,
-    /// Upper bound on the flap-damping multiplier increment, so a
-    /// persistently flapping node's confirmation latency stays bounded.
-    pub flap_score_cap: f64,
-    /// Graceful degradation under measured heavy loss: when the EWMA
-    /// inter-arrival estimate of a peer (the A7 detector signal) exceeds
-    /// this multiple of the heartbeat period, the effective timeout for
-    /// that peer stretches proportionally (widening `max_loss` in effect)
-    /// up to `degrade_max_stretch`. 0.0 disables.
-    pub degrade_stretch_threshold: f64,
-    /// Ceiling on the loss-degradation timeout stretch factor.
-    pub degrade_max_stretch: f64,
     /// How timed-out members are removed: independent per-observer
     /// timeouts (the paper) or Rapid-style aggregated cut detection.
     pub removal_discipline: RemovalDiscipline,
-    /// Cut-detection low watermark `L`: a subject with `[1, L)` distinct
-    /// reporters is considered noise and never blocks a batch (it still
-    /// expires via `cut_report_ttl`). Subjects in `[L, H)` mark the cut
-    /// *unstable* and defer the view change.
-    pub cut_low_watermark: usize,
-    /// Cut-detection high watermark `H`: distinct reporters needed before
-    /// a subject joins the stable cut. Clamped to the number of live
-    /// observers at the subject's level so small groups stay live.
-    pub cut_high_watermark: usize,
-    /// Quiescence delay before a stable cut is applied as a batched view
-    /// change: the batch executes only after no report for any pending
-    /// subject has arrived for this long.
-    pub cut_batch_delay: Nanos,
-    /// How long an unconfirmed report (reporter, subject) vote stays
-    /// valid. Bounds how long a lone gray-partition reporter can keep a
-    /// subject on the books.
-    pub cut_report_ttl: Nanos,
-    /// Services this node exports (`*SERVICE` sections).
     /// Trust pre-seeded directories at boot: groups start `bootstrapped`
     /// (no pull from the first leader heard) and an *initial* leadership
     /// claim skips the takeover snapshot exchange. Used by the harness to
@@ -153,6 +153,7 @@ pub struct MembershipConfig {
     /// still trigger the full §3.1.2 exchange. See
     /// [`MembershipNode::preload`](crate::MembershipNode::preload).
     pub warm_start: bool,
+    /// Services this node exports (`*SERVICE` sections).
     pub services: Vec<ServiceDecl>,
     /// Machine attributes published in this node's record.
     pub attrs: Vec<(String, String)>,
@@ -170,7 +171,6 @@ impl Default for MembershipConfig {
             max_loss: 5,
             shm_key: 999,
             piggyback_window: 4,
-            level_timeout_factor: 0.5,
             startup_jitter: 500 * MILLIS,
             listen_period: 2 * SECS + 500 * MILLIS,
             election_timeout: 500 * MILLIS,
@@ -181,15 +181,7 @@ impl Default for MembershipConfig {
             adaptive_timeout: false,
             suspicion_window: 2 * SECS,
             quarantine_window: 10 * SECS,
-            flap_half_life: 30 * SECS,
-            flap_score_cap: 3.0,
-            degrade_stretch_threshold: 1.5,
-            degrade_max_stretch: 3.0,
             removal_discipline: RemovalDiscipline::Timeout,
-            cut_low_watermark: 2,
-            cut_high_watermark: 3,
-            cut_batch_delay: SECS,
-            cut_report_ttl: 8 * SECS,
             warm_start: false,
             services: Vec::new(),
             attrs: Vec::new(),
@@ -217,7 +209,7 @@ impl MembershipConfig {
     /// Failure timeout for group level `level`.
     pub fn timeout(&self, level: u8) -> Nanos {
         let base = self.max_loss as u64 * self.heartbeat_period;
-        let scaled = base as f64 * (1.0 + level as f64 * self.level_timeout_factor);
+        let scaled = base as f64 * (1.0 + level as f64 * LEVEL_TIMEOUT_FACTOR);
         scaled as Nanos
     }
 
@@ -225,8 +217,7 @@ impl MembershipConfig {
     /// per-level factor as [`MembershipConfig::timeout`], so higher-level
     /// suspicions (whose refutations must travel further) get more time.
     pub fn suspicion(&self, level: u8) -> Nanos {
-        let scaled =
-            self.suspicion_window as f64 * (1.0 + level as f64 * self.level_timeout_factor);
+        let scaled = self.suspicion_window as f64 * (1.0 + level as f64 * LEVEL_TIMEOUT_FACTOR);
         scaled as Nanos
     }
 
@@ -336,13 +327,20 @@ impl MembershipConfig {
                     "MCAST_ADDR" => {
                         // Hash the dotted-quad into a channel id so distinct
                         // addresses get distinct simulated channels.
-                        let h: u32 = value
-                            .split('.')
-                            .filter_map(|p| p.parse::<u32>().ok())
-                            .fold(0, |a, b| a.wrapping_mul(31).wrapping_add(b));
+                        let addr: std::net::Ipv4Addr =
+                            value.parse().map_err(|_| err(line_no, "bad MCAST_ADDR"))?;
+                        let h = addr
+                            .octets()
+                            .iter()
+                            .fold(0u32, |a, &b| a.wrapping_mul(31).wrapping_add(b as u32));
                         cfg.base_channel = ChannelId((h % 60000) as u16);
                     }
-                    "MCAST_PORT" => { /* folded into the channel id space */ }
+                    "MCAST_PORT" => {
+                        // Checked, then folded into the channel id space.
+                        value
+                            .parse::<u16>()
+                            .map_err(|_| err(line_no, "bad MCAST_PORT"))?;
+                    }
                     "MCAST_FREQ" => {
                         let f: f64 = value.parse().map_err(|_| err(line_no, "bad MCAST_FREQ"))?;
                         if f <= 0.0 {
@@ -410,6 +408,32 @@ MAX_LOSS = 5
         assert_eq!(cfg.services[0].attrs, vec![("Port".into(), "8080".into())]);
         assert_eq!(cfg.services[1].name, "Cache");
         assert!(cfg.services[1].partitions.contains(2));
+    }
+
+    #[test]
+    fn malformed_mcast_addr_and_port_are_rejected_with_the_line() {
+        let fig7 = MembershipConfig::parse(FIG7).unwrap();
+        assert_eq!(fig7.base_channel, ChannelId(45106));
+        for addr in [
+            "239.x.0.2",
+            "hello",
+            "239.255.0",
+            "239.255.0.2.1",
+            "239.256.0.2",
+            "",
+        ] {
+            let e =
+                MembershipConfig::parse(&format!("*SYSTEM\nMCAST_ADDR = {addr}\n")).unwrap_err();
+            assert!(e.message.contains("MCAST_ADDR"), "{addr}: {e}");
+            assert_eq!(e.line, 2);
+        }
+        for port in ["http", "65536", "-1", ""] {
+            let e =
+                MembershipConfig::parse(&format!("*SYSTEM\n\nMCAST_PORT = {port}\n")).unwrap_err();
+            assert!(e.message.contains("MCAST_PORT"), "{port}: {e}");
+            assert_eq!(e.line, 3);
+        }
+        assert!(MembershipConfig::parse("*SYSTEM\nMCAST_PORT = 10050\n").is_ok());
     }
 
     #[test]

@@ -408,15 +408,6 @@ impl GroupState {
         self.peers.keys().all(|&p| me < p)
     }
 
-    /// Lowest-id peer currently claiming leadership, if any.
-    pub fn claimed_leader(&self) -> Option<NodeId> {
-        self.peers
-            .iter()
-            .filter(|(_, p)| p.claims_leader)
-            .map(|(n, _)| n)
-            .min()
-    }
-
     /// Is the believed leader actually present (or us)?
     pub fn leader_present(&self, me: NodeId) -> bool {
         match self.leader {
@@ -437,11 +428,6 @@ impl GroupState {
                 x.rotate_left(17).wrapping_mul(0xbf58_476d_1ce4_e5b9)
             })
             .copied()
-    }
-
-    /// Members (peers + us) count.
-    pub fn size_with_me(&self) -> usize {
-        self.peers.len() + 1
     }
 }
 
@@ -497,14 +483,13 @@ mod tests {
     }
 
     #[test]
-    fn am_lowest_and_claimed_leader() {
+    fn am_lowest_among_peers() {
         let mut s = g();
         assert!(s.am_lowest(NodeId(9)), "alone means lowest");
         s.heard(NodeId(3), 0, false, 1);
         s.heard(NodeId(7), 0, true, 1);
         assert!(s.am_lowest(NodeId(2)));
         assert!(!s.am_lowest(NodeId(5)));
-        assert_eq!(s.claimed_leader(), Some(NodeId(7)));
     }
 
     #[test]

@@ -10,9 +10,15 @@
 //!
 //! | Paper §       | Here |
 //! |---------------|------|
-//! | §3.1.1 group formation, failure detection, leader election | [`MembershipNode`], [`group::GroupState`] |
-//! | §3.1.2 bootstrap / update / timeout / loss sub-protocols   | [`MembershipNode`] handlers |
-//! | §5 configuration file + `MService`/`MClient` API           | [`MembershipConfig::parse`], [`MService`], [`MClient`] |
+//! | §3.1.1 group formation, heartbeats, failure detection | [`MembershipNode`] (`node.rs`: construction, API, dispatch, the sweep's order), [`group::GroupState`] (peers heard per channel, sweep floors) |
+//! | §3.1.1 leader election | `election.rs` — writes the groups' `leader` / `backup` / `election` |
+//! | §3.1.2 bootstrap, loss repair, anti-entropy | `sync.rs` — digests, sync polls, directory exchanges |
+//! | §3.1.2 update propagation | `update.rs` — the update handler, one arm per event kind |
+//! | §3.1.2 timeout protocol + the robustness extensions | `removal.rs` (timeout → suspect / vote → confirm → remove, quarantine, catch-all expiry) over three books that each own their state: `evidence.rs` (suspicions, refutation memory, flap scores, distress latch), `cuts.rs` (cut-detection votes), `quarantine.rs` (escrowed subtrees) |
+//! | §5 configuration file + `MService`/`MClient` API | [`MembershipConfig::parse`], [`MService`], [`MClient`] |
+//!
+//! docs/PROTOCOL.md §1a lists who may write what and every call that
+//! crosses between books.
 //!
 //! ## Quick start (simulated cluster)
 //!
@@ -42,9 +48,14 @@ pub mod group;
 pub mod node;
 
 mod api;
+mod cuts;
+mod election;
+mod evidence;
+mod quarantine;
+mod removal;
+mod sync;
+mod update;
 
 pub use api::{MClient, MService, ServiceError};
 pub use config::{ConfigError, MembershipConfig, RemovalDiscipline};
-pub use node::{
-    ControlHandle, MembershipNode, Probe, ProbeState, ProtocolCounters, ServiceCommand,
-};
+pub use node::{ControlHandle, MembershipNode, Probe, ProbeState, ServiceCommand};

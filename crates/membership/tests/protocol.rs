@@ -483,20 +483,28 @@ fn graceful_leave_removes_immediately() {
 #[test]
 fn protocol_counters_reflect_activity() {
     let cfg = MembershipConfig::default();
-    let mut c = build_cluster(generators::star_of_segments(2, 5), &cfg, 83);
+    let metered = EngineConfig {
+        metrics: true,
+        ..EngineConfig::default()
+    };
+    let mut c = build_cluster_with(generators::star_of_segments(2, 5), &cfg, 83, metered);
     c.engine.run_until(40 * SECS);
 
     // Node 0 (segment leader + root): claimed leaderships, sent updates
     // and digests.
-    let p0 = c.probes[0].lock().counters;
-    assert!(p0.leaderships_claimed >= 2, "{p0:?}");
-    assert!(p0.updates_sent > 0, "{p0:?}");
-    assert!(p0.digests_sent > 0, "{p0:?}");
-    assert_eq!(p0.deaths_declared, 0, "{p0:?}");
+    let snap = c.engine.registry().snapshot();
+    let p0 = |name| snap.counter(0, "membership", name);
+    assert!(p0("leaderships_claimed") >= 2, "{snap:?}");
+    assert!(p0("updates_sent") > 0, "{snap:?}");
+    assert!(p0("digests_sent") > 0, "{snap:?}");
+    assert_eq!(p0("deaths_declared"), 0, "{snap:?}");
 
     // Kill a node: survivors record the death.
     c.engine.schedule(40 * SECS, Control::Kill(HostId(9)));
     c.engine.run_until(60 * SECS);
-    let p5 = c.probes[5].lock().counters;
-    assert!(p5.deaths_declared >= 1, "{p5:?}");
+    let snap = c.engine.registry().snapshot();
+    assert!(
+        snap.counter(5, "membership", "deaths_declared") >= 1,
+        "{snap:?}"
+    );
 }

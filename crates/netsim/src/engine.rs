@@ -38,21 +38,6 @@ impl Default for LossModel {
     }
 }
 
-/// A time-windowed loss episode: within `[from, until)` the drop
-/// probability is at least `rate` (the effective rate is the maximum of
-/// the base [`LossModel`] and every active burst). Models transient
-/// congestion — a backup job saturating an uplink, a flapping switch —
-/// that uniform loss cannot express.
-#[derive(Debug, Clone, Copy)]
-pub struct LossBurst {
-    /// Burst start (inclusive).
-    pub from: SimTime,
-    /// Burst end (exclusive).
-    pub until: SimTime,
-    /// Drop probability in `[0, 1]` while the burst is active.
-    pub rate: f64,
-}
-
 /// How to partition the simulation across worker threads.
 ///
 /// The default, `Sequential`, is the single event loop. `Sharded(n)`
@@ -72,31 +57,30 @@ pub enum ShardingKind {
     Sharded(usize),
 }
 
+/// Bytes of UDP+IP+Ethernet framing added to every packet for
+/// accounting (the paper measures on-the-wire packet sizes).
+pub const HEADER_OVERHEAD: u32 = 28;
+/// Modeled CPU cost to process one received packet: 11 µs, calibrated
+/// so that ~4000 heartbeats/s costs ~4.5% of one CPU — matching the
+/// paper's Fig. 2 measurement on a 1.4 GHz P-III.
+pub const CPU_PER_PACKET: Nanos = 11_000;
+/// Additional CPU cost per received byte.
+pub const CPU_PER_BYTE: Nanos = 2;
+/// Per-byte serialization delay (wire time): 80 ns/B ≈ 100 Mb/s Fast
+/// Ethernet, the paper's access links. Transmissions from one host
+/// *queue* behind each other at this rate (a simple egress-NIC model),
+/// so saturating senders see growing delays.
+pub const WIRE_TIME_PER_BYTE: SimTime = 80;
+
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Bytes of UDP+IP+Ethernet framing added to every packet for
-    /// accounting (the paper measures on-the-wire packet sizes).
-    pub header_overhead: u32,
-    /// Modeled CPU cost to process one received packet. Default 11 µs,
-    /// calibrated so that ~4000 heartbeats/s costs ~4.5% of one CPU —
-    /// matching the paper's Fig. 2 measurement on a 1.4 GHz P-III.
-    pub cpu_per_packet: Nanos,
-    /// Additional CPU cost per received byte.
-    pub cpu_per_byte: Nanos,
-    /// Per-byte serialization delay (wire time). Default 80 ns/B ≈
-    /// 100 Mb/s Fast Ethernet, the paper's access links. Transmissions
-    /// from one host *queue* behind each other at this rate (a simple
-    /// egress-NIC model), so saturating senders see growing delays.
-    pub wire_time_per_byte: SimTime,
     /// Max uniform random extra latency per delivery (0 = none).
     pub latency_jitter: SimTime,
     /// Bucket width for the cluster-wide time series (0 = disabled).
     pub series_bucket: SimTime,
     /// Packet loss model.
     pub loss: LossModel,
-    /// Time-varying loss episodes layered on top of the base rate.
-    pub loss_bursts: Vec<LossBurst>,
     /// Event tracing (off by default; see [`crate::trace`]).
     pub trace: TraceConfig,
     /// Telemetry metrics (off by default): when enabled the engine keeps
@@ -130,14 +114,9 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            header_overhead: 28,
-            cpu_per_packet: 11_000,
-            cpu_per_byte: 2,
-            wire_time_per_byte: 80,
             latency_jitter: 200_000, // 0.2 ms
             series_bucket: 0,
             loss: LossModel::default(),
-            loss_bursts: Vec::new(),
             trace: TraceConfig::default(),
             metrics: false,
             scheduler: SchedulerKind::default(),
@@ -169,8 +148,7 @@ pub enum Control {
     BlockSegments(SegmentId, SegmentId),
     /// Restore traffic between two segments.
     UnblockSegments(SegmentId, SegmentId),
-    /// Change the base uniform loss rate from this instant on (bursts
-    /// still layer on top).
+    /// Change the base uniform loss rate from this instant on.
     SetLoss(f64),
     /// Gray (asymmetric) partition: sever traffic from the first segment
     /// *to* the second only; the reverse direction keeps delivering. The
@@ -1182,45 +1160,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_burst_turns_on_and_off_over_a_window() {
-        // Beacon every second; total blackout during [10 s, 20 s). The
-        // receiver must see every beacon outside the window and none
-        // inside it.
-        let topo = generators::single_segment(2);
-        let cfg = EngineConfig {
-            loss_bursts: vec![LossBurst {
-                from: 10 * SECS,
-                until: 20 * SECS,
-                rate: 1.0,
-            }],
-            ..Default::default()
-        };
-        let mut eng = Engine::new(topo, cfg, 7);
-        let counters: Vec<_> = (0..2).map(|_| counter()).collect();
-        for (i, h) in eng.hosts().into_iter().enumerate() {
-            eng.add_actor(
-                h,
-                Box::new(Beacon {
-                    channel: ChannelId(0),
-                    ttl: 1,
-                    received: counters[i].clone(),
-                    sends: i == 0,
-                }),
-            );
-        }
-        eng.start();
-        // Sends at 1..=9 s land; the window is open.
-        eng.run_until(10 * SECS - 1);
-        assert_eq!(read(&counters[1]), 9, "pre-burst beacons lost");
-        // Sends at 10..=19 s all fall inside the burst.
-        eng.run_until(20 * SECS - 1);
-        assert_eq!(read(&counters[1]), 9, "burst leaked traffic");
-        // Sends at 20..=29 s land again.
-        eng.run_until(30 * SECS - 1);
-        assert_eq!(read(&counters[1]), 19, "loss did not turn back off");
-    }
-
-    #[test]
     fn set_loss_control_changes_rate_mid_run() {
         let topo = generators::single_segment(2);
         let mut eng = Engine::new(topo, EngineConfig::default(), 9);
@@ -1237,11 +1176,20 @@ mod tests {
             );
         }
         eng.start();
+        // Beacon every second; total blackout during [10 s, 20 s). The
+        // receiver must see every beacon outside the window and none
+        // inside it.
         eng.schedule(10 * SECS, Control::SetLoss(1.0));
         eng.schedule(20 * SECS, Control::SetLoss(0.0));
+        // Sends at 1..=9 s land; the window is open.
+        eng.run_until(10 * SECS - 1);
+        assert_eq!(read(&counters[1]), 9, "pre-blackout beacons lost");
+        // Sends at 10..=19 s all fall inside the blackout.
+        eng.run_until(20 * SECS - 1);
+        assert_eq!(read(&counters[1]), 9, "blackout leaked traffic");
+        // Sends at 20..=29 s land again.
         eng.run_until(30 * SECS - 1);
-        // 9 beacons before the blackout + 10 after it.
-        assert_eq!(read(&counters[1]), 19);
+        assert_eq!(read(&counters[1]), 19, "loss did not turn back off");
     }
 
     #[test]

@@ -62,7 +62,10 @@ mod stats;
 pub mod trace;
 
 pub use actor::{collect_effects, Actor, Context, Effect};
-pub use engine::{Control, Engine, EngineConfig, LossBurst, LossModel, ShardingKind};
+pub use engine::{
+    Control, Engine, EngineConfig, LossModel, ShardingKind, CPU_PER_BYTE, CPU_PER_PACKET,
+    HEADER_OVERHEAD, WIRE_TIME_PER_BYTE,
+};
 pub use packet::{ChannelId, Destination, PacketMeta};
 pub use scheduler::SchedulerKind;
 pub use stats::{HostStats, Observation, ObservationKind, SeriesPoint, Stats};

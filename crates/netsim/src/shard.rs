@@ -60,7 +60,9 @@
 //! recorded from the eager engine).
 
 use crate::actor::{Actor, Context, Effect};
-use crate::engine::{Control, EngineConfig};
+use crate::engine::{
+    Control, EngineConfig, CPU_PER_BYTE, CPU_PER_PACKET, HEADER_OVERHEAD, WIRE_TIME_PER_BYTE,
+};
 use crate::packet::{ChannelId, Destination, PacketMeta};
 use crate::scheduler::{EventQueue, Scheduled};
 use crate::stats::{HostStats, Observation, SeriesPoint, Stats};
@@ -933,18 +935,6 @@ impl Shard {
         }
     }
 
-    /// The drop probability in force at `t`: the base rate (as replayed
-    /// for expansion), raised by any active burst window.
-    fn effective_loss_at(&self, t: SimTime) -> f64 {
-        let mut rate = self.cfg.loss.rate;
-        for b in &self.cfg.loss_bursts {
-            if b.from <= t && t < b.until {
-                rate = rate.max(b.rate);
-            }
-        }
-        rate
-    }
-
     fn segments_blocked(&self, a: HostId, b: HostId) -> bool {
         if self.blocked.is_empty() {
             return false;
@@ -1063,7 +1053,7 @@ impl Shard {
             });
             return;
         }
-        let cpu = self.cfg.cpu_per_packet + self.cfg.cpu_per_byte * pkt.size as u64;
+        let cpu = CPU_PER_PACKET + CPU_PER_BYTE * pkt.size as u64;
         self.stats.on_recv(self.clock, to, pkt.size as u64, cpu);
         self.note(to);
         if let Some(m) = &self.meters {
@@ -1412,7 +1402,7 @@ impl Shard {
             Some(b) => b.len(),
             None => tamp_wire::codec::encoded_len(&msg),
         };
-        let size = payload_len as u32 + self.cfg.header_overhead;
+        let size = payload_len as u32 + HEADER_OVERHEAD;
         let kind = msg.kind();
         let channel = match dest {
             Destination::Unicast(_) => None,
@@ -1480,7 +1470,7 @@ impl Shard {
         // Serialize onto the wire after any transmissions already
         // queued at this host's NIC.
         let tx_start = self.egress_free[src.index()].max(self.clock);
-        let on_wire = tx_start + self.cfg.wire_time_per_byte * size as u64;
+        let on_wire = tx_start + WIRE_TIME_PER_BYTE * size as u64;
         self.egress_free[src.index()] = on_wire;
         let serialize = on_wire - self.clock;
         let rec = self.trace_at(
@@ -1502,7 +1492,7 @@ impl Shard {
         // Roll loss and jitter per local receiver (in ascending host
         // order — roll order is part of the determinism contract) into a
         // reusable buffer of rolled deliveries.
-        let loss = self.effective_loss_at(self.clock);
+        let loss = self.cfg.loss.rate;
         self.link_extra_buf.clear();
         let mut rolled = std::mem::take(&mut self.deliver_buf);
         debug_assert!(rolled.is_empty());
@@ -1622,7 +1612,7 @@ impl Shard {
         self.cur_key = d.key;
         self.cur_seq = d.seq;
         self.cur_step = d.step;
-        let loss = self.effective_loss_at(d.time);
+        let loss = self.cfg.loss.rate;
         self.link_extra_buf.clear();
         let kind = d.msg.kind();
         let mut rolled = std::mem::take(&mut self.deliver_buf);
