@@ -178,12 +178,17 @@ job_baselines() {
 }
 
 # Wire-codec fuzz smoke: the proptest fuzz/differential layer that locks
-# the zero-copy receive path, then the codec-kind differential at pool
-# width 1 and N.
+# the zero-copy receive path, then — at pool width 1 and N, since the
+# decoder's payload table is per thread — the payload-sharing tests
+# (the table's own unit test, and `tests/intern.rs` on warm tables) and
+# the codec-kind differential (which includes the 2-shard × borrowed and
+# the killed-in-flight cases).
 job_wire_fuzz() {
     PROPTEST_CASES=512 cargo test --release -p tamp-wire --test fuzz_codec
-    TAMP_JOBS=1 cargo test --release --test differential_codec
-    TAMP_JOBS="$NPROC" cargo test --release --test differential_codec
+    for jobs in 1 "$NPROC"; do
+        TAMP_JOBS=$jobs PROPTEST_CASES=512 cargo test --release -p tamp-wire --lib --test intern
+        TAMP_JOBS=$jobs cargo test --release --test differential_codec
+    done
 }
 
 # Perf-ledger smoke: contract tests, then all five workloads at their

@@ -233,6 +233,15 @@ pub enum Violation {
     },
 }
 
+/// A violation's instant for a human: seconds to the millisecond
+/// (`83.400s`), whatever the nanoseconds. Display only — observation
+/// times are ragged, and the exact DSL formatter
+/// ([`crate::schedule::fmt_duration`]) would print one of them as
+/// `83400ms` and the next as `83400254914ns`.
+fn fmt_secs(at: Nanos) -> String {
+    format!("{}.{:03}s", at / 1_000_000_000, at / 1_000_000 % 1_000)
+}
+
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -241,7 +250,7 @@ impl std::fmt::Display for Violation {
                 "false removal: host {} dropped live node {} at {}",
                 observer.0,
                 node.0,
-                crate::schedule::fmt_duration(*at)
+                fmt_secs(*at)
             ),
             Violation::ViewDivergence {
                 host,
@@ -269,21 +278,21 @@ impl std::fmt::Display for Violation {
                 "removal without suspicion: host {} dropped node {} at {} (never suspected)",
                 observer.0,
                 node.0,
-                crate::schedule::fmt_duration(*at)
+                fmt_secs(*at)
             ),
             Violation::RefutedRemoval { observer, node, at } => write!(
                 f,
                 "refuted removal: host {} dropped live node {} at {} after refuting its suspicion",
                 observer.0,
                 node.0,
-                crate::schedule::fmt_duration(*at)
+                fmt_secs(*at)
             ),
             Violation::Resurrection { observer, node, at } => write!(
                 f,
                 "resurrection: host {} re-added long-dead node {} at {}",
                 observer.0,
                 node.0,
-                crate::schedule::fmt_duration(*at)
+                fmt_secs(*at)
             ),
         }
     }
@@ -534,6 +543,28 @@ mod tests {
             require_suspicion: true,
             ..cfg()
         }
+    }
+
+    #[test]
+    fn violation_times_print_as_seconds_round_or_ragged() {
+        let at = |at| {
+            Violation::FalseRemoval {
+                observer: HostId(3),
+                node: NodeId(10),
+                at,
+            }
+            .to_string()
+        };
+        assert_eq!(
+            at(83_400_000_000),
+            "false removal: host 3 dropped live node 10 at 83.400s"
+        );
+        assert_eq!(
+            at(83_400_254_914),
+            "false removal: host 3 dropped live node 10 at 83.400s"
+        );
+        assert_eq!(fmt_secs(7), "0.000s");
+        assert_eq!(fmt_secs(85_209_999_999), "85.209s");
     }
 
     #[test]

@@ -94,9 +94,11 @@ pub struct EngineConfig {
     /// Opt-in wire-codec delivery mode. `None` (the default) passes the
     /// in-memory [`tamp_wire::Message`] straight to
     /// [`Actor::on_packet`] — the fastest simulation path, since only
-    /// `encoded_len` runs per send. `Some(kind)` encodes every send once
-    /// (shared by all multicast receivers) and delivers raw bytes
-    /// through [`Actor::on_wire_packet`], exercising the full codec —
+    /// `encoded_len` runs per send. `Some(kind)` sizes a send the same
+    /// way, encodes the packet when its first receiver is about to read
+    /// it (once for all multicast receivers; never, if every delivery is
+    /// dropped) and delivers raw bytes through
+    /// [`Actor::on_wire_packet`], exercising the full codec —
     /// [`CodecKind::Borrowed`] via zero-copy views,
     /// [`CodecKind::Owned`] via the reference decoder — end-to-end
     /// under simulation. Differential tests pin the three modes against

@@ -148,10 +148,11 @@ pub(crate) enum EventKind {
 struct Pkt {
     src: HostId,
     msg: Message,
-    /// The encoded frame, present only in wire-codec mode
-    /// ([`EngineConfig::wire_codec`]): encoded once at send, shared by
-    /// every delivery of this packet.
-    bytes: Option<Vec<u8>>,
+    /// The encoded frame (wire-codec mode only,
+    /// [`EngineConfig::wire_codec`]): `None` at send, kept from the
+    /// first delivery that reads it while others are still to come, gone
+    /// with the arena cell ([`Shard::deliver_pkt`]).
+    frame: Option<Vec<u8>>,
     /// Encoded size + header overhead.
     size: u32,
     /// Multicast metadata, `None` for unicast.
@@ -337,7 +338,6 @@ pub(crate) struct Descriptor {
     pub channel: Option<(ChannelId, u8)>,
     pub to: HostId,
     pub msg: Message,
-    pub bytes: Option<Vec<u8>>,
     pub size: u32,
     pub serialize: SimTime,
 }
@@ -482,6 +482,9 @@ pub(crate) struct Shard {
     mcast_cache: HashMap<(u16, u16, u8), Vec<HostId>>,
     /// Reusable per-send buffer of rolled `(deliver_at, receiver)` pairs.
     deliver_buf: Vec<(SimTime, HostId)>,
+    /// Reusable buffer for the frame of a packet's only or last delivery
+    /// (wire-codec mode).
+    frame_buf: Vec<u8>,
     blocked: HashSet<(u16, u16)>,
     /// Gray partitions: `(from, to)` directed segment pairs whose
     /// traffic is severed in that direction only.
@@ -569,6 +572,7 @@ impl Shard {
             subs: BTreeMap::new(),
             mcast_cache: HashMap::new(),
             deliver_buf: Vec::new(),
+            frame_buf: Vec::new(),
             blocked: HashSet::new(),
             gray_blocked: HashSet::new(),
             skew_ppm: vec![0; n],
@@ -962,7 +966,7 @@ impl Shard {
         // Move the packet out of the arena for the duration of the
         // callback (the shard must stay mutably borrowable); the last
         // delivery recycles the cell.
-        let (pkt, next) = self.arena.checkout(pkt_id);
+        let (mut pkt, next) = self.arena.checkout(pkt_id);
         // The packet's next receiver enters the queue before this one
         // runs, under the same seq. It sorts strictly after the current
         // event and nothing later has been popped yet, so it fires
@@ -970,8 +974,9 @@ impl Shard {
         if let Some(hop) = next {
             self.queue_hop(pkt_id, self.cur_seq, hop);
         }
-        self.deliver_pkt(to, epoch, &pkt);
-        self.arena.restore(pkt_id, pkt, next.is_none());
+        let last = next.is_none();
+        self.deliver_pkt(to, epoch, &mut pkt, last);
+        self.arena.restore(pkt_id, pkt, last);
     }
 
     fn queue_hop(&mut self, pkt: u32, seq: u64, hop: Hop) {
@@ -1007,7 +1012,8 @@ impl Shard {
         self.queue_hop(id, seq, first);
     }
 
-    fn deliver_pkt(&mut self, to: HostId, epoch: u32, pkt: &Pkt) {
+    /// Run one delivery of `pkt`; `last` when no other is left to come.
+    fn deliver_pkt(&mut self, to: HostId, epoch: u32, pkt: &mut Pkt, last: bool) {
         let idx = to.index();
         let channel = pkt.channel.map(|(c, _)| c.0);
         if !self.alive[idx] || self.epoch[idx] != epoch {
@@ -1075,12 +1081,29 @@ impl Shard {
             ttl: pkt.channel.map(|(_, t)| t),
             size: pkt.size,
         };
-        match (self.cfg.wire_codec, &pkt.bytes) {
-            (Some(kind), Some(bytes)) => self.run_callback(to, |actor, ctx| {
-                actor.on_wire_packet(ctx, meta, bytes, kind)
-            }),
-            _ => self.run_callback(to, |actor, ctx| actor.on_packet(ctx, meta, &pkt.msg)),
-        }
+        let Some(kind) = self.cfg.wire_codec else {
+            return self.run_callback(to, |actor, ctx| actor.on_packet(ctx, meta, &pkt.msg));
+        };
+        // The one place a frame is encoded: here, where a receiver is
+        // about to read it, so a packet holds its `Message` while in
+        // flight (a full-view unicast: ~32 B a record against ~200 B
+        // encoded) and one whose every delivery is dropped never
+        // encodes. A packet with receivers still to come keeps the frame
+        // for them; the only or last receiver reads it out of a buffer
+        // the shard reuses.
+        let mut scratch = std::mem::take(&mut self.frame_buf);
+        let frame: &[u8] = if last && pkt.frame.is_none() {
+            tamp_wire::codec::encode_into(&pkt.msg, &mut scratch);
+            &scratch
+        } else {
+            pkt.frame
+                .get_or_insert_with(|| tamp_wire::codec::encode(&pkt.msg))
+        };
+        debug_assert_eq!(frame.len() as u32 + HEADER_OVERHEAD, pkt.size);
+        self.run_callback(to, |actor, ctx| {
+            actor.on_wire_packet(ctx, meta, frame, kind)
+        });
+        self.frame_buf = scratch;
     }
 
     /// A host's nominal timer delay as simulated time: a clock running
@@ -1394,15 +1417,10 @@ impl Shard {
 
     fn send(&mut self, src: HostId, dest: Destination, msg: Message) {
         let act = self.bump_act(src);
-        // Wire-codec mode encodes exactly once per send — the frame is
-        // shared by every receiver of a multicast — and the frame length
-        // doubles as the size accounting. The default mode only counts.
-        let bytes = self.cfg.wire_codec.map(|_| tamp_wire::codec::encode(&msg));
-        let payload_len = match &bytes {
-            Some(b) => b.len(),
-            None => tamp_wire::codec::encoded_len(&msg),
-        };
-        let size = payload_len as u32 + HEADER_OVERHEAD;
+        // A send only counts, in every mode: a frame, where one is
+        // wanted, is encoded when a receiver reads it (`deliver_pkt`,
+        // which holds it to this length).
+        let size = tamp_wire::codec::encoded_len(&msg) as u32 + HEADER_OVERHEAD;
         let kind = msg.kind();
         let channel = match dest {
             Destination::Unicast(_) => None,
@@ -1528,7 +1546,7 @@ impl Shard {
         // message (no local delivery exists); a remote-capable multicast
         // with local receivers too keeps a clone for them.
         let local = if remote_unicast || remote_mcast {
-            let local = (!rolled.is_empty()).then(|| (msg.clone(), bytes.clone()));
+            let local = (!rolled.is_empty()).then(|| msg.clone());
             let to = match dest {
                 Destination::Unicast(to) => to,
                 Destination::Multicast { .. } => src, // unused for multicast
@@ -1543,19 +1561,18 @@ impl Shard {
                 channel,
                 to,
                 msg,
-                bytes,
                 size,
                 serialize,
             });
             local
         } else {
-            Some((msg, bytes))
+            Some(msg)
         };
-        if let Some((msg, bytes)) = local {
+        if let Some(msg) = local {
             let pkt = Pkt {
                 src,
                 msg,
-                bytes,
+                frame: None,
                 size,
                 channel,
                 sent_at: self.clock,
@@ -1667,7 +1684,7 @@ impl Shard {
         let pkt = Pkt {
             src: d.src,
             msg: d.msg,
-            bytes: d.bytes,
+            frame: None,
             size: d.size,
             channel: d.channel,
             sent_at: d.time,

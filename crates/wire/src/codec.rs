@@ -14,7 +14,8 @@
 //! property tests.
 
 use crate::messages::*;
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
+use std::sync::Arc;
 
 /// Why a packet failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,28 +47,16 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Sink abstraction so the same encoding routine serves both real
-/// encoding (into `BytesMut`) and size accounting (into a counter).
+/// encoding (into a byte vector) and size accounting (into a counter).
 trait Sink {
     fn put_u8(&mut self, v: u8);
     fn put_u16(&mut self, v: u16);
     fn put_u32(&mut self, v: u32);
     fn put_u64(&mut self, v: u64);
     fn put_slice(&mut self, v: &[u8]);
-
-    /// Emit a record's payload section (services + attrs). Writing
-    /// sinks walk it; the size counter overrides this with the payload's
-    /// cached wire length, which makes `encoded_len` of a heartbeat O(1)
-    /// in the steady state — the per-send size accounting is the one
-    /// codec walk the simulator cannot avoid.
-    fn put_record_payload(&mut self, p: &RecordPayload)
-    where
-        Self: Sized,
-    {
-        write_payload(self, p);
-    }
 }
 
-impl Sink for BytesMut {
+impl Sink for Vec<u8> {
     fn put_u8(&mut self, v: u8) {
         BufMut::put_u8(self, v)
     }
@@ -105,34 +94,25 @@ impl Sink for Counter {
     fn put_slice(&mut self, v: &[u8]) {
         self.0 += v.len();
     }
-    fn put_record_payload(&mut self, p: &RecordPayload) {
-        self.0 += payload_wire_len(p);
-    }
-}
-
-/// Wire length of a payload section, answered from the payload's cache
-/// when valid and recomputed (then cached) otherwise. Mutation through
-/// `NodeRecord`'s `DerefMut` invalidates the cache, so a stale answer is
-/// impossible; the `encoded_len == encode().len()` property test pins
-/// this for every message kind.
-fn payload_wire_len(p: &RecordPayload) -> usize {
-    if let Some(n) = p.cached_wire_len() {
-        return n;
-    }
-    let mut c = Counter::default();
-    write_payload(&mut c, p);
-    p.store_wire_len(c.0);
-    c.0
 }
 
 /// Encode a message to bytes.
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(encoded_len(msg));
+    let mut buf = Vec::with_capacity(encoded_len(msg));
     write_message(&mut buf, msg);
-    buf.to_vec()
+    buf
+}
+
+/// [`encode`] into a buffer the caller reuses: `buf` is cleared, then
+/// holds exactly the frame.
+pub fn encode_into(msg: &Message, buf: &mut Vec<u8>) {
+    buf.clear();
+    write_message(buf, msg);
 }
 
 /// Exact number of bytes [`encode`] will produce, without allocating.
+/// A record costs its fixed fields plus the length of its payload's
+/// encoded section, which the payload keeps — O(1) per record.
 pub fn encoded_len(msg: &Message) -> usize {
     let mut c = Counter::default();
     write_message(&mut c, msg);
@@ -201,10 +181,21 @@ fn write_payload<S: Sink>(s: &mut S, p: &RecordPayload) {
     write_kv(s, &p.attrs);
 }
 
+/// The payload section of a record (services + attrs). The only caller
+/// is [`RecordPayload`], which keeps the result: every frame and every
+/// length is then built from that copy, never from a second field walk.
+pub(crate) fn encode_payload(p: &RecordPayload) -> Vec<u8> {
+    let mut len = Counter::default();
+    write_payload(&mut len, p);
+    let mut buf = Vec::with_capacity(len.0);
+    write_payload(&mut buf, p);
+    buf
+}
+
 fn write_record<S: Sink>(s: &mut S, r: &NodeRecord) {
     s.put_u32(r.node.0);
     s.put_u64(r.incarnation);
-    s.put_record_payload(r);
+    s.put_slice(r.wire());
 }
 
 fn write_event<S: Sink>(s: &mut S, e: &MemberEvent) {
@@ -489,10 +480,13 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn read_string(r: &mut Reader) -> Result<String, DecodeError> {
+fn read_str<'a>(r: &mut Reader<'a>) -> Result<&'a str, DecodeError> {
     let len = r.u32()? as usize;
-    let bytes = r.bytes(len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+    std::str::from_utf8(r.bytes(len)?).map_err(|_| DecodeError::BadUtf8)
+}
+
+fn read_string(r: &mut Reader) -> Result<String, DecodeError> {
+    read_str(r).map(str::to_owned)
 }
 
 fn read_bytes_field(r: &mut Reader) -> Result<Vec<u8>, DecodeError> {
@@ -540,39 +534,60 @@ fn read_service_decl(r: &mut Reader) -> Result<ServiceDecl, DecodeError> {
     })
 }
 
+/// Check a `u32`-counted list of key/value strings without building it.
+fn skim_kv(r: &mut Reader) -> Result<(), DecodeError> {
+    for _ in 0..r.count(8)? {
+        read_str(r)?;
+        read_str(r)?;
+    }
+    Ok(())
+}
+
+/// Check one payload section (services + attrs) and return its bytes.
+/// Reads what the materialising routines above read, in their order and
+/// through their primitives, so it fails exactly where they would —
+/// without allocating, which is what lets a section the decoder has
+/// seen before cost a scan and a lookup.
+fn skim_payload<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], DecodeError> {
+    let start = r.pos;
+    for _ in 0..r.count(12)? {
+        read_str(r)?;
+        let parts = r.count(2)?;
+        r.bytes(parts * 2)?;
+        skim_kv(r)?;
+    }
+    skim_kv(r)?;
+    Ok(&r.data[start..r.pos])
+}
+
 fn read_record(r: &mut Reader) -> Result<NodeRecord, DecodeError> {
     let node = read_node(r)?;
     let incarnation = r.u64()?;
-    let n = r.count(12)?;
-    let mut services = Vec::with_capacity(n);
-    for _ in 0..n {
-        services.push(read_service_decl(r)?);
-    }
-    let attrs = read_kv(r)?;
-    Ok(NodeRecord::from_parts(node, incarnation, services, attrs))
+    let payload = payload_of(skim_payload(r)?);
+    Ok(NodeRecord::from_shared(node, incarnation, payload))
 }
 
-/// Materialize a record from identity fields plus its raw payload
-/// section (services + attrs bytes). The borrowed views use this so a
-/// view-materialized record is produced by the same reader routines as
-/// `decode` — identical values by construction. The whole section must
-/// be consumed.
-pub(crate) fn decode_record_parts(
-    node: NodeId,
-    incarnation: u64,
-    body: &[u8],
-) -> Result<NodeRecord, DecodeError> {
-    let mut r = Reader { data: body, pos: 0 };
-    let n = r.count(12)?;
-    let mut services = Vec::with_capacity(n);
-    for _ in 0..n {
-        services.push(read_service_decl(&mut r)?);
-    }
-    let attrs = read_kv(&mut r)?;
-    if r.pos != r.data.len() {
-        return Err(DecodeError::TrailingBytes);
-    }
-    Ok(NodeRecord::from_parts(node, incarnation, services, attrs))
+/// The payload a checked section decodes to — the one place wire bytes
+/// become a [`RecordPayload`], behind both the owned decoder and the
+/// borrowed views, so the two materialise identical values by
+/// construction. `section` must have passed [`skim_payload`] or the
+/// views' equivalent scan. Equal sections share one allocation while
+/// any holder keeps it alive (see [`crate::intern`]).
+pub(crate) fn payload_of(section: &[u8]) -> Arc<RecordPayload> {
+    crate::intern::share(section, || {
+        const CHECKED: &str = "payload section checked before it is built";
+        let mut r = Reader {
+            data: section,
+            pos: 0,
+        };
+        let mut p = RecordPayload::default();
+        for _ in 0..r.count(12).expect(CHECKED) {
+            p.services.push(read_service_decl(&mut r).expect(CHECKED));
+        }
+        p.attrs = read_kv(&mut r).expect(CHECKED);
+        debug_assert_eq!(r.pos, section.len());
+        p
+    })
 }
 
 fn read_event(r: &mut Reader) -> Result<MemberEvent, DecodeError> {

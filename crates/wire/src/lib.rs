@@ -31,6 +31,7 @@
 //! ```
 
 pub mod codec;
+mod intern;
 mod messages;
 pub mod piggyback;
 pub mod seqnum;

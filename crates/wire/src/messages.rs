@@ -151,55 +151,33 @@ impl ServiceDecl {
 /// refcounted pointer so that copying a record between directories (which
 /// a 10k-node simulation does millions of times) is a pointer bump, not a
 /// deep clone of every string.
+#[derive(Clone, Default)]
 pub struct RecordPayload {
     pub services: Vec<ServiceDecl>,
     /// Machine configuration key-value pairs (the `/proc`-derived data in
     /// the paper's implementation).
     pub attrs: Vec<(String, String)>,
-    /// Cached wire length of this payload section, 0 = not computed (a
-    /// real payload encodes to at least 8 bytes of counts, so 0 is free
-    /// as the sentinel). The codec's size counter fills it; any mutable
-    /// access through [`NodeRecord`]'s `DerefMut` clears it. Atomic so
-    /// shared payloads stay `Sync`; identity-irrelevant, so every trait
-    /// below ignores it.
-    wire_len: std::sync::atomic::AtomicU32,
+    /// This payload's section of a frame (services count .. end of
+    /// attrs) exactly as the encoder writes it, built on first use. The
+    /// section is a function of the two fields above and nothing else,
+    /// so it is the payload's identity on the wire: a frame's section
+    /// equals it iff decoding the section yields this payload, the
+    /// codec's length is its length, and the decoder shares payloads by
+    /// it. Any mutable access through [`NodeRecord`]'s `DerefMut` drops
+    /// it; a clone has the same content and keeps it. Identity-
+    /// irrelevant, so every trait below ignores it.
+    wire: std::sync::OnceLock<std::sync::Arc<[u8]>>,
 }
 
 impl RecordPayload {
-    /// The cached wire length, if one has been computed since the last
-    /// mutation.
-    pub(crate) fn cached_wire_len(&self) -> Option<usize> {
-        match self.wire_len.load(std::sync::atomic::Ordering::Relaxed) {
-            0 => None,
-            n => Some(n as usize),
-        }
-    }
-
-    pub(crate) fn store_wire_len(&self, n: usize) {
-        if let Ok(n) = u32::try_from(n) {
-            self.wire_len.store(n, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    fn invalidate_wire_len(&mut self) {
-        *self.wire_len.get_mut() = 0;
+    /// The canonical encoded payload section.
+    pub(crate) fn wire(&self) -> &std::sync::Arc<[u8]> {
+        self.wire
+            .get_or_init(|| crate::codec::encode_payload(self).into())
     }
 
     fn same_content(&self, other: &Self) -> bool {
         self.services == other.services && self.attrs == other.attrs
-    }
-}
-
-impl Clone for RecordPayload {
-    fn clone(&self) -> Self {
-        RecordPayload {
-            services: self.services.clone(),
-            attrs: self.attrs.clone(),
-            // The clone has identical content, so the cache stays valid.
-            wire_len: std::sync::atomic::AtomicU32::new(
-                self.wire_len.load(std::sync::atomic::Ordering::Relaxed),
-            ),
-        }
     }
 }
 
@@ -215,16 +193,6 @@ impl PartialEq for RecordPayload {
 }
 
 impl Eq for RecordPayload {}
-
-impl Default for RecordPayload {
-    fn default() -> Self {
-        RecordPayload {
-            services: Vec::new(),
-            attrs: Vec::new(),
-            wire_len: std::sync::atomic::AtomicU32::new(0),
-        }
-    }
-}
 
 impl std::fmt::Debug for RecordPayload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -266,10 +234,12 @@ impl std::ops::DerefMut for NodeRecord {
     fn deref_mut(&mut self) -> &mut RecordPayload {
         let p = std::sync::Arc::make_mut(&mut self.payload);
         // `payload` is private, so every mutation flows through here:
-        // conservatively drop the cached wire length before handing out
+        // conservatively drop the encoded section before handing out
         // the mutable reference. (A shared payload was cloned by
-        // `make_mut` first — the original keeps its valid cache.)
-        p.invalidate_wire_len();
+        // `make_mut` first, and one the decoder's table alone still
+        // pointed at was moved — either way the original, if anyone
+        // holds it, keeps its valid section and this one is private.)
+        p.wire.take();
         p
     }
 }
@@ -314,9 +284,9 @@ impl NodeRecord {
     }
 
     /// Split into identity and the shared payload, for a holder that
-    /// keeps the two in separate columns. The payload's cached wire
-    /// length is only dropped by mutation through a `NodeRecord`: do not
-    /// edit one through the `Arc`.
+    /// keeps the two in separate columns. The payload's encoded section
+    /// is only dropped by mutation through a `NodeRecord`: do not edit
+    /// one through the `Arc`.
     pub fn into_parts(self) -> (NodeId, u64, std::sync::Arc<RecordPayload>) {
         (self.node, self.incarnation, self.payload)
     }

@@ -225,10 +225,10 @@ impl<'a> RecordView<'a> {
     }
 
     /// Materialize the owned record — identical to what `decode` would
-    /// have produced for the enclosing message (same reader routines).
+    /// have produced for the enclosing message (the same function turns
+    /// the section into a payload for both).
     pub fn to_record(&self) -> NodeRecord {
-        codec::decode_record_parts(self.node, self.incarnation, self.body)
-            .expect("record bytes validated by MessageView::parse")
+        NodeRecord::from_shared(self.node, self.incarnation, codec::payload_of(self.body))
     }
 
     /// True only if materializing this view would yield a record equal
@@ -243,41 +243,12 @@ impl<'a> RecordView<'a> {
     }
 
     /// The content half of [`RecordView::matches`]: services and
-    /// attributes against `rec`, identity left to the caller.
+    /// attributes against `rec`, identity left to the caller. One slice
+    /// compare: `rec`'s encoded section is canonical, so the wire section
+    /// equals it exactly when it is the normalized encoding of the same
+    /// fields.
     pub fn same_payload(&self, rec: &RecordPayload) -> bool {
-        let mut s = Scan {
-            data: self.body,
-            pos: 0,
-        };
-        let nsvc = s.u32().unwrap() as usize;
-        if nsvc != rec.services.len() {
-            return false;
-        }
-        for decl in &rec.services {
-            // name
-            if !eq_string(&mut s, &decl.name) {
-                return false;
-            }
-            // partitions: wire form must be the normalized (strictly
-            // ascending) list for elementwise equality to be exact.
-            let nparts = s.u32().unwrap() as usize;
-            let want = decl.partitions.as_slice();
-            if nparts != want.len() {
-                return false;
-            }
-            let mut prev: Option<u16> = None;
-            for &w in want {
-                let got = s.u16().unwrap();
-                if got != w || prev.is_some_and(|p| p >= got) {
-                    return false;
-                }
-                prev = Some(got);
-            }
-            if !eq_kv(&mut s, &decl.attrs) {
-                return false;
-            }
-        }
-        eq_kv(&mut s, &rec.attrs)
+        *self.body == **rec.wire()
     }
 }
 
@@ -599,28 +570,6 @@ fn skip_kv(s: &mut Scan) {
         let len = s.u32().unwrap() as usize;
         s.take(len).unwrap();
     }
-}
-
-/// Compare the next wire string against `want` (validated bytes).
-fn eq_string(s: &mut Scan, want: &str) -> bool {
-    let len = s.u32().unwrap() as usize;
-    s.take(len).unwrap() == want.as_bytes()
-}
-
-/// Compare the next wire kv list against `want` (validated bytes).
-fn eq_kv(s: &mut Scan, want: &[(String, String)]) -> bool {
-    let n = s.u32().unwrap() as usize;
-    if n != want.len() {
-        // Still must advance past the section for callers that keep
-        // scanning — but every caller bails on false, so just report.
-        return false;
-    }
-    for (k, v) in want {
-        if !eq_string(s, k) || !eq_string(s, v) {
-            return false;
-        }
-    }
-    true
 }
 
 fn check_event(s: &mut Scan) -> Result<(), DecodeError> {

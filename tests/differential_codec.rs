@@ -3,9 +3,10 @@
 //!
 //! - `wire_codec: None` — the reference in-memory mode: actors receive
 //!   the sender's `Message` value; only `encoded_len` runs per send.
-//! - `Some(CodecKind::Owned)` — every send is encoded once, every
-//!   delivery runs the owned reference decoder.
-//! - `Some(CodecKind::Borrowed)` — same encode-once sends, but
+//! - `Some(CodecKind::Owned)` — every packet is encoded once, when its
+//!   first receiver reads it; every delivery runs the owned reference
+//!   decoder.
+//! - `Some(CodecKind::Borrowed)` — same encode-once packets, but
 //!   deliveries parse a zero-copy `MessageView` and take the actors'
 //!   borrowed fast paths (lazy record materialization, in-place digest
 //!   iteration).
@@ -24,7 +25,7 @@
 
 use tamp::directory::Provenance;
 use tamp::netsim::telemetry::snapshot_to_csv;
-use tamp::netsim::TraceConfig;
+use tamp::netsim::{DropReason, ShardingKind, TraceConfig, TraceEvent, TraceLog, TraceRecord};
 use tamp::prelude::*;
 use tamp::wire::CodecKind;
 
@@ -51,6 +52,19 @@ fn mode_name(mode: Option<CodecKind>) -> &'static str {
 }
 
 fn run_cluster(n: usize, seed: u64, mode: Option<CodecKind>) -> Fingerprint {
+    run_with(n, seed, mode, ShardingKind::Sequential, &[]).1
+}
+
+/// [`run_cluster`] on a chosen engine, with `faults` on top of the
+/// schedule's own crash and revival; also hands back the engine, whose
+/// trace a caller may want as records.
+fn run_with(
+    n: usize,
+    seed: u64,
+    mode: Option<CodecKind>,
+    sharding: ShardingKind,
+    faults: &[(u64, Control)],
+) -> (Engine, Fingerprint) {
     let segments = (n / 20).max(1);
     let topo = generators::star_of_segments(segments, n / segments);
     let cfg = EngineConfig {
@@ -61,6 +75,7 @@ fn run_cluster(n: usize, seed: u64, mode: Option<CodecKind>) -> Fingerprint {
         },
         metrics: true,
         wire_codec: mode,
+        sharding,
         ..Default::default()
     };
     let mut engine = Engine::new(topo, cfg, seed);
@@ -75,6 +90,9 @@ fn run_cluster(n: usize, seed: u64, mode: Option<CodecKind>) -> Fingerprint {
     let victim = HostId(n as u32 - 1);
     engine.schedule(12 * SECS, Control::Kill(victim));
     engine.schedule(15 * SECS, Control::Revive(victim));
+    for &(at, fault) in faults {
+        engine.schedule(at, fault);
+    }
     engine.start();
     engine.run_until(18 * SECS);
 
@@ -98,12 +116,8 @@ fn run_cluster(n: usize, seed: u64, mode: Option<CodecKind>) -> Fingerprint {
         })
         .collect();
     let t = engine.stats().totals();
-    Fingerprint {
-        trace: engine
-            .trace_log()
-            .records()
-            .map(tamp::netsim::TraceLog::render)
-            .collect(),
+    let fp = Fingerprint {
+        trace: engine.trace_log().records().map(TraceLog::render).collect(),
         total_recorded: engine.trace_log().total_recorded(),
         views,
         metrics_csv: snapshot_to_csv(&engine.registry().snapshot()),
@@ -114,7 +128,8 @@ fn run_cluster(n: usize, seed: u64, mode: Option<CodecKind>) -> Fingerprint {
             t.recv_bytes,
             t.dropped_pkts,
         ),
-    }
+    };
+    (engine, fp)
 }
 
 /// Run every (seed, mode) triple for one size across a worker pool
@@ -187,4 +202,91 @@ fn codec_modes_indistinguishable_n60() {
 #[test]
 fn codec_modes_indistinguishable_n100() {
     assert_identical_all(100);
+}
+
+/// Shard and codec together: cross-shard sends travel as descriptors
+/// that carry the message and no frame, and the shard that expands one
+/// encodes it when a receiver of its own reads it. No other suite runs
+/// the two-shard engine with a wire codec.
+#[test]
+fn sharded_borrowed_indistinguishable_from_in_memory_n60() {
+    for seed in SEEDS.take(3) {
+        let reference = run_cluster(60, seed, None);
+        let (engine, got) = run_with(
+            60,
+            seed,
+            Some(CodecKind::Borrowed),
+            ShardingKind::Sharded(2),
+            &[],
+        );
+        assert_eq!(engine.effective_shards(), 2);
+        compare(60, seed, "2-shard wire-borrowed", &reference, &got);
+    }
+}
+
+/// A full-view unicast whose receiver dies and comes back while it is
+/// in flight: the packet is dropped at its delivery instant (it was
+/// addressed to the receiver's previous life), in wire modes without
+/// ever having been encoded. The instant is found, not assumed: a
+/// scouting run gives the first bootstrap transfer the revived victim
+/// receives, and the faulted runs — identical up to the kill — take
+/// the victim down and up again inside that packet's flight.
+#[test]
+fn full_view_unicast_in_flight_across_kill_and_revive() {
+    let (n, seed) = (60, 2005);
+    let victim = HostId(n as u32 - 1);
+    let (scout, _) = run_with(n, seed, None, ShardingKind::Sequential, &[]);
+    let records: Vec<_> = scout.trace_log().records().collect();
+    let (landed, delivery) = records
+        .iter()
+        .enumerate()
+        .find_map(|(i, r)| match r.event {
+            TraceEvent::Deliver {
+                src,
+                dst,
+                kind: "dir-exchange",
+                ..
+            } if dst == victim && r.time > 15 * SECS => Some((i, (r.time, src))),
+            _ => None,
+        })
+        .expect("the revived victim bootstraps from a directory exchange");
+    let (arrives, sender) = delivery;
+    let sent = records[..landed]
+        .iter()
+        .rev()
+        .find_map(|r| match r.event {
+            TraceEvent::Send {
+                src,
+                kind: "dir-exchange",
+                ..
+            } if src == sender => Some(r.time),
+            _ => None,
+        })
+        .expect("a delivery has a send");
+    let flight = arrives - sent;
+    assert!(flight >= 3, "no room for two faults inside {flight} ns");
+    let faults = [
+        (sent + flight / 3, Control::Kill(victim)),
+        (sent + 2 * flight / 3, Control::Revive(victim)),
+    ];
+
+    let run = |mode| run_with(n, seed, mode, ShardingKind::Sequential, &faults).1;
+    let reference = run(None);
+    let dropped = TraceLog::render(&TraceRecord {
+        time: arrives,
+        event: TraceEvent::Drop {
+            src: sender,
+            dst: victim,
+            channel: None,
+            kind: "dir-exchange",
+            reason: DropReason::DeadHost,
+        },
+    });
+    assert!(
+        reference.trace.contains(&dropped),
+        "the in-flight transfer was not dropped at its delivery instant"
+    );
+    for mode in &MODES[1..] {
+        compare(n, seed, mode_name(*mode), &reference, &run(*mode));
+    }
 }
