@@ -40,12 +40,18 @@ same_at_any_width() {
 }
 
 # Results freshness lock: the full figure sweep is byte-deterministic
-# (across runs and --jobs widths) and takes well under a minute, so the
-# checked-in results/ must be exactly what the binary writes. A PR that
-# moves a number regenerates the files with this command.
+# (across runs and --jobs widths — every grid runs on the pool, so both
+# are checked) and takes well under a minute, so the checked-in results/
+# must be exactly what the binary writes. A PR that moves a number
+# regenerates the files with `tamp-exp all --seed 2005 >
+# results/full_run.txt`.
 job_experiments() {
     build
-    exp all --seed 2005 > results/full_run.txt
+    local csvs=(fig2 analysis fig11 fig12 fig13 fig14 ablation_group_size
+        ablation_loss ablation_scale ablation_leader ablation_piggyback
+        ablation_topology ablation_detector ablation_suspicion baselines_grid)
+    same_at_any_width all "${csvs[@]/%/.csv}" -- all --seed 2005
+    cp "$TMP/all-jobsN.txt" results/full_run.txt
     git diff --exit-code -- results/
 }
 

@@ -1,11 +1,13 @@
-//! Ablations A1–A4 from DESIGN.md: design-choice sweeps beyond the
-//! paper's figures.
+//! Ablations A1–A8 from DESIGN.md: design-choice sweeps beyond the
+//! paper's figures, each a declared [`Experiment`].
 
-use crate::common::{false_removals, view_accuracy, view_accuracy_sampled, SETTLE};
+use crate::common::{churn_then_kill, kill_last, steady_traffic, view_accuracy, SETTLE};
+use crate::detection::Victim;
+use crate::grid::{product, Column, Experiment};
 use tamp_chaos::{build_cluster, Cluster, Protocol};
 use tamp_membership::MembershipConfig;
-use tamp_netsim::{Control, EngineConfig, LossModel, SECS};
-use tamp_topology::{generators, HostId};
+use tamp_netsim::{Control, EngineConfig, LossModel, ObservationKind, MILLIS, SECS};
+use tamp_topology::{generators, HostId, Topology};
 use tamp_wire::NodeId;
 
 /// A hierarchical cluster with a custom config on the paper topology
@@ -21,6 +23,13 @@ fn hierarchical_cluster(
     build_cluster(topo, engine_cfg, seed, Protocol::Tamp, cfg, |_| Vec::new())
 }
 
+fn lossy(rate: f64) -> EngineConfig {
+    EngineConfig {
+        loss: LossModel { rate },
+        ..Default::default()
+    }
+}
+
 // ------------------------------------------------------------------- A1
 
 /// A1 — group-size sweep: the g-vs-bandwidth trade-off of §4.1 at a
@@ -32,50 +41,36 @@ pub struct GroupSizeRow {
     pub accuracy: f64,
 }
 
-pub fn group_size_sweep(n: usize, group_sizes: &[usize], seed: u64) -> Vec<GroupSizeRow> {
-    let cfg = MembershipConfig::default();
-    group_sizes
-        .iter()
-        .map(|&g| {
-            let segments = n / g;
-            let mut c = hierarchical_cluster(segments, g, &cfg, EngineConfig::default(), seed);
-            c.engine.run_until(SETTLE);
-            c.engine.stats_mut().reset_traffic();
-            let window = 20 * SECS;
-            c.engine.run_until(SETTLE + window);
-            let agg = c.engine.stats().totals().recv_bytes as f64 / (window as f64 / 1e9) / 1e3;
+pub const GROUP_SIZE_COLUMNS: &[Column<GroupSizeRow>] = &[
+    ("group size", |r| r.group_size.to_string()),
+    ("agg KB/s", |r| format!("{:.1}", r.agg_kbps)),
+    ("converge s", |r| format!("{:.2}", r.converge_s)),
+    ("accuracy", |r| format!("{:.2}", r.accuracy)),
+];
+
+pub fn group_size(n: usize, group_sizes: &[usize], seed: u64) -> Experiment<usize, GroupSizeRow> {
+    Experiment::new(
+        format!("A1 — group-size sweep (hierarchical, n={n})"),
+        "ablation_group_size",
+        group_sizes.to_vec(),
+        move |&g| {
+            let cfg = MembershipConfig::default();
+            let mut c = hierarchical_cluster(n / g, g, &cfg, EngineConfig::default(), seed);
+            let traffic = steady_traffic(&mut c.engine, SETTLE, 20 * SECS);
             // Convergence probe: kill the last node.
-            let probe = c.kill_and_measure(HostId(n as u32 - 1), 30 * SECS);
+            let probe = kill_last(&mut c, 30 * SECS);
             GroupSizeRow {
                 group_size: g,
-                agg_kbps: agg,
+                agg_kbps: traffic.bytes_per_s / 1e3,
                 converge_s: probe.converge_s,
                 accuracy: view_accuracy(&c),
             }
-        })
-        .collect()
-}
-
-pub fn run_group_size(seed: u64) {
-    let n = 200;
-    let rows = group_size_sweep(n, &[5, 10, 20, 40], seed);
-    let mut t = crate::report::Table::new(
-        format!("A1 — group-size sweep (hierarchical, n={n})"),
-        &["group size", "agg KB/s", "converge s", "accuracy"],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.group_size.to_string(),
-            format!("{:.1}", r.agg_kbps),
-            format!("{:.2}", r.converge_s),
-            format!("{:.2}", r.accuracy),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("ablation_group_size");
-    println!(
-        "\nExpected: a U-shape — small groups pay for many leaders/levels, large groups pay the\n         g\u{b2} heartbeat term; convergence stays ≈ detection throughout."
-    );
+        },
+        GROUP_SIZE_COLUMNS,
+    )
+    .note(
+        "Expected: a U-shape — small groups pay for many leaders/levels, large groups pay the\n         g\u{b2} heartbeat term; convergence stays ≈ detection throughout.",
+    )
 }
 
 // ------------------------------------------------------------------- A2
@@ -91,8 +86,16 @@ pub struct LossRow {
     pub false_removals: usize,
 }
 
-pub fn loss_sweep(n: usize, rates: &[f64], seed: u64) -> Vec<LossRow> {
-    let mut rows = Vec::new();
+pub const LOSS_COLUMNS: &[Column<LossRow>] = &[
+    ("loss %", |r| format!("{:.0}", r.loss_pct)),
+    ("anti-entropy", |r| r.anti_entropy.to_string()),
+    ("max_loss", |r| r.max_loss.to_string()),
+    ("accuracy", |r| format!("{:.2}", r.accuracy)),
+    ("detect s", |r| format!("{:.2}", r.detect_s)),
+    ("false removals", |r| r.false_removals.to_string()),
+];
+
+pub fn loss(n: usize, rates: &[f64], seed: u64) -> Experiment<(f64, bool, u32), LossRow> {
     let mut variants: Vec<(f64, bool, u32)> = Vec::new();
     for &rate in rates {
         variants.push((rate, true, 5));
@@ -105,69 +108,36 @@ pub fn loss_sweep(n: usize, rates: &[f64], seed: u64) -> Vec<LossRow> {
             variants.push((rate, true, 8));
         }
     }
-    for (rate, anti_entropy, max_loss) in variants {
-        {
+    Experiment::new(
+        format!("A2 — packet-loss sensitivity (hierarchical, n={n})"),
+        "ablation_loss",
+        variants,
+        move |&(rate, anti_entropy, max_loss)| {
             let cfg = MembershipConfig {
                 anti_entropy_period: if anti_entropy { 10 * SECS } else { 0 },
                 max_loss,
                 ..Default::default()
             };
-            let engine_cfg = EngineConfig {
-                loss: LossModel { rate },
-                ..Default::default()
-            };
-            let mut c = hierarchical_cluster(n / 20, 20, &cfg, engine_cfg, seed);
-            c.engine.run_until(2 * SETTLE);
-            let accuracy = view_accuracy_sampled(&mut c, 5, 2 * SECS);
-            // Nobody has died yet: every removal so far is a false positive.
-            let false_removals = false_removals(&c);
-            // Detection under loss.
-            let probe = c.kill_and_measure(HostId(n as u32 - 1), 40 * SECS);
-            rows.push(LossRow {
+            let mut c = hierarchical_cluster(n / 20, 20, &cfg, lossy(rate), seed);
+            let churn = churn_then_kill(&mut c, 40 * SECS);
+            LossRow {
                 loss_pct: rate * 100.0,
                 anti_entropy,
                 max_loss,
-                accuracy,
-                detect_s: probe.detect_s,
-                false_removals,
-            });
-        }
-    }
-    rows
-}
-
-pub fn run_loss(seed: u64) {
-    let rows = loss_sweep(100, &[0.0, 0.02, 0.05, 0.10, 0.20], seed);
-    let mut t = crate::report::Table::new(
-        "A2 — packet-loss sensitivity (hierarchical, n=100)",
-        &[
-            "loss %",
-            "anti-entropy",
-            "max_loss",
-            "accuracy",
-            "detect s",
-            "false removals",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            format!("{:.0}", r.loss_pct),
-            r.anti_entropy.to_string(),
-            r.max_loss.to_string(),
-            format!("{:.2}", r.accuracy),
-            format!("{:.2}", r.detect_s),
-            r.false_removals.to_string(),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("ablation_loss");
-    println!(
-        "\nExpected: up to ~10% loss, anti-entropy keeps accuracy at 1.00 while disabling it\n\
+                accuracy: churn.accuracy,
+                detect_s: churn.probe.detect_s,
+                false_removals: churn.false_removals,
+            }
+        },
+        LOSS_COLUMNS,
+    )
+    .note(
+        "Expected: up to ~10% loss, anti-entropy keeps accuracy at 1.00 while disabling it\n\
          leaves permanent view gaps. At 20% loss, max_loss=5 makes 5-in-a-row losses common\n\
          enough that false positives churn the views (the paper's own sizing rule is violated);\n\
          raising max_loss to 8 — the paper's knob — restores accuracy at the cost of slower\n\
-         detection."
-    );
+         detection.",
+    )
 }
 
 // ------------------------------------------------------------------- A3
@@ -183,21 +153,28 @@ pub struct ScaleRow {
     pub accuracy: f64,
 }
 
-pub fn scale_sweep(sizes: &[usize], seed: u64) -> Vec<ScaleRow> {
-    let cfg = MembershipConfig::default();
-    sizes
-        .iter()
-        .map(|&n| {
+pub const SCALE_COLUMNS: &[Column<ScaleRow>] = &[
+    ("nodes", |r| r.n.to_string()),
+    ("agg KB/s", |r| format!("{:.1}", r.agg_kbps)),
+    ("per-node KB/s", |r| format!("{:.2}", r.per_node_kbps)),
+    ("detect s", |r| format!("{:.2}", r.detect_s)),
+    ("converge s", |r| format!("{:.2}", r.converge_s)),
+    ("accuracy", |r| format!("{:.2}", r.accuracy)),
+];
+
+pub fn scale(sizes: &[usize], seed: u64) -> Experiment<usize, ScaleRow> {
+    Experiment::new(
+        "A3 — hierarchical protocol at scale (20-node groups)",
+        "ablation_scale",
+        sizes.to_vec(),
+        move |&n| {
             // Round to whole 20-node segments.
             let n = (n / 20).max(1) * 20;
+            let cfg = MembershipConfig::default();
             let mut c = hierarchical_cluster(n / 20, 20, &cfg, EngineConfig::default(), seed);
-            c.engine.run_until(SETTLE);
-            c.engine.stats_mut().reset_traffic();
-            let window = 20 * SECS;
-            c.engine.run_until(SETTLE + window);
-            let agg = c.engine.stats().totals().recv_bytes as f64 / (window as f64 / 1e9) / 1e3;
+            let agg = steady_traffic(&mut c.engine, SETTLE, 20 * SECS).bytes_per_s / 1e3;
             let accuracy = view_accuracy(&c);
-            let probe = c.kill_and_measure(HostId(n as u32 - 1), 30 * SECS);
+            let probe = kill_last(&mut c, 30 * SECS);
             ScaleRow {
                 n,
                 agg_kbps: agg,
@@ -206,38 +183,10 @@ pub fn scale_sweep(sizes: &[usize], seed: u64) -> Vec<ScaleRow> {
                 converge_s: probe.converge_s,
                 accuracy,
             }
-        })
-        .collect()
-}
-
-pub fn run_scale(seed: u64) {
-    let rows = scale_sweep(&[100, 240, 500, 1000, 2000], seed);
-    let mut t = crate::report::Table::new(
-        "A3 — hierarchical protocol at scale (20-node groups)",
-        &[
-            "nodes",
-            "agg KB/s",
-            "per-node KB/s",
-            "detect s",
-            "converge s",
-            "accuracy",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.n.to_string(),
-            format!("{:.1}", r.agg_kbps),
-            format!("{:.2}", r.per_node_kbps),
-            format!("{:.2}", r.detect_s),
-            format!("{:.2}", r.converge_s),
-            format!("{:.2}", r.accuracy),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("ablation_scale");
-    println!(
-        "\nExpected: per-node bandwidth and detection time flat; convergence ~flat (tree depth)."
-    );
+        },
+        SCALE_COLUMNS,
+    )
+    .note("Expected: per-node bandwidth and detection time flat; convergence ~flat (tree depth).")
 }
 
 // ------------------------------------------------------------------- A4
@@ -252,17 +201,26 @@ pub struct LeaderRow {
     pub accuracy_after: f64,
 }
 
-pub fn leader_vs_leaf(n: usize, seed: u64) -> Vec<LeaderRow> {
-    use crate::detection::Victim;
-    [Victim::Leaf, Victim::RootLeader]
-        .into_iter()
-        .map(|v| {
+pub const LEADER_COLUMNS: &[Column<LeaderRow>] = &[
+    ("victim", |r| r.victim.to_string()),
+    ("detect s", |r| format!("{:.2}", r.detect_s)),
+    ("converge s", |r| format!("{:.2}", r.converge_s)),
+    ("collateral removals", |r| r.collateral_removals.to_string()),
+    ("accuracy after", |r| format!("{:.2}", r.accuracy_after)),
+];
+
+pub fn leader(n: usize, seed: u64) -> Experiment<Victim, LeaderRow> {
+    Experiment::new(
+        format!("A4 — leader vs leaf failure (hierarchical, n={n})"),
+        "ablation_leader",
+        vec![Victim::Leaf, Victim::RootLeader],
+        move |&v| {
             let cfg = MembershipConfig::default();
             let mut c = hierarchical_cluster(n / 20, 20, &cfg, EngineConfig::default(), seed);
             c.engine.run_until(SETTLE);
-            let victim_host = match v {
-                Victim::Leaf => HostId(n as u32 - 1),
-                Victim::RootLeader => HostId(0),
+            let (victim, victim_host) = match v {
+                Victim::Leaf => ("leaf", HostId(n as u32 - 1)),
+                Victim::RootLeader => ("root leader", HostId(0)),
             };
             let kill_at = SETTLE;
             let probe = c.kill_and_measure(victim_host, 60 * SECS);
@@ -276,51 +234,23 @@ pub fn leader_vs_leaf(n: usize, seed: u64) -> Vec<LeaderRow> {
                 .iter()
                 .filter(|o| {
                     o.time > kill_at
-                        && matches!(o.kind,
-                            tamp_netsim::ObservationKind::Removed(m) if m != subject)
+                        && matches!(o.kind, ObservationKind::Removed(m) if m != subject)
                 })
                 .count();
             LeaderRow {
-                victim: match v {
-                    Victim::Leaf => "leaf",
-                    Victim::RootLeader => "root leader",
-                },
+                victim,
                 detect_s: probe.detect_s,
                 converge_s: probe.converge_s,
                 collateral_removals: collateral,
                 accuracy_after: view_accuracy(&c),
             }
-        })
-        .collect()
-}
-
-pub fn run_leader(seed: u64) {
-    let rows = leader_vs_leaf(100, seed);
-    let mut t = crate::report::Table::new(
-        "A4 — leader vs leaf failure (hierarchical, n=100)",
-        &[
-            "victim",
-            "detect s",
-            "converge s",
-            "collateral removals",
-            "accuracy after",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.victim.to_string(),
-            format!("{:.2}", r.detect_s),
-            format!("{:.2}", r.converge_s),
-            r.collateral_removals.to_string(),
-            format!("{:.2}", r.accuracy_after),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("ablation_leader");
-    println!(
-        "\nExpected: detection is the same for both victims; a leader death may cause transient\n\
-         collateral removals (relayed entries) that heal, with full accuracy restored."
-    );
+        },
+        LEADER_COLUMNS,
+    )
+    .note(
+        "Expected: detection is the same for both victims; a leader death may cause transient\n\
+         collateral removals (relayed entries) that heal, with full accuracy restored.",
+    )
 }
 
 // ------------------------------------------------------------------- A5
@@ -337,19 +267,33 @@ pub struct PiggybackRow {
     pub accuracy: f64,
 }
 
-pub fn piggyback_sweep(n: usize, windows: &[usize], loss: f64, seed: u64) -> Vec<PiggybackRow> {
-    windows
-        .iter()
-        .map(|&w| {
+pub const PIGGYBACK_COLUMNS: &[Column<PiggybackRow>] = &[
+    ("window", |r| r.window.to_string()),
+    ("sync polls", |r| r.sync_polls.to_string()),
+    ("sync KB", |r| format!("{:.1}", r.sync_bytes_kb)),
+    ("update KB", |r| format!("{:.1}", r.update_bytes_kb)),
+    ("accuracy", |r| format!("{:.2}", r.accuracy)),
+];
+
+pub fn piggyback(
+    n: usize,
+    windows: &[usize],
+    loss: f64,
+    seed: u64,
+) -> Experiment<usize, PiggybackRow> {
+    Experiment::new(
+        format!(
+            "A5 — piggyback window depth (hierarchical, n={n}, {:.0}% loss, churn workload)",
+            loss * 100.0
+        ),
+        "ablation_piggyback",
+        windows.to_vec(),
+        move |&w| {
             let cfg = MembershipConfig {
                 piggyback_window: w,
                 ..Default::default()
             };
-            let engine_cfg = EngineConfig {
-                loss: LossModel { rate: loss },
-                ..Default::default()
-            };
-            let mut c = hierarchical_cluster(n / 20, 20, &cfg, engine_cfg, seed);
+            let mut c = hierarchical_cluster(n / 20, 20, &cfg, lossy(loss), seed);
             c.engine.run_until(SETTLE);
             c.engine.stats_mut().reset_traffic();
             // Generate a steady stream of events under loss: churn a few
@@ -374,32 +318,14 @@ pub fn piggyback_sweep(n: usize, windows: &[usize], loss: f64, seed: u64) -> Vec
                 update_bytes_kb: update_bytes as f64 / 1e3,
                 accuracy: view_accuracy(&c),
             }
-        })
-        .collect()
-}
-
-pub fn run_piggyback(seed: u64) {
-    let rows = piggyback_sweep(100, &[1, 2, 4, 8], 0.05, seed);
-    let mut t = crate::report::Table::new(
-        "A5 — piggyback window depth (hierarchical, n=100, 5% loss, churn workload)",
-        &["window", "sync polls", "sync KB", "update KB", "accuracy"],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.window.to_string(),
-            r.sync_polls.to_string(),
-            format!("{:.1}", r.sync_bytes_kb),
-            format!("{:.1}", r.update_bytes_kb),
-            format!("{:.2}", r.accuracy),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("ablation_piggyback");
-    println!(
-        "\nExpected: deeper windows absorb more consecutive losses in place, cutting sync-poll\n\
+        },
+        PIGGYBACK_COLUMNS,
+    )
+    .note(
+        "Expected: deeper windows absorb more consecutive losses in place, cutting sync-poll\n\
          round trips (and their full-directory responses) at a small per-update byte cost;\n\
-         accuracy is restored by the repair stack in every configuration."
-    );
+         accuracy is restored by the repair stack in every configuration.",
+    )
 }
 
 // ------------------------------------------------------------------- A6
@@ -416,17 +342,28 @@ pub struct TopologyRow {
     pub accuracy: f64,
 }
 
-pub fn topology_sweep(seed: u64) -> Vec<TopologyRow> {
+pub const TOPOLOGY_COLUMNS: &[Column<TopologyRow>] = &[
+    ("fabric", |r| r.name.to_string()),
+    ("tree depth", |r| r.tree_depth.to_string()),
+    ("agg KB/s", |r| format!("{:.1}", r.agg_kbps)),
+    ("detect s", |r| format!("{:.2}", r.detect_s)),
+    ("converge s", |r| format!("{:.2}", r.converge_s)),
+    ("accuracy", |r| format!("{:.2}", r.accuracy)),
+];
+
+pub fn topology(seed: u64) -> Experiment<(&'static str, Topology), TopologyRow> {
     let n = 96usize;
-    let shapes: Vec<(&'static str, tamp_topology::Topology)> = vec![
+    let shapes = vec![
         ("single switch", generators::single_segment(n)),
         ("star of 8x12", generators::star_of_segments(8, 12)),
         ("chain of 8x12", generators::chain_of_segments(8, 12)),
         ("fat-tree 4x2x12", generators::fat_tree(4, 2, 2, 12)),
     ];
-    shapes
-        .into_iter()
-        .map(|(name, topo)| {
+    Experiment::new(
+        format!("A6 — topology sensitivity (hierarchical, n={n}, MAX_TTL = fabric diameter)"),
+        "ablation_topology",
+        shapes,
+        move |(name, topo)| {
             let cfg = MembershipConfig {
                 // An operator sets MAX_TTL to the fabric's diameter
                 // (paper §3.1.1); do the same per shape.
@@ -434,7 +371,7 @@ pub fn topology_sweep(seed: u64) -> Vec<TopologyRow> {
                 ..Default::default()
             };
             let mut c = build_cluster(
-                topo,
+                topo.clone(),
                 EngineConfig::default(),
                 seed,
                 Protocol::Tamp,
@@ -442,11 +379,7 @@ pub fn topology_sweep(seed: u64) -> Vec<TopologyRow> {
                 |_| Vec::new(),
             );
             // Deep chains need longer to settle (60 s covers 8 levels).
-            c.engine.run_until(2 * SETTLE);
-            c.engine.stats_mut().reset_traffic();
-            let window = 20 * SECS;
-            c.engine.run_until(2 * SETTLE + window);
-            let agg = c.engine.stats().totals().recv_bytes as f64 / (window as f64 / 1e9) / 1e3;
+            let traffic = steady_traffic(&mut c.engine, 2 * SETTLE, 20 * SECS);
             let accuracy = view_accuracy(&c);
             let tree_depth = c
                 .probes
@@ -455,49 +388,23 @@ pub fn topology_sweep(seed: u64) -> Vec<TopologyRow> {
                 .map(|p| p.lock().active_levels.len())
                 .max()
                 .unwrap_or(0);
-            let probe = c.kill_and_measure(HostId(n as u32 - 1), 30 * SECS);
+            let probe = kill_last(&mut c, 30 * SECS);
             TopologyRow {
                 name,
                 tree_depth,
-                agg_kbps: agg,
+                agg_kbps: traffic.bytes_per_s / 1e3,
                 detect_s: probe.detect_s,
                 converge_s: probe.converge_s,
                 accuracy,
             }
-        })
-        .collect()
-}
-
-pub fn run_topology(seed: u64) {
-    let rows = topology_sweep(seed);
-    let mut t = crate::report::Table::new(
-        "A6 — topology sensitivity (hierarchical, n=96, MAX_TTL = fabric diameter)",
-        &[
-            "fabric",
-            "tree depth",
-            "agg KB/s",
-            "detect s",
-            "converge s",
-            "accuracy",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.name.to_string(),
-            r.tree_depth.to_string(),
-            format!("{:.1}", r.agg_kbps),
-            format!("{:.2}", r.detect_s),
-            format!("{:.2}", r.converge_s),
-            format!("{:.2}", r.accuracy),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("ablation_topology");
-    println!(
-        "\nExpected: the tree depth follows the fabric (1 level on one switch, deeper on\n\
+        },
+        TOPOLOGY_COLUMNS,
+    )
+    .note(
+        "Expected: the tree depth follows the fabric (1 level on one switch, deeper on\n\
          chains); detection is topology-independent (~max_loss x period); convergence grows\n\
-         only with tree depth; accuracy 1.00 everywhere with zero per-shape configuration."
-    );
+         only with tree depth; accuracy 1.00 everywhere with zero per-shape configuration.",
+    )
 }
 
 // ------------------------------------------------------------------- A7
@@ -513,63 +420,41 @@ pub struct DetectorRow {
     pub false_removals: usize,
 }
 
-pub fn detector_sweep(n: usize, rates: &[f64], seed: u64) -> Vec<DetectorRow> {
-    let mut rows = Vec::new();
-    for &rate in rates {
-        for adaptive in [false, true] {
+pub const DETECTOR_COLUMNS: &[Column<DetectorRow>] = &[
+    ("loss %", |r| format!("{:.0}", r.loss_pct)),
+    ("detector", |r| r.detector.to_string()),
+    ("accuracy", |r| format!("{:.2}", r.accuracy)),
+    ("detect s", |r| format!("{:.2}", r.detect_s)),
+    ("false removals", |r| r.false_removals.to_string()),
+];
+
+pub fn detector(n: usize, rates: &[f64], seed: u64) -> Experiment<(f64, bool), DetectorRow> {
+    Experiment::new(
+        format!("A7 — fixed vs adaptive failure detector (hierarchical, n={n})"),
+        "ablation_detector",
+        product(rates, &[false, true]),
+        move |&(rate, adaptive)| {
             let cfg = MembershipConfig {
                 adaptive_timeout: adaptive,
                 ..Default::default()
             };
-            let engine_cfg = EngineConfig {
-                loss: LossModel { rate },
-                ..Default::default()
-            };
-            let mut c = hierarchical_cluster(n / 20, 20, &cfg, engine_cfg, seed);
-            c.engine.run_until(2 * SETTLE);
-            let accuracy = view_accuracy_sampled(&mut c, 5, 2 * SECS);
-            let false_removals = false_removals(&c);
-            let probe = c.kill_and_measure(HostId(n as u32 - 1), 60 * SECS);
-            rows.push(DetectorRow {
+            let mut c = hierarchical_cluster(n / 20, 20, &cfg, lossy(rate), seed);
+            let churn = churn_then_kill(&mut c, 60 * SECS);
+            DetectorRow {
                 loss_pct: rate * 100.0,
                 detector: if adaptive { "adaptive" } else { "fixed" },
-                accuracy,
-                detect_s: probe.detect_s,
-                false_removals,
-            });
-        }
-    }
-    rows
-}
-
-pub fn run_detector(seed: u64) {
-    let rows = detector_sweep(100, &[0.0, 0.10, 0.20], seed);
-    let mut t = crate::report::Table::new(
-        "A7 — fixed vs adaptive failure detector (hierarchical, n=100)",
-        &[
-            "loss %",
-            "detector",
-            "accuracy",
-            "detect s",
-            "false removals",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            format!("{:.0}", r.loss_pct),
-            r.detector.to_string(),
-            format!("{:.2}", r.accuracy),
-            format!("{:.2}", r.detect_s),
-            r.false_removals.to_string(),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("ablation_detector");
-    println!(
-        "\nExpected: identical at 0% loss. As loss grows, the fixed MAX_LOSS=5 deadline starts\n\
+                accuracy: churn.accuracy,
+                detect_s: churn.probe.detect_s,
+                false_removals: churn.false_removals,
+            }
+        },
+        DETECTOR_COLUMNS,
+    )
+    .note(
+        "Expected: identical at 0% loss. As loss grows, the fixed MAX_LOSS=5 deadline starts\n\
          false-positive churn, while the adaptive deadline stretches with the observed\n\
-         inter-arrival distribution — keeping accuracy at the cost of slower detection."
-    );
+         inter-arrival distribution — keeping accuracy at the cost of slower detection.",
+    )
 }
 
 // ------------------------------------------------------------------- A8
@@ -590,106 +475,60 @@ pub struct SuspicionRow {
     pub refutations: usize,
 }
 
-pub fn suspicion_sweep(
-    n: usize,
-    windows_ms: &[u64],
-    rates: &[f64],
-    seed: u64,
-) -> Vec<SuspicionRow> {
-    suspicion_sweep_on(&tamp_par::Pool::sequential(), n, windows_ms, rates, seed)
-}
+pub const SUSPICION_COLUMNS: &[Column<SuspicionRow>] = &[
+    ("loss %", |r| format!("{:.0}", r.loss_pct)),
+    ("suspicion ms", |r| r.suspicion_ms.to_string()),
+    ("accuracy", |r| format!("{:.2}", r.accuracy)),
+    ("detect s", |r| format!("{:.2}", r.detect_s)),
+    ("false removals", |r| r.false_removals.to_string()),
+    ("refutations", |r| r.refutations.to_string()),
+];
 
-/// [`suspicion_sweep`] over a worker pool: every (loss rate, window)
-/// cell is an independent deterministic run, and rows come back in the
-/// sequential loop's rate-major order regardless of pool width.
-pub fn suspicion_sweep_on(
-    pool: &tamp_par::Pool,
+/// Every (loss rate, window) cell, rate-major.
+pub fn suspicion(
     n: usize,
     windows_ms: &[u64],
     rates: &[f64],
     seed: u64,
-) -> Vec<SuspicionRow> {
-    use tamp_netsim::MILLIS;
-    let cells: Vec<(f64, u64)> = rates
-        .iter()
-        .flat_map(|&rate| windows_ms.iter().map(move |&w| (rate, w)))
-        .collect();
-    pool.ordered_map(cells.len(), |c| {
-        let (rate, w) = cells[c];
-        {
+) -> Experiment<(f64, u64), SuspicionRow> {
+    Experiment::new(
+        format!("A8 — suspicion & refutation (hierarchical, n={n})"),
+        "ablation_suspicion",
+        product(rates, windows_ms),
+        move |&(rate, w)| {
             let cfg = MembershipConfig {
                 suspicion_window: w * MILLIS,
                 ..Default::default()
             };
-            let engine_cfg = EngineConfig {
-                loss: LossModel { rate },
-                ..Default::default()
-            };
-            let mut c = hierarchical_cluster(n / 20, 20, &cfg, engine_cfg, seed);
-            c.engine.run_until(2 * SETTLE);
-            let accuracy = view_accuracy_sampled(&mut c, 5, 2 * SECS);
-            let false_removals = false_removals(&c);
-            let refutations = c
-                .engine
-                .stats()
-                .observations()
-                .iter()
-                .filter(|o| matches!(o.kind, tamp_netsim::ObservationKind::Refuted(_)))
-                .count();
-            let probe = c.kill_and_measure(HostId(n as u32 - 1), 40 * SECS);
+            let mut c = hierarchical_cluster(n / 20, 20, &cfg, lossy(rate), seed);
+            let churn = churn_then_kill(&mut c, 40 * SECS);
             SuspicionRow {
                 suspicion_ms: w,
                 loss_pct: rate * 100.0,
-                accuracy,
-                detect_s: probe.detect_s,
-                false_removals,
-                refutations,
+                accuracy: churn.accuracy,
+                detect_s: churn.probe.detect_s,
+                false_removals: churn.false_removals,
+                refutations: churn.refutations,
             }
-        }
-    })
-}
-
-pub fn run_suspicion(seed: u64, jobs: usize) {
-    let pool = tamp_par::Pool::new(jobs);
-    let rows = suspicion_sweep_on(&pool, 100, &[0, 1000, 2000, 4000], &[0.0, 0.10, 0.20], seed);
-    let mut t = crate::report::Table::new(
-        "A8 — suspicion & refutation (hierarchical, n=100)",
-        &[
-            "loss %",
-            "suspicion ms",
-            "accuracy",
-            "detect s",
-            "false removals",
-            "refutations",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            format!("{:.0}", r.loss_pct),
-            r.suspicion_ms.to_string(),
-            format!("{:.2}", r.accuracy),
-            format!("{:.2}", r.detect_s),
-            r.false_removals.to_string(),
-            r.refutations.to_string(),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("ablation_suspicion");
-    println!(
-        "\nExpected: with the window at 0 (the paper's protocol) heavy loss produces\n\
+        },
+        SUSPICION_COLUMNS,
+    )
+    .note(
+        "Expected: with the window at 0 (the paper's protocol) heavy loss produces\n\
          false-removal churn; a 1–4 s refutable window absorbs it (refutations replace\n\
          removals) at the cost of adding the window to real detection — staying within\n\
-         2x the paper's max_loss x period bound."
-    );
+         2x the paper's max_loss x period bound.",
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tamp_par::Pool;
 
     #[test]
     fn group_size_trades_bandwidth() {
-        let rows = group_size_sweep(40, &[5, 20], 21);
+        let rows = group_size(40, &[5, 20], 21).rows(&Pool::sequential());
         assert!(
             rows[0].agg_kbps < rows[1].agg_kbps * 1.05,
             "g=5 ({:.1}) should not cost more than g=20 ({:.1})",
@@ -701,7 +540,7 @@ mod tests {
 
     #[test]
     fn leader_failure_heals_completely() {
-        let rows = leader_vs_leaf(40, 23);
+        let rows = leader(40, 23).rows(&Pool::sequential());
         for r in &rows {
             assert_eq!(r.accuracy_after, 1.0, "victim {}", r.victim);
             assert!(r.detect_s < 10.0);
@@ -714,7 +553,7 @@ mod tests {
         // adaptive detector should churn strictly less than the fixed
         // one (it cannot always reach zero — it still needs to observe
         // the stretched inter-arrivals before its deadline adapts).
-        let rows = detector_sweep(40, &[0.20], 33);
+        let rows = detector(40, &[0.20], 33).rows(&Pool::sequential());
         let adaptive = rows.iter().find(|r| r.detector == "adaptive").unwrap();
         let fixed = rows.iter().find(|r| r.detector == "fixed").unwrap();
         assert!(
@@ -739,7 +578,7 @@ mod tests {
         // heavy enough to violate the MAX_LOSS sizing rule, the
         // suspicion window strictly reduces false removals vs the
         // paper's immediate-removal behaviour.
-        let rows = suspicion_sweep(40, &[0, 2000], &[0.0, 0.20], 31);
+        let rows = suspicion(40, &[0, 2000], &[0.0, 0.20], 31).rows(&Pool::sequential());
         let bound = 2.0 * 5.0;
         for r in rows.iter().filter(|r| r.loss_pct == 0.0) {
             assert!(
@@ -768,29 +607,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_suspicion_grid_matches_sequential() {
-        let fields = |r: &SuspicionRow| {
-            (
-                r.suspicion_ms,
-                r.loss_pct.to_bits(),
-                r.accuracy.to_bits(),
-                r.detect_s.to_bits(),
-                r.false_removals,
-                r.refutations,
-            )
-        };
-        let seq = suspicion_sweep(40, &[0, 2000], &[0.0], 31);
-        let par = suspicion_sweep_on(&tamp_par::Pool::new(4), 40, &[0, 2000], &[0.0], 31);
-        assert_eq!(
-            seq.iter().map(fields).collect::<Vec<_>>(),
-            par.iter().map(fields).collect::<Vec<_>>(),
-            "parallel A8 grid diverges from sequential"
-        );
-    }
-
-    #[test]
     fn topology_sweep_converges_everywhere() {
-        for r in topology_sweep(29) {
+        for r in topology(29).rows(&Pool::sequential()) {
             assert_eq!(r.accuracy, 1.0, "{} did not converge", r.name);
             assert!(r.detect_s < 8.0, "{} detect {}", r.name, r.detect_s);
         }
@@ -802,7 +620,7 @@ mod tests {
         // (see EXPERIMENTS.md A5), so deeper windows shave bytes rather
         // than round trips; the invariants here are correctness and the
         // absence of pathological traffic blowup.
-        let rows = piggyback_sweep(40, &[1, 8], 0.05, 27);
+        let rows = piggyback(40, &[1, 8], 0.05, 27).rows(&Pool::sequential());
         assert!(rows.iter().all(|r| r.accuracy == 1.0), "convergence lost");
         let traffic = |r: &PiggybackRow| r.sync_bytes_kb + r.update_bytes_kb;
         assert!(
@@ -815,7 +633,7 @@ mod tests {
 
     #[test]
     fn loss_with_anti_entropy_keeps_accuracy() {
-        let rows = loss_sweep(40, &[0.05], 25);
+        let rows = loss(40, &[0.05], 25).rows(&Pool::sequential());
         let with = rows.iter().find(|r| r.anti_entropy).unwrap();
         assert_eq!(with.accuracy, 1.0, "5% loss with anti-entropy");
     }

@@ -8,11 +8,11 @@
 //! the tamp-par pool and its rows are byte-identical at any `--jobs`
 //! width.
 
+use crate::grid::{product, Column, Experiment, Verdict};
 use tamp_chaos::{
     adversarial_schedule, dsl, run_scenario, seed_range, AdversarialConfig, ScenarioConfig,
     Schedule,
 };
-use tamp_par::Pool;
 
 /// The per-class schedule templates. `{s}` placeholders are filled from
 /// the seed so every seed exercises different timing and targets, while
@@ -78,91 +78,83 @@ pub struct GridRow {
     pub first_failure: Option<u64>,
 }
 
-/// Run the full grid: every class × `count` seeds starting at
-/// `first_seed`, plus the mixed generated row. Cells run speculatively
-/// across the pool; rows aggregate in seed order, so the grid is
-/// byte-identical at any pool width.
-pub fn grid_on(pool: &Pool, first_seed: u64, count: u64) -> Vec<GridRow> {
-    let seeds: Vec<u64> = seed_range(first_seed, count).collect();
-    let mut cells: Vec<(usize, u64)> = Vec::new();
-    for class_idx in 0..=CLASSES.len() {
-        for &seed in &seeds {
-            cells.push((class_idx, seed));
-        }
-    }
-    let outcomes = pool.ordered_map(cells.len(), |i| {
-        let (class_idx, seed) = cells[i];
-        let schedule = if class_idx < CLASSES.len() {
-            class_schedule(CLASSES[class_idx], seed)
-        } else {
-            adversarial_schedule(seed, &AdversarialConfig::default())
-        };
-        let mut cfg = ScenarioConfig::ring(4, 2, seed);
-        cfg.strict = true;
-        let run = run_scenario(&cfg, &schedule);
-        (run.passed(), run.violations.len())
-    });
-    let mut rows = Vec::new();
-    for class_idx in 0..=CLASSES.len() {
-        let name = if class_idx < CLASSES.len() {
-            CLASSES[class_idx].to_string()
-        } else {
-            "mixed (generated)".to_string()
-        };
-        let mut row = GridRow {
-            class: name,
-            seeds: count,
-            passed: 0,
-            violations: 0,
-            first_failure: None,
-        };
-        for (k, &seed) in seeds.iter().enumerate() {
-            let (passed, violations) = outcomes[class_idx * seeds.len() + k];
-            if passed {
-                row.passed += 1;
-            } else {
-                row.violations += violations;
-                row.first_failure.get_or_insert(seed);
-            }
-        }
-        rows.push(row);
-    }
-    rows
+pub const COLUMNS: &[Column<GridRow>] = &[
+    ("class", |r| r.class.clone()),
+    ("seeds", |r| r.seeds.to_string()),
+    ("passed", |r| r.passed.to_string()),
+    ("violations", |r| r.violations.to_string()),
+    ("first failure", |r| {
+        r.first_failure.map_or("-".to_string(), |s| s.to_string())
+    }),
+];
+
+/// What one (class, seed) cell reports to the fold.
+pub struct Outcome {
+    class_idx: usize,
+    seed: u64,
+    passed: bool,
+    violations: usize,
 }
 
-/// Entry point for `tamp-exp adversarial`. Returns the process exit
-/// code: 0 when every cell passed the strict oracle.
-pub fn run_and_print(seed: u64, quick: bool, jobs: usize) -> i32 {
-    let count = if quick { 5 } else { 20 };
-    let pool = Pool::new(jobs);
-    let rows = grid_on(&pool, seed, count);
-    let mut t = crate::report::Table::new(
+/// The full grid: every class × `count` seeds starting at `first_seed`,
+/// plus the mixed generated row, each class's cells folded in seed
+/// order into its row. The verdict passes when every cell did.
+pub fn experiment(first_seed: u64, count: u64) -> Experiment<(usize, u64), Outcome, GridRow> {
+    let classes: Vec<usize> = (0..=CLASSES.len()).collect();
+    let seeds: Vec<u64> = seed_range(first_seed, count).collect();
+    Experiment::folded(
         "A10 — adversarial fault grid (ring 4x2, strict oracle)",
-        &["class", "seeds", "passed", "violations", "first failure"],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.class.clone(),
-            r.seeds.to_string(),
-            r.passed.to_string(),
-            r.violations.to_string(),
-            r.first_failure.map_or("-".to_string(), |s| s.to_string()),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("adversarial_grid");
-    let all_passed = rows.iter().all(|r| r.passed == r.seeds);
-    println!(
-        "\nExpected: every class passes strict. Gray partitions must not cause\n\
+        "adversarial_grid",
+        product(&classes, &seeds),
+        |&(class_idx, seed)| {
+            let schedule = match CLASSES.get(class_idx) {
+                Some(class) => class_schedule(class, seed),
+                None => adversarial_schedule(seed, &AdversarialConfig::default()),
+            };
+            let mut cfg = ScenarioConfig::ring(4, 2, seed);
+            cfg.strict = true;
+            let run = run_scenario(&cfg, &schedule);
+            Outcome {
+                class_idx,
+                seed,
+                passed: run.passed(),
+                violations: run.violations.len(),
+            }
+        },
+        move |outcomes| {
+            let mut rows: Vec<GridRow> = classes
+                .iter()
+                .map(|&class_idx| GridRow {
+                    class: CLASSES
+                        .get(class_idx)
+                        .map_or("mixed (generated)", |c| c)
+                        .to_string(),
+                    seeds: count,
+                    passed: 0,
+                    violations: 0,
+                    first_failure: None,
+                })
+                .collect();
+            for o in outcomes {
+                let row = &mut rows[o.class_idx];
+                if o.passed {
+                    row.passed += 1;
+                } else {
+                    row.violations += o.violations;
+                    row.first_failure.get_or_insert(o.seed);
+                }
+            }
+            rows
+        },
+        COLUMNS,
+    )
+    .note(
+        "Expected: every class passes strict. Gray partitions must not cause\n\
          same-segment false removals (fresh direct liveness refutes relayed death\n\
          claims); router re-formation must converge to one consistent view; churn\n\
-         storms must never resurrect a refuted node."
-    );
-    if all_passed {
-        0
-    } else {
-        1
-    }
+         storms must never resurrect a refuted node.",
+    )
+    .verdict(|rows| Verdict::of(rows.iter().all(|r| r.passed == r.seeds)))
 }
 
 #[cfg(test)]
@@ -181,20 +173,12 @@ mod tests {
     }
 
     #[test]
-    fn small_grid_passes_strict_and_is_pool_invariant() {
-        let a = grid_on(&Pool::sequential(), 7, 2);
-        let b = grid_on(&Pool::new(4), 7, 2);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.class, y.class);
-            assert_eq!(
-                x.passed, y.passed,
-                "{}: pool width changed verdicts",
-                x.class
-            );
-            assert_eq!(x.violations, y.violations);
-            assert_eq!(x.first_failure, y.first_failure);
-            assert_eq!(x.passed, x.seeds, "{}: strict failure in grid", x.class);
+    fn small_grid_passes_strict() {
+        let rows = experiment(7, 2).rows(&tamp_par::Pool::sequential());
+        assert_eq!(rows.len(), CLASSES.len() + 1);
+        for r in &rows {
+            assert_eq!(r.passed, r.seeds, "{}: strict failure in grid", r.class);
+            assert_eq!((r.violations, r.first_failure), (0, None), "{}", r.class);
         }
     }
 }

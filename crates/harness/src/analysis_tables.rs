@@ -2,44 +2,48 @@
 //! bandwidth / detection / convergence model and the BDT / BCT products,
 //! side by side for the three schemes.
 
-use tamp_analysis::{all_schemes, ModelParams};
+use crate::grid::{Column, Experiment};
+use tamp_analysis::{all_schemes, ModelParams, Prediction};
 
-pub fn run_and_print(sizes: &[usize]) {
-    let mut t = crate::report::Table::new(
+/// One (n, scheme) line of the model.
+pub type ModelRow = (usize, &'static str, Prediction);
+
+pub const COLUMNS: &[Column<ModelRow>] = &[
+    ("nodes", |(n, _, _)| n.to_string()),
+    ("scheme", |(_, name, _)| name.to_string()),
+    ("bw KB/s", |(_, _, p)| {
+        format!("{:.1}", p.bandwidth_bytes_per_s / 1e3)
+    }),
+    ("detect s", |(_, _, p)| format!("{:.2}", p.detection_s)),
+    ("converge s", |(_, _, p)| format!("{:.2}", p.convergence_s)),
+    ("BDT KB", |(_, _, p)| format!("{:.0}", p.bdt() / 1e3)),
+    ("BCT KB", |(_, _, p)| format!("{:.0}", p.bct() / 1e3)),
+];
+
+/// The model at each size: a grid whose cells run no simulation, each
+/// folded into one row per scheme.
+pub fn experiment(sizes: &[usize]) -> Experiment<usize, Vec<ModelRow>, ModelRow> {
+    Experiment::folded(
         "§4 analysis — closed-form model (s=228 B, k=5, T=1 s, g=20, P_mistake=0.1%)",
-        &[
-            "nodes",
-            "scheme",
-            "bw KB/s",
-            "detect s",
-            "converge s",
-            "BDT KB",
-            "BCT KB",
-        ],
-    );
-    for &n in sizes {
-        let p = ModelParams {
-            n,
-            ..Default::default()
-        };
-        for (name, pred) in all_schemes(&p) {
-            t.row(vec![
-                n.to_string(),
-                name.to_string(),
-                format!("{:.1}", pred.bandwidth_bytes_per_s / 1e3),
-                format!("{:.2}", pred.detection_s),
-                format!("{:.2}", pred.convergence_s),
-                format!("{:.0}", pred.bdt() / 1e3),
-                format!("{:.0}", pred.bct() / 1e3),
-            ]);
-        }
-    }
-    t.print();
-    let _ = t.write_csv("analysis");
-    println!(
-        "\nPaper conclusion: \"the hierarchical scheme is the most scalable approach in terms\n\
-         of the bandwidth detection time product\" — and likewise for BCT."
-    );
+        "analysis",
+        sizes.to_vec(),
+        |&n| {
+            let p = ModelParams {
+                n,
+                ..Default::default()
+            };
+            all_schemes(&p)
+                .into_iter()
+                .map(|(name, pred)| (n, name, pred))
+                .collect()
+        },
+        |sizes| sizes.into_iter().flatten().collect(),
+        COLUMNS,
+    )
+    .note(
+        "Paper conclusion: \"the hierarchical scheme is the most scalable approach in terms\n\
+         of the bandwidth detection time product\" — and likewise for BCT.",
+    )
 }
 
 #[cfg(test)]

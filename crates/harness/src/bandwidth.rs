@@ -6,7 +6,11 @@
 //! incoming heartbeat packets. Then all numbers are added up to get the
 //! aggregated bandwidth consumption."
 
-use crate::common::{figure_cluster, figure_label, paper_topology, view_accuracy, SETTLE};
+use crate::common::{
+    figure_cluster, figure_label, paper_topology, steady_traffic, view_accuracy, SETTLE,
+};
+use crate::grid::{product, Column, Experiment};
+use crate::report::kbps;
 use tamp_chaos::Protocol;
 use tamp_netsim::{EngineConfig, SECS};
 
@@ -33,18 +37,13 @@ pub fn measure(protocol: Protocol, n: usize, seg_size: usize, seed: u64) -> Band
         seed,
         EngineConfig::default(),
     );
-    c.engine.run_until(SETTLE);
-    c.engine.stats_mut().reset_traffic();
-    let window = 30 * SECS;
-    c.engine.run_until(SETTLE + window);
-    let totals = c.engine.stats().totals();
-    let secs = window as f64 / 1e9;
+    let traffic = steady_traffic(&mut c.engine, SETTLE, 30 * SECS);
     BandwidthRow {
         protocol,
         n,
-        agg_recv_bytes_per_s: totals.recv_bytes as f64 / secs,
-        agg_recv_pps: totals.recv_pkts as f64 / secs,
-        per_node_bytes_per_s: totals.recv_bytes as f64 / secs / n as f64,
+        agg_recv_bytes_per_s: traffic.bytes_per_s,
+        agg_recv_pps: traffic.pkts_per_s,
+        per_node_bytes_per_s: traffic.bytes_per_s / n as f64,
         accuracy: view_accuracy(&c),
     }
 }
@@ -52,52 +51,34 @@ pub fn measure(protocol: Protocol, n: usize, seg_size: usize, seed: u64) -> Band
 /// The paper's sweep: 20..=100 nodes in 20-node networks.
 pub const PAPER_SIZES: [usize; 5] = [20, 40, 60, 80, 100];
 
-pub fn sweep(
-    sizes: &[usize],
-    seg_size: usize,
-    seed: u64,
-    protocols: &[Protocol],
-) -> Vec<BandwidthRow> {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        for &protocol in protocols {
-            rows.push(measure(protocol, n, seg_size, seed));
-        }
-    }
-    rows
-}
+pub const COLUMNS: &[Column<BandwidthRow>] = &[
+    ("nodes", |r| r.n.to_string()),
+    ("scheme", |r| figure_label(r.protocol).to_string()),
+    ("agg KB/s", |r| kbps(r.agg_recv_bytes_per_s)),
+    ("agg pkts/s", |r| format!("{:.0}", r.agg_recv_pps)),
+    ("per-node KB/s", |r| kbps(r.per_node_bytes_per_s)),
+    ("accuracy", |r| format!("{:.2}", r.accuracy)),
+];
 
-pub fn run_and_print(sizes: &[usize], seed: u64, protocols: &[Protocol]) {
-    let rows = sweep(sizes, 20, seed, protocols);
-    let mut t = crate::report::Table::new(
+/// Fig. 11: `sizes` × `protocols`, size-major, in 20-node networks.
+pub fn experiment(
+    sizes: &[usize],
+    protocols: &[Protocol],
+    seed: u64,
+) -> Experiment<(usize, Protocol), BandwidthRow> {
+    Experiment::new(
         "Fig. 11 — aggregate bandwidth consumption (steady state)",
-        &[
-            "nodes",
-            "scheme",
-            "agg KB/s",
-            "agg pkts/s",
-            "per-node KB/s",
-            "accuracy",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.n.to_string(),
-            figure_label(r.protocol).to_string(),
-            crate::report::kbps(r.agg_recv_bytes_per_s),
-            format!("{:.0}", r.agg_recv_pps),
-            crate::report::kbps(r.per_node_bytes_per_s),
-            format!("{:.2}", r.accuracy),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("fig11");
-    println!(
-        "\nPaper shape: hierarchical grows ~linearly (flat per-node); all-to-all and gossip grow\n\
+        "fig11",
+        product(sizes, protocols),
+        move |&(n, protocol)| measure(protocol, n, 20, seed),
+        COLUMNS,
+    )
+    .note(
+        "Paper shape: hierarchical grows ~linearly (flat per-node); all-to-all and gossip grow\n\
          quadratically (per-node linear in n); all three coincide at n=20 (single network).\n\
          swim stays ~constant per node (one probe round per period); rapid matches\n\
-         hierarchical plus the cut-report votes around each removal."
-    );
+         hierarchical plus the cut-report votes around each removal.",
+    )
 }
 
 #[cfg(test)]

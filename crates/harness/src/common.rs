@@ -1,10 +1,12 @@
 //! Shared cluster construction and measurement plumbing.
 
 use tamp_chaos::{
-    build_cluster, dsl, random_schedule, Cluster, GeneratorConfig, Protocol, Schedule,
+    build_cluster, dsl, random_schedule, Cluster, Detection, GeneratorConfig, Protocol, Schedule,
 };
 use tamp_membership::MembershipConfig;
-use tamp_netsim::{EngineConfig, ShardingKind, SimTime, TraceConfig, SECS};
+use tamp_netsim::{
+    Engine, EngineConfig, ObservationKind, ShardingKind, SimTime, TraceConfig, SECS,
+};
 use tamp_topology::{generators, HostId, Topology};
 use tamp_wire::{NodeId, PartitionSet, ServiceDecl};
 
@@ -103,16 +105,75 @@ pub fn chaos_trace_config() -> TraceConfig {
     }
 }
 
-/// Mean [`view_accuracy`] over `samples` instants spaced `gap` apart
-/// (runs the engine forward); one instant can catch the cluster
-/// mid-heal and under-read.
-pub fn view_accuracy_sampled(c: &mut Cluster, samples: usize, gap: SimTime) -> f64 {
-    let mut total = 0.0;
-    for _ in 0..samples.max(1) {
-        c.engine.run_for(gap);
-        total += view_accuracy(c);
+/// Cluster-wide received traffic per second of a measurement window.
+pub struct Traffic {
+    pub bytes_per_s: f64,
+    pub pkts_per_s: f64,
+}
+
+/// The bandwidth recipe of Fig. 11, A1, A3, A6 and A9: run to `settle`,
+/// zero the traffic counters, run `window` longer, and report what the
+/// whole cluster received per second of the window.
+pub fn steady_traffic(engine: &mut Engine, settle: SimTime, window: SimTime) -> Traffic {
+    engine.run_until(settle);
+    engine.stats_mut().reset_traffic();
+    engine.run_until(settle + window);
+    let totals = engine.stats().totals();
+    let secs = window as f64 / 1e9;
+    Traffic {
+        bytes_per_s: totals.recv_bytes as f64 / secs,
+        pkts_per_s: totals.recv_pkts as f64 / secs,
     }
-    total / samples.max(1) as f64
+}
+
+/// Kill the highest-id host — a plain member, never a leader under the
+/// lowest-id-wins election — and wait `wait` for the survivors to notice.
+pub fn kill_last(c: &mut Cluster, wait: SimTime) -> Detection {
+    let last = HostId(c.clients.len() as u32 - 1);
+    c.kill_and_measure(last, wait)
+}
+
+/// What [`churn_then_kill`] reads off one cluster.
+pub struct ChurnProbe {
+    /// Mean view accuracy over five samples at steady state (pre-kill).
+    pub accuracy: f64,
+    /// Removals recorded before anyone died — every one a false positive.
+    pub false_removals: usize,
+    /// Suspicions cancelled by proof of life before the kill
+    /// (cluster-wide observation count).
+    pub refutations: usize,
+    pub probe: Detection,
+}
+
+/// The robustness recipe of A2, A7, A8 and A11: let the cluster run
+/// under its loss model for 2 × [`SETTLE`], sample accuracy, count the
+/// churn so far, then [`kill_last`] and wait `wait` for detection.
+pub fn churn_then_kill(c: &mut Cluster, wait: SimTime) -> ChurnProbe {
+    c.engine.run_until(2 * SETTLE);
+    // Five instants 2 s apart: one can catch the cluster mid-heal and
+    // under-read.
+    let mut accuracy = 0.0;
+    for _ in 0..5 {
+        c.engine.run_for(2 * SECS);
+        accuracy += view_accuracy(c);
+    }
+    // Nobody has died yet: every (observer, subject) removal so far is
+    // a false positive.
+    let stats = c.engine.stats();
+    let false_removals = (0..c.clients.len() as u32)
+        .map(|v| stats.removal_observers(NodeId(v)).len())
+        .sum();
+    let refutations = stats
+        .observations()
+        .iter()
+        .filter(|o| matches!(o.kind, ObservationKind::Refuted(_)))
+        .count();
+    ChurnProbe {
+        accuracy: accuracy / 5.0,
+        false_removals,
+        refutations,
+        probe: kill_last(c, wait),
+    }
 }
 
 /// Fraction of live nodes with a complete view — the *membership
@@ -127,14 +188,6 @@ pub fn view_accuracy(c: &Cluster) -> f64 {
         .filter(|&&i| c.clients[i].member_count() == expect)
         .count();
     good as f64 / expect.max(1) as f64
-}
-
-/// Distinct (observer, subject) removals recorded so far. Read before
-/// anyone has been killed, every one is a false positive.
-pub fn false_removals(c: &Cluster) -> usize {
-    (0..c.clients.len() as u32)
-        .map(|v| c.engine.stats().removal_observers(NodeId(v)).len())
-        .sum()
 }
 
 #[cfg(test)]

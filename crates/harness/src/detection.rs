@@ -7,6 +7,7 @@
 //! of the failure as the view convergence time."
 
 use crate::common::{figure_cluster, figure_label, paper_topology, SETTLE};
+use crate::grid::{product, Column, Experiment};
 use tamp_chaos::{Detection, Protocol};
 use tamp_netsim::{EngineConfig, SECS};
 use tamp_topology::HostId;
@@ -56,20 +57,51 @@ pub fn measure(
     DetectionRow { protocol, n, probe }
 }
 
-pub fn sweep(
-    sizes: &[usize],
-    seg_size: usize,
-    victim: Victim,
-    seed: u64,
-    protocols: &[Protocol],
-) -> Vec<DetectionRow> {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        for &protocol in protocols {
-            rows.push(measure(protocol, n, seg_size, victim, seed));
-        }
+pub const COLUMNS: &[Column<DetectionRow>] = &[
+    ("nodes", |r| r.n.to_string()),
+    ("scheme", |r| figure_label(r.protocol).to_string()),
+    ("detect s", |r| format!("{:.2}", r.probe.detect_s)),
+    ("converge s", |r| format!("{:.2}", r.probe.converge_s)),
+    ("observers", |r| r.probe.observers.to_string()),
+];
+
+/// Title stem and `--trials` CSV name of a figure, by its subcommand
+/// (and single-run CSV) name.
+fn figure(name: &str) -> (&'static str, &'static str) {
+    match name {
+        "fig12" => ("Fig. 12 — failure detection time", "fig12_trials"),
+        "fig13" => ("Fig. 13 — view convergence time", "fig13_trials"),
+        other => panic!("no detection figure is called {other}"),
     }
-    rows
+}
+
+/// Fig. 12 (detection) and Fig. 13 (convergence) come from the same
+/// runs: `sizes` × `protocols`, size-major, a leaf killed in each, one
+/// table per name in `figures`.
+pub fn experiment(
+    sizes: &[usize],
+    protocols: &[Protocol],
+    seed: u64,
+    figures: &[&'static str],
+) -> Experiment<(usize, Protocol), DetectionRow> {
+    let title = |name| format!("{} (s)", figure(name).0);
+    let first = Experiment::new(
+        title(figures[0]),
+        figures[0],
+        product(sizes, protocols),
+        move |&(n, protocol)| measure(protocol, n, 20, Victim::Leaf, seed),
+        COLUMNS,
+    )
+    .note(
+        "Paper shape: all-to-all and hierarchical detect in ≈ max_loss × period = 5 s,\n\
+         independent of n, and converge almost immediately after detection; gossip detection\n\
+         starts ≈ 2x higher and grows logarithmically with n (mistake probability 0.1%).\n\
+         swim detects in probe-lap + suspect-timeout (grows with n); rapid adds the cut\n\
+         quiescence delay to hierarchical detection in exchange for vote-confirmed removals.",
+    );
+    figures[1..]
+        .iter()
+        .fold(first, |e, name| e.also_as(title(name), name))
 }
 
 /// Multi-seed statistics for one (protocol, n): mean/min/max across trials.
@@ -83,26 +115,16 @@ pub struct DetectionStats {
     pub converge_max_s: f64,
 }
 
-/// Repeat [`measure`] across `trials` seeds and aggregate.
-pub fn measure_trials(
-    protocol: Protocol,
-    n: usize,
-    seg_size: usize,
-    victim: Victim,
-    base_seed: u64,
-    trials: usize,
-) -> DetectionStats {
-    let runs: Vec<DetectionRow> = (0..trials.max(1))
-        .map(|t| measure(protocol, n, seg_size, victim, base_seed + t as u64 * 7919))
-        .collect();
+/// Aggregate the runs of one (protocol, n) across its trial seeds.
+fn stats(runs: &[DetectionRow]) -> DetectionStats {
     let detect: Vec<f64> = runs.iter().map(|r| r.probe.detect_s).collect();
     let converge: Vec<f64> = runs.iter().map(|r| r.probe.converge_s).collect();
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let min = |v: &[f64]| v.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = |v: &[f64]| v.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     DetectionStats {
-        protocol,
-        n,
+        protocol: runs[0].protocol,
+        n: runs[0].n,
         detect_mean_s: mean(&detect),
         detect_min_s: min(&detect),
         detect_max_s: max(&detect),
@@ -111,84 +133,39 @@ pub fn measure_trials(
     }
 }
 
-/// Print mean/min/max detection and convergence across `trials` seeds.
-pub fn run_and_print_trials(
+pub const TRIALS_COLUMNS: &[Column<DetectionStats>] = &[
+    ("nodes", |s| s.n.to_string()),
+    ("scheme", |s| figure_label(s.protocol).to_string()),
+    ("detect mean", |s| format!("{:.2}", s.detect_mean_s)),
+    ("min", |s| format!("{:.2}", s.detect_min_s)),
+    ("max", |s| format!("{:.2}", s.detect_max_s)),
+    ("converge mean", |s| format!("{:.2}", s.converge_mean_s)),
+    ("max", |s| format!("{:.2}", s.converge_max_s)),
+];
+
+/// [`experiment`] repeated over `trials` seeds per (size, protocol),
+/// each group of runs folded into its mean/min/max.
+pub fn trials_experiment(
     sizes: &[usize],
+    protocols: &[Protocol],
     base_seed: u64,
     trials: usize,
-    which: &str,
-    protocols: &[Protocol],
-) {
-    let (title, csv) = match which {
-        "fig12" => (
-            format!("Fig. 12 — failure detection time, {trials} trials (s)"),
-            "fig12_trials",
-        ),
-        _ => (
-            format!("Fig. 13 — view convergence time, {trials} trials (s)"),
-            "fig13_trials",
-        ),
-    };
-    let mut t = crate::report::Table::new(
-        title,
-        &[
-            "nodes",
-            "scheme",
-            "detect mean",
-            "min",
-            "max",
-            "converge mean",
-            "max",
-        ],
+    figures: &[&'static str],
+) -> Experiment<((usize, Protocol), u64), DetectionRow, DetectionStats> {
+    let trials = trials.max(1);
+    let title = |name| format!("{}, {trials} trials (s)", figure(name).0);
+    let offsets: Vec<u64> = (0..trials as u64).map(|t| t * 7919).collect();
+    let first = Experiment::folded(
+        title(figures[0]),
+        figure(figures[0]).1,
+        product(&product(sizes, protocols), &offsets),
+        move |&((n, protocol), offset)| measure(protocol, n, 20, Victim::Leaf, base_seed + offset),
+        move |runs| runs.chunks(trials).map(stats).collect(),
+        TRIALS_COLUMNS,
     );
-    for &n in sizes {
-        for &protocol in protocols {
-            let st = measure_trials(protocol, n, 20, Victim::Leaf, base_seed, trials);
-            t.row(vec![
-                n.to_string(),
-                figure_label(protocol).to_string(),
-                format!("{:.2}", st.detect_mean_s),
-                format!("{:.2}", st.detect_min_s),
-                format!("{:.2}", st.detect_max_s),
-                format!("{:.2}", st.converge_mean_s),
-                format!("{:.2}", st.converge_max_s),
-            ]);
-        }
-    }
-    t.print();
-    let _ = t.write_csv(csv);
-}
-
-/// Fig. 12 (detection) and Fig. 13 (convergence) come from the same runs;
-/// `which` only selects the headline column ordering.
-pub fn run_and_print(sizes: &[usize], seed: u64, which: &str, protocols: &[Protocol]) {
-    let rows = sweep(sizes, 20, Victim::Leaf, seed, protocols);
-    let (title, csv) = match which {
-        "fig12" => ("Fig. 12 — failure detection time (s)", "fig12"),
-        _ => ("Fig. 13 — view convergence time (s)", "fig13"),
-    };
-    let mut t = crate::report::Table::new(
-        title,
-        &["nodes", "scheme", "detect s", "converge s", "observers"],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.n.to_string(),
-            figure_label(r.protocol).to_string(),
-            format!("{:.2}", r.probe.detect_s),
-            format!("{:.2}", r.probe.converge_s),
-            r.probe.observers.to_string(),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv(csv);
-    println!(
-        "\nPaper shape: all-to-all and hierarchical detect in ≈ max_loss × period = 5 s,\n\
-         independent of n, and converge almost immediately after detection; gossip detection\n\
-         starts ≈ 2x higher and grows logarithmically with n (mistake probability 0.1%).\n\
-         swim detects in probe-lap + suspect-timeout (grows with n); rapid adds the cut\n\
-         quiescence delay to hierarchical detection in exchange for vote-confirmed removals."
-    );
+    figures[1..]
+        .iter()
+        .fold(first, |e, name| e.also_as(title(name), figure(name).1))
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! "At second 20, the document retrieval service in the data center A
 //! fails. It recovers at second 40."
 
+use crate::grid::{Column, Experiment};
 use tamp_neptune::search::{build, SearchOptions};
 use tamp_netsim::{Control, Nanos, MILLIS, SECS};
 
@@ -69,32 +70,36 @@ pub fn run(total_seconds: u64, fail_at: u64, recover_at: u64, seed: u64) -> Vec<
     points
 }
 
-pub fn run_and_print(seed: u64) {
-    let points = run(60, 20, 40, seed);
-    let mut t = crate::report::Table::new(
+pub const COLUMNS: &[Column<TimelinePoint>] = &[
+    ("second", |p| p.second.to_string()),
+    ("throughput/s", |p| p.throughput.to_string()),
+    ("response ms", |p| {
+        if p.response_ms.is_nan() {
+            "-".into()
+        } else {
+            format!("{:.1}", p.response_ms)
+        }
+    }),
+    ("failed", |p| p.failed.to_string()),
+];
+
+/// Fig. 14 as a grid of one cell: one 60 s run, folded into a row per
+/// second.
+pub fn experiment(seed: u64) -> Experiment<(), Vec<TimelinePoint>, TimelinePoint> {
+    Experiment::folded(
         "Fig. 14 — membership proxy effectiveness (DC-A doc service fails at 20 s, recovers at 40 s)",
-        &["second", "throughput/s", "response ms", "failed"],
-    );
-    for p in &points {
-        t.row(vec![
-            p.second.to_string(),
-            p.throughput.to_string(),
-            if p.response_ms.is_nan() {
-                "-".into()
-            } else {
-                format!("{:.1}", p.response_ms)
-            },
-            p.failed.to_string(),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("fig14");
-    println!(
-        "\nPaper shape: throughput dips only during the ~5 s detection window after the failure,\n\
+        "fig14",
+        vec![()],
+        move |()| run(60, 20, 40, seed),
+        |runs| runs.into_iter().flatten().collect(),
+        COLUMNS,
+    )
+    .note(
+        "Paper shape: throughput dips only during the ~5 s detection window after the failure,\n\
          then matches the arrival rate again; response time steps from local (~20 ms) to above\n\
          the WAN RTT (~90 ms) while requests are served by the remote data center, and drops\n\
-         back as soon as the service recovers locally."
-    );
+         back as soon as the service recovers locally.",
+    )
 }
 
 #[cfg(test)]

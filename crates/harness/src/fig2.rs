@@ -9,6 +9,8 @@
 //! simulator's calibrated CPU model (11 µs + 2 ns/B per packet, matching
 //! the paper's dual 1.4 GHz P-III measurement) reports the load.
 
+use crate::grid::{Column, Experiment};
+use crate::report::kbps;
 use tamp_baselines::{AllToAllConfig, AllToAllNode};
 use tamp_netsim::{Engine, EngineConfig, SECS};
 use tamp_topology::generators;
@@ -77,31 +79,26 @@ pub fn measure(n: usize, seed: u64) -> Fig2Row {
     }
 }
 
-/// The full Fig. 2 sweep.
-pub fn sweep(sizes: &[usize], seed: u64) -> Vec<Fig2Row> {
-    sizes.iter().map(|&n| measure(n, seed)).collect()
-}
-
 /// Default sweep matching the paper's x-axis (0–4000).
 pub const PAPER_SIZES: [usize; 8] = [250, 500, 1000, 1500, 2000, 2500, 3000, 4000];
 
-pub fn run_and_print(sizes: &[usize], seed: u64) {
-    let rows = sweep(sizes, seed);
-    let mut t = crate::report::Table::new(
+pub const COLUMNS: &[Column<Fig2Row>] = &[
+    ("nodes", |r| r.n.to_string()),
+    ("recv pkts/s", |r| format!("{:.0}", r.recv_pps)),
+    ("CPU %", |r| format!("{:.2}", r.cpu_fraction * 100.0)),
+    ("recv KB/s", |r| kbps(r.recv_bytes_per_s)),
+];
+
+/// The Fig. 2 sweep over emulated cluster sizes.
+pub fn experiment(sizes: &[usize], seed: u64) -> Experiment<usize, Fig2Row> {
+    Experiment::new(
         "Fig. 2 — all-to-all is not scalable (one node's view, 1024 B heartbeats)",
-        &["nodes", "recv pkts/s", "CPU %", "recv KB/s"],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.n.to_string(),
-            format!("{:.0}", r.recv_pps),
-            format!("{:.2}", r.cpu_fraction * 100.0),
-            crate::report::kbps(r.recv_bytes_per_s),
-        ]);
-    }
-    t.print();
-    let _ = t.write_csv("fig2");
-    println!("\nPaper shape: both curves linear in n; at 4000 nodes ≈ 4000 pkt/s and ≈ 4.5% CPU.");
+        "fig2",
+        sizes.to_vec(),
+        move |&n| measure(n, seed),
+        COLUMNS,
+    )
+    .note("Paper shape: both curves linear in n; at 4000 nodes ≈ 4000 pkt/s and ≈ 4.5% CPU.")
 }
 
 #[cfg(test)]

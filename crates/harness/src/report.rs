@@ -55,16 +55,21 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Also write a CSV copy under `results/`.
-    pub fn write_csv(&self, name: &str) -> std::io::Result<()> {
-        let dir = Path::new("results");
-        std::fs::create_dir_all(dir)?;
+    /// The CSV form: the header line, then one line per row.
+    pub fn to_csv(&self) -> String {
         let mut csv = String::new();
         let _ = writeln!(csv, "{}", self.headers.join(","));
         for row in &self.rows {
             let _ = writeln!(csv, "{}", row.join(","));
         }
-        std::fs::write(dir.join(format!("{name}.csv")), csv)
+        csv
+    }
+
+    /// Write the CSV form to `results/<name>.csv`.
+    pub fn write_csv(&self, name: &str) -> std::io::Result<()> {
+        let dir = Path::new("results");
+        std::fs::create_dir_all(dir)?;
+        std::fs::write(dir.join(format!("{name}.csv")), self.to_csv())
     }
 }
 

@@ -26,12 +26,14 @@
 //!   model's `k·T` bound); earliest and latest removal observations give
 //!   the two times, exactly as in Figs. 12–13.
 
+use crate::common::steady_traffic;
+use crate::grid::{Column, Experiment, Verdict};
+use std::fmt::Write as _;
 use tamp_analysis::{hierarchical, ModelParams};
 use tamp_chaos::Detection;
 use tamp_directory::{Directory, Provenance};
 use tamp_membership::{MembershipConfig, MembershipNode};
-use tamp_netsim::{Control, Engine, EngineConfig, ShardingKind, SimTime, MILLIS, SECS};
-use tamp_par::Pool;
+use tamp_netsim::{Control, Engine, EngineConfig, ShardingKind, MILLIS, SECS};
 use tamp_topology::{generators, HostId, Topology};
 use tamp_wire::NodeId;
 
@@ -87,7 +89,7 @@ fn scale_config() -> MembershipConfig {
 /// topology grid, the segment layout, every node's bootstrap record
 /// (incarnation 1 — what it will announce on start), and the
 /// per-segment warm-start directory templates. Build once per size with
-/// [`SizeSetup::new`] and reuse across seeds via [`measure_with`]: at
+/// [`SizeSetup::new`] and reuse across seeds via [`measure`]: at
 /// 10k nodes the templates are the dominant per-run setup cost, and
 /// they don't depend on the seed.
 pub struct SizeSetup {
@@ -177,21 +179,10 @@ impl SizeSetup {
     }
 }
 
-/// Build, warm-start, and measure one cluster of ≈`nodes` hosts.
-pub fn measure(nodes: usize, seed: u64) -> ScaleRow {
-    measure_with(&SizeSetup::new(nodes), seed)
-}
-
-/// [`measure`] against a prebuilt [`SizeSetup`], for callers running
-/// several seeds at one size.
-pub fn measure_with(setup: &SizeSetup, seed: u64) -> ScaleRow {
-    measure_with_sharding(setup, seed, ShardingKind::Sequential)
-}
-
-/// [`measure_with`] on a sharded engine. Every measured quantity is
-/// byte-identical to the sequential run — sharding only moves the wall
-/// clock (`wall_ms`).
-pub fn measure_with_sharding(setup: &SizeSetup, seed: u64, sharding: ShardingKind) -> ScaleRow {
+/// Build, warm-start, and measure one cluster. Every measured quantity
+/// is byte-identical at any `sharding` — it only moves the wall clock
+/// (`wall_ms`).
+pub fn measure(setup: &SizeSetup, seed: u64, sharding: ShardingKind) -> ScaleRow {
     let wall = std::time::Instant::now();
     let n = setup.topo.num_hosts();
     let segments = setup.topo.num_segments();
@@ -209,14 +200,8 @@ pub fn measure_with_sharding(setup: &SizeSetup, seed: u64, sharding: ShardingKin
     }
     engine.start();
 
-    // Steady-state bandwidth over [settle, settle+window).
-    let settle: SimTime = 8 * SECS;
-    let window: SimTime = 10 * SECS;
-    engine.run_until(settle);
-    engine.stats_mut().reset_traffic();
-    engine.run_until(settle + window);
-    let totals = engine.stats().totals();
-    let agg_recv_bytes_per_s = totals.recv_bytes as f64 / (window as f64 / 1e9);
+    // Steady-state bandwidth over [8 s, 18 s).
+    let agg_recv_bytes_per_s = steady_traffic(&mut engine, 8 * SECS, 10 * SECS).bytes_per_s;
 
     // Kill a plain leaf member (highest id: never a leader under
     // lowest-id-wins) right after it heartbeats, so the detection sample
@@ -254,88 +239,69 @@ pub fn measure_with_sharding(setup: &SizeSetup, seed: u64, sharding: ShardingKin
     }
 }
 
-/// The A9 sweep sizes (requested; the topology grid rounds them). The
-/// §4 model argues the scheme stays cheap to tens of thousands of
-/// nodes — the sweep now drives the simulator to ≈100k to check it.
-pub const SWEEP_SIZES: [usize; 5] = [1000, 4000, 10000, 50000, 100000];
+/// The default A9 sweep sizes (requested; the topology grid rounds
+/// them). Larger clusters are reachable one at a time with `--nodes`;
+/// n = 50 000 needs ≈ 5.3 GB of directory rows.
+pub const SWEEP_SIZES: [usize; 3] = [1000, 4000, 10000];
 
-pub fn sweep(sizes: &[usize], seed: u64) -> Vec<ScaleRow> {
-    sweep_on(&Pool::sequential(), sizes, seed, ShardingKind::Sequential)
-}
+pub const COLUMNS: &[Column<ScaleRow>] = &[
+    ("nodes", |r| r.n.to_string()),
+    ("segs", |r| r.segments.to_string()),
+    ("g", |r| r.group_size.to_string()),
+    ("meas KB/s", |r| {
+        format!("{:.1}", r.agg_recv_bytes_per_s / 1e3)
+    }),
+    ("model KB/s", |r| {
+        format!("{:.1}", r.model_bytes_per_s / 1e3)
+    }),
+    ("bw ratio", |r| {
+        format!("{:.3}", r.agg_recv_bytes_per_s / r.model_bytes_per_s)
+    }),
+    ("detect s", |r| format!("{:.3}", r.detect_s)),
+    ("model s", |r| format!("{:.3}", r.model_detect_s)),
+    ("converge s", |r| format!("{:.3}", r.converge_s)),
+    ("observers", |r| r.observers.to_string()),
+    ("wall ms", |r| r.wall_ms.to_string()),
+];
 
-/// [`sweep`] with one worker per size: every size is an independent
-/// deterministic run, and rows come back in `sizes` order, so the table
-/// (minus the wall-clock column) is identical at any pool width — and,
-/// with `sharding` set, at any shard count.
-pub fn sweep_on(pool: &Pool, sizes: &[usize], seed: u64, sharding: ShardingKind) -> Vec<ScaleRow> {
-    pool.ordered_map(sizes.len(), |i| {
-        measure_with_sharding(&SizeSetup::new(sizes[i]), seed, sharding)
-    })
-}
-
-/// Render rows to the A9 table (shared by the CLI and the golden test).
-pub fn table(rows: &[ScaleRow]) -> crate::report::Table {
-    let mut t = crate::report::Table::new(
+/// The A9 sweep: one cell per size, so the table (minus the wall-clock
+/// column) is identical at any pool width — and at any `sharding`. The
+/// verdict enforces the 15 % model envelope on bandwidth and detection.
+pub fn experiment(
+    sizes: &[usize],
+    seed: u64,
+    sharding: ShardingKind,
+) -> Experiment<usize, ScaleRow> {
+    Experiment::new(
         "A9 — hierarchical scheme at scale vs §4 model (warm start, tree topology)",
-        &[
-            "nodes",
-            "segs",
-            "g",
-            "meas KB/s",
-            "model KB/s",
-            "bw ratio",
-            "detect s",
-            "model s",
-            "converge s",
-            "observers",
-            "wall ms",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.n.to_string(),
-            r.segments.to_string(),
-            r.group_size.to_string(),
-            format!("{:.1}", r.agg_recv_bytes_per_s / 1e3),
-            format!("{:.1}", r.model_bytes_per_s / 1e3),
-            format!("{:.3}", r.agg_recv_bytes_per_s / r.model_bytes_per_s),
-            format!("{:.3}", r.detect_s),
-            format!("{:.3}", r.model_detect_s),
-            format!("{:.3}", r.converge_s),
-            r.observers.to_string(),
-            r.wall_ms.to_string(),
-        ]);
-    }
-    t
-}
-
-/// CLI entry: run the sweep, print/export the table, and enforce the
-/// 15% model envelope on bandwidth and detection.
-pub fn run_and_print(sizes: &[usize], seed: u64, jobs: usize, sharding: ShardingKind) {
-    let rows = sweep_on(&Pool::new(jobs), sizes, seed, sharding);
-    let t = table(&rows);
-    t.print();
-    let _ = t.write_csv("scale");
-    let mut ok = true;
-    for r in &rows {
-        let bw = r.agg_recv_bytes_per_s / r.model_bytes_per_s;
-        let det = r.detect_s / r.model_detect_s;
-        let complete = r.observers == r.n - 1;
-        if !((0.85..=1.15).contains(&bw) && (0.85..=1.15).contains(&det) && complete) {
-            println!(
-                "FAIL n={}: bw ratio {bw:.3}, detect ratio {det:.3}, observers {}/{}",
-                r.n,
-                r.observers,
-                r.n - 1
-            );
-            ok = false;
+        "scale",
+        sizes.to_vec(),
+        move |&nodes| measure(&SizeSetup::new(nodes), seed, sharding),
+        COLUMNS,
+    )
+    .verdict(|rows| {
+        let mut text = String::new();
+        for r in rows {
+            let bw = r.agg_recv_bytes_per_s / r.model_bytes_per_s;
+            let det = r.detect_s / r.model_detect_s;
+            let complete = r.observers == r.n - 1;
+            if !((0.85..=1.15).contains(&bw) && (0.85..=1.15).contains(&det) && complete) {
+                let _ = writeln!(
+                    text,
+                    "FAIL n={}: bw ratio {bw:.3}, detect ratio {det:.3}, observers {}/{}",
+                    r.n,
+                    r.observers,
+                    r.n - 1
+                );
+            }
         }
-    }
-    if ok {
-        println!("\nall sizes within 15% of the §4 model; every survivor observed the failure");
-    } else {
-        std::process::exit(1);
-    }
+        let pass = text.is_empty();
+        if pass {
+            text = "\nall sizes within 15% of the §4 model; every survivor observed the failure\n"
+                .into();
+        }
+        Verdict { pass, text }
+    })
 }
 
 #[cfg(test)]
@@ -359,7 +325,7 @@ mod tests {
     /// release-gated golden test.
     #[test]
     fn warm_started_cluster_measures_sane() {
-        let r = measure(80, 7);
+        let r = measure(&SizeSetup::new(80), 7, ShardingKind::Sequential);
         assert_eq!(r.n, 80);
         assert_eq!(r.observers, r.n - 1, "incomplete removal propagation");
         assert!(
@@ -399,35 +365,10 @@ mod tests {
             )
         };
         let setup = SizeSetup::new(1000);
-        let a = measure(1000, 2005);
-        let b = measure_with(&setup, 2005);
+        let a = measure(&SizeSetup::new(1000), 2005, ShardingKind::Sequential);
+        let b = measure(&setup, 2005, ShardingKind::Sequential);
         assert_eq!(fields(&a), fields(&b), "A9 n=1000 run is not deterministic");
         assert_eq!(a.observers, a.n - 1);
-    }
-
-    /// A parallel size sweep yields the same rows as the sequential
-    /// one, wall clock aside — the pool must not leak execution order
-    /// into anything measured.
-    #[test]
-    fn parallel_size_sweep_matches_sequential() {
-        let fields = |r: &ScaleRow| {
-            (
-                r.n,
-                r.segments,
-                r.group_size,
-                r.agg_recv_bytes_per_s.to_bits(),
-                r.detect_s.to_bits(),
-                r.converge_s.to_bits(),
-                r.observers,
-            )
-        };
-        let seq = sweep(&[60, 80], 7);
-        let par = sweep_on(&Pool::new(4), &[60, 80], 7, ShardingKind::Sequential);
-        assert_eq!(
-            seq.iter().map(fields).collect::<Vec<_>>(),
-            par.iter().map(fields).collect::<Vec<_>>(),
-            "parallel A9 sweep diverges from sequential"
-        );
     }
 
     /// Sharding the engine itself (the `--shards` path) changes nothing
@@ -446,8 +387,8 @@ mod tests {
             )
         };
         let setup = SizeSetup::new(80);
-        let seq = measure_with_sharding(&setup, 7, ShardingKind::Sequential);
-        let sharded = measure_with_sharding(&setup, 7, ShardingKind::Sharded(4));
+        let seq = measure(&setup, 7, ShardingKind::Sequential);
+        let sharded = measure(&setup, 7, ShardingKind::Sharded(4));
         assert_eq!(
             fields(&seq),
             fields(&sharded),
@@ -470,8 +411,12 @@ mod tests {
         let setup = SizeSetup::new(80);
         for seed in [7, 8] {
             assert_eq!(
-                fields(&measure_with(&setup, seed)),
-                fields(&measure(80, seed)),
+                fields(&measure(&setup, seed, ShardingKind::Sequential)),
+                fields(&measure(
+                    &SizeSetup::new(80),
+                    seed,
+                    ShardingKind::Sequential
+                )),
                 "seed {seed}: shared setup diverges from fresh build"
             );
         }

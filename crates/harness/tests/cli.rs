@@ -29,3 +29,28 @@ fn bad_protocol_values_are_rejected_identically_by_fig11_and_chaos() {
         assert_eq!(fig11, run("chaos", value), "chaos --protocol {value}");
     }
 }
+
+/// The command list `--help` prints is the registry: every registered
+/// name is offered, and an unregistered one is turned away with exit 2.
+#[test]
+fn help_lists_every_registered_command() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tamp-exp"))
+        .arg("--help")
+        .output()
+        .expect("tamp-exp runs");
+    assert_eq!(out.status.code(), Some(0));
+    let help = String::from_utf8_lossy(&out.stdout);
+    let listed: Vec<&str> = help
+        .lines()
+        .skip_while(|l| !l.starts_with("commands:"))
+        .take_while(|l| !l.contains('('))
+        .flat_map(|l| l.trim_start_matches("commands:").split_whitespace())
+        .collect();
+    let registered: Vec<&str> = tamp_harness::registry::names().collect();
+    assert_eq!(listed, registered);
+    let unknown = Command::new(env!("CARGO_BIN_EXE_tamp-exp"))
+        .arg("fig99")
+        .output()
+        .expect("tamp-exp runs");
+    assert_eq!(unknown.status.code(), Some(2));
+}

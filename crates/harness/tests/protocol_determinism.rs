@@ -7,7 +7,6 @@
 //! for; the tests pin them without needing a shell.
 
 use tamp_chaos::{dsl, run_scenario, sweep_on, GeneratorConfig, Protocol, ScenarioConfig};
-use tamp_harness::baselines_grid;
 use tamp_par::Pool;
 
 fn cfg_for(protocol: Protocol) -> impl Fn(u64) -> ScenarioConfig + Sync {
@@ -84,33 +83,5 @@ fn checked_in_regression_scenarios_pass_strict_for_new_protocols() {
             sequential, parallel,
             "{file} verdicts changed with pool width"
         );
-    }
-}
-
-/// The A11 comparison grid — the checked-in results table — assembles
-/// the same cells whether computed sequentially or on a 4-wide pool.
-#[test]
-fn baselines_grid_cells_are_pool_width_invariant() {
-    let protocols = [Protocol::Tamp, Protocol::Swim, Protocol::TampRapid];
-    let rates = [0.0, 0.10];
-    let cells = |pool: &Pool| baselines_grid::grid_on(pool, 20, &protocols, &rates, 99);
-    let sequential = cells(&Pool::sequential());
-    let parallel = cells(&Pool::new(4));
-    assert_eq!(sequential.len(), parallel.len());
-    let key = |c: &baselines_grid::BaselineCell| {
-        (
-            c.protocol,
-            c.loss_pct,
-            c.accuracy.to_bits(),
-            c.false_removals,
-            c.refutations,
-            c.deaths_declared,
-            c.probe.detect_s.to_bits(),
-            c.probe.converge_s.to_bits(),
-            c.probe.observers,
-        )
-    };
-    for (s, p) in sequential.iter().zip(&parallel) {
-        assert_eq!(key(s), key(p), "grid cell drifted with pool width");
     }
 }
