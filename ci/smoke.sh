@@ -187,8 +187,8 @@ job_baselines() {
 # the zero-copy receive path, then — at pool width 1 and N, since the
 # decoder's payload table is per thread — the payload-sharing tests
 # (the table's own unit test, and `tests/intern.rs` on warm tables) and
-# the codec-kind differential (which includes the 2-shard × borrowed and
-# the killed-in-flight cases).
+# the in-memory vs wire-codec engine differential (which includes the
+# 2-shard × wire-codec and the killed-in-flight cases).
 job_wire_fuzz() {
     PROPTEST_CASES=512 cargo test --release -p tamp-wire --test fuzz_codec
     for jobs in 1 "$NPROC"; do

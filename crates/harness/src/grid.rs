@@ -7,7 +7,8 @@
 //! `tamp-par` pool and come back in cell order, so stdout and every CSV
 //! are byte-identical at any `--jobs` width.
 
-use crate::report::Table;
+use crate::report::{write_export, Table};
+use std::path::Path;
 use tamp_par::Pool;
 
 /// One table column: its header and how a row prints under it.
@@ -161,15 +162,14 @@ impl<C: Sync, M: Send, R> Grid for Experiment<C, M, R> {
 
 /// Run `experiment` on `pool`: print each table, write its CSV, print
 /// the note and the verdict. Returns the exit code, 0 or 1; a CSV that
-/// cannot be written is reported on stderr and ends the process with 2,
-/// so a stale file can never pass for a fresh one.
+/// cannot be written ends the process with 2 ([`write_export`]).
 pub fn run(experiment: &dyn Grid, pool: &Pool) -> i32 {
     let (tables, verdict) = experiment.tables(pool);
     for (csv, t) in &tables {
         t.print();
-        if let Err(e) = t.write_csv(csv) {
-            eprintln!("tamp-exp: cannot write results/{csv}.csv: {e}");
-            std::process::exit(2);
+        let path = Path::new("results").join(format!("{csv}.csv"));
+        if let Err(code) = write_export(&path, &t.to_csv()) {
+            std::process::exit(code);
         }
         if !experiment.note().is_empty() {
             println!("\n{}", experiment.note());

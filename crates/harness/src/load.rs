@@ -427,7 +427,8 @@ pub fn collect(opts: &LoadOptions) -> Result<LoadRun, String> {
 }
 
 /// Entry point for `tamp-exp load`: print the report and write the
-/// canonical exports under `results/load/`.
+/// canonical exports under `results/load/`. Returns the exit code: 0,
+/// or 2 on bad options or when an export cannot be written.
 pub fn run_and_print(opts: &LoadOptions) -> i32 {
     let run = match collect(opts) {
         Ok(run) => run,
@@ -443,10 +444,6 @@ pub fn run_and_print(opts: &LoadOptions) -> i32 {
     }
 
     let dir = std::path::Path::new("results").join("load");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("tamp-exp: cannot create {}: {e}", dir.display());
-        return 1;
-    }
     let mut files: Vec<(&str, &String)> = vec![
         ("slo.csv", &run.slo_csv),
         ("timeline.csv", &run.timeline_csv),
@@ -460,10 +457,10 @@ pub fn run_and_print(opts: &LoadOptions) -> i32 {
     }
     for (name, body) in files {
         let path = dir.join(name);
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("tamp-exp: cannot write {}: {e}", path.display()),
+        if let Err(code) = crate::report::write_export(&path, body) {
+            return code;
         }
+        println!("wrote {}", path.display());
     }
     0
 }

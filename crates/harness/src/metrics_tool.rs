@@ -280,8 +280,9 @@ pub fn protocol_comparison(n: usize, seed: u64) -> String {
 }
 
 /// Entry point for `tamp-exp metrics`: print the dashboard and write
-/// the canonical exports under `results/telemetry/`.
-pub fn run_and_print(n: usize, seed: u64) {
+/// the canonical exports under `results/telemetry/`. Returns the exit
+/// code: 0, or 2 when an export cannot be written.
+pub fn run_and_print(n: usize, seed: u64) -> i32 {
     let m = collect(n, seed);
     print!("{}", m.dashboard);
     print!("{}", protocol_comparison(20, seed));
@@ -303,10 +304,6 @@ pub fn run_and_print(n: usize, seed: u64) {
     );
 
     let dir = std::path::Path::new("results").join("telemetry");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("tamp-exp: cannot create {}: {e}", dir.display());
-        return;
-    }
     let stem = format!("metrics-n{n}-seed{seed}");
     for (ext, body) in [
         ("events.jsonl", &m.jsonl),
@@ -314,11 +311,12 @@ pub fn run_and_print(n: usize, seed: u64) {
         ("summary.txt", &m.summary),
     ] {
         let path = dir.join(format!("{stem}.{ext}"));
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("tamp-exp: cannot write {}: {e}", path.display()),
+        if let Err(code) = crate::report::write_export(&path, body) {
+            return code;
         }
+        println!("wrote {}", path.display());
     }
+    0
 }
 
 #[cfg(test)]

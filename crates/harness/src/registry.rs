@@ -229,8 +229,7 @@ pub const EXPERIMENTS: &[Command] = &[
         0
     }),
     tool(&["metrics"], |a| {
-        metrics_tool::run_and_print(if a.quick { 20 } else { 60 }, a.seed);
-        0
+        metrics_tool::run_and_print(if a.quick { 20 } else { 60 }, a.seed)
     }),
     tool(&["chaos"], |a| {
         chaos::run(&chaos::ChaosOptions {

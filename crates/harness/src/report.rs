@@ -64,13 +64,20 @@ impl Table {
         }
         csv
     }
+}
 
-    /// Write the CSV form to `results/<name>.csv`.
-    pub fn write_csv(&self, name: &str) -> std::io::Result<()> {
-        let dir = Path::new("results");
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(format!("{name}.csv")), self.to_csv())
-    }
+/// Write one export to `path`, creating its directory first. A failure
+/// is reported on stderr as `tamp-exp: cannot write <path>: <error>` and
+/// handed back as exit code 2, so a stale file can never pass for a
+/// fresh one.
+pub fn write_export(path: &Path, body: &str) -> Result<(), i32> {
+    path.parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, body))
+        .map_err(|e| {
+            eprintln!("tamp-exp: cannot write {}: {e}", path.display());
+            2
+        })
 }
 
 /// Format seconds with millisecond precision.

@@ -181,22 +181,11 @@ pub fn run_and_print(update: bool, jobs: usize) -> i32 {
     let csv = run.campaign_csv.expect("campaign option set");
 
     if update {
-        if let Some(dir) = std::path::Path::new(GOLDEN_PATH).parent() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("tamp-exp: cannot create {}: {e}", dir.display());
-                return 1;
-            }
+        if let Err(code) = crate::report::write_export(std::path::Path::new(GOLDEN_PATH), &csv) {
+            return code;
         }
-        return match std::fs::write(GOLDEN_PATH, &csv) {
-            Ok(()) => {
-                println!("wrote {GOLDEN_PATH}");
-                0
-            }
-            Err(e) => {
-                eprintln!("tamp-exp: cannot write {GOLDEN_PATH}: {e}");
-                1
-            }
-        };
+        println!("wrote {GOLDEN_PATH}");
+        return 0;
     }
 
     let golden_text = match std::fs::read_to_string(GOLDEN_PATH) {

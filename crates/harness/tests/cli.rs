@@ -54,3 +54,33 @@ fn help_lists_every_registered_command() {
         .expect("tamp-exp runs");
     assert_eq!(unknown.status.code(), Some(2));
 }
+
+/// An export that cannot be written is a failed run: `metrics` and
+/// `load` exit 2 and name the file, the way every grid does when its
+/// CSV cannot be written. Here `results/telemetry` and `results/load`
+/// are regular files, so no file under them can be created.
+#[test]
+fn unwritable_exports_exit_2() {
+    let dir = std::env::temp_dir().join(format!("tamp-cli-exports-{}", std::process::id()));
+    let results = dir.join("results");
+    std::fs::create_dir_all(&results).unwrap();
+    std::fs::write(results.join("telemetry"), "not a directory").unwrap();
+    std::fs::write(results.join("load"), "not a directory").unwrap();
+    for args in [
+        &["metrics", "--quick"][..],
+        &["load", "--quick", "--users", "2000", "--datacenters", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tamp-exp"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("tamp-exp runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("tamp-exp: cannot write results/"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -280,6 +280,35 @@ mod tests {
     }
 
     #[test]
+    fn windows_sum_their_seconds_and_clamp_out_of_range() {
+        let mut t = crate::telemetry::Timeline::default();
+        t.record_completion(0, 100);
+        t.record_completion(2, 200);
+        t.record_completion(2, 300);
+        t.record_failure(1);
+        let s = RunSummary {
+            issued: 4,
+            completed: 3,
+            failed: 1,
+            proxied: 0,
+            errors: BTreeMap::new(),
+            overall: HistogramSnapshot::default(),
+            per_partition: Vec::new(),
+            proxied_latency: HistogramSnapshot::default(),
+            direct_latency: HistogramSnapshot::default(),
+            cells: t.cells().to_vec(),
+            baseline: (0, 3),
+            fault_window: (1, 3),
+        };
+        assert_eq!(s.window_rates(0, 3), (1.0, 3));
+        assert_eq!(s.window_rates(1, 3).1, 2);
+        assert_eq!(s.merged(2, 3).count, 2);
+        // Out-of-range windows clamp instead of panicking.
+        assert_eq!(s.window_rates(5, 9).1, 0);
+        assert_eq!(s.merged(5, 9).count, 0);
+    }
+
+    #[test]
     fn campaign_runs_and_reports() {
         let outcomes = run_campaign(&tiny_cfg(), &tiny_campaign(), &Pool::sequential());
         assert_eq!(outcomes.len(), 2);

@@ -62,25 +62,6 @@ impl Timeline {
     pub fn cells(&self) -> &[Cell] {
         &self.cells
     }
-
-    /// Merge the latency distributions of seconds `[from, to)`.
-    pub fn merged_latency(&self, from: usize, to: usize) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::default();
-        for cell in self.cells.iter().take(to.min(self.cells.len())).skip(from) {
-            out.merge(&cell.lat);
-        }
-        out
-    }
-
-    /// Completions in seconds `[from, to)`.
-    pub fn completed_in(&self, from: usize, to: usize) -> u64 {
-        self.cells
-            .iter()
-            .take(to.min(self.cells.len()))
-            .skip(from)
-            .map(|c| c.completed)
-            .sum()
-    }
 }
 
 /// Handles every generator records through; cheap to clone.
@@ -165,17 +146,15 @@ mod tests {
     }
 
     #[test]
-    fn timeline_windows() {
+    fn timeline_cells() {
         let mut t = Timeline::default();
         t.record_completion(0, 100);
         t.record_completion(2, 200);
         t.record_completion(2, 300);
         t.record_failure(1);
-        assert_eq!(t.completed_in(0, 3), 3);
-        assert_eq!(t.completed_in(1, 3), 2);
+        let completed: Vec<u64> = t.cells().iter().map(|c| c.completed).collect();
+        assert_eq!(completed, [1, 0, 2]);
         assert_eq!(t.cells()[1].failed, 1);
-        assert_eq!(t.merged_latency(2, 3).count, 2);
-        // Out-of-range windows clamp instead of panicking.
-        assert_eq!(t.completed_in(5, 9), 0);
+        assert_eq!(t.cells()[2].lat.count, 2);
     }
 }

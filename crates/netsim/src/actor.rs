@@ -12,7 +12,7 @@ use crate::SimTime;
 use rand::rngs::StdRng;
 use rand::Rng;
 use tamp_topology::HostId;
-use tamp_wire::{codec, CodecKind, Message, MessageView, NodeId};
+use tamp_wire::{CodecKind, Message, MessageView, NodeId};
 
 /// A protocol endpoint on one host.
 pub trait Actor: Send {
@@ -24,37 +24,28 @@ pub trait Actor: Send {
 
     /// A packet arrived as a validated borrowed view over its wire
     /// bytes. Drivers that hold encoded frames (the real-UDP runtime,
-    /// the engine's opt-in wire-codec mode) call this instead of
-    /// [`Actor::on_packet`], so actors can read hot-path fields without
-    /// materializing an owned [`Message`]. The default materializes and
-    /// delegates, so actors only override this where zero-copy pays.
+    /// the engine's opt-in wire-codec mode) reach this through
+    /// [`Actor::on_wire_packet`] instead of [`Actor::on_packet`], so
+    /// actors can read hot-path fields without materializing an owned
+    /// [`Message`]. The default materializes and delegates, so actors
+    /// only override this where zero-copy pays.
     fn on_packet_view(&mut self, ctx: &mut Context, meta: PacketMeta, view: &MessageView<'_>) {
         self.on_packet(ctx, meta, &view.to_owned());
     }
 
-    /// A packet arrived as raw wire bytes. Decodes per `codec` —
-    /// [`CodecKind::Owned`] runs the reference decoder into
-    /// [`Actor::on_packet`]; [`CodecKind::Borrowed`] validates a
-    /// [`MessageView`] into [`Actor::on_packet_view`]. Undecodable
-    /// frames are dropped silently, as a real UDP receive loop would.
+    /// A packet arrived as raw wire bytes: validates a [`MessageView`]
+    /// into [`Actor::on_packet_view`]. Undecodable frames are dropped
+    /// silently, as a real UDP receive loop would. `_kind` has one
+    /// value and is read by nothing ([`CodecKind`] says why it is here).
     fn on_wire_packet(
         &mut self,
         ctx: &mut Context,
         meta: PacketMeta,
         bytes: &[u8],
-        kind: CodecKind,
+        _kind: CodecKind,
     ) {
-        match kind {
-            CodecKind::Owned => {
-                if let Ok(msg) = codec::decode(bytes) {
-                    self.on_packet(ctx, meta, &msg);
-                }
-            }
-            CodecKind::Borrowed => {
-                if let Ok(view) = MessageView::parse(bytes) {
-                    self.on_packet_view(ctx, meta, &view);
-                }
-            }
+        if let Ok(view) = MessageView::parse(bytes) {
+            self.on_packet_view(ctx, meta, &view);
         }
     }
 

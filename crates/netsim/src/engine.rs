@@ -10,7 +10,6 @@
 //! `tamp_topology::sharding` for the partition planner.
 
 use crate::actor::Actor;
-use crate::scheduler::SchedulerKind;
 use crate::shard::{Descriptor, DrainBatch, Shard, ShardMsg, ShardReply, Tag, CONTROL_SEQ_BASE};
 use crate::stats::Stats;
 use crate::trace::{TraceConfig, TraceEvent, TraceLog};
@@ -87,10 +86,6 @@ pub struct EngineConfig {
     /// a [`Registry`] with per-host / per-kind / per-channel network
     /// accounting and routes actor `Count`/`Record` effects into it.
     pub metrics: bool,
-    /// Event scheduler selection. Defaults to the hierarchical
-    /// [`SchedulerKind::TimerWheel`]; the reference binary heap exists
-    /// only so differential tests can pin the wheel against it.
-    pub scheduler: SchedulerKind,
     /// Opt-in wire-codec delivery mode. `None` (the default) passes the
     /// in-memory [`tamp_wire::Message`] straight to
     /// [`Actor::on_packet`] — the fastest simulation path, since only
@@ -98,11 +93,10 @@ pub struct EngineConfig {
     /// way, encodes the packet when its first receiver is about to read
     /// it (once for all multicast receivers; never, if every delivery is
     /// dropped) and delivers raw bytes through
-    /// [`Actor::on_wire_packet`], exercising the full codec —
-    /// [`CodecKind::Borrowed`] via zero-copy views,
-    /// [`CodecKind::Owned`] via the reference decoder — end-to-end
-    /// under simulation. Differential tests pin the three modes against
-    /// each other.
+    /// [`Actor::on_wire_packet`], which parses a zero-copy
+    /// [`tamp_wire::MessageView`] — the encoder and the view parser
+    /// end to end under simulation. `tests/differential_codec.rs` pins
+    /// the two modes against each other. [`CodecKind`] has one value.
     pub wire_codec: Option<CodecKind>,
     /// Topology partitioning for parallel execution (see
     /// [`ShardingKind`]). Byte-identical output either way.
@@ -121,7 +115,6 @@ impl Default for EngineConfig {
             loss: LossModel::default(),
             trace: TraceConfig::default(),
             metrics: false,
-            scheduler: SchedulerKind::default(),
             wire_codec: None,
             sharding: ShardingKind::Sequential,
             shard_jobs: None,

@@ -1,21 +1,13 @@
-//! Event schedulers for the discrete-event engine.
+//! The event queue of the discrete-event engine.
 //!
 //! The engine needs one operation done billions of times: "hand me the
 //! next pending event at or before time `t`, in deterministic order".
-//! Two implementations share that contract:
-//!
-//! * [`TimerWheel`] — a hierarchical timer wheel (Varghese & Lauck) with
-//!   256-slot levels, per-level occupancy bitmaps and a binary-heap
-//!   overflow for far-future timers. Every slot is an intrusive list
-//!   through one slab of events, so a push is a link, a cascade relinks
-//!   without copying, and no tick allocates or frees: the slab grows to
-//!   the queue's high-water mark and stays there. This is what every
-//!   run uses.
-//! * [`ReferenceHeap`] — the original global `BinaryHeap`. O(log n) per
-//!   operation, kept as the executable specification: differential tests
-//!   run whole clusters under both schedulers and assert identical event
-//!   streams. Select it with [`SchedulerKind::ReferenceHeap`]; it is not
-//!   meant for production runs.
+//! [`TimerWheel`] does it: a hierarchical timer wheel (Varghese & Lauck)
+//! with 256-slot levels, per-level occupancy bitmaps and a binary-heap
+//! overflow for far-future timers. Every slot is an intrusive list
+//! through one slab of events, so a push is a link, a cascade relinks
+//! without copying, and no tick allocates or frees: the slab grows to
+//! the queue's high-water mark and stays there.
 //!
 //! # Ordering contract
 //!
@@ -51,10 +43,13 @@
 //! open a fine tick keeps that heap a few dozen deep even when a flood
 //! puts tens of thousands of packets in flight at once.
 //!
-//! Both schedulers implement exactly the `(time, key, seq)` order; the
-//! proptest suite in `tests/timer_wheel_props.rs` pins the wheel against
-//! a sorted-vec model, and `tests/scheduler_tiebreak.rs` pins the
-//! contract itself.
+//! # What pins it
+//!
+//! The specification is an ordered set of `(time, key, seq)`: the
+//! proptest suite in `tests/timer_wheel_props.rs` drives the wheel and
+//! that model in lock step and compares every pop.
+//! `tests/scheduler_tiebreak.rs` pins the contract at the engine level,
+//! and `tests/fanout_golden.rs` holds whole runs to recorded constants.
 //!
 //! The module is public so property tests and benches can drive the
 //! wheel directly; the engine is its only in-tree production consumer.
@@ -62,6 +57,7 @@
 use crate::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::{Deref, DerefMut};
 
 /// One scheduled event carrying an opaque payload.
 ///
@@ -103,133 +99,38 @@ impl<T> Ord for Scheduled<T> {
     }
 }
 
-/// Which scheduler an [`crate::Engine`] uses.
+/// Names the one event queue there is. Nothing dispatches on it. It and
+/// [`EventQueue`] exist only because `benchmark/src/micro.rs` builds its
+/// queue as `EventQueue::new(SchedulerKind::default())`, and the next
+/// change to `benchmark/` removes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Hierarchical timer wheel with heap overflow (production default).
+    /// [`TimerWheel`].
     #[default]
     TimerWheel,
-    /// The original global binary heap, kept as the executable
-    /// specification for differential testing.
-    ReferenceHeap,
 }
 
-/// The common scheduler interface used by the engine.
+/// [`TimerWheel`] under the name `benchmark/` builds it by (see
+/// [`SchedulerKind`]); everything else is the wheel's, through `Deref`.
 #[derive(Debug)]
-pub enum EventQueue<T> {
-    Wheel(TimerWheel<T>),
-    Heap(ReferenceHeap<T>),
-}
+pub struct EventQueue<T>(TimerWheel<T>);
 
 impl<T> EventQueue<T> {
-    pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::TimerWheel => EventQueue::Wheel(TimerWheel::new()),
-            SchedulerKind::ReferenceHeap => EventQueue::Heap(ReferenceHeap::new()),
-        }
-    }
-
-    #[inline]
-    pub fn push(&mut self, ev: Scheduled<T>) {
-        match self {
-            EventQueue::Wheel(w) => w.push(ev),
-            EventQueue::Heap(h) => h.push(ev),
-        }
-    }
-
-    /// Remove and return the globally-next event if it is due at or
-    /// before `t`.
-    #[inline]
-    pub fn pop_before(&mut self, t: SimTime) -> Option<Scheduled<T>> {
-        match self {
-            EventQueue::Wheel(w) => w.pop_before(t),
-            EventQueue::Heap(h) => h.pop_before(t),
-        }
-    }
-
-    /// The due time of the globally-next event, without removing it.
-    /// Takes `&mut self` because the wheel may have to cascade frames to
-    /// find the head — the same state changes a `pop_before` probe would
-    /// make. The sharded engine uses this to fast-forward epochs across
-    /// event gaps instead of stepping one lookahead window at a time.
-    #[inline]
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Wheel(w) => w.next_time(),
-            EventQueue::Heap(h) => h.next_time(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The most events this queue ever held at once.
-    pub fn peak_len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.peak_len(),
-            EventQueue::Heap(h) => h.peak_len(),
-        }
+    pub fn new(_kind: SchedulerKind) -> Self {
+        EventQueue(TimerWheel::new())
     }
 }
 
-/// The original scheduler: one global binary heap ordered by
-/// `(time, key, seq)`.
-#[derive(Debug)]
-pub struct ReferenceHeap<T> {
-    heap: BinaryHeap<Reverse<Scheduled<T>>>,
-    peak: usize,
-}
-
-impl<T> Default for ReferenceHeap<T> {
-    fn default() -> Self {
-        Self::new()
+impl<T> Deref for EventQueue<T> {
+    type Target = TimerWheel<T>;
+    fn deref(&self) -> &TimerWheel<T> {
+        &self.0
     }
 }
 
-impl<T> ReferenceHeap<T> {
-    pub fn new() -> Self {
-        ReferenceHeap {
-            heap: BinaryHeap::new(),
-            peak: 0,
-        }
-    }
-
-    pub fn push(&mut self, ev: Scheduled<T>) {
-        self.heap.push(Reverse(ev));
-        self.peak = self.peak.max(self.heap.len());
-    }
-
-    pub fn pop_before(&mut self, t: SimTime) -> Option<Scheduled<T>> {
-        if self.heap.peek()?.0.time > t {
-            return None;
-        }
-        self.heap.pop().map(|Reverse(ev)| ev)
-    }
-
-    /// Due time of the next event, without removing it.
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(head)| head.time)
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The most events this queue ever held at once.
-    pub fn peak_len(&self) -> usize {
-        self.peak
+impl<T> DerefMut for EventQueue<T> {
+    fn deref_mut(&mut self) -> &mut TimerWheel<T> {
+        &mut self.0
     }
 }
 
@@ -676,30 +577,28 @@ mod tests {
 
     #[test]
     fn next_time_peeks_without_consuming() {
-        for kind in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
-            let mut q = EventQueue::new(kind);
-            assert_eq!(q.next_time(), None, "{kind:?}: empty queue");
-            // One event per wheel level and one in the overflow heap, so
-            // the peek has to cascade.
-            let times = [
-                slot_ns(0) + 7,
-                slot_ns(1) + 7,
-                slot_ns(2) + 7,
-                slot_ns(3) + 7,
-                2 * WHEEL_NS,
-            ];
-            for (i, t) in times.into_iter().enumerate() {
-                q.push(ev(t, 0, i as u64));
-            }
-            assert_eq!(q.next_time(), Some(times[0]), "{kind:?}");
-            assert_eq!(q.next_time(), Some(times[0]), "{kind:?}: peek must not pop");
-            assert_eq!(q.len(), times.len(), "{kind:?}");
-            assert_eq!(q.pop_before(u64::MAX).unwrap().time, times[0], "{kind:?}");
-            assert_eq!(q.next_time(), Some(times[1]), "{kind:?}");
-            while q.pop_before(u64::MAX).is_some() {}
-            assert_eq!(q.next_time(), None, "{kind:?}: drained");
-            assert_eq!(q.peak_len(), times.len(), "{kind:?}");
+        let mut w = TimerWheel::new();
+        assert_eq!(w.next_time(), None, "empty queue");
+        // One event per wheel level and one in the overflow heap, so the
+        // peek has to cascade.
+        let times = [
+            slot_ns(0) + 7,
+            slot_ns(1) + 7,
+            slot_ns(2) + 7,
+            slot_ns(3) + 7,
+            2 * WHEEL_NS,
+        ];
+        for (i, t) in times.into_iter().enumerate() {
+            w.push(ev(t, 0, i as u64));
         }
+        assert_eq!(w.next_time(), Some(times[0]));
+        assert_eq!(w.next_time(), Some(times[0]), "peek must not pop");
+        assert_eq!(w.len(), times.len());
+        assert_eq!(w.pop_before(u64::MAX).unwrap().time, times[0]);
+        assert_eq!(w.next_time(), Some(times[1]));
+        while w.pop_before(u64::MAX).is_some() {}
+        assert_eq!(w.next_time(), None, "drained");
+        assert_eq!(w.peak_len(), times.len());
     }
 
     #[test]

@@ -64,7 +64,7 @@ use crate::engine::{
     Control, EngineConfig, CPU_PER_BYTE, CPU_PER_PACKET, HEADER_OVERHEAD, WIRE_TIME_PER_BYTE,
 };
 use crate::packet::{ChannelId, Destination, PacketMeta};
-use crate::scheduler::{EventQueue, Scheduled};
+use crate::scheduler::{Scheduled, TimerWheel};
 use crate::stats::{HostStats, Observation, SeriesPoint, Stats};
 use crate::trace::{DropReason, TraceEvent, TraceLog};
 use crate::SimTime;
@@ -459,7 +459,7 @@ pub(crate) struct Shard {
     pub(crate) cfg: EngineConfig,
     seed: u64,
     pub(crate) clock: SimTime,
-    queue: EventQueue<EventKind>,
+    queue: TimerWheel<EventKind>,
     arena: PktArena,
     actors: Vec<Option<Box<dyn Actor>>>,
     /// Per-host actor RNG, seeded from `(engine seed, host)`. Present
@@ -562,7 +562,7 @@ impl Shard {
             owner_of,
             seed,
             clock: 0,
-            queue: EventQueue::new(cfg.scheduler),
+            queue: TimerWheel::new(),
             arena: PktArena::default(),
             actors: (0..n).map(|_| None).collect(),
             rngs: (0..n).map(|_| None).collect(),

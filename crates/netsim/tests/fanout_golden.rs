@@ -2,15 +2,14 @@
 //! what order relative to everything else — is pinned to constants that
 //! were recorded from the engine that pushed one `Deliver` event per
 //! receiver at send time (commit `5fa54bd`, before the event queue held
-//! one entry per packet in flight). `tests/differential.rs` and
-//! `differential_shard.rs` compare engines that share one fan-out; only
-//! recorded constants can tell a lazy fan-out from the eager one it
+//! one entry per packet in flight). `differential_shard.rs` and
+//! `tests/differential_codec.rs` compare engines that share one fan-out;
+//! only recorded constants can tell a lazy fan-out from the eager one it
 //! replaced.
 //!
-//! Every scenario runs sequentially and at `Sharded(2)`, on the timer
-//! wheel and on the reference heap; the four fingerprints (full trace,
-//! per-host stats, series, observations, telemetry) must be equal to
-//! each other and hash to the recorded value. The scenarios aim at the
+//! Every scenario runs sequentially and at `Sharded(2)`; the two
+//! fingerprints (full trace, per-host stats, series, observations,
+//! telemetry) must be equal to each other and hash to the recorded value. The scenarios aim at the
 //! places a lazily re-queued delivery could go wrong:
 //!
 //! * default jitter — receivers of one packet spread over 200 µs, other
@@ -34,7 +33,7 @@ mod common;
 use common::fingerprint;
 use tamp_netsim::{
     Actor, ChannelId, Context, Control, DropReason, Engine, EngineConfig, LossModel, PacketMeta,
-    SchedulerKind, ShardingKind, SimTime, TraceConfig, TraceEvent, TraceRecord, MILLIS, SECS,
+    ShardingKind, SimTime, TraceConfig, TraceEvent, TraceRecord, MILLIS, SECS,
 };
 use tamp_topology::{generators, HostId, SegmentId};
 use tamp_wire::{Message, NodeId, SyncRequest, SyncResponse};
@@ -140,14 +139,13 @@ impl Scenario {
 
 const SEED: u64 = 2005;
 
-fn run(sc: &Scenario, sharding: ShardingKind, scheduler: SchedulerKind) -> Engine {
+fn run(sc: &Scenario, sharding: ShardingKind) -> Engine {
     let cfg = EngineConfig {
         latency_jitter: sc.jitter,
         loss: LossModel { rate: sc.loss },
         series_bucket: SECS,
         trace: TraceConfig::all(),
         metrics: true,
-        scheduler,
         sharding,
         shard_jobs: Some(2),
         ..Default::default()
@@ -181,25 +179,19 @@ fn fnv1a(s: &str) -> u64 {
     })
 }
 
-/// Run `sc` in all four engine shapes, require equal fingerprints and
-/// the recorded hash; hand back the sequential wheel run's trace for
+/// Run `sc` sequentially and on two shards, require equal fingerprints
+/// and the recorded hash; hand back the sequential run's trace for
 /// scenario-specific checks.
 fn check(sc: &Scenario, golden: u64) -> Vec<TraceRecord> {
-    let reference = run(sc, ShardingKind::Sequential, SchedulerKind::TimerWheel);
+    let reference = run(sc, ShardingKind::Sequential);
     let want = fingerprint(&reference);
-    for sharding in [ShardingKind::Sequential, ShardingKind::Sharded(2)] {
-        for scheduler in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
-            let eng = run(sc, sharding, scheduler);
-            if sharding != ShardingKind::Sequential {
-                assert_eq!(eng.effective_shards(), 2, "{}: plan collapsed", sc.name);
-            }
-            assert!(
-                fingerprint(&eng) == want,
-                "{}: {sharding:?} / {scheduler:?} diverges from sequential wheel",
-                sc.name
-            );
-        }
-    }
+    let sharded = run(sc, ShardingKind::Sharded(2));
+    assert_eq!(sharded.effective_shards(), 2, "{}: plan collapsed", sc.name);
+    assert!(
+        fingerprint(&sharded) == want,
+        "{}: Sharded(2) diverges from sequential",
+        sc.name
+    );
     let got = fnv1a(&want);
     assert!(
         got == golden,
@@ -216,7 +208,7 @@ fn check(sc: &Scenario, golden: u64) -> Vec<TraceRecord> {
 /// The trace of `sc` as scripted so far, to aim the next control between
 /// two of its records.
 fn probe(sc: &Scenario) -> Vec<TraceRecord> {
-    let eng = run(sc, ShardingKind::Sequential, SchedulerKind::TimerWheel);
+    let eng = run(sc, ShardingKind::Sequential);
     let trace = eng.trace_log().records().cloned().collect();
     trace
 }
@@ -473,13 +465,12 @@ impl Actor for Burst {
 
 /// The count behind the memory claim: the event queue holds one entry
 /// per packet in flight (plus armed timers), not one per (packet,
-/// receiver) — on either scheduler, and per shard when sharded (a shard
-/// that hears a remote multicast holds one entry for it too).
+/// receiver) — and per shard when sharded (a shard that hears a remote
+/// multicast holds one entry for it too).
 #[test]
 fn queue_holds_one_entry_per_packet_in_flight() {
-    let flood = |topo, ttl, sharding, scheduler| {
+    let flood = |topo, ttl, sharding| {
         let cfg = EngineConfig {
-            scheduler,
             sharding,
             shard_jobs: Some(1),
             ..Default::default()
@@ -493,27 +484,20 @@ fn queue_holds_one_entry_per_packet_in_flight() {
         (eng.queue_peak(), eng.stats().totals().recv_pkts)
     };
     const TIMERS: usize = 1;
-    for scheduler in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
-        // One 21-host segment: every packet has 20 receivers.
-        let (peak, heard) = flood(
-            generators::single_segment(21),
-            1,
-            ShardingKind::Sequential,
-            scheduler,
-        );
-        assert_eq!(heard, 20 * PACKETS as u64);
+    // One 21-host segment: every packet has 20 receivers.
+    let (peak, heard) = flood(generators::single_segment(21), 1, ShardingKind::Sequential);
+    assert_eq!(heard, 20 * PACKETS as u64);
+    assert!(
+        (PACKETS..=PACKETS + TIMERS).contains(&peak),
+        "{PACKETS} packets x 20 receivers peaked at {peak} queue entries"
+    );
+    // Two 10-host segments, TTL 2: 9 receivers at home, 10 across.
+    for (sharding, shards) in [(ShardingKind::Sequential, 1), (ShardingKind::Sharded(2), 2)] {
+        let (peak, heard) = flood(generators::star_of_segments(2, 10), 2, sharding);
+        assert_eq!(heard, 19 * PACKETS as u64);
         assert!(
-            (PACKETS..=PACKETS + TIMERS).contains(&peak),
-            "{scheduler:?}: {PACKETS} packets x 20 receivers peaked at {peak} queue entries"
+            (PACKETS..=shards * PACKETS + TIMERS).contains(&peak),
+            "{sharding:?}: peaked at {peak} queue entries"
         );
-        // Two 10-host segments, TTL 2: 9 receivers at home, 10 across.
-        for (sharding, shards) in [(ShardingKind::Sequential, 1), (ShardingKind::Sharded(2), 2)] {
-            let (peak, heard) = flood(generators::star_of_segments(2, 10), 2, sharding, scheduler);
-            assert_eq!(heard, 19 * PACKETS as u64);
-            assert!(
-                (PACKETS..=shards * PACKETS + TIMERS).contains(&peak),
-                "{scheduler:?} {sharding:?}: peaked at {peak} queue entries"
-            );
-        }
     }
 }

@@ -9,9 +9,7 @@
 //! order (or to an unstable heap ordering) would fire them first.
 
 use std::sync::{Arc, Mutex};
-use tamp_netsim::{
-    Actor, Context, Control, Engine, EngineConfig, PacketMeta, SchedulerKind, SimTime, MILLIS,
-};
+use tamp_netsim::{Actor, Context, Control, Engine, EngineConfig, PacketMeta, SimTime, MILLIS};
 use tamp_topology::{generators, HostId};
 use tamp_wire::Message;
 
@@ -54,13 +52,9 @@ impl Actor for Staggered {
     }
 }
 
-fn run(kind: SchedulerKind, kill_host2_at_rendezvous: bool) -> Vec<(u32, u64)> {
+fn run(kill_host2_at_rendezvous: bool) -> Vec<(u32, u64)> {
     let topo = generators::single_segment(3);
-    let cfg = EngineConfig {
-        scheduler: kind,
-        ..Default::default()
-    };
-    let mut engine = Engine::new(topo, cfg, 7);
+    let mut engine = Engine::new(topo, EngineConfig::default(), 7);
     let log = Arc::new(Mutex::new(Vec::new()));
     for h in engine.hosts() {
         engine.add_actor(
@@ -81,17 +75,11 @@ fn run(kind: SchedulerKind, kill_host2_at_rendezvous: bool) -> Vec<(u32, u64)> {
 }
 
 /// At the rendezvous, host order beats insertion order; within one
-/// host, insertion order decides. Identical on both schedulers.
+/// host, insertion order decides.
 #[test]
 fn equal_timestamps_order_by_host_then_seq() {
     let expected = vec![(1, 1), (0, 2), (0, 0), (1, 100), (2, 200), (2, 201)];
-    for kind in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
-        assert_eq!(
-            run(kind, false),
-            expected,
-            "tie-break order violated under {kind:?}"
-        );
-    }
+    assert_eq!(run(false), expected, "tie-break order violated");
 }
 
 /// A control event at the same timestamp (key 0) dispatches before any
@@ -100,11 +88,5 @@ fn equal_timestamps_order_by_host_then_seq() {
 #[test]
 fn control_events_preempt_same_time_host_events() {
     let expected = vec![(1, 1), (0, 2), (0, 0), (1, 100)];
-    for kind in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
-        assert_eq!(
-            run(kind, true),
-            expected,
-            "control-first ordering violated under {kind:?}"
-        );
-    }
+    assert_eq!(run(true), expected, "control-first ordering violated");
 }

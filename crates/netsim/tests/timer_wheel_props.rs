@@ -1,7 +1,6 @@
 //! Property suite for the event schedulers: the hierarchical
 //! [`TimerWheel`] must be observationally identical to a trivial
-//! ordered-set model — and to the [`ReferenceHeap`] it replaced — under
-//! arbitrary interleavings of insert and advance.
+//! ordered-set model under arbitrary interleavings of insert and advance.
 //!
 //! This is the lock on the `(time, key, seq)` total order the whole
 //! simulator's determinism rests on (see the `scheduler` module docs).
@@ -14,7 +13,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tamp_netsim::scheduler::{ReferenceHeap, Scheduled, TimerWheel};
+use tamp_netsim::scheduler::{Scheduled, TimerWheel};
 
 /// An event's observable identity: everything but the payload.
 type Key = (u64, u32, u64);
@@ -28,38 +27,33 @@ fn ev((time, key, seq): Key) -> Scheduled<u64> {
     }
 }
 
-/// The wheel, the reference heap and the executable specification (an
-/// ordered set of `(time, key, seq)`; seqs are unique), driven in lock
-/// step.
+/// The wheel and the executable specification (an ordered set of
+/// `(time, key, seq)`; seqs are unique), driven in lock step.
 #[derive(Default)]
-struct Trio {
+struct Pair {
     wheel: TimerWheel<u64>,
-    heap: ReferenceHeap<u64>,
     model: BTreeSet<Key>,
     next_seq: u64,
     peak: usize,
 }
 
-impl Trio {
+impl Pair {
     fn push(&mut self, time: u64, key: u32) {
         let e = (time, key, self.next_seq);
         self.next_seq += 1;
         self.wheel.push(ev(e));
-        self.heap.push(ev(e));
         self.model.insert(e);
         self.peak = self.peak.max(self.model.len());
     }
 
-    /// Pop the next event due at or before `t` from all three, asserting
-    /// they agree (also on "nothing due").
+    /// Pop the next event due at or before `t` from both, asserting they
+    /// agree (also on "nothing due").
     fn pop_before(&mut self, t: u64) -> Result<Option<Key>, TestCaseError> {
         let w = self.wheel.pop_before(t).map(|e| (e.time, e.key, e.seq));
-        let h = self.heap.pop_before(t).map(|e| (e.time, e.key, e.seq));
         let m = match self.model.first() {
             Some(&e) if e.0 <= t => self.model.pop_first(),
             _ => None,
         };
-        prop_assert_eq!(w, h, "wheel vs reference heap at t={}", t);
         prop_assert_eq!(w, m, "wheel vs ordered-set model at t={}", t);
         prop_assert_eq!(self.wheel.len(), self.model.len());
         Ok(w)
@@ -79,7 +73,6 @@ impl Trio {
         prop_assert!(self.wheel.pop_before(u64::MAX).is_none());
         prop_assert_eq!(self.wheel.next_time(), None);
         prop_assert_eq!(self.wheel.peak_len(), self.peak);
-        prop_assert_eq!(self.heap.peak_len(), self.peak);
         Ok(())
     }
 }
@@ -90,8 +83,8 @@ enum Op {
     /// Insert at an absolute time (may land before the current cursor:
     /// that exercises the push into the already-open `ready` heap).
     Push { time: u64, key: u32 },
-    /// Advance the cursor by `dt` and pop everything due from all three
-    /// queues, comparing each popped event.
+    /// Advance the cursor by `dt` and pop everything due from wheel and
+    /// model, comparing each popped event.
     Drain { dt: u64 },
 }
 
@@ -137,7 +130,7 @@ fn arb_op() -> BoxedStrategy<Op> {
 }
 
 fn run_schedule(ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut q = Trio::default();
+    let mut q = Pair::default();
     let mut cursor = 0u64;
     for op in ops {
         match *op {
@@ -155,9 +148,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
     /// The headline property: arbitrary insert/advance schedules are
-    /// indistinguishable across wheel, reference heap, and model.
+    /// indistinguishable between wheel and model.
     #[test]
-    fn wheel_matches_model_and_reference_heap(
+    fn wheel_matches_model(
         ops in prop::collection::vec(arb_op(), 1..140)
     ) {
         run_schedule(&ops)?;
@@ -201,7 +194,7 @@ proptest! {
         spread in 0u64..300_000,
         steps in prop::collection::vec((0u64..1500, 0u32..24, 0u32..16), 1000..4000),
     ) {
-        let mut q = Trio::default();
+        let mut q = Pair::default();
         let base = base.saturating_sub(spread / 2);
         for i in 0..depth as u64 {
             // A deterministic scatter over `spread` ns.
@@ -227,7 +220,7 @@ proptest! {
             1..24,
         )
     ) {
-        let mut q = Trio::default();
+        let mut q = Pair::default();
         for (time, key, len, pops) in bursts {
             for _ in 0..len {
                 q.push(time, key);

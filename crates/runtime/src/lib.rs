@@ -241,7 +241,6 @@ pub struct Runtime {
     threads: Vec<std::thread::JoinHandle<()>>,
     stops: HashMap<HostId, Arc<AtomicBool>>,
     registry: Registry,
-    codec: CodecKind,
 }
 
 impl Runtime {
@@ -253,17 +252,7 @@ impl Runtime {
             threads: Vec::new(),
             stops: HashMap::new(),
             registry: Registry::new(),
-            codec: CodecKind::default(),
         }
-    }
-
-    /// Select how the receive loop decodes datagrams. The default
-    /// [`CodecKind::Borrowed`] parses a zero-copy [`tamp_wire::MessageView`]
-    /// over the receive buffer; [`CodecKind::Owned`] is the reference
-    /// decoder kept as an escape hatch (and for differential runs).
-    /// Takes effect for nodes spawned after the call.
-    pub fn set_codec(&mut self, codec: CodecKind) {
-        self.codec = codec;
     }
 
     /// Hosts of the underlying topology.
@@ -294,10 +283,9 @@ impl Runtime {
         let meters = HostMeters::new(&self.registry, host);
         let fabric = self.fabric.clone();
         let epoch = self.epoch;
-        let codec = self.codec;
         let handle = std::thread::Builder::new()
             .name(format!("tamp-{host}"))
-            .spawn(move || drive(host, actor, socket, fabric, epoch, stop, meters, codec))
+            .spawn(move || drive(host, actor, socket, fabric, epoch, stop, meters))
             .expect("spawn driver thread");
         self.threads.push(handle);
     }
@@ -366,7 +354,6 @@ impl Drop for Runtime {
 
 /// Driver loop: interleave socket reads with due timers, applying actor
 /// effects as they are produced.
-#[allow(clippy::too_many_arguments)]
 fn drive(
     host: HostId,
     mut actor: Box<dyn Actor>,
@@ -375,7 +362,6 @@ fn drive(
     epoch: Instant,
     stop: Arc<AtomicBool>,
     meters: HostMeters,
-    codec: CodecKind,
 ) {
     let mut rng = StdRng::seed_from_u64(host.0 as u64 ^ 0x7a3f);
     let mut timers: BinaryHeap<TimerEntry> = BinaryHeap::new();
@@ -429,11 +415,10 @@ fn drive(
                 let mut effects = Vec::new();
                 {
                     let mut ctx = Context::new(now_nanos(epoch), host, &mut rng, &mut effects);
-                    // `on_wire_packet` decodes per the configured codec
-                    // — zero-copy views by default — and drops frames
-                    // that fail validation, as the old inline decode
-                    // did.
-                    actor.on_wire_packet(&mut ctx, meta, &buf[HDR_LEN..len], codec);
+                    // `on_wire_packet` parses a zero-copy view over the
+                    // receive buffer and drops frames that fail
+                    // validation.
+                    actor.on_wire_packet(&mut ctx, meta, &buf[HDR_LEN..len], CodecKind::Borrowed);
                 }
                 apply(host, &fabric, &socket, &meters, &mut timers, effects);
             }

@@ -14,7 +14,6 @@
 //! property tests.
 
 use crate::messages::*;
-use bytes::BufMut;
 use std::sync::Arc;
 
 /// Why a packet failed to decode.
@@ -58,19 +57,19 @@ trait Sink {
 
 impl Sink for Vec<u8> {
     fn put_u8(&mut self, v: u8) {
-        BufMut::put_u8(self, v)
+        self.push(v)
     }
     fn put_u16(&mut self, v: u16) {
-        BufMut::put_u16_le(self, v)
+        self.extend_from_slice(&v.to_le_bytes())
     }
     fn put_u32(&mut self, v: u32) {
-        BufMut::put_u32_le(self, v)
+        self.extend_from_slice(&v.to_le_bytes())
     }
     fn put_u64(&mut self, v: u64) {
-        BufMut::put_u64_le(self, v)
+        self.extend_from_slice(&v.to_le_bytes())
     }
     fn put_slice(&mut self, v: &[u8]) {
-        BufMut::put_slice(self, v)
+        self.extend_from_slice(v)
     }
 }
 

@@ -11,7 +11,7 @@
 //! The codec is hand-rolled rather than serde-based: the format is part of
 //! the system being reproduced (the paper reports 228-byte heartbeats and
 //! relies on updates piggybacking the last three events in a fixed layout),
-//! and a self-contained codec keeps the dependency set to `bytes` alone.
+//! and a self-contained codec keeps the crate free of dependencies.
 //!
 //! ```
 //! use tamp_wire::{Message, Heartbeat, NodeId, NodeRecord, codec};

@@ -17,28 +17,24 @@
 //! `crates/wire/tests/fuzz_codec.rs` locks — any drift between the two
 //! walks is a bug there, not a tolerated difference.
 //!
-//! [`CodecKind`] selects which implementation drives a receive path
-//! (the `SchedulerKind` escape-hatch pattern): `Borrowed` is the
-//! production zero-copy path, `Owned` keeps the reference `decode`
-//! reachable everywhere so the differential suite can diff the two
-//! end to end.
+//! Every receive path that holds encoded frames (the simulator's
+//! wire-codec mode, the real-UDP runtime) parses a view; `decode` stays
+//! as the reference the fuzz suite holds `parse` to and as what
+//! [`MessageView::to_owned`] runs.
 
 use crate::codec::{self, DecodeError};
 use crate::messages::{DigestEntry, Message, NodeId, NodeRecord, RecordPayload};
 
-/// Which decode implementation a receive path uses.
-///
-/// Like `SchedulerKind` for the event queue, this keeps the reference
-/// implementation (`Owned`, the allocating [`codec::decode`]) selectable
-/// wherever the production zero-copy path (`Borrowed`) runs, so the two
-/// can be compared byte-for-byte on traces, views, and telemetry.
+/// The one wire receive path there is: zero-copy validating views
+/// ([`MessageView`]). Nothing dispatches on it. It exists only because
+/// `benchmark/` names it — as `Some(CodecKind::Borrowed)` for the
+/// simulator's wire-codec mode and as the last argument of
+/// `on_wire_packet` — and the next change to `benchmark/` removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CodecKind {
-    /// Zero-copy validating views ([`MessageView`]); the production path.
+    /// Zero-copy validating views ([`MessageView`]).
     #[default]
     Borrowed,
-    /// Full owned decode ([`codec::decode`]); the reference path.
-    Owned,
 }
 
 /// A fully-validated borrowed view of one encoded message.
