@@ -88,11 +88,13 @@ job_shard() {
 }
 
 # Bounded chaos smoke: fixed seed set on the small two-segment topology,
-# plus the oracle bite check (MAX_LOSS=0 must fail with a shrunk repro).
+# a lax two-datacenter proxy sweep at both pool widths, plus the oracle
+# bite check (MAX_LOSS=0 must fail with a shrunk repro).
 job_chaos() {
     build
     exp chaos --seed 0 --sweep 20
     exp chaos --seed 3 --proxy
+    same_at_any_width proxy -- chaos --proxy --seed 0 --sweep 10
     if exp chaos --seed 1 --sweep 3 --broken; then
         echo "broken config unexpectedly passed the oracle" >&2
         return 1

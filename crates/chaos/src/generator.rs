@@ -8,9 +8,9 @@
 //! heartbeat losses could produce a justified-looking removal the oracle
 //! would have to call a bug).
 
-use crate::runner::{run_scenario, ScenarioConfig, ScenarioRun};
+use crate::runner::ScenarioRun;
 use crate::schedule::{Action, Schedule, ScheduledFault, Target, TopoSpec};
-use crate::shrink::shrink_on;
+use crate::shrink::shrink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tamp_netsim::telemetry::MetricsSnapshot;
@@ -275,97 +275,50 @@ pub fn seed_range(first_seed: u64, count: u64) -> std::ops::Range<u64> {
     first_seed..first_seed.saturating_add(count)
 }
 
-/// Run `count` seeds starting at `first_seed`: generate a schedule per
-/// seed, execute it, and on the first oracle failure shrink it to a
-/// minimal repro and stop. Sequential; see [`sweep_on`] to spread the
-/// runs over a worker pool.
+/// Run every seed of `seeds`: draw its schedule from `schedule_of`,
+/// execute it with `run`, and on the first oracle failure [`shrink`] it
+/// to a minimal repro (probing with `run` at the failing seed) and stop.
+/// `run` is [`crate::run_scenario`] or [`crate::run_proxy_scenario`]
+/// under a per-seed config, so one sweep serves both deployments.
+///
+/// Runs execute speculatively over `pool` in work-stealing order, but
+/// verdicts are consumed in seed order and the sweep stops at the first
+/// failing *seed* (results for later seeds are discarded unseen), so the
+/// report — pass/fail lines, the failing seed, the shrunk repro — is
+/// byte-identical at any pool width. The shrinker reuses the same pool
+/// for its candidate evaluation.
 pub fn sweep(
-    first_seed: u64,
-    count: u64,
-    g: &GeneratorConfig,
-    mk_cfg: impl Fn(u64) -> ScenarioConfig + Sync,
-) -> SweepReport {
-    sweep_on(&Pool::sequential(), first_seed, count, g, mk_cfg)
-}
-
-/// [`sweep`] over a worker pool. Runs execute speculatively in
-/// work-stealing order, but verdicts are consumed in seed order and the
-/// sweep still stops at the first failing *seed* (results for later
-/// seeds are discarded unseen), so the report — pass/fail lines, the
-/// failing seed, the shrunk repro — is byte-identical to the
-/// sequential sweep. The shrinker reuses the same pool for its
-/// candidate evaluation.
-pub fn sweep_on(
     pool: &Pool,
-    first_seed: u64,
-    count: u64,
-    g: &GeneratorConfig,
-    mk_cfg: impl Fn(u64) -> ScenarioConfig + Sync,
+    seeds: std::ops::Range<u64>,
+    schedule_of: impl Fn(u64) -> Schedule + Sync,
+    run: impl Fn(u64, &Schedule) -> ScenarioRun + Sync,
 ) -> SweepReport {
-    sweep_core(
-        pool,
-        first_seed,
-        count,
-        |seed| random_schedule(seed, g),
-        mk_cfg,
-    )
-}
-
-/// [`sweep_on`] drawing from the adversarial generator instead of the
-/// classic one: every seed exercises the five production fault classes
-/// on the ring fabric the schedule carries (which overrides whatever
-/// topology `mk_cfg` supplies).
-pub fn adversarial_sweep_on(
-    pool: &Pool,
-    first_seed: u64,
-    count: u64,
-    g: &AdversarialConfig,
-    mk_cfg: impl Fn(u64) -> ScenarioConfig + Sync,
-) -> SweepReport {
-    sweep_core(
-        pool,
-        first_seed,
-        count,
-        |seed| adversarial_schedule(seed, g),
-        mk_cfg,
-    )
-}
-
-fn sweep_core(
-    pool: &Pool,
-    first_seed: u64,
-    count: u64,
-    mk_schedule: impl Fn(u64) -> Schedule + Sync,
-    mk_cfg: impl Fn(u64) -> ScenarioConfig + Sync,
-) -> SweepReport {
-    let seeds: Vec<u64> = seed_range(first_seed, count).collect();
+    let seeds: Vec<u64> = seeds.collect();
     let mut runs = Vec::new();
     let mut metrics = MetricsSnapshot::default();
-    let mut first_fail: Option<(u64, Schedule, ScenarioConfig)> = None;
+    let mut first_fail: Option<(u64, Schedule)> = None;
     pool.ordered_scan(
         seeds.len(),
         |i| {
-            let seed = seeds[i];
-            let schedule = mk_schedule(seed);
-            let cfg = mk_cfg(seed);
-            let run = run_scenario(&cfg, &schedule);
-            (schedule, cfg, run)
+            let schedule = schedule_of(seeds[i]);
+            let outcome = run(seeds[i], &schedule);
+            (schedule, outcome)
         },
-        |i, (schedule, cfg, run)| {
+        |i, (schedule, outcome)| {
             let seed = seeds[i];
-            let passed = run.passed();
+            let passed = outcome.passed();
             runs.push((seed, passed));
-            metrics.merge(&run.metrics);
+            metrics.merge(&outcome.metrics);
             if passed {
                 std::ops::ControlFlow::Continue(())
             } else {
-                first_fail = Some((seed, schedule, cfg));
+                first_fail = Some((seed, schedule));
                 std::ops::ControlFlow::Break(())
             }
         },
     );
-    let failure = first_fail.map(|(seed, original, cfg)| {
-        let (shrunk, run) = shrink_on(pool, &cfg, &original);
+    let failure = first_fail.map(|(seed, original)| {
+        let (shrunk, run) = shrink(pool, &original, |s| run(seed, s));
         SweepFailure {
             seed,
             original,
@@ -383,6 +336,87 @@ fn sweep_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Protocol;
+    use crate::oracle::Violation;
+
+    /// The event a synthetic run fails on: a skew of host 99, which no
+    /// generator draws.
+    const MARK: ScheduledFault = ScheduledFault {
+        at: 12 * SECS,
+        action: Action::Skew { host: 99, ppm: 1 },
+    };
+    /// The first seed whose schedule carries [`MARK`].
+    const FIRST_RED: u64 = 13;
+
+    /// Four decoy kills, plus [`MARK`] from [`FIRST_RED`] on.
+    fn marked_schedule(seed: u64) -> Schedule {
+        let mut events: Vec<ScheduledFault> = (0..4u32)
+            .map(|h| ScheduledFault {
+                at: (10 + u64::from(h)) * SECS,
+                action: Action::Kill(Target::Host(h)),
+            })
+            .collect();
+        if seed >= FIRST_RED {
+            events.push(MARK);
+        }
+        Schedule::new(events)
+    }
+
+    /// A synthetic scenario run that fails iff `schedule` still holds
+    /// [`MARK`]: the sweep and the shrinker see nothing but this verdict.
+    fn marked_run(seed: u64, schedule: &Schedule) -> ScenarioRun {
+        let violations = if schedule.events.contains(&MARK) {
+            vec![Violation::ProxyInconsistency {
+                dc: 0,
+                detail: "marked event".to_string(),
+            }]
+        } else {
+            Vec::new()
+        };
+        ScenarioRun {
+            seed,
+            schedule: schedule.clone(),
+            resolved: Vec::new(),
+            violations,
+            live: Vec::new(),
+            horizon: schedule.horizon(),
+            trace: Vec::new(),
+            metrics: MetricsSnapshot::default(),
+            protocol: Protocol::Tamp,
+            topo_desc: "synthetic".to_string(),
+        }
+    }
+
+    #[test]
+    fn sweep_stops_at_first_failing_seed_and_shrinks_to_the_marked_event() {
+        let at_width = |jobs| {
+            sweep(
+                &Pool::new(jobs),
+                seed_range(10, 10),
+                marked_schedule,
+                marked_run,
+            )
+        };
+        let report = at_width(1);
+        assert_eq!(
+            report.runs,
+            vec![(10, true), (11, true), (12, true), (FIRST_RED, false)],
+            "later seeds must not be reported"
+        );
+        let failure = report.failure.as_ref().expect("seed 13 fails");
+        assert_eq!(failure.seed, FIRST_RED);
+        assert_eq!(failure.original.events.len(), 5);
+        assert_eq!(failure.shrunk.events, vec![MARK]);
+        assert!(!failure.run.passed());
+
+        let (shrunk, run) = shrink(&Pool::new(4), &marked_schedule(FIRST_RED), |s| {
+            marked_run(FIRST_RED, s)
+        });
+        assert_eq!(shrunk.events, vec![MARK]);
+        assert!(!run.passed());
+
+        assert_eq!(report.report(), at_width(4).report());
+    }
 
     #[test]
     fn generation_is_seed_deterministic() {

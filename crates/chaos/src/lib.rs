@@ -44,15 +44,15 @@ pub mod truth;
 pub use cluster::{build_cluster, Cluster, Detection, Protocol};
 pub use dsl::ParseError;
 pub use generator::{
-    adversarial_schedule, adversarial_sweep_on, random_schedule, seed_range, sweep, sweep_on,
-    AdversarialConfig, GeneratorConfig, SweepReport,
+    adversarial_schedule, random_schedule, seed_range, sweep, AdversarialConfig, GeneratorConfig,
+    SweepReport,
 };
 pub use inject::{FaultInjector, RuntimeInjector};
 pub use oracle::{OracleConfig, Violation};
-pub use proxy::{run_proxy_scenario, ProxyScenarioConfig};
+pub use proxy::run_proxy_scenario;
 pub use runner::{apply_schedule, run_scenario, ScenarioConfig, ScenarioRun};
 pub use schedule::{Action, Schedule, ScheduledFault, Target, TopoSpec};
-pub use shrink::{shrink, shrink_on};
+pub use shrink::shrink;
 pub use truth::GroundTruth;
 
 /// The protocol names the `protocol` DSL directive (and the harness's

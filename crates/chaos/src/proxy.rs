@@ -5,12 +5,12 @@
 //! actually alive in the other data centers.
 
 use crate::oracle::{self, OracleConfig, Violation};
-use crate::runner::{apply_schedule, ScenarioRun};
+use crate::runner::{apply_schedule, ScenarioConfig, ScenarioRun};
 use crate::schedule::Schedule;
 use crate::truth::GroundTruth;
 use tamp_directory::DirectoryClient;
 use tamp_membership::{MembershipConfig, MembershipNode, Probe};
-use tamp_netsim::{Engine, EngineConfig, MILLIS};
+use tamp_netsim::{Engine, MILLIS};
 use tamp_proxy::{ProxyConfig, ProxyNode, RemoteView, VipTable};
 use tamp_topology::generators;
 use tamp_wire::{DcId, NodeId, PartitionSet, ServiceDecl};
@@ -18,40 +18,13 @@ use tamp_wire::{DcId, NodeId, PartitionSet, ServiceDecl};
 /// Service partitions spread across each data center's member nodes.
 const PARTITIONS: u16 = 3;
 
-/// Shape of the multi-DC chaos deployment.
-pub struct ProxyScenarioConfig {
-    pub seed: u64,
-    pub datacenters: usize,
-    /// Member (service-hosting) nodes per DC, on two segments.
-    pub members_per_dc: usize,
-    pub proxies_per_dc: usize,
-    pub wan_one_way: tamp_topology::Nanos,
-    pub membership: MembershipConfig,
-    /// Engine tunables — notably tracing, which previously could not be
-    /// enabled for multi-DC runs at all. Metrics are forced on
-    /// regardless, as in the single-cluster runner.
-    pub engine: EngineConfig,
-    /// Judge with the strict oracle (see
-    /// [`crate::OracleConfig::strict`]).
-    pub strict: bool,
-}
-
-impl ProxyScenarioConfig {
-    /// Two DCs, 6 members + 2 proxies each, ~90 ms WAN RTT (the paper's
-    /// east-coast/west-coast prototype shape).
-    pub fn two_dcs(seed: u64) -> Self {
-        ProxyScenarioConfig {
-            seed,
-            datacenters: 2,
-            members_per_dc: 6,
-            proxies_per_dc: 2,
-            wan_one_way: 45 * MILLIS,
-            membership: MembershipConfig::default(),
-            engine: EngineConfig::default(),
-            strict: false,
-        }
-    }
-}
+/// The deployment shape: two DCs, 6 members + 2 proxies each, ~90 ms
+/// WAN RTT (the paper's east-coast/west-coast prototype shape).
+const DATACENTERS: usize = 2;
+/// Member (service-hosting) nodes per DC, on two segments.
+const MEMBERS_PER_DC: usize = 6;
+const PROXIES_PER_DC: usize = 2;
+const WAN_ONE_WAY: tamp_topology::Nanos = 45 * MILLIS;
 
 struct DcState {
     dc: DcId,
@@ -62,15 +35,21 @@ struct DcState {
     clients: Vec<(u32, DirectoryClient)>,
 }
 
-/// Execute `schedule` against a fresh multi-DC deployment and judge it.
-pub fn run_proxy_scenario(cfg: &ProxyScenarioConfig, schedule: &Schedule) -> ScenarioRun {
+/// Execute `schedule` against a fresh two-DC deployment (16 hosts:
+/// proxies first, then members, per DC) and judge it.
+///
+/// Reads `seed`, `membership`, `engine` (metrics are forced on, as in
+/// the single-cluster runner) and `strict` from `cfg`. The deployment
+/// shape is fixed, and the cluster always runs the hierarchical
+/// protocol: `cfg.topo` and `cfg.protocol` are not read, and neither are
+/// a schedule's `topology` and `protocol` directives.
+pub fn run_proxy_scenario(cfg: &ScenarioConfig, schedule: &Schedule) -> ScenarioRun {
     let mut schedule = schedule.clone();
     schedule.normalize();
 
-    let per_dc = cfg.members_per_dc + cfg.proxies_per_dc;
-    let per_segment = per_dc.div_ceil(2);
-    let dcs_shape: Vec<(usize, usize)> = (0..cfg.datacenters).map(|_| (2, per_segment)).collect();
-    let (topo, dc_hosts) = generators::multi_datacenter(&dcs_shape, cfg.wan_one_way);
+    let per_segment = (MEMBERS_PER_DC + PROXIES_PER_DC).div_ceil(2);
+    let (topo, dc_hosts) =
+        generators::multi_datacenter(&[(2, per_segment); DATACENTERS], WAN_ONE_WAY);
     let num_hosts = topo.num_hosts();
 
     let mut engine_cfg = cfg.engine.clone();
@@ -82,7 +61,7 @@ pub fn run_proxy_scenario(cfg: &ProxyScenarioConfig, schedule: &Schedule) -> Sce
 
     for (dc_idx, hosts) in dc_hosts.iter().enumerate() {
         let dc = DcId(dc_idx as u16);
-        let remote_dcs: Vec<DcId> = (0..cfg.datacenters)
+        let remote_dcs: Vec<DcId> = (0..DATACENTERS)
             .filter(|&d| d != dc_idx)
             .map(|d| DcId(d as u16))
             .collect();
@@ -96,7 +75,7 @@ pub fn run_proxy_scenario(cfg: &ProxyScenarioConfig, schedule: &Schedule) -> Sce
         };
         let mut it = hosts.iter().copied();
 
-        for i in 0..cfg.proxies_per_dc {
+        for i in 0..PROXIES_PER_DC {
             let h = it.next().expect("not enough hosts for proxies");
             if i == 0 {
                 vips.set(dc, NodeId(h.0));
@@ -128,7 +107,14 @@ pub fn run_proxy_scenario(cfg: &ProxyScenarioConfig, schedule: &Schedule) -> Sce
     engine.start();
 
     let mut truth = GroundTruth::new();
-    let resolved = apply_schedule(&mut engine, &probes, &schedule, cfg.seed, 0.0, &mut truth);
+    let resolved = apply_schedule(
+        &mut engine,
+        &probes,
+        &schedule,
+        cfg.seed,
+        cfg.engine.loss.rate,
+        &mut truth,
+    );
     let horizon = schedule.horizon();
     engine.run_until(horizon);
 
@@ -166,8 +152,8 @@ pub fn run_proxy_scenario(cfg: &ProxyScenarioConfig, schedule: &Schedule) -> Sce
         metrics,
         protocol: crate::Protocol::Tamp,
         topo_desc: format!(
-            "{} datacenters, {} hosts ({} members + {} proxies each)",
-            cfg.datacenters, num_hosts, cfg.members_per_dc, cfg.proxies_per_dc
+            "{DATACENTERS} datacenters, {num_hosts} hosts \
+             ({MEMBERS_PER_DC} members + {PROXIES_PER_DC} proxies each)"
         ),
     }
 }
@@ -247,9 +233,11 @@ mod tests {
     use crate::schedule::{Action, ScheduledFault, Target};
     use tamp_topology::SECS;
 
+    // `two_segments` supplies default tunables; its topology is unread.
+
     #[test]
     fn healthy_two_dc_deployment_passes() {
-        let cfg = ProxyScenarioConfig::two_dcs(21);
+        let cfg = ScenarioConfig::two_segments(21);
         let run = run_proxy_scenario(&cfg, &Schedule::default());
         assert!(run.passed(), "{}", run.report());
         assert_eq!(run.live.len(), 16);
@@ -257,7 +245,7 @@ mod tests {
 
     #[test]
     fn killing_every_server_of_a_partition_updates_remote_views() {
-        let cfg = ProxyScenarioConfig::two_dcs(22);
+        let cfg = ScenarioConfig::two_segments(22);
         // DC 1's hosts are 8..16: proxies 8,9; members 10..16 serving
         // partitions 0,1,2,0,1,2. Kill both partition-0 servers (10, 13)
         // — DC 0's remote view must drop (dc 1, svc, partition 0) while
@@ -278,7 +266,7 @@ mod tests {
 
     #[test]
     fn proxy_leader_kill_fails_over_without_violations() {
-        let cfg = ProxyScenarioConfig::two_dcs(23);
+        let cfg = ScenarioConfig::two_segments(23);
         // Host 0 owns DC 0's virtual IP at start.
         let schedule = Schedule::new(vec![ScheduledFault {
             at: 30 * SECS,

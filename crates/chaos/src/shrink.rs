@@ -6,39 +6,35 @@
 //! every probe is a fresh deterministic run, so the minimized schedule
 //! genuinely fails on replay.
 
-use crate::runner::{run_scenario, ScenarioConfig, ScenarioRun};
+use crate::runner::ScenarioRun;
 use crate::schedule::Schedule;
 use tamp_par::Pool;
 
-/// Shrink `schedule` (which must fail under `cfg`) to a locally minimal
+/// Shrink `schedule` (which must fail under `run`) to a locally minimal
 /// failing schedule. Returns the shrunk schedule and its failing run.
 ///
-/// "Locally minimal": removing any single remaining event makes the
-/// failure disappear. The schedule's settle window is left untouched —
-/// it defines *when* the oracle judges, not *what* faults happen.
-/// Sequential; see [`shrink_on`] to evaluate deletion candidates over a
-/// worker pool.
-pub fn shrink(cfg: &ScenarioConfig, schedule: &Schedule) -> (Schedule, ScenarioRun) {
-    shrink_on(&Pool::sequential(), cfg, schedule)
-}
-
-/// [`shrink`] with deletion candidates evaluated over a worker pool.
+/// `run` executes one candidate: [`crate::run_scenario`] or
+/// [`crate::run_proxy_scenario`] under a fixed config, so both
+/// deployments shrink the same way. "Locally minimal": removing any
+/// single remaining event makes the failure disappear. The schedule's
+/// settle window is left untouched — it defines *when* the oracle
+/// judges, not *what* faults happen.
 ///
 /// Each greedy step scans candidates `i, i+1, …` (each "drop one event
-/// from the *current* best") in ordered parallel and adopts the first
-/// — lowest-index — candidate that still fails, then continues at that
-/// index; a pass that adopts nothing terminates the scan, and passes
-/// repeat until nothing shrinks. That is exactly the decision sequence
-/// of the sequential greedy loop, so the shrunk schedule and its
-/// failing run are identical for any pool width — speculative probes
-/// past the adopted candidate are discarded unseen.
-pub fn shrink_on(
+/// from the *current* best") in ordered parallel over `pool` and adopts
+/// the first — lowest-index — candidate that still fails, then
+/// continues at that index; a pass that adopts nothing terminates the
+/// scan, and passes repeat until nothing shrinks. That is exactly the
+/// decision sequence of the sequential greedy loop, so the shrunk
+/// schedule and its failing run are identical for any pool width —
+/// speculative probes past the adopted candidate are discarded unseen.
+pub fn shrink(
     pool: &Pool,
-    cfg: &ScenarioConfig,
     schedule: &Schedule,
+    run: impl Fn(&Schedule) -> ScenarioRun + Sync,
 ) -> (Schedule, ScenarioRun) {
     let mut best = schedule.clone();
-    let mut best_run = run_scenario(cfg, &best);
+    let mut best_run = run(&best);
     assert!(!best_run.passed(), "shrink() called on a passing schedule");
 
     loop {
@@ -52,23 +48,23 @@ pub fn shrink_on(
                 |k| {
                     let mut candidate = base.clone();
                     candidate.events.remove(i + k);
-                    let run = run_scenario(cfg, &candidate);
-                    (candidate, run)
+                    let outcome = run(&candidate);
+                    (candidate, outcome)
                 },
-                |k, (candidate, run)| {
-                    if run.passed() {
+                |k, (candidate, outcome)| {
+                    if outcome.passed() {
                         // Event i+k is load-bearing; keep scanning.
                         std::ops::ControlFlow::Continue(())
                     } else {
-                        adopted = Some((i + k, candidate, run));
+                        adopted = Some((i + k, candidate, outcome));
                         std::ops::ControlFlow::Break(())
                     }
                 },
             );
             match adopted {
-                Some((at, candidate, run)) => {
+                Some((at, candidate, outcome)) => {
                     best = candidate;
-                    best_run = run;
+                    best_run = outcome;
                     reduced = true;
                     i = at; // same index now holds the next event
                 }
@@ -84,6 +80,7 @@ pub fn shrink_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_scenario, ScenarioConfig};
     use crate::schedule::{Action, ScheduledFault, Target};
     use tamp_membership::MembershipConfig;
     use tamp_topology::SECS;
@@ -118,7 +115,7 @@ mod tests {
                 action: Action::Revive(Target::Host(2)),
             },
         ]);
-        let (shrunk, run) = shrink(&cfg, &schedule);
+        let (shrunk, run) = shrink(&Pool::sequential(), &schedule, |s| run_scenario(&cfg, s));
         assert!(!run.passed());
         assert!(
             shrunk.events.len() <= 1,
@@ -162,7 +159,7 @@ mod tests {
                 action: Action::GrayHeal(0, 1),
             },
         ]);
-        let (shrunk, run) = shrink(&cfg, &schedule);
+        let (shrunk, run) = shrink(&Pool::sequential(), &schedule, |s| run_scenario(&cfg, s));
         assert!(!run.passed());
         assert!(
             shrunk.events.len() <= 1,
@@ -170,7 +167,7 @@ mod tests {
             shrunk.render()
         );
         // The minimal repro must replay to the same failure standalone.
-        let replay = crate::runner::run_scenario(&cfg, &shrunk);
+        let replay = run_scenario(&cfg, &shrunk);
         assert!(!replay.passed());
     }
 }

@@ -4,9 +4,27 @@
 //! shrunk minimal repro.
 
 use tamp_chaos::{
-    dsl, random_schedule, run_scenario, sweep, GeneratorConfig, ScenarioConfig, Schedule,
+    dsl, random_schedule, run_scenario, seed_range, sweep, GeneratorConfig, ScenarioConfig,
+    Schedule, SweepReport,
 };
 use tamp_membership::MembershipConfig;
+use tamp_par::Pool;
+
+/// A sequential classic-generator sweep of `count` seeds from `first`,
+/// each run on the cluster `cfg` builds for its seed.
+fn classic_sweep(
+    first: u64,
+    count: u64,
+    cfg: impl Fn(u64) -> ScenarioConfig + Sync,
+) -> SweepReport {
+    let g = GeneratorConfig::default();
+    sweep(
+        &Pool::sequential(),
+        seed_range(first, count),
+        |seed| random_schedule(seed, &g),
+        |seed, schedule| run_scenario(&cfg(seed), schedule),
+    )
+}
 
 #[test]
 fn report_is_byte_identical_for_same_seed_and_scenario() {
@@ -39,12 +57,7 @@ fn rolling_restart_of_a_whole_segment_converges() {
 
 #[test]
 fn twenty_seed_sweep_passes_on_two_segment_topology() {
-    let report = sweep(
-        0,
-        20,
-        &GeneratorConfig::default(),
-        ScenarioConfig::two_segments,
-    );
+    let report = classic_sweep(0, 20, ScenarioConfig::two_segments);
     assert!(report.passed(), "{}", report.report());
     assert_eq!(report.runs.len(), 20);
 }
@@ -62,7 +75,7 @@ fn broken_config_fails_and_shrinks_to_minimal_repro() {
         },
         ..ScenarioConfig::two_segments(seed)
     };
-    let report = sweep(100, 3, &GeneratorConfig::default(), broken);
+    let report = classic_sweep(100, 3, broken);
     assert!(!report.passed());
     let text = report.report();
     let failure = report.failure.expect("sweep must capture the failure");
@@ -123,7 +136,7 @@ fn router_reformation_converges_across_fifty_seeds_at_any_pool_width() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
     let text = std::fs::read_to_string(format!("{dir}/router-reform.chaos")).unwrap();
     let schedule = dsl::parse(&text).unwrap();
-    let verdicts = |pool: &tamp_par::Pool| -> Vec<String> {
+    let verdicts = |pool: &Pool| -> Vec<String> {
         pool.ordered_map(50, |i| {
             let cfg = ScenarioConfig {
                 strict: true,
@@ -134,28 +147,31 @@ fn router_reformation_converges_across_fifty_seeds_at_any_pool_width() {
             run.report()
         })
     };
-    let sequential = verdicts(&tamp_par::Pool::sequential());
-    let parallel = verdicts(&tamp_par::Pool::new(4));
+    let sequential = verdicts(&Pool::sequential());
+    let parallel = verdicts(&Pool::new(4));
     assert_eq!(sequential, parallel, "pool width changed a report");
 }
 
 #[test]
 fn adversarial_sweep_passes_strict_on_the_ring() {
-    use tamp_chaos::{adversarial_sweep_on, AdversarialConfig};
-    let strict_ring = |seed| ScenarioConfig {
-        strict: true,
-        ..ScenarioConfig::ring(4, 2, seed)
+    use tamp_chaos::{adversarial_schedule, AdversarialConfig};
+    let adversarial_sweep = |pool: &Pool| {
+        sweep(
+            pool,
+            seed_range(0, 15),
+            |seed| adversarial_schedule(seed, &AdversarialConfig::default()),
+            |seed, schedule| {
+                let strict_ring = ScenarioConfig {
+                    strict: true,
+                    ..ScenarioConfig::ring(4, 2, seed)
+                };
+                run_scenario(&strict_ring, schedule)
+            },
+        )
     };
-    let pool = tamp_par::Pool::new(4);
-    let report = adversarial_sweep_on(&pool, 0, 15, &AdversarialConfig::default(), strict_ring);
+    let report = adversarial_sweep(&Pool::new(4));
     assert!(report.passed(), "{}", report.report());
-    let sequential = adversarial_sweep_on(
-        &tamp_par::Pool::sequential(),
-        0,
-        15,
-        &AdversarialConfig::default(),
-        strict_ring,
-    );
+    let sequential = adversarial_sweep(&Pool::sequential());
     assert_eq!(report.report(), sequential.report());
 }
 

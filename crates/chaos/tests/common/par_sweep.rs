@@ -2,7 +2,9 @@
 //! `#[path]`) by the wide form in this crate's `par_determinism.rs` and
 //! the fixed-budget tier-1 slice in the root `tests/par_determinism.rs`.
 
-use tamp_chaos::{sweep_on, GeneratorConfig, ScenarioConfig, SweepReport};
+use tamp_chaos::{
+    random_schedule, run_scenario, seed_range, sweep, GeneratorConfig, ScenarioConfig, SweepReport,
+};
 use tamp_membership::MembershipConfig;
 use tamp_par::Pool;
 
@@ -14,14 +16,22 @@ use tamp_par::Pool;
 /// second expensive, so `g` keeps cluster and fault window small. The
 /// cluster is two segments of `g.num_hosts / 2`.
 fn failing_sweep(jobs: usize, g: &GeneratorConfig) -> SweepReport {
-    sweep_on(&Pool::new(jobs), 1, 3, g, |seed| ScenarioConfig {
-        topo: tamp_topology::generators::star_of_segments(2, g.num_hosts as usize / 2),
-        membership: MembershipConfig {
-            max_loss: 0,
-            ..Default::default()
+    sweep(
+        &Pool::new(jobs),
+        seed_range(1, 3),
+        |seed| random_schedule(seed, g),
+        |seed, schedule| {
+            let cfg = ScenarioConfig {
+                topo: tamp_topology::generators::star_of_segments(2, g.num_hosts as usize / 2),
+                membership: MembershipConfig {
+                    max_loss: 0,
+                    ..Default::default()
+                },
+                ..ScenarioConfig::two_segments(seed)
+            };
+            run_scenario(&cfg, schedule)
         },
-        ..ScenarioConfig::two_segments(seed)
-    })
+    )
 }
 
 pub fn assert_failing_sweep_is_pool_width_invariant(g: &GeneratorConfig) {

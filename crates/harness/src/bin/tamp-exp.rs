@@ -113,8 +113,10 @@ fn print_help() {
          \u{20}                         n topology shards run concurrently (default 1 =\n\
          \u{20}                         sequential; output is byte-identical)\n\
          chaos:    --scenario <f>  run a fault-scenario DSL file\n\
-         \u{20}         --sweep <n>     sweep n seeds, shrink first failure\n\
-         \u{20}         --proxy         multi-datacenter proxy deployment\n\
+         \u{20}         --sweep <n>     sweep n seeds, shrink first failure (--proxy too)\n\
+         \u{20}         --proxy         two-DC proxy deployment; its generator draws\n\
+         \u{20}                         kills/revives/loss over 16 hosts, no partitions\n\
+         \u{20}                         (not with --adversarial or another --protocol)\n\
          \u{20}         --strict        strict oracle: no excuses, suspicion ordering\n\
          \u{20}         --adversarial   gray/rack/churn/skew/router generator on the ring\n\
          \u{20}         --broken        MAX_LOSS=0 demo (oracle must fail)\n\

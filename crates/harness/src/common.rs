@@ -1,8 +1,6 @@
 //! Shared cluster construction and measurement plumbing.
 
-use tamp_chaos::{
-    build_cluster, dsl, random_schedule, Cluster, Detection, GeneratorConfig, Protocol, Schedule,
-};
+use tamp_chaos::{build_cluster, dsl, Cluster, Detection, Protocol, Schedule};
 use tamp_membership::MembershipConfig;
 use tamp_netsim::{
     Engine, EngineConfig, ObservationKind, ShardingKind, SimTime, TraceConfig, SECS,
@@ -74,24 +72,19 @@ pub fn sharding_from(flag: Option<usize>) -> ShardingKind {
     }
 }
 
-/// The one scenario-loading path every `tamp-exp` subcommand shares
-/// (`chaos`, `load`): parse the `.chaos` DSL file at `path` when given,
-/// otherwise generate a schedule from the seed. Unreadable files and
-/// parse errors follow the CLI contract — diagnostic on stderr, exit 2.
-pub fn scenario_schedule(path: Option<&str>, seed: u64, gen: &GeneratorConfig) -> Schedule {
-    match path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("tamp-exp: cannot read scenario {path}: {e}");
-                std::process::exit(2);
-            });
-            dsl::parse(&text).unwrap_or_else(|e| {
-                eprintln!("tamp-exp: {e}");
-                std::process::exit(2);
-            })
-        }
-        None => random_schedule(seed, gen),
-    }
+/// The one scenario-file reader every `tamp-exp` subcommand shares
+/// (`chaos`, `load`): parse the `.chaos` DSL file at `path`. Unreadable
+/// files and parse errors follow the CLI contract — diagnostic on
+/// stderr, exit 2.
+pub fn read_scenario(path: &str) -> Schedule {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("tamp-exp: cannot read scenario {path}: {e}");
+        std::process::exit(2);
+    });
+    dsl::parse(&text).unwrap_or_else(|e| {
+        eprintln!("tamp-exp: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Trace configuration used whenever a subcommand wants the fault

@@ -10,13 +10,14 @@
 //! same seed ⇒ identical output at any `--jobs` width. Canonical
 //! exports land under `results/load/`.
 
-use crate::common::scenario_schedule;
-use tamp_chaos::{dsl, GeneratorConfig};
+use crate::common::{read_scenario, sharding_from};
+use crate::registry::Args;
+use tamp_chaos::dsl;
 use tamp_load::{
     run_campaign, run_one, ArrivalMode, Campaign, CampaignFault, FaultOutcome, LoadScenarioConfig,
     RunSummary, Skew, WorkloadConfig,
 };
-use tamp_netsim::{ShardingKind, SECS};
+use tamp_netsim::SECS;
 use tamp_par::Pool;
 
 /// The three stock chaos-under-load scenarios, embedded so the binary
@@ -36,46 +37,6 @@ const STOCK_SCENARIOS: [(&str, &str); 3] = [
     ),
 ];
 
-/// Options for the `load` subcommand.
-pub struct LoadOptions {
-    pub seed: u64,
-    /// Total synthetic users across all generators.
-    pub users: u64,
-    /// `uniform` or `zipf:S`.
-    pub skew: String,
-    pub datacenters: usize,
-    /// Run the chaos-under-load campaign instead of a plain run.
-    pub campaign: bool,
-    /// Open-loop arrivals (default closed).
-    pub open: bool,
-    /// Extra `.chaos` file replacing the stock campaign scenarios.
-    pub scenario: Option<String>,
-    /// Smaller cluster and shorter windows (CI).
-    pub quick: bool,
-    /// Worker threads for campaign runs (`--jobs`; 1 = sequential).
-    pub jobs: usize,
-    /// Engine sharding (`--shards`): split the simulation itself across
-    /// per-datacenter shards. Byte-identical output at any setting.
-    pub sharding: ShardingKind,
-}
-
-impl Default for LoadOptions {
-    fn default() -> Self {
-        LoadOptions {
-            seed: 2005,
-            users: 1_000_000,
-            skew: "zipf:1.1".to_string(),
-            datacenters: 3,
-            campaign: false,
-            open: false,
-            scenario: None,
-            quick: false,
-            jobs: 1,
-            sharding: ShardingKind::Sequential,
-        }
-    }
-}
-
 /// Everything one invocation produced, as strings (nothing on disk —
 /// `run_and_print` does that), so tests can diff runs byte-for-byte.
 pub struct LoadRun {
@@ -85,42 +46,40 @@ pub struct LoadRun {
     /// Campaign outputs (`--campaign` only).
     pub campaign_report: Option<String>,
     pub campaign_csv: Option<String>,
-    /// Open-loop saturation sweep (`--open` only, no campaign).
-    pub saturation_csv: Option<String>,
 }
 
-fn scenario_config(opts: &LoadOptions, skew: Skew) -> LoadScenarioConfig {
-    let mode = if opts.open {
+fn scenario_config(args: &Args, skew: Skew) -> LoadScenarioConfig {
+    let mode = if args.open {
         ArrivalMode::Open
     } else {
         ArrivalMode::Closed
     };
     let mut cfg = LoadScenarioConfig {
-        users: opts.users,
-        datacenters: opts.datacenters,
-        seed: opts.seed,
-        sharding: opts.sharding,
+        users: args.users,
+        datacenters: args.datacenters,
+        seed: args.seed,
+        sharding: sharding_from(args.shards),
         workload: WorkloadConfig {
             skew,
             mode,
-            seed: opts.seed,
+            seed: args.seed,
             ..Default::default()
         },
         ..Default::default()
     };
-    if opts.quick {
+    if args.quick {
         // CI-sized: fewer partitions, a population that a debug build
         // drives comfortably, faster user turnaround.
         cfg.index_partitions = 2;
         cfg.doc_partitions = 6;
-        cfg.users = opts.users.min(20_000);
+        cfg.users = args.users.min(20_000);
         cfg.workload.users = cfg.users;
         cfg.workload.think_mean = 20 * SECS;
     }
     cfg
 }
 
-fn campaign_for(opts: &LoadOptions) -> Campaign {
+fn campaign_for(args: &Args) -> Campaign {
     let mut campaign = Campaign {
         // The stock scenarios fire at 55 s (see scenarios/load/): warm
         // up until 45 s, measure through the settle tail.
@@ -128,15 +87,14 @@ fn campaign_for(opts: &LoadOptions) -> Campaign {
         duration: 45 * SECS,
         faults: Vec::new(),
     };
-    if opts.quick && !opts.campaign {
+    if args.quick && !args.campaign {
         campaign.warmup = 30 * SECS;
         campaign.duration = 20 * SECS;
     }
-    if opts.campaign {
-        match &opts.scenario {
+    if args.campaign {
+        match &args.scenario {
             Some(path) => {
-                let schedule =
-                    scenario_schedule(Some(path), opts.seed, &GeneratorConfig::default());
+                let schedule = read_scenario(path);
                 let name = std::path::Path::new(path)
                     .file_stem()
                     .and_then(|s| s.to_str())
@@ -161,81 +119,6 @@ fn campaign_for(opts: &LoadOptions) -> Campaign {
 
 fn ms(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1e6)
-}
-
-/// Rate multipliers for the open-loop saturation mini-sweep. ×1 is the
-/// configured rate and doubles as the run the SLO report describes; the
-/// tail multipliers push the offered load past the service capacity so
-/// the goodput knee is visible in `saturation.csv`.
-const SATURATION_MULTS: [f64; 5] = [0.5, 1.0, 2.0, 4.0, 8.0];
-const SATURATION_MULTS_QUICK: [f64; 3] = [1.0, 4.0, 8.0];
-
-/// Offered (arrival) rate of `cfg` scaled by `mult`, req/s.
-fn offered_rps(cfg: &LoadScenarioConfig, mult: f64) -> f64 {
-    cfg.users as f64 * mult / (cfg.workload.think_mean as f64 / SECS as f64)
-}
-
-/// Run the open-loop scenario once per multiplier (think time scaled
-/// down ⇒ arrival rate scaled up), across the pool, in multiplier
-/// order. Deterministic: each multiplier is an independent seeded run.
-fn saturation_sweep(
-    cfg: &LoadScenarioConfig,
-    campaign: &Campaign,
-    quick: bool,
-    jobs: usize,
-) -> (Vec<f64>, Vec<FaultOutcome>) {
-    let mults: Vec<f64> = if quick {
-        SATURATION_MULTS_QUICK.to_vec()
-    } else {
-        SATURATION_MULTS.to_vec()
-    };
-    let schedule = tamp_chaos::Schedule::new(Vec::new());
-    let runs = Pool::new(jobs).ordered_map(mults.len(), |i| {
-        let mut c = cfg.clone();
-        c.workload.think_mean = ((c.workload.think_mean as f64 / mults[i]).round() as u64).max(1);
-        run_one(&c, &schedule, campaign)
-    });
-    (mults, runs)
-}
-
-fn saturation_csv(cfg: &LoadScenarioConfig, mults: &[f64], runs: &[FaultOutcome]) -> String {
-    let mut out = String::from("multiplier,offered_rps,completed_rps,failed,p99_ns\n");
-    for (&m, r) in mults.iter().zip(runs) {
-        let s = &r.summary;
-        out.push_str(&format!(
-            "{m},{:.1},{:.1},{},{}\n",
-            offered_rps(cfg, m),
-            s.baseline_rate(),
-            s.failed,
-            s.overall.quantile(0.99),
-        ));
-    }
-    out
-}
-
-/// The saturation verdict line: the largest multiplier whose goodput
-/// still tracks the offered rate (within 10%), i.e. the knee of the
-/// throughput curve — or a note that the sweep never saturated.
-fn saturation_knee(cfg: &LoadScenarioConfig, mults: &[f64], runs: &[FaultOutcome]) -> String {
-    let tracks = |m: f64, r: &FaultOutcome| r.summary.baseline_rate() >= 0.9 * offered_rps(cfg, m);
-    let knee = mults
-        .iter()
-        .zip(runs)
-        .take_while(|&(&m, r)| tracks(m, r))
-        .last();
-    match knee {
-        Some((&m, r)) if m < *mults.last().unwrap() => format!(
-            "saturation: goodput knee at x{m} offered ({:.0} req/s completed); \
-             beyond it completions fall behind arrivals\n",
-            r.summary.baseline_rate()
-        ),
-        Some((&m, r)) => format!(
-            "saturation: goodput tracked offered load through x{m} ({:.0} req/s) — \
-             no knee inside the sweep\n",
-            r.summary.baseline_rate()
-        ),
-        None => "saturation: goodput below 90% of offered at every multiplier\n".to_string(),
-    }
 }
 
 fn slo_rows(summary: &RunSummary) -> Vec<(String, &tamp_netsim::telemetry::HistogramSnapshot)> {
@@ -369,30 +252,23 @@ fn campaign_csv(outcomes: &[FaultOutcome]) -> String {
 
 /// Run the workload (and campaign, if requested) and collect every
 /// export as a string.
-pub fn collect(opts: &LoadOptions) -> Result<LoadRun, String> {
-    let skew = Skew::parse(&opts.skew)?;
-    let cfg = scenario_config(opts, skew);
-    let campaign = campaign_for(opts);
+pub fn collect(args: &Args) -> Result<LoadRun, String> {
+    let skew = Skew::parse(&args.skew)?;
+    let cfg = scenario_config(args, skew);
+    let campaign = campaign_for(args);
 
-    let mode = if opts.open { "open" } else { "closed" };
+    let mode = if args.open { "open" } else { "closed" };
     let mut summary = format!(
         "== tamp-exp load — {} users, {} loop, skew {}, {} DCs, seed {} ==\n",
-        cfg.users, mode, opts.skew, opts.datacenters, opts.seed
+        cfg.users, mode, args.skew, args.datacenters, args.seed
     );
 
-    let (baseline, outcomes, saturation) = if opts.campaign {
-        let outcomes = run_campaign(&cfg, &campaign, &Pool::new(opts.jobs));
-        (outcomes[0].clone(), Some(outcomes), None)
-    } else if opts.open {
-        // Open-loop runs become a saturation mini-sweep: the ×1 run is
-        // the baseline the SLO report describes, the rest map goodput
-        // against offered rate.
-        let (mults, runs) = saturation_sweep(&cfg, &campaign, opts.quick, opts.jobs);
-        let base = mults.iter().position(|&m| m == 1.0).expect("x1 in sweep");
-        (runs[base].clone(), None, Some((mults, runs)))
+    let (baseline, outcomes) = if args.campaign {
+        let outcomes = run_campaign(&cfg, &campaign, &Pool::new(args.jobs));
+        (outcomes[0].clone(), Some(outcomes))
     } else {
         let schedule = tamp_chaos::Schedule::new(Vec::new());
-        (run_one(&cfg, &schedule, &campaign), None, None)
+        (run_one(&cfg, &schedule, &campaign), None)
     };
 
     summary.push_str(&render_counters(&baseline.summary));
@@ -401,9 +277,6 @@ pub fn collect(opts: &LoadOptions) -> Result<LoadRun, String> {
         "steady rate {nominal:.0} req/s nominal, {:.0} req/s measured\n",
         baseline.summary.baseline_rate()
     ));
-    if let Some((mults, runs)) = &saturation {
-        summary.push_str(&saturation_knee(&cfg, mults, runs));
-    }
     summary.push_str(&render_slo_table(&baseline.summary));
 
     let (campaign_report, campaign_csv) = match &outcomes {
@@ -420,17 +293,14 @@ pub fn collect(opts: &LoadOptions) -> Result<LoadRun, String> {
         timeline_csv: timeline_csv(&baseline.summary),
         campaign_report,
         campaign_csv,
-        saturation_csv: saturation
-            .as_ref()
-            .map(|(mults, runs)| saturation_csv(&cfg, mults, runs)),
     })
 }
 
 /// Entry point for `tamp-exp load`: print the report and write the
 /// canonical exports under `results/load/`. Returns the exit code: 0,
 /// or 2 on bad options or when an export cannot be written.
-pub fn run_and_print(opts: &LoadOptions) -> i32 {
-    let run = match collect(opts) {
+pub fn run_and_print(args: &Args) -> i32 {
+    let run = match collect(args) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("tamp-exp: {e}");
@@ -451,9 +321,6 @@ pub fn run_and_print(opts: &LoadOptions) -> i32 {
     if let (Some(csv), Some(report)) = (&run.campaign_csv, &run.campaign_report) {
         files.push(("campaign.csv", csv));
         files.push(("campaign-report.txt", report));
-    }
-    if let Some(csv) = &run.saturation_csv {
-        files.push(("saturation.csv", csv));
     }
     for (name, body) in files {
         let path = dir.join(name);
@@ -521,18 +388,19 @@ pub fn slo_section() -> Option<String> {
 mod tests {
     use super::*;
 
-    fn quick_opts() -> LoadOptions {
-        LoadOptions {
+    fn quick_args() -> Args {
+        Args {
             users: 2_000,
             datacenters: 2,
             quick: true,
+            jobs: 1,
             ..Default::default()
         }
     }
 
     #[test]
     fn quick_run_produces_slo_exports() {
-        let run = collect(&quick_opts()).unwrap();
+        let run = collect(&quick_args()).unwrap();
         assert!(run.summary.contains("request SLO"));
         assert!(run.slo_csv.lines().count() > 2, "{}", run.slo_csv);
         assert!(run.timeline_csv.starts_with("second,"));
@@ -543,27 +411,26 @@ mod tests {
     }
 
     #[test]
-    fn open_run_adds_saturation_sweep() {
-        let opts = LoadOptions {
+    fn open_run_is_one_run_with_the_closed_run_exports() {
+        let args = Args {
             open: true,
-            ..quick_opts()
+            ..quick_args()
         };
-        let run = collect(&opts).unwrap();
-        let csv = run.saturation_csv.expect("open run produced no sweep");
-        assert!(csv.starts_with("multiplier,offered_rps,completed_rps,"));
-        assert_eq!(csv.lines().count(), 1 + SATURATION_MULTS_QUICK.len());
-        assert!(run.summary.contains("saturation:"), "{}", run.summary);
-        // Closed-loop runs stay sweep-free.
-        assert!(collect(&quick_opts()).unwrap().saturation_csv.is_none());
+        let run = collect(&args).unwrap();
+        assert!(run.summary.contains(", open loop,"), "{}", run.summary);
+        assert!(!run.summary.contains("saturation"), "{}", run.summary);
+        assert!(run.slo_csv.lines().count() > 2, "{}", run.slo_csv);
+        assert!(run.timeline_csv.starts_with("second,"));
+        assert!(run.campaign_report.is_none() && run.campaign_csv.is_none());
     }
 
     #[test]
     fn bad_skew_is_a_clean_error() {
-        let opts = LoadOptions {
+        let args = Args {
             skew: "pareto".to_string(),
-            ..quick_opts()
+            ..quick_args()
         };
-        assert!(collect(&opts).is_err());
+        assert!(collect(&args).is_err());
     }
 
     #[test]

@@ -10,16 +10,23 @@ use crate::{
 use tamp_chaos::Protocol;
 use tamp_par::Pool;
 
-/// Everything `tamp-exp` reads off its command line.
+/// Everything `tamp-exp` reads off its command line: the one options
+/// struct every subcommand takes (`--help` says what each flag does).
 pub struct Args {
     pub seed: u64,
     pub quick: bool,
     pub trials: usize,
     pub nodes: Option<usize>,
+    /// `None` keeps each subcommand's default (figures: all five
+    /// columns; chaos: tamp). A schedule's `protocol` directive wins.
     pub protocol: Option<Protocol>,
+    /// Worker threads for sweeps, grids and campaigns; output is
+    /// byte-identical at any width.
     pub jobs: usize,
     pub shards: Option<usize>,
     pub topo_file: Option<String>,
+    /// `chaos`: the schedule to run; `load --campaign`: the fault to
+    /// replay instead of the stock ones.
     pub scenario: Option<String>,
     pub sweep: Option<u64>,
     pub broken: bool,
@@ -231,36 +238,9 @@ pub const EXPERIMENTS: &[Command] = &[
     tool(&["metrics"], |a| {
         metrics_tool::run_and_print(if a.quick { 20 } else { 60 }, a.seed)
     }),
-    tool(&["chaos"], |a| {
-        chaos::run(&chaos::ChaosOptions {
-            seed: a.seed,
-            scenario: a.scenario.clone(),
-            sweep: a.sweep,
-            broken: a.broken,
-            proxy: a.proxy,
-            trace: a.trace,
-            strict: a.strict,
-            adversarial: a.adversarial,
-            jobs: a.jobs,
-            protocol: a.protocol,
-            sharding: common::sharding_from(a.shards),
-        })
-    }),
-    tool(&["load"], |a| {
-        load::run_and_print(&load::LoadOptions {
-            seed: a.seed,
-            users: a.users,
-            skew: a.skew.clone(),
-            datacenters: a.datacenters,
-            campaign: a.campaign,
-            open: a.open,
-            scenario: a.scenario.clone(),
-            quick: a.quick,
-            jobs: a.jobs,
-            sharding: common::sharding_from(a.shards),
-        })
-    }),
-    tool(&["slo-gate"], |a| slo_gate::run_and_print(a.update, a.jobs)),
+    tool(&["chaos"], chaos::run),
+    tool(&["load"], load::run_and_print),
+    tool(&["slo-gate"], slo_gate::run_and_print),
     tool(&["all"], run_all),
 ];
 

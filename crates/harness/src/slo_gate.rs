@@ -14,7 +14,8 @@
 //! deliberately, in the same change that explains *why* the numbers
 //! moved.
 
-use crate::load::{collect, LoadOptions};
+use crate::load::collect;
+use crate::registry::Args;
 
 /// Golden file path, relative to the repo root (CI's working dir).
 pub const GOLDEN_PATH: &str = "ci/slo-goldens.csv";
@@ -155,23 +156,25 @@ pub fn compare(actual: &[GateRow], golden: &[GateRow]) -> Vec<String> {
 }
 
 /// The CI campaign configuration this gate pins (must stay in lockstep
-/// with the `load-smoke` job so the golden numbers mean one thing).
-fn gate_opts(jobs: usize) -> LoadOptions {
-    LoadOptions {
+/// with the `load-smoke` job so the golden numbers mean one thing). Of
+/// the command line only `--jobs` carries over.
+fn gate_args(jobs: usize) -> Args {
+    Args {
         seed: 2005,
         users: 8_000,
         datacenters: 2,
         campaign: true,
         quick: true,
         jobs,
-        ..Default::default()
+        ..Args::default()
     }
 }
 
-/// Entry point for `tamp-exp slo-gate`. Returns the process exit code.
-pub fn run_and_print(update: bool, jobs: usize) -> i32 {
+/// Entry point for `tamp-exp slo-gate` (`--update` rewrites the golden).
+/// Returns the process exit code.
+pub fn run_and_print(args: &Args) -> i32 {
     println!("== tamp-exp slo-gate — chaos-under-load campaign vs {GOLDEN_PATH} ==");
-    let run = match collect(&gate_opts(jobs)) {
+    let run = match collect(&gate_args(args.jobs)) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("tamp-exp: {e}");
@@ -180,7 +183,7 @@ pub fn run_and_print(update: bool, jobs: usize) -> i32 {
     };
     let csv = run.campaign_csv.expect("campaign option set");
 
-    if update {
+    if args.update {
         if let Err(code) = crate::report::write_export(std::path::Path::new(GOLDEN_PATH), &csv) {
             return code;
         }

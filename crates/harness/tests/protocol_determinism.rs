@@ -6,14 +6,33 @@
 //! These are the integration-level guarantees the CI smoke jobs diff
 //! for; the tests pin them without needing a shell.
 
-use tamp_chaos::{dsl, run_scenario, sweep_on, GeneratorConfig, Protocol, ScenarioConfig};
+use tamp_chaos::{
+    dsl, random_schedule, run_scenario, seed_range, sweep, GeneratorConfig, Protocol,
+    ScenarioConfig, SweepReport,
+};
 use tamp_par::Pool;
 
-fn cfg_for(protocol: Protocol) -> impl Fn(u64) -> ScenarioConfig + Sync {
-    move |seed| ScenarioConfig {
-        protocol,
-        ..ScenarioConfig::two_segments(seed)
-    }
+/// A classic-generator sweep of `count` seeds from `first` on the
+/// two-segment cluster running `protocol`.
+fn protocol_sweep(
+    pool: &Pool,
+    first: u64,
+    count: u64,
+    g: &GeneratorConfig,
+    protocol: Protocol,
+) -> SweepReport {
+    sweep(
+        pool,
+        seed_range(first, count),
+        |seed| random_schedule(seed, g),
+        |seed, schedule| {
+            let cfg = ScenarioConfig {
+                protocol,
+                ..ScenarioConfig::two_segments(seed)
+            };
+            run_scenario(&cfg, schedule)
+        },
+    )
 }
 
 /// A random-schedule chaos sweep renders the same report at width 1 and
@@ -23,8 +42,8 @@ fn cfg_for(protocol: Protocol) -> impl Fn(u64) -> ScenarioConfig + Sync {
 fn chaos_sweep_reports_are_pool_width_invariant_for_every_protocol() {
     let g = GeneratorConfig::default();
     for p in Protocol::ALL {
-        let sequential = sweep_on(&Pool::sequential(), 300, 6, &g, cfg_for(p)).report();
-        let parallel = sweep_on(&Pool::new(4), 300, 6, &g, cfg_for(p)).report();
+        let sequential = protocol_sweep(&Pool::sequential(), 300, 6, &g, p).report();
+        let parallel = protocol_sweep(&Pool::new(4), 300, 6, &g, p).report();
         assert_eq!(
             sequential,
             parallel,
@@ -62,10 +81,19 @@ fn single_scenario_runs_are_reproducible_for_new_protocols() {
 /// as a mini-sweep over the same file.
 #[test]
 fn checked_in_regression_scenarios_pass_strict_for_new_protocols() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
-    for file in ["swim-restart.chaos", "rapid-gray-cut.chaos"] {
-        let text = std::fs::read_to_string(format!("{dir}/{file}")).unwrap();
-        let schedule = dsl::parse(&text).unwrap();
+    // Embedded relative to this file, so the root suite's `#[path]`
+    // include finds them too.
+    for (file, text) in [
+        (
+            "swim-restart.chaos",
+            include_str!("../../../scenarios/swim-restart.chaos"),
+        ),
+        (
+            "rapid-gray-cut.chaos",
+            include_str!("../../../scenarios/rapid-gray-cut.chaos"),
+        ),
+    ] {
+        let schedule = dsl::parse(text).unwrap();
         let reports = |pool: &Pool| -> Vec<String> {
             pool.ordered_map(4, |i| {
                 let cfg = ScenarioConfig {

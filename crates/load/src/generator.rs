@@ -36,7 +36,6 @@ use std::collections::{BTreeMap, HashMap};
 use tamp_membership::{MembershipConfig, MembershipNode, Probe};
 use tamp_netsim::{Actor, Context, Nanos, PacketMeta, MILLIS};
 use tamp_proxy::PROXY_SERVICE;
-use tamp_telemetry::ProtocolEvent;
 use tamp_wire::{Message, NodeId, ServiceRequest, ServiceResponse};
 
 /// Generator tunables.
@@ -54,9 +53,6 @@ pub struct LoadGenConfig {
     /// Local replica attempts per step before proxy fallback.
     pub max_local_attempts: u32,
     pub payload_size: usize,
-    /// Emit per-request [`ProtocolEvent`]s (off by default: at millions
-    /// of users the event log, not the protocol, becomes the workload).
-    pub emit_events: bool,
 }
 
 impl LoadGenConfig {
@@ -70,7 +66,6 @@ impl LoadGenConfig {
             proxy_timeout: 2_000 * MILLIS,
             max_local_attempts: 2,
             payload_size: 96,
-            emit_events: false,
         }
     }
 }
@@ -239,11 +234,6 @@ impl LoadGenNode {
         let index_part = (self.rng.next_u64() % u64::from(self.cfg.index_partitions)) as u16;
         let doc_part = self.zipf.sample(&mut self.rng);
         ctx.count("load", "issued", 1);
-        if self.cfg.emit_events {
-            ctx.emit(ProtocolEvent::RequestIssued {
-                partition: doc_part,
-            });
-        }
         self.reqs.insert(
             serial,
             Req {
@@ -393,31 +383,19 @@ impl LoadGenNode {
         }
         self.telemetry
             .record_completion(now, req.doc_part, latency, req.via_proxy);
-        if self.cfg.emit_events {
-            ctx.emit(ProtocolEvent::RequestCompleted {
-                partition: req.doc_part,
-                latency_us: (latency / 1_000).min(u64::from(u32::MAX)) as u32,
-            });
-        }
         if self.cfg.workload.mode == ArrivalMode::Closed {
             self.schedule_rearrival(now);
         }
     }
 
     fn fail_request(&mut self, ctx: &mut Context, serial: u32) {
-        let Some(req) = self.reqs.remove(&serial) else {
+        if self.reqs.remove(&serial).is_none() {
             return;
-        };
+        }
         let now = ctx.now();
         ctx.count("load", "failed", 1);
         ctx.count("load", "errors.retry_exhausted", 1);
         self.telemetry.record_failure(now);
-        if self.cfg.emit_events {
-            ctx.emit(ProtocolEvent::RequestFailed {
-                partition: req.doc_part,
-                reason: "retry-exhausted",
-            });
-        }
         // A failed user thinks and retries too (the page got an error).
         if self.cfg.workload.mode == ArrivalMode::Closed {
             self.schedule_rearrival(now);

@@ -87,17 +87,6 @@ pub enum ProtocolEvent {
     ProxyForwarded { origin: u32, hop_latency_us: u32 },
     /// An anti-entropy sync poll was sent to `peer`.
     SyncPoll { peer: u32 },
-    /// A synthetic user request entered the system, targeting
-    /// `partition` of the workload's document service (`tamp-load`).
-    RequestIssued { partition: u16 },
-    /// A request completed end-to-end in `latency_us` microseconds.
-    RequestCompleted { partition: u16, latency_us: u32 },
-    /// A request failed; `reason` is its error-taxonomy class
-    /// (`routed-to-dead`, `timeout`, `retry-exhausted`).
-    RequestFailed {
-        partition: u16,
-        reason: &'static str,
-    },
 }
 
 impl ProtocolEvent {
@@ -115,9 +104,6 @@ impl ProtocolEvent {
             ProtocolEvent::ProxySummary { .. } => "proxy-summary",
             ProtocolEvent::ProxyForwarded { .. } => "proxy-forwarded",
             ProtocolEvent::SyncPoll { .. } => "sync-poll",
-            ProtocolEvent::RequestIssued { .. } => "request-issued",
-            ProtocolEvent::RequestCompleted { .. } => "request-completed",
-            ProtocolEvent::RequestFailed { .. } => "request-failed",
         }
     }
 }
@@ -321,14 +307,6 @@ impl EventLog {
                         format!("{services} services → dc{dc}")
                     }
                     ProtocolEvent::SyncPoll { peer } => format!("peer n{peer}"),
-                    ProtocolEvent::RequestIssued { partition } => format!("partition {partition}"),
-                    ProtocolEvent::RequestCompleted {
-                        partition,
-                        latency_us,
-                    } => format!("partition {partition}, {latency_us} us"),
-                    ProtocolEvent::RequestFailed { partition, reason } => {
-                        format!("partition {partition}, {reason}")
-                    }
                     ProtocolEvent::ProxyForwarded {
                         origin,
                         hop_latency_us,

@@ -122,16 +122,6 @@ pub fn event_to_json(r: &EventRecord) -> String {
                     hop_latency_us,
                 } => format!("\"origin\":{origin},\"hop_latency_us\":{hop_latency_us}"),
                 ProtocolEvent::SyncPoll { peer } => format!("\"peer\":{peer}"),
-                ProtocolEvent::RequestIssued { partition } => {
-                    format!("\"partition\":{partition}")
-                }
-                ProtocolEvent::RequestCompleted {
-                    partition,
-                    latency_us,
-                } => format!("\"partition\":{partition},\"latency_us\":{latency_us}"),
-                ProtocolEvent::RequestFailed { partition, reason } => {
-                    format!("\"partition\":{partition},\"reason\":\"{reason}\"")
-                }
             };
             format!(
                 "{{\"t\":{t},\"type\":\"{}\",\"node\":{},{fields}}}",
@@ -322,52 +312,6 @@ mod tests {
             },
         }]);
         assert!(uni.contains("\"channel\":null"));
-    }
-
-    #[test]
-    fn request_events_serialize() {
-        let jsonl = events_to_jsonl(&[
-            EventRecord {
-                time: 1,
-                event: Event::Protocol {
-                    node: HostId(3),
-                    event: ProtocolEvent::RequestIssued { partition: 7 },
-                },
-            },
-            EventRecord {
-                time: 2,
-                event: Event::Protocol {
-                    node: HostId(3),
-                    event: ProtocolEvent::RequestCompleted {
-                        partition: 7,
-                        latency_us: 1850,
-                    },
-                },
-            },
-            EventRecord {
-                time: 3,
-                event: Event::Protocol {
-                    node: HostId(3),
-                    event: ProtocolEvent::RequestFailed {
-                        partition: 7,
-                        reason: "retry-exhausted",
-                    },
-                },
-            },
-        ]);
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(
-            lines[0],
-            "{\"t\":1,\"type\":\"request-issued\",\"node\":3,\"partition\":7}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"t\":2,\"type\":\"request-completed\",\"node\":3,\"partition\":7,\"latency_us\":1850}"
-        );
-        assert_eq!(
-            lines[2],
-            "{\"t\":3,\"type\":\"request-failed\",\"node\":3,\"partition\":7,\"reason\":\"retry-exhausted\"}"
-        );
     }
 
     #[test]

@@ -3,16 +3,18 @@
 //! `--jobs` width. These are the guarantees `tamp-exp load` prints and
 //! CI diffs against.
 
-use tamp_harness::load::{collect, LoadOptions};
+use tamp_harness::load::collect;
+use tamp_harness::registry::Args;
 use tamp_load::{run_campaign, Campaign, CampaignFault, LoadScenarioConfig, WorkloadConfig};
 use tamp_netsim::SECS;
 use tamp_par::Pool;
 
-fn quick_opts() -> LoadOptions {
-    LoadOptions {
+fn quick_opts() -> Args {
+    Args {
         users: 2_000,
         datacenters: 2,
         quick: true,
+        jobs: 1,
         ..Default::default()
     }
 }
@@ -30,7 +32,7 @@ fn same_seed_exports_are_byte_identical_across_runs() {
 #[test]
 fn different_seeds_diverge() {
     let a = collect(&quick_opts()).unwrap();
-    let b = collect(&LoadOptions {
+    let b = collect(&Args {
         seed: 7,
         ..quick_opts()
     })

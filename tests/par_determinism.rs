@@ -5,19 +5,20 @@
 //! any pool width. Execution order is allowed to differ; nothing
 //! observable is.
 
-use tamp::chaos::{sweep_on, GeneratorConfig, ScenarioConfig, SweepReport};
+use tamp::chaos::{
+    random_schedule, run_scenario, seed_range, sweep, GeneratorConfig, ScenarioConfig, SweepReport,
+};
 use tamp::par::Pool;
 
 #[path = "../crates/chaos/tests/common/par_sweep.rs"]
 mod par_sweep;
 
 fn passing_sweep(jobs: usize) -> SweepReport {
-    sweep_on(
+    sweep(
         &Pool::new(jobs),
-        0,
-        3,
-        &GeneratorConfig::default(),
-        ScenarioConfig::two_segments,
+        seed_range(0, 3),
+        |seed| random_schedule(seed, &GeneratorConfig::default()),
+        |seed, schedule| run_scenario(&ScenarioConfig::two_segments(seed), schedule),
     )
 }
 
