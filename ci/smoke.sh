@@ -58,9 +58,22 @@ job_experiments() {
 # A9 scale smoke: the 1000-node warm-start run must hold the §4 model
 # envelope (enforced by the binary's exit code) inside a hard wall-clock
 # budget, and a same-seed rerun must be byte-identical (wall-clock
-# column aside).
+# column aside). One 10 000-node run must also stay under a memory
+# ceiling: every warm-started holder shares its directory's key pages
+# with the other holders of its segment, and a change that un-shares
+# them shows here first. CEILING_MB is the measured peak of that run
+# (192 MB on a 2-core host) plus 20 %.
 job_scale() {
     build
+    python3 - <<'EOF'
+import resource, subprocess, sys
+CEILING_MB = 231
+run = subprocess.run(["./target/release/tamp-exp", "scale", "--nodes", "10000",
+                      "--seed", "2005", "--jobs", "1"], timeout=300)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"scale --nodes 10000: peak RSS {peak_mb:.0f} MB, ceiling {CEILING_MB} MB")
+sys.exit(run.returncode or int(peak_mb > CEILING_MB))
+EOF
     timeout 120 ./target/release/tamp-exp scale --nodes 1000 --seed 2005
     cut -d, -f1-10 results/scale.csv > "$TMP/scale-run1.csv"
     timeout 120 ./target/release/tamp-exp scale --nodes 1000 --seed 2005

@@ -61,8 +61,39 @@ impl Provenance {
     }
 }
 
-/// One directory entry: a row borrowed from the [`Directory`]'s columns.
-/// Services and attributes are reachable through `Deref`.
+/// A [`Provenance`] in four bytes, as the directory stores it per
+/// holder: the relayer's id, or one of the two ids at the top of the
+/// range. Node ids are host numbers; a relayer id up there (a corrupt
+/// frame's) is held as the highest one left, `u32::MAX - 2`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Packed(u32);
+
+impl Packed {
+    const LOCAL: u32 = u32::MAX;
+    const DIRECT: u32 = u32::MAX - 1;
+
+    #[inline]
+    fn new(provenance: Provenance) -> Packed {
+        Packed(match provenance {
+            Provenance::Local => Packed::LOCAL,
+            Provenance::Direct => Packed::DIRECT,
+            Provenance::Relayed(n) => n.0.min(Packed::DIRECT - 1),
+        })
+    }
+
+    #[inline]
+    fn get(self) -> Provenance {
+        match self.0 {
+            Packed::LOCAL => Provenance::Local,
+            Packed::DIRECT => Provenance::Direct,
+            n => Provenance::Relayed(NodeId(n)),
+        }
+    }
+}
+
+/// One directory entry: a row borrowed from the [`Directory`]'s key
+/// pages and its own columns. Services and attributes are reachable
+/// through `Deref`.
 #[derive(Debug, Clone, Copy)]
 pub struct Entry<'a> {
     pub node: NodeId,
@@ -105,28 +136,256 @@ impl Applied {
     }
 }
 
+/// Rows a key page holds at most. 16, 32 and 64 were measured
+/// (docs/PERFORMANCE.md, "Shared key pages"): smaller pages make the one
+/// page a holder writes cheaper, larger ones make the page table and the
+/// per-page overhead smaller.
+const PAGE_ROWS: usize = 32;
+
+/// Low bits of a row hint that hold the row's offset in its page.
+const OFFSET_BITS: u32 = 8;
+const _: () = assert!(PAGE_ROWS < 1 << OFFSET_BITS);
+
+/// The part of a row every holder of the same record agrees on.
+#[derive(Debug, Clone, PartialEq)]
+struct Row {
+    key: DigestEntry,
+    /// Services and attributes, shared with every other holder of the
+    /// same record; `None` only in a page's unused slots.
+    payload: Option<Arc<RecordPayload>>,
+}
+
+impl Row {
+    /// What a page's unused slot holds.
+    const VACANT: Row = Row {
+        key: DigestEntry {
+            node: NodeId(0),
+            incarnation: 0,
+        },
+        payload: None,
+    };
+
+    #[inline]
+    fn payload(&self) -> &Arc<RecordPayload> {
+        self.payload.as_ref().expect("a held row has a payload")
+    }
+
+    fn vacate(&mut self) -> Row {
+        std::mem::replace(self, Row::VACANT)
+    }
+}
+
+/// A key page as one directory holds it: where it sits in that
+/// directory's table, and the slots that hold the rows.
+#[derive(Debug, Clone)]
+struct Page {
+    /// The first row's node id, which a search bisects.
+    first: NodeId,
+    /// Rows in the pages before this one: the column index of its first
+    /// row.
+    start: u32,
+    /// Slots `..len` hold the rows, ascending by node id; the rest are
+    /// vacant. Never 0.
+    len: u32,
+    /// At most [`PAGE_ROWS`] of them, shared by clones of the directory
+    /// until one of them writes them. The reference counts and the rows
+    /// are one allocation, so a row is one pointer away from the page
+    /// table, and a write to a private page with a free slot moves rows
+    /// instead of allocating.
+    slots: Arc<[Row]>,
+}
+
+impl Page {
+    /// A page of `rows` (ascending, at least one) with room for `cap`,
+    /// whose first row is column `start`.
+    fn new(start: u32, rows: Vec<Row>, cap: usize) -> Page {
+        let (first, len) = (rows[0].key.node, rows.len() as u32);
+        let mut rows = rows.into_iter();
+        let slots = (0..cap)
+            .map(|_| rows.next().unwrap_or(Row::VACANT))
+            .collect();
+        Page {
+            first,
+            start,
+            len,
+            slots,
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    #[inline]
+    fn rows(&self) -> &[Row] {
+        &self.slots[..self.len()]
+    }
+
+    #[inline]
+    fn search(&self, node: NodeId) -> Result<usize, usize> {
+        self.rows().binary_search_by_key(&node, |r| r.key.node)
+    }
+
+    /// The slots, to write: copied first if another directory shares
+    /// them.
+    fn write(&mut self) -> &mut [Row] {
+        Arc::make_mut(&mut self.slots)
+    }
+
+    /// The first row's node id, after a write.
+    fn reset_first(&mut self) {
+        self.first = self.slots[0].key.node;
+    }
+
+    /// All the rows, moved out (copied, if another directory shares
+    /// them): a page about to be rebuilt.
+    fn take(&mut self) -> Vec<Row> {
+        let len = self.len();
+        match Arc::get_mut(&mut self.slots) {
+            Some(slots) => slots[..len].iter_mut().map(Row::vacate).collect(),
+            None => self.rows().to_vec(),
+        }
+    }
+
+    /// Put `row` in at `off`; the page must hold fewer than
+    /// [`PAGE_ROWS`]. Out of slots, it grows by eight.
+    fn insert(&mut self, off: usize, row: Row) {
+        let len = self.len();
+        if len == self.slots.len() {
+            let mut rows = self.take();
+            rows.insert(off, row);
+            *self = Page::new(self.start, rows, (len + 8).min(PAGE_ROWS));
+            return;
+        }
+        let slots = self.write();
+        slots[len] = row;
+        slots[off..=len].rotate_right(1);
+        self.len += 1;
+        self.reset_first();
+    }
+
+    /// Take the row at `off` out; the page must keep one.
+    fn remove(&mut self, off: usize) -> Row {
+        let len = self.len();
+        let slots = self.write();
+        slots[off..len].rotate_left(1);
+        let row = slots[len - 1].vacate();
+        self.len -= 1;
+        self.reset_first();
+        row
+    }
+
+    /// Take the rows from `cut` on out.
+    fn split_off(&mut self, cut: usize) -> Vec<Row> {
+        let len = self.len();
+        let upper = self.write()[cut..len].iter_mut().map(Row::vacate).collect();
+        self.len = cut as u32;
+        upper
+    }
+}
+
+/// The shared half of a table's rows, page after page: ascending by node
+/// id, and as long as the table.
+#[derive(Clone)]
+struct Rows<'a> {
+    pages: std::slice::Iter<'a, Page>,
+    page: std::slice::Iter<'a, Row>,
+    left: usize,
+}
+
+impl<'a> Rows<'a> {
+    fn new(pages: &'a [Page], len: usize) -> Self {
+        let (pages, page) = (pages.iter(), [].iter());
+        Rows {
+            pages,
+            page,
+            left: len,
+        }
+    }
+
+    /// The next row, if `take` accepts it.
+    #[inline]
+    fn next_if(&mut self, take: impl FnOnce(&Row) -> bool) -> Option<&'a Row> {
+        while self.page.as_slice().is_empty() {
+            self.page = self.pages.next()?.rows().iter();
+        }
+        let row = self.page.as_slice().first().filter(|r| take(r))?;
+        self.page.next();
+        self.left -= 1;
+        Some(row)
+    }
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a Row;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a Row> {
+        loop {
+            if let Some(row) = self.page.next() {
+                self.left -= 1;
+                return Some(row);
+            }
+            self.page = self.pages.next()?.rows().iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+/// Where a row is, or would go: page and offset in the page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pos {
+    page: usize,
+    off: usize,
+}
+
+impl Pos {
+    /// The position as a row hint (see [`Directory::apply_join_hinted`]).
+    #[inline]
+    fn hint(self) -> u32 {
+        (self.page as u32) << OFFSET_BITS | self.off as u32
+    }
+
+    #[inline]
+    fn from_hint(hint: u32) -> Pos {
+        Pos {
+            page: (hint >> OFFSET_BITS) as usize,
+            off: (hint & ((1 << OFFSET_BITS) - 1)) as usize,
+        }
+    }
+}
+
 /// The yellow-page directory: complete view of cluster membership.
 ///
-/// One struct-of-arrays store sorted by `NodeId`: row `i` is
-/// `keys[i]`, `payload[i]`, `last_refresh[i]`, `provenance[i]`, and the
-/// four columns always have one length. Every node holds every other
-/// node's entry (§3), so a simulated cluster holds n² of these rows:
-/// 40 bytes each, a lookup a binary search over contiguous 16-byte
-/// keys, the heartbeat refresh one store into `last_refresh`, the
-/// expiry and relayer scans walks of one or two flat columns.
-#[derive(Debug, Clone, PartialEq)]
+/// Every node holds every other node's entry (§3), so a simulated
+/// cluster holds n² rows, and most of them say the same thing at every
+/// holder. A row's key and payload pointer (24 bytes) live in sorted
+/// key pages of at most 32 rows, behind an `Arc`: a cloned
+/// directory shares every page with its source until it writes one
+/// (`Arc::make_mut`). What differs per holder — `last_refresh`, which
+/// every heartbeat moves, and `provenance` (12 bytes) — sits in two
+/// dense columns, row `i` being the `i`-th row of the pages in order.
+///
+/// A lookup is a binary search over the pages' first keys and one
+/// within the page; the heartbeat refresh, given its hint, is a store
+/// into `last_refresh` and writes no page; the expiry, relayer and
+/// digest scans walk the pages in order beside the columns.
+#[derive(Debug, Clone)]
 pub struct Directory {
-    /// The key column, and the anti-entropy digest itself: one `(node,
-    /// incarnation)` pair per live entry, strictly ascending by node
-    /// id. Ascending order is a determinism requirement, not a
-    /// convenience: it reaches digests, relay cascades and expiry
-    /// scans, and must not vary by process or thread.
-    keys: Vec<DigestEntry>,
-    /// Services and attributes, shared with every other holder of the
-    /// same record.
-    payload: Vec<Arc<RecordPayload>>,
+    /// The key column, page after page: strictly ascending by node id
+    /// across page boundaries. It is the anti-entropy digest itself;
+    /// ascending order is a determinism requirement, not a convenience:
+    /// it reaches digests, relay cascades and expiry scans, and must not
+    /// vary by process or thread.
+    pages: Vec<Page>,
     last_refresh: Vec<Nanos>,
-    provenance: Vec<Provenance>,
+    provenance: Vec<Packed>,
     /// Incarnations known dead: `dead[n]` is the highest incarnation of
     /// `n` declared dead plus when it was declared. Records must exceed
     /// the incarnation to be accepted while the tombstone is fresh.
@@ -141,8 +400,7 @@ pub struct Directory {
 impl Default for Directory {
     fn default() -> Self {
         Directory {
-            keys: Vec::new(),
-            payload: Vec::new(),
+            pages: Vec::new(),
             last_refresh: Vec::new(),
             provenance: Vec::new(),
             dead: BTreeMap::new(),
@@ -151,10 +409,54 @@ impl Default for Directory {
     }
 }
 
+/// Two directories are equal when they hold the same rows, whatever
+/// their page boundaries.
+impl PartialEq for Directory {
+    fn eq(&self, other: &Self) -> bool {
+        self.last_refresh == other.last_refresh
+            && self.provenance == other.provenance
+            && self.rows().eq(other.rows())
+            && self.dead == other.dead
+            && self.tombstone_ttl == other.tombstone_ttl
+    }
+}
+
 /// Default [`Directory::set_tombstone_ttl`]: 15 s — comfortably longer
 /// than update-propagation time (so in-flight stale leaves stay
 /// suppressed) but short enough that partition false-positives heal fast.
 pub const DEFAULT_TOMBSTONE_TTL: Nanos = 15_000_000_000;
+
+/// The anti-entropy digest: a view of the directory's key column.
+#[derive(Clone, Copy)]
+pub struct DigestView<'a> {
+    pages: &'a [Page],
+    len: usize,
+}
+
+impl<'a> DigestView<'a> {
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The entries, ascending by node id.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = DigestEntry> + Clone + 'a {
+        Rows::new(self.pages, self.len).map(|r| r.key)
+    }
+
+    pub fn to_vec(&self) -> Vec<DigestEntry> {
+        let mut out = Vec::with_capacity(self.len);
+        for page in self.pages {
+            out.extend(page.rows().iter().map(|r| r.key));
+        }
+        out
+    }
+}
+
+impl std::fmt::Debug for DigestView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 impl Directory {
     pub fn new() -> Self {
@@ -168,63 +470,209 @@ impl Directory {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.last_refresh.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.last_refresh.is_empty()
+    }
+
+    /// The shared half of every row, in `NodeId` order.
+    fn rows(&self) -> Rows<'_> {
+        Rows::new(&self.pages, self.len())
     }
 
     /// Live node ids, in `NodeId` order (see [`Directory::entries`]).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.keys.iter().map(|k| k.node)
+        self.rows().map(|r| r.key.node)
     }
 
-    /// `node`'s row, or the row it would be inserted at.
-    fn slot(&self, node: NodeId) -> Result<usize, usize> {
-        self.keys.binary_search_by_key(&node, |k| k.node)
+    /// `node`'s position, or the one it would be inserted at. Between
+    /// two pages, that is the end of the first unless only the second
+    /// is private to this directory: a holder that takes its own row out
+    /// of a page it shared and puts it back writes that one page. (A
+    /// count that another thread's clone changes meanwhile only moves the
+    /// row to the other page; rows and their order are the same.)
+    fn find(&self, node: NodeId) -> Result<Pos, Pos> {
+        let page = self
+            .pages
+            .partition_point(|p| p.first <= node)
+            .saturating_sub(1);
+        let Some(p) = self.pages.get(page) else {
+            return Err(Pos { page, off: 0 });
+        };
+        match p.search(node) {
+            Ok(off) => Ok(Pos { page, off }),
+            Err(off)
+                if off == p.len()
+                    && self.pages.get(page + 1).is_some_and(|next| {
+                        Arc::strong_count(&p.slots) > 1 && Arc::strong_count(&next.slots) == 1
+                    }) =>
+            {
+                Err(Pos {
+                    page: page + 1,
+                    off: 0,
+                })
+            }
+            Err(off) => Err(Pos { page, off }),
+        }
     }
 
-    fn row(&self, i: usize) -> Entry<'_> {
+    /// Column index of the row at `pos`.
+    #[inline]
+    fn index(&self, pos: Pos) -> usize {
+        self.pages[pos.page].start as usize + pos.off
+    }
+
+    #[inline]
+    fn row(&self, pos: Pos) -> &Row {
+        &self.pages[pos.page].rows()[pos.off]
+    }
+
+    #[inline]
+    fn entry<'a>(&'a self, row: &'a Row, i: usize) -> Entry<'a> {
         Entry {
-            node: self.keys[i].node,
-            incarnation: self.keys[i].incarnation,
-            payload: &self.payload[i],
-            provenance: self.provenance[i],
+            node: row.key.node,
+            incarnation: row.key.incarnation,
+            payload: row.payload(),
+            provenance: self.provenance[i].get(),
             last_refresh: self.last_refresh[i],
         }
     }
 
-    /// Take row `i` out of all four columns.
-    fn remove_row(&mut self, i: usize) -> NodeRecord {
-        let key = self.keys.remove(i);
+    /// Put `row` in at `pos` (as [`Directory::find`] gave it). A full
+    /// page is cut at the insertion point, but no lower than its middle,
+    /// and the rows above the cut move to a new page; the row goes on
+    /// the end of the lower part (on the front of the new one, if the
+    /// lower is still full). Rows put in ascending order — a template, a
+    /// sync image — fill their pages, and anywhere else a page keeps at
+    /// least half. Returns where the row went.
+    fn insert_row(&mut self, pos: Pos, row: Row, now: Nanos, provenance: Provenance) -> Pos {
+        let Pos { page, off } = pos;
+        let i = self.pages.get(page).map_or(0, |p| p.start as usize + off);
+        self.last_refresh.insert(i, now);
+        self.provenance.insert(i, Packed::new(provenance));
+        let Some(lower) = self.pages.get_mut(page) else {
+            self.pages.push(Page::new(0, vec![row], 1));
+            return pos;
+        };
+        if lower.len() < PAGE_ROWS {
+            lower.insert(off, row);
+            for p in &mut self.pages[page + 1..] {
+                p.start += 1;
+            }
+            return pos;
+        }
+        let cut = off.max(PAGE_ROWS / 2);
+        let mut upper = lower.split_off(cut);
+        let at = if cut < PAGE_ROWS {
+            lower.insert(off, row);
+            pos
+        } else {
+            upper.push(row);
+            Pos {
+                page: page + 1,
+                off: 0,
+            }
+        };
+        let start = lower.start + lower.len() as u32;
+        let cap = upper.len();
+        self.pages.insert(page + 1, Page::new(start, upper, cap));
+        for p in &mut self.pages[page + 2..] {
+            p.start += 1;
+        }
+        at
+    }
+
+    /// Take the row at `pos` out; a page it empties leaves the table.
+    fn remove_row(&mut self, pos: Pos) -> NodeRecord {
+        let i = self.index(pos);
         self.last_refresh.remove(i);
         self.provenance.remove(i);
-        NodeRecord::from_shared(key.node, key.incarnation, self.payload.remove(i))
+        let (row, shifted) = if self.pages[pos.page].len() == 1 {
+            (self.pages.remove(pos.page).rows()[0].clone(), pos.page)
+        } else {
+            (self.pages[pos.page].remove(pos.off), pos.page + 1)
+        };
+        for p in &mut self.pages[shifted..] {
+            p.start -= 1;
+        }
+        let payload = row.payload.expect("a held row has a payload");
+        NodeRecord::from_shared(row.key.node, row.key.incarnation, payload)
+    }
+
+    /// True iff the pages and the columns describe one table: every
+    /// page's first `len` slots held and the rest vacant, `len` not 0,
+    /// no page over [`PAGE_ROWS`] slots, node ids strictly ascending
+    /// within and across pages, every page's `first` and `start` its
+    /// first row and the running row count, and the columns as long as
+    /// the pages hold rows. Checked after every mutation in debug builds.
+    fn pages_hold(&self) -> bool {
+        let mut rows = 0;
+        let mut prev = None;
+        for page in &self.pages {
+            let (held, vacant) = page.slots.split_at(page.len().min(page.slots.len()));
+            if page.len() == 0
+                || page.slots.len() > PAGE_ROWS
+                || held.iter().any(|r| r.payload.is_none())
+                || vacant.iter().any(|r| *r != Row::VACANT)
+                || held[0].key.node != page.first
+                || page.start as usize != rows
+            {
+                return false;
+            }
+            for r in held {
+                if prev.is_some_and(|p| p >= r.key.node) {
+                    return false;
+                }
+                prev = Some(r.key.node);
+            }
+            rows += page.len();
+        }
+        self.last_refresh.len() == rows && self.provenance.len() == rows
+    }
+
+    fn debug_assert_pages(&self) {
+        debug_assert!(
+            self.pages_hold(),
+            "key pages no longer describe the table: (first, start, rows) = {:?}, columns {}",
+            self.pages
+                .iter()
+                .map(|p| (p.first, p.start, p.len()))
+                .collect::<Vec<_>>(),
+            self.last_refresh.len()
+        );
     }
 
     /// Nodes held as `Relayed(relayer)`, in `NodeId` order.
     fn relayed_by(&self, relayer: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let held = Provenance::Relayed(relayer);
-        self.provenance
-            .iter()
-            .zip(&self.keys)
-            .filter(move |(p, _)| **p == held)
-            .map(|(_, k)| k.node)
+        let held = Packed::new(Provenance::Relayed(relayer));
+        (self.rows().zip(&self.provenance))
+            .filter(move |(_, &provenance)| provenance == held)
+            .map(|(r, _)| r.key.node)
     }
 
     /// Look up one entry.
     pub fn get(&self, node: NodeId) -> Option<Entry<'_>> {
-        self.slot(node).ok().map(|i| self.row(i))
+        let pos = self.find(node).ok()?;
+        Some(self.entry(self.row(pos), self.index(pos)))
     }
 
     pub fn contains(&self, node: NodeId) -> bool {
-        self.slot(node).is_ok()
+        self.find(node).is_ok()
     }
 
     /// All entries, in `NodeId` order.
-    pub fn entries(&self) -> impl Iterator<Item = Entry<'_>> {
-        (0..self.len()).map(|i| self.row(i))
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = Entry<'_>> {
+        (self.rows().zip(&self.last_refresh))
+            .zip(&self.provenance)
+            .map(|((row, &last_refresh), &provenance)| Entry {
+                node: row.key.node,
+                incarnation: row.key.incarnation,
+                payload: row.payload(),
+                provenance: provenance.get(),
+                last_refresh,
+            })
     }
 
     /// Insert or refresh a record.
@@ -296,13 +744,13 @@ impl Directory {
         )
     }
 
-    /// [`Directory::apply_join_with`] for a caller that remembers the
-    /// row it found `node` in last time, which is every heartbeat
-    /// receiver: `*hint` is believed only if that row still holds
-    /// `node`; otherwise `node` is searched for as usual. Either way
-    /// `*hint` leaves as the row `node` is in now (or would go in), so
-    /// the refresh of a settled directory is four array accesses and
-    /// no search.
+    /// [`Directory::apply_join_with`] for a caller that remembers where
+    /// it found `node` last time, which is every heartbeat receiver:
+    /// `*hint` names a page and an offset in it, and is believed only if
+    /// that row still holds `node`; otherwise `node` is searched for as
+    /// usual. Either way `*hint` leaves as [`Directory::hint_for`]`(node)`
+    /// — where `node` is now, or would go — so the refresh of a settled
+    /// directory is a few array accesses, no search, and no page write.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_join_hinted(
         &mut self,
@@ -314,12 +762,17 @@ impl Directory {
         make_record: impl FnOnce() -> NodeRecord,
         same: impl FnOnce(&RecordPayload) -> bool,
     ) -> (Applied, bool) {
-        let slot = match self.keys.get(*hint as usize) {
-            Some(k) if k.node == node => Ok(*hint as usize),
-            _ => self.slot(node),
+        let hinted = Pos::from_hint(*hint);
+        let slot = match self
+            .pages
+            .get(hinted.page)
+            .and_then(|p| p.rows().get(hinted.off))
+        {
+            Some(r) if r.key.node == node => Ok(hinted),
+            _ => self.find(node),
         };
-        let (Ok(i) | Err(i)) = slot;
-        *hint = i as u32;
+        let (Ok(pos) | Err(pos)) = slot;
+        *hint = pos.hint();
         let was_known = slot.is_ok();
         if let Some(&(dead_inc, at)) = self.dead.get(&node) {
             if incarnation <= dead_inc && now.saturating_sub(at) < self.tombstone_ttl {
@@ -332,24 +785,28 @@ impl Directory {
             payload
         };
         let applied = match slot {
-            Err(i) => {
-                let payload = materialize();
-                self.keys.insert(i, DigestEntry { node, incarnation });
-                self.payload.insert(i, payload);
-                self.last_refresh.insert(i, now);
-                self.provenance.insert(i, provenance);
+            Err(pos) => {
+                let key = DigestEntry { node, incarnation };
+                let row = Row {
+                    key,
+                    payload: Some(materialize()),
+                };
+                *hint = self.insert_row(pos, row, now, provenance).hint();
                 Applied::Changed
             }
-            Ok(i) => {
-                let held = self.keys[i].incarnation;
-                if incarnation > held || (incarnation == held && !same(&self.payload[i])) {
-                    self.keys[i].incarnation = incarnation;
-                    self.payload[i] = materialize();
+            Ok(pos) => {
+                let i = self.index(pos);
+                let held = self.row(pos);
+                let held_inc = held.key.incarnation;
+                if incarnation > held_inc || (incarnation == held_inc && !same(held.payload())) {
+                    let row = &mut self.pages[pos.page].write()[pos.off];
+                    row.key.incarnation = incarnation;
+                    row.payload = Some(materialize());
                     self.last_refresh[i] = now;
-                    self.provenance[i] = provenance;
+                    self.provenance[i] = Packed::new(provenance);
                     Applied::Changed
                 } else {
-                    if incarnation == held {
+                    if incarnation == held_inc {
                         self.last_refresh[i] = now;
                         // Provenance re-stamping: relayed knowledge may
                         // be upgraded to direct, or re-attributed to a
@@ -357,17 +814,25 @@ impl Directory {
                         // its directory). Direct knowledge never
                         // downgrades to relayed — we keep detecting the
                         // failure ourselves.
-                        if matches!(self.provenance[i], Provenance::Relayed(_))
+                        if matches!(self.provenance[i].get(), Provenance::Relayed(_))
                             && !matches!(provenance, Provenance::Local)
                         {
-                            self.provenance[i] = provenance;
+                            self.provenance[i] = Packed::new(provenance);
                         }
                     }
-                    Applied::Ignored
+                    return (Applied::Ignored, was_known);
                 }
             }
         };
+        self.debug_assert_pages();
         (applied, was_known)
+    }
+
+    /// The row hint [`Directory::apply_join_hinted`] leaves for `node`:
+    /// where its row is, or where it would be inserted.
+    pub fn hint_for(&self, node: NodeId) -> u32 {
+        let (Ok(pos) | Err(pos)) = self.find(node);
+        pos.hint()
     }
 
     /// Declare `node`'s given incarnation dead. A stale leave (for an
@@ -377,9 +842,10 @@ impl Directory {
         if incarnation >= dead.0 {
             *dead = (incarnation, now);
         }
-        match self.slot(node) {
-            Ok(i) if self.keys[i].incarnation <= incarnation => {
-                self.remove_row(i);
+        match self.find(node) {
+            Ok(pos) if self.row(pos).key.incarnation <= incarnation => {
+                self.remove_row(pos);
+                self.debug_assert_pages();
                 Applied::Changed
             }
             _ => Applied::Ignored,
@@ -430,14 +896,17 @@ impl Directory {
     /// reconciliation, where the node may well be alive and simply no
     /// longer vouched for by this relayer.
     pub fn remove(&mut self, node: NodeId) -> Option<NodeRecord> {
-        self.slot(node).ok().map(|i| self.remove_row(i))
+        let removed = self.remove_row(self.find(node).ok()?);
+        self.debug_assert_pages();
+        Some(removed)
     }
 
     /// Touch `node`'s entry (heartbeat received) without changing content.
     /// Returns false if the node is unknown.
     pub fn refresh(&mut self, node: NodeId, now: Nanos) -> bool {
-        match self.slot(node) {
-            Ok(i) => {
+        match self.find(node) {
+            Ok(pos) => {
+                let i = self.index(pos);
                 if now > self.last_refresh[i] {
                     self.last_refresh[i] = now;
                 }
@@ -474,14 +943,15 @@ impl Directory {
         let mut removed = Vec::new();
         let mut next_due = u64::MAX;
         let mut frontier = Vec::new();
-        for i in 0..self.len() {
-            if matches!(self.provenance[i], Provenance::Local) {
+        for e in self.entries() {
+            if matches!(e.provenance, Provenance::Local) {
                 continue;
             }
-            let deadline = deadline_for(self.row(i));
-            let last_refresh = self.last_refresh[i];
+            let last_refresh = e.last_refresh;
+            let node = e.node;
+            let deadline = deadline_for(e);
             if now.saturating_sub(last_refresh) >= deadline {
-                frontier.push(self.keys[i].node);
+                frontier.push(node);
             } else if deadline != u64::MAX {
                 next_due = next_due.min(last_refresh.saturating_add(deadline));
             }
@@ -489,13 +959,16 @@ impl Directory {
         while !frontier.is_empty() {
             let mut next = Vec::new();
             for n in frontier {
-                if let Ok(i) = self.slot(n) {
-                    removed.push(self.remove_row(i));
+                if let Ok(pos) = self.find(n) {
+                    removed.push(self.remove_row(pos));
                     // Cascade to everything this node relayed to us.
                     next.extend(self.relayed_by(n));
                 }
             }
             frontier = next;
+        }
+        if !removed.is_empty() {
+            self.debug_assert_pages();
         }
         (removed, next_due)
     }
@@ -510,11 +983,14 @@ impl Directory {
         while let Some(r) = frontier.pop() {
             let victims: Vec<NodeId> = self.relayed_by(r).collect();
             for v in victims {
-                if let Ok(i) = self.slot(v) {
-                    removed.push(self.remove_row(i));
+                if let Ok(pos) = self.find(v) {
+                    removed.push(self.remove_row(pos));
                     frontier.push(v);
                 }
             }
+        }
+        if !removed.is_empty() {
+            self.debug_assert_pages();
         }
         removed
     }
@@ -535,8 +1011,8 @@ impl Directory {
     /// the instance count, sorted by name for deterministic comparison.
     pub fn service_summary(&self) -> Vec<ServiceAvail> {
         let mut agg: BTreeMap<&str, (Vec<u16>, u16)> = BTreeMap::new();
-        for p in &self.payload {
-            for s in &p.services {
+        for row in self.rows() {
+            for s in &row.payload().services {
                 let slot = agg.entry(s.name.as_str()).or_default();
                 slot.0.extend(s.partitions.iter());
                 slot.1 += 1;
@@ -553,19 +1029,12 @@ impl Directory {
 
     /// The anti-entropy digest: one `(node, incarnation)` pair per live
     /// entry, sorted by node id. It is the directory's key column, so
-    /// this is a borrow — no per-tick rescan, and nothing to keep in
-    /// sync.
-    pub fn digest(&self) -> &[DigestEntry] {
-        &self.keys
-    }
-
-    /// Forget the dead-incarnation memory for nodes no longer present —
-    /// bounded-memory hygiene for long-running simulations. Retains
-    /// tombstones for live nodes (still needed for ordering).
-    pub fn compact_tombstones(&mut self) {
-        let keys = &self.keys;
-        self.dead
-            .retain(|n, _| keys.binary_search_by_key(n, |k| k.node).is_ok());
+    /// this is a view — no per-tick rescan, and nothing to keep in sync.
+    pub fn digest(&self) -> DigestView<'_> {
+        DigestView {
+            pages: &self.pages,
+            len: self.len(),
+        }
     }
 }
 
@@ -771,11 +1240,11 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3]);
         // Incarnation bump updates in place.
         d.apply_join(rec(2, 5), Provenance::Direct, 1);
-        assert_eq!(d.digest()[1].incarnation, 5);
+        assert_eq!(d.digest().to_vec()[1].incarnation, 5);
         // Same-incarnation refresh leaves the digest alone.
         let before = d.digest().to_vec();
         d.apply_join(rec(2, 5), Provenance::Direct, 2);
-        assert_eq!(d.digest(), before);
+        assert_eq!(d.digest().to_vec(), before);
         // Leave removes; purge cascades; remove drops.
         d.apply_leave(NodeId(2), 5, 3);
         d.purge_relayed_by(NodeId(1));
@@ -825,7 +1294,7 @@ mod tests {
             d.apply_join_with(NodeId(1), 4, Provenance::Direct, 9, || rec(1, 4), |_| false);
         assert_eq!(applied, (Applied::Changed, true));
         assert_eq!(d.get(NodeId(1)).unwrap().incarnation, 4);
-        assert_eq!(d.digest()[0].incarnation, 4);
+        assert_eq!(d.digest().to_vec()[0].incarnation, 4);
         // A first sighting reports the node as not known before, and a
         // join a fresh tombstone rejects still answers for the entry.
         let applied =
@@ -855,22 +1324,135 @@ mod tests {
         assert_eq!(d.get(NodeId(1)).unwrap().record(), rec(1, 3));
     }
 
+    /// Pages of `d` that are not one of `template`'s.
+    fn private_pages(d: &Directory, template: &Directory) -> usize {
+        let shared = |p: &Page| {
+            template
+                .pages
+                .iter()
+                .any(|t| Arc::ptr_eq(&p.slots, &t.slots))
+        };
+        d.pages.iter().filter(|p| !shared(p)).count()
+    }
+
+    /// The A9 warm start: one template per segment, cloned into each of
+    /// its holders, each of which takes its own row out and puts it back
+    /// as `Local` (`preload_directory`, then `install_own_record`). Every
+    /// holder must write one page at most and share the rest, and a
+    /// heartbeat refresh or a provenance re-stamp must write none.
     #[test]
-    fn compact_tombstones_drops_departed() {
+    fn warm_start_holders_share_all_but_one_page() {
+        // 196 segments of 20 ids, every 20th id a leader. The template
+        // of segment 50 (ids 1000..1020): every leader, the segment, the
+        // victim — 216 rows, the segment's rows straddling a page
+        // boundary (rows 50..70).
+        let (segment, victim) = (1000..1020, 3919);
+        let leader = NodeId(segment.start);
+        let ids: Vec<u32> = (0..3920)
+            .filter(|&i| i % 20 == 0 || segment.contains(&i) || i == victim)
+            .collect();
+        assert_eq!(ids.len(), 216);
+        let provenance = |i: u32| match segment.contains(&i) {
+            true => Provenance::Direct,
+            false => Provenance::Relayed(leader),
+        };
+        let mut template = Directory::new();
+        for &i in &ids {
+            template.apply_join(rec(i, 1), provenance(i), 0);
+        }
+        let (last, full) = template.pages.split_last().unwrap();
+        assert!(full.iter().all(|p| p.len() == PAGE_ROWS) && last.len() <= PAGE_ROWS);
+
+        for me in segment.clone() {
+            let mut d = template.clone();
+            d.remove(NodeId(me));
+            d.apply_join(rec(me, 1), Provenance::Local, 0);
+            let rows: Vec<_> = d.entries().map(|e| (e.record(), e.provenance)).collect();
+            let want: Vec<_> = ids
+                .iter()
+                .map(|&i| {
+                    (
+                        rec(i, 1),
+                        if i == me {
+                            Provenance::Local
+                        } else {
+                            provenance(i)
+                        },
+                    )
+                })
+                .collect();
+            assert_eq!(rows, want, "holder {me}");
+            assert_eq!(d.pages.len(), template.pages.len(), "holder {me}");
+            assert!(private_pages(&d, &template) <= 1, "holder {me}");
+
+            // A same-content heartbeat from every segment peer, and a
+            // leader's relayed row re-stamped as heard directly.
+            let before = d.pages.clone();
+            for peer in segment.clone().filter(|&p| p != me) {
+                let mut hint = d.hint_for(NodeId(peer));
+                let applied = d.apply_join_hinted(
+                    &mut hint,
+                    NodeId(peer),
+                    1,
+                    Provenance::Direct,
+                    5,
+                    || unreachable!("a refresh must not materialize"),
+                    |_| true,
+                );
+                assert_eq!(applied, (Applied::Ignored, true));
+            }
+            assert!(!d.apply_join(rec(20, 1), Provenance::Direct, 6).changed());
+            assert_eq!(d.get(NodeId(20)).unwrap().provenance, Provenance::Direct);
+            assert!(segment.clone().filter(|&p| p != me).all(|p| d
+                .get(NodeId(p))
+                .unwrap()
+                .last_refresh
+                == 5));
+            assert!(
+                d.pages
+                    .iter()
+                    .zip(&before)
+                    .all(|(a, b)| Arc::ptr_eq(&a.slots, &b.slots)),
+                "holder {me}: a refresh wrote a page"
+            );
+        }
+    }
+
+    #[test]
+    fn provenance_packs_into_four_bytes() {
+        let top = Provenance::Relayed(NodeId(u32::MAX - 2));
+        for p in [Provenance::Local, Provenance::Direct, top] {
+            assert_eq!(Packed::new(p).get(), p);
+        }
+        // The two ids Local and Direct use are no relayer's: a record
+        // that names one (a corrupt frame) is held, as relayed by the
+        // highest id left.
         let mut d = Directory::new();
-        d.apply_join(rec(1, 1), Provenance::Direct, 0);
-        d.apply_leave(NodeId(1), 1, 0);
-        d.apply_join(rec(2, 1), Provenance::Direct, 0);
-        d.apply_leave(NodeId(2), 1, 0);
-        d.apply_join(rec(2, 2), Provenance::Direct, 0);
-        d.compact_tombstones();
-        // Node 1 tombstone gone: an old-incarnation join now sneaks in —
-        // acceptable soft-state behaviour; heartbeat absence re-kills it.
-        assert!(d.apply_join(rec(1, 1), Provenance::Direct, 1).changed());
-        // Node 2 tombstone kept (node present).
-        assert_eq!(
-            d.apply_join(rec(2, 1), Provenance::Direct, 1),
-            Applied::Ignored
-        );
+        for (node, relayer) in [(1, u32::MAX), (2, u32::MAX - 1)] {
+            d.apply_join(rec(node, 1), Provenance::Relayed(NodeId(relayer)), 0);
+            assert_eq!(d.get(NodeId(node)).unwrap().provenance, top);
+        }
+    }
+
+    #[test]
+    fn pages_split_and_empty_pages_leave() {
+        let mut d = Directory::new();
+        // Ascending appends fill their pages.
+        for i in 0..3 * PAGE_ROWS as u32 {
+            d.apply_join(rec(2 * i, 1), Provenance::Direct, 0);
+        }
+        assert_eq!(d.pages.len(), 3);
+        // An insert into a full page in the middle halves it.
+        d.apply_join(rec(2 * PAGE_ROWS as u32 + 1, 1), Provenance::Direct, 0);
+        assert_eq!(d.pages.len(), 4);
+        assert!(d.pages_hold());
+        // Emptying a page removes it from the table.
+        let first: Vec<NodeId> = d.pages[0].rows().iter().map(|r| r.key.node).collect();
+        for n in first {
+            d.remove(n);
+        }
+        assert_eq!(d.pages.len(), 3);
+        assert!(d.pages_hold());
+        assert_eq!(d.nodes().next(), Some(NodeId(2 * PAGE_ROWS as u32)));
     }
 }

@@ -129,15 +129,15 @@ impl Directory {
         service: &'a str,
         partition: Option<u16>,
     ) -> impl Iterator<Item = NodeId> + 'a {
-        let rows = self.keys.iter().zip(&self.payload);
-        rows.flat_map(move |(key, payload)| {
-            payload
+        let rows = self.pages.iter().flat_map(|p| p.rows());
+        rows.flat_map(move |row| {
+            row.payload()
                 .services
                 .iter()
                 .filter(move |s| {
                     s.name == service && partition.is_none_or(|p| s.partitions.contains(p))
                 })
-                .map(|_| key.node)
+                .map(|_| row.key.node)
         })
     }
 

@@ -12,7 +12,7 @@
 //! stays as the path for digests that are not sorted and as the model
 //! the merge is checked against ([`Directory::reconcile_digest_per_entry`]).
 
-use crate::{Directory, Nanos, Provenance};
+use crate::{Directory, Nanos, Packed, Provenance, Rows};
 use std::collections::HashSet;
 use tamp_wire::{DigestEntry, NodeId};
 
@@ -90,12 +90,14 @@ impl Directory {
         settled: Nanos,
         stale_before: Nanos,
     ) -> Option<Reconcile> {
-        let held = Provenance::Relayed(from);
-        let orphaned = |provenance: Provenance, last_refresh: Nanos| {
+        let held = Packed::new(Provenance::Relayed(from));
+        let orphaned = |provenance: Packed, last_refresh: Nanos| {
             provenance == held && last_refresh <= stale_before
         };
         let mut out = Reconcile::default();
-        // The row the walk has reached, in step with the digest.
+        // The rows, walked in step with the digest; `i` is the column
+        // index of the next.
+        let mut rows = Rows::new(&self.pages, self.len());
         let mut i = 0;
         let mut prev = None;
         for listed in entries {
@@ -104,21 +106,20 @@ impl Directory {
             }
             prev = Some(listed.node);
             // Everything held below the listed id is unlisted.
-            while i < self.len() && self.keys[i].node < listed.node {
+            while let Some(row) = rows.next_if(|row| row.key.node < listed.node) {
                 if orphaned(self.provenance[i], self.last_refresh[i]) {
-                    out.orphans.push(self.keys[i].node);
+                    out.orphans.push(row.key.node);
                 }
                 i += 1;
             }
-            let mut held_inc = None;
-            if i < self.len() && self.keys[i].node == listed.node {
-                let inc = self.keys[i].incarnation;
+            let held_inc = rows.next_if(|row| row.key.node == listed.node).map(|row| {
+                let inc = row.key.incarnation;
                 if inc == listed.incarnation && now > self.last_refresh[i] {
                     self.last_refresh[i] = now;
                 }
-                held_inc = Some(inc);
                 i += 1;
-            }
+                inc
+            });
             if held_inc.is_some_and(|inc| inc >= listed.incarnation) {
                 continue;
             }
@@ -139,11 +140,11 @@ impl Directory {
                 out.missing = true;
             }
         }
-        out.orphans.extend(
-            (i..self.len())
-                .filter(|&i| orphaned(self.provenance[i], self.last_refresh[i]))
-                .map(|i| self.keys[i].node),
-        );
+        for (row, i) in rows.zip(i..) {
+            if orphaned(self.provenance[i], self.last_refresh[i]) {
+                out.orphans.push(row.key.node);
+            }
+        }
         Some(out)
     }
 

@@ -1,7 +1,9 @@
-//! Differential lock for the columnar [`Directory`]: random scripts over
+//! Differential lock for the paged [`Directory`]: random scripts over
 //! every public mutator, run against it and against the `BTreeMap`
 //! directory it replaced (`map_model.rs`), comparing every return value
-//! and, after every step, everything either can be asked. Shared by
+//! and, after every step, everything either can be asked — of the
+//! directory the script runs on and of every fork it left behind, whose
+//! key pages the running side shares until it writes them. Shared by
 //! this crate's `columns.rs` (wide) and the workspace root's `tests/`
 //! (fixed-budget tier-1 slice), which include it by `#[path]`.
 
@@ -13,10 +15,30 @@ use tamp_wire::{DigestEntry, MemberEvent, NodeId, NodeRecord, PartitionSet, Serv
 mod map_model;
 use map_model::MapDirectory;
 
-/// Node ids in play, relayers included: entries relayed by entries
-/// relayed by entries are what make expiry and purge cascade.
+/// Named node ids in play, relayers included: entries relayed by
+/// entries relayed by entries are what make expiry and purge cascade.
 const NODES: u8 = 10;
 const ME: NodeId = NodeId(0);
+
+/// Ids `RUN_BASE..RUN_BASE + RUN_SPAN` are joined in contiguous runs of
+/// `RUN_ROWS` (one [`Op::Bulk`]), relayed by one named id: at 32 rows
+/// a key page, a run spans three pages or more, so splits, multi-page
+/// walks and hints across page boundaries are reached, and a purge or
+/// expiry of the relayer removes whole pages.
+const RUN_BASE: u32 = 16;
+const RUN_SPAN: u32 = 240;
+const RUN_ROWS: std::ops::RangeInclusive<u8> = 96..=160;
+
+/// Single-row ops pick a node out of `SELECTORS`: the named ids, then as
+/// many ids spread over the run span (see [`id`]).
+const SELECTORS: u8 = 2 * NODES;
+
+fn id(selector: u8) -> NodeId {
+    match selector.checked_sub(NODES) {
+        None => NodeId(u32::from(selector)),
+        Some(probe) => NodeId(RUN_BASE + u32::from(probe) * (RUN_SPAN / u32::from(NODES))),
+    }
+}
 
 /// Short enough that tombstones age out mid-script and nodes rejoin at
 /// their dead incarnation.
@@ -35,8 +57,8 @@ fn provenance(via: u8) -> Provenance {
 /// A record whose content is one of three variants, so that a join at
 /// the incarnation held is sometimes a refresh and sometimes a
 /// republish, and `providers` has something to find.
-fn record(node: u8, inc: u8, content: u8) -> NodeRecord {
-    let rec = NodeRecord::new(NodeId(u32::from(node)), u64::from(inc));
+fn record(node: NodeId, inc: u8, content: u8) -> NodeRecord {
+    let rec = NodeRecord::new(node, u64::from(inc));
     match content % 3 {
         0 => rec,
         1 => rec.with_service(ServiceDecl::new("a", PartitionSet::from_iter([0]))),
@@ -114,13 +136,26 @@ enum Op {
         settled: u8,
         stale_gap: u8,
     },
-    CompactTombstones,
-    /// Carry on with clones of both.
-    Clone,
+    /// `apply_join` of the run ids `start..start + len` past
+    /// `RUN_BASE`, ascending or not, all relayed by the named id `via`.
+    Bulk {
+        start: u8,
+        len: u8,
+        via: u8,
+        inc: u8,
+        content: u8,
+        descending: bool,
+    },
+    /// Clone both; carry on with the clones or the originals, and park
+    /// the other pair, which must still agree after every later step.
+    Fork {
+        continue_on_copy: bool,
+    },
 }
 
 pub fn arb_script() -> impl Strategy<Value = Vec<Step>> {
-    let ids = (0..NODES, 1u8..5, 0u8..16, 0u8..3);
+    let ids = (0..SELECTORS, 1u8..5, 0u8..16, 0u8..3);
+    let run = (0..(RUN_SPAN as u8 - RUN_ROWS.end()), RUN_ROWS);
     let deadlines = (0u8..24, 0u8..24, 0u8..24, 0u8..24);
     let reconcile = (
         proptest::collection::vec(0u8..10, 1..8),
@@ -131,8 +166,9 @@ pub fn arb_script() -> impl Strategy<Value = Vec<Step>> {
     );
     // Joins are half of all steps, so directories fill and relay chains
     // form before an expiry, a purge or a digest meets them.
-    let op = (0u8..40, ids, any::<bool>(), deadlines, reconcile).prop_map(
-        |(kind, (node, inc, via, content), flag, (a, b, c, d), reconcile)| match kind {
+    let op = (0u8..42, ids, any::<bool>(), deadlines, reconcile, run).prop_map(
+        |(kind, (node, inc, via, content), flag, (a, b, c, d), reconcile, (start, len))| match kind
+        {
             0..=13 => Op::Join {
                 node,
                 inc,
@@ -159,11 +195,13 @@ pub fn arb_script() -> impl Strategy<Value = Vec<Step>> {
             30..=32 => Op::Expire {
                 deadlines: [a, b, c, d],
             },
-            33 | 34 => Op::Purge { relayer: node },
+            33 | 34 => Op::Purge {
+                relayer: node % NODES,
+            },
             35..=37 => {
                 let (mask, extra, swap, settled, stale_gap) = reconcile;
                 Op::Reconcile {
-                    from: node,
+                    from: node % NODES,
                     mask,
                     extra,
                     swap,
@@ -171,8 +209,17 @@ pub fn arb_script() -> impl Strategy<Value = Vec<Step>> {
                     stale_gap,
                 }
             }
-            38 => Op::CompactTombstones,
-            _ => Op::Clone,
+            38 | 39 => Op::Bulk {
+                start,
+                len,
+                via,
+                inc,
+                content,
+                descending: flag,
+            },
+            _ => Op::Fork {
+                continue_on_copy: flag,
+            },
         },
     );
     proptest::collection::vec((0u8..3, op).prop_map(|(dt, op)| Step { dt, op }), 0..64)
@@ -231,7 +278,7 @@ fn same_state(cols: &Directory, map: &MapDirectory, now: u64) -> Result<(), Test
         cols.nodes().collect::<Vec<_>>(),
         map.nodes().collect::<Vec<_>>()
     );
-    for n in (0..NODES).map(|n| NodeId(u32::from(n))) {
+    for n in (0..SELECTORS).map(id) {
         prop_assert_eq!(cols.contains(n), map.contains(n));
         prop_assert_eq!(
             cols.get(n)
@@ -242,7 +289,7 @@ fn same_state(cols: &Directory, map: &MapDirectory, now: u64) -> Result<(), Test
         prop_assert_eq!(cols.tombstone_of(n), map.tombstone_of(n));
         prop_assert_eq!(cols.fresh_tombstone(n, now), map.fresh_tombstone(n, now));
     }
-    prop_assert_eq!(cols.digest(), map.digest());
+    prop_assert_eq!(cols.digest().to_vec(), map.digest());
     prop_assert_eq!(cols.snapshot(), map.snapshot());
     prop_assert_eq!(cols.service_summary(), map.service_summary());
     for name in ["a", "b"] {
@@ -265,7 +312,8 @@ pub fn check(script: &[Step]) -> Result<(), TestCaseError> {
     map.set_tombstone_ttl(TOMBSTONE_TTL);
     prop_assert_eq!(cols.tombstone_ttl(), map.tombstone_ttl());
     let mut now = 8u64;
-    let mut hints = [u32::MAX; NODES as usize];
+    let mut hints = [u32::MAX; SELECTORS as usize];
+    let mut parked: Vec<(Directory, MapDirectory)> = Vec::new();
     for step in script {
         now += u64::from(step.dt);
         match step.op {
@@ -275,7 +323,7 @@ pub fn check(script: &[Step]) -> Result<(), TestCaseError> {
                 via,
                 content,
             } => {
-                let (rec, via) = (record(node, inc, content), provenance(via));
+                let (rec, via) = (record(id(node), inc, content), provenance(via));
                 prop_assert_eq!(
                     cols.apply_join(rec.clone(), via, now),
                     map.apply_join(rec, via, now),
@@ -290,7 +338,7 @@ pub fn check(script: &[Step]) -> Result<(), TestCaseError> {
                 content,
                 conservative,
             } => {
-                let (rec, via) = (record(node, inc, content), provenance(via));
+                let (rec, via) = (record(id(node), inc, content), provenance(via));
                 let (mut made, mut made_map) = (false, false);
                 let hint = &mut hints[usize::from(node)];
                 let got = cols.apply_join_hinted(
@@ -317,11 +365,10 @@ pub fn check(script: &[Step]) -> Result<(), TestCaseError> {
                     |held| !conservative && rec == *held,
                 );
                 prop_assert_eq!((got, made), (want, made_map), "{:?}", step);
-                let row = cols.nodes().take_while(|&n| n < rec.node).count();
-                prop_assert_eq!(*hint as usize, row, "{:?}", step);
+                prop_assert_eq!(*hint, cols.hint_for(rec.node), "{:?}", step);
             }
             Op::Leave { node, inc } => {
-                let node = NodeId(u32::from(node));
+                let node = id(node);
                 prop_assert_eq!(
                     cols.apply_leave(node, u64::from(inc), now),
                     map.apply_leave(node, u64::from(inc), now),
@@ -336,11 +383,11 @@ pub fn check(script: &[Step]) -> Result<(), TestCaseError> {
                 via,
                 content,
             } => {
-                let subject = NodeId(u32::from(node));
+                let subject = id(node);
                 let incarnation = u64::from(inc);
                 let ev = match kind {
-                    0 => MemberEvent::Join(record(node, inc, content)),
-                    1 | 2 => MemberEvent::Refute(record(node, inc, content)),
+                    0 => MemberEvent::Join(record(subject, inc, content)),
+                    1 | 2 => MemberEvent::Refute(record(subject, inc, content)),
                     3 => MemberEvent::Leave(subject, incarnation),
                     4 => MemberEvent::Suspect(subject, incarnation),
                     _ => MemberEvent::Alert {
@@ -358,11 +405,11 @@ pub fn check(script: &[Step]) -> Result<(), TestCaseError> {
                 );
             }
             Op::Remove { node } => {
-                let node = NodeId(u32::from(node));
+                let node = id(node);
                 prop_assert_eq!(cols.remove(node), map.remove(node), "{:?}", step);
             }
             Op::Refresh { node, ago } => {
-                let (node, at) = (NodeId(u32::from(node)), now - u64::from(ago));
+                let (node, at) = (id(node), now - u64::from(ago));
                 prop_assert_eq!(cols.refresh(node, at), map.refresh(node, at), "{:?}", step);
             }
             Op::Expire { deadlines } => {
@@ -408,18 +455,50 @@ pub fn check(script: &[Step]) -> Result<(), TestCaseError> {
                     digest
                 );
             }
-            Op::CompactTombstones => {
-                cols.compact_tombstones();
-                map.compact_tombstones();
+            Op::Bulk {
+                start,
+                len,
+                via,
+                inc,
+                content,
+                descending,
+            } => {
+                let via = Provenance::Relayed(NodeId(u32::from(via % NODES)));
+                let run = (0..len).map(|i| NodeId(RUN_BASE + u32::from(start) + u32::from(i)));
+                let run: Vec<NodeId> = match descending {
+                    true => run.rev().collect(),
+                    false => run.collect(),
+                };
+                for node in run {
+                    let rec = record(node, inc, content);
+                    prop_assert_eq!(
+                        cols.apply_join(rec.clone(), via, now),
+                        map.apply_join(rec, via, now),
+                        "{:?} at {:?}",
+                        step,
+                        node
+                    );
+                }
             }
-            Op::Clone => {
-                let copy = cols.clone();
+            Op::Fork { continue_on_copy } => {
+                let (copy, copy_map) = (cols.clone(), map.clone());
                 prop_assert_eq!(&copy, &cols);
-                (cols, map) = (copy, map.clone());
+                parked.push(if continue_on_copy {
+                    (
+                        std::mem::replace(&mut cols, copy),
+                        std::mem::replace(&mut map, copy_map),
+                    )
+                } else {
+                    (copy, copy_map)
+                });
             }
         }
         same_state(&cols, &map, now)
             .map_err(|e| TestCaseError::fail(format!("{e} after {step:?}")))?;
+        for (fork, model) in &parked {
+            same_state(fork, model, now)
+                .map_err(|e| TestCaseError::fail(format!("{e} in a fork after {step:?}")))?;
+        }
     }
     Ok(())
 }

@@ -469,14 +469,6 @@ impl MapDirectory {
             self.rescan_digest()
         );
     }
-
-    /// Forget the dead-incarnation memory for nodes no longer present —
-    /// bounded-memory hygiene for long-running simulations. Retains
-    /// tombstones for live nodes (still needed for ordering).
-    pub fn compact_tombstones(&mut self) {
-        let entries = &self.entries;
-        self.dead.retain(|n, _| entries.contains_key(n));
-    }
 }
 
 impl MapDirectory {

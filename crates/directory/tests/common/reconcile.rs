@@ -154,7 +154,7 @@ fn edited(own: &[DigestEntry], edits: &[Edit]) -> Vec<DigestEntry> {
 pub fn check(case: &Case) -> Result<(), TestCaseError> {
     let mut merged = build(case);
     let mut model = merged.clone();
-    let digest = edited(merged.digest(), &case.edits);
+    let digest = edited(&merged.digest().to_vec(), &case.edits);
     let now = case.ops.len() as u64 + u64::from(case.slack);
     let settled = u64::from(case.settled);
     let stale_before = now.saturating_sub(u64::from(case.stale_gap));

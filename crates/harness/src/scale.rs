@@ -241,7 +241,8 @@ pub fn measure(setup: &SizeSetup, seed: u64, sharding: ShardingKind) -> ScaleRow
 
 /// The default A9 sweep sizes (requested; the topology grid rounds
 /// them). Larger clusters are reachable one at a time with `--nodes`;
-/// n = 50 000 needs ≈ 5.3 GB of directory rows.
+/// n = 50 000 peaks at 2.5 GB and takes about 70 s (docs/PERFORMANCE.md,
+/// "Shared key pages").
 pub const SWEEP_SIZES: [usize; 3] = [1000, 4000, 10000];
 
 pub const COLUMNS: &[Column<ScaleRow>] = &[

@@ -90,9 +90,9 @@ pub enum Election {
 pub struct PeerTable {
     ids: Vec<NodeId>,
     states: Vec<PeerState>,
-    /// The directory row each peer's entry was in when its last
-    /// heartbeat was applied (`u32::MAX` before the first): a hint the
-    /// directory checks before it believes it, so that the next
+    /// Where each peer's directory entry was (key page and offset) when
+    /// its last heartbeat was applied (`u32::MAX` before the first): a
+    /// hint the directory checks before it believes it, so that the next
     /// heartbeat's refresh skips the search.
     dir_slots: Vec<u32>,
 }
@@ -225,7 +225,7 @@ impl GroupState {
 
     /// Record a *heartbeat* from `peer`: refreshes liveness and feeds
     /// the adaptive detector's inter-arrival EWMA (heartbeats are the
-    /// only periodic signal). Returns the peer's directory row hint
+    /// only periodic signal). Returns the peer's directory hint
     /// ([`GroupState::set_dir_slot`]).
     pub fn heard_heartbeat(
         &mut self,
@@ -265,9 +265,9 @@ impl GroupState {
         self.peers.dir_slots[i]
     }
 
-    /// Remember the directory row `peer`'s entry was found in, for its
-    /// next heartbeat. The directory validates the hint, so a stale or
-    /// absent one costs a search, never a wrong row.
+    /// Remember where `peer`'s directory entry was found, for its next
+    /// heartbeat. The directory validates the hint, so a stale or absent
+    /// one costs a search, never a wrong row.
     pub fn set_dir_slot(&mut self, peer: NodeId, slot: u32) {
         if let Ok(i) = self.peers.ids.binary_search(&peer) {
             self.peers.dir_slots[i] = slot;

@@ -392,9 +392,9 @@ impl MembershipNode {
     /// returns whether the directory changed. Routes through the
     /// directory's lazy-materialization join so borrowed wire views skip
     /// decoding on the dominant same-incarnation refresh path, which is
-    /// one walk of the directory — or none, when `dir_slot` (the row
-    /// the sender's entry was in last time) still holds; it is brought
-    /// up to date either way.
+    /// one search of the directory — or none, when `dir_slot` (where the
+    /// sender's entry was last time) still holds; it is brought up to
+    /// date either way.
     fn apply_direct_with(
         &mut self,
         ctx: &mut Context,
