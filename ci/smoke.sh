@@ -178,6 +178,8 @@ job_load() {
     grep -q 'request SLO' "$TMP/metrics.txt"
     rm -rf results/load
     same_at_any_width campaign load -- load --quick --users 8000 --datacenters 2 --campaign
+    # The checked-in results/load/ is what this command writes.
+    git diff --exit-code -- results/load
     for fault in leader-death proxy-failover wan-partition; do
         grep -q "^$fault," results/load/campaign.csv
     done

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use tamp_baselines::{AllToAllConfig, GossipConfig, SwimConfig};
 use tamp_membership::{MembershipConfig, Probe};
 use tamp_netsim::telemetry::{MetricsSnapshot, CLUSTER};
-use tamp_netsim::{Engine, EngineConfig, TraceLog, TraceRecord};
+use tamp_netsim::{Engine, EngineConfig, TraceRecord};
 use tamp_topology::{HostId, RouterId, SegmentId, Topology};
 
 /// Everything a scenario run needs besides the schedule itself.
@@ -83,12 +83,6 @@ pub struct ScenarioRun {
 impl ScenarioRun {
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// The trace rendered one line per record, in the shared event-schema
-    /// format (`tamp_telemetry::EventLog::render`).
-    pub fn trace_lines(&self) -> Vec<String> {
-        self.trace.iter().map(TraceLog::render).collect()
     }
 
     /// Deterministic telemetry digest appended to failing reports:

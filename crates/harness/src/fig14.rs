@@ -7,22 +7,14 @@
 
 use crate::grid::{Column, Experiment};
 use tamp_neptune::search::{build, SearchOptions};
-use tamp_netsim::{Control, Nanos, MILLIS, SECS};
+use tamp_neptune::Cell;
+use tamp_netsim::{Control, MILLIS, SECS};
 
-/// One second of the Fig. 14 timeline.
-#[derive(Debug, Clone, Copy)]
-pub struct TimelinePoint {
-    pub second: u64,
-    /// Queries completed in this second (DC-A gateways).
-    pub throughput: usize,
-    /// Mean response time of those queries, ms (NaN if none).
-    pub response_ms: f64,
-    /// Queries that failed outright in this second.
-    pub failed: usize,
-}
+/// One second of the Fig. 14 timeline: DC-A's gateway record of it.
+pub type Second = (usize, Cell);
 
-/// Run the experiment; returns one point per second of the run.
-pub fn run(total_seconds: u64, fail_at: u64, recover_at: u64, seed: u64) -> Vec<TimelinePoint> {
+/// Run the experiment; returns one row per second of the run.
+pub fn run(total_seconds: u64, fail_at: u64, recover_at: u64, seed: u64) -> Vec<Second> {
     let opts = SearchOptions {
         seed,
         ..Default::default()
@@ -34,58 +26,34 @@ pub fn run(total_seconds: u64, fail_at: u64, recover_at: u64, seed: u64) -> Vec<
     }
     s.engine.start();
     s.engine.run_until(total_seconds * SECS);
-
-    let metrics = &s.gateway_metrics[0];
-    let mut points = Vec::new();
-    for sec in 0..total_seconds {
-        let (from, to) = (sec * SECS, (sec + 1) * SECS);
-        let mut tput = 0usize;
-        let mut lat_sum: Nanos = 0;
-        let mut failed = 0usize;
-        for m in metrics {
-            let m = m.lock();
-            for &(t, l) in &m.completed {
-                if (from..to).contains(&t) {
-                    tput += 1;
-                    lat_sum += l;
-                }
-            }
-            failed += m
-                .failed
-                .iter()
-                .filter(|&&t| (from..to).contains(&t))
-                .count();
-        }
-        points.push(TimelinePoint {
-            second: sec,
-            throughput: tput,
-            response_ms: if tput > 0 {
-                lat_sum as f64 / tput as f64 / MILLIS as f64
-            } else {
-                f64::NAN
-            },
-            failed,
-        });
-    }
-    points
+    // DC-A's one gateway (the default deployment runs one per DC).
+    let dc_a = s.timelines[0][0].lock();
+    (0..total_seconds as usize)
+        .map(|sec| (sec, dc_a.window(sec, sec + 1)))
+        .collect()
 }
 
-pub const COLUMNS: &[Column<TimelinePoint>] = &[
-    ("second", |p| p.second.to_string()),
-    ("throughput/s", |p| p.throughput.to_string()),
-    ("response ms", |p| {
-        if p.response_ms.is_nan() {
-            "-".into()
-        } else {
-            format!("{:.1}", p.response_ms)
-        }
+/// Mean response time of the second's queries, ms (NaN if none).
+fn response_ms(c: &Cell) -> f64 {
+    if c.completed == 0 {
+        return f64::NAN;
+    }
+    c.lat.sum as f64 / c.completed as f64 / MILLIS as f64
+}
+
+pub const COLUMNS: &[Column<Second>] = &[
+    ("second", |(s, _)| s.to_string()),
+    ("throughput/s", |(_, c)| c.completed.to_string()),
+    ("response ms", |(_, c)| match c.completed {
+        0 => "-".into(),
+        _ => format!("{:.1}", response_ms(c)),
     }),
-    ("failed", |p| p.failed.to_string()),
+    ("failed", |(_, c)| c.failed.to_string()),
 ];
 
 /// Fig. 14 as a grid of one cell: one 60 s run, folded into a row per
 /// second.
-pub fn experiment(seed: u64) -> Experiment<(), Vec<TimelinePoint>, TimelinePoint> {
+pub fn experiment(seed: u64) -> Experiment<(), Vec<Second>, Second> {
     Experiment::folded(
         "Fig. 14 — membership proxy effectiveness (DC-A doc service fails at 20 s, recovers at 40 s)",
         "fig14",
@@ -111,23 +79,27 @@ mod tests {
         let pts = run(60, 20, 40, 7);
         assert_eq!(pts.len(), 60);
 
-        let mean = |range: std::ops::Range<usize>, f: &dyn Fn(&TimelinePoint) -> f64| {
-            let vals: Vec<f64> = pts[range].iter().map(f).filter(|v| !v.is_nan()).collect();
+        let mean = |range: std::ops::Range<usize>, f: &dyn Fn(&Cell) -> f64| {
+            let vals: Vec<f64> = pts[range]
+                .iter()
+                .map(|(_, c)| f(c))
+                .filter(|v| !v.is_nan())
+                .collect();
             vals.iter().sum::<f64>() / vals.len() as f64
         };
 
         // Local before failure: fast.
-        let rt_before = mean(10..20, &|p| p.response_ms);
+        let rt_before = mean(10..20, &response_ms);
         assert!(rt_before < 50.0, "pre-failure {rt_before} ms");
         // Failed over: slower than the WAN RTT.
-        let rt_failover = mean(30..40, &|p| p.response_ms);
+        let rt_failover = mean(30..40, &response_ms);
         assert!(rt_failover > 90.0, "failover {rt_failover} ms");
         // Recovered: fast again.
-        let rt_after = mean(50..60, &|p| p.response_ms);
+        let rt_after = mean(50..60, &response_ms);
         assert!(rt_after < 50.0, "post-recovery {rt_after} ms");
         // Service availability: throughput during failover matches the
         // arrival rate (1 gateway × 20 qps).
-        let tput_failover = mean(30..40, &|p| p.throughput as f64);
+        let tput_failover = mean(30..40, &|c| c.completed as f64);
         assert!(tput_failover > 15.0, "failover tput {tput_failover}");
     }
 }

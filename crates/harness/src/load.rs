@@ -60,6 +60,7 @@ fn scenario_config(args: &Args, skew: Skew) -> LoadScenarioConfig {
         seed: args.seed,
         sharding: sharding_from(args.shards),
         workload: WorkloadConfig {
+            users: args.users,
             skew,
             mode,
             seed: args.seed,
@@ -272,7 +273,7 @@ pub fn collect(args: &Args) -> Result<LoadRun, String> {
     };
 
     summary.push_str(&render_counters(&baseline.summary));
-    let nominal = cfg.users as f64 / (cfg.workload.think_mean as f64 / SECS as f64);
+    let nominal = cfg.workload.steady_rate();
     summary.push_str(&format!(
         "steady rate {nominal:.0} req/s nominal, {:.0} req/s measured\n",
         baseline.summary.baseline_rate()

@@ -7,9 +7,9 @@
 //! pool with byte-identical reports at any `--jobs` width.
 
 use crate::scenario::{build, LoadScenarioConfig};
-use crate::telemetry::Cell;
 use std::collections::BTreeMap;
 use tamp_chaos::{apply_schedule, GroundTruth, Schedule};
+use tamp_neptune::timeline::{window, Cell};
 use tamp_netsim::{Nanos, SECS};
 use tamp_par::Pool;
 use tamp_telemetry::HistogramSnapshot;
@@ -72,13 +72,7 @@ pub struct RunSummary {
 impl RunSummary {
     fn window_rates(&self, from: usize, to: usize) -> (f64, u64) {
         let secs = to.saturating_sub(from).max(1);
-        let completed: u64 = self
-            .cells
-            .iter()
-            .take(to.min(self.cells.len()))
-            .skip(from)
-            .map(|c| c.completed)
-            .sum();
+        let completed = window(&self.cells, from, to).completed;
         (completed as f64 / secs as f64, completed)
     }
 
@@ -110,11 +104,7 @@ impl RunSummary {
     }
 
     fn merged(&self, from: usize, to: usize) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::default();
-        for cell in self.cells.iter().take(to.min(self.cells.len())).skip(from) {
-            out.merge(&cell.lat);
-        }
-        out
+        window(&self.cells, from, to).lat
     }
 
     /// p99 latency (ns) of requests completing in the baseline window.
@@ -177,16 +167,11 @@ pub fn run_one(cfg: &LoadScenarioConfig, schedule: &Schedule, campaign: &Campaig
             snap.counter_total("load", &format!("errors.{name}")),
         );
     }
-    let per_partition = (0..cfg.doc_partitions)
-        .map(|p| {
-            snap.histogram(
-                tamp_telemetry::CLUSTER,
-                "load",
-                &format!("latency_ns.doc{p:02}"),
-            )
-            .cloned()
-            .unwrap_or_default()
-        })
+    let per_partition = s
+        .telemetry
+        .by_partition
+        .iter()
+        .map(|h| h.snapshot())
         .collect();
 
     let warm_s = (campaign.warmup / SECS) as usize;
@@ -281,11 +266,11 @@ mod tests {
 
     #[test]
     fn windows_sum_their_seconds_and_clamp_out_of_range() {
-        let mut t = crate::telemetry::Timeline::default();
-        t.record_completion(0, 100);
-        t.record_completion(2, 200);
-        t.record_completion(2, 300);
-        t.record_failure(1);
+        let mut t = tamp_neptune::Timeline::default();
+        t.record_completion(0, 100, false);
+        t.record_completion(2 * SECS, 200, false);
+        t.record_completion(2 * SECS, 300, false);
+        t.record_failure(SECS);
         let s = RunSummary {
             issued: 4,
             completed: 3,

@@ -1,14 +1,13 @@
 //! The load-generator node: one actor standing in for a slice of the
 //! synthetic user population.
 //!
-//! Like the neptune gateway it embeds a [`MembershipNode`] and routes
-//! every request through the live view (resolve replicas, retry on
-//! another replica, fall back to the membership proxies when the local
-//! DC has none). Unlike the gateway it scales to millions of users by
-//! aggregating arrivals into a calendar of fixed-width ticks instead of
-//! keeping one timer per user, and it records per-request telemetry
-//! (latency histograms, throughput timeline, error taxonomy) instead of
-//! per-query vectors.
+//! It embeds a [`MembershipNode`] and routes every request step through
+//! tamp-neptune's [`Router`] over the live view: resolve replicas, retry
+//! on another replica, fall back to the membership proxies when the
+//! local DC has none. It scales to millions of users by aggregating
+//! arrivals into a calendar of fixed-width ticks instead of keeping one
+//! timer per user, and it records per-request telemetry (latency
+//! histograms, the per-second request record, error taxonomy).
 //!
 //! ## Request flow
 //!
@@ -34,9 +33,10 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 use tamp_membership::{MembershipConfig, MembershipNode, Probe};
+use tamp_neptune::router::{serves, T_ATTEMPT};
+use tamp_neptune::{Dispatch, LoadBalance, Route, RouteConfig, Router};
 use tamp_netsim::{Actor, Context, Nanos, PacketMeta, MILLIS};
-use tamp_proxy::PROXY_SERVICE;
-use tamp_wire::{Message, NodeId, ServiceRequest, ServiceResponse};
+use tamp_wire::{Message, NodeId};
 
 /// Generator tunables.
 #[derive(Debug, Clone)]
@@ -46,13 +46,8 @@ pub struct LoadGenConfig {
     /// Partition counts of the two workflow services.
     pub index_partitions: u16,
     pub doc_partitions: u16,
-    /// Per-attempt timeout against a local instance.
-    pub request_timeout: Nanos,
-    /// Timeout for a proxied (remote DC) attempt.
-    pub proxy_timeout: Nanos,
-    /// Local replica attempts per step before proxy fallback.
-    pub max_local_attempts: u32,
-    pub payload_size: usize,
+    /// Attempt timeouts of each step.
+    pub route: RouteConfig,
 }
 
 impl LoadGenConfig {
@@ -62,16 +57,12 @@ impl LoadGenConfig {
             workload,
             index_partitions: 4,
             doc_partitions: 12,
-            request_timeout: 250 * MILLIS,
-            proxy_timeout: 2_000 * MILLIS,
-            max_local_attempts: 2,
-            payload_size: 96,
+            route: RouteConfig::new(250 * MILLIS),
         }
     }
 }
 
 const T_TICK: u64 = 8 << 32;
-const T_TIMEOUT: u64 = 9 << 32;
 const LOAD_TOKEN_MASK: u64 = !0u64 << 32;
 
 /// One in-flight user request.
@@ -80,22 +71,19 @@ struct Req {
     started: Nanos,
     /// 0 = index step, 1 = doc step.
     step: u8,
-    index_part: u16,
     doc_part: u16,
-    attempts: u32,
-    tried: Vec<NodeId>,
-    /// Proxy fallback used for the *current* step.
-    step_used_proxy: bool,
+    /// The current step's attempts.
+    route: Route,
     /// Any step of this request went through a proxy.
     via_proxy: bool,
 }
 
 impl Req {
-    fn target(&self) -> (&'static str, u16) {
+    fn service(&self) -> &'static str {
         if self.step == 0 {
-            ("index", self.index_part)
+            "index"
         } else {
-            ("doc", self.doc_part)
+            "doc"
         }
     }
 }
@@ -103,8 +91,8 @@ impl Req {
 /// The load-generator actor.
 pub struct LoadGenNode {
     cfg: LoadGenConfig,
-    me: NodeId,
     inner: MembershipNode,
+    router: Router,
     telemetry: LoadTelemetry,
     zipf: ZipfSampler,
     /// Private workload stream, decoupled from the engine's entropy so
@@ -119,9 +107,9 @@ pub struct LoadGenNode {
     open_base: Option<(u32, u64)>,
     reqs: HashMap<u32, Req>,
     next_serial: u32,
-    next_seq: u32,
-    /// Attempt seq → (owning request, target, was a proxy attempt).
-    inflight: HashMap<u32, (u32, NodeId, bool)>,
+    /// Attempt seq → owning request. A step has one attempt in flight
+    /// at a time, so an attempt that ends is its request's latest.
+    inflight: HashMap<u32, u32>,
     crashed: bool,
 }
 
@@ -135,8 +123,8 @@ impl LoadGenNode {
                 .wrapping_add((me.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
         );
         LoadGenNode {
-            me,
             inner,
+            router: Router::new(me, cfg.route),
             telemetry,
             zipf,
             rng,
@@ -146,15 +134,10 @@ impl LoadGenNode {
             open_base: None,
             reqs: HashMap::new(),
             next_serial: 0,
-            next_seq: 0,
             inflight: HashMap::new(),
             crashed: false,
             cfg,
         }
-    }
-
-    pub fn directory_client(&self) -> tamp_directory::DirectoryClient {
-        self.inner.directory_client()
     }
 
     /// Introspection handle (leader votes for chaos target resolution).
@@ -165,14 +148,10 @@ impl LoadGenNode {
     /// One-way latch: true once the view lists every service partition a
     /// request could touch. Later failures must not re-gate arrivals.
     fn warmed_up(&mut self) -> bool {
-        if self.warmed {
-            return true;
+        if !self.warmed {
+            self.warmed = serves(&self.inner, "index", self.cfg.index_partitions)
+                && serves(&self.inner, "doc", self.cfg.doc_partitions);
         }
-        let hosted = |service, parts: u16| {
-            (0..parts).all(|p| !self.inner.resolve_service(service, Some(p)).is_empty())
-        };
-        self.warmed =
-            hosted("index", self.cfg.index_partitions) && hosted("doc", self.cfg.doc_partitions);
         self.warmed
     }
 
@@ -234,16 +213,14 @@ impl LoadGenNode {
         let index_part = (self.rng.next_u64() % u64::from(self.cfg.index_partitions)) as u16;
         let doc_part = self.zipf.sample(&mut self.rng);
         ctx.count("load", "issued", 1);
+        self.telemetry.record_issue();
         self.reqs.insert(
             serial,
             Req {
                 started: ctx.now(),
                 step: 0,
-                index_part,
                 doc_part,
-                attempts: 0,
-                tried: Vec::new(),
-                step_used_proxy: false,
+                route: Route::new(index_part),
                 via_proxy: false,
             },
         );
@@ -253,120 +230,69 @@ impl LoadGenNode {
     /// Route the current step of `serial`: next untried replica, proxy
     /// fallback, or fail the request.
     fn dispatch(&mut self, ctx: &mut Context, serial: u32) {
-        let Some(req) = self.reqs.get(&serial) else {
+        let Some(req) = self.reqs.get_mut(&serial) else {
             return;
         };
-        let (service, partition) = req.target();
-        let mut candidates = self.inner.resolve_service(service, Some(partition));
-        candidates.retain(|n| !req.tried.contains(n));
-
-        if !candidates.is_empty() && req.attempts < self.cfg.max_local_attempts {
-            let i = (self.rng.next_u64() % candidates.len() as u64) as usize;
-            let target = candidates[i];
-            self.send_attempt(ctx, serial, target, service, partition, false);
-            return;
-        }
-
-        // Proxy fallback (paper Fig. 6): route the step through a local
-        // membership proxy to a remote data center.
-        if !req.step_used_proxy {
-            let proxies = self.inner.resolve_service(PROXY_SERVICE, None);
-            if !proxies.is_empty() {
-                let i = (self.rng.next_u64() % proxies.len() as u64) as usize;
-                let proxy = proxies[i];
-                self.reqs.get_mut(&serial).unwrap().step_used_proxy = true;
-                self.send_attempt(ctx, serial, proxy, service, partition, true);
-                return;
+        let service = req.service();
+        let rng = &mut self.rng;
+        let draw = &mut |_: &mut Context, n| rng.next_u64() % n;
+        match self.router.dispatch(
+            ctx,
+            &self.inner,
+            &mut req.route,
+            service,
+            LoadBalance::Random,
+            draw,
+        ) {
+            Dispatch::Sent(seq) => {
+                self.inflight.insert(seq, serial);
             }
+            Dispatch::Poll(_) => unreachable!("random balancing never polls"),
+            Dispatch::GaveUp => self.fail_request(ctx, serial),
         }
-        self.fail_request(ctx, serial);
     }
 
-    fn send_attempt(
-        &mut self,
-        ctx: &mut Context,
-        serial: u32,
-        target: NodeId,
-        service: &str,
-        partition: u16,
-        proxied: bool,
-    ) {
-        self.next_seq += 1;
-        let seq = self.next_seq;
-        let id = ((self.me.0 as u64) << 32) | u64::from(seq);
-        let req = self.reqs.get_mut(&serial).unwrap();
-        if !proxied {
-            req.attempts += 1;
-            req.tried.push(target);
-        }
-        self.inflight.insert(seq, (serial, target, proxied));
-        ctx.send_unicast(
-            target,
-            Message::ServiceRequest(ServiceRequest {
-                id,
-                from: self.me,
-                service: service.to_string(),
-                partition,
-                payload: vec![0u8; self.cfg.payload_size],
-                hops_left: if proxied { 2 } else { 0 },
-            }),
-        );
-        let timeout = if proxied {
-            self.cfg.proxy_timeout
-        } else {
-            self.cfg.request_timeout
-        };
-        ctx.set_timer(timeout, T_TIMEOUT | u64::from(seq));
-    }
-
-    fn handle_response(&mut self, ctx: &mut Context, r: &ServiceResponse) {
-        let seq = (r.id & 0xffff_ffff) as u32;
-        let Some((serial, _target, proxied)) = self.inflight.remove(&seq) else {
-            return; // Late response to a timed-out attempt.
+    /// Attempt `seq` ended: `answer` says whether its response was ok,
+    /// `None` that it timed out.
+    fn attempt_ended(&mut self, ctx: &mut Context, seq: u32, answer: Option<bool>) {
+        let Some(serial) = self.inflight.remove(&seq) else {
+            return; // Already answered, or timed out before the response.
         };
         let Some(req) = self.reqs.get_mut(&serial) else {
             return;
         };
-        if r.ok {
-            if proxied {
-                req.via_proxy = true;
-            }
-            if req.step == 0 {
+        match answer {
+            Some(true) if req.step == 0 => {
                 // Index step done; start the doc step fresh.
+                req.via_proxy |= req.route.used_proxy;
                 req.step = 1;
-                req.attempts = 0;
-                req.tried.clear();
-                req.step_used_proxy = false;
-                self.dispatch(ctx, serial);
-            } else {
-                self.complete_request(ctx, serial);
+                req.route.reset(req.doc_part);
             }
-        } else {
+            Some(true) => {
+                req.via_proxy |= req.route.used_proxy;
+                return self.complete_request(ctx, serial);
+            }
             // The view routed us somewhere that could not serve.
-            ctx.count("load", "errors.routed_to_dead", 1);
-            self.dispatch(ctx, serial);
-        }
-    }
-
-    fn handle_timeout(&mut self, ctx: &mut Context, seq: u32) {
-        let Some((serial, target, proxied)) = self.inflight.remove(&seq) else {
-            return; // Attempt already answered.
-        };
-        let Some(req) = self.reqs.get(&serial) else {
-            return;
-        };
-        let (service, partition) = req.target();
-        // Classify: stale view (target already dropped) vs plain
-        // timeout (target still believed alive: loss or overload).
-        let stale = !proxied
-            && !self
-                .inner
-                .resolve_service(service, Some(partition))
-                .contains(&target);
-        if stale {
-            ctx.count("load", "errors.routed_to_dead", 1);
-        } else {
-            ctx.count("load", "errors.timeout", 1);
+            Some(false) => ctx.count("load", "errors.routed_to_dead", 1),
+            None => {
+                // Classify: stale view (the replica tried last is already
+                // dropped) vs plain timeout (target still believed alive:
+                // loss or overload, or the proxy's attempt).
+                let route = &req.route;
+                let stale = !route.used_proxy
+                    && route.tried.last().is_some_and(|target| {
+                        !self
+                            .inner
+                            .resolve_service(req.service(), Some(route.partition))
+                            .contains(target)
+                    });
+                let class = if stale {
+                    "errors.routed_to_dead"
+                } else {
+                    "errors.timeout"
+                };
+                ctx.count("load", class, 1);
+            }
         }
         self.dispatch(ctx, serial);
     }
@@ -438,7 +364,9 @@ impl Actor for LoadGenNode {
 
     fn on_packet(&mut self, ctx: &mut Context, meta: PacketMeta, msg: &Message) {
         match msg {
-            Message::ServiceResponse(r) => self.handle_response(ctx, r),
+            Message::ServiceResponse(r) => {
+                self.attempt_ended(ctx, (r.id & 0xffff_ffff) as u32, Some(r.ok))
+            }
             Message::ServiceRequest(_) => {}
             other => self.inner.on_packet(ctx, meta, other),
         }
@@ -467,7 +395,7 @@ impl Actor for LoadGenNode {
                     self.start_request(ctx);
                 }
             }
-            T_TIMEOUT => self.handle_timeout(ctx, (token & 0xffff_ffff) as u32),
+            T_ATTEMPT => self.attempt_ended(ctx, (token & 0xffff_ffff) as u32, None),
             _ => {}
         }
     }

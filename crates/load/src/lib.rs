@@ -9,13 +9,14 @@
 //!   partition sampler.
 //! * [`generator`] — the [`LoadGenNode`] actor: millions of users per
 //!   node via calendar-tick aggregation, routing every request through
-//!   the live membership view (replica retry → proxy failover) with a
-//!   routed-to-dead / timeout / retry-exhausted error taxonomy.
+//!   tamp-neptune's router over the live membership view (replica retry
+//!   → proxy failover) with a routed-to-dead / timeout /
+//!   retry-exhausted error taxonomy.
 //! * [`telemetry`] — per-request latency into power-of-two histograms
-//!   (cluster-wide and per doc partition) plus a per-second throughput
-//!   timeline, all exported byte-deterministically.
-//! * [`scenario`] — multi-datacenter cluster construction sized for
-//!   production-scale populations.
+//!   (cluster-wide and per doc partition) plus the per-second request
+//!   record, all exported byte-deterministically.
+//! * [`scenario`] — tamp-neptune's search deployment with the generators
+//!   as its consumers, sized for production-scale populations.
 //! * [`campaign`] — chaos-under-load: replay `.chaos` fault schedules
 //!   while the generators run; report throughput dips, p99 during
 //!   failover, and goodput lost per fault, parallelized on the tamp-par
@@ -52,5 +53,6 @@ pub mod workload;
 pub use campaign::{run_campaign, run_one, Campaign, CampaignFault, FaultOutcome, RunSummary};
 pub use generator::{LoadGenConfig, LoadGenNode};
 pub use scenario::{build, LoadScenario, LoadScenarioConfig};
-pub use telemetry::{Cell, LoadTelemetry, Timeline, SUBSYSTEM};
+pub use tamp_neptune::{Cell, Timeline};
+pub use telemetry::{LoadTelemetry, SUBSYSTEM};
 pub use workload::{ArrivalMode, Skew, WorkloadConfig, ZipfSampler};

@@ -1,41 +1,28 @@
-//! Scenario construction: wire generators, proxies, and index/doc
-//! providers into a multi-datacenter engine, sized for production-scale
-//! populations.
-//!
-//! Mirrors `tamp_neptune::search::build` but swaps the per-query
-//! gateways for [`LoadGenNode`]s and scales the service plane: more
-//! partitions, calibrated service times (hundreds of microseconds, not
-//! the paper's demo milliseconds) so a million-user population runs at
-//! sane utilization.
+//! Scenario construction: tamp-neptune's search deployment with
+//! [`LoadGenNode`]s as its consumers, sized for production-scale
+//! populations — more partitions, calibrated service times (hundreds of
+//! microseconds, not the paper's demo milliseconds) so a million-user
+//! population runs at sane utilization.
 
 use crate::generator::{LoadGenConfig, LoadGenNode};
 use crate::telemetry::LoadTelemetry;
 use crate::workload::WorkloadConfig;
-use tamp_membership::{MembershipConfig, Probe};
-use tamp_neptune::{ProviderConfig, ProviderNode};
-use tamp_netsim::{Engine, EngineConfig, Nanos, ShardingKind, MICROS, MILLIS, SECS};
-use tamp_proxy::{ProxyConfig, ProxyNode, RemoteView, VipTable};
-use tamp_topology::{generators, HostId};
-use tamp_wire::{DcId, NodeId, PartitionSet, ServiceDecl};
+use tamp_membership::Probe;
+use tamp_neptune::search::{deploy, SearchOptions};
+use tamp_neptune::TimelineHandle;
+use tamp_netsim::{Engine, EngineConfig, Nanos, ShardingKind, MICROS, SECS};
 
-/// Knobs for the load scenario.
+/// Knobs for the load scenario. Per DC it runs one generator, two
+/// proxies and [`REPLICAS`] instances of every partition, with a 45 ms
+/// one-way WAN between DCs (the search deployment's defaults).
 #[derive(Debug, Clone)]
 pub struct LoadScenarioConfig {
     /// Total synthetic users, split evenly across all generators.
     pub users: u64,
     pub workload: WorkloadConfig,
     pub datacenters: usize,
-    pub generators_per_dc: usize,
-    pub proxies_per_dc: usize,
-    /// Replicas per partition per DC.
-    pub replicas: usize,
     pub index_partitions: u16,
     pub doc_partitions: u16,
-    /// One-way WAN latency between adjacent DCs.
-    pub wan_one_way: Nanos,
-    /// Service times, calibrated for the default million-user rate.
-    pub index_time: Nanos,
-    pub doc_time: Nanos,
     /// Engine seed (the workload stream is seeded separately from
     /// `workload.seed`).
     pub seed: u64,
@@ -50,147 +37,80 @@ impl Default for LoadScenarioConfig {
             users: 1_000_000,
             workload: WorkloadConfig::default(),
             datacenters: 3,
-            generators_per_dc: 1,
-            proxies_per_dc: 2,
-            replicas: 2,
             index_partitions: 4,
             doc_partitions: 12,
-            wan_one_way: 45 * MILLIS,
-            index_time: 200 * MICROS,
-            doc_time: 500 * MICROS,
             seed: 2005,
             sharding: ShardingKind::Sequential,
         }
     }
 }
 
-impl LoadScenarioConfig {
-    pub fn hosts_per_dc(&self) -> usize {
-        self.generators_per_dc
-            + self.proxies_per_dc
-            + (self.index_partitions as usize + self.doc_partitions as usize) * self.replicas
-    }
-}
+/// Replicas per partition per DC.
+pub const REPLICAS: usize = 2;
+/// Service times, calibrated for the default million-user rate.
+const INDEX_TIME: Nanos = 200 * MICROS;
+const DOC_TIME: Nanos = 500 * MICROS;
 
 /// A wired-up load scenario.
 pub struct LoadScenario {
     pub engine: Engine,
     pub telemetry: LoadTelemetry,
-    /// Leader-vote probes per host (`None` only for host roles without
-    /// one), in host order — the shape `tamp_chaos::apply_schedule`
+    /// Leader-vote probes per host (`None` only for host slots without
+    /// a role), in host order — the shape `tamp_chaos::apply_schedule`
     /// expects.
     pub probes: Vec<Option<Probe>>,
-    pub dc_hosts: Vec<Vec<HostId>>,
-    pub generators: Vec<Vec<HostId>>,
-    pub proxies: Vec<Vec<HostId>>,
-    pub vips: VipTable,
     pub cfg: LoadScenarioConfig,
 }
 
 /// Build the scenario. Call `engine.start()` yourself, then run.
 pub fn build(cfg: &LoadScenarioConfig) -> LoadScenario {
-    let per_segment = cfg.hosts_per_dc().div_ceil(2);
-    let dcs: Vec<(usize, usize)> = (0..cfg.datacenters).map(|_| (2, per_segment)).collect();
-    let (topo, dc_hosts) = generators::multi_datacenter(&dcs, cfg.wan_one_way);
-    let num_hosts = topo.num_hosts();
-
-    let engine_cfg = EngineConfig {
+    let opts = SearchOptions {
+        datacenters: cfg.datacenters,
+        replicas: REPLICAS,
+        seed: cfg.seed,
+        ..SearchOptions::default()
+    };
+    let tiers = [
+        (cfg.index_partitions, INDEX_TIME),
+        (cfg.doc_partitions, DOC_TIME),
+    ];
+    let engine = EngineConfig {
         series_bucket: SECS,
         metrics: true,
         sharding: cfg.sharding,
         ..Default::default()
     };
-    let mut engine = Engine::new(topo, engine_cfg, cfg.seed);
-    let telemetry = LoadTelemetry::new(engine.registry(), cfg.doc_partitions);
-
-    let vips = VipTable::new();
-    // Same failover pinning as the Fig. 14 scenario: a kill becomes a
-    // removal after exactly max_loss × period (no suspicion/quarantine
-    // settling on top).
-    let membership = MembershipConfig {
-        suspicion_window: 0,
-        quarantine_window: 0,
-        ..MembershipConfig::default()
-    };
-
-    let mut probes: Vec<Option<Probe>> = vec![None; num_hosts];
-    let mut generators_by_dc = vec![Vec::new(); cfg.datacenters];
-    let mut proxies_by_dc = vec![Vec::new(); cfg.datacenters];
-
-    let total_gens = (cfg.datacenters * cfg.generators_per_dc) as u64;
+    let total_gens = (cfg.datacenters * opts.gateways_per_dc) as u64;
     let mut gen_idx = 0u64;
-
-    for (dc_idx, hosts) in dc_hosts.iter().enumerate() {
-        let dc = DcId(dc_idx as u16);
-        let remote_dcs: Vec<DcId> = (0..cfg.datacenters)
-            .filter(|&d| d != dc_idx)
-            .map(|d| DcId(d as u16))
-            .collect();
-        let mut it = hosts.iter().copied();
-
-        // Generators: each runs an even slice of the population.
-        for _ in 0..cfg.generators_per_dc {
-            let h = it.next().expect("not enough hosts for generators");
-            let base = cfg.users / total_gens;
-            let users = base + u64::from(gen_idx < cfg.users % total_gens);
-            gen_idx += 1;
-            let workload = WorkloadConfig {
-                users,
-                ..cfg.workload.clone()
-            };
-            let mut gc = LoadGenConfig::new(membership.clone(), workload);
-            gc.index_partitions = cfg.index_partitions;
-            gc.doc_partitions = cfg.doc_partitions;
-            let node = LoadGenNode::new(NodeId(h.0), gc, telemetry.clone());
-            probes[h.0 as usize] = Some(node.probe());
-            generators_by_dc[dc_idx].push(h);
-            engine.add_actor(h, Box::new(node));
-        }
-
-        // Proxies (the first one seeds the DC's virtual IP).
-        let remote_view = RemoteView::new();
-        for i in 0..cfg.proxies_per_dc {
-            let h = it.next().expect("not enough hosts for proxies");
-            if i == 0 {
-                vips.set(dc, NodeId(h.0));
-            }
-            let p = ProxyNode::new(
-                NodeId(h.0),
-                ProxyConfig::new(dc, remote_dcs.clone(), membership.clone()),
-                vips.clone(),
-                remote_view.clone(),
-            );
-            probes[h.0 as usize] = Some(p.probe());
-            proxies_by_dc[dc_idx].push(h);
-            engine.add_actor(h, Box::new(p));
-        }
-
-        // Index then doc providers, `replicas` instances per partition.
-        for (service, partitions, time) in [
-            ("index", cfg.index_partitions, cfg.index_time),
-            ("doc", cfg.doc_partitions, cfg.doc_time),
-        ] {
-            for part in 0..partitions {
-                for _ in 0..cfg.replicas {
-                    let h = it.next().expect("not enough hosts for providers");
-                    let mut m = membership.clone();
-                    m.services = vec![ServiceDecl::new(service, PartitionSet::from_iter([part]))];
-                    let p = ProviderNode::new(NodeId(h.0), ProviderConfig::new(m, time));
-                    probes[h.0 as usize] = Some(p.probe());
-                    engine.add_actor(h, Box::new(p));
-                }
-            }
-        }
-    }
-
+    // Every generator records through one set of handles, made against
+    // the engine's registry when the first generator is.
+    let mut telemetry: Option<LoadTelemetry> = None;
+    let s = deploy(&opts, tiers, engine, |registry, me, membership| {
+        let telemetry = telemetry
+            .get_or_insert_with(|| LoadTelemetry::new(registry, cfg.doc_partitions))
+            .clone();
+        let timeline = TimelineHandle::clone(&telemetry.timeline);
+        // Each generator runs an even slice of the population.
+        let users = cfg.users / total_gens + u64::from(gen_idx < cfg.users % total_gens);
+        gen_idx += 1;
+        let workload = WorkloadConfig {
+            users,
+            ..cfg.workload.clone()
+        };
+        let gc = LoadGenConfig {
+            index_partitions: cfg.index_partitions,
+            doc_partitions: cfg.doc_partitions,
+            ..LoadGenConfig::new(membership.clone(), workload)
+        };
+        let node = LoadGenNode::new(me, gc, telemetry);
+        let probe = node.probe();
+        (Box::new(node), probe, timeline)
+    });
     LoadScenario {
-        engine,
-        telemetry,
-        probes,
-        dc_hosts,
-        generators: generators_by_dc,
-        proxies: proxies_by_dc,
-        vips,
+        telemetry: telemetry
+            .unwrap_or_else(|| LoadTelemetry::new(s.engine.registry(), cfg.doc_partitions)),
+        engine: s.engine,
+        probes: s.probes,
         cfg: cfg.clone(),
     }
 }
@@ -200,26 +120,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scenario_wires_expected_shape() {
+    fn scenario_wires_every_role() {
         let cfg = LoadScenarioConfig {
             users: 1000,
             datacenters: 3,
             ..Default::default()
         };
         let s = build(&cfg);
-        assert_eq!(s.dc_hosts.len(), 3);
-        for dc in 0..3 {
-            assert_eq!(s.generators[dc].len(), 1);
-            assert_eq!(s.proxies[dc].len(), 2);
-            assert_eq!(
-                s.vips.get(DcId(dc as u16)),
-                Some(NodeId(s.proxies[dc][0].0))
-            );
-        }
-        // Every wired host has a probe (generators, proxies, providers);
-        // odd-sized DCs leave the last segment slot empty.
-        let wired = cfg.hosts_per_dc() * cfg.datacenters;
-        assert_eq!(s.probes.iter().flatten().count(), wired);
+        // A probe per wired host: one generator, two proxies and the
+        // replicas of 4 index and 12 doc partitions in each DC.
+        let wired = 1 + 2 + (4 + 12) * REPLICAS;
+        assert_eq!(s.probes.iter().flatten().count(), wired * cfg.datacenters);
     }
 
     #[test]

@@ -6,17 +6,19 @@
 //! pages: pick an instance per partition, balance load by random polling
 //! \[20\], shield failures by retrying on another replica, and — when no
 //! local instance exists — fail over to a remote data center through the
-//! membership proxies (paper Fig. 6).
+//! membership proxies (paper Fig. 6). The routing itself is the shared
+//! [`Router`]; the gateway adds the workflow, the per-partition fan-out
+//! and random polling on top.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
-use tamp_membership::{MembershipConfig, MembershipNode};
+use tamp_membership::{MembershipConfig, MembershipNode, Probe};
 use tamp_netsim::{Actor, Context, Nanos, PacketMeta, MILLIS};
-use tamp_proxy::PROXY_SERVICE;
 use tamp_wire::{Message, NodeId, ServiceRequest, ServiceResponse};
 
 use crate::provider::POLL_PAYLOAD;
+use crate::router::{serves, Dispatch, LoadBalance, Route, RouteConfig, Router, T_ATTEMPT};
+use crate::search::{DOC_PARTITIONS, INDEX_PARTITIONS};
+use crate::timeline::TimelineHandle;
 
 /// How a step addresses its service's partitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +37,6 @@ pub enum StepMode {
 pub struct Step {
     pub service: String,
     pub partition_count: u16,
-    pub payload_size: usize,
     pub mode: StepMode,
 }
 
@@ -45,16 +46,7 @@ impl Step {
         Step {
             service: service.into(),
             partition_count,
-            payload_size: 96,
             mode: StepMode::PickOne,
-        }
-    }
-
-    /// A fan-out step contacting every partition in parallel.
-    pub fn fanout(service: impl Into<String>, partition_count: u16) -> Self {
-        Step {
-            mode: StepMode::AllPartitions,
-            ..Step::new(service, partition_count)
         }
     }
 }
@@ -66,32 +58,23 @@ pub struct Workflow {
 }
 
 impl Workflow {
-    /// The paper's search engine, simplified: one index lookup, one
-    /// document retrieval (Fig. 1 steps 2–3).
-    pub fn search_engine() -> Self {
+    /// The paper's search engine (Fig. 1 steps 2–3): one index lookup,
+    /// then one document retrieval — or, with `doc_fanout`, *all* the
+    /// document partitions in parallel (Fig. 1 exactly).
+    pub fn search_engine(doc_fanout: bool) -> Self {
+        let mode = if doc_fanout {
+            StepMode::AllPartitions
+        } else {
+            StepMode::PickOne
+        };
+        let doc = Step {
+            mode,
+            ..Step::new("doc", DOC_PARTITIONS)
+        };
         Workflow {
-            steps: vec![Step::new("index", 2), Step::new("doc", 3)],
+            steps: vec![Step::new("index", INDEX_PARTITIONS), doc],
         }
     }
-
-    /// The paper's search engine with full document fan-out: the gateway
-    /// queries one index partition, then *all three* document partitions
-    /// in parallel (Fig. 1 exactly).
-    pub fn search_engine_fanout() -> Self {
-        Workflow {
-            steps: vec![Step::new("index", 2), Step::fanout("doc", 3)],
-        }
-    }
-}
-
-/// Instance selection strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadBalance {
-    /// Uniform random replica choice.
-    Random,
-    /// Random polling \[20\]: probe two random replicas for queue
-    /// length, dispatch to the shorter queue.
-    PollTwo,
 }
 
 /// Gateway tunables.
@@ -99,18 +82,11 @@ pub enum LoadBalance {
 pub struct GatewayConfig {
     pub membership: MembershipConfig,
     pub workflow: Workflow,
-    /// Open-loop query inter-arrival time (0 disables generation; use
-    /// [`GatewayNode`] handles to drive manually in tests).
+    /// Open-loop query inter-arrival time (0 disables generation).
     pub arrival_period: Nanos,
-    /// Per-attempt timeout against a local instance.
-    pub request_timeout: Nanos,
-    /// Timeout for a proxied (remote DC) attempt.
-    pub proxy_timeout: Nanos,
-    /// Local replica attempts before falling back to the proxies.
-    pub max_local_attempts: u32,
+    /// Attempt timeouts of each step.
+    pub route: RouteConfig,
     pub lb: LoadBalance,
-    /// How long to wait for poll answers before dispatching anyway.
-    pub poll_timeout: Nanos,
 }
 
 impl GatewayConfig {
@@ -119,57 +95,15 @@ impl GatewayConfig {
             membership,
             workflow,
             arrival_period,
-            request_timeout: 500 * MILLIS,
-            proxy_timeout: 2_000 * MILLIS,
-            max_local_attempts: 2,
+            route: RouteConfig::new(500 * MILLIS),
             lb: LoadBalance::Random,
-            poll_timeout: 50 * MILLIS,
         }
     }
 }
-
-/// What the gateway measured; read it from the harness via
-/// [`GatewayNode::metrics`].
-#[derive(Debug, Default)]
-pub struct GatewayMetrics {
-    pub issued: u64,
-    /// `(completion_time, latency)` per successful query.
-    pub completed: Vec<(Nanos, Nanos)>,
-    /// Completion times of failed queries.
-    pub failed: Vec<Nanos>,
-    /// Successful queries that needed a remote data center.
-    pub remote_served: u64,
-}
-
-impl GatewayMetrics {
-    /// Mean latency of queries completing within `[from, to)`.
-    pub fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let window: Vec<Nanos> = self
-            .completed
-            .iter()
-            .filter(|(t, _)| (from..to).contains(t))
-            .map(|&(_, l)| l)
-            .collect();
-        if window.is_empty() {
-            None
-        } else {
-            Some(window.iter().sum::<Nanos>() / window.len() as u64)
-        }
-    }
-
-    /// Completed-query count within `[from, to)`.
-    pub fn throughput_in(&self, from: Nanos, to: Nanos) -> usize {
-        self.completed
-            .iter()
-            .filter(|(t, _)| (from..to).contains(t))
-            .count()
-    }
-}
-
-pub type MetricsHandle = Arc<Mutex<GatewayMetrics>>;
 
 const T_ARRIVE: u64 = 6 << 32;
-const T_TIMEOUT: u64 = 7 << 32;
+/// How long to wait for poll answers before dispatching anyway.
+const POLL_TIMEOUT: Nanos = 50 * MILLIS;
 const GW_TOKEN_MASK: u64 = !0u64 << 32;
 
 #[derive(Debug)]
@@ -188,10 +122,7 @@ enum Phase {
 /// One partition's progress within the current step.
 #[derive(Debug)]
 struct SubQuery {
-    partition: u16,
-    attempts: u32,
-    tried: Vec<NodeId>,
-    used_proxy: bool,
+    route: Route,
     phase: Phase,
 }
 
@@ -202,8 +133,6 @@ struct Query {
     subs: Vec<SubQuery>,
     /// Did any sub-query of any step go through the proxies?
     used_proxy: bool,
-    /// Request sequence numbers still owned by this query.
-    live_reqs: Vec<u32>,
 }
 
 /// A protocol-gateway node: generates queries and routes workflow steps.
@@ -211,11 +140,13 @@ pub struct GatewayNode {
     cfg: GatewayConfig,
     me: NodeId,
     inner: MembershipNode,
-    metrics: MetricsHandle,
+    router: Router,
+    timeline: TimelineHandle,
     queries: HashMap<u64, Query>,
     next_query: u64,
-    next_req: u32,
-    /// Request seq → (owning query, sub-query index).
+    /// Request seq → (owning query, sub-query index). An entry leaves
+    /// when its response or its timeout arrives, whichever is first;
+    /// one whose query ended meanwhile is ignored then.
     inflight: HashMap<u32, (u64, usize)>,
     /// One-way latch: set once the directory first listed every workflow
     /// service+partition. Later *failures* must not re-gate arrivals —
@@ -226,14 +157,13 @@ pub struct GatewayNode {
 
 impl GatewayNode {
     pub fn new(me: NodeId, cfg: GatewayConfig) -> Self {
-        let inner = MembershipNode::new(me, cfg.membership.clone());
         GatewayNode {
             me,
-            inner,
-            metrics: Arc::new(Mutex::new(GatewayMetrics::default())),
+            inner: MembershipNode::new(me, cfg.membership.clone()),
+            router: Router::new(me, cfg.route),
+            timeline: TimelineHandle::default(),
             queries: HashMap::new(),
             next_query: 0,
-            next_req: 0,
             inflight: HashMap::new(),
             warmed: false,
             crashed: false,
@@ -241,38 +171,36 @@ impl GatewayNode {
         }
     }
 
-    pub fn directory_client(&self) -> tamp_directory::DirectoryClient {
-        self.inner.directory_client()
+    /// Introspection handle of the embedded membership node.
+    pub fn probe(&self) -> Probe {
+        self.inner.probe()
     }
 
-    /// Handle to the measurements (shared; clone before boxing).
-    pub fn metrics(&self) -> MetricsHandle {
-        Arc::clone(&self.metrics)
-    }
-
-    fn new_req_id(&mut self) -> (u32, u64) {
-        self.next_req += 1;
-        let seq = self.next_req;
-        (seq, ((self.me.0 as u64) << 32) | seq as u64)
+    /// The gateway's per-second query record (shared; clone before
+    /// boxing).
+    pub fn timeline(&self) -> TimelineHandle {
+        TimelineHandle::clone(&self.timeline)
     }
 
     /// True once the directory lists at least one instance for every
     /// (service, partition) a query could touch.
     fn warmed_up(&mut self) -> bool {
-        if self.warmed {
-            return true;
+        if !self.warmed {
+            let inner = &self.inner;
+            self.warmed = self
+                .cfg
+                .workflow
+                .steps
+                .iter()
+                .all(|s| serves(inner, &s.service, s.partition_count));
         }
-        self.warmed = self.cfg.workflow.steps.iter().all(|s| {
-            (0..s.partition_count)
-                .all(|p| !self.inner.resolve_service(&s.service, Some(p)).is_empty())
-        });
         self.warmed
     }
 
     fn start_query(&mut self, ctx: &mut Context) {
         self.next_query += 1;
         let qid = self.next_query;
-        self.metrics.lock().issued += 1;
+        self.timeline.lock().record_issue();
         self.queries.insert(
             qid,
             Query {
@@ -280,7 +208,6 @@ impl GatewayNode {
                 step: 0,
                 subs: Vec::new(),
                 used_proxy: false,
-                live_reqs: Vec::new(),
             },
         );
         self.begin_step(ctx, qid);
@@ -290,132 +217,69 @@ impl GatewayNode {
         let Some(q) = self.queries.get_mut(&qid) else {
             return;
         };
-        let step = self.cfg.workflow.steps[q.step].clone();
-        q.subs = match step.mode {
-            StepMode::PickOne => {
-                let p = ctx.rand_below(step.partition_count as u64) as u16;
-                vec![SubQuery {
-                    partition: p,
-                    attempts: 0,
-                    tried: Vec::new(),
-                    used_proxy: false,
-                    phase: Phase::Waiting,
-                }]
-            }
-            StepMode::AllPartitions => (0..step.partition_count)
-                .map(|p| SubQuery {
-                    partition: p,
-                    attempts: 0,
-                    tried: Vec::new(),
-                    used_proxy: false,
-                    phase: Phase::Waiting,
-                })
-                .collect(),
+        let step = &self.cfg.workflow.steps[q.step];
+        let sub = |p| SubQuery {
+            route: Route::new(p),
+            phase: Phase::Waiting,
         };
-        let n_subs = self.queries[&qid].subs.len();
-        for sub in 0..n_subs {
+        q.subs = match step.mode {
+            StepMode::PickOne => vec![sub(ctx.rand_below(step.partition_count as u64) as u16)],
+            StepMode::AllPartitions => (0..step.partition_count).map(sub).collect(),
+        };
+        for sub in 0..q.subs.len() {
             self.dispatch(ctx, qid, sub);
         }
     }
 
-    /// Route one sub-query: local replica, proxy fallback, or fail the
-    /// whole query.
+    /// Route one sub-query: local replica (or a poll of two), proxy
+    /// fallback, or fail the whole query.
     fn dispatch(&mut self, ctx: &mut Context, qid: u64, sub: usize) {
-        let Some(q) = self.queries.get(&qid) else {
+        let Some(q) = self.queries.get_mut(&qid) else {
             return;
         };
-        let step = self.cfg.workflow.steps[q.step].clone();
-        let s = &q.subs[sub];
-        let candidates: Vec<NodeId> = self
-            .inner
-            .resolve_service(&step.service, Some(s.partition))
-            .into_iter()
-            .filter(|n| !s.tried.contains(n))
-            .collect();
-
-        let local_exhausted = candidates.is_empty() || s.attempts >= self.cfg.max_local_attempts;
-        if !local_exhausted {
-            match self.cfg.lb {
-                LoadBalance::Random => {
-                    let i = ctx.rand_below(candidates.len() as u64) as usize;
-                    self.send_real(ctx, qid, sub, candidates[i], &step);
-                }
-                LoadBalance::PollTwo => {
-                    if candidates.len() == 1 {
-                        self.send_real(ctx, qid, sub, candidates[0], &step);
-                    } else {
-                        self.send_polls(ctx, qid, sub, &candidates);
-                    }
-                }
-            }
-            return;
+        let service = &self.cfg.workflow.steps[q.step].service;
+        let route = &mut q.subs[sub].route;
+        let draw = &mut |ctx: &mut Context<'_>, n| ctx.rand_below(n);
+        match self
+            .router
+            .dispatch(ctx, &self.inner, route, service, self.cfg.lb, draw)
+        {
+            Dispatch::Sent(seq) => self.sent(qid, sub, seq),
+            Dispatch::Poll(candidates) => self.send_polls(ctx, qid, sub, candidates),
+            Dispatch::GaveUp => self.fail_query(ctx, qid),
         }
-
-        // Proxy fallback (Fig. 6 step 1): ask a local membership proxy.
-        let q = self.queries.get(&qid).unwrap();
-        if !q.subs[sub].used_proxy {
-            let proxies = self.inner.resolve_service(PROXY_SERVICE, None);
-            if !proxies.is_empty() {
-                let i = ctx.rand_below(proxies.len() as u64) as usize;
-                let proxy = proxies[i];
-                let (seq, id) = self.new_req_id();
-                let q = self.queries.get_mut(&qid).unwrap();
-                let s = &mut q.subs[sub];
-                s.used_proxy = true;
-                s.phase = Phase::Waiting;
-                let partition = s.partition;
-                q.used_proxy = true;
-                q.live_reqs.push(seq);
-                self.inflight.insert(seq, (qid, sub));
-                ctx.send_unicast(
-                    proxy,
-                    Message::ServiceRequest(ServiceRequest {
-                        id,
-                        from: self.me,
-                        service: step.service.clone(),
-                        partition,
-                        payload: vec![0u8; step.payload_size],
-                        hops_left: 2,
-                    }),
-                );
-                ctx.set_timer(self.cfg.proxy_timeout, T_TIMEOUT | seq as u64);
-                return;
-            }
-        }
-        self.fail_query(ctx, qid);
     }
 
-    fn send_real(&mut self, ctx: &mut Context, qid: u64, sub: usize, target: NodeId, step: &Step) {
-        let (seq, id) = self.new_req_id();
-        let q = self.queries.get_mut(&qid).unwrap();
+    /// The sub-query's real request to `target`, chosen by polling.
+    fn send_to(&mut self, ctx: &mut Context, qid: u64, sub: usize, target: NodeId) {
+        let q = self
+            .queries
+            .get_mut(&qid)
+            .expect("a routed sub-query's query is live");
+        let service = &self.cfg.workflow.steps[q.step].service;
+        let seq = self
+            .router
+            .send(ctx, &mut q.subs[sub].route, target, false, service);
+        self.sent(qid, sub, seq);
+    }
+
+    /// Attempt `seq` of the sub-query went out.
+    fn sent(&mut self, qid: u64, sub: usize, seq: u32) {
+        let q = self
+            .queries
+            .get_mut(&qid)
+            .expect("a routed sub-query's query is live");
         let s = &mut q.subs[sub];
-        s.attempts += 1;
-        s.tried.push(target);
         s.phase = Phase::Waiting;
-        let partition = s.partition;
-        q.live_reqs.push(seq);
+        q.used_proxy |= s.route.used_proxy;
         self.inflight.insert(seq, (qid, sub));
-        ctx.send_unicast(
-            target,
-            Message::ServiceRequest(ServiceRequest {
-                id,
-                from: self.me,
-                service: step.service.clone(),
-                partition,
-                payload: vec![0u8; step.payload_size],
-                hops_left: 0,
-            }),
-        );
-        ctx.set_timer(self.cfg.request_timeout, T_TIMEOUT | seq as u64);
     }
 
-    fn send_polls(&mut self, ctx: &mut Context, qid: u64, sub: usize, candidates: &[NodeId]) {
+    fn send_polls(&mut self, ctx: &mut Context, qid: u64, sub: usize, mut pool: Vec<NodeId>) {
         // Probe two distinct random replicas.
-        let mut pool = candidates.to_vec();
-        let mut picks = Vec::new();
-        for _ in 0..2.min(pool.len()) {
-            let i = ctx.rand_below(pool.len() as u64) as usize;
-            picks.push(pool.swap_remove(i));
+        let mut picks = [NodeId(0); 2];
+        for pick in &mut picks {
+            *pick = pool.swap_remove(ctx.rand_below(pool.len() as u64) as usize);
         }
         let q = self.queries.get_mut(&qid).unwrap();
         q.subs[sub].phase = Phase::Polling {
@@ -423,9 +287,7 @@ impl GatewayNode {
             best: None,
         };
         for target in picks {
-            let (seq, id) = self.new_req_id();
-            let q = self.queries.get_mut(&qid).unwrap();
-            q.live_reqs.push(seq);
+            let (seq, id) = self.router.next_id();
             self.inflight.insert(seq, (qid, sub));
             ctx.send_unicast(
                 target,
@@ -438,16 +300,13 @@ impl GatewayNode {
                     hops_left: 0,
                 }),
             );
-            ctx.set_timer(self.cfg.poll_timeout, T_TIMEOUT | seq as u64);
+            ctx.set_timer(POLL_TIMEOUT, T_ATTEMPT | seq as u64);
         }
     }
 
     fn fail_query(&mut self, ctx: &mut Context, qid: u64) {
-        if let Some(q) = self.queries.remove(&qid) {
-            for seq in q.live_reqs {
-                self.inflight.remove(&seq);
-            }
-            self.metrics.lock().failed.push(ctx.now());
+        if self.queries.remove(&qid).is_some() {
+            self.timeline.lock().record_failure(ctx.now());
         }
     }
 
@@ -463,93 +322,44 @@ impl GatewayNode {
         q.step += 1;
         if q.step >= self.cfg.workflow.steps.len() {
             let q = self.queries.remove(&qid).unwrap();
-            for seq in q.live_reqs {
-                self.inflight.remove(&seq);
-            }
             let now = ctx.now();
-            let mut m = self.metrics.lock();
-            m.completed.push((now, now - q.started));
-            if q.used_proxy {
-                m.remote_served += 1;
-            }
+            self.timeline
+                .lock()
+                .record_completion(now, now - q.started, q.used_proxy);
         } else {
             self.begin_step(ctx, qid);
         }
     }
 
-    fn handle_response(&mut self, ctx: &mut Context, r: &ServiceResponse) {
-        let seq = (r.id & 0xffff_ffff) as u32;
-        let Some(&(qid, sub)) = self.inflight.get(&seq) else {
+    /// Attempt `seq` ended: `answer` is its response, `None` its timeout.
+    fn attempt_ended(&mut self, ctx: &mut Context, seq: u32, answer: Option<&ServiceResponse>) {
+        let Some((qid, sub)) = self.inflight.remove(&seq) else {
             return;
         };
-        self.inflight.remove(&seq);
         let Some(q) = self.queries.get_mut(&qid) else {
             return;
         };
-        q.live_reqs.retain(|&s| s != seq);
-
         match &mut q.subs[sub].phase {
             Phase::Polling { outstanding, best } => {
-                if r.ok && r.payload.len() >= 4 {
-                    let queue = u32::from_le_bytes([
-                        r.payload[0],
-                        r.payload[1],
-                        r.payload[2],
-                        r.payload[3],
-                    ]);
+                if let Some(r) = answer.filter(|r| r.ok && r.payload.len() >= 4) {
+                    let queue = u32::from_le_bytes(r.payload[..4].try_into().expect("four bytes"));
                     if best.is_none_or(|(_, b)| queue < b) {
                         *best = Some((r.from, queue));
                     }
                 }
-                *outstanding -= 1;
-                if *outstanding == 0 {
-                    let choice = best.map(|(n, _)| n);
-                    let step = self.cfg.workflow.steps[q.step].clone();
-                    match choice {
-                        Some(target) => self.send_real(ctx, qid, sub, target, &step),
-                        None => self.dispatch(ctx, qid, sub),
-                    }
-                }
-            }
-            Phase::Waiting => {
-                if r.ok {
-                    self.sub_done(ctx, qid, sub);
-                } else {
-                    // Rejected (e.g. no remote DC offers the service):
-                    // try the next option or give up.
-                    self.dispatch(ctx, qid, sub);
-                }
-            }
-            Phase::Done => {}
-        }
-    }
-
-    fn handle_timeout(&mut self, ctx: &mut Context, seq: u32) {
-        let Some(&(qid, sub)) = self.inflight.get(&seq) else {
-            return;
-        };
-        self.inflight.remove(&seq);
-        let Some(q) = self.queries.get_mut(&qid) else {
-            return;
-        };
-        q.live_reqs.retain(|&s| s != seq);
-        match &mut q.subs[sub].phase {
-            Phase::Polling { outstanding, best } => {
                 *outstanding = outstanding.saturating_sub(1);
                 if *outstanding == 0 {
-                    let choice = best.map(|(n, _)| n);
-                    let step = self.cfg.workflow.steps[q.step].clone();
-                    match choice {
-                        Some(target) => self.send_real(ctx, qid, sub, target, &step),
+                    match best.map(|(n, _)| n) {
+                        Some(target) => self.send_to(ctx, qid, sub, target),
                         None => self.dispatch(ctx, qid, sub),
                     }
                 }
             }
-            Phase::Waiting => {
-                // The attempt died (crashed instance, lost packet):
-                // retry on another replica or escalate.
-                self.dispatch(ctx, qid, sub);
-            }
+            Phase::Waiting if answer.is_some_and(|r| r.ok) => self.sub_done(ctx, qid, sub),
+            // Rejected (e.g. no remote DC offers the service), or the
+            // attempt died (crashed instance, lost packet): retry on
+            // another replica or escalate.
+            Phase::Waiting => self.dispatch(ctx, qid, sub),
             Phase::Done => {}
         }
     }
@@ -577,7 +387,9 @@ impl Actor for GatewayNode {
 
     fn on_packet(&mut self, ctx: &mut Context, meta: PacketMeta, msg: &Message) {
         match msg {
-            Message::ServiceResponse(r) => self.handle_response(ctx, r),
+            Message::ServiceResponse(r) => {
+                self.attempt_ended(ctx, (r.id & 0xffff_ffff) as u32, Some(r))
+            }
             Message::ServiceRequest(_) => {}
             other => self.inner.on_packet(ctx, meta, other),
         }
@@ -594,7 +406,7 @@ impl Actor for GatewayNode {
                 }
                 ctx.set_timer(self.cfg.arrival_period, T_ARRIVE);
             }
-            T_TIMEOUT => self.handle_timeout(ctx, (token & 0xffff_ffff) as u32),
+            T_ATTEMPT => self.attempt_ended(ctx, (token & 0xffff_ffff) as u32, None),
             _ => {}
         }
     }
@@ -605,37 +417,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metrics_windows() {
-        let mut m = GatewayMetrics::default();
-        m.completed.push((10, 5));
-        m.completed.push((20, 15));
-        m.completed.push((30, 25));
-        assert_eq!(m.throughput_in(0, 25), 2);
-        assert_eq!(m.mean_latency_in(0, 25), Some(10));
-        assert_eq!(m.mean_latency_in(100, 200), None);
-    }
-
-    #[test]
     fn search_workflow_shape() {
-        let w = Workflow::search_engine();
+        let w = Workflow::search_engine(false);
         assert_eq!(w.steps.len(), 2);
         assert_eq!(w.steps[0].service, "index");
         assert_eq!(w.steps[0].partition_count, 2);
         assert_eq!(w.steps[1].service, "doc");
         assert_eq!(w.steps[1].partition_count, 3);
         assert_eq!(w.steps[1].mode, StepMode::PickOne);
-        let wf = Workflow::search_engine_fanout();
+        let wf = Workflow::search_engine(true);
         assert_eq!(wf.steps[1].mode, StepMode::AllPartitions);
-    }
-
-    #[test]
-    fn req_ids_embed_sender() {
-        let mut g = GatewayNode::new(
-            NodeId(9),
-            GatewayConfig::new(MembershipConfig::default(), Workflow::search_engine(), 0),
-        );
-        let (seq, id) = g.new_req_id();
-        assert_eq!(id >> 32, 9);
-        assert_eq!((id & 0xffff_ffff) as u32, seq);
     }
 }

@@ -6,6 +6,8 @@
 //! gateways** that route each request to an appropriate instance using
 //! the yellow pages — location-transparent invocation, failure shielding
 //! via the membership directory, and random-polling load balancing \[20\].
+//! Every consumer routes through one [`Router`] and records into one
+//! per-second [`Timeline`].
 //!
 //! The prototype search engine of the paper's Fig. 1 / Fig. 14 is built
 //! from these pieces in [`search`]: protocol gateways call partitioned,
@@ -15,10 +17,11 @@
 
 mod gateway;
 mod provider;
+pub mod router;
 pub mod search;
+pub mod timeline;
 
-pub use gateway::{
-    GatewayConfig, GatewayMetrics, GatewayNode, LoadBalance, MetricsHandle, Step, StepMode,
-    Workflow,
-};
+pub use gateway::{GatewayConfig, GatewayNode, Step, StepMode, Workflow};
 pub use provider::{ProviderConfig, ProviderNode, POLL_PAYLOAD};
+pub use router::{Dispatch, LoadBalance, Route, RouteConfig, Router};
+pub use timeline::{Cell, Timeline, TimelineHandle};

@@ -77,10 +77,6 @@ impl ProviderNode {
         }
     }
 
-    pub fn directory_client(&self) -> tamp_directory::DirectoryClient {
-        self.inner.directory_client()
-    }
-
     /// Introspection handle of the embedded membership node (leader
     /// votes for chaos target resolution).
     pub fn probe(&self) -> tamp_membership::Probe {

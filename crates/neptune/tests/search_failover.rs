@@ -10,16 +10,16 @@ fn search_engine_serves_queries_locally() {
     let mut s = build(&SearchOptions::default());
     s.engine.start();
     s.engine.run_until(30 * SECS);
-    let m = s.gateway_metrics[0][0].lock();
-    let tput = m.throughput_in(20 * SECS, 30 * SECS);
+    let m = s.timelines[0][0].lock();
+    let tput = m.window(20, 30).completed;
     // 20 qps arrival → ~200 completions in 10 s.
     assert!(
         (150..=220).contains(&tput),
         "throughput {tput} not near arrival rate; failed={} issued={}",
-        m.failed.len(),
-        m.issued
+        m.total().failed,
+        m.issued()
     );
-    let lat = m.mean_latency_in(20 * SECS, 30 * SECS).unwrap();
+    let lat = m.window(20, 30).mean_latency().unwrap();
     // Index (5 ms) + doc (10 ms) + LAN hops: well under 50 ms.
     assert!(
         lat < 50 * MILLIS,
@@ -30,9 +30,9 @@ fn search_engine_serves_queries_locally() {
     // a first query racing partial convergence can legitimately detour
     // through the proxies, so allow a stray one or two.
     assert!(
-        m.remote_served <= 2,
+        m.total().proxied <= 2,
         "steady state should stay local, remote_served={}",
-        m.remote_served
+        m.total().proxied
     );
 }
 
@@ -49,34 +49,38 @@ fn doc_failure_fails_over_to_remote_dc_and_recovers() {
     }
     s.engine.run_until(60 * SECS);
 
-    let m = s.gateway_metrics[0][0].lock();
+    let m = s.timelines[0][0].lock();
 
     // Steady state before the failure: low latency.
-    let lat_before = m.mean_latency_in(10 * SECS, 20 * SECS).unwrap();
+    let lat_before = m.window(10, 20).mean_latency().unwrap();
     assert!(lat_before < 50 * MILLIS, "{} ms", lat_before / MILLIS);
 
     // During the failover window (after detection settles): the service
     // is still available — throughput matches arrivals — but latency
     // reflects the WAN round trip (paper: "goes above 200 ms" with a
     // 90 ms RTT; here ≥ 90 ms one-way×2 plus service time).
-    let tput_failover = m.throughput_in(30 * SECS, 40 * SECS);
+    let tput_failover = m.window(30, 40).completed;
     assert!(
         tput_failover >= 150,
         "service unavailable during failover: {tput_failover} in 10s, failed={}",
-        m.failed.len()
+        m.total().failed
     );
-    let lat_failover = m.mean_latency_in(30 * SECS, 40 * SECS).unwrap();
+    let lat_failover = m.window(30, 40).mean_latency().unwrap();
     assert!(
         lat_failover > 90 * MILLIS,
         "failover latency {} ms does not include the WAN",
         lat_failover / MILLIS
     );
-    assert!(m.remote_served > 100, "remote_served {}", m.remote_served);
+    assert!(
+        m.total().proxied > 100,
+        "remote_served {}",
+        m.total().proxied
+    );
 
     // After recovery: latency returns to local levels ("the response
     // time quickly drops since all the requests are again serviced
     // locally").
-    let lat_after = m.mean_latency_in(50 * SECS, 60 * SECS).unwrap();
+    let lat_after = m.window(50, 60).mean_latency().unwrap();
     assert!(
         lat_after < 50 * MILLIS,
         "post-recovery latency {} ms",
@@ -86,8 +90,8 @@ fn doc_failure_fails_over_to_remote_dc_and_recovers() {
     // The throughput dip is confined to the detection window
     // (~max_loss × period after the kill): across the whole run, failures
     // are a small fraction of issued queries.
-    let failed = m.failed.len() as f64;
-    let issued = m.issued as f64;
+    let failed = m.total().failed as f64;
+    let issued = m.issued() as f64;
     assert!(
         failed / issued < 0.10,
         "too many failed queries: {failed}/{issued}"
@@ -108,9 +112,9 @@ fn proxy_leader_failover_keeps_wan_path_alive() {
     s.engine.schedule(30 * SECS, Control::Kill(leader));
     s.engine.run_until(60 * SECS);
 
-    let m = s.gateway_metrics[0][0].lock();
+    let m = s.timelines[0][0].lock();
     // Well after the proxy failover settles, queries still complete.
-    let tput_late = m.throughput_in(50 * SECS, 60 * SECS);
+    let tput_late = m.window(50, 60).completed;
     assert!(
         tput_late >= 120,
         "throughput collapsed after proxy leader death: {tput_late}"
@@ -136,15 +140,15 @@ fn poll_two_load_balancing_works_end_to_end() {
     let mut s = build(&opts);
     s.engine.start();
     s.engine.run_until(25 * SECS);
-    let m = s.gateway_metrics[0][0].lock();
-    let tput = m.throughput_in(15 * SECS, 25 * SECS);
+    let m = s.timelines[0][0].lock();
+    let tput = m.window(15, 25).completed;
     assert!(
         (150..=220).contains(&tput),
         "PollTwo throughput {tput}; failed={}",
-        m.failed.len()
+        m.total().failed
     );
     // Poll probes add one short RTT before dispatch; latency stays low.
-    let lat = m.mean_latency_in(15 * SECS, 25 * SECS).unwrap();
+    let lat = m.window(15, 25).mean_latency().unwrap();
     assert!(lat < 60 * MILLIS, "PollTwo latency {} ms", lat / MILLIS);
 }
 
@@ -167,8 +171,8 @@ fn single_replica_saturation_queues_requests() {
     let mut s = build(&opts);
     s.engine.start();
     s.engine.run_until(30 * SECS);
-    let m = s.gateway_metrics[0][0].lock();
-    let lat = m.mean_latency_in(20 * SECS, 30 * SECS).unwrap();
+    let m = s.timelines[0][0].lock();
+    let lat = m.window(20, 30).mean_latency().unwrap();
     // Base service time is 50 ms; queueing pushes the mean above it.
     assert!(
         lat > 50 * MILLIS,
@@ -176,7 +180,7 @@ fn single_replica_saturation_queues_requests() {
         lat / MILLIS
     );
     // But the system is stable (not saturated): arrivals are served.
-    let tput = m.throughput_in(20 * SECS, 30 * SECS);
+    let tput = m.window(20, 30).completed;
     assert!(tput >= 350, "unstable under load: {tput}/10s at 40 qps");
 }
 
@@ -198,21 +202,21 @@ fn doc_fanout_queries_all_partitions_and_fails_over() {
     }
     s.engine.start();
     s.engine.run_until(40 * SECS);
-    let m = s.gateway_metrics[0][0].lock();
+    let m = s.timelines[0][0].lock();
 
     // Local steady state: still fast (parallel fan-out ≈ max of three
     // 10 ms services).
-    let lat_before = m.mean_latency_in(10 * SECS, 20 * SECS).unwrap();
+    let lat_before = m.window(10, 20).mean_latency().unwrap();
     assert!(lat_before < 60 * MILLIS, "{} ms", lat_before / MILLIS);
 
     // Failed over: all three doc partitions go remote in parallel —
     // latency is one WAN round trip, not three.
-    let lat_failover = m.mean_latency_in(30 * SECS, 40 * SECS).unwrap();
+    let lat_failover = m.window(30, 40).mean_latency().unwrap();
     assert!(
         (90 * MILLIS..250 * MILLIS).contains(&lat_failover),
         "failover latency {} ms",
         lat_failover / MILLIS
     );
-    let tput = m.throughput_in(30 * SECS, 40 * SECS);
+    let tput = m.window(30, 40).completed;
     assert!(tput >= 150, "fan-out failover throughput {tput}");
 }

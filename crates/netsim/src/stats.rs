@@ -188,30 +188,6 @@ impl Stats {
         v
     }
 
-    /// Earliest time any host (other than `subject` itself) started
-    /// suspecting `subject` — how fast the detector *noticed*, before the
-    /// suspicion window delays the confirmed removal.
-    pub fn first_suspicion(&self, subject: NodeId) -> Option<SimTime> {
-        self.observations
-            .iter()
-            .find(|o| o.kind == ObservationKind::Suspected(subject) && o.observer.0 != subject.0)
-            .map(|o| o.time)
-    }
-
-    /// Hosts that observed a refutation of `subject` (a suspicion that
-    /// proof of life cancelled).
-    pub fn refutation_observers(&self, subject: NodeId) -> Vec<HostId> {
-        let mut v: Vec<HostId> = self
-            .observations
-            .iter()
-            .filter(|o| o.kind == ObservationKind::Refuted(subject))
-            .map(|o| o.observer)
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
     /// Hosts that observed `subject` added.
     pub fn addition_observers(&self, subject: NodeId) -> Vec<HostId> {
         let mut v: Vec<HostId> = self
@@ -223,15 +199,6 @@ impl Stats {
         v.sort();
         v.dedup();
         v
-    }
-
-    /// Latest time any host observed `subject` added.
-    pub fn last_addition(&self, subject: NodeId) -> Option<SimTime> {
-        self.observations
-            .iter()
-            .filter(|o| o.kind == ObservationKind::Added(subject) && o.observer.0 != subject.0)
-            .map(|o| o.time)
-            .next_back()
     }
 
     /// Cluster-wide `(packets, bytes)` sent with the given message kind

@@ -36,7 +36,7 @@ fn two_dc_search_engine_over_live_udp() {
     let (topo, dcs) = generators::multi_datacenter(&[(1, 4), (1, 4)], 1_000_000);
     let mut rt = Runtime::new(topo);
     let vips = VipTable::new();
-    let mut gateway_metrics = Vec::new();
+    let mut timelines = Vec::new();
     let mut dc0_doc_hosts = Vec::new();
 
     for (dc_idx, hosts) in dcs.iter().enumerate() {
@@ -51,10 +51,10 @@ fn two_dc_search_engine_over_live_udp() {
             steps: vec![tamp_neptune::Step::new("doc", 1)],
         };
         let mut gw_cfg = GatewayConfig::new(quick_membership(), workflow, 20_000_000);
-        gw_cfg.request_timeout = 100_000_000;
-        gw_cfg.proxy_timeout = 400_000_000;
+        gw_cfg.route.request_timeout = 100_000_000;
+        gw_cfg.route.proxy_timeout = 400_000_000;
         let gw = GatewayNode::new(NodeId(gw_host.0), gw_cfg);
-        gateway_metrics.push(gw.metrics());
+        timelines.push(gw.timeline());
         rt.add_node(gw_host, Box::new(gw));
 
         // Proxy (holds the VIP).
@@ -82,34 +82,32 @@ fn two_dc_search_engine_over_live_udp() {
     rt.start();
 
     // Phase 1: local service.
-    let completed = |m: &tamp_neptune::MetricsHandle| m.lock().completed.len();
+    let total = || timelines[0].lock().total();
     let deadline = Instant::now() + Duration::from_secs(25);
     loop {
-        if completed(&gateway_metrics[0]) >= 50 {
+        if total().completed >= 50 {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "gateway never completed queries locally: {} done, {} failed",
-            completed(&gateway_metrics[0]),
-            gateway_metrics[0].lock().failed.len()
+            total().completed,
+            total().failed
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-    let remote_before = gateway_metrics[0].lock().remote_served;
+    let remote_before = total().proxied;
 
     // Phase 2: kill DC-0's doc providers; queries must fail over through
     // the proxies to DC 1 — over real sockets.
     for &h in &dc0_doc_hosts {
         rt.stop_node(h);
     }
-    let base = completed(&gateway_metrics[0]);
+    let base = total().completed;
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let m = gateway_metrics[0].lock();
-        let done = m.completed.len();
-        let remote = m.remote_served;
-        drop(m);
+        let t = total();
+        let (done, remote) = (t.completed, t.proxied);
         if done >= base + 30 && remote > remote_before + 10 {
             break;
         }

@@ -155,7 +155,7 @@ fn csv_node(node: u32) -> String {
 }
 
 /// Serialize a metrics snapshot as CSV. Rows are sorted by
-/// `(subsystem, name, node)`; counters and gauges fill `value`,
+/// `(subsystem, name, node)`; counters fill `value`,
 /// histograms fill `count,sum,p50,p90,p99,max`.
 pub fn snapshot_to_csv(snap: &MetricsSnapshot) -> String {
     let mut out = String::from(CSV_HEADER);
@@ -166,12 +166,6 @@ pub fn snapshot_to_csv(snap: &MetricsSnapshot) -> String {
             MetricValue::Counter(c) => {
                 out.push_str(&format!(
                     "{},{},{node},counter,{c},,,,,,\n",
-                    k.subsystem, k.name
-                ));
-            }
-            MetricValue::Gauge(g) => {
-                out.push_str(&format!(
-                    "{},{},{node},gauge,{g},,,,,,\n",
                     k.subsystem, k.name
                 ));
             }
@@ -205,7 +199,6 @@ pub fn summary_table(snap: &MetricsSnapshot) -> String {
     for (k, v) in &snap.entries {
         let value = match v {
             MetricValue::Counter(c) => c.to_string(),
-            MetricValue::Gauge(g) => g.to_string(),
             MetricValue::Histogram(h) => format!(
                 "n={} p50={} p99={} max={}",
                 h.count,
@@ -332,7 +325,6 @@ mod tests {
     fn summary_table_is_deterministic() {
         let reg = Registry::new();
         reg.counter(0, "m", "updates").add(12);
-        reg.gauge(0, "m", "live").set(5);
         let a = summary_table(&reg.snapshot());
         let b = summary_table(&reg.snapshot());
         assert_eq!(a, b);

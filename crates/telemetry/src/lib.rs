@@ -8,8 +8,8 @@
 //! strings, and each harness driver re-derived metrics from raw
 //! observation logs. This crate replaces all of that with:
 //!
-//! * a **metrics registry** ([`Registry`]) — counters, gauges, and
-//!   fixed-bucket histograms keyed by `(node, subsystem, name)`, with
+//! * a **metrics registry** ([`Registry`]) — counters and fixed-bucket
+//!   histograms keyed by `(node, subsystem, name)`, with
 //!   atomic hot-path recording that works under both the simulator's
 //!   virtual time and the UDP runtime's wall clock;
 //! * a **structured event-trace layer** ([`Event`], [`EventLog`]) — one
@@ -33,6 +33,6 @@ pub mod metrics;
 pub use events::{DropReason, Event, EventFilter, EventLog, EventRecord, ProtocolEvent};
 pub use export::{events_to_jsonl, snapshot_to_csv, summary_table};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Key, MetricValue, MetricsSnapshot, Registry,
-    Sample, CLUSTER,
+    Counter, Histogram, HistogramSnapshot, Key, MetricValue, MetricsSnapshot, Registry, Sample,
+    CLUSTER,
 };

@@ -1,4 +1,4 @@
-//! The metrics registry: counters, gauges, and fixed-bucket histograms
+//! The metrics registry: counters and fixed-bucket histograms
 //! keyed by `(node, subsystem, name)`.
 //!
 //! Recording is lock-free after handle creation — a handle is an
@@ -108,27 +108,6 @@ impl Counter {
     }
 }
 
-/// A last-value gauge handle.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicU64>>);
-
-impl Gauge {
-    pub fn noop() -> Self {
-        Gauge(None)
-    }
-
-    #[inline]
-    pub fn set(&self, v: u64) {
-        if let Some(a) = &self.0 {
-            a.store(v, Ordering::Relaxed);
-        }
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |a| a.load(Ordering::Relaxed))
-    }
-}
-
 /// A fixed-bucket (power-of-two) histogram handle.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram(Option<Arc<HistogramCore>>);
@@ -225,7 +204,6 @@ impl HistogramSnapshot {
 #[derive(Debug, Clone)]
 enum Slot {
     Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicU64>),
     Histogram(Arc<HistogramCore>),
 }
 
@@ -238,11 +216,6 @@ pub enum Sample {
         subsystem: &'static str,
         name: &'static str,
         n: u64,
-    },
-    SetGauge {
-        subsystem: &'static str,
-        name: &'static str,
-        value: u64,
     },
     Record {
         subsystem: &'static str,
@@ -298,22 +271,6 @@ impl Registry {
         }
     }
 
-    /// Get-or-create the gauge at `(node, subsystem, name)`.
-    pub fn gauge(&self, node: u32, subsystem: &'static str, name: impl Into<String>) -> Gauge {
-        let Some(inner) = &self.inner else {
-            return Gauge::noop();
-        };
-        let key = Key::new(node, subsystem, name);
-        let mut slots = inner.slots.lock().unwrap();
-        match slots
-            .entry(key)
-            .or_insert_with(|| Slot::Gauge(Arc::new(AtomicU64::new(0))))
-        {
-            Slot::Gauge(a) => Gauge(Some(Arc::clone(a))),
-            _ => Gauge::noop(),
-        }
-    }
-
     /// Get-or-create the histogram at `(node, subsystem, name)`.
     pub fn histogram(
         &self,
@@ -340,11 +297,6 @@ impl Registry {
     pub fn apply(&self, node: u32, sample: Sample) {
         match sample {
             Sample::Count { subsystem, name, n } => self.counter(node, subsystem, name).add(n),
-            Sample::SetGauge {
-                subsystem,
-                name,
-                value,
-            } => self.gauge(node, subsystem, name).set(value),
             Sample::Record {
                 subsystem,
                 name,
@@ -361,7 +313,6 @@ impl Registry {
             for (k, slot) in slots.iter() {
                 let v = match slot {
                     Slot::Counter(a) => MetricValue::Counter(a.load(Ordering::Relaxed)),
-                    Slot::Gauge(a) => MetricValue::Gauge(a.load(Ordering::Relaxed)),
                     Slot::Histogram(h) => {
                         MetricValue::Histogram(Box::new(Histogram(Some(Arc::clone(h))).snapshot()))
                     }
@@ -377,7 +328,6 @@ impl Registry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetricValue {
     Counter(u64),
-    Gauge(u64),
     /// Boxed: a snapshot is ~540 bytes against the 8-byte scalars.
     Histogram(Box<HistogramSnapshot>),
 }
@@ -386,7 +336,6 @@ impl MetricValue {
     pub fn kind(&self) -> &'static str {
         match self {
             MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
             MetricValue::Histogram(_) => "histogram",
         }
     }
@@ -423,21 +372,6 @@ impl MetricsSnapshot {
         })
     }
 
-    /// Counters in `subsystem` whose name starts with `prefix`, as
-    /// `(name-suffix, summed value)` pairs in name order — e.g. prefix
-    /// `"sent_bytes."` yields per-message-kind byte totals.
-    pub fn counters_with_prefix(&self, subsystem: &str, prefix: &str) -> Vec<(String, u64)> {
-        let mut out: BTreeMap<String, u64> = BTreeMap::new();
-        for (k, v) in &self.entries {
-            if k.subsystem == subsystem && k.name.starts_with(prefix) {
-                if let MetricValue::Counter(c) = v {
-                    *out.entry(k.name[prefix.len()..].to_string()).or_insert(0) += c;
-                }
-            }
-        }
-        out.into_iter().collect()
-    }
-
     /// Sum of a counter over every node it was recorded for.
     pub fn counter_total(&self, subsystem: &str, name: &str) -> u64 {
         self.entries
@@ -450,8 +384,8 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// Fold per-node series into cluster-wide aggregates: counters and
-    /// gauges sum, histograms merge bucket-wise. Keys keep their
+    /// Fold per-node series into cluster-wide aggregates: counters sum,
+    /// histograms merge bucket-wise. Keys keep their
     /// `(subsystem, name)` and get node = [`CLUSTER`].
     pub fn aggregate(&self) -> MetricsSnapshot {
         let mut out: BTreeMap<Key, MetricValue> = BTreeMap::new();
@@ -464,7 +398,6 @@ impl MetricsSnapshot {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     match (e.get_mut(), v) {
                         (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                        (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
                         (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
                         _ => {} // kind clash: keep the first
                     }
@@ -474,8 +407,8 @@ impl MetricsSnapshot {
         MetricsSnapshot { entries: out }
     }
 
-    /// Fold another snapshot into this one, key by key: counters and
-    /// gauges sum, histograms merge bucket-wise, and a key present in
+    /// Fold another snapshot into this one, key by key: counters sum,
+    /// histograms merge bucket-wise, and a key present in
     /// only one side is kept as-is. The combiner is associative and
     /// commutative, which is what lets parallel sweeps merge per-run
     /// snapshots in submission order and still equal the sequential
@@ -489,7 +422,6 @@ impl MetricsSnapshot {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     match (e.get_mut(), v) {
                         (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                        (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
                         (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
                         _ => {} // kind clash: keep the first
                     }
@@ -518,7 +450,6 @@ mod tests {
                 // across all three kinds.
                 reg.counter(i, "net", "sent").add(10 + u64::from(i));
                 reg.counter(9, "net", "sent").add(u64::from(i) + 1);
-                reg.gauge(i, "net", "queue").set(u64::from(i));
                 let h = reg.histogram(9, "load", "latency");
                 for v in 0..(5 + u64::from(i)) {
                     h.record(v * 1_000 + u64::from(i));
@@ -559,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_record() {
+    fn counters_record() {
         let reg = Registry::new();
         let c = reg.counter(0, "net", "sent");
         c.inc();
@@ -567,10 +498,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         // Same key → same storage.
         assert_eq!(reg.counter(0, "net", "sent").get(), 5);
-        let g = reg.gauge(1, "net", "queue");
-        g.set(7);
-        g.set(3);
-        assert_eq!(reg.gauge(1, "net", "queue").get(), 3);
     }
 
     #[test]
@@ -628,7 +555,6 @@ mod tests {
         fn snap(node: u32, sent: u64, lat: &[u64]) -> MetricsSnapshot {
             let reg = Registry::new();
             reg.counter(node, "net", "sent").add(sent);
-            reg.gauge(node, "net", "queue").set(sent);
             let h = reg.histogram(0, "net", "latency");
             for &v in lat {
                 h.record(v);
@@ -688,14 +614,6 @@ mod tests {
         );
         reg.apply(
             4,
-            Sample::SetGauge {
-                subsystem: "m",
-                name: "g",
-                value: 9,
-            },
-        );
-        reg.apply(
-            4,
             Sample::Record {
                 subsystem: "m",
                 name: "h",
@@ -704,10 +622,6 @@ mod tests {
         );
         let snap = reg.snapshot();
         assert_eq!(snap.counter(4, "m", "c"), 2);
-        assert!(matches!(
-            snap.entries.get(&Key::new(4, "m", "g")),
-            Some(MetricValue::Gauge(9))
-        ));
         assert!(matches!(
             snap.entries.get(&Key::new(4, "m", "h")),
             Some(MetricValue::Histogram(h)) if h.count == 1

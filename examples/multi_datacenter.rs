@@ -23,13 +23,14 @@ fn main() {
     s.engine.start();
 
     println!("second  throughput/s  response_ms   (DC-A gateway)");
-    let mut last_done = 0usize;
+    let mut last_done = 0;
     for sec in 1..=60u64 {
         s.engine.run_until(sec * SECS);
-        let m = s.gateway_metrics[0][0].lock();
-        let tput = m.throughput_in((sec - 1) * SECS, sec * SECS);
-        let lat = m
-            .mean_latency_in((sec - 1) * SECS, sec * SECS)
+        let m = s.timelines[0][0].lock();
+        let cell = m.window(sec as usize - 1, sec as usize);
+        let tput = cell.completed;
+        let lat = cell
+            .mean_latency()
             .map(|l| format!("{:.1}", l as f64 / 1e6))
             .unwrap_or_else(|| "-".into());
         let marker = match sec {
@@ -40,16 +41,16 @@ fn main() {
         if sec % 2 == 0 || !marker.is_empty() {
             println!("{sec:>6}  {tput:>12}  {lat:>11}{marker}");
         }
-        last_done = m.completed.len();
+        last_done = m.total().completed;
     }
 
-    let m = s.gateway_metrics[0][0].lock();
+    let m = s.timelines[0][0].lock();
     println!(
         "\ntotals: {} issued, {} completed, {} failed, {} served remotely",
-        m.issued,
+        m.issued(),
         last_done,
-        m.failed.len(),
-        m.remote_served
+        m.total().failed,
+        m.total().proxied
     );
     println!(
         "proxy VIP of DC-A is held by {}",

@@ -26,15 +26,15 @@ fn main() {
     s.engine.run_until(20 * SECS);
 
     println!("single-DC search engine: 2 gateways, 2 index partitions x3, 3 doc partitions x3");
-    for (i, m) in s.gateway_metrics[0].iter().enumerate() {
+    for (i, m) in s.timelines[0].iter().enumerate() {
         let m = m.lock();
-        let tput = m.throughput_in(10 * SECS, 20 * SECS) as f64 / 10.0;
-        let lat = m.mean_latency_in(10 * SECS, 20 * SECS).unwrap_or(0);
+        let tput = m.window(10, 20).completed as f64 / 10.0;
+        let lat = m.window(10, 20).mean_latency().unwrap_or(0);
         println!(
             "gateway {i}: {:.1} queries/s, mean latency {:.1} ms, {} failed",
             tput,
             lat as f64 / 1e6,
-            m.failed.len()
+            m.total().failed
         );
     }
 
@@ -45,15 +45,15 @@ fn main() {
     s.engine.kill_now(victim);
     s.engine.run_until(40 * SECS);
 
-    for (i, m) in s.gateway_metrics[0].iter().enumerate() {
+    for (i, m) in s.timelines[0].iter().enumerate() {
         let m = m.lock();
-        let tput = m.throughput_in(30 * SECS, 40 * SECS) as f64 / 10.0;
-        let lat = m.mean_latency_in(30 * SECS, 40 * SECS).unwrap_or(0);
+        let tput = m.window(30, 40).completed as f64 / 10.0;
+        let lat = m.window(30, 40).mean_latency().unwrap_or(0);
         println!(
             "gateway {i} after failure: {:.1} queries/s, mean latency {:.1} ms, {} failed total",
             tput,
             lat as f64 / 1e6,
-            m.failed.len()
+            m.total().failed
         );
     }
     println!("\n(one replica of nine gone: throughput holds, latency barely moves)");

@@ -101,16 +101,16 @@ fn two_dc_deployment_survives_compound_failures() {
     s.engine.start();
     s.engine.run_until(70 * SECS);
 
-    let m = s.gateway_metrics[0][0].lock();
+    let m = s.timelines[0][0].lock();
     // The service kept answering: most of the issued queries completed.
-    let done = m.completed.len() as f64;
-    let issued = m.issued as f64;
+    let done = m.total().completed as f64;
+    let issued = m.issued() as f64;
     assert!(
         done / issued > 0.90,
         "only {done}/{issued} completed under compound failures"
     );
     // Partition-1 queries after t=35 must have been served remotely.
-    assert!(m.remote_served > 0);
+    assert!(m.total().proxied > 0);
     // The VIP failed over to the surviving proxy.
     assert_eq!(
         s.vips.get(DcId(0)),
@@ -155,7 +155,7 @@ fn node_churn_converges_to_truth() {
 fn deterministic_end_to_end() {
     // The same seed reproduces byte-identical outcomes across the whole
     // stack; different seeds differ.
-    fn run(seed: u64) -> (usize, u64, u64) {
+    fn run(seed: u64) -> (u64, u64, u64) {
         let opts = SearchOptions {
             seed,
             ..Default::default()
@@ -165,9 +165,9 @@ fn deterministic_end_to_end() {
             .schedule(20 * SECS, Control::Kill(s.doc_providers[0][0]));
         s.engine.start();
         s.engine.run_until(40 * SECS);
-        let m = s.gateway_metrics[0][0].lock();
+        let m = s.timelines[0][0].lock();
         let totals = s.engine.stats().totals();
-        (m.completed.len(), totals.recv_bytes, totals.recv_pkts)
+        (m.total().completed, totals.recv_bytes, totals.recv_pkts)
     }
     assert_eq!(run(1234), run(1234));
     assert_ne!(run(1234), run(5678));
