@@ -123,6 +123,8 @@ job_telemetry() {
     mv results/telemetry "$TMP/telemetry-run1"
     exp metrics --quick --seed 2005
     diff -r "$TMP/telemetry-run1" results/telemetry
+    # Freshness: the checked-in exports are what the binary writes.
+    git diff --exit-code -- results/telemetry
     local jsonl=results/telemetry/metrics-n20-seed2005.events.jsonl
     local csv=results/telemetry/metrics-n20-seed2005.metrics.csv
     test -s "$jsonl" && test -s "$csv"

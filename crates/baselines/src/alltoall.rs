@@ -7,9 +7,7 @@
 //! functions independently and it provides the best fault isolation.
 //! Unfortunately, this simple scheme is not scalable."
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
 use tamp_directory::{DirectoryClient, Provenance, SharedDirectory};
 use tamp_netsim::{Actor, ChannelId, Context, Nanos, PacketMeta, SECS};
 use tamp_wire::{Heartbeat, Message, NodeId, NodeRecord, ServiceDecl};
@@ -65,7 +63,6 @@ pub struct AllToAllNode {
     seq: u64,
     directory: SharedDirectory,
     last_heard: HashMap<NodeId, Nanos>,
-    member_count: Arc<Mutex<usize>>,
 }
 
 impl AllToAllNode {
@@ -78,7 +75,6 @@ impl AllToAllNode {
             seq: 0,
             directory: SharedDirectory::new(),
             last_heard: HashMap::new(),
-            member_count: Arc::new(Mutex::new(0)),
             cfg,
         };
         n.rebuild_record();
@@ -88,11 +84,6 @@ impl AllToAllNode {
     /// Yellow-page read handle.
     pub fn directory_client(&self) -> DirectoryClient {
         self.directory.client()
-    }
-
-    /// Cheap member-count probe for tests/harness.
-    pub fn member_count_probe(&self) -> Arc<Mutex<usize>> {
-        Arc::clone(&self.member_count)
     }
 
     fn rebuild_record(&mut self) {
@@ -106,10 +97,6 @@ impl AllToAllNode {
 
     fn timeout(&self) -> Nanos {
         self.cfg.max_loss as u64 * self.cfg.heartbeat_period
-    }
-
-    fn refresh_probe(&self) {
-        *self.member_count.lock() = self.directory.read(|d| d.len());
     }
 }
 
@@ -134,7 +121,6 @@ impl Actor for AllToAllNode {
         let phase = ctx.jitter(self.cfg.startup_jitter);
         ctx.set_timer(phase + self.cfg.heartbeat_period, T_HEARTBEAT);
         ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
-        self.refresh_probe();
     }
 
     fn on_crash(&mut self) {
@@ -160,7 +146,6 @@ impl Actor for AllToAllNode {
         if applied.changed() && !was {
             ctx.observe_added(hb.from);
         }
-        self.refresh_probe();
     }
 
     /// Zero-copy receive: the protocol is heartbeat-only, and on the
@@ -196,7 +181,6 @@ impl Actor for AllToAllNode {
         if applied.changed() && !was {
             ctx.observe_added(hb.from);
         }
-        self.refresh_probe();
     }
 
     fn on_timer(&mut self, ctx: &mut Context, token: u64) {
@@ -239,7 +223,6 @@ impl Actor for AllToAllNode {
                     }
                 }
                 ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
-                self.refresh_probe();
             }
             _ => {}
         }

@@ -13,9 +13,7 @@
 //! a LAN (Figs. 12–13) while its per-round traffic is the largest
 //! (Fig. 11).
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
 use tamp_directory::{DirectoryClient, Provenance, SharedDirectory};
 use tamp_netsim::{Actor, Context, Nanos, PacketMeta, ProtocolEvent, SECS};
 use tamp_wire::{Gossip, GossipEntry, Message, NodeId, NodeRecord, ServiceDecl};
@@ -110,7 +108,6 @@ pub struct GossipNode {
     /// Failed members and when they may be forgotten.
     blacklist: HashMap<NodeId, Nanos>,
     directory: SharedDirectory,
-    member_count: Arc<Mutex<usize>>,
 }
 
 impl GossipNode {
@@ -125,7 +122,6 @@ impl GossipNode {
             members: HashMap::new(),
             blacklist: HashMap::new(),
             directory: SharedDirectory::new(),
-            member_count: Arc::new(Mutex::new(0)),
             cfg,
         };
         n.rebuild_record();
@@ -136,10 +132,6 @@ impl GossipNode {
         self.directory.client()
     }
 
-    pub fn member_count_probe(&self) -> Arc<Mutex<usize>> {
-        Arc::clone(&self.member_count)
-    }
-
     fn rebuild_record(&mut self) {
         let mut r = NodeRecord::new(self.me, self.incarnation);
         r.services = self.cfg.services.clone();
@@ -147,10 +139,6 @@ impl GossipNode {
             r.pad_to_encoded_size(self.cfg.pad_entry_to);
         }
         self.record = r;
-    }
-
-    fn refresh_probe(&self) {
-        *self.member_count.lock() = self.directory.read(|d| d.len());
     }
 
     /// Build the full view this node would gossip.
@@ -215,7 +203,6 @@ impl Actor for GossipNode {
         let phase = ctx.jitter(self.cfg.startup_jitter);
         ctx.set_timer(phase + self.cfg.period, T_ROUND);
         ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
-        self.refresh_probe();
     }
 
     fn on_crash(&mut self) {
@@ -274,7 +261,6 @@ impl Actor for GossipNode {
                 }
             }
         }
-        self.refresh_probe();
     }
 
     fn on_timer(&mut self, ctx: &mut Context, token: u64) {
@@ -321,7 +307,6 @@ impl Actor for GossipNode {
                 }
                 self.blacklist.retain(|_, &mut until| now < until);
                 ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
-                self.refresh_probe();
             }
             _ => {}
         }

@@ -23,9 +23,7 @@
 //! add/remove/suspect/refute observations as the other baselines, so it
 //! drops into every harness surface as one more protocol column.
 
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 use tamp_directory::{DirectoryClient, Provenance, SharedDirectory};
 use tamp_netsim::{Actor, Context, Nanos, PacketMeta, ProtocolEvent, SECS};
 use tamp_wire::{
@@ -165,7 +163,6 @@ pub struct SwimNode {
     queue: Vec<QueuedUpdate>,
     /// Protocol periods since the last dead-list reconnect ping.
     periods_since_reconnect: u32,
-    member_count: Arc<Mutex<usize>>,
 }
 
 impl SwimNode {
@@ -185,7 +182,6 @@ impl SwimNode {
             proxied: HashMap::new(),
             queue: Vec::new(),
             periods_since_reconnect: 0,
-            member_count: Arc::new(Mutex::new(0)),
             cfg,
         };
         n.rebuild_record();
@@ -197,11 +193,6 @@ impl SwimNode {
         self.directory.client()
     }
 
-    /// Cheap member-count probe for tests/harness.
-    pub fn member_count_probe(&self) -> Arc<Mutex<usize>> {
-        Arc::clone(&self.member_count)
-    }
-
     fn rebuild_record(&mut self) {
         let mut r = NodeRecord::new(self.me, self.incarnation);
         r.services = self.cfg.services.clone();
@@ -209,10 +200,6 @@ impl SwimNode {
             r.pad_to_encoded_size(self.cfg.pad_record_to);
         }
         self.record = r;
-    }
-
-    fn refresh_probe(&self) {
-        *self.member_count.lock() = self.directory.read(|d| d.len());
     }
 
     /// Per-update retransmission budget: `λ·⌈log₂(n+1)⌉`, n = current
@@ -464,7 +451,6 @@ impl SwimNode {
                 }
             }
         }
-        self.refresh_probe();
     }
 
     /// Apply a confirmed death: drop the member, tombstone it on the
@@ -495,7 +481,6 @@ impl SwimNode {
             ctx.emit(ProtocolEvent::SuspicionConfirmed { subject: subject.0 });
         }
         ctx.observe_removed(subject);
-        self.refresh_probe();
     }
 
     /// Our probe (direct + indirect) got no answer: suspect the target.
@@ -600,7 +585,6 @@ impl Actor for SwimNode {
         let phase = ctx.jitter(self.cfg.startup_jitter);
         ctx.set_timer(phase + self.cfg.probe_period, T_PROBE);
         ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
-        self.refresh_probe();
     }
 
     fn on_crash(&mut self) {
@@ -724,7 +708,6 @@ impl Actor for SwimNode {
             }
             _ => {}
         }
-        self.refresh_probe();
     }
 
     fn on_timer(&mut self, ctx: &mut Context, token: u64) {
@@ -838,7 +821,6 @@ impl Actor for SwimNode {
                 self.dead
                     .retain(|_, d| now.saturating_sub(d.since) < self.cfg.cleanup_window);
                 ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
-                self.refresh_probe();
             }
             _ => {}
         }

@@ -21,8 +21,9 @@
 //!
 //! The lookup side ([`Directory::lookup`]) implements the paper's §5 API:
 //! regex matching on the service name and on the partition list. Request
-//! routers, which hold a literal name and one partition number, use the
-//! typed scan [`Directory::providers`] instead.
+//! routers, which hold a literal name and one partition number, use
+//! [`Directory::providers`] instead: a typed scan whose answer the
+//! directory keeps until its rows change.
 
 mod lookup;
 mod reconcile;
@@ -32,8 +33,9 @@ pub use lookup::{LookupQuery, Machine};
 pub use reconcile::Reconcile;
 pub use shared::{DirectoryClient, SharedDirectory};
 
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tamp_wire::{
     DigestEntry, MemberEvent, NodeId, NodeRecord, RecordPayload, RelayedRecord, ServiceAvail,
 };
@@ -395,6 +397,39 @@ pub struct Directory {
     /// (e.g. a healed partition), the node's own heartbeats re-add it
     /// once the tombstone ages out, without requiring re-incarnation.
     tombstone_ttl: Nanos,
+    /// [`Directory::providers`]' answers, kept until the rows change.
+    answers: Answers,
+}
+
+/// [`Directory::providers`]' answers by service name and partition.
+/// Readers fill it under `&self`, from any thread that holds the
+/// directory; every write to a row's presence or payload empties it
+/// through `&mut self`, which takes no lock. Allocated on the first
+/// query, so a directory nothing resolves against holds an empty cell.
+/// A clone starts empty, and equality ignores it: it is derived state.
+/// Debug builds check every answer it gives against a fresh scan.
+#[derive(Debug, Default)]
+struct Answers(OnceLock<Box<Mutex<AnswerMap>>>);
+
+type AnswerMap = BTreeMap<Box<str>, BTreeMap<Option<u16>, Arc<[NodeId]>>>;
+
+impl Answers {
+    fn get(&self) -> &Mutex<AnswerMap> {
+        self.0.get_or_init(Box::default)
+    }
+
+    /// Forget every answer: a row was put in, taken out or rewritten.
+    fn clear(&mut self) {
+        if let Some(answers) = self.0.get_mut() {
+            answers.get_mut().clear();
+        }
+    }
+}
+
+impl Clone for Answers {
+    fn clone(&self) -> Self {
+        Answers::default()
+    }
 }
 
 impl Default for Directory {
@@ -405,6 +440,7 @@ impl Default for Directory {
             provenance: Vec::new(),
             dead: BTreeMap::new(),
             tombstone_ttl: DEFAULT_TOMBSTONE_TTL,
+            answers: Answers::default(),
         }
     }
 }
@@ -548,6 +584,7 @@ impl Directory {
     /// sync image — fill their pages, and anywhere else a page keeps at
     /// least half. Returns where the row went.
     fn insert_row(&mut self, pos: Pos, row: Row, now: Nanos, provenance: Provenance) -> Pos {
+        self.answers.clear();
         let Pos { page, off } = pos;
         let i = self.pages.get(page).map_or(0, |p| p.start as usize + off);
         self.last_refresh.insert(i, now);
@@ -586,6 +623,7 @@ impl Directory {
 
     /// Take the row at `pos` out; a page it empties leaves the table.
     fn remove_row(&mut self, pos: Pos) -> NodeRecord {
+        self.answers.clear();
         let i = self.index(pos);
         self.last_refresh.remove(i);
         self.provenance.remove(i);
@@ -799,6 +837,7 @@ impl Directory {
                 let held = self.row(pos);
                 let held_inc = held.key.incarnation;
                 if incarnation > held_inc || (incarnation == held_inc && !same(held.payload())) {
+                    self.answers.clear();
                     let row = &mut self.pages[pos.page].write()[pos.off];
                     row.key.incarnation = incarnation;
                     row.payload = Some(materialize());

@@ -7,6 +7,7 @@
 //! configuration.
 
 use crate::Directory;
+use std::sync::Arc;
 use tamp_regexlite::Regex;
 use tamp_wire::{NodeId, PartitionSet};
 
@@ -120,25 +121,53 @@ impl Directory {
     ///
     /// The typed counterpart of [`Directory::lookup`] for callers that
     /// already hold a literal name and a partition number: no pattern is
-    /// compiled and nothing is allocated. For a metacharacter-free name
-    /// it yields exactly the `.node`s that `lookup_service` returns for
-    /// the partition's decimal form (`""` for `None`), in the same order
-    /// and multiplicity.
-    pub fn providers<'a>(
-        &'a self,
-        service: &'a str,
-        partition: Option<u16>,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        let rows = self.pages.iter().flat_map(|p| p.rows());
-        rows.flat_map(move |row| {
-            row.payload()
-                .services
-                .iter()
-                .filter(move |s| {
-                    s.name == service && partition.is_none_or(|p| s.partitions.contains(p))
-                })
-                .map(|_| row.key.node)
-        })
+    /// compiled. For a metacharacter-free name it yields exactly the
+    /// `.node`s that `lookup_service` returns for the partition's decimal
+    /// form (`""` for `None`), in the same order and multiplicity.
+    ///
+    /// A view is resolved many times between two changes, so the answer
+    /// is scanned once and then shared: the directory keeps it until a
+    /// row is put in, taken out or given a new payload, and a caller
+    /// holds it as long as it likes. A name no row declares is answered
+    /// by a scan every time and never kept, so names off the wire cannot
+    /// grow the memo.
+    pub fn providers(&self, service: &str, partition: Option<u16>) -> Arc<[NodeId]> {
+        let answers = self.answers.get();
+        if let Some(kept) = answers
+            .lock()
+            .get(service)
+            .and_then(|parts| parts.get(&partition))
+        {
+            debug_assert_eq!(
+                **kept,
+                *self.scan_providers(service, partition).1,
+                "a kept answer for {service:?} {partition:?} outlived a row change"
+            );
+            return Arc::clone(kept);
+        }
+        let (declared, found) = self.scan_providers(service, partition);
+        let found: Arc<[NodeId]> = found.into();
+        if declared {
+            (answers.lock().entry(service.into()).or_default())
+                .insert(partition, Arc::clone(&found));
+        }
+        found
+    }
+
+    /// The scan behind [`Directory::providers`]: whether any row declares
+    /// `service` at all, and the matching nodes.
+    fn scan_providers(&self, service: &str, partition: Option<u16>) -> (bool, Vec<NodeId>) {
+        let mut declared = false;
+        let mut found = Vec::new();
+        for row in self.pages.iter().flat_map(|p| p.rows()) {
+            for s in row.payload().services.iter().filter(|s| s.name == service) {
+                declared = true;
+                if partition.is_none_or(|p| s.partitions.contains(p)) {
+                    found.push(row.key.node);
+                }
+            }
+        }
+        (declared, found)
     }
 
     /// Convenience: lookup by raw strings (compiles the query each call).
@@ -257,6 +286,35 @@ mod tests {
         let d = directory();
         let all = d.lookup_service("doc", "*").unwrap();
         assert_eq!(all.len(), 2);
+    }
+
+    /// What the router's hit ratio rests on: a refresh keeps the
+    /// answer, a change drops it.
+    #[test]
+    fn providers_answer_is_kept_until_a_row_changes() {
+        let mut d = directory();
+        let relayed = NodeRecord::new(NodeId(4), 1);
+        d.apply_join(relayed.clone(), Provenance::Relayed(NodeId(1)), 0);
+        let kept = d.providers("doc", Some(1));
+        assert_eq!(*kept, [NodeId(3)]);
+        let still = |d: &Directory| Arc::ptr_eq(&kept, &d.providers("doc", Some(1)));
+        // A same-incarnation heartbeat refresh.
+        let n3 = d.get(NodeId(3)).unwrap().record();
+        assert!(!d.apply_join(n3, Provenance::Direct, 5).changed());
+        assert!(still(&d));
+        // A provenance re-stamp: relayed knowledge re-attributed.
+        d.apply_join(relayed, Provenance::Relayed(NodeId(2)), 6);
+        let restamped = d.get(NodeId(4)).unwrap().provenance;
+        assert_eq!(restamped, Provenance::Relayed(NodeId(2)));
+        assert!(still(&d));
+        assert!(d.refresh(NodeId(3), 7));
+        assert!(still(&d));
+        // A provider joins: a fresh answer.
+        let n5 = NodeRecord::new(NodeId(5), 1)
+            .with_service(ServiceDecl::new("doc", PartitionSet::parse("1").unwrap()));
+        assert!(d.apply_join(n5, Provenance::Direct, 8).changed());
+        assert!(!still(&d));
+        assert_eq!(*d.providers("doc", Some(1)), [NodeId(3), NodeId(5)]);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::{Directory, LookupQuery, Machine};
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tamp_wire::NodeId;
 
@@ -18,7 +19,9 @@ use tamp_wire::NodeId;
 pub struct SharedDirectory {
     inner: Arc<RwLock<Directory>>,
     /// Bumped on every change so clients can cheaply detect staleness.
-    version: Arc<parking_lot::Mutex<u64>>,
+    /// `SeqCst`, so a reader that sees a bump also sees the write behind
+    /// it.
+    version: Arc<AtomicU64>,
 }
 
 impl SharedDirectory {
@@ -33,7 +36,7 @@ impl SharedDirectory {
         let (changed, r) = f(&mut guard);
         drop(guard);
         if changed {
-            *self.version.lock() += 1;
+            self.version.fetch_add(1, Ordering::SeqCst);
         }
         r
     }
@@ -53,7 +56,7 @@ impl SharedDirectory {
 
     /// Current change-version.
     pub fn version(&self) -> u64 {
-        *self.version.lock()
+        self.version.load(Ordering::SeqCst)
     }
 }
 
@@ -62,7 +65,7 @@ impl SharedDirectory {
 #[derive(Debug, Clone)]
 pub struct DirectoryClient {
     inner: Arc<RwLock<Directory>>,
-    version: Arc<parking_lot::Mutex<u64>>,
+    version: Arc<AtomicU64>,
 }
 
 impl DirectoryClient {
@@ -87,12 +90,11 @@ impl DirectoryClient {
     /// ([`Directory::providers`]). The router-facing query: `service` is
     /// a literal, not a pattern (`"ind.x"` does not find `index`), and
     /// an unknown service resolves to an empty candidate set. Patterns
-    /// go through [`lookup_service`](Self::lookup_service).
-    pub fn resolve(&self, service: &str, partition: u16) -> Vec<NodeId> {
-        self.inner
-            .read()
-            .providers(service, Some(partition))
-            .collect()
+    /// go through [`lookup_service`](Self::lookup_service). The answer
+    /// is shared with every other resolve of the same view, until the
+    /// view changes.
+    pub fn resolve(&self, service: &str, partition: u16) -> Arc<[NodeId]> {
+        self.inner.read().providers(service, Some(partition))
     }
 
     /// Is this node currently believed alive?
@@ -107,7 +109,7 @@ impl DirectoryClient {
 
     /// Change-version; increments whenever membership changes.
     pub fn version(&self) -> u64 {
-        *self.version.lock()
+        self.version.load(Ordering::SeqCst)
     }
 
     /// Arbitrary read access.

@@ -295,7 +295,7 @@ fn same_state(cols: &Directory, map: &MapDirectory, now: u64) -> Result<(), Test
     for name in ["a", "b"] {
         for partition in [None, Some(0), Some(1)] {
             prop_assert_eq!(
-                cols.providers(name, partition).collect::<Vec<_>>(),
+                cols.providers(name, partition).to_vec(),
                 map.providers(name, partition).collect::<Vec<_>>()
             );
         }

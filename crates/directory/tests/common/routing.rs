@@ -1,6 +1,7 @@
 //! Differential lock for request routing: [`Directory::providers`] (the
-//! typed literal scan routers use) against `lookup_service` (the regex
-//! pattern API it replaced on that path). Shared by this crate's
+//! typed literal query routers use, answered from the directory's kept
+//! answers) against `lookup_service` (the regex pattern API it replaced
+//! on that path). Shared by this crate's
 //! `model.rs` (wide) and the workspace root's `tests/` (fixed-budget
 //! tier-1 slice), which include it by `#[path]`.
 
@@ -52,7 +53,10 @@ pub fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(op, 0..24)
 }
 
-pub fn build(ops: &[Op]) -> Directory {
+/// Run `ops` on a fresh directory, resolving `name` after every one, so
+/// the directory's kept answers are filled and dropped within the
+/// script, not only read at its end.
+pub fn build(ops: &[Op], name: &str, partition: u16) -> Result<Directory, TestCaseError> {
     let mut dir = Directory::new();
     // Short enough that some tombstones age out mid-script and the node
     // rejoins at its old incarnation.
@@ -80,8 +84,9 @@ pub fn build(ops: &[Op]) -> Directory {
                 dir.expire(now, |_| u64::from(*age));
             }
         }
+        check(&dir, name, partition)?;
     }
-    dir
+    Ok(dir)
 }
 
 /// `providers` ≡ `lookup_service` mapped to `.node`: same nodes, same
@@ -95,14 +100,14 @@ pub fn check(dir: &Directory, name: &str, partition: u16) -> Result<(), TestCase
             .collect()
     };
     prop_assert_eq!(
-        dir.providers(name, Some(partition)).collect::<Vec<_>>(),
+        dir.providers(name, Some(partition)).to_vec(),
         via_pattern(&partition.to_string()),
         "{:?} partition {}",
         name,
         partition
     );
     prop_assert_eq!(
-        dir.providers(name, None).collect::<Vec<_>>(),
+        dir.providers(name, None).to_vec(),
         via_pattern(""),
         "{:?} any partition",
         name

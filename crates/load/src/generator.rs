@@ -31,11 +31,11 @@ use crate::telemetry::LoadTelemetry;
 use crate::workload::{ArrivalMode, WorkloadConfig, ZipfSampler};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use tamp_membership::{MembershipConfig, MembershipNode, Probe};
 use tamp_neptune::router::{serves, T_ATTEMPT};
 use tamp_neptune::{Dispatch, LoadBalance, Route, RouteConfig, Router};
-use tamp_netsim::{Actor, Context, Nanos, PacketMeta, MILLIS};
+use tamp_netsim::{Actor, Context, IntMap, Nanos, PacketMeta, MILLIS};
 use tamp_wire::{Message, NodeId};
 
 /// Generator tunables.
@@ -105,11 +105,11 @@ pub struct LoadGenNode {
     calendar: BTreeMap<u32, u32>,
     /// Open loop: (first tick after warm-up, requests issued so far).
     open_base: Option<(u32, u64)>,
-    reqs: HashMap<u32, Req>,
+    reqs: IntMap<u32, Req>,
     next_serial: u32,
     /// Attempt seq → owning request. A step has one attempt in flight
     /// at a time, so an attempt that ends is its request's latest.
-    inflight: HashMap<u32, u32>,
+    inflight: IntMap<u32, u32>,
     crashed: bool,
 }
 
@@ -132,9 +132,9 @@ impl LoadGenNode {
             started: false,
             calendar: BTreeMap::new(),
             open_base: None,
-            reqs: HashMap::new(),
+            reqs: IntMap::default(),
             next_serial: 0,
-            inflight: HashMap::new(),
+            inflight: IntMap::default(),
             crashed: false,
             cfg,
         }

@@ -212,9 +212,12 @@ impl MembershipNode {
     /// The view-resolution entry point used by request routers
     /// (gateways, proxies, the `tamp-load` generator) — equivalent to
     /// `directory_client().resolve(...)` without constructing a client.
-    pub fn resolve_service(&self, service: &str, partition: Option<u16>) -> Vec<NodeId> {
-        self.directory
-            .read(|d| d.providers(service, partition).collect())
+    /// The answer is the directory's own ([`Directory::providers`]),
+    /// shared until the view changes.
+    ///
+    /// [`Directory::providers`]: tamp_directory::Directory::providers
+    pub fn resolve_service(&self, service: &str, partition: Option<u16>) -> Arc<[NodeId]> {
+        self.directory.read(|d| d.providers(service, partition))
     }
 
     /// Command queue for mutating this node's published services and

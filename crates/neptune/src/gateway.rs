@@ -10,9 +10,8 @@
 //! [`Router`]; the gateway adds the workflow, the per-partition fan-out
 //! and random polling on top.
 
-use std::collections::HashMap;
 use tamp_membership::{MembershipConfig, MembershipNode, Probe};
-use tamp_netsim::{Actor, Context, Nanos, PacketMeta, MILLIS};
+use tamp_netsim::{Actor, Context, IntMap, Nanos, PacketMeta, MILLIS};
 use tamp_wire::{Message, NodeId, ServiceRequest, ServiceResponse};
 
 use crate::provider::POLL_PAYLOAD;
@@ -142,12 +141,12 @@ pub struct GatewayNode {
     inner: MembershipNode,
     router: Router,
     timeline: TimelineHandle,
-    queries: HashMap<u64, Query>,
+    queries: IntMap<u64, Query>,
     next_query: u64,
     /// Request seq → (owning query, sub-query index). An entry leaves
     /// when its response or its timeout arrives, whichever is first;
     /// one whose query ended meanwhile is ignored then.
-    inflight: HashMap<u32, (u64, usize)>,
+    inflight: IntMap<u32, (u64, usize)>,
     /// One-way latch: set once the directory first listed every workflow
     /// service+partition. Later *failures* must not re-gate arrivals —
     /// that is exactly when proxy failover earns its keep.
@@ -162,9 +161,9 @@ impl GatewayNode {
             inner: MembershipNode::new(me, cfg.membership.clone()),
             router: Router::new(me, cfg.route),
             timeline: TimelineHandle::default(),
-            queries: HashMap::new(),
+            queries: IntMap::default(),
             next_query: 0,
-            inflight: HashMap::new(),
+            inflight: IntMap::default(),
             warmed: false,
             crashed: false,
             cfg,

@@ -1,9 +1,8 @@
 //! Service provider: the Neptune provider module + a service-specific
 //! handler with a simple FIFO processing model.
 
-use std::collections::HashMap;
 use tamp_membership::{MembershipConfig, MembershipNode};
-use tamp_netsim::{Actor, Context, Nanos, PacketMeta, MILLIS};
+use tamp_netsim::{Actor, Context, IntMap, Nanos, PacketMeta, MILLIS};
 use tamp_wire::{Message, NodeId, ServiceRequest, ServiceResponse};
 
 /// Poll marker payload for the random-polling load balancer: a provider
@@ -57,7 +56,7 @@ pub struct ProviderNode {
     /// Requests queued but not yet answered.
     queue_len: u32,
     /// Completion-timer sequence → response to send.
-    in_service: HashMap<u64, (NodeId, u64)>,
+    in_service: IntMap<u64, (NodeId, u64)>,
     next_done: u64,
     crashed: bool,
 }
@@ -70,7 +69,7 @@ impl ProviderNode {
             inner,
             busy_until: 0,
             queue_len: 0,
-            in_service: HashMap::new(),
+            in_service: IntMap::default(),
             next_done: 0,
             crashed: false,
             cfg,

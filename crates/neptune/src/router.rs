@@ -128,8 +128,10 @@ impl Router {
         lb: LoadBalance,
         draw: &mut impl FnMut(&mut Context, u64) -> u64,
     ) -> Dispatch {
-        let mut candidates = node.resolve_service(service, Some(route.partition));
-        candidates.retain(|n| !route.tried.contains(n));
+        let resolved = node.resolve_service(service, Some(route.partition));
+        let candidates: Vec<NodeId> = (resolved.iter().copied())
+            .filter(|n| !route.tried.contains(n))
+            .collect();
         if !candidates.is_empty() && route.attempts < MAX_LOCAL_ATTEMPTS {
             let target = match lb {
                 LoadBalance::Random => candidates[draw(ctx, candidates.len() as u64) as usize],

@@ -55,6 +55,7 @@
 
 mod actor;
 mod engine;
+mod hash;
 mod packet;
 pub mod scheduler;
 mod shard;
@@ -66,6 +67,7 @@ pub use engine::{
     Control, Engine, EngineConfig, LossModel, ShardingKind, CPU_PER_BYTE, CPU_PER_PACKET,
     HEADER_OVERHEAD, WIRE_TIME_PER_BYTE,
 };
+pub use hash::{IntHasher, IntMap};
 pub use packet::{ChannelId, Destination, PacketMeta};
 pub use scheduler::SchedulerKind;
 pub use stats::{HostStats, Observation, ObservationKind, SeriesPoint, Stats};

@@ -63,6 +63,7 @@ use crate::actor::{Actor, Context, Effect};
 use crate::engine::{
     Control, EngineConfig, CPU_PER_BYTE, CPU_PER_PACKET, HEADER_OVERHEAD, WIRE_TIME_PER_BYTE,
 };
+use crate::hash::IntMap;
 use crate::packet::{ChannelId, Destination, PacketMeta};
 use crate::scheduler::{Scheduled, TimerWheel};
 use crate::stats::{HostStats, Observation, SeriesPoint, Stats};
@@ -74,7 +75,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use tamp_telemetry::{Counter, Histogram, Registry, CLUSTER};
 use tamp_topology::{HostId, RouterId, SegmentId, Topology};
-use tamp_wire::Message;
+use tamp_wire::{Message, KINDS};
 
 // --------------------------------------------------------------- noise
 
@@ -246,8 +247,9 @@ struct HostMeters {
 /// atomics.
 struct NetMeters {
     hosts: Vec<HostMeters>,
-    /// `(pkts, bytes)` per message kind, node = [`CLUSTER`].
-    by_kind: BTreeMap<&'static str, (Counter, Counter)>,
+    /// `(pkts, bytes)` per message kind, node = [`CLUSTER`], at the
+    /// kind's place in [`KINDS`]; made on the kind's first send.
+    by_kind: [Option<(Counter, Counter)>; KINDS.len()],
     /// `(pkts, bytes)` per multicast channel, node = [`CLUSTER`].
     by_channel: BTreeMap<u16, (Counter, Counter)>,
     /// Drop counts by reason (loss / dead-host / partition / gray /
@@ -263,8 +265,8 @@ struct NetMeters {
     /// and `Effect::Record`), by `(host, subsystem, name)`: fetched
     /// from the registry — a `String` key, its lock, a map walk — the
     /// first time a host reports a metric, not on every sample.
-    actor_counters: HashMap<ActorMetric, Counter>,
-    actor_histograms: HashMap<ActorMetric, Histogram>,
+    actor_counters: IntMap<ActorMetric, Counter>,
+    actor_histograms: IntMap<ActorMetric, Histogram>,
 }
 
 type ActorMetric = (u32, &'static str, &'static str);
@@ -285,7 +287,7 @@ impl NetMeters {
             .collect();
         NetMeters {
             hosts,
-            by_kind: BTreeMap::new(),
+            by_kind: Default::default(),
             by_channel: BTreeMap::new(),
             drop_loss: registry.counter(CLUSTER, "net", "drop.loss"),
             drop_dead: registry.counter(CLUSTER, "net", "drop.dead_host"),
@@ -293,8 +295,8 @@ impl NetMeters {
             drop_gray: registry.counter(CLUSTER, "net", "drop.gray"),
             drop_unroutable: registry.counter(CLUSTER, "net", "drop.unroutable"),
             delivery_ns: registry.histogram(CLUSTER, "net", "delivery_ns"),
-            actor_counters: HashMap::new(),
-            actor_histograms: HashMap::new(),
+            actor_counters: IntMap::default(),
+            actor_histograms: IntMap::default(),
         }
     }
 
@@ -440,7 +442,7 @@ pub(crate) struct DrainBatch {
     /// First bucket index of `series`.
     pub series_from: usize,
     pub series: Vec<SeriesPoint>,
-    pub kinds: Vec<(&'static str, (u64, u64))>,
+    pub kinds: Vec<(usize, (u64, u64))>,
 }
 
 // --------------------------------------------------------------- shard
@@ -479,7 +481,7 @@ pub(crate) struct Shard {
     /// subscriber list a send from that segment reaches (sorted by host
     /// id, sender included — skipped at use). Invalidated whenever the
     /// underlying subscription sets change.
-    mcast_cache: HashMap<(u16, u16, u8), Vec<HostId>>,
+    mcast_cache: IntMap<(u16, u16, u8), Vec<HostId>>,
     /// Reusable per-send buffer of rolled `(deliver_at, receiver)` pairs.
     deliver_buf: Vec<(SimTime, HostId)>,
     /// Reusable buffer for the frame of a packet's only or last delivery
@@ -526,17 +528,17 @@ pub(crate) struct Shard {
     /// Multicast sends with possible remote receivers whose buffered
     /// `Send` record awaits receiver-count patches: send key
     /// (`src << 32 | act`) → index into `pending_trace`.
-    send_patches: HashMap<u64, u32>,
+    send_patches: IntMap<u64, u32>,
     /// Hosts whose stats changed this epoch (delta-drain bookkeeping).
     dirty: Vec<bool>,
     dirty_hosts: Vec<u32>,
     /// First series bucket not yet drained.
     series_from: usize,
     /// Expansion-time fan-out memo, valid between journal replays.
-    fan_memo: HashMap<(u16, u16, u8), Vec<HostId>>,
+    fan_memo: IntMap<(u16, u16, u8), Vec<HostId>>,
     /// `(src segment, ttl)` → does any *other* shard's segment fall
     /// within the multicast scope? Gates descriptor emission.
-    remote_reach: HashMap<(u16, u8), bool>,
+    remote_reach: IntMap<(u16, u8), bool>,
 }
 
 impl Shard {
@@ -570,7 +572,7 @@ impl Shard {
             alive: vec![true; n],
             epoch: vec![0; n],
             subs: BTreeMap::new(),
-            mcast_cache: HashMap::new(),
+            mcast_cache: IntMap::default(),
             deliver_buf: Vec::new(),
             frame_buf: Vec::new(),
             blocked: HashSet::new(),
@@ -594,12 +596,12 @@ impl Shard {
             journal: Vec::new(),
             pending_trace: Vec::new(),
             pending_obs: Vec::new(),
-            send_patches: HashMap::new(),
+            send_patches: IntMap::default(),
             dirty: vec![false; n],
             dirty_hosts: Vec::new(),
             series_from: 0,
-            fan_memo: HashMap::new(),
-            remote_reach: HashMap::new(),
+            fan_memo: IntMap::default(),
+            remote_reach: IntMap::default(),
             topo,
             cfg,
         }
@@ -1421,20 +1423,21 @@ impl Shard {
         // wanted, is encoded when a receiver reads it (`deliver_pkt`,
         // which holds it to this length).
         let size = tamp_wire::codec::encoded_len(&msg) as u32 + HEADER_OVERHEAD;
-        let kind = msg.kind();
+        let kind_index = msg.kind_index();
+        let kind = KINDS[kind_index];
         let channel = match dest {
             Destination::Unicast(_) => None,
             Destination::Multicast { channel, ttl } => Some((channel, ttl)),
         };
         // One NIC transmission regardless of receiver count (multicast is
         // switch-replicated, exactly why the paper prefers it).
-        self.stats.on_send(self.clock, src, size as u64, kind);
+        self.stats.on_send(self.clock, src, size as u64, kind_index);
         self.note(src);
         if let Some(m) = &mut self.meters {
             let hm = &m.hosts[src.index()];
             hm.sent_pkts.inc();
             hm.sent_bytes.add(size as u64);
-            let (kp, kb) = m.by_kind.entry(kind).or_insert_with(|| {
+            let (kp, kb) = m.by_kind[kind_index].get_or_insert_with(|| {
                 (
                     self.registry
                         .counter(CLUSTER, "net", format!("sent_pkts.{kind}")),

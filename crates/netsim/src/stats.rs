@@ -3,7 +3,10 @@
 
 use crate::SimTime;
 use tamp_topology::HostId;
-use tamp_wire::NodeId;
+use tamp_wire::{NodeId, KINDS};
+
+/// `(packets, bytes)` per message kind, at the kind's place in [`KINDS`].
+type Kinds = [(u64, u64); KINDS.len()];
 
 /// Per-host traffic and CPU accounting.
 #[derive(Debug, Default, Clone, Copy)]
@@ -60,9 +63,10 @@ pub struct Stats {
     bucket: SimTime,
     series: Vec<SeriesPoint>,
     observations: Vec<Observation>,
-    /// Cluster-wide sends per message kind (`Message::kind` tag) —
-    /// lets experiments attribute traffic to sub-protocols.
-    sent_by_kind: std::collections::BTreeMap<&'static str, (u64, u64)>,
+    /// Cluster-wide `(packets, bytes)` sent per message kind, indexed by
+    /// `Message::kind_index` — lets experiments attribute traffic to
+    /// sub-protocols.
+    sent_by_kind: Kinds,
 }
 
 impl Stats {
@@ -72,7 +76,7 @@ impl Stats {
             bucket,
             series: Vec::new(),
             observations: Vec::new(),
-            sent_by_kind: std::collections::BTreeMap::new(),
+            sent_by_kind: Kinds::default(),
         }
     }
 
@@ -87,11 +91,12 @@ impl Stats {
         Some(&mut self.series[idx])
     }
 
-    pub(crate) fn on_send(&mut self, t: SimTime, host: HostId, bytes: u64, kind: &'static str) {
+    /// One send of `bytes`, of the kind at `kind` in [`KINDS`].
+    pub(crate) fn on_send(&mut self, t: SimTime, host: HostId, bytes: u64, kind: usize) {
         let s = &mut self.per_host[host.index()];
         s.sent_pkts += 1;
         s.sent_bytes += bytes;
-        let k = self.sent_by_kind.entry(kind).or_insert((0, 0));
+        let k = &mut self.sent_by_kind[kind];
         k.0 += 1;
         k.1 += bytes;
         if let Some(b) = self.bucket_at(t) {
@@ -204,12 +209,20 @@ impl Stats {
     /// Cluster-wide `(packets, bytes)` sent with the given message kind
     /// (see `tamp_wire::Message::kind`), since the last reset.
     pub fn sent_of_kind(&self, kind: &str) -> (u64, u64) {
-        self.sent_by_kind.get(kind).copied().unwrap_or((0, 0))
+        KINDS
+            .iter()
+            .position(|&k| k == kind)
+            .map_or((0, 0), |i| self.sent_by_kind[i])
     }
 
-    /// All kinds seen, with their `(packets, bytes)` counts.
+    /// All kinds sent at least once, in name order, with their
+    /// `(packets, bytes)` counts.
     pub fn sends_by_kind(&self) -> impl Iterator<Item = (&'static str, (u64, u64))> + '_ {
-        self.sent_by_kind.iter().map(|(&k, &v)| (k, v))
+        KINDS
+            .iter()
+            .zip(&self.sent_by_kind)
+            .filter(|(_, &(pkts, _))| pkts > 0)
+            .map(|(&k, &v)| (k, v))
     }
 
     // --- sharded-engine delta plumbing -------------------------------
@@ -276,17 +289,20 @@ impl Stats {
         }
     }
 
-    /// Take the per-kind send counters as a delta, clearing them.
-    pub(crate) fn take_kinds(&mut self) -> Vec<(&'static str, (u64, u64))> {
-        let v = self.sent_by_kind.iter().map(|(&k, &v)| (k, v)).collect();
-        self.sent_by_kind.clear();
-        v
+    /// Take the per-kind send counters as a delta, clearing them: the
+    /// kinds sent at least once, by place in [`KINDS`], in name order.
+    pub(crate) fn take_kinds(&mut self) -> Vec<(usize, (u64, u64))> {
+        let sent = std::mem::take(&mut self.sent_by_kind);
+        sent.into_iter()
+            .enumerate()
+            .filter(|&(_, (pkts, _))| pkts > 0)
+            .collect()
     }
 
     /// Add per-kind send deltas.
-    pub(crate) fn merge_kinds(&mut self, kinds: Vec<(&'static str, (u64, u64))>) {
+    pub(crate) fn merge_kinds(&mut self, kinds: Vec<(usize, (u64, u64))>) {
         for (k, (p, b)) in kinds {
-            let e = self.sent_by_kind.entry(k).or_insert((0, 0));
+            let e = &mut self.sent_by_kind[k];
             e.0 += p;
             e.1 += b;
         }
@@ -299,7 +315,7 @@ impl Stats {
             *s = HostStats::default();
         }
         self.series.clear();
-        self.sent_by_kind.clear();
+        self.sent_by_kind = Kinds::default();
     }
 }
 
@@ -307,10 +323,14 @@ impl Stats {
 mod tests {
     use super::*;
 
+    fn kind(name: &str) -> usize {
+        KINDS.iter().position(|&k| k == name).unwrap()
+    }
+
     #[test]
     fn totals_add_up() {
         let mut s = Stats::new(2, 0);
-        s.on_send(0, HostId(0), 100, "heartbeat");
+        s.on_send(0, HostId(0), 100, kind("heartbeat"));
         s.on_recv(0, HostId(1), 100, 5_000);
         s.on_recv(1, HostId(1), 50, 5_000);
         s.on_drop(HostId(0));
@@ -381,12 +401,28 @@ mod tests {
             observer: HostId(0),
             kind: ObservationKind::Added(NodeId(1)),
         });
-        s.on_send(2, HostId(0), 10, "update");
+        s.on_send(2, HostId(0), 10, kind("update"));
         assert_eq!(s.sent_of_kind("update"), (1, 10));
         s.reset_traffic();
         assert_eq!(s.totals().recv_bytes, 0);
         assert_eq!(s.sent_of_kind("update"), (0, 0));
         assert!(s.series().is_empty());
         assert_eq!(s.observations().len(), 1);
+    }
+
+    #[test]
+    fn sends_by_kind_lists_sent_kinds_in_name_order() {
+        let mut s = Stats::new(1, 0);
+        assert_eq!(s.sends_by_kind().count(), 0);
+        for (name, bytes) in [("update", 7), ("heartbeat", 5), ("update", 3)] {
+            s.on_send(0, HostId(0), bytes, kind(name));
+        }
+        let seen: Vec<_> = s.sends_by_kind().collect();
+        assert_eq!(seen, [("heartbeat", (1, 5)), ("update", (2, 10))]);
+        assert_eq!(s.sent_of_kind("no-such-kind"), (0, 0));
+        let mut merged = Stats::new(1, 0);
+        merged.merge_kinds(s.take_kinds());
+        assert_eq!(merged.sends_by_kind().collect::<Vec<_>>(), seen);
+        assert_eq!(s.sends_by_kind().count(), 0);
     }
 }

@@ -47,7 +47,7 @@ pub use messages::{
     MemberEvent, Message, NodeId, NodeRecord, PartitionSet, ProxySummary, ProxyUpdate,
     RecordPayload, RelayedRecord, SeqEvent, ServiceAvail, ServiceDecl, ServiceRequest,
     ServiceResponse, SummaryEvent, SwimAck, SwimPing, SwimPingReq, SwimState, SwimUpdate,
-    SyncRequest, SyncResponse, UpdateMsg,
+    SyncRequest, SyncResponse, UpdateMsg, KINDS,
 };
 
 // Property and fuzz/differential tests for the codec and the borrowed

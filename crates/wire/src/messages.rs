@@ -672,25 +672,89 @@ pub enum Message {
     SwimPingReq(SwimPingReq),
 }
 
+/// Every [`Message::kind`] label, in name order. A kind's position here
+/// is its [`Message::kind_index`], so a table indexed by it walks the
+/// kinds in the order a map keyed by their names would.
+pub const KINDS: [&str; 15] = [
+    "digest",
+    "dir-exchange",
+    "election",
+    "gossip",
+    "heartbeat",
+    "proxy-summary",
+    "proxy-update",
+    "svc-req",
+    "svc-resp",
+    "swim-ack",
+    "swim-ping",
+    "swim-ping-req",
+    "sync-req",
+    "sync-resp",
+    "update",
+];
+
+/// `a < b` as `str`'s `Ord` has it: byte-wise, a prefix first.
+const fn precedes(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut i = 0;
+    while i < a.len() && i < b.len() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+        i += 1;
+    }
+    a.len() < b.len()
+}
+
+/// `name`'s position in [`KINDS`]; evaluated at compile time, so a name
+/// missing from the table fails the build.
+const fn kind_position(name: &str) -> usize {
+    let mut i = 0;
+    while i < KINDS.len() {
+        if !precedes(KINDS[i], name) && !precedes(name, KINDS[i]) {
+            return i;
+        }
+        i += 1;
+    }
+    panic!("a message kind missing from KINDS")
+}
+
+const _: () = {
+    let mut i = 1;
+    while i < KINDS.len() {
+        assert!(
+            precedes(KINDS[i - 1], KINDS[i]),
+            "KINDS is not in name order"
+        );
+        i += 1;
+    }
+};
+
 impl Message {
     /// Short tag for traces.
     pub fn kind(&self) -> &'static str {
+        KINDS[self.kind_index()]
+    }
+
+    /// [`Message::kind`] as its position in [`KINDS`]: what per-kind
+    /// counters index by.
+    pub fn kind_index(&self) -> usize {
         match self {
-            Message::Heartbeat(_) => "heartbeat",
-            Message::Update(_) => "update",
-            Message::DirectoryExchange(_) => "dir-exchange",
-            Message::SyncRequest(_) => "sync-req",
-            Message::SyncResponse(_) => "sync-resp",
-            Message::Election(_) => "election",
-            Message::Digest(_) => "digest",
-            Message::Gossip(_) => "gossip",
-            Message::ProxySummary(_) => "proxy-summary",
-            Message::ProxyUpdate(_) => "proxy-update",
-            Message::ServiceRequest(_) => "svc-req",
-            Message::ServiceResponse(_) => "svc-resp",
-            Message::SwimPing(_) => "swim-ping",
-            Message::SwimAck(_) => "swim-ack",
-            Message::SwimPingReq(_) => "swim-ping-req",
+            Message::Heartbeat(_) => const { kind_position("heartbeat") },
+            Message::Update(_) => const { kind_position("update") },
+            Message::DirectoryExchange(_) => const { kind_position("dir-exchange") },
+            Message::SyncRequest(_) => const { kind_position("sync-req") },
+            Message::SyncResponse(_) => const { kind_position("sync-resp") },
+            Message::Election(_) => const { kind_position("election") },
+            Message::Digest(_) => const { kind_position("digest") },
+            Message::Gossip(_) => const { kind_position("gossip") },
+            Message::ProxySummary(_) => const { kind_position("proxy-summary") },
+            Message::ProxyUpdate(_) => const { kind_position("proxy-update") },
+            Message::ServiceRequest(_) => const { kind_position("svc-req") },
+            Message::ServiceResponse(_) => const { kind_position("svc-resp") },
+            Message::SwimPing(_) => const { kind_position("swim-ping") },
+            Message::SwimAck(_) => const { kind_position("swim-ack") },
+            Message::SwimPingReq(_) => const { kind_position("swim-ping-req") },
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Tier-1 slice of the request-routing differential: `cargo test -q` at
 //! the workspace root runs only this package's suites, so the lock that
-//! guards `Directory::providers` (the typed scan every router resolves
+//! guards `Directory::providers` (the typed query every router resolves
 //! through) against `lookup_service` is re-run here at a fixed budget.
 //! The generator and the check live with the directory crate, whose
 //! `tests/model.rs` runs them wide.
@@ -19,6 +19,6 @@ proptest! {
         name in routing::NAME,
         partition in 0u16..7,
     ) {
-        routing::check(&routing::build(&ops), &name, partition)?;
+        routing::check(&routing::build(&ops, &name, partition)?, &name, partition)?;
     }
 }
