@@ -62,9 +62,12 @@ job_experiments() {
 # ceiling: every warm-started holder shares its directory's key pages
 # with the other holders of its segment, and a change that un-shares
 # them shows here first. CEILING_MB is the measured peak of that run
-# (192 MB on a 2-core host) plus 20 %.
+# (192 MB on a 2-core host) plus 20 %. The n = 1000 rerun must also
+# match the checked-in results/scale.csv (freshness lock), so the job
+# keeps a copy of it before the first run overwrites it.
 job_scale() {
     build
+    cut -d, -f1-10 results/scale.csv > "$TMP/scale-checked-in.csv"
     python3 - <<'EOF'
 import resource, subprocess, sys
 CEILING_MB = 231
@@ -78,6 +81,7 @@ EOF
     cut -d, -f1-10 results/scale.csv > "$TMP/scale-run1.csv"
     timeout 120 ./target/release/tamp-exp scale --nodes 1000 --seed 2005
     cut -d, -f1-10 results/scale.csv | diff -u "$TMP/scale-run1.csv" -
+    diff -u "$TMP/scale-checked-in.csv" "$TMP/scale-run1.csv"
 }
 
 # Sharded-engine smoke: the same simulation run sequentially and split
@@ -150,12 +154,14 @@ job_chaos_strict() {
 
 # Adversarial fault-class smoke: gray-partition / rack-fail / churn-storm
 # / clock-skew / router-reform generator and the A10 grid, under the
-# strict oracle on the ring topology (docs/CHAOS.md).
+# strict oracle on the ring topology (docs/CHAOS.md). The quick grid is
+# what results/adversarial_grid.csv holds (freshness lock).
 job_chaos_adversarial() {
     build
     exp chaos --scenario scenarios/router-reform.chaos --strict
     same_at_any_width adv -- chaos --adversarial --strict --seed 3000 --sweep 30
     same_at_any_width grid -- adversarial --quick
+    git diff --exit-code -- results/adversarial_grid.csv
 }
 
 # Load smoke: a short closed-loop run plus one chaos-under-load campaign

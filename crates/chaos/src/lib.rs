@@ -6,13 +6,13 @@
 //! ([`Schedule`], written in a small text DSL or generated from a seed)
 //! describes a timed fault program — kill/revive waves, rolling
 //! restarts, leader-targeted kills, partition/heal cycles, loss bursts.
-//! The **runner** applies it deterministically to a simulated cluster
-//! (and, via [`FaultInjector`], to the real-time runtime), while a
-//! **ground-truth** record tracks what actually happened. At quiescence
-//! the **oracle** checks the membership invariants the protocol
-//! promises: no false removal of a live node, eventual view convergence,
-//! per-group leader agreement. A seeded **generator** sweeps random
-//! schedules and **shrinks** any failure to a minimal repro.
+//! The **runner** applies it deterministically to a simulated cluster,
+//! while a **ground-truth** record tracks what actually happened. At
+//! quiescence the **oracle** checks the membership invariants the
+//! protocol promises: no false removal of a live node, eventual view
+//! convergence, per-group leader agreement. A seeded **generator**
+//! sweeps random schedules and **shrinks** any failure to a minimal
+//! repro.
 //!
 //! ```
 //! use tamp_chaos::{dsl, run_scenario, ScenarioConfig};
@@ -33,7 +33,6 @@
 pub mod cluster;
 pub mod dsl;
 pub mod generator;
-pub mod inject;
 pub mod oracle;
 pub mod proxy;
 pub mod runner;
@@ -47,7 +46,6 @@ pub use generator::{
     adversarial_schedule, random_schedule, seed_range, sweep, AdversarialConfig, GeneratorConfig,
     SweepReport,
 };
-pub use inject::{FaultInjector, RuntimeInjector};
 pub use oracle::{OracleConfig, Violation};
 pub use proxy::run_proxy_scenario;
 pub use runner::{apply_schedule, run_scenario, ScenarioConfig, ScenarioRun};

@@ -5,16 +5,15 @@
 //! one [`Shard`] per partition of the topology (one, by default — the
 //! classic sequential engine) and, when sharded, drives them
 //! concurrently under a conservative-lookahead epoch protocol whose
-//! merged output is byte-identical to the sequential run. See the
-//! `shard` module docs for the synchronization scheme and
+//! merged output is byte-identical to the sequential run. See
+//! `shard::multi` for the synchronization scheme and
 //! `tamp_topology::sharding` for the partition planner.
 
 use crate::actor::Actor;
-use crate::shard::{Descriptor, DrainBatch, Shard, ShardMsg, ShardReply, Tag, CONTROL_SEQ_BASE};
+use crate::shard::{multi, Shard, CONTROL_SEQ_BASE};
 use crate::stats::Stats;
-use crate::trace::{TraceConfig, TraceEvent, TraceLog};
+use crate::trace::{TraceConfig, TraceLog};
 use crate::SimTime;
-use std::collections::HashMap;
 use std::sync::Arc;
 use tamp_par::Pool;
 use tamp_telemetry::Registry;
@@ -174,13 +173,15 @@ pub enum Control {
     SetLinkLoss(SegmentId, SegmentId, f64),
 }
 
-/// The host a control acts on, when it acts on exactly one. Such
-/// controls are routed to the owning shard only; everything else is
-/// global state and is applied identically on every shard.
-fn control_target(c: &Control) -> Option<HostId> {
-    match c {
-        Control::Kill(h) | Control::Revive(h) | Control::SetSkew(h, _) => Some(*h),
-        _ => None,
+impl Control {
+    /// The host a control acts on, when it acts on exactly one. Such a
+    /// control runs on the owning shard only; any other is global state,
+    /// applied on every shard.
+    pub(crate) fn host(&self) -> Option<HostId> {
+        match *self {
+            Control::Kill(h) | Control::Revive(h) | Control::SetSkew(h, _) => Some(h),
+            _ => None,
+        }
     }
 }
 
@@ -324,18 +325,18 @@ impl Engine {
 
     /// The topology under simulation.
     pub fn topology(&self) -> &Topology {
-        &self.shards[0].topo
+        self.shards[0].topology()
     }
 
     /// All host ids.
     pub fn hosts(&self) -> Vec<HostId> {
-        self.shards[0].topo.hosts().collect()
+        self.shards[0].topology().hosts().collect()
     }
 
     pub fn is_alive(&self, h: HostId) -> bool {
         // Only the owner's liveness vector is authoritative: kills are
         // routed to the owning shard.
-        self.shards[self.owner_of[h.index()] as usize].alive[h.index()]
+        self.shards[self.owner_of[h.index()] as usize].is_alive(h)
     }
 
     /// Collected measurements.
@@ -379,29 +380,16 @@ impl Engine {
             s.start_phase();
         }
         if self.multi() {
-            self.sync_exchange();
+            self.sync();
         }
     }
 
     /// Schedule a fault-injection action at absolute time `t`.
     pub fn schedule(&mut self, t: SimTime, control: Control) {
         assert!(t >= self.clock, "cannot schedule in the past");
-        self.driver_ctr += 1;
-        let seq = CONTROL_SEQ_BASE | self.driver_ctr;
-        match control_target(&control) {
-            // Host-specific controls run only where the host lives;
-            // global ones run everywhere with the same (time, key, seq)
-            // so every shard applies them in the same epoch, at the same
-            // point of its local order.
-            Some(h) => {
-                let s = self.owner_of[h.index()] as usize;
-                self.shards[s].push_control(t, seq, control);
-            }
-            None => {
-                for s in &mut self.shards {
-                    s.push_control(t, seq, control);
-                }
-            }
+        let (seq, shards) = self.route(&control);
+        for s in shards {
+            s.push_control(t, seq, control);
         }
     }
 
@@ -418,24 +406,32 @@ impl Engine {
     /// Apply any fault-injection action right now (the immediate form of
     /// [`Engine::schedule`]).
     pub fn control_now(&mut self, c: Control) {
-        self.driver_ctr += 1;
-        let seq = CONTROL_SEQ_BASE | self.driver_ctr;
-        match control_target(&c) {
-            Some(h) => {
-                let s = self.owner_of[h.index()] as usize;
-                self.shards[s].apply_control_now(seq, c);
-            }
-            None => {
-                for s in &mut self.shards {
-                    s.apply_control_now(seq, c);
-                }
-            }
+        let (seq, shards) = self.route(&c);
+        for s in shards {
+            s.apply_control_now(seq, c);
         }
         if self.multi() {
             // A revive's on_start may have sent cross-shard packets, and
             // the control's trace record sits in a shard buffer.
-            self.sync_exchange();
+            self.sync();
         }
+    }
+
+    /// A driver control's globally agreed tie-break seq and the shards
+    /// it runs on. A control on one host runs only where the host lives;
+    /// a global one runs everywhere with the same `(time, key, seq)`, so
+    /// every shard applies it in the same epoch, at the same point of
+    /// its local order.
+    fn route(&mut self, c: &Control) -> (u64, &mut [Shard]) {
+        self.driver_ctr += 1;
+        let shards = match c.host() {
+            Some(h) => {
+                let s = self.owner_of[h.index()] as usize;
+                &mut self.shards[s..=s]
+            }
+            None => &mut self.shards[..],
+        };
+        (CONTROL_SEQ_BASE | self.driver_ctr, shards)
     }
 
     /// Process every event up to and including time `t`, then advance the
@@ -445,7 +441,7 @@ impl Engine {
     /// executes up to `min(t, next_event + lookahead − 1)`, the shards
     /// exchange cross-shard sends as tag-stamped descriptors at the
     /// barrier, and the buffered measurements merge into the master
-    /// copies in global tag order (`shard.rs`).
+    /// copies in global tag order (`shard::multi`).
     pub fn run_until(&mut self, t: SimTime) {
         assert!(self.started, "call start() before run_until()");
         if !self.multi() {
@@ -453,87 +449,15 @@ impl Engine {
             self.clock = t;
             return;
         }
-        let n = self.shards.len();
-        let owner_of = Arc::clone(&self.owner_of);
-        let lookahead = self.lookahead;
-        let pool = self.pool;
-        let stats = &mut self.stats;
-        let tracelog = &mut self.tracelog;
-        pool.rendezvous(&mut self.shards, Shard::handle, |rounds| {
-            let mut next: Option<SimTime> = rounds
-                .round(vec![ShardMsg::Probe; n])
-                .into_iter()
-                .filter_map(|r| match r {
-                    ShardReply::NextTime(nt) => nt,
-                    _ => unreachable!("probe reply"),
-                })
-                .min();
-            while let Some(nx) = next {
-                if nx > t {
-                    break;
-                }
-                // The epoch horizon: events at `until` may still send
-                // packets that arrive at `nx + lookahead > until`, so
-                // every cross-shard delivery lands strictly beyond the
-                // horizon (`saturating_add` guards nx = 0; lookahead is
-                // ≥ 1 because zero-lookahead plans collapse to one
-                // shard at construction).
-                let until = match lookahead {
-                    None => t,
-                    Some(l) => t.min(nx.saturating_add(l - 1)),
-                };
-                let outboxes: Vec<Vec<Descriptor>> = rounds
-                    .round(vec![ShardMsg::Run { until }; n])
-                    .into_iter()
-                    .map(|r| match r {
-                        ShardReply::RunDone { outbox } => outbox,
-                        _ => unreachable!("run reply"),
-                    })
-                    .collect();
-                let (any, inbound) = route_outboxes(n, &owner_of, outboxes);
-                let mut patch_sum: HashMap<u64, u32> = HashMap::new();
-                if any {
-                    let reqs = inbound
-                        .into_iter()
-                        .map(|batch| ShardMsg::Expand { batch })
-                        .collect();
-                    for r in rounds.round(reqs) {
-                        let ShardReply::ExpandDone { patches } = r else {
-                            unreachable!("expand reply")
-                        };
-                        for (k, v) in patches {
-                            *patch_sum.entry(k).or_default() += v;
-                        }
-                    }
-                }
-                // Multicast receiver-count patches go back to the sender
-                // shard (the send key's high half is the sender host).
-                let mut per_shard: Vec<Vec<(u64, u32)>> = vec![Vec::new(); n];
-                for (k, v) in patch_sum {
-                    per_shard[owner_of[(k >> 32) as usize] as usize].push((k, v));
-                }
-                let reqs = per_shard
-                    .into_iter()
-                    .map(|patches| ShardMsg::Drain { patches })
-                    .collect();
-                next = None;
-                let mut batches = Vec::with_capacity(n);
-                for r in rounds.round(reqs) {
-                    let ShardReply::Drained { batch, next: sn } = r else {
-                        unreachable!("drain reply")
-                    };
-                    next = match (next, sn) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                    batches.push(batch);
-                }
-                merge_drain(stats, tracelog, batches);
-            }
-            // No events remain at or before `t`: advance every shard's
-            // clock to exactly `t` (executes nothing).
-            let _ = rounds.round(vec![ShardMsg::Run { until: t }; n]);
-        });
+        multi::run_until(
+            self.pool,
+            &mut self.shards,
+            &self.owner_of,
+            self.lookahead,
+            t,
+            &mut self.stats,
+            &mut self.tracelog,
+        );
         self.clock = t;
     }
 
@@ -542,96 +466,14 @@ impl Engine {
         self.run_until(self.clock + d);
     }
 
-    // ------------------------------------------------------------ internals
-
-    /// Inline (pool-less) barrier used by `start` and `control_now` in
-    /// sharded mode: exchange any pending cross-shard descriptors and
-    /// drain every shard's buffers into the master copies.
-    fn sync_exchange(&mut self) {
-        let n = self.shards.len();
-        let outboxes: Vec<Vec<Descriptor>> =
-            self.shards.iter_mut().map(|s| s.take_outbox()).collect();
-        let (any, inbound) = route_outboxes(n, &self.owner_of, outboxes);
-        let mut patch_sum: HashMap<u64, u32> = HashMap::new();
-        if any {
-            for (i, batch) in inbound.into_iter().enumerate() {
-                for (k, v) in self.shards[i].expand(batch) {
-                    *patch_sum.entry(k).or_default() += v;
-                }
-            }
-        }
-        let mut per_shard: Vec<Vec<(u64, u32)>> = vec![Vec::new(); n];
-        for (k, v) in patch_sum {
-            per_shard[self.owner_of[(k >> 32) as usize] as usize].push((k, v));
-        }
-        let mut batches = Vec::with_capacity(n);
-        for (i, patches) in per_shard.iter().enumerate() {
-            self.shards[i].apply_patches(patches);
-            batches.push(self.shards[i].take_drain());
-        }
-        merge_drain(&mut self.stats, &mut self.tracelog, batches);
-    }
-}
-
-/// Route each shard's outbound descriptors to their receiving shards:
-/// unicast to the target's owner, multicast to every shard but the
-/// sender (the expander computes its local fan-out, which may be
-/// empty). Each inbound batch is sorted by tag — the order the journal
-/// replay walks it in.
-fn route_outboxes(
-    n: usize,
-    owner_of: &[u32],
-    outboxes: Vec<Vec<Descriptor>>,
-) -> (bool, Vec<Vec<Descriptor>>) {
-    let mut inbound: Vec<Vec<Descriptor>> = (0..n).map(|_| Vec::new()).collect();
-    let mut any = false;
-    for (src_shard, obx) in outboxes.into_iter().enumerate() {
-        for d in obx {
-            any = true;
-            match d.channel {
-                None => inbound[owner_of[d.to.index()] as usize].push(d),
-                Some(_) => {
-                    for (tgt, batch) in inbound.iter_mut().enumerate() {
-                        if tgt != src_shard {
-                            batch.push(d.clone());
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if any {
-        for b in &mut inbound {
-            b.sort_unstable_by_key(|d| d.tag());
-        }
-    }
-    (any, inbound)
-}
-
-/// Merge one barrier's worth of shard drains into the master stats and
-/// trace log. Trace records and observations are tagged with their
-/// global total order; a single sort over the concatenation reproduces
-/// the sequential emission order exactly (tags are unique within a
-/// barrier, so the unstable sort is deterministic).
-fn merge_drain(stats: &mut Stats, tracelog: &mut TraceLog, batches: Vec<DrainBatch>) {
-    let mut trace: Vec<(Tag, TraceEvent)> = Vec::new();
-    let mut obs = Vec::new();
-    for b in batches {
-        trace.extend(b.trace);
-        obs.extend(b.obs);
-        for (h, d) in b.hosts {
-            stats.merge_host(h as usize, &d);
-        }
-        stats.merge_series(b.series_from, &b.series);
-        stats.merge_kinds(b.kinds);
-    }
-    trace.sort_unstable_by_key(|a| a.0);
-    for (tag, ev) in trace {
-        tracelog.push(tag.time, ev);
-    }
-    obs.sort_unstable_by_key(|a| a.0);
-    for (_, ob) in obs {
-        stats.observe(ob);
+    /// The barrier outside an epoch, with several shards.
+    fn sync(&mut self) {
+        multi::sync(
+            &mut self.shards,
+            &self.owner_of,
+            &mut self.stats,
+            &mut self.tracelog,
+        );
     }
 }
 

@@ -31,6 +31,20 @@
 //! ([`EngineConfig::sharding`]): the parallel engine is byte-identical
 //! to the sequential one by construction.
 //!
+//! # What lives where
+//!
+//! | module | owns |
+//! |---|---|
+//! | `engine` | the public facade: [`EngineConfig`], [`Control`], [`Engine`] (builds the shards, routes controls, runs the clock) |
+//! | `shard` | the packet loop: event queue, packet arena, actors and their RNGs, NIC queues, clock skew; send → roll → launch → deliver |
+//! | `shard::fabric` | the network state a packet is judged by (liveness and epochs, subscriptions, loss, link floors and caps, routers, partitions), its fan-out cache, and the rewind/replay journal: each transition one entry with one forward and one inverse |
+//! | `shard::ledger` | where records land: a send, a delivery and a drop each recorded by one method into [`Stats`], telemetry meters and the trace |
+//! | `shard::multi` | everything only the multi-shard epoch protocol uses: descriptors, expansion under journal replay, receiver-count patches, drain and merge |
+//! | [`scheduler`] | the timer wheel, the engine's only event queue |
+//! | `actor` | the sans-io [`Actor`] trait, [`Context`] and [`Effect`] |
+//! | `stats`, [`trace`] | measurement types: [`Stats`], [`Observation`], the trace schema |
+//! | `packet`, `hash` | [`ChannelId`], [`Destination`], [`PacketMeta`]; the integer-key hasher [`IntMap`] |
+//!
 //! ```
 //! use tamp_netsim::{Engine, EngineConfig, Actor, Context, PacketMeta, SECS};
 //! use tamp_topology::generators;
