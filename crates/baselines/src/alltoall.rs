@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use tamp_directory::{DirectoryClient, Provenance, SharedDirectory};
 use tamp_netsim::{Actor, ChannelId, Context, Nanos, PacketMeta, SECS};
-use tamp_wire::{Heartbeat, Message, NodeId, NodeRecord, ServiceDecl};
+use tamp_wire::{Heartbeat, Message, NodeId, NodeRecord, RecordPayload, ServiceDecl};
 
 /// Tunables for one all-to-all node.
 #[derive(Debug, Clone)]
@@ -98,6 +98,42 @@ impl AllToAllNode {
     fn timeout(&self) -> Nanos {
         self.cfg.max_loss as u64 * self.cfg.heartbeat_period
     }
+
+    /// A heartbeat from `from`, carrying the record of `node` at
+    /// `incarnation`: note the sender alive and join or refresh its row.
+    /// `make_record` and `same` are [`tamp_directory::Directory::apply_join_with`]'s
+    /// — a clone and an equality for an owned message, a materialization
+    /// and a borrowed comparison for a wire view.
+    fn on_heartbeat(
+        &mut self,
+        ctx: &mut Context,
+        from: NodeId,
+        node: NodeId,
+        incarnation: u64,
+        make_record: impl FnOnce() -> NodeRecord,
+        same: impl FnOnce(&RecordPayload) -> bool,
+    ) {
+        if from == self.me {
+            return;
+        }
+        let now = ctx.now();
+        self.last_heard.insert(from, now);
+        let (was, applied) = self.directory.update(|d| {
+            let was = d.contains(from);
+            let (a, _) = d.apply_join_with(
+                node,
+                incarnation,
+                Provenance::Direct,
+                now,
+                make_record,
+                same,
+            );
+            (a.changed(), (was, a))
+        });
+        if applied.changed() && !was {
+            ctx.observe_added(from);
+        }
+    }
 }
 
 impl Actor for AllToAllNode {
@@ -133,19 +169,14 @@ impl Actor for AllToAllNode {
 
     fn on_packet(&mut self, ctx: &mut Context, _meta: PacketMeta, msg: &Message) {
         let Message::Heartbeat(hb) = msg else { return };
-        if hb.from == self.me {
-            return;
-        }
-        let now = ctx.now();
-        self.last_heard.insert(hb.from, now);
-        let (was, applied) = self.directory.update(|d| {
-            let was = d.contains(hb.from);
-            let a = d.apply_join(hb.record.clone(), Provenance::Direct, now);
-            (a.changed(), (was, a))
-        });
-        if applied.changed() && !was {
-            ctx.observe_added(hb.from);
-        }
+        self.on_heartbeat(
+            ctx,
+            hb.from,
+            hb.record.node,
+            hb.record.incarnation,
+            || hb.record.clone(),
+            |held| *hb.record == *held,
+        );
     }
 
     /// Zero-copy receive: the protocol is heartbeat-only, and on the
@@ -161,26 +192,14 @@ impl Actor for AllToAllNode {
         let Some(hb) = view.as_heartbeat() else {
             return;
         };
-        if hb.from == self.me {
-            return;
-        }
-        let now = ctx.now();
-        self.last_heard.insert(hb.from, now);
-        let (was, applied) = self.directory.update(|d| {
-            let was = d.contains(hb.from);
-            let (a, _) = d.apply_join_with(
-                hb.record.node,
-                hb.record.incarnation,
-                Provenance::Direct,
-                now,
-                || hb.record.to_record(),
-                |held| hb.record.same_payload(held),
-            );
-            (a.changed(), (was, a))
-        });
-        if applied.changed() && !was {
-            ctx.observe_added(hb.from);
-        }
+        self.on_heartbeat(
+            ctx,
+            hb.from,
+            hb.record.node,
+            hb.record.incarnation,
+            || hb.record.to_record(),
+            |held| hb.record.same_payload(held),
+        );
     }
 
     fn on_timer(&mut self, ctx: &mut Context, token: u64) {

@@ -462,7 +462,6 @@ fn fire(
             if host as usize >= engine.topology().num_hosts() {
                 resolved.push(format!("at {at} skew skipped (no such host)"));
             } else {
-                truth.record_skew(host, ppm);
                 engine.control_now(tamp_netsim::Control::SetSkew(HostId(host), ppm));
                 resolved.push(format!("at {at} skew {host} {ppm}"));
             }

@@ -45,9 +45,6 @@ pub struct GroundTruth {
     /// Times at which any router changed state (down or up). Each change
     /// re-scopes TTL distances, so cross-segment groups re-form around it.
     router_changes: Vec<Nanos>,
-    /// Host index → currently applied clock-skew ppm (informational;
-    /// bounded skew never excuses a removal).
-    skew: BTreeMap<u32, i64>,
 }
 
 impl GroundTruth {
@@ -131,19 +128,6 @@ impl GroundTruth {
     /// A router changed state (either direction) at `at`.
     pub fn record_router_change(&mut self, at: Nanos) {
         self.router_changes.push(at);
-    }
-
-    pub fn record_skew(&mut self, host: u32, ppm: i64) {
-        if ppm == 0 {
-            self.skew.remove(&host);
-        } else {
-            self.skew.insert(host, ppm);
-        }
-    }
-
-    /// Currently applied skew for `host` (0 when unskewed).
-    pub fn skew_of(&self, host: u32) -> i64 {
-        self.skew.get(&host).copied().unwrap_or(0)
     }
 
     pub fn record_loss(&mut self, at: Nanos, rate: f64, duration: Nanos) {
@@ -297,15 +281,11 @@ mod tests {
     }
 
     #[test]
-    fn router_changes_and_skew_are_recorded() {
+    fn router_changes_are_recorded() {
         let mut gt = GroundTruth::new();
         gt.record_router_change(20 * SECS);
         assert!(gt.router_changed_in(15 * SECS, 25 * SECS));
         assert!(!gt.router_changed_in(21 * SECS, 25 * SECS));
-        gt.record_skew(3, -200);
-        assert_eq!(gt.skew_of(3), -200);
-        gt.record_skew(3, 0);
-        assert_eq!(gt.skew_of(3), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::workload::WorkloadConfig;
 use tamp_membership::Probe;
 use tamp_neptune::search::{deploy, SearchOptions};
 use tamp_neptune::TimelineHandle;
-use tamp_netsim::{Engine, EngineConfig, Nanos, ShardingKind, MICROS, SECS};
+use tamp_netsim::{Engine, EngineConfig, Nanos, ShardingKind, MICROS};
 
 /// Knobs for the load scenario. Per DC it runs one generator, two
 /// proxies and [`REPLICAS`] instances of every partition, with a 45 ms
@@ -75,7 +75,6 @@ pub fn build(cfg: &LoadScenarioConfig) -> LoadScenario {
         (cfg.doc_partitions, DOC_TIME),
     ];
     let engine = EngineConfig {
-        series_bucket: SECS,
         metrics: true,
         sharding: cfg.sharding,
         ..Default::default()
@@ -118,6 +117,7 @@ pub fn build(cfg: &LoadScenarioConfig) -> LoadScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tamp_netsim::SECS;
 
     #[test]
     fn scenario_wires_every_role() {

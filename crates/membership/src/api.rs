@@ -57,13 +57,6 @@ impl MService {
         })
     }
 
-    /// Construct from an already-built config (the `control()` path).
-    pub fn with_config(me: NodeId, cfg: MembershipConfig) -> Self {
-        MService {
-            node: MembershipNode::new(me, cfg),
-        }
-    }
-
     /// Publish a service with a partition list, e.g.
     /// `register_service("Retriever", "1-3")`.
     pub fn register_service(&mut self, name: &str, partition: &str) -> Result<(), ServiceError> {

@@ -14,7 +14,7 @@ use crate::router::LoadBalance;
 use crate::timeline::TimelineHandle;
 use tamp_membership::{MembershipConfig, Probe};
 use tamp_netsim::telemetry::Registry;
-use tamp_netsim::{Actor, Engine, EngineConfig, Nanos, MILLIS, SECS};
+use tamp_netsim::{Actor, Engine, EngineConfig, Nanos, MILLIS};
 use tamp_proxy::{ProxyConfig, ProxyNode, RemoteView, VipTable};
 use tamp_topology::{generators, HostId};
 use tamp_wire::{DcId, NodeId, PartitionSet, ServiceDecl};
@@ -95,11 +95,7 @@ pub fn build(opts: &SearchOptions) -> SearchScenario {
         (INDEX_PARTITIONS, opts.index_time),
         (DOC_PARTITIONS, opts.doc_time),
     ];
-    let engine = EngineConfig {
-        series_bucket: SECS,
-        ..Default::default()
-    };
-    deploy(opts, tiers, engine, |_, me, membership| {
+    deploy(opts, tiers, EngineConfig::default(), |_, me, membership| {
         let cfg = GatewayConfig {
             lb: opts.lb,
             ..GatewayConfig::new(membership.clone(), workflow.clone(), opts.arrival_period)

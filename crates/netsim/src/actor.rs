@@ -222,11 +222,6 @@ impl<'a> Context<'a> {
         self.effects.push(Effect::Emit(event));
     }
 
-    /// Deterministic uniform random in `[0, 1)`.
-    pub fn rand_f64(&mut self) -> f64 {
-        self.rng.gen::<f64>()
-    }
-
     /// Deterministic uniform random in `[0, n)`.
     pub fn rand_below(&mut self, n: u64) -> u64 {
         if n == 0 {

@@ -75,8 +75,6 @@ pub const WIRE_TIME_PER_BYTE: SimTime = 80;
 pub struct EngineConfig {
     /// Max uniform random extra latency per delivery (0 = none).
     pub latency_jitter: SimTime,
-    /// Bucket width for the cluster-wide time series (0 = disabled).
-    pub series_bucket: SimTime,
     /// Packet loss model.
     pub loss: LossModel,
     /// Event tracing (off by default; see [`crate::trace`]).
@@ -110,7 +108,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             latency_jitter: 200_000, // 0.2 ms
-            series_bucket: 0,
             loss: LossModel::default(),
             trace: TraceConfig::default(),
             metrics: false,
@@ -163,14 +160,6 @@ pub enum Control {
     RouterDown(u16),
     /// Bring a router back and restore build-time TTL scoping.
     RouterUp(u16),
-    /// Cap the directed inter-segment link (first → second) at
-    /// `bytes_per_sec`: packets crossing it serialize through a queue
-    /// and see buildup delay under contention. 0 removes the cap.
-    SetLinkBandwidth(SegmentId, SegmentId, u64),
-    /// Per-link directional loss: deliveries crossing first → second
-    /// drop with at least this probability (the max of this and the
-    /// global rate applies). 0 removes the entry.
-    SetLinkLoss(SegmentId, SegmentId, f64),
 }
 
 impl Control {
@@ -266,7 +255,7 @@ impl Engine {
             })
             .collect();
         Engine {
-            stats: Stats::new(n, config.series_bucket),
+            stats: Stats::new(n),
             tracelog: TraceLog::new(config.capacity_for_trace()),
             registry,
             shards,
@@ -858,106 +847,6 @@ mod tests {
         let snap = eng.registry().snapshot();
         let unroutable = snap.counter(tamp_telemetry::CLUSTER, "net", "drop.unroutable");
         assert_eq!(unroutable, 1, "unicast unroutable drop not metered");
-    }
-
-    #[test]
-    fn link_bandwidth_queue_builds_up() {
-        // Two hosts across one router; cap the seg0→seg1 link to 100 kB/s
-        // so each ~60 B beacon costs ~0.6 ms of link time. A burst of
-        // sends must arrive serialized through the link queue.
-        use tamp_wire::{NodeId, ServiceRequest};
-        struct BigBurst {
-            deliveries: std::sync::Arc<std::sync::Mutex<Vec<SimTime>>>,
-            sender: bool,
-        }
-        impl Actor for BigBurst {
-            fn on_start(&mut self, ctx: &mut Context) {
-                if self.sender {
-                    ctx.set_timer(SECS, 0);
-                }
-            }
-            fn on_packet(&mut self, ctx: &mut Context, _m: PacketMeta, _msg: &Message) {
-                self.deliveries.lock().unwrap().push(ctx.now());
-            }
-            fn on_timer(&mut self, ctx: &mut Context, _t: u64) {
-                for _ in 0..5 {
-                    ctx.send_unicast(
-                        NodeId(1),
-                        Message::ServiceRequest(ServiceRequest {
-                            id: 0,
-                            from: ctx.node_id(),
-                            service: "x".into(),
-                            partition: 0,
-                            payload: vec![0; 1000],
-                            hops_left: 0,
-                        }),
-                    );
-                }
-            }
-        }
-        let topo = generators::star_of_segments(2, 1);
-        let cfg = EngineConfig {
-            latency_jitter: 0,
-            ..Default::default()
-        };
-        let mut eng = Engine::new(topo, cfg, 1);
-        let deliveries = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let hs = eng.hosts();
-        eng.add_actor(
-            hs[0],
-            Box::new(BigBurst {
-                deliveries: deliveries.clone(),
-                sender: true,
-            }),
-        );
-        eng.add_actor(
-            hs[1],
-            Box::new(BigBurst {
-                deliveries: deliveries.clone(),
-                sender: false,
-            }),
-        );
-        eng.control_now(Control::SetLinkBandwidth(
-            SegmentId(0),
-            SegmentId(1),
-            100_000,
-        ));
-        eng.start();
-        eng.run_until(3 * SECS);
-        let d = deliveries.lock().unwrap();
-        assert_eq!(d.len(), 5);
-        // ~1060 B at 100 kB/s ≈ 10.6 ms per packet of link time — far
-        // above the ~85 µs NIC serialization, so the queue dominates.
-        let gaps: Vec<u64> = d.windows(2).map(|w| w[1] - w[0]).collect();
-        assert!(
-            gaps.iter().all(|&g| g >= 10 * crate::MILLIS),
-            "link queue did not build up: gaps {gaps:?}"
-        );
-    }
-
-    #[test]
-    fn per_link_loss_is_directional() {
-        // Total loss seg0→seg1 only: host 1 hears nothing, host 0 hears
-        // everything.
-        let topo = generators::star_of_segments(2, 1);
-        let mut eng = Engine::new(topo, EngineConfig::default(), 1);
-        let counters: Vec<_> = (0..2).map(|_| counter()).collect();
-        for (i, h) in eng.hosts().into_iter().enumerate() {
-            eng.add_actor(
-                h,
-                Box::new(Beacon {
-                    channel: ChannelId(0),
-                    ttl: 2,
-                    received: counters[i].clone(),
-                    sends: true,
-                }),
-            );
-        }
-        eng.control_now(Control::SetLinkLoss(SegmentId(0), SegmentId(1), 1.0));
-        eng.start();
-        eng.run_until(10 * SECS + 100 * crate::MILLIS);
-        assert_eq!(read(&counters[1]), 0, "lossy direction delivered");
-        assert_eq!(read(&counters[0]), 10, "clean direction dropped");
     }
 
     #[test]

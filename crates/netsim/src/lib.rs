@@ -16,7 +16,7 @@
 //!   network partitions.
 //! * **Accounting**: per-host packets/bytes sent and received, a modeled
 //!   CPU cost per received packet (for the paper's Fig. 2), and
-//!   per-second cluster-wide time series (for Fig. 14).
+//!   cluster-wide packets/bytes sent per message kind.
 //!
 //! Protocol code plugs in via the sans-io [`Actor`] trait: the simulator
 //! calls `on_packet`/`on_timer`, the actor emits effects (send, set
@@ -37,7 +37,7 @@
 //! |---|---|
 //! | `engine` | the public facade: [`EngineConfig`], [`Control`], [`Engine`] (builds the shards, routes controls, runs the clock) |
 //! | `shard` | the packet loop: event queue, packet arena, actors and their RNGs, NIC queues, clock skew; send → roll → launch → deliver |
-//! | `shard::fabric` | the network state a packet is judged by (liveness and epochs, subscriptions, loss, link floors and caps, routers, partitions), its fan-out cache, and the rewind/replay journal: each transition one entry with one forward and one inverse |
+//! | `shard::fabric` | the network state a packet is judged by (liveness and epochs, subscriptions, loss, routers, partitions), its fan-out cache, and the rewind/replay journal: each transition one entry with one forward and one inverse |
 //! | `shard::ledger` | where records land: a send, a delivery and a drop each recorded by one method into [`Stats`], telemetry meters and the trace |
 //! | `shard::multi` | everything only the multi-shard epoch protocol uses: descriptors, expansion under journal replay, receiver-count patches, drain and merge |
 //! | [`scheduler`] | the timer wheel, the engine's only event queue |
@@ -84,7 +84,7 @@ pub use engine::{
 pub use hash::{IntHasher, IntMap};
 pub use packet::{ChannelId, Destination, PacketMeta};
 pub use scheduler::SchedulerKind;
-pub use stats::{HostStats, Observation, ObservationKind, SeriesPoint, Stats};
+pub use stats::{HostStats, Observation, ObservationKind, Stats};
 pub use trace::{DropReason, ProtocolEvent, TraceConfig, TraceEvent, TraceLog, TraceRecord};
 
 /// The shared observability substrate (re-exported so drivers can name

@@ -14,9 +14,9 @@
 //! # One queue entry per packet in flight
 //!
 //! A send — local, or a descriptor expanded at the barrier — rolls every
-//! receiver on the spot (ascending receiver order; loss, jitter, link
-//! queues, send-time drop records), but queues only the *earliest*
-//! delivery. The others wait with the packet in [`PktArena`], sorted by
+//! receiver on the spot (ascending receiver order; loss, jitter,
+//! send-time drop records), but queues only the *earliest* delivery.
+//! The others wait with the packet in [`PktArena`], sorted by
 //! `(deliver_at, receiver)`, and each delivery queues the next as it
 //! fires, under the same seq ([`Shard::launch`], [`Shard::deliver`]).
 //! The event order is the one eager per-receiver events would give:
@@ -45,7 +45,6 @@ use crate::trace::{DropReason, TraceEvent, TraceLog};
 use crate::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::sync::Arc;
 use tamp_telemetry::Registry;
 use tamp_topology::{HostId, Topology};
@@ -245,9 +244,6 @@ pub(crate) struct Shard {
     /// Reusable buffer for the frame of a packet's only or last delivery
     /// (wire-codec mode).
     frame_buf: Vec<u8>,
-    /// Reusable per-send map of link-queue delay already charged to a
-    /// directed segment pair (one multicast crosses each link once).
-    link_extra_buf: HashMap<(u16, u16), SimTime>,
     effects_buf: Vec<Effect>,
 }
 
@@ -286,7 +282,6 @@ impl Shard {
             outbox: Vec::new(),
             deliver_buf: Vec::new(),
             frame_buf: Vec::new(),
-            link_extra_buf: HashMap::new(),
             effects_buf: Vec::new(),
         }
     }
@@ -620,7 +615,6 @@ impl Shard {
         pkt: Pkt,
         receivers: impl IntoIterator<Item = HostId>,
     ) {
-        self.link_extra_buf.clear();
         let mut rolled = std::mem::take(&mut self.deliver_buf);
         debug_assert!(rolled.is_empty());
         for to in receivers {
@@ -643,9 +637,9 @@ impl Shard {
         self.deliver_buf = rolled;
     }
 
-    /// Roll loss, jitter and link queueing for one receiver; returns the
-    /// delivery time, or `None` when the packet drops at send time (the
-    /// drop is recorded tagged `sub = to + 1`).
+    /// Roll loss and jitter for one receiver; returns the delivery time,
+    /// or `None` when the packet drops at send time (the drop is recorded
+    /// tagged `sub = to + 1`).
     fn roll_delivery(
         &mut self,
         pkt: &Pkt,
@@ -659,7 +653,7 @@ impl Shard {
         let dropped = if !self.fabric.routable(src, to) {
             Some(DropReason::Unroutable)
         } else {
-            let p = self.fabric.loss_between(src, to);
+            let p = self.fabric.loss();
             (p > 0.0 && self.noise_f64(src, act, to, SALT_LOSS) < p).then_some(DropReason::Loss)
         };
         if let Some(reason) = dropped {
@@ -677,11 +671,7 @@ impl Shard {
         } else {
             0
         };
-        let depart = pkt.sent_at + serialize;
-        let queued = self
-            .fabric
-            .link_delay(src, to, depart, pkt.size, &mut self.link_extra_buf);
-        Some(depart + self.fabric.topo.latency(src, to) + jitter + queued)
+        Some(pkt.sent_at + serialize + self.fabric.topo.latency(src, to) + jitter)
     }
 
     fn noise(&self, src: HostId, act: u32, to: HostId, salt: u64) -> u64 {

@@ -1,8 +1,7 @@
 //! The fabric: the network state a packet is judged by — host liveness
-//! and epochs, channel subscriptions, the base loss rate, per-link loss
-//! floors, link caps with their transmit queues, router health (kept in
-//! the shard's copy of the topology) and segment partitions — plus the
-//! fan-out lists derived from it.
+//! and epochs, channel subscriptions, the loss rate, router health (kept
+//! in the shard's copy of the topology) and segment partitions — plus
+//! the fan-out lists derived from it.
 //!
 //! # The journal
 //!
@@ -18,21 +17,13 @@
 //! descriptor walk, brings it back to the live state. Partitions are not
 //! journaled: they are checked when a packet arrives, never when it is
 //! sent.
-//!
-//! One asymmetry: removing a cap drains the link's queue (`link_free`).
-//! Live, the removal clears the queue of any link. Replay clears and
-//! restores only the queues of cross-shard links, whose one writer is
-//! descriptor expansion — the walk the replay is interleaved with. An
-//! intra-shard queue is written by the live send path, in order already,
-//! and replay leaves it alone.
 
 use super::Tag;
 use crate::engine::Control;
 use crate::hash::IntMap;
 use crate::packet::ChannelId;
 use crate::trace::DropReason;
-use crate::SimTime;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 use tamp_topology::{HostId, RouterId, SegmentId, Topology};
 
@@ -49,22 +40,8 @@ pub(super) enum JEntry {
         h: HostId,
         added: bool,
     },
-    /// Base loss rate change.
+    /// Loss rate change.
     Loss { old: f64, new: f64 },
-    /// Per-link loss floor change (`None` = no floor).
-    LinkLoss {
-        key: Link,
-        old: Option<f64>,
-        new: Option<f64>,
-    },
-    /// Per-link cap change (`None` = uncapped). `old_free` is the link's
-    /// queue before a cap removal drained it.
-    LinkBw {
-        key: Link,
-        old: Option<u64>,
-        new: Option<u64>,
-        old_free: Option<SimTime>,
-    },
     /// Router went down (`down`) or came back up.
     Router { r: u16, down: bool },
     /// Host was killed (`killed`) or revived; bumps its epoch.
@@ -95,15 +72,6 @@ pub(super) struct Fabric {
     /// segment? Dropped with `fanout` on router changes.
     reach: IntMap<(u16, u8), bool>,
     loss: f64,
-    /// Directed per-link loss floors (max of this and the base rate).
-    link_loss: HashMap<Link, f64>,
-    /// Directed inter-segment link caps in bytes/sec, and when each
-    /// capped link's transmit queue drains. With several shards every
-    /// queue has one writer: the shard owning the destination segment
-    /// (on the send path for an intra-shard link, in descriptor
-    /// expansion for a cross-shard one).
-    link_bw: HashMap<Link, u64>,
-    link_free: HashMap<Link, SimTime>,
     blocked: HashSet<Link>,
     /// Gray partitions: directed pairs severed in that direction only.
     gray_blocked: HashSet<Link>,
@@ -119,14 +87,6 @@ fn toggle(set: &mut HashSet<Link>, key: Link, on: bool) {
     } else {
         set.remove(&key);
     }
-}
-
-/// `map[key] = v`, or no entry for `None`.
-fn set_or_remove<V>(map: &mut HashMap<Link, V>, key: Link, v: Option<V>) {
-    let _ = match v {
-        Some(v) => map.insert(key, v),
-        None => map.remove(&key),
-    };
 }
 
 impl Fabric {
@@ -146,9 +106,6 @@ impl Fabric {
             fanout: IntMap::default(),
             reach: IntMap::default(),
             loss,
-            link_loss: HashMap::new(),
-            link_bw: HashMap::new(),
-            link_free: HashMap::new(),
             blocked: HashSet::new(),
             gray_blocked: HashSet::new(),
             journal: journaled.then(Vec::new),
@@ -206,36 +163,6 @@ impl Fabric {
                 }
                 self.commit(at, JEntry::Router { r, down });
             }
-            Control::SetLinkBandwidth(from, to, bytes_per_sec) => {
-                let key = (from.0, to.0);
-                let new = (bytes_per_sec != 0).then_some(bytes_per_sec);
-                let old = self.link_bw.get(&key).copied();
-                let old_free = self.link_free.get(&key).copied();
-                self.commit(
-                    at,
-                    JEntry::LinkBw {
-                        key,
-                        old,
-                        new,
-                        old_free,
-                    },
-                );
-                if new.is_none() {
-                    // `redo` drains only the queues replay owns (module
-                    // docs); live, the queue goes with the cap.
-                    self.link_free.remove(&key);
-                }
-            }
-            Control::SetLinkLoss(from, to, rate) => {
-                let key = (from.0, to.0);
-                let new = if rate <= 0.0 {
-                    None
-                } else {
-                    Some(rate.clamp(0.0, 1.0))
-                };
-                let old = self.link_loss.get(&key).copied();
-                self.commit(at, JEntry::LinkLoss { key, old, new });
-            }
         }
         true
     }
@@ -263,13 +190,6 @@ impl Fabric {
         match *e {
             JEntry::Sub { ch, h, added } => self.set_sub(ch, h, added),
             JEntry::Loss { new, .. } => self.loss = new,
-            JEntry::LinkLoss { key, new, .. } => set_or_remove(&mut self.link_loss, key, new),
-            JEntry::LinkBw { key, new, .. } => {
-                set_or_remove(&mut self.link_bw, key, new);
-                if new.is_none() && self.is_cross_shard(key) {
-                    self.link_free.remove(&key);
-                }
-            }
             JEntry::Router { r, down } => self.set_router_state(r, down),
             JEntry::LifeCycle { h, killed } => {
                 self.alive[h.index()] = !killed;
@@ -283,20 +203,6 @@ impl Fabric {
         match *e {
             JEntry::Sub { ch, h, added } => self.set_sub(ch, h, !added),
             JEntry::Loss { old, .. } => self.loss = old,
-            JEntry::LinkLoss { key, old, .. } => set_or_remove(&mut self.link_loss, key, old),
-            JEntry::LinkBw {
-                key,
-                old,
-                new,
-                old_free,
-            } => {
-                set_or_remove(&mut self.link_bw, key, old);
-                if new.is_none() && self.is_cross_shard(key) {
-                    if let Some(f) = old_free {
-                        self.link_free.insert(key, f);
-                    }
-                }
-            }
             JEntry::Router { r, down } => self.set_router_state(r, !down),
             JEntry::LifeCycle { h, killed } => {
                 self.alive[h.index()] = killed;
@@ -325,12 +231,6 @@ impl Fabric {
         // Every cached scope was computed under the old routing.
         self.fanout.clear();
         self.reach.clear();
-    }
-
-    /// Is the queue of link `key` journaled state? Only a cross-shard
-    /// link's is (module docs).
-    fn is_cross_shard(&self, key: Link) -> bool {
-        self.shard_of_seg[key.0 as usize] != self.shard_of_seg[key.1 as usize]
     }
 
     // ---------------------------------------------------------- queries
@@ -380,49 +280,10 @@ impl Fabric {
         }
     }
 
-    /// The loss probability of a delivery from `src` to `to`: the base
-    /// rate, or the link's floor when that is higher.
+    /// The probability that one delivery is lost.
     #[inline]
-    pub(super) fn loss_between(&self, src: HostId, to: HostId) -> f64 {
-        let mut p = self.loss;
-        if !self.link_loss.is_empty() {
-            let (sa, sb) = (self.topo.segment_of(src).0, self.topo.segment_of(to).0);
-            if sa != sb {
-                if let Some(&floor) = self.link_loss.get(&(sa, sb)) {
-                    p = p.max(floor);
-                }
-            }
-        }
-        p
-    }
-
-    /// The queueing delay a packet of `size` bytes leaving `src` at
-    /// `depart` picks up on a capped link to `to`'s segment (0 when
-    /// uncapped). One multicast occupies a link once: `charged` holds
-    /// what this send already paid per link, and every receiver behind
-    /// the link shares it.
-    #[inline]
-    pub(super) fn link_delay(
-        &mut self,
-        src: HostId,
-        to: HostId,
-        depart: SimTime,
-        size: u32,
-        charged: &mut HashMap<Link, SimTime>,
-    ) -> SimTime {
-        if self.link_bw.is_empty() {
-            return 0;
-        }
-        let key = (self.topo.segment_of(src).0, self.topo.segment_of(to).0);
-        let Some(&bw) = self.link_bw.get(&key).filter(|_| key.0 != key.1) else {
-            return 0;
-        };
-        *charged.entry(key).or_insert_with(|| {
-            let start = depart.max(self.link_free.get(&key).copied().unwrap_or(0));
-            let tx = (size as u128 * 1_000_000_000 / bw as u128) as SimTime;
-            self.link_free.insert(key, start + tx);
-            start + tx - depart
-        })
+    pub(super) fn loss(&self) -> f64 {
+        self.loss
     }
 
     /// The *local* subscriber list a multicast from `src_seg` reaches,
@@ -519,18 +380,8 @@ mod tests {
         epoch: Vec<u32>,
         subs: Vec<(SegmentId, ChannelId, HostId)>,
         loss: f64,
-        link_loss: Vec<(Link, f64)>,
-        link_bw: Vec<(Link, u64)>,
-        /// Only the cross-shard queues are journaled state.
-        cross_free: Vec<(Link, SimTime)>,
         routers_up: Vec<bool>,
         fanout: Vec<Vec<HostId>>,
-    }
-
-    fn sorted<V: Copy>(map: &HashMap<Link, V>) -> Vec<(Link, V)> {
-        let mut v: Vec<(Link, V)> = map.iter().map(|(&k, &v)| (k, v)).collect();
-        v.sort_by_key(|e| e.0);
-        v
     }
 
     fn snapshot(f: &mut Fabric) -> Snapshot {
@@ -544,8 +395,6 @@ mod tests {
                 list
             })
             .collect();
-        let mut cross_free = sorted(&f.link_free);
-        cross_free.retain(|&(key, _)| f.is_cross_shard(key));
         Snapshot {
             alive: f.alive.clone(),
             epoch: f.epoch.clone(),
@@ -555,9 +404,6 @@ mod tests {
                 .flat_map(|(&(seg, ch), set)| set.iter().map(move |&h| (seg, ch, h)))
                 .collect(),
             loss: f.loss,
-            link_loss: sorted(&f.link_loss),
-            link_bw: sorted(&f.link_bw),
-            cross_free,
             routers_up: (0..f.topo.num_routers() as u16)
                 .map(|r| f.topo.router_is_up(RouterId(r)))
                 .collect(),
@@ -565,17 +411,10 @@ mod tests {
         }
     }
 
-    /// A live send of 1000 B from `src` to `to` at t = 0: writes the
-    /// queue of the capped link between their segments.
-    fn send(f: &mut Fabric, src: u32, to: u32) -> SimTime {
-        f.link_delay(HostId(src), HostId(to), 0, 1_000, &mut HashMap::new())
-    }
-
     #[test]
     fn journal_undoes_to_epoch_start_and_redoes_to_live_state() {
         // Four segments of three hosts (segment s holds hosts 3s..3s+2)
-        // around one router; segments 0 and 1 are this shard's, 2 and 3
-        // the other's. Link 1→0 is intra-shard, links 2→0 and 3→0 cross.
+        // around one router, split over two shards.
         let topo = Arc::new(generators::star_of_segments(4, 3));
         let mut f = Fabric::new(topo, Arc::new(vec![0, 0, 1, 1]), 0.0, true);
         let mut step = 0;
@@ -586,22 +425,12 @@ mod tests {
                 ..Tag::default()
             }
         };
-        let (s0, s1, s2, s3) = (SegmentId(0), SegmentId(1), SegmentId(2), SegmentId(3));
         let (ch7, ch8) = (ChannelId(7), ChannelId(8));
         // The epoch-start state.
         for (h, ch) in [(0, ch7), (1, ch7), (1, ch8), (3, ch7), (6, ch7)] {
             f.subscribe(at(), HostId(h), ch, true);
         }
-        for c in [
-            Control::SetLoss(0.1),
-            Control::SetLinkLoss(s1, s0, 0.2),
-            Control::SetLinkBandwidth(s1, s0, 1_000_000),
-            Control::SetLinkBandwidth(s2, s0, 1_000_000),
-        ] {
-            f.control(at(), c);
-        }
-        send(&mut f, 3, 0);
-        send(&mut f, 6, 0);
+        f.control(at(), Control::SetLoss(0.1));
         f.journal.as_mut().unwrap().clear();
         let start = snapshot(&mut f);
 
@@ -619,22 +448,12 @@ mod tests {
         let (mid_tag, mid) = (at(), snapshot(&mut f));
         for c in [
             Control::SetLoss(0.5),
-            Control::SetLinkLoss(s0, s2, 0.3),
-            Control::SetLinkLoss(s1, s0, 0.0),
-            Control::SetLinkBandwidth(s1, s0, 0),
-            Control::SetLinkBandwidth(s2, s0, 0),
-            Control::SetLinkBandwidth(s3, s0, 500_000),
-            Control::SetLinkBandwidth(s1, s0, 2_000_000),
             Control::RouterDown(0),
             Control::RouterUp(0),
             Control::RouterDown(0),
         ] {
             assert!(f.control(at(), c), "{c:?} changed nothing");
         }
-        // A send after the re-cap: the intra-shard queue is live state,
-        // written in order, which replay must leave alone.
-        send(&mut f, 4, 0);
-        let intra_free = f.link_free[&(1, 0)];
         let live = snapshot(&mut f);
         assert_ne!(live, start);
 
@@ -645,13 +464,11 @@ mod tests {
                 JEntry::Sub { added: true, .. } => "subscribe",
                 JEntry::Sub { added: false, .. } => "unsubscribe",
                 JEntry::Loss { .. } => "loss",
-                JEntry::LinkLoss { .. } => "link loss",
-                JEntry::LinkBw { .. } => "link cap",
                 JEntry::Router { .. } => "router",
                 JEntry::LifeCycle { .. } => "life cycle",
             })
             .collect();
-        assert_eq!(kinds.len(), 7, "the script misses a transition: {kinds:?}");
+        assert_eq!(kinds.len(), 5, "the script misses a transition: {kinds:?}");
         for (_, e) in journal.iter().rev() {
             f.undo(e);
         }
@@ -659,11 +476,6 @@ mod tests {
             snapshot(&mut f),
             start,
             "undo did not rewind to the epoch start"
-        );
-        assert_eq!(
-            f.link_free[&(1, 0)],
-            intra_free,
-            "undo touched an intra-shard queue"
         );
         // Redo in two legs, as the descriptor walk does.
         let (before, after): (Vec<_>, Vec<_>) = journal.iter().partition(|(tag, _)| *tag < mid_tag);
@@ -682,11 +494,6 @@ mod tests {
             snapshot(&mut f),
             live,
             "redo did not return to the live state"
-        );
-        assert_eq!(
-            f.link_free[&(1, 0)],
-            intra_free,
-            "redo touched an intra-shard queue"
         );
     }
 }

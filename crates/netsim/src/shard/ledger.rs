@@ -124,7 +124,7 @@ impl Ledger {
         Ledger {
             filter: cfg.trace.clone(),
             global: !multi || id == 0,
-            stats: Stats::new(n, cfg.series_bucket),
+            stats: Stats::new(n),
             tracelog: TraceLog::new(if multi { 0 } else { cfg.capacity_for_trace() }),
             meters: cfg.metrics.then(|| NetMeters::new(&registry, n)),
             registry,
@@ -169,12 +169,6 @@ impl Ledger {
             Control::UnblockDirection(a, b) => net("gray-heal", format!("seg{}→seg{}", a.0, b.0)),
             Control::RouterDown(r) => net("router-down", format!("r{r}")),
             Control::RouterUp(r) => net("router-up", format!("r{r}")),
-            Control::SetLinkBandwidth(a, b, bps) => {
-                net("bandwidth", format!("seg{}→seg{} {bps} B/s", a.0, b.0))
-            }
-            Control::SetLinkLoss(a, b, rate) => {
-                net("link-loss", format!("seg{}→seg{} rate={rate:.3}", a.0, b.0))
-            }
         };
         if self.global || c.host().is_some() {
             self.trace(at, ev);
@@ -210,7 +204,7 @@ impl Ledger {
         receivers: u32,
     ) -> Option<u32> {
         let kind = KINDS[kind_index];
-        self.stats.on_send(at.time, src, size as u64, kind_index);
+        self.stats.on_send(src, size as u64, kind_index);
         self.note(src);
         if let Some(m) = &mut self.meters {
             let hm = &m.hosts[src.index()];
@@ -255,7 +249,7 @@ impl Ledger {
     #[inline]
     pub(super) fn delivered(&mut self, at: Tag, to: HostId, pkt: &Pkt) {
         let cpu = CPU_PER_PACKET + CPU_PER_BYTE * pkt.size as u64;
-        self.stats.on_recv(at.time, to, pkt.size as u64, cpu);
+        self.stats.on_recv(to, pkt.size as u64, cpu);
         self.note(to);
         if let Some(m) = &self.meters {
             let hm = &m.hosts[to.index()];

@@ -32,10 +32,10 @@
 //!   per-host action counter)`. None of these depend on global
 //!   execution interleaving, so any shard can reproduce exactly the
 //!   values the sequential engine would have produced.
-//! * **A rewind/replay journal.** Loss, per-link state, router health,
-//!   subscriptions and host liveness may change *during* an epoch, and
-//!   a descriptor from time `t` must be expanded under the state that
-//!   held at `t`. The fabric journals those changes with their tags
+//! * **A rewind/replay journal.** Loss, router health, subscriptions
+//!   and host liveness may change *during* an epoch, and a descriptor
+//!   from time `t` must be expanded under the state that held at `t`.
+//!   The fabric journals those changes with their tags
 //!   ([`super::fabric`]); at the barrier the shard rewinds to the
 //!   epoch-start state and replays the entries in tag order,
 //!   interleaved with the descriptor walk.
@@ -45,7 +45,7 @@ use super::ledger::Ledger;
 use super::{Pkt, Shard, Tag};
 use crate::hash::IntMap;
 use crate::packet::Destination;
-use crate::stats::{HostStats, Observation, SeriesPoint, Stats};
+use crate::stats::{HostStats, Observation, Stats};
 use crate::trace::{TraceEvent, TraceLog};
 use crate::SimTime;
 use std::collections::HashMap;
@@ -104,9 +104,6 @@ struct DrainBatch {
     obs: Vec<(Tag, Observation)>,
     /// `(host index, delta)` for hosts touched this epoch.
     hosts: Vec<(u32, HostStats)>,
-    /// First bucket index of `series`.
-    series_from: usize,
-    series: Vec<SeriesPoint>,
     kinds: Vec<(usize, (u64, u64))>,
 }
 
@@ -122,8 +119,6 @@ pub(super) struct Pending {
     /// Hosts whose stats changed this epoch (delta-drain bookkeeping).
     dirty: Vec<bool>,
     dirty_hosts: Vec<u32>,
-    /// First series bucket not yet drained.
-    series_from: usize,
 }
 
 impl Pending {
@@ -171,7 +166,7 @@ impl Ledger {
     /// Take everything held since the last drain. Trace and observation
     /// batches are tag-stamped but *unsorted* (expansion records
     /// interleave); the facade sorts the merged batch.
-    fn drain(&mut self, clock: SimTime, patches: &[(u64, u32)]) -> DrainBatch {
+    fn drain(&mut self, patches: &[(u64, u32)]) -> DrainBatch {
         let p = self
             .pending
             .as_mut()
@@ -189,17 +184,10 @@ impl Ledger {
             p.dirty[h as usize] = false;
             hosts.push((h, self.stats.take_host(h as usize)));
         }
-        let series_from = p.series_from;
-        let series = self.stats.drain_series(series_from);
-        if let Some(q) = clock.checked_div(self.stats.series_bucket()) {
-            p.series_from = q as usize;
-        }
         DrainBatch {
             trace: std::mem::take(&mut p.trace),
             obs: std::mem::take(&mut p.obs),
             hosts,
-            series_from,
-            series,
             kinds: self.stats.take_kinds(),
         }
     }
@@ -220,7 +208,7 @@ impl Shard {
             },
             ShardMsg::Drain { patches } => {
                 shard.fabric.take_journal();
-                let batch = shard.ledger.drain(shard.clock, &patches);
+                let batch = shard.ledger.drain(&patches);
                 ShardReply::Drained {
                     batch,
                     next: shard.next_time(),
@@ -458,7 +446,6 @@ fn merge_drain(stats: &mut Stats, tracelog: &mut TraceLog, batches: Vec<DrainBat
         for (h, d) in b.hosts {
             stats.merge_host(h as usize, &d);
         }
-        stats.merge_series(b.series_from, &b.series);
         stats.merge_kinds(b.kinds);
     }
     trace.sort_unstable_by_key(|a| a.0);

@@ -1,4 +1,4 @@
-//! Measurement: per-host counters, cluster time series, and protocol
+//! Measurement: per-host counters, sends by message kind, and protocol
 //! observations.
 
 use crate::SimTime;
@@ -20,15 +20,6 @@ pub struct HostStats {
     pub dropped_pkts: u64,
     /// Modeled CPU time spent processing received packets.
     pub cpu_ns: u64,
-}
-
-/// One point of the per-second cluster-wide series.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SeriesPoint {
-    pub recv_pkts: u64,
-    pub recv_bytes: u64,
-    pub sent_pkts: u64,
-    pub sent_bytes: u64,
 }
 
 /// What a protocol observation reports.
@@ -59,9 +50,6 @@ pub struct Observation {
 #[derive(Debug, Clone)]
 pub struct Stats {
     per_host: Vec<HostStats>,
-    /// Cluster-wide series bucketed by `bucket` ns (0 = disabled).
-    bucket: SimTime,
-    series: Vec<SeriesPoint>,
     observations: Vec<Observation>,
     /// Cluster-wide `(packets, bytes)` sent per message kind, indexed by
     /// `Message::kind_index` — lets experiments attribute traffic to
@@ -70,50 +58,29 @@ pub struct Stats {
 }
 
 impl Stats {
-    pub(crate) fn new(num_hosts: usize, bucket: SimTime) -> Self {
+    pub(crate) fn new(num_hosts: usize) -> Self {
         Stats {
             per_host: vec![HostStats::default(); num_hosts],
-            bucket,
-            series: Vec::new(),
             observations: Vec::new(),
             sent_by_kind: Kinds::default(),
         }
     }
 
-    fn bucket_at(&mut self, t: SimTime) -> Option<&mut SeriesPoint> {
-        if self.bucket == 0 {
-            return None;
-        }
-        let idx = (t / self.bucket) as usize;
-        if self.series.len() <= idx {
-            self.series.resize(idx + 1, SeriesPoint::default());
-        }
-        Some(&mut self.series[idx])
-    }
-
     /// One send of `bytes`, of the kind at `kind` in [`KINDS`].
-    pub(crate) fn on_send(&mut self, t: SimTime, host: HostId, bytes: u64, kind: usize) {
+    pub(crate) fn on_send(&mut self, host: HostId, bytes: u64, kind: usize) {
         let s = &mut self.per_host[host.index()];
         s.sent_pkts += 1;
         s.sent_bytes += bytes;
         let k = &mut self.sent_by_kind[kind];
         k.0 += 1;
         k.1 += bytes;
-        if let Some(b) = self.bucket_at(t) {
-            b.sent_pkts += 1;
-            b.sent_bytes += bytes;
-        }
     }
 
-    pub(crate) fn on_recv(&mut self, t: SimTime, host: HostId, bytes: u64, cpu_ns: u64) {
+    pub(crate) fn on_recv(&mut self, host: HostId, bytes: u64, cpu_ns: u64) {
         let s = &mut self.per_host[host.index()];
         s.recv_pkts += 1;
         s.recv_bytes += bytes;
         s.cpu_ns += cpu_ns;
-        if let Some(b) = self.bucket_at(t) {
-            b.recv_pkts += 1;
-            b.recv_bytes += bytes;
-        }
     }
 
     pub(crate) fn on_drop(&mut self, host: HostId) {
@@ -141,16 +108,6 @@ impl Stats {
             t.cpu_ns += s.cpu_ns;
         }
         t
-    }
-
-    /// The cluster-wide bucketed series (empty if disabled).
-    pub fn series(&self) -> &[SeriesPoint] {
-        &self.series
-    }
-
-    /// Bucket width of the series in ns (0 = disabled).
-    pub fn series_bucket(&self) -> SimTime {
-        self.bucket
     }
 
     /// All protocol observations in timestamp order (engine processes
@@ -248,47 +205,6 @@ impl Stats {
         s.cpu_ns += d.cpu_ns;
     }
 
-    /// Clone the series tail starting at bucket `from` and zero it in
-    /// place — length is kept so later buckets land at their absolute
-    /// index. The boundary bucket may be drained twice (pre- and
-    /// post-barrier increments); the merge adds both halves.
-    pub(crate) fn drain_series(&mut self, from: usize) -> Vec<SeriesPoint> {
-        if from >= self.series.len() {
-            return Vec::new();
-        }
-        let mut out = self.series[from..].to_vec();
-        for p in &mut self.series[from..] {
-            *p = SeriesPoint::default();
-        }
-        // Trim trailing all-zero points: the sequential series always
-        // ends at the last bucket an increment touched, and shipping
-        // zero tails (possible after `reset_traffic`) would leave the
-        // master copy longer than that.
-        while out.last().is_some_and(|p| {
-            p.recv_pkts == 0 && p.recv_bytes == 0 && p.sent_pkts == 0 && p.sent_bytes == 0
-        }) {
-            out.pop();
-        }
-        out
-    }
-
-    /// Add series deltas starting at bucket `from`.
-    pub(crate) fn merge_series(&mut self, from: usize, pts: &[SeriesPoint]) {
-        if pts.is_empty() {
-            return;
-        }
-        if self.series.len() < from + pts.len() {
-            self.series.resize(from + pts.len(), SeriesPoint::default());
-        }
-        for (i, p) in pts.iter().enumerate() {
-            let b = &mut self.series[from + i];
-            b.recv_pkts += p.recv_pkts;
-            b.recv_bytes += p.recv_bytes;
-            b.sent_pkts += p.sent_pkts;
-            b.sent_bytes += p.sent_bytes;
-        }
-    }
-
     /// Take the per-kind send counters as a delta, clearing them: the
     /// kinds sent at least once, by place in [`KINDS`], in name order.
     pub(crate) fn take_kinds(&mut self) -> Vec<(usize, (u64, u64))> {
@@ -308,13 +224,12 @@ impl Stats {
         }
     }
 
-    /// Reset traffic counters and series (observations kept). Used by the
-    /// harness to measure only the steady-state window of a run.
+    /// Reset traffic counters (observations kept). Used by the harness
+    /// to measure only the steady-state window of a run.
     pub fn reset_traffic(&mut self) {
         for s in &mut self.per_host {
             *s = HostStats::default();
         }
-        self.series.clear();
         self.sent_by_kind = Kinds::default();
     }
 }
@@ -329,10 +244,10 @@ mod tests {
 
     #[test]
     fn totals_add_up() {
-        let mut s = Stats::new(2, 0);
-        s.on_send(0, HostId(0), 100, kind("heartbeat"));
-        s.on_recv(0, HostId(1), 100, 5_000);
-        s.on_recv(1, HostId(1), 50, 5_000);
+        let mut s = Stats::new(2);
+        s.on_send(HostId(0), 100, kind("heartbeat"));
+        s.on_recv(HostId(1), 100, 5_000);
+        s.on_recv(HostId(1), 50, 5_000);
         s.on_drop(HostId(0));
         let t = s.totals();
         assert_eq!(t.sent_pkts, 1);
@@ -344,28 +259,8 @@ mod tests {
     }
 
     #[test]
-    fn series_buckets_by_time() {
-        let mut s = Stats::new(1, 10);
-        s.on_recv(0, HostId(0), 1, 0);
-        s.on_recv(9, HostId(0), 1, 0);
-        s.on_recv(10, HostId(0), 1, 0);
-        s.on_recv(25, HostId(0), 1, 0);
-        assert_eq!(s.series().len(), 3);
-        assert_eq!(s.series()[0].recv_pkts, 2);
-        assert_eq!(s.series()[1].recv_pkts, 1);
-        assert_eq!(s.series()[2].recv_pkts, 1);
-    }
-
-    #[test]
-    fn series_disabled_when_bucket_zero() {
-        let mut s = Stats::new(1, 0);
-        s.on_recv(5, HostId(0), 1, 0);
-        assert!(s.series().is_empty());
-    }
-
-    #[test]
     fn removal_queries() {
-        let mut s = Stats::new(3, 0);
+        let mut s = Stats::new(3);
         let subject = NodeId(2);
         s.observe(Observation {
             time: 10,
@@ -394,33 +289,32 @@ mod tests {
 
     #[test]
     fn reset_traffic_keeps_observations() {
-        let mut s = Stats::new(1, 10);
-        s.on_recv(0, HostId(0), 10, 10);
+        let mut s = Stats::new(1);
+        s.on_recv(HostId(0), 10, 10);
         s.observe(Observation {
             time: 1,
             observer: HostId(0),
             kind: ObservationKind::Added(NodeId(1)),
         });
-        s.on_send(2, HostId(0), 10, kind("update"));
+        s.on_send(HostId(0), 10, kind("update"));
         assert_eq!(s.sent_of_kind("update"), (1, 10));
         s.reset_traffic();
         assert_eq!(s.totals().recv_bytes, 0);
         assert_eq!(s.sent_of_kind("update"), (0, 0));
-        assert!(s.series().is_empty());
         assert_eq!(s.observations().len(), 1);
     }
 
     #[test]
     fn sends_by_kind_lists_sent_kinds_in_name_order() {
-        let mut s = Stats::new(1, 0);
+        let mut s = Stats::new(1);
         assert_eq!(s.sends_by_kind().count(), 0);
         for (name, bytes) in [("update", 7), ("heartbeat", 5), ("update", 3)] {
-            s.on_send(0, HostId(0), bytes, kind(name));
+            s.on_send(HostId(0), bytes, kind(name));
         }
         let seen: Vec<_> = s.sends_by_kind().collect();
         assert_eq!(seen, [("heartbeat", (1, 5)), ("update", (2, 10))]);
         assert_eq!(s.sent_of_kind("no-such-kind"), (0, 0));
-        let mut merged = Stats::new(1, 0);
+        let mut merged = Stats::new(1);
         merged.merge_kinds(s.take_kinds());
         assert_eq!(merged.sends_by_kind().collect::<Vec<_>>(), seen);
         assert_eq!(s.sends_by_kind().count(), 0);

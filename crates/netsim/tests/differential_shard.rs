@@ -1,15 +1,15 @@
 //! The sharded-engine lock: running the simulation partitioned across
 //! shards (at any shard count, on any pool width) must be
 //! **byte-identical** to the sequential engine — same traces, same
-//! per-host stats, same series, same observations, same telemetry.
+//! per-host stats, same per-second series, same observations, same
+//! telemetry.
 //!
 //! The fingerprint below serializes every externally visible output of
 //! a run; the grid compares it across `ShardingKind::Sequential` and
 //! `Sharded(k)` for k ∈ {1, 2, 4, 8} and pool widths {1, 2, 5}, over
 //! three topology sizes and ten seeds, under a fault script that
 //! exercises every control the engine has (kill + revive mid-run, loss
-//! changes, a gray partition, a router flap, link bandwidth caps, clock
-//! skew). A WAN scenario locks the multi-datacenter sharding case the
+//! changes, a gray partition, a router flap, clock skew). A WAN scenario locks the multi-datacenter sharding case the
 //! feature exists for, and a proptest pins the planner's lookahead as a
 //! true lower bound on every cross-shard delivery latency — the safety
 //! invariant the epoch protocol rests on.
@@ -86,7 +86,6 @@ impl Actor for Chatter {
 fn config(sharding: ShardingKind, jobs: usize) -> EngineConfig {
     EngineConfig {
         loss: LossModel { rate: 0.05 },
-        series_bucket: SECS,
         trace: TraceConfig::all(),
         metrics: true,
         sharding,
@@ -121,18 +120,6 @@ fn run_scripted(topo: Topology, seed: u64, sharding: ShardingKind, jobs: usize) 
     );
     eng.schedule(7 * SECS, Control::RouterDown(0));
     eng.schedule(11 * SECS, Control::RouterUp(0));
-    eng.schedule(
-        2 * SECS,
-        Control::SetLinkBandwidth(SegmentId(0), SegmentId(1), 200_000),
-    );
-    eng.schedule(
-        2 * SECS,
-        Control::SetLinkLoss(SegmentId(1), SegmentId(0), 0.3),
-    );
-    eng.schedule(
-        12 * SECS,
-        Control::SetLinkLoss(SegmentId(1), SegmentId(0), 0.0),
-    );
     // Split the run so public API boundaries (and a traffic reset) land
     // between epochs too.
     eng.run_until(5 * SECS);

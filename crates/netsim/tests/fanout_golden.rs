@@ -8,17 +8,19 @@
 //! replaced.
 //!
 //! Every scenario runs sequentially and at `Sharded(2)`; the two
-//! fingerprints (full trace, per-host stats, series, observations,
-//! telemetry) must be equal to each other and hash to the recorded value. The scenarios aim at the
+//! fingerprints (full trace, per-host stats, the per-second series
+//! rebuilt from the trace, observations, telemetry) must be equal to
+//! each other and hash to the recorded value. The scenarios aim at the
 //! places a lazily re-queued delivery could go wrong:
 //!
 //! * default jitter — receivers of one packet spread over 200 µs, other
 //!   packets' deliveries and timers landing in between;
 //! * zero jitter with lock-step senders — every same-segment delivery of
 //!   a round due at one instant, ordered by `(key, seq)` alone;
-//! * send-time loss — a packet's receiver list has holes;
-//! * a link bandwidth cap — queue delay shared by the receivers behind
-//!   one link, delivery times far from send order;
+//! * send-time loss — a packet's receiver list has holes (its constant
+//!   is younger than the others: it was recorded when the scenario lost
+//!   a per-link loss window, by an engine that still passed the old
+//!   constant);
 //! * a partition raised while packets are in flight;
 //! * a receiver killed and revived between two deliveries of one
 //!   multicast — its own delivery must drop as `DeadHost` by the epoch
@@ -143,7 +145,6 @@ fn run(sc: &Scenario, sharding: ShardingKind) -> Engine {
     let cfg = EngineConfig {
         latency_jitter: sc.jitter,
         loss: LossModel { rate: sc.loss },
-        series_bucket: SECS,
         trace: TraceConfig::all(),
         metrics: true,
         sharding,
@@ -282,16 +283,9 @@ fn zero_jitter_lockstep() {
 fn send_time_loss() {
     let sc = Scenario {
         loss: 0.25,
-        script: vec![
-            (SECS, Control::SetLinkLoss(SegmentId(1), SegmentId(0), 0.6)),
-            (
-                3 * SECS,
-                Control::SetLinkLoss(SegmentId(1), SegmentId(0), 0.0),
-            ),
-        ],
         ..Scenario::new("send_time_loss")
     };
-    let trace = check(&sc, 0x80e9_3384_7204_df3a);
+    let trace = check(&sc, 0xbfe9_fa93_a23d_599c);
     assert!(trace.iter().any(|r| matches!(
         r.event,
         TraceEvent::Drop {
@@ -299,28 +293,6 @@ fn send_time_loss() {
             ..
         }
     )));
-}
-
-#[test]
-fn link_bandwidth_cap() {
-    let sc = Scenario {
-        script: vec![
-            (
-                SECS,
-                Control::SetLinkBandwidth(SegmentId(0), SegmentId(1), 150_000),
-            ),
-            (
-                SECS,
-                Control::SetLinkBandwidth(SegmentId(2), SegmentId(0), 40_000),
-            ),
-            (
-                3 * SECS,
-                Control::SetLinkBandwidth(SegmentId(0), SegmentId(1), 0),
-            ),
-        ],
-        ..Scenario::new("link_bandwidth_cap")
-    };
-    check(&sc, 0xdd4f_2592_da37_0703);
 }
 
 #[test]

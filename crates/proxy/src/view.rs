@@ -69,11 +69,6 @@ impl RemoteView {
         }
     }
 
-    /// Forget everything about a DC (its proxies went silent).
-    pub fn clear_dc(&self, dc: DcId) {
-        self.map.write().remove(&dc);
-    }
-
     /// Data centers currently believed to offer `service`/`partition`,
     /// sorted by descending instance count (better-provisioned first).
     pub fn find(&self, service: &str, partition: u16) -> Vec<DcId> {
@@ -147,13 +142,5 @@ mod tests {
         assert_eq!(r.find("doc", 1), vec![DcId(1)]);
         r.apply(DcId(1), &SummaryEvent::Gone { name: "doc".into() });
         assert!(r.find("doc", 0).is_empty());
-    }
-
-    #[test]
-    fn clear_dc_forgets() {
-        let r = RemoteView::new();
-        r.set_dc(DcId(3), vec![avail("x", &[0], 1)]);
-        r.clear_dc(DcId(3));
-        assert!(r.get_dc(DcId(3)).is_none());
     }
 }

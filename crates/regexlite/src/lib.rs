@@ -78,17 +78,6 @@ impl Regex {
     }
 }
 
-/// Convenience: treat `pattern` as a full-string regex but fall back to
-/// literal equality when it fails to compile. This mirrors the forgiving
-/// behaviour of the paper's C API, where an invalid pattern simply never
-/// matches anything except itself.
-pub fn match_or_literal(pattern: &str, input: &str) -> bool {
-    match Regex::new(pattern) {
-        Ok(re) => re.matches_full(input),
-        Err(_) => pattern == input,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,9 +223,6 @@ mod tests {
         // The kinds of lookups the Neptune consumer performs.
         assert!(full("index.*", "index-server"));
         assert!(full("(doc|index)-server", "doc-server"));
-        assert!(match_or_literal("retriever", "retriever"));
-        assert!(!match_or_literal("retriev(", "retriever"));
-        assert!(match_or_literal("retriev(", "retriev("));
     }
 
     #[test]

@@ -307,11 +307,6 @@ impl Runtime {
         self.registry.counter(host.0, "runtime", "send_drops").get()
     }
 
-    /// Total datagrams the send path abandoned, across all hosts.
-    pub fn total_send_drops(&self) -> u64 {
-        self.metrics().counter_total("runtime", "send_drops")
-    }
-
     /// Handle to the shared fabric (for live partition injection).
     pub fn fabric(&self) -> Fabric {
         self.fabric.clone()
@@ -556,6 +551,6 @@ mod tests {
 
         // Loopback never exerts enough pressure to exhaust the retry
         // budget: nothing may be silently dropped on the send path.
-        assert_eq!(rt.total_send_drops(), 0);
+        assert_eq!(rt.metrics().counter_total("runtime", "send_drops"), 0);
     }
 }

@@ -251,10 +251,6 @@ impl Registry {
         Registry { inner: None }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Get-or-create the counter at `(node, subsystem, name)`.
     pub fn counter(&self, node: u32, subsystem: &'static str, name: impl Into<String>) -> Counter {
         let Some(inner) = &self.inner else {
@@ -507,7 +503,6 @@ mod tests {
         c.add(10);
         assert_eq!(c.get(), 0);
         assert!(reg.snapshot().entries.is_empty());
-        assert!(!reg.is_enabled());
     }
 
     #[test]

@@ -15,13 +15,6 @@ impl fmt::Display for HostId {
 }
 
 impl HostId {
-    /// Render as a synthetic dotted-quad "IP address" (10.x.y.z). Purely
-    /// cosmetic, used by examples and traces.
-    pub fn as_ip(&self) -> String {
-        let v = self.0;
-        format!("10.{}.{}.{}", (v >> 16) & 0xff, (v >> 8) & 0xff, v & 0xff)
-    }
-
     pub fn index(&self) -> usize {
         self.0 as usize
     }
@@ -55,13 +48,6 @@ mod tests {
     fn host_id_ordering_matches_numeric() {
         assert!(HostId(3) < HostId(10));
         assert_eq!(HostId(7), HostId(7));
-    }
-
-    #[test]
-    fn host_ip_rendering() {
-        assert_eq!(HostId(0).as_ip(), "10.0.0.0");
-        assert_eq!(HostId(258).as_ip(), "10.0.1.2");
-        assert_eq!(HostId(65536).as_ip(), "10.1.0.0");
     }
 
     #[test]

@@ -16,11 +16,17 @@
 //! views read exactly what the owned decoder reads is locked frame by
 //! frame in `crates/wire/tests/fuzz_codec.rs`.)
 //!
+//! Two protocols take both paths: `MembershipNode` at every size, and
+//! the all-to-all baseline, whose owned and borrowed receive paths share
+//! one heartbeat handler, at n = 20 and (on half the seeds: every host
+//! hears every other, so a run costs three of `MembershipNode`'s) 60.
+//!
 //! The runs execute in the debug profile, so every directory mutation
 //! also re-checks the incremental anti-entropy digest against a full
 //! rescan (a `debug_assert` in `tamp-directory`): the same sweep
 //! doubles as the chaos-grade digest differential.
 
+use tamp::baselines::{AllToAllConfig, AllToAllNode};
 use tamp::directory::Provenance;
 use tamp::netsim::telemetry::snapshot_to_csv;
 use tamp::netsim::{DropReason, ShardingKind, TraceConfig, TraceEvent, TraceLog, TraceRecord};
@@ -41,14 +47,22 @@ struct Fingerprint {
 
 const MODES: [Option<CodecKind>; 2] = [None, Some(CodecKind::Borrowed)];
 
-fn run_cluster(n: usize, seed: u64, mode: Option<CodecKind>) -> Fingerprint {
-    run_with(n, seed, mode, ShardingKind::Sequential, &[]).1
+/// The actor every host of a run gets.
+#[derive(Debug, Clone, Copy)]
+enum Protocol {
+    Tamp,
+    AllToAll,
+}
+
+fn run_cluster(protocol: Protocol, n: usize, seed: u64, mode: Option<CodecKind>) -> Fingerprint {
+    run_with(protocol, n, seed, mode, ShardingKind::Sequential, &[]).1
 }
 
 /// [`run_cluster`] on a chosen engine, with `faults` on top of the
 /// schedule's own crash and revival; also hands back the engine, whose
 /// trace a caller may want as records.
 fn run_with(
+    protocol: Protocol,
     n: usize,
     seed: u64,
     mode: Option<CodecKind>,
@@ -71,9 +85,20 @@ fn run_with(
     let mut engine = Engine::new(topo, cfg, seed);
     let mut clients = Vec::new();
     for h in engine.hosts() {
-        let node = MembershipNode::new(NodeId(h.0), MembershipConfig::default());
-        clients.push(node.directory_client());
-        engine.add_actor(h, Box::new(node));
+        let me = NodeId(h.0);
+        let node: Box<dyn Actor> = match protocol {
+            Protocol::Tamp => {
+                let node = MembershipNode::new(me, MembershipConfig::default());
+                clients.push(node.directory_client());
+                Box::new(node)
+            }
+            Protocol::AllToAll => {
+                let node = AllToAllNode::new(me, AllToAllConfig::default());
+                clients.push(node.directory_client());
+                Box::new(node)
+            }
+        };
+        engine.add_actor(h, node);
     }
     // Crash the last host mid-run and revive it: exercises the rejoin
     // path (bootstrap exchanges, refutations) under every codec mode.
@@ -122,19 +147,20 @@ fn run_with(
     (engine, fp)
 }
 
-/// Run every (seed, mode) pair for one size across a worker pool
-/// (width from `TAMP_JOBS`, default `available_parallelism`; the runs
-/// are sealed deterministic worlds, so any width yields the same
-/// fingerprints), then compare the wire mode against the in-memory
-/// reference per seed in order.
-fn assert_identical_all(n: usize) {
+/// Run every (seed, mode) pair of `protocol` for one size across a
+/// worker pool (width from `TAMP_JOBS`, default
+/// `available_parallelism`; the runs are sealed deterministic worlds, so
+/// any width yields the same fingerprints), then compare the wire mode
+/// against the in-memory reference per seed in order.
+fn assert_identical_all(protocol: Protocol, n: usize, seeds: impl Iterator<Item = u64>) {
     let pool = tamp::par::Pool::from_env();
-    let seeds: Vec<u64> = SEEDS.collect();
+    let seeds: Vec<u64> = seeds.collect();
     let fps = pool.ordered_map(seeds.len() * MODES.len(), |i| {
-        run_cluster(n, seeds[i / MODES.len()], MODES[i % MODES.len()])
+        run_cluster(protocol, n, seeds[i / MODES.len()], MODES[i % MODES.len()])
     });
+    let mode = format!("{protocol:?} wire-borrowed");
     for (si, pair) in fps.chunks(MODES.len()).enumerate() {
-        compare(n, seeds[si], "wire-borrowed", &pair[0], &pair[1]);
+        compare(n, seeds[si], &mode, &pair[0], &pair[1]);
     }
 }
 
@@ -178,17 +204,27 @@ const SEEDS: std::ops::Range<u64> = 2005..2015;
 
 #[test]
 fn codec_modes_indistinguishable_n20() {
-    assert_identical_all(20);
+    assert_identical_all(Protocol::Tamp, 20, SEEDS);
 }
 
 #[test]
 fn codec_modes_indistinguishable_n60() {
-    assert_identical_all(60);
+    assert_identical_all(Protocol::Tamp, 60, SEEDS);
 }
 
 #[test]
 fn codec_modes_indistinguishable_n100() {
-    assert_identical_all(100);
+    assert_identical_all(Protocol::Tamp, 100, SEEDS);
+}
+
+#[test]
+fn alltoall_codec_modes_indistinguishable_n20() {
+    assert_identical_all(Protocol::AllToAll, 20, SEEDS);
+}
+
+#[test]
+fn alltoall_codec_modes_indistinguishable_n60() {
+    assert_identical_all(Protocol::AllToAll, 60, SEEDS.take(5));
 }
 
 /// Shard and codec together: cross-shard sends travel as descriptors
@@ -198,8 +234,9 @@ fn codec_modes_indistinguishable_n100() {
 #[test]
 fn sharded_borrowed_indistinguishable_from_in_memory_n60() {
     for seed in SEEDS.take(3) {
-        let reference = run_cluster(60, seed, None);
+        let reference = run_cluster(Protocol::Tamp, 60, seed, None);
         let (engine, got) = run_with(
+            Protocol::Tamp,
             60,
             seed,
             Some(CodecKind::Borrowed),
@@ -222,7 +259,7 @@ fn sharded_borrowed_indistinguishable_from_in_memory_n60() {
 fn full_view_unicast_in_flight_across_kill_and_revive() {
     let (n, seed) = (60, 2005);
     let victim = HostId(n as u32 - 1);
-    let (scout, _) = run_with(n, seed, None, ShardingKind::Sequential, &[]);
+    let (scout, _) = run_with(Protocol::Tamp, n, seed, None, ShardingKind::Sequential, &[]);
     let records: Vec<_> = scout.trace_log().records().collect();
     let (landed, delivery) = records
         .iter()
@@ -257,7 +294,17 @@ fn full_view_unicast_in_flight_across_kill_and_revive() {
         (sent + 2 * flight / 3, Control::Revive(victim)),
     ];
 
-    let run = |mode| run_with(n, seed, mode, ShardingKind::Sequential, &faults).1;
+    let run = |mode| {
+        run_with(
+            Protocol::Tamp,
+            n,
+            seed,
+            mode,
+            ShardingKind::Sequential,
+            &faults,
+        )
+        .1
+    };
     let reference = run(None);
     let dropped = TraceLog::render(&TraceRecord {
         time: arrives,
