@@ -9,24 +9,25 @@
 
 use std::collections::HashMap;
 use tamp_directory::{DirectoryClient, Provenance, SharedDirectory};
-use tamp_netsim::{Actor, ChannelId, Context, Nanos, PacketMeta, SECS};
+use tamp_netsim::{Actor, ChannelId, Context, Nanos, PacketMeta, MILLIS, SECS};
 use tamp_wire::{Heartbeat, Message, NodeId, NodeRecord, RecordPayload, ServiceDecl};
+
+/// The single cluster-wide multicast channel.
+pub const CHANNEL: ChannelId = ChannelId(0);
+/// TTL that reaches the whole cluster.
+pub const TTL: u8 = 8;
+/// Missed heartbeats tolerated before declaring a node dead.
+pub const MAX_LOSS: u32 = 5;
+/// First-heartbeat phase jitter.
+pub const STARTUP_JITTER: Nanos = 500 * MILLIS;
+/// Timeout-check granularity.
+pub const SWEEP_PERIOD: Nanos = 100 * MILLIS;
 
 /// Tunables for one all-to-all node.
 #[derive(Debug, Clone)]
 pub struct AllToAllConfig {
-    /// The single cluster-wide multicast channel.
-    pub channel: ChannelId,
-    /// TTL that reaches the whole cluster.
-    pub ttl: u8,
     /// Heartbeat period (the paper fixes 1 Hz).
     pub heartbeat_period: Nanos,
-    /// Missed heartbeats tolerated before declaring a node dead.
-    pub max_loss: u32,
-    /// First-heartbeat phase jitter.
-    pub startup_jitter: Nanos,
-    /// Timeout-check granularity.
-    pub sweep_period: Nanos,
     /// Services to export.
     pub services: Vec<ServiceDecl>,
     /// Pad heartbeats to this encoded size (0 = no padding). The paper
@@ -38,12 +39,7 @@ pub struct AllToAllConfig {
 impl Default for AllToAllConfig {
     fn default() -> Self {
         AllToAllConfig {
-            channel: ChannelId(0),
-            ttl: 8,
             heartbeat_period: SECS,
-            max_loss: 5,
-            startup_jitter: 500_000_000,
-            sweep_period: 100_000_000,
             services: Vec::new(),
             pad_heartbeat_to: 228,
         }
@@ -96,7 +92,7 @@ impl AllToAllNode {
     }
 
     fn timeout(&self) -> Nanos {
-        self.cfg.max_loss as u64 * self.cfg.heartbeat_period
+        MAX_LOSS as u64 * self.cfg.heartbeat_period
     }
 
     /// A heartbeat from `from`, carrying the record of `node` at
@@ -153,10 +149,10 @@ impl Actor for AllToAllNode {
         let now = ctx.now();
         self.directory
             .update(|d| (d.apply_join(rec, Provenance::Local, now).changed(), ()));
-        ctx.subscribe(self.cfg.channel);
-        let phase = ctx.jitter(self.cfg.startup_jitter);
+        ctx.subscribe(CHANNEL);
+        let phase = ctx.jitter(STARTUP_JITTER);
         ctx.set_timer(phase + self.cfg.heartbeat_period, T_HEARTBEAT);
-        ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
+        ctx.set_timer(SWEEP_PERIOD, T_SWEEP);
     }
 
     fn on_crash(&mut self) {
@@ -208,8 +204,8 @@ impl Actor for AllToAllNode {
                 self.seq += 1;
                 ctx.count("alltoall", "heartbeats_sent", 1);
                 ctx.send_multicast(
-                    self.cfg.channel,
-                    self.cfg.ttl,
+                    CHANNEL,
+                    TTL,
                     Message::Heartbeat(Heartbeat {
                         from: self.me,
                         level: 0,
@@ -241,7 +237,7 @@ impl Actor for AllToAllNode {
                         ctx.observe_removed(n);
                     }
                 }
-                ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
+                ctx.set_timer(SWEEP_PERIOD, T_SWEEP);
             }
             _ => {}
         }

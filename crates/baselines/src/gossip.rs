@@ -25,9 +25,6 @@ pub struct GossipConfig {
     pub period: Nanos,
     /// Random peers contacted per round.
     pub fanout: usize,
-    /// Mistake (false failure declaration) probability bound; `T_fail`
-    /// is derived from it and the expected cluster size.
-    pub mistake_probability: f64,
     /// Expected cluster size, used to size `T_fail` (gossip deployments
     /// configure this; detection time scales with `log n`).
     pub expected_cluster_size: usize,
@@ -41,23 +38,25 @@ pub struct GossipConfig {
     pub sweep_period: Nanos,
     /// Services to export.
     pub services: Vec<ServiceDecl>,
-    /// Pad this node's record so one gossip entry costs the same bytes
-    /// as one heartbeat in the other schemes (228 B in the paper).
-    pub pad_entry_to: usize,
 }
+
+/// Mistake (false failure declaration) probability bound; `T_fail` is
+/// derived from it and the expected cluster size.
+pub const MISTAKE_PROBABILITY: f64 = 0.001;
+/// Each record is padded so one gossip entry costs the same bytes as
+/// one heartbeat in the other schemes (228 B in the paper).
+pub const PAD_ENTRY_TO: usize = 228;
 
 impl Default for GossipConfig {
     fn default() -> Self {
         GossipConfig {
             period: SECS,
             fanout: 1,
-            mistake_probability: 0.001,
             expected_cluster_size: 100,
             seeds: Vec::new(),
             startup_jitter: 500_000_000,
             sweep_period: 100_000_000,
             services: Vec::new(),
-            pad_entry_to: 228,
         }
     }
 }
@@ -68,10 +67,10 @@ impl GossipConfig {
     /// The first term is the expected O(log n) rounds for a counter to
     /// propagate everywhere with fanout ≥ 1; the second adds safety
     /// margin so the probability that a live node's counter is simply
-    /// late stays below `mistake_probability` (van Renesse et al., §3).
+    /// late stays below [`MISTAKE_PROBABILITY`] (van Renesse et al., §3).
     pub fn t_fail(&self) -> Nanos {
         let n = self.expected_cluster_size.max(2) as f64;
-        let rounds = n.log2() + (1.0 / self.mistake_probability).log2() / 2.0;
+        let rounds = n.log2() + (1.0 / MISTAKE_PROBABILITY).log2() / 2.0;
         (self.period as f64 * rounds) as Nanos
     }
 
@@ -135,9 +134,7 @@ impl GossipNode {
     fn rebuild_record(&mut self) {
         let mut r = NodeRecord::new(self.me, self.incarnation);
         r.services = self.cfg.services.clone();
-        if self.cfg.pad_entry_to > 0 {
-            r.pad_to_encoded_size(self.cfg.pad_entry_to);
-        }
+        r.pad_to_encoded_size(PAD_ENTRY_TO);
         self.record = r;
     }
 

@@ -29,9 +29,9 @@
 //! pages, and emit the same add/remove observations, so the experiment
 //! harness can swap protocols behind one interface.
 
-mod alltoall;
-mod gossip;
-mod swim;
+pub mod alltoall;
+pub mod gossip;
+pub mod swim;
 
 pub use alltoall::{AllToAllConfig, AllToAllNode};
 pub use gossip::{GossipConfig, GossipNode};

@@ -12,7 +12,7 @@
 //! refutable: the subject, on hearing it via piggybacked dissemination,
 //! bumps its incarnation number and floods an `Alive` that overrides the
 //! suspicion everywhere. Unrefuted suspicions are confirmed dead after
-//! `suspect_timeout`.
+//! [`SUSPECT_TIMEOUT`].
 //!
 //! Membership updates (alive / suspect / confirm) travel **piggybacked**
 //! on the probe traffic itself — zero dedicated dissemination packets —
@@ -25,80 +25,60 @@
 
 use std::collections::{BTreeMap, HashMap};
 use tamp_directory::{DirectoryClient, Provenance, SharedDirectory};
-use tamp_netsim::{Actor, Context, Nanos, PacketMeta, ProtocolEvent, SECS};
+use tamp_netsim::{Actor, Context, Nanos, PacketMeta, ProtocolEvent, MILLIS, SECS};
 use tamp_wire::{
     Message, NodeId, NodeRecord, ServiceDecl, SwimAck, SwimPing, SwimPingReq, SwimState, SwimUpdate,
 };
 
-const MILLIS: Nanos = 1_000_000;
+// The protocol's constants (defaults per SNIPPETS.md ADR-001).
 
-/// Tunables for one SWIM node (defaults per SNIPPETS.md ADR-001).
-#[derive(Debug, Clone)]
+/// Protocol period: one direct probe per period.
+pub const PROBE_PERIOD: Nanos = SECS;
+/// Deadline for the direct ack before escalating to ping-req.
+pub const DIRECT_TIMEOUT: Nanos = 500 * MILLIS;
+/// Deadline for the indirect (ping-req) phase after escalation.
+pub const INDIRECT_TIMEOUT: Nanos = 200 * MILLIS;
+/// `k`: members asked to probe the target indirectly.
+pub const INDIRECT_PROBES: usize = 3;
+/// How long a suspicion stays refutable before it is confirmed.
+pub const SUSPECT_TIMEOUT: Nanos = 5 * SECS;
+/// Maximum piggybacked updates per message (besides the sender's own
+/// alive record, which always rides along).
+pub const PIGGYBACK_MAX: usize = 6;
+/// `λ` in the `λ·⌈log₂(n+1)⌉` per-update retransmission budget.
+pub const RETRANSMIT_FACTOR: f64 = 3.0;
+/// First-probe phase jitter.
+pub const STARTUP_JITTER: Nanos = 500 * MILLIS;
+/// Deadline-check granularity.
+pub const SWEEP_PERIOD: Nanos = 100 * MILLIS;
+/// How long a confirmed death is remembered, so stale alive updates at
+/// the dead incarnation cannot resurrect it (a ping *from* a dead-listed
+/// node gets the confirmation echoed back, so a wrongly confirmed node
+/// learns to re-incarnate — targeted anti-entropy). Kept long: a
+/// forgotten death makes its seed look uncontacted again and draws
+/// bootstrap probes.
+pub const CLEANUP_WINDOW: Nanos = 600 * SECS;
+/// Every this-many protocol periods, additionally ping one random
+/// dead-listed node (Serf-style reconnect). A really-dead node ignores
+/// it; a node on the far side of a healed partition answers, which
+/// triggers the dead-list echo → re-incarnation → alive-flood cascade
+/// that merges the views back. Without it, two sides that confirmed
+/// each other dead during a partition never exchange another packet.
+pub const RECONNECT_EVERY: u32 = 5;
+/// Each record is padded so one update costs the same bytes as one
+/// heartbeat in the other schemes (228 B in the paper).
+pub const PAD_RECORD_TO: usize = 228;
+
+/// What one SWIM node is given: whom it may probe first and what it
+/// exports. Everything else is a constant of the protocol.
+#[derive(Debug, Clone, Default)]
 pub struct SwimConfig {
-    /// Protocol period: one direct probe per period.
-    pub probe_period: Nanos,
-    /// Deadline for the direct ack before escalating to ping-req.
-    pub direct_timeout: Nanos,
-    /// Deadline for the indirect (ping-req) phase after escalation.
-    pub indirect_timeout: Nanos,
-    /// `k`: members asked to probe the target indirectly.
-    pub indirect_probes: usize,
-    /// How long a suspicion stays refutable before it is confirmed.
-    pub suspect_timeout: Nanos,
-    /// Maximum piggybacked updates per message (besides the sender's
-    /// own alive record, which always rides along).
-    pub piggyback_max: usize,
-    /// `λ` in the `λ·⌈log₂(n+1)⌉` per-update retransmission budget.
-    pub retransmit_factor: f64,
     /// The address book: node ids this node may probe before it has
     /// learned any membership (the harness lists the whole cluster,
     /// like the gossip baseline's seed list).
     pub seeds: Vec<NodeId>,
-    /// First-probe phase jitter.
-    pub startup_jitter: Nanos,
-    /// Deadline-check granularity.
-    pub sweep_period: Nanos,
-    /// How long a confirmed death is remembered, so stale alive updates
-    /// at the dead incarnation cannot resurrect it (a ping *from* a
-    /// dead-listed node gets the confirmation echoed back, so a wrongly
-    /// confirmed node learns to re-incarnate — targeted anti-entropy).
-    /// Kept long: a forgotten death makes its seed look uncontacted
-    /// again and draws bootstrap probes.
-    pub cleanup_window: Nanos,
-    /// Every this-many protocol periods, additionally ping one random
-    /// dead-listed node (Serf-style reconnect). A really-dead node
-    /// ignores it; a node on the far side of a healed partition answers,
-    /// which triggers the dead-list echo → re-incarnation → alive-flood
-    /// cascade that merges the views back. Without it, two sides that
-    /// confirmed each other dead during a partition never exchange
-    /// another packet. `0` disables.
-    pub reconnect_every: u32,
     /// Services to export.
     pub services: Vec<ServiceDecl>,
-    /// Pad this node's record so one update costs the same bytes as
-    /// one heartbeat in the other schemes (228 B in the paper).
-    pub pad_record_to: usize,
-}
-
-impl Default for SwimConfig {
-    fn default() -> Self {
-        SwimConfig {
-            probe_period: SECS,
-            direct_timeout: 500 * MILLIS,
-            indirect_timeout: 200 * MILLIS,
-            indirect_probes: 3,
-            suspect_timeout: 5 * SECS,
-            piggyback_max: 6,
-            retransmit_factor: 3.0,
-            seeds: Vec::new(),
-            startup_jitter: 500 * MILLIS,
-            sweep_period: 100 * MILLIS,
-            cleanup_window: 600 * SECS,
-            reconnect_every: 5,
-            services: Vec::new(),
-            pad_record_to: 228,
-        }
-    }
 }
 
 const T_PROBE: u64 = 1;
@@ -196,9 +176,7 @@ impl SwimNode {
     fn rebuild_record(&mut self) {
         let mut r = NodeRecord::new(self.me, self.incarnation);
         r.services = self.cfg.services.clone();
-        if self.cfg.pad_record_to > 0 {
-            r.pad_to_encoded_size(self.cfg.pad_record_to);
-        }
+        r.pad_to_encoded_size(PAD_RECORD_TO);
         self.record = r;
     }
 
@@ -206,7 +184,7 @@ impl SwimNode {
     /// view size including self.
     fn budget(&self) -> u32 {
         let n = (self.members.len() + 2) as f64; // n + 1, self included
-        ((self.cfg.retransmit_factor * n.log2().ceil()) as u32).max(1)
+        ((RETRANSMIT_FACTOR * n.log2().ceil()) as u32).max(1)
     }
 
     /// Does `new` override `old` on the SWIM state lattice? Confirm
@@ -254,7 +232,7 @@ impl SwimNode {
 
     /// Updates to ride on the next outgoing message: our own alive
     /// record always leads, then the freshest-budget queued updates up
-    /// to `piggyback_max`, each spending one unit of budget.
+    /// to [`PIGGYBACK_MAX`], each spending one unit of budget.
     fn select_updates(&mut self) -> Vec<SwimUpdate> {
         self.queue.sort_by(|a, b| {
             b.remaining
@@ -267,10 +245,10 @@ impl SwimNode {
         // full-state push-pull sync production SWIM implementations
         // fall back to in exactly these situations. Steady state (a
         // handful of queued updates) stays under the normal cap.
-        let take = if self.queue.len() > 2 * self.cfg.piggyback_max {
+        let take = if self.queue.len() > 2 * PIGGYBACK_MAX {
             self.queue.len()
         } else {
-            self.queue.len().min(self.cfg.piggyback_max)
+            self.queue.len().min(PIGGYBACK_MAX)
         };
         let mut out = Vec::with_capacity(take + 1);
         out.push(SwimUpdate {
@@ -551,7 +529,7 @@ impl SwimNode {
             .filter(|&n| n != target)
             .collect();
         let mut out = Vec::new();
-        for _ in 0..self.cfg.indirect_probes.min(candidates.len()) {
+        for _ in 0..INDIRECT_PROBES.min(candidates.len()) {
             let i = ctx.rand_below(candidates.len() as u64) as usize;
             out.push(candidates.swap_remove(i));
         }
@@ -582,9 +560,9 @@ impl Actor for SwimNode {
         let now = ctx.now();
         self.directory
             .update(|d| (d.apply_join(rec, Provenance::Local, now).changed(), ()));
-        let phase = ctx.jitter(self.cfg.startup_jitter);
-        ctx.set_timer(phase + self.cfg.probe_period, T_PROBE);
-        ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
+        let phase = ctx.jitter(STARTUP_JITTER);
+        ctx.set_timer(phase + PROBE_PERIOD, T_PROBE);
+        ctx.set_timer(SWEEP_PERIOD, T_SWEEP);
     }
 
     fn on_crash(&mut self) {
@@ -662,7 +640,7 @@ impl Actor for SwimNode {
                     ProxyEntry {
                         requester: r.from,
                         orig_seq: r.seq,
-                        expires: now + self.cfg.direct_timeout + self.cfg.indirect_timeout,
+                        expires: now + DIRECT_TIMEOUT + INDIRECT_TIMEOUT,
                     },
                 );
                 let updates = self.select_updates();
@@ -738,10 +716,7 @@ impl Actor for SwimNode {
                 // random dead-listed node (no pending entry — a missed
                 // ack must not re-suspect an already-confirmed death).
                 self.periods_since_reconnect += 1;
-                if self.cfg.reconnect_every > 0
-                    && self.periods_since_reconnect >= self.cfg.reconnect_every
-                    && !self.dead.is_empty()
-                {
+                if self.periods_since_reconnect >= RECONNECT_EVERY && !self.dead.is_empty() {
                     self.periods_since_reconnect = 0;
                     let i = ctx.rand_below(self.dead.len() as u64) as usize;
                     let target = *self.dead.keys().nth(i).expect("index < len");
@@ -758,13 +733,13 @@ impl Actor for SwimNode {
                         }),
                     );
                 }
-                ctx.set_timer(self.cfg.probe_period, T_PROBE);
+                ctx.set_timer(PROBE_PERIOD, T_PROBE);
             }
             T_SWEEP => {
                 // Probe deadlines: direct miss escalates to ping-req,
                 // indirect miss turns into a suspicion.
                 if let Some(p) = self.pending {
-                    if p.indirect_at.is_none() && now >= p.sent_at + self.cfg.direct_timeout {
+                    if p.indirect_at.is_none() && now >= p.sent_at + DIRECT_TIMEOUT {
                         let helpers = self.indirect_helpers(ctx, p.target);
                         if helpers.is_empty() {
                             self.pending = None;
@@ -788,10 +763,7 @@ impl Actor for SwimNode {
                                 ..p
                             });
                         }
-                    } else if p
-                        .indirect_at
-                        .is_some_and(|t0| now >= t0 + self.cfg.indirect_timeout)
-                    {
+                    } else if p.indirect_at.is_some_and(|t0| now >= t0 + INDIRECT_TIMEOUT) {
                         self.pending = None;
                         self.suspect(ctx, p.target);
                     }
@@ -803,7 +775,7 @@ impl Actor for SwimNode {
                     .iter()
                     .filter(|(_, m)| {
                         m.state == SwimState::Suspect
-                            && now.saturating_sub(m.since) >= self.cfg.suspect_timeout
+                            && now.saturating_sub(m.since) >= SUSPECT_TIMEOUT
                     })
                     .map(|(&n, m)| (n, m.record.incarnation))
                     .collect();
@@ -819,8 +791,8 @@ impl Actor for SwimNode {
                 }
                 self.proxied.retain(|_, p| now < p.expires);
                 self.dead
-                    .retain(|_, d| now.saturating_sub(d.since) < self.cfg.cleanup_window);
-                ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
+                    .retain(|_, d| now.saturating_sub(d.since) < CLEANUP_WINDOW);
+                ctx.set_timer(SWEEP_PERIOD, T_SWEEP);
             }
             _ => {}
         }
@@ -923,9 +895,8 @@ mod tests {
 
     #[test]
     fn missed_direct_ack_escalates_to_ping_req_then_suspicion() {
-        let cfg = SwimConfig::default();
-        let (direct, indirect) = (cfg.direct_timeout, cfg.indirect_timeout);
-        let mut h = Harness::new(1, cfg);
+        let (direct, indirect) = (DIRECT_TIMEOUT, INDIRECT_TIMEOUT);
+        let mut h = Harness::new(1, SwimConfig::default());
         // Introduce members 2..=5.
         for id in 2..=5 {
             let ping = Message::SwimPing(SwimPing {

@@ -137,7 +137,6 @@ pub fn build_cluster(
                 let cfg = SwimConfig {
                     seeds: all_nodes.clone(),
                     services,
-                    ..Default::default()
                 };
                 let node = SwimNode::new(id, cfg);
                 (node.directory_client(), None, Box::new(node))

@@ -17,13 +17,15 @@ use tamp_netsim::telemetry::MetricsSnapshot;
 use tamp_par::Pool;
 use tamp_topology::SECS;
 
+/// Fewest fault events either generator puts in a schedule.
+pub const MIN_EVENTS: usize = 1;
+
 /// Shape constraints for generated schedules.
 #[derive(Debug, Clone)]
 pub struct GeneratorConfig {
     pub num_hosts: u32,
     pub num_segments: u16,
-    /// Fault events per schedule (inclusive bounds).
-    pub min_events: usize,
+    /// Most fault events per schedule (at least [`MIN_EVENTS`]).
     pub max_events: usize,
     /// Events fire inside `[10s, active_window]`.
     pub active_window_secs: u64,
@@ -34,7 +36,6 @@ impl Default for GeneratorConfig {
         GeneratorConfig {
             num_hosts: 10,
             num_segments: 2,
-            min_events: 1,
             max_events: 5,
             active_window_secs: 80,
         }
@@ -45,7 +46,7 @@ impl Default for GeneratorConfig {
 pub fn random_schedule(seed: u64, g: &GeneratorConfig) -> Schedule {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut events = Vec::new();
-    let n = rng.gen_range(g.min_events..=g.max_events);
+    let n = rng.gen_range(MIN_EVENTS..=g.max_events);
     let mut partitioned = false;
     for _ in 0..n {
         let at = rng.gen_range(10..=g.active_window_secs) * SECS;
@@ -104,9 +105,9 @@ fn random_target(rng: &mut StdRng, g: &GeneratorConfig) -> Target {
 pub struct AdversarialConfig {
     pub num_segments: u16,
     pub hosts_per_segment: u16,
-    /// Fault events per schedule (inclusive bounds); paired recoveries
-    /// (gray-heal, rack-recover, router-up) ride along for free.
-    pub min_events: usize,
+    /// Most fault events per schedule (at least [`MIN_EVENTS`]); paired
+    /// recoveries (gray-heal, rack-recover, router-up) ride along for
+    /// free.
     pub max_events: usize,
     /// Events fire inside `[10s, active_window]`.
     pub active_window_secs: u64,
@@ -117,7 +118,6 @@ impl Default for AdversarialConfig {
         AdversarialConfig {
             num_segments: 4,
             hosts_per_segment: 2,
-            min_events: 1,
             max_events: 4,
             active_window_secs: 80,
         }
@@ -139,7 +139,7 @@ impl AdversarialConfig {
 pub fn adversarial_schedule(seed: u64, g: &AdversarialConfig) -> Schedule {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xadbe_ef01);
     let mut events = Vec::new();
-    let n = rng.gen_range(g.min_events..=g.max_events);
+    let n = rng.gen_range(MIN_EVENTS..=g.max_events);
     for _ in 0..n {
         let at = rng.gen_range(10..=g.active_window_secs) * SECS;
         let recover_at = at + rng.gen_range(15u64..=25) * SECS;

@@ -44,7 +44,7 @@ pub use cluster::{build_cluster, Cluster, Detection, Protocol};
 pub use dsl::ParseError;
 pub use generator::{
     adversarial_schedule, random_schedule, seed_range, sweep, AdversarialConfig, GeneratorConfig,
-    SweepReport,
+    SweepReport, MIN_EVENTS,
 };
 pub use oracle::{OracleConfig, Violation};
 pub use proxy::run_proxy_scenario;

@@ -17,6 +17,7 @@
 //!    remote view matches the services actually alive in other DCs.
 
 use crate::truth::GroundTruth;
+use tamp_baselines::{alltoall, swim};
 use tamp_directory::DirectoryClient;
 use tamp_membership::config::{
     CUT_BATCH_DELAY, CUT_REPORT_TTL, DEGRADE_MAX_STRETCH, FLAP_SCORE_CAP, LEVEL_TIMEOUT_FACTOR,
@@ -136,7 +137,8 @@ impl OracleConfig {
     /// machinery exists, so strict runs don't require the ordering.
     pub fn for_alltoall(cfg: &tamp_baselines::AllToAllConfig) -> Self {
         OracleConfig {
-            removal_window: cfg.heartbeat_period * (cfg.max_loss as u64 + 3) + cfg.sweep_period,
+            removal_window: cfg.heartbeat_period * (alltoall::MAX_LOSS as u64 + 3)
+                + alltoall::SWEEP_PERIOD,
             loss_excuse_rate: 0.25,
             repair_window: 2 * cfg.heartbeat_period,
             strict: false,
@@ -163,17 +165,17 @@ impl OracleConfig {
     /// and piggybacked dissemination of the confirmation (`O(log n)`
     /// probe periods; budgeted generously). SWIM suspects before it
     /// confirms, so strict runs keep the ordering check.
-    pub fn for_swim(cfg: &tamp_baselines::SwimConfig, n_hosts: usize) -> Self {
-        let lap = cfg.probe_period * n_hosts as u64;
+    pub fn for_swim(n_hosts: usize) -> Self {
+        let lap = swim::PROBE_PERIOD * n_hosts as u64;
         OracleConfig {
             removal_window: lap
-                + 15 * cfg.probe_period
-                + cfg.direct_timeout
-                + cfg.indirect_timeout
-                + cfg.suspect_timeout
-                + cfg.sweep_period,
+                + 15 * swim::PROBE_PERIOD
+                + swim::DIRECT_TIMEOUT
+                + swim::INDIRECT_TIMEOUT
+                + swim::SUSPECT_TIMEOUT
+                + swim::SWEEP_PERIOD,
             loss_excuse_rate: 0.25,
-            repair_window: cfg.suspect_timeout,
+            repair_window: swim::SUSPECT_TIMEOUT,
             strict: false,
             require_suspicion: true,
         }

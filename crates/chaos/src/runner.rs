@@ -9,7 +9,7 @@ use crate::schedule::{fmt_duration, Action, Schedule, ScheduledFault, Target};
 use crate::truth::GroundTruth;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tamp_baselines::{AllToAllConfig, GossipConfig, SwimConfig};
+use tamp_baselines::{AllToAllConfig, GossipConfig};
 use tamp_membership::{MembershipConfig, Probe};
 use tamp_netsim::telemetry::{MetricsSnapshot, CLUSTER};
 use tamp_netsim::{Engine, EngineConfig, TraceRecord};
@@ -570,7 +570,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, schedule: &Schedule) -> ScenarioRun {
             expected_cluster_size: hosts,
             ..Default::default()
         }),
-        Protocol::Swim => OracleConfig::for_swim(&SwimConfig::default(), hosts),
+        Protocol::Swim => OracleConfig::for_swim(hosts),
     };
     if cfg.strict && !protocol.is_hierarchical() {
         // The baselines keep their lax-sized windows (already derived

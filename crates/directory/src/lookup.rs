@@ -19,7 +19,8 @@ use tamp_wire::{NodeId, PartitionSet};
 ///   partitions, or a regex matched against each hosted partition id's
 ///   decimal form (so `".*"` matches any machine hosting the service at
 ///   all, even with no partitions... except a machine with zero partitions
-///   has nothing to match — use [`LookupQuery::any_partition`] for that).
+///   has nothing to match — pass `""` or `"*"` for that: any machine
+///   exporting the service, regardless of partitions).
 #[derive(Debug, Clone)]
 pub struct LookupQuery {
     service: Regex,
@@ -75,12 +76,6 @@ impl LookupQuery {
             )
         };
         Ok(LookupQuery { service, partition })
-    }
-
-    /// Query matching any machine that exports a service matching
-    /// `service`, regardless of partitions.
-    pub fn any_partition(service: &str) -> Result<Self, QueryError> {
-        Self::new(service, "")
     }
 
     fn partitions_match(&self, hosted: &PartitionSet) -> bool {

@@ -1,7 +1,8 @@
 //! The load-generator node: one actor standing in for a slice of the
 //! synthetic user population.
 //!
-//! It embeds a [`MembershipNode`] and routes every request step through
+//! It is a [`Role`] hosted beside a [`MembershipNode`] and routes every
+//! request step through
 //! tamp-neptune's [`Router`] over the live view: resolve replicas, retry
 //! on another replica, fall back to the membership proxies when the
 //! local DC has none. It scales to millions of users by aggregating
@@ -32,10 +33,10 @@ use crate::workload::{ArrivalMode, WorkloadConfig, ZipfSampler};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::BTreeMap;
-use tamp_membership::{MembershipConfig, MembershipNode, Probe};
+use tamp_membership::{Hosted, MembershipConfig, MembershipNode, Role};
 use tamp_neptune::router::{serves, T_ATTEMPT};
 use tamp_neptune::{Dispatch, LoadBalance, Route, RouteConfig, Router};
-use tamp_netsim::{Actor, Context, IntMap, Nanos, PacketMeta, MILLIS};
+use tamp_netsim::{Context, IntMap, Nanos, PacketMeta, MILLIS};
 use tamp_wire::{Message, NodeId};
 
 /// Generator tunables.
@@ -63,7 +64,6 @@ impl LoadGenConfig {
 }
 
 const T_TICK: u64 = 8 << 32;
-const LOAD_TOKEN_MASK: u64 = !0u64 << 32;
 
 /// One in-flight user request.
 #[derive(Debug)]
@@ -91,7 +91,6 @@ impl Req {
 /// The load-generator actor.
 pub struct LoadGenNode {
     cfg: LoadGenConfig,
-    inner: MembershipNode,
     router: Router,
     telemetry: LoadTelemetry,
     zipf: ZipfSampler,
@@ -110,20 +109,19 @@ pub struct LoadGenNode {
     /// Attempt seq → owning request. A step has one attempt in flight
     /// at a time, so an attempt that ends is its request's latest.
     inflight: IntMap<u32, u32>,
-    crashed: bool,
 }
 
 impl LoadGenNode {
-    pub fn new(me: NodeId, cfg: LoadGenConfig, telemetry: LoadTelemetry) -> Self {
-        let inner = MembershipNode::new(me, cfg.membership.clone());
+    /// A generator and its membership daemon, ready to install.
+    pub fn new(me: NodeId, cfg: LoadGenConfig, telemetry: LoadTelemetry) -> Hosted<Self> {
+        let daemon = MembershipNode::new(me, cfg.membership.clone());
         let zipf = ZipfSampler::from_skew(cfg.doc_partitions, cfg.workload.skew);
         let rng = StdRng::seed_from_u64(
             cfg.workload
                 .seed
                 .wrapping_add((me.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
         );
-        LoadGenNode {
-            inner,
+        let role = LoadGenNode {
             router: Router::new(me, cfg.route),
             telemetry,
             zipf,
@@ -135,22 +133,17 @@ impl LoadGenNode {
             reqs: IntMap::default(),
             next_serial: 0,
             inflight: IntMap::default(),
-            crashed: false,
             cfg,
-        }
-    }
-
-    /// Introspection handle (leader votes for chaos target resolution).
-    pub fn probe(&self) -> Probe {
-        self.inner.probe()
+        };
+        Hosted::new(daemon, role)
     }
 
     /// One-way latch: true once the view lists every service partition a
     /// request could touch. Later failures must not re-gate arrivals.
-    fn warmed_up(&mut self) -> bool {
+    fn warmed_up(&mut self, daemon: &MembershipNode) -> bool {
         if !self.warmed {
-            self.warmed = serves(&self.inner, "index", self.cfg.index_partitions)
-                && serves(&self.inner, "doc", self.cfg.doc_partitions);
+            self.warmed = serves(daemon, "index", self.cfg.index_partitions)
+                && serves(daemon, "doc", self.cfg.doc_partitions);
         }
         self.warmed
     }
@@ -207,7 +200,7 @@ impl LoadGenNode {
         }
     }
 
-    fn start_request(&mut self, ctx: &mut Context) {
+    fn start_request(&mut self, daemon: &MembershipNode, ctx: &mut Context) {
         self.next_serial += 1;
         let serial = self.next_serial;
         let index_part = (self.rng.next_u64() % u64::from(self.cfg.index_partitions)) as u16;
@@ -224,12 +217,12 @@ impl LoadGenNode {
                 via_proxy: false,
             },
         );
-        self.dispatch(ctx, serial);
+        self.dispatch(daemon, ctx, serial);
     }
 
     /// Route the current step of `serial`: next untried replica, proxy
     /// fallback, or fail the request.
-    fn dispatch(&mut self, ctx: &mut Context, serial: u32) {
+    fn dispatch(&mut self, daemon: &MembershipNode, ctx: &mut Context, serial: u32) {
         let Some(req) = self.reqs.get_mut(&serial) else {
             return;
         };
@@ -238,7 +231,7 @@ impl LoadGenNode {
         let draw = &mut |_: &mut Context, n| rng.next_u64() % n;
         match self.router.dispatch(
             ctx,
-            &self.inner,
+            daemon,
             &mut req.route,
             service,
             LoadBalance::Random,
@@ -254,7 +247,13 @@ impl LoadGenNode {
 
     /// Attempt `seq` ended: `answer` says whether its response was ok,
     /// `None` that it timed out.
-    fn attempt_ended(&mut self, ctx: &mut Context, seq: u32, answer: Option<bool>) {
+    fn attempt_ended(
+        &mut self,
+        daemon: &MembershipNode,
+        ctx: &mut Context,
+        seq: u32,
+        answer: Option<bool>,
+    ) {
         let Some(serial) = self.inflight.remove(&seq) else {
             return; // Already answered, or timed out before the response.
         };
@@ -281,8 +280,7 @@ impl LoadGenNode {
                 let route = &req.route;
                 let stale = !route.used_proxy
                     && route.tried.last().is_some_and(|target| {
-                        !self
-                            .inner
+                        !daemon
                             .resolve_service(req.service(), Some(route.partition))
                             .contains(target)
                     });
@@ -294,7 +292,7 @@ impl LoadGenNode {
                 ctx.count("load", class, 1);
             }
         }
-        self.dispatch(ctx, serial);
+        self.dispatch(daemon, ctx, serial);
     }
 
     fn complete_request(&mut self, ctx: &mut Context, serial: u32) {
@@ -338,52 +336,50 @@ impl LoadGenNode {
     }
 }
 
-impl Actor for LoadGenNode {
-    fn on_start(&mut self, ctx: &mut Context) {
-        if self.crashed {
-            // A real crash loses the user population's state; ramp up
-            // again from scratch.
-            self.crashed = false;
-            self.warmed = false;
-            self.started = false;
-            self.calendar.clear();
-            self.open_base = None;
-            self.reqs.clear();
-            self.inflight.clear();
-        }
-        self.inner.on_start(ctx);
+impl Role for LoadGenNode {
+    /// Service RPC: responses end attempts, stray requests are dropped.
+    fn claims(&self, kind: &str, _meta: PacketMeta) -> bool {
+        matches!(kind, "svc-req" | "svc-resp")
+    }
+
+    fn on_start(&mut self, _daemon: &MembershipNode, ctx: &mut Context) {
         let tick_ns = self.cfg.workload.tick;
         let next = ctx.now() / tick_ns + 1;
         ctx.set_timer(next * tick_ns - ctx.now(), T_TICK | (next & 0xffff_ffff));
     }
 
-    fn on_crash(&mut self) {
-        self.crashed = true;
-        self.inner.on_crash();
+    /// A real crash loses the user population's state; ramp up again
+    /// from scratch.
+    fn reset(&mut self) {
+        self.warmed = false;
+        self.started = false;
+        self.calendar.clear();
+        self.open_base = None;
+        self.reqs.clear();
+        self.inflight.clear();
     }
 
-    fn on_packet(&mut self, ctx: &mut Context, meta: PacketMeta, msg: &Message) {
-        match msg {
-            Message::ServiceResponse(r) => {
-                self.attempt_ended(ctx, (r.id & 0xffff_ffff) as u32, Some(r.ok))
-            }
-            Message::ServiceRequest(_) => {}
-            other => self.inner.on_packet(ctx, meta, other),
+    fn on_packet(
+        &mut self,
+        daemon: &MembershipNode,
+        ctx: &mut Context,
+        _meta: PacketMeta,
+        msg: &Message,
+    ) {
+        if let Message::ServiceResponse(r) = msg {
+            self.attempt_ended(daemon, ctx, (r.id & 0xffff_ffff) as u32, Some(r.ok));
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, token: u64) {
-        if token & LOAD_TOKEN_MASK == 0 {
-            return self.inner.on_timer(ctx, token);
-        }
-        match token & LOAD_TOKEN_MASK {
+    fn on_timer(&mut self, daemon: &MembershipNode, ctx: &mut Context, token: u64) {
+        match token & !0xffff_ffff {
             T_TICK => {
                 let tick = (token & 0xffff_ffff) as u32;
                 ctx.set_timer(
                     self.cfg.workload.tick,
                     T_TICK | u64::from(tick.wrapping_add(1)),
                 );
-                if !self.warmed_up() {
+                if !self.warmed_up(daemon) {
                     return;
                 }
                 if !self.started {
@@ -392,10 +388,10 @@ impl Actor for LoadGenNode {
                 }
                 let due = self.due_now(tick);
                 for _ in 0..due {
-                    self.start_request(ctx);
+                    self.start_request(daemon, ctx);
                 }
             }
-            T_ATTEMPT => self.attempt_ended(ctx, (token & 0xffff_ffff) as u32, None),
+            T_ATTEMPT => self.attempt_ended(daemon, ctx, (token & 0xffff_ffff) as u32, None),
             _ => {}
         }
     }

@@ -84,7 +84,8 @@ impl MService {
         self.node.directory_client()
     }
 
-    /// Introspection probe (leaders per level, member count, …).
+    /// Introspection probe (leaders per level, active levels,
+    /// incarnation).
     pub fn probe(&self) -> crate::node::Probe {
         self.node.probe()
     }

@@ -98,9 +98,6 @@ pub struct MembershipConfig {
     /// dead (`MAX_LOSS`): the level-0 failure timeout is
     /// `max_loss × heartbeat_period`.
     pub max_loss: u32,
-    /// Shared-memory key from the paper's config format. Cosmetic here
-    /// (identifies the directory handle).
-    pub shm_key: u32,
     /// Events carried per update message (new event + piggybacked
     /// predecessors). The paper uses 4 (current + last 3).
     pub piggyback_window: usize,
@@ -169,7 +166,6 @@ impl Default for MembershipConfig {
             max_ttl: 4,
             heartbeat_period: SECS,
             max_loss: 5,
-            shm_key: 999,
             piggyback_window: 4,
             startup_jitter: 500 * MILLIS,
             listen_period: 2 * SECS + 500 * MILLIS,
@@ -318,8 +314,12 @@ impl MembershipConfig {
             let (key, value) = (key.trim(), value.trim());
             match section {
                 Section::System => match key {
+                    // The paper's shared-memory key: a directory handle
+                    // here is a clone, so the key is checked and dropped.
                     "SHM_KEY" => {
-                        cfg.shm_key = value.parse().map_err(|_| err(line_no, "bad SHM_KEY"))?
+                        value
+                            .parse::<u32>()
+                            .map_err(|_| err(line_no, "bad SHM_KEY"))?;
                     }
                     "MAX_TTL" => {
                         cfg.max_ttl = value.parse().map_err(|_| err(line_no, "bad MAX_TTL"))?
@@ -398,7 +398,9 @@ MAX_LOSS = 5
     #[test]
     fn parses_the_papers_example() {
         let cfg = MembershipConfig::parse(FIG7).unwrap();
-        assert_eq!(cfg.shm_key, 999);
+        let e = MembershipConfig::parse("*SYSTEM\nSHM_KEY = shm\n").unwrap_err();
+        assert!(e.message.contains("SHM_KEY"), "{e}");
+        assert_eq!(e.line, 2);
         assert_eq!(cfg.max_ttl, 4);
         assert_eq!(cfg.heartbeat_period, SECS);
         assert_eq!(cfg.max_loss, 5);

@@ -16,6 +16,7 @@
 //! | §3.1.2 update propagation | `update.rs` — the update handler, one arm per event kind |
 //! | §3.1.2 timeout protocol + the robustness extensions | `removal.rs` (timeout → suspect / vote → confirm → remove, quarantine, catch-all expiry) over three books that each own their state: `evidence.rs` (suspicions, refutation memory, flap scores, distress latch), `cuts.rs` (cut-detection votes), `quarantine.rs` (escrowed subtrees) |
 //! | §5 configuration file + `MService`/`MClient` API | [`MembershipConfig::parse`], [`MService`], [`MClient`] |
+//! | §5 a service process beside its daemon, §3.2 proxies as members | [`Hosted`] runs a [`Role`] (proxy, provider, gateway, load generator) next to a [`MembershipNode`]: restart, timer tokens and packet ownership, once (`hosted.rs`) |
 //!
 //! docs/PROTOCOL.md §1a lists who may write what and every call that
 //! crosses between books.
@@ -45,6 +46,7 @@
 
 pub mod config;
 pub mod group;
+pub mod hosted;
 pub mod node;
 
 mod api;
@@ -58,4 +60,5 @@ mod update;
 
 pub use api::{MClient, MService, ServiceError};
 pub use config::{ConfigError, MembershipConfig, RemovalDiscipline};
+pub use hosted::{Hosted, Role, ROLE_TOKENS};
 pub use node::{ControlHandle, MembershipNode, Probe, ProbeState, ServiceCommand};

@@ -90,8 +90,6 @@ pub struct ProbeState {
     /// Levels this node currently participates in.
     pub active_levels: Vec<u8>,
     pub incarnation: u64,
-    /// Live entries in the local directory.
-    pub member_count: usize,
 }
 
 /// Cloneable handle to a node's [`ProbeState`].
@@ -374,7 +372,6 @@ impl MembershipNode {
     }
 
     pub(crate) fn update_probe(&self) {
-        let member_count = self.directory.read(|d| d.len());
         let mut p = self.probe.lock();
         // Reuse the probe's buffers: this runs every sweep on every node
         // and after every packet that moved something the probe carries,
@@ -388,7 +385,6 @@ impl MembershipNode {
         p.active_levels.clear();
         p.active_levels.extend(self.active_levels());
         p.incarnation = self.incarnation;
-        p.member_count = member_count;
     }
 
     /// Apply a record heard *directly* (heartbeat from the node itself);
@@ -724,8 +720,7 @@ impl MembershipNode {
         let now = ctx.now();
         let dir_slot = g.heard_heartbeat(hb.from, now, hb.is_leader, record.incarnation());
         // What the probe carries and this handler can move: the group's
-        // leader (losing ours also drops the levels above) and the
-        // member count (only with `changed` below).
+        // leader (losing ours also drops the levels above).
         let leader_before = g.leader;
         let claim = hb
             .is_leader
@@ -792,7 +787,7 @@ impl MembershipNode {
         // The steady-state heartbeat moved nothing the probe carries:
         // republishing it would be a lock and two buffer refills per
         // packet for an identical snapshot.
-        if changed || leader_now != leader_before {
+        if leader_now != leader_before {
             self.update_probe();
         }
     }
@@ -1080,14 +1075,17 @@ pub(crate) mod tests {
         use tamp_topology::MILLIS;
         let mut node = MembershipNode::new(NodeId(5), MembershipConfig::default());
         drive(&mut node, 0, |n, ctx| n.on_start(ctx));
-        assert_eq!(truthful_probe(&node).member_count, 1);
+        let members = node.directory_client();
+        truthful_probe(&node);
+        assert_eq!(members.member_count(), 1);
 
         // A new member, then a leader: each visible before any sweep.
         hear(&mut node, MILLIS, 7, false, 0);
-        assert_eq!(truthful_probe(&node).member_count, 2);
+        truthful_probe(&node);
+        assert_eq!(members.member_count(), 2);
         hear(&mut node, 2 * MILLIS, 3, true, 0);
         let p = truthful_probe(&node);
-        assert_eq!((p.member_count, p.leaders[0]), (3, Some(NodeId(3))));
+        assert_eq!((members.member_count(), p.leaders[0]), (3, Some(NodeId(3))));
 
         // Steady state: nothing the probe carries moves, so nothing is
         // published (the marker survives) and nothing is missed.

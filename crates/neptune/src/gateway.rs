@@ -10,8 +10,8 @@
 //! [`Router`]; the gateway adds the workflow, the per-partition fan-out
 //! and random polling on top.
 
-use tamp_membership::{MembershipConfig, MembershipNode, Probe};
-use tamp_netsim::{Actor, Context, IntMap, Nanos, PacketMeta, MILLIS};
+use tamp_membership::{Hosted, MembershipConfig, MembershipNode, Role};
+use tamp_netsim::{Context, IntMap, Nanos, PacketMeta, MILLIS};
 use tamp_wire::{Message, NodeId, ServiceRequest, ServiceResponse};
 
 use crate::provider::POLL_PAYLOAD;
@@ -103,7 +103,6 @@ impl GatewayConfig {
 const T_ARRIVE: u64 = 6 << 32;
 /// How long to wait for poll answers before dispatching anyway.
 const POLL_TIMEOUT: Nanos = 50 * MILLIS;
-const GW_TOKEN_MASK: u64 = !0u64 << 32;
 
 #[derive(Debug)]
 enum Phase {
@@ -134,11 +133,11 @@ struct Query {
     used_proxy: bool,
 }
 
-/// A protocol-gateway node: generates queries and routes workflow steps.
+/// A protocol-gateway node: generates queries and routes workflow
+/// steps over the view of the membership daemon it is hosted beside.
 pub struct GatewayNode {
     cfg: GatewayConfig,
     me: NodeId,
-    inner: MembershipNode,
     router: Router,
     timeline: TimelineHandle,
     queries: IntMap<u64, Query>,
@@ -151,28 +150,23 @@ pub struct GatewayNode {
     /// service+partition. Later *failures* must not re-gate arrivals —
     /// that is exactly when proxy failover earns its keep.
     warmed: bool,
-    crashed: bool,
 }
 
 impl GatewayNode {
-    pub fn new(me: NodeId, cfg: GatewayConfig) -> Self {
-        GatewayNode {
+    /// A gateway and its membership daemon, ready to install.
+    pub fn new(me: NodeId, cfg: GatewayConfig) -> Hosted<Self> {
+        let daemon = MembershipNode::new(me, cfg.membership.clone());
+        let role = GatewayNode {
             me,
-            inner: MembershipNode::new(me, cfg.membership.clone()),
             router: Router::new(me, cfg.route),
             timeline: TimelineHandle::default(),
             queries: IntMap::default(),
             next_query: 0,
             inflight: IntMap::default(),
             warmed: false,
-            crashed: false,
             cfg,
-        }
-    }
-
-    /// Introspection handle of the embedded membership node.
-    pub fn probe(&self) -> Probe {
-        self.inner.probe()
+        };
+        Hosted::new(daemon, role)
     }
 
     /// The gateway's per-second query record (shared; clone before
@@ -183,20 +177,19 @@ impl GatewayNode {
 
     /// True once the directory lists at least one instance for every
     /// (service, partition) a query could touch.
-    fn warmed_up(&mut self) -> bool {
+    fn warmed_up(&mut self, daemon: &MembershipNode) -> bool {
         if !self.warmed {
-            let inner = &self.inner;
             self.warmed = self
                 .cfg
                 .workflow
                 .steps
                 .iter()
-                .all(|s| serves(inner, &s.service, s.partition_count));
+                .all(|s| serves(daemon, &s.service, s.partition_count));
         }
         self.warmed
     }
 
-    fn start_query(&mut self, ctx: &mut Context) {
+    fn start_query(&mut self, daemon: &MembershipNode, ctx: &mut Context) {
         self.next_query += 1;
         let qid = self.next_query;
         self.timeline.lock().record_issue();
@@ -209,10 +202,10 @@ impl GatewayNode {
                 used_proxy: false,
             },
         );
-        self.begin_step(ctx, qid);
+        self.begin_step(daemon, ctx, qid);
     }
 
-    fn begin_step(&mut self, ctx: &mut Context, qid: u64) {
+    fn begin_step(&mut self, daemon: &MembershipNode, ctx: &mut Context, qid: u64) {
         let Some(q) = self.queries.get_mut(&qid) else {
             return;
         };
@@ -226,13 +219,13 @@ impl GatewayNode {
             StepMode::AllPartitions => (0..step.partition_count).map(sub).collect(),
         };
         for sub in 0..q.subs.len() {
-            self.dispatch(ctx, qid, sub);
+            self.dispatch(daemon, ctx, qid, sub);
         }
     }
 
     /// Route one sub-query: local replica (or a poll of two), proxy
     /// fallback, or fail the whole query.
-    fn dispatch(&mut self, ctx: &mut Context, qid: u64, sub: usize) {
+    fn dispatch(&mut self, daemon: &MembershipNode, ctx: &mut Context, qid: u64, sub: usize) {
         let Some(q) = self.queries.get_mut(&qid) else {
             return;
         };
@@ -241,7 +234,7 @@ impl GatewayNode {
         let draw = &mut |ctx: &mut Context<'_>, n| ctx.rand_below(n);
         match self
             .router
-            .dispatch(ctx, &self.inner, route, service, self.cfg.lb, draw)
+            .dispatch(ctx, daemon, route, service, self.cfg.lb, draw)
         {
             Dispatch::Sent(seq) => self.sent(qid, sub, seq),
             Dispatch::Poll(candidates) => self.send_polls(ctx, qid, sub, candidates),
@@ -310,7 +303,7 @@ impl GatewayNode {
     }
 
     /// One sub-query finished; advance the step / query when all have.
-    fn sub_done(&mut self, ctx: &mut Context, qid: u64, sub: usize) {
+    fn sub_done(&mut self, daemon: &MembershipNode, ctx: &mut Context, qid: u64, sub: usize) {
         let Some(q) = self.queries.get_mut(&qid) else {
             return;
         };
@@ -326,12 +319,18 @@ impl GatewayNode {
                 .lock()
                 .record_completion(now, now - q.started, q.used_proxy);
         } else {
-            self.begin_step(ctx, qid);
+            self.begin_step(daemon, ctx, qid);
         }
     }
 
     /// Attempt `seq` ended: `answer` is its response, `None` its timeout.
-    fn attempt_ended(&mut self, ctx: &mut Context, seq: u32, answer: Option<&ServiceResponse>) {
+    fn attempt_ended(
+        &mut self,
+        daemon: &MembershipNode,
+        ctx: &mut Context,
+        seq: u32,
+        answer: Option<&ServiceResponse>,
+    ) {
         let Some((qid, sub)) = self.inflight.remove(&seq) else {
             return;
         };
@@ -350,62 +349,60 @@ impl GatewayNode {
                 if *outstanding == 0 {
                     match best.map(|(n, _)| n) {
                         Some(target) => self.send_to(ctx, qid, sub, target),
-                        None => self.dispatch(ctx, qid, sub),
+                        None => self.dispatch(daemon, ctx, qid, sub),
                     }
                 }
             }
-            Phase::Waiting if answer.is_some_and(|r| r.ok) => self.sub_done(ctx, qid, sub),
+            Phase::Waiting if answer.is_some_and(|r| r.ok) => self.sub_done(daemon, ctx, qid, sub),
             // Rejected (e.g. no remote DC offers the service), or the
             // attempt died (crashed instance, lost packet): retry on
             // another replica or escalate.
-            Phase::Waiting => self.dispatch(ctx, qid, sub),
+            Phase::Waiting => self.dispatch(daemon, ctx, qid, sub),
             Phase::Done => {}
         }
     }
 }
 
-impl Actor for GatewayNode {
-    fn on_start(&mut self, ctx: &mut Context) {
-        if self.crashed {
-            self.crashed = false;
-            self.queries.clear();
-            self.inflight.clear();
-            self.warmed = false;
-        }
-        self.inner.on_start(ctx);
+impl Role for GatewayNode {
+    /// Service RPC: responses end attempts, stray requests are dropped.
+    fn claims(&self, kind: &str, _meta: PacketMeta) -> bool {
+        matches!(kind, "svc-req" | "svc-resp")
+    }
+
+    fn on_start(&mut self, _daemon: &MembershipNode, ctx: &mut Context) {
         if self.cfg.arrival_period > 0 {
             let phase = ctx.jitter(self.cfg.arrival_period);
             ctx.set_timer(phase + self.cfg.arrival_period, T_ARRIVE);
         }
     }
 
-    fn on_crash(&mut self) {
-        self.crashed = true;
-        self.inner.on_crash();
+    fn reset(&mut self) {
+        self.queries.clear();
+        self.inflight.clear();
+        self.warmed = false;
     }
 
-    fn on_packet(&mut self, ctx: &mut Context, meta: PacketMeta, msg: &Message) {
-        match msg {
-            Message::ServiceResponse(r) => {
-                self.attempt_ended(ctx, (r.id & 0xffff_ffff) as u32, Some(r))
-            }
-            Message::ServiceRequest(_) => {}
-            other => self.inner.on_packet(ctx, meta, other),
+    fn on_packet(
+        &mut self,
+        daemon: &MembershipNode,
+        ctx: &mut Context,
+        _meta: PacketMeta,
+        msg: &Message,
+    ) {
+        if let Message::ServiceResponse(r) = msg {
+            self.attempt_ended(daemon, ctx, (r.id & 0xffff_ffff) as u32, Some(r));
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, token: u64) {
-        if token & GW_TOKEN_MASK == 0 {
-            return self.inner.on_timer(ctx, token);
-        }
-        match token & GW_TOKEN_MASK {
+    fn on_timer(&mut self, daemon: &MembershipNode, ctx: &mut Context, token: u64) {
+        match token & !0xffff_ffff {
             T_ARRIVE => {
-                if self.warmed_up() {
-                    self.start_query(ctx);
+                if self.warmed_up(daemon) {
+                    self.start_query(daemon, ctx);
                 }
                 ctx.set_timer(self.cfg.arrival_period, T_ARRIVE);
             }
-            T_ATTEMPT => self.attempt_ended(ctx, (token & 0xffff_ffff) as u32, None),
+            T_ATTEMPT => self.attempt_ended(daemon, ctx, (token & 0xffff_ffff) as u32, None),
             _ => {}
         }
     }

@@ -22,6 +22,6 @@ pub mod search;
 pub mod timeline;
 
 pub use gateway::{GatewayConfig, GatewayNode, Step, StepMode, Workflow};
-pub use provider::{ProviderConfig, ProviderNode, POLL_PAYLOAD};
+pub use provider::{ProviderConfig, ProviderNode, POLL_PAYLOAD, RESPONSE_SIZE};
 pub use router::{Dispatch, LoadBalance, Route, RouteConfig, Router};
 pub use timeline::{Cell, Timeline, TimelineHandle};

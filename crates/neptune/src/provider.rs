@@ -1,14 +1,17 @@
 //! Service provider: the Neptune provider module + a service-specific
 //! handler with a simple FIFO processing model.
 
-use tamp_membership::{MembershipConfig, MembershipNode};
-use tamp_netsim::{Actor, Context, IntMap, Nanos, PacketMeta, MILLIS};
+use tamp_membership::{Hosted, MembershipConfig, MembershipNode, Role};
+use tamp_netsim::{Context, IntMap, Nanos, PacketMeta, MILLIS};
 use tamp_wire::{Message, NodeId, ServiceRequest, ServiceResponse};
 
 /// Poll marker payload for the random-polling load balancer: a provider
 /// answers a request with this payload immediately with its current
 /// queue length instead of doing work.
 pub const POLL_PAYLOAD: &[u8] = b"\x00__POLL";
+
+/// Response payload size in bytes.
+pub const RESPONSE_SIZE: usize = 64;
 
 /// Tunables of one provider node.
 #[derive(Debug, Clone)]
@@ -19,8 +22,6 @@ pub struct ProviderConfig {
     /// Time to process one request (FIFO; requests queue behind each
     /// other).
     pub service_time: Nanos,
-    /// Response payload size in bytes.
-    pub response_size: usize,
 }
 
 impl ProviderConfig {
@@ -28,7 +29,6 @@ impl ProviderConfig {
         ProviderConfig {
             membership,
             service_time,
-            response_size: 64,
         }
     }
 }
@@ -38,19 +38,17 @@ impl Default for ProviderConfig {
         ProviderConfig {
             membership: MembershipConfig::default(),
             service_time: 10 * MILLIS,
-            response_size: 64,
         }
     }
 }
 
 const T_DONE: u64 = 5 << 32;
-const PROVIDER_TOKEN_MASK: u64 = !0u64 << 32;
 
-/// A cluster node that serves requests for its registered services.
+/// A cluster node that serves requests for its registered services: a
+/// [`Role`] hosted beside the membership daemon that publishes them.
 pub struct ProviderNode {
     cfg: ProviderConfig,
     me: NodeId,
-    inner: MembershipNode,
     /// When the currently queued work drains.
     busy_until: Nanos,
     /// Requests queued but not yet answered.
@@ -58,28 +56,24 @@ pub struct ProviderNode {
     /// Completion-timer sequence → response to send.
     in_service: IntMap<u64, (NodeId, u64)>,
     next_done: u64,
-    crashed: bool,
 }
 
 impl ProviderNode {
-    pub fn new(me: NodeId, cfg: ProviderConfig) -> Self {
-        let inner = MembershipNode::new(me, cfg.membership.clone());
+    /// A provider and its membership daemon, ready to install.
+    pub fn new(me: NodeId, cfg: ProviderConfig) -> Hosted<Self> {
+        let daemon = MembershipNode::new(me, cfg.membership.clone());
+        Hosted::new(daemon, ProviderNode::role(me, cfg))
+    }
+
+    fn role(me: NodeId, cfg: ProviderConfig) -> Self {
         ProviderNode {
             me,
-            inner,
             busy_until: 0,
             queue_len: 0,
             in_service: IntMap::default(),
             next_done: 0,
-            crashed: false,
             cfg,
         }
-    }
-
-    /// Introspection handle of the embedded membership node (leader
-    /// votes for chaos target resolution).
-    pub fn probe(&self) -> tamp_membership::Probe {
-        self.inner.probe()
     }
 
     /// Current queue length (what a poll reports).
@@ -112,35 +106,26 @@ impl ProviderNode {
     }
 }
 
-impl Actor for ProviderNode {
-    fn on_start(&mut self, ctx: &mut Context) {
-        if self.crashed {
-            self.crashed = false;
-            self.busy_until = 0;
-            self.queue_len = 0;
-            self.in_service.clear();
-        }
-        self.inner.on_start(ctx);
+impl Role for ProviderNode {
+    /// Service RPC: requests are served, stray responses dropped.
+    fn claims(&self, kind: &str, _meta: PacketMeta) -> bool {
+        matches!(kind, "svc-req" | "svc-resp")
     }
 
-    fn on_crash(&mut self) {
-        self.crashed = true;
-        self.inner.on_crash();
+    fn reset(&mut self) {
+        self.busy_until = 0;
+        self.queue_len = 0;
+        self.in_service.clear();
     }
 
-    fn on_packet(&mut self, ctx: &mut Context, meta: PacketMeta, msg: &Message) {
-        match msg {
-            Message::ServiceRequest(r) => self.handle_request(ctx, r),
-            Message::ServiceResponse(_) => {}
-            other => self.inner.on_packet(ctx, meta, other),
+    fn on_packet(&mut self, _: &MembershipNode, ctx: &mut Context, _: PacketMeta, msg: &Message) {
+        if let Message::ServiceRequest(r) = msg {
+            self.handle_request(ctx, r);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, token: u64) {
-        if token & PROVIDER_TOKEN_MASK == 0 {
-            return self.inner.on_timer(ctx, token);
-        }
-        if token & PROVIDER_TOKEN_MASK == T_DONE {
+    fn on_timer(&mut self, _daemon: &MembershipNode, ctx: &mut Context, token: u64) {
+        if token & !0xffff_ffff == T_DONE {
             if let Some((reply_to, id)) = self.in_service.remove(&(token & 0xffff_ffff)) {
                 self.queue_len = self.queue_len.saturating_sub(1);
                 ctx.send_unicast(
@@ -149,7 +134,7 @@ impl Actor for ProviderNode {
                         id,
                         from: self.me,
                         ok: true,
-                        payload: vec![0u8; self.cfg.response_size],
+                        payload: vec![0u8; RESPONSE_SIZE],
                     }),
                 );
             }
@@ -184,7 +169,7 @@ mod tests {
 
     #[test]
     fn poll_answers_immediately_with_queue_length() {
-        let mut p = ProviderNode::new(NodeId(1), ProviderConfig::default());
+        let mut p = ProviderNode::role(NodeId(1), ProviderConfig::default());
         p.queue_len = 3;
         let effects = drive_request(&mut p, 0, POLL_PAYLOAD.to_vec());
         assert_eq!(effects.len(), 1);
@@ -204,7 +189,7 @@ mod tests {
 
     #[test]
     fn requests_queue_fifo() {
-        let mut p = ProviderNode::new(NodeId(1), ProviderConfig::default());
+        let mut p = ProviderNode::role(NodeId(1), ProviderConfig::default());
         // Two back-to-back requests at t=0: completions at 10ms and 20ms.
         let e1 = drive_request(&mut p, 0, vec![1]);
         let e2 = drive_request(&mut p, 0, vec![2]);
@@ -219,7 +204,7 @@ mod tests {
 
     #[test]
     fn idle_provider_starts_fresh() {
-        let mut p = ProviderNode::new(NodeId(1), ProviderConfig::default());
+        let mut p = ProviderNode::role(NodeId(1), ProviderConfig::default());
         let _ = drive_request(&mut p, 0, vec![1]);
         // Next request arrives long after the queue drained.
         let e = drive_request(&mut p, 100 * MILLIS, vec![2]);

@@ -27,8 +27,6 @@ pub struct SearchOptions {
     /// Number of data centers (the paper uses 2: "east coast" / "west
     /// coast").
     pub datacenters: usize,
-    /// One-way WAN latency between adjacent DCs (paper: ~90 ms RTT).
-    pub wan_one_way: Nanos,
     /// Replicas per partition per DC (paper: 3).
     pub replicas: usize,
     /// Consumers (gateways in [`build`]) per DC.
@@ -52,7 +50,6 @@ impl Default for SearchOptions {
     fn default() -> Self {
         SearchOptions {
             datacenters: 2,
-            wan_one_way: 45 * MILLIS,
             replicas: 3,
             gateways_per_dc: 1,
             proxies_per_dc: 2,
@@ -82,6 +79,9 @@ pub struct SearchScenario {
     pub vips: VipTable,
 }
 
+/// One-way WAN latency between adjacent DCs (paper: ~90 ms RTT).
+pub const WAN_ONE_WAY: Nanos = 45 * MILLIS;
+
 /// Index partitions in the prototype (paper Fig. 1: two).
 pub const INDEX_PARTITIONS: u16 = 2;
 /// Document partitions (paper Fig. 1: three).
@@ -101,7 +101,7 @@ pub fn build(opts: &SearchOptions) -> SearchScenario {
             ..GatewayConfig::new(membership.clone(), workflow.clone(), opts.arrival_period)
         };
         let gw = GatewayNode::new(me, cfg);
-        let (probe, timeline) = (gw.probe(), gw.timeline());
+        let (probe, timeline) = (gw.probe(), gw.role().timeline());
         (Box::new(gw), probe, timeline)
     })
 }
@@ -127,7 +127,7 @@ pub fn deploy(
     let partitions: usize = tiers.iter().map(|&(p, _)| p as usize).sum();
     let per_dc = opts.gateways_per_dc + opts.proxies_per_dc + partitions * opts.replicas;
     let dcs = vec![(2, per_dc.div_ceil(2)); opts.datacenters];
-    let (topo, dc_hosts) = generators::multi_datacenter(&dcs, opts.wan_one_way);
+    let (topo, dc_hosts) = generators::multi_datacenter(&dcs, WAN_ONE_WAY);
     let mut probes = vec![None; topo.num_hosts()];
     let mut engine = Engine::new(topo, engine, opts.seed);
     let registry = engine.registry().clone();

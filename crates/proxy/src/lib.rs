@@ -22,13 +22,18 @@
 //!   paper Fig. 6), implemented in [`ProxyNode`]'s `ServiceRequest`
 //!   handling.
 //!
-//! Proxies are full cluster members: they run an embedded
-//! [`MembershipNode`](tamp_membership::MembershipNode) and export a `__proxy` pseudo-service, so any
-//! consumer can find its local proxies through the ordinary yellow-page
-//! lookup.
+//! Proxies are full cluster members: each is a
+//! [`Role`](tamp_membership::Role) hosted beside a
+//! [`MembershipNode`](tamp_membership::MembershipNode) by
+//! [`Hosted`](tamp_membership::Hosted), and exports a `__proxy`
+//! pseudo-service, so any consumer can find its local proxies through
+//! the ordinary yellow-page lookup.
 
 mod node;
 mod view;
 
-pub use node::{ProxyConfig, ProxyNode, PROXY_SERVICE};
+pub use node::{
+    ProxyConfig, ProxyNode, MAX_AVAIL_PER_PACKET, PENDING_TIMEOUT, PROXY_CHANNEL, PROXY_SERVICE,
+    PROXY_TTL,
+};
 pub use view::{RemoteView, VipTable};

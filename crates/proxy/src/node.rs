@@ -3,8 +3,8 @@
 
 use crate::view::{RemoteView, VipTable};
 use std::collections::HashMap;
-use tamp_membership::{MembershipConfig, MembershipNode};
-use tamp_netsim::{Actor, ChannelId, Context, Nanos, PacketMeta, MILLIS, SECS};
+use tamp_membership::{Hosted, MembershipConfig, MembershipNode, Role};
+use tamp_netsim::{ChannelId, Context, Nanos, PacketMeta, MILLIS, SECS};
 use tamp_wire::{
     DcId, Heartbeat, Message, NodeId, PartitionSet, ProxySummary, ProxyUpdate, ServiceAvail,
     ServiceDecl, ServiceRequest, ServiceResponse, SummaryEvent,
@@ -14,16 +14,23 @@ use tamp_wire::{
 /// consumers can locate their local proxies with an ordinary lookup.
 pub const PROXY_SERVICE: &str = "__proxy";
 
+/// Reserved multicast channel for the proxy group. One channel is
+/// shared by all DCs — TTL scoping keeps the groups apart.
+pub const PROXY_CHANNEL: ChannelId = ChannelId(200);
+/// TTL spanning the local DC (so all local proxies hear each other).
+pub const PROXY_TTL: u8 = 2;
+/// Max services per summary packet; larger summaries are split ("if the
+/// size of the membership summary is too big, the summary is broken
+/// into multiple heartbeat packets").
+pub const MAX_AVAIL_PER_PACKET: usize = 50;
+/// Drop forwarded requests with no response after this long.
+pub const PENDING_TIMEOUT: Nanos = 10 * SECS;
+
 /// Tunables of one membership proxy.
 #[derive(Debug, Clone)]
 pub struct ProxyConfig {
     /// This proxy's data center.
     pub dc: DcId,
-    /// Reserved multicast channel for the proxy group. One channel is
-    /// shared by all DCs — TTL scoping keeps the groups apart.
-    pub proxy_channel: ChannelId,
-    /// TTL spanning the local DC (so all local proxies hear each other).
-    pub proxy_ttl: u8,
     /// Proxy-group heartbeat period, also the WAN summary period.
     pub heartbeat_period: Nanos,
     /// Missed proxy heartbeats before a proxy is considered dead.
@@ -34,12 +41,6 @@ pub struct ProxyConfig {
     pub change_check_period: Nanos,
     /// Remote data centers to exchange membership with.
     pub remote_dcs: Vec<DcId>,
-    /// Max services per summary packet; larger summaries are split
-    /// ("if the size of the membership summary is too big, the summary
-    /// is broken into multiple heartbeat packets").
-    pub max_avail_per_packet: usize,
-    /// Drop forwarded requests with no response after this long.
-    pub pending_timeout: Nanos,
     /// Configuration for the embedded cluster membership node.
     pub membership: MembershipConfig,
 }
@@ -48,25 +49,18 @@ impl ProxyConfig {
     pub fn new(dc: DcId, remote_dcs: Vec<DcId>, membership: MembershipConfig) -> Self {
         ProxyConfig {
             dc,
-            proxy_channel: ChannelId(200),
-            proxy_ttl: 2,
             heartbeat_period: SECS,
             max_loss: 5,
             change_check_period: 250 * MILLIS,
             remote_dcs,
-            max_avail_per_packet: 50,
-            pending_timeout: 10 * SECS,
             membership,
         }
     }
 }
 
-// Proxy timer tokens live above bit 32 so they can never collide with
-// the embedded membership node's tokens.
 const T_PROXY_HB: u64 = 1 << 32;
 const T_PROXY_SWEEP: u64 = 2 << 32;
 const T_PROXY_CHANGE: u64 = 3 << 32;
-const PROXY_TOKEN_MASK: u64 = !0u64 << 32;
 
 /// Where to send a forwarded request's response. The originating
 /// request id rides the whole forwarding chain unchanged (every hop
@@ -82,13 +76,12 @@ struct Pending {
     at: Nanos,
 }
 
-/// One membership proxy (paper §3.2). Install it like any other actor;
-/// it participates in the local cluster membership via an embedded
-/// [`MembershipNode`] and bridges membership + requests across DCs.
+/// One membership proxy (paper §3.2): a [`Role`] hosted beside the
+/// local cluster's membership daemon, bridging membership and requests
+/// across DCs.
 pub struct ProxyNode {
     cfg: ProxyConfig,
     me: NodeId,
-    inner: MembershipNode,
     /// Local proxy peers heard on the proxy channel.
     proxy_peers: HashMap<NodeId, Nanos>,
     am_leader: bool,
@@ -104,11 +97,16 @@ pub struct ProxyNode {
     remote_seq: HashMap<DcId, u64>,
     /// Forwarded requests awaiting responses.
     pending: HashMap<u64, Pending>,
-    crashed: bool,
 }
 
 impl ProxyNode {
-    pub fn new(me: NodeId, mut cfg: ProxyConfig, vips: VipTable, remote: RemoteView) -> Self {
+    /// A proxy and its membership daemon, ready to install.
+    pub fn new(me: NodeId, cfg: ProxyConfig, vips: VipTable, remote: RemoteView) -> Hosted<Self> {
+        let role = ProxyNode::role(me, cfg, vips, remote);
+        Hosted::new(MembershipNode::new(me, role.cfg.membership.clone()), role)
+    }
+
+    fn role(me: NodeId, mut cfg: ProxyConfig, vips: VipTable, remote: RemoteView) -> Self {
         // Export the __proxy pseudo-service through the cluster
         // membership; the "partition" encodes the DC id.
         cfg.membership.services.retain(|s| s.name != PROXY_SERVICE);
@@ -116,10 +114,8 @@ impl ProxyNode {
             PROXY_SERVICE,
             PartitionSet::from_iter([cfg.dc.0]),
         ));
-        let inner = MembershipNode::new(me, cfg.membership.clone());
         ProxyNode {
             me,
-            inner,
             proxy_peers: HashMap::new(),
             am_leader: false,
             vips,
@@ -129,30 +125,8 @@ impl ProxyNode {
             partial: HashMap::new(),
             remote_seq: HashMap::new(),
             pending: HashMap::new(),
-            crashed: false,
             cfg,
         }
-    }
-
-    /// Yellow pages of the local DC (from the embedded membership node).
-    pub fn directory_client(&self) -> tamp_directory::DirectoryClient {
-        self.inner.directory_client()
-    }
-
-    /// This proxy's view of remote DCs.
-    pub fn remote_view(&self) -> RemoteView {
-        self.remote.clone()
-    }
-
-    /// Introspection handle of the embedded membership node (leader
-    /// votes for chaos target resolution).
-    pub fn probe(&self) -> tamp_membership::Probe {
-        self.inner.probe()
-    }
-
-    /// Is this proxy currently the DC's proxy leader (VIP owner)?
-    pub fn is_leader(&self) -> bool {
-        self.am_leader
     }
 
     fn evaluate_leadership(&mut self, now: Nanos) {
@@ -171,8 +145,8 @@ impl ProxyNode {
         self.am_leader = lead;
     }
 
-    fn local_summary(&self) -> Vec<ServiceAvail> {
-        self.inner
+    fn local_summary(daemon: &MembershipNode) -> Vec<ServiceAvail> {
+        daemon
             .directory_client()
             .read(|d| d.service_summary())
             .into_iter()
@@ -181,14 +155,14 @@ impl ProxyNode {
     }
 
     /// Send the full summary to every remote DC, split into parts.
-    fn send_summaries(&mut self, ctx: &mut Context) {
-        let summary = self.local_summary();
+    fn send_summaries(&mut self, daemon: &MembershipNode, ctx: &mut Context) {
+        let summary = Self::local_summary(daemon);
         self.summary_seq += 1;
         let chunks: Vec<Vec<ServiceAvail>> = if summary.is_empty() {
             vec![Vec::new()]
         } else {
             summary
-                .chunks(self.cfg.max_avail_per_packet)
+                .chunks(MAX_AVAIL_PER_PACKET)
                 .map(|c| c.to_vec())
                 .collect()
         };
@@ -220,8 +194,8 @@ impl ProxyNode {
 
     /// Diff the current summary against the last pushed one; push
     /// incremental updates when something changed.
-    fn push_changes(&mut self, ctx: &mut Context) {
-        let current = self.local_summary();
+    fn push_changes(&mut self, daemon: &MembershipNode, ctx: &mut Context) {
+        let current = Self::local_summary(daemon);
         let mut events = Vec::new();
         for s in &current {
             match self.last_pushed.iter().find(|o| o.name == s.name) {
@@ -290,18 +264,10 @@ impl ProxyNode {
             // so a failover loses nothing (unless this *was* the group
             // relay already).
             if self.am_leader && meta.channel.is_none() {
-                ctx.send_multicast(
-                    self.cfg.proxy_channel,
-                    self.cfg.proxy_ttl,
-                    Message::ProxySummary(s.clone()),
-                );
+                ctx.send_multicast(PROXY_CHANNEL, PROXY_TTL, Message::ProxySummary(s.clone()));
             }
         } else if self.am_leader && meta.channel.is_none() {
-            ctx.send_multicast(
-                self.cfg.proxy_channel,
-                self.cfg.proxy_ttl,
-                Message::ProxySummary(s.clone()),
-            );
+            ctx.send_multicast(PROXY_CHANNEL, PROXY_TTL, Message::ProxySummary(s.clone()));
         }
     }
 
@@ -317,17 +283,13 @@ impl ProxyNode {
             self.remote.apply(u.dc, ev);
         }
         if self.am_leader && meta.channel.is_none() {
-            ctx.send_multicast(
-                self.cfg.proxy_channel,
-                self.cfg.proxy_ttl,
-                Message::ProxyUpdate(u.clone()),
-            );
+            ctx.send_multicast(PROXY_CHANNEL, PROXY_TTL, Message::ProxyUpdate(u.clone()));
         }
     }
 
     /// The Fig. 6 request flow. `hops_left` encodes the position:
     /// 2 = fresh from a local consumer, 1 = arrived from a remote proxy.
-    fn handle_request(&mut self, ctx: &mut Context, req: &ServiceRequest) {
+    fn handle_request(&mut self, daemon: &MembershipNode, ctx: &mut Context, req: &ServiceRequest) {
         let now = ctx.now();
         if req.hops_left >= 2 {
             // Step (2): find a data center that has the service and
@@ -369,9 +331,7 @@ impl ProxyNode {
             // Step (3): pick a local backend instance. The service name
             // came off the wire: it is compared literally, like step
             // (2)'s `RemoteView::find`, never compiled as a pattern.
-            let backends = self
-                .inner
-                .resolve_service(&req.service, Some(req.partition));
+            let backends = daemon.resolve_service(&req.service, Some(req.partition));
             let target = if backends.is_empty() {
                 None
             } else {
@@ -435,8 +395,8 @@ impl ProxyNode {
         // proxy group's own little namespace.
         let rec = tamp_wire::NodeRecord::new(self.me, 1);
         ctx.send_multicast(
-            self.cfg.proxy_channel,
-            self.cfg.proxy_ttl,
+            PROXY_CHANNEL,
+            PROXY_TTL,
             Message::Heartbeat(Heartbeat {
                 from: self.me,
                 level: 0,
@@ -450,104 +410,73 @@ impl ProxyNode {
     }
 }
 
-impl Actor for ProxyNode {
-    fn on_start(&mut self, ctx: &mut Context) {
-        if self.crashed {
-            self.crashed = false;
-            self.proxy_peers.clear();
-            self.am_leader = false;
-            self.partial.clear();
-            self.pending.clear();
-            self.last_pushed.clear();
-        }
-        self.inner.on_start(ctx);
-        ctx.subscribe(self.cfg.proxy_channel);
+impl Role for ProxyNode {
+    /// Proxy-channel traffic and WAN proxy messages; the rest is the
+    /// daemon's.
+    fn claims(&self, kind: &str, meta: PacketMeta) -> bool {
+        meta.channel == Some(PROXY_CHANNEL)
+            || matches!(
+                kind,
+                "proxy-summary" | "proxy-update" | "svc-req" | "svc-resp"
+            )
+    }
+
+    fn on_start(&mut self, _daemon: &MembershipNode, ctx: &mut Context) {
+        ctx.subscribe(PROXY_CHANNEL);
         let phase = ctx.jitter(self.cfg.heartbeat_period / 2);
         ctx.set_timer(phase + self.cfg.heartbeat_period, T_PROXY_HB);
         ctx.set_timer(self.cfg.heartbeat_period / 2, T_PROXY_SWEEP);
         ctx.set_timer(phase + self.cfg.change_check_period, T_PROXY_CHANGE);
     }
 
-    fn on_crash(&mut self) {
-        self.crashed = true;
-        self.inner.on_crash();
+    fn reset(&mut self) {
+        self.proxy_peers.clear();
+        self.am_leader = false;
+        self.partial.clear();
+        self.pending.clear();
+        self.last_pushed.clear();
     }
 
-    fn on_packet(&mut self, ctx: &mut Context, meta: PacketMeta, msg: &Message) {
-        // Proxy-channel traffic and WAN proxy messages are ours; the
-        // rest belongs to the embedded membership node.
+    fn on_packet(
+        &mut self,
+        daemon: &MembershipNode,
+        ctx: &mut Context,
+        meta: PacketMeta,
+        msg: &Message,
+    ) {
         match msg {
-            Message::Heartbeat(hb) if meta.channel == Some(self.cfg.proxy_channel) => {
-                if hb.from != self.me {
-                    self.proxy_peers.insert(hb.from, ctx.now());
-                    self.evaluate_leadership(ctx.now());
-                }
+            // Claimed heartbeats are the proxy group's own.
+            Message::Heartbeat(hb) if hb.from != self.me => {
+                self.proxy_peers.insert(hb.from, ctx.now());
+                self.evaluate_leadership(ctx.now());
             }
             Message::ProxySummary(s) => self.handle_summary(ctx, meta, s),
             Message::ProxyUpdate(u) => self.handle_proxy_update(ctx, meta, u),
-            Message::ServiceRequest(r) => self.handle_request(ctx, r),
+            Message::ServiceRequest(r) => self.handle_request(daemon, ctx, r),
             Message::ServiceResponse(r) => self.handle_response(ctx, r),
-            _ if meta.channel == Some(self.cfg.proxy_channel) => {}
-            _ => self.inner.on_packet(ctx, meta, msg),
+            _ => {}
         }
     }
 
-    /// Zero-copy receive mirroring [`ProxyNode::on_packet`]'s dispatch
-    /// order: proxy-channel heartbeats only need the sender id (peeked
-    /// off the view — no record decode), WAN proxy messages materialize
-    /// once, and everything else flows to the embedded membership node's
-    /// own zero-copy path.
-    fn on_packet_view(
-        &mut self,
-        ctx: &mut Context,
-        meta: PacketMeta,
-        view: &tamp_wire::MessageView<'_>,
-    ) {
-        if meta.channel == Some(self.cfg.proxy_channel) {
-            if let Some(hb) = view.as_heartbeat() {
-                if hb.from != self.me {
-                    self.proxy_peers.insert(hb.from, ctx.now());
-                    self.evaluate_leadership(ctx.now());
-                }
-                return;
-            }
-        }
-        match view.kind() {
-            "proxy-summary" | "proxy-update" | "svc-req" | "svc-resp" => match view.to_owned() {
-                Message::ProxySummary(s) => self.handle_summary(ctx, meta, &s),
-                Message::ProxyUpdate(u) => self.handle_proxy_update(ctx, meta, &u),
-                Message::ServiceRequest(r) => self.handle_request(ctx, &r),
-                Message::ServiceResponse(r) => self.handle_response(ctx, &r),
-                _ => unreachable!("kind/tag agreement is fuzz-locked"),
-            },
-            _ if meta.channel == Some(self.cfg.proxy_channel) => {}
-            _ => self.inner.on_packet_view(ctx, meta, view),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context, token: u64) {
-        if token & PROXY_TOKEN_MASK == 0 {
-            return self.inner.on_timer(ctx, token);
-        }
+    fn on_timer(&mut self, daemon: &MembershipNode, ctx: &mut Context, token: u64) {
         match token {
             T_PROXY_HB => {
                 self.proxy_heartbeat(ctx);
                 if self.am_leader {
-                    self.send_summaries(ctx);
+                    self.send_summaries(daemon, ctx);
                 }
                 ctx.set_timer(self.cfg.heartbeat_period, T_PROXY_HB);
             }
             T_PROXY_SWEEP => {
                 let now = ctx.now();
                 self.evaluate_leadership(now);
-                let deadline = self.cfg.pending_timeout;
                 self.pending
-                    .retain(|_, p| now.saturating_sub(p.at) < deadline);
+                    .retain(|_, p| now.saturating_sub(p.at) < PENDING_TIMEOUT);
                 ctx.set_timer(self.cfg.heartbeat_period / 2, T_PROXY_SWEEP);
             }
             T_PROXY_CHANGE => {
                 if self.am_leader {
-                    self.push_changes(ctx);
+                    self.push_changes(daemon, ctx);
                 }
                 ctx.set_timer(self.cfg.change_check_period, T_PROXY_CHANGE);
             }
@@ -560,11 +489,12 @@ impl Actor for ProxyNode {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use tamp_netsim::{collect_effects, Destination, Effect};
+    use tamp_membership::ROLE_TOKENS;
+    use tamp_netsim::{collect_effects, Actor, Destination, Effect};
     use tamp_topology::HostId;
 
     fn mk_proxy(id: u32) -> ProxyNode {
-        ProxyNode::new(
+        ProxyNode::role(
             NodeId(id),
             ProxyConfig::new(DcId(0), vec![DcId(1)], MembershipConfig::default()),
             VipTable::new(),
@@ -599,7 +529,7 @@ mod tests {
     #[test]
     fn leadership_updates_vip() {
         let vips = VipTable::new();
-        let mut p = ProxyNode::new(
+        let mut p = ProxyNode::role(
             NodeId(7),
             ProxyConfig::new(DcId(2), vec![], MembershipConfig::default()),
             vips.clone(),
@@ -613,7 +543,12 @@ mod tests {
     /// `index` (node 10) and `doc` (node 11), partition 0 each: what
     /// the proxy does with an inbound request for `service`.
     fn step3(service: &str) -> Vec<Effect> {
-        let mut p = mk_proxy(3);
+        let mut p = ProxyNode::new(
+            NodeId(3),
+            ProxyConfig::new(DcId(0), vec![DcId(1)], MembershipConfig::default()),
+            VipTable::new(),
+            RemoteView::new(),
+        );
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let _ = collect_effects(0, HostId(3), &mut rng, |ctx| p.on_start(ctx));
         for (from, name) in [(10, "index"), (11, "doc")] {
@@ -684,10 +619,9 @@ mod tests {
     }
 
     #[test]
-    fn proxy_timer_tokens_do_not_collide_with_membership() {
-        // Membership tokens use the low 16 bits; proxy tokens are ≥ 2^32.
-        assert_eq!(T_PROXY_HB & 0xffff_ffff, 0);
-        assert_eq!(T_PROXY_SWEEP & 0xffff_ffff, 0);
-        assert_eq!(T_PROXY_CHANGE & 0xffff_ffff, 0);
+    fn proxy_timer_tokens_are_role_tokens() {
+        for token in [T_PROXY_HB, T_PROXY_SWEEP, T_PROXY_CHANGE] {
+            assert!(token >= ROLE_TOKENS);
+        }
     }
 }

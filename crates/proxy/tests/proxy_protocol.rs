@@ -4,7 +4,7 @@
 
 use tamp_membership::{MembershipConfig, MembershipNode};
 use tamp_netsim::{Control, Engine, EngineConfig, SECS};
-use tamp_proxy::{ProxyConfig, ProxyNode, RemoteView, VipTable};
+use tamp_proxy::{ProxyConfig, ProxyNode, RemoteView, VipTable, MAX_AVAIL_PER_PACKET};
 use tamp_topology::{generators, HostId};
 use tamp_wire::{DcId, NodeId, PartitionSet, ServiceDecl};
 
@@ -87,7 +87,8 @@ fn summaries_cross_the_wan() {
 #[test]
 fn large_summaries_split_and_reassemble() {
     // 4 providers × 20 services = 80 ServiceAvail entries — beyond the
-    // 50-per-packet cap, so summaries ship in 2 parts.
+    // per-packet cap, so summaries ship in 2 parts.
+    assert!((40..80).contains(&MAX_AVAIL_PER_PACKET));
     let (mut engine, views, _vips, _dcs) = two_dc_proxies(4, 20, 73);
     engine.run_until(40 * SECS);
     let remote = views[0].get_dc(DcId(1)).expect("no remote summary");

@@ -547,6 +547,31 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(50));
         }
+
+        // Restart it as a fresh process. It comes back at incarnation 1,
+        // the incarnation the survivors buried, so its heartbeats only
+        // rejoin it once their tombstones expire; after that it is one
+        // detection's worth of heartbeats, suspicion and sweeps from
+        // being listed everywhere again.
+        let cfg = quick_config();
+        let top = cfg.top_level();
+        let detection = cfg.timeout(top) + cfg.suspicion(top) + cfg.sweep_period;
+        let bound = Duration::from_nanos(cfg.effective_tombstone_ttl() + detection);
+        let node = MembershipNode::new(NodeId(victim.0), cfg);
+        clients[5] = node.directory_client();
+        let restarted = Instant::now();
+        rt.start_node(victim, Box::new(node));
+        loop {
+            let views: Vec<usize> = clients.iter().map(|c| c.member_count()).collect();
+            if views.iter().all(|&v| v == 6) {
+                break;
+            }
+            assert!(
+                restarted.elapsed() < bound,
+                "restarted node not listed again within {bound:?}: {views:?}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
         rt.shutdown();
 
         // Loopback never exerts enough pressure to exhaust the retry

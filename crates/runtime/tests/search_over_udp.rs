@@ -54,7 +54,7 @@ fn two_dc_search_engine_over_live_udp() {
         gw_cfg.route.request_timeout = 100_000_000;
         gw_cfg.route.proxy_timeout = 400_000_000;
         let gw = GatewayNode::new(NodeId(gw_host.0), gw_cfg);
-        timelines.push(gw.timeline());
+        timelines.push(gw.role().timeline());
         rt.add_node(gw_host, Box::new(gw));
 
         // Proxy (holds the VIP).

@@ -16,10 +16,14 @@
 //! views read exactly what the owned decoder reads is locked frame by
 //! frame in `crates/wire/tests/fuzz_codec.rs`.)
 //!
-//! Two protocols take both paths: `MembershipNode` at every size, and
-//! the all-to-all baseline, whose owned and borrowed receive paths share
+//! Three columns take both paths: `MembershipNode` at every size; the
+//! all-to-all baseline, whose owned and borrowed receive paths share
 //! one heartbeat handler, at n = 20 and (on half the seeds: every host
-//! hears every other, so a run costs three of `MembershipNode`'s) 60.
+//! hears every other, so a run costs three of `MembershipNode`'s) 60;
+//! and the service plane — gateways, proxies and providers, each a role
+//! hosted beside a `MembershipNode` — where a role's claimed packets
+//! reach it owned and everything else reaches the daemon's borrowed
+//! path.
 //!
 //! The runs execute in the debug profile, so every directory mutation
 //! also re-checks the incremental anti-entropy digest against a full
@@ -28,6 +32,8 @@
 
 use tamp::baselines::{AllToAllConfig, AllToAllNode};
 use tamp::directory::Provenance;
+use tamp::neptune::search::{self, SearchOptions, DOC_PARTITIONS, INDEX_PARTITIONS};
+use tamp::neptune::{GatewayConfig, GatewayNode, LoadBalance, Workflow};
 use tamp::netsim::telemetry::snapshot_to_csv;
 use tamp::netsim::{DropReason, ShardingKind, TraceConfig, TraceEvent, TraceLog, TraceRecord};
 use tamp::prelude::*;
@@ -47,15 +53,20 @@ struct Fingerprint {
 
 const MODES: [Option<CodecKind>; 2] = [None, Some(CodecKind::Borrowed)];
 
-/// The actor every host of a run gets.
+/// The actor every host of a run gets; `Search` is the service plane,
+/// a role beside a `MembershipNode` on every host ([`run_search`]).
 #[derive(Debug, Clone, Copy)]
 enum Protocol {
     Tamp,
     AllToAll,
+    Search,
 }
 
 fn run_cluster(protocol: Protocol, n: usize, seed: u64, mode: Option<CodecKind>) -> Fingerprint {
-    run_with(protocol, n, seed, mode, ShardingKind::Sequential, &[]).1
+    match protocol {
+        Protocol::Search => run_search(n, seed, mode),
+        _ => run_with(protocol, n, seed, mode, ShardingKind::Sequential, &[]).1,
+    }
 }
 
 /// [`run_cluster`] on a chosen engine, with `faults` on top of the
@@ -71,18 +82,7 @@ fn run_with(
 ) -> (Engine, Fingerprint) {
     let segments = (n / 20).max(1);
     let topo = generators::star_of_segments(segments, n / segments);
-    let cfg = EngineConfig {
-        trace: TraceConfig {
-            capacity: 400_000,
-            include_timers: true,
-            ..TraceConfig::all()
-        },
-        metrics: true,
-        wire_codec: mode,
-        sharding,
-        ..Default::default()
-    };
-    let mut engine = Engine::new(topo, cfg, seed);
+    let mut engine = Engine::new(topo, engine_config(mode, sharding), seed);
     let mut clients = Vec::new();
     for h in engine.hosts() {
         let me = NodeId(h.0);
@@ -97,6 +97,7 @@ fn run_with(
                 clients.push(node.directory_client());
                 Box::new(node)
             }
+            Protocol::Search => unreachable!("the service plane is deployed by run_search"),
         };
         engine.add_actor(h, node);
     }
@@ -110,7 +111,28 @@ fn run_with(
     }
     engine.start();
     engine.run_until(18 * SECS);
+    let fp = fingerprint(&engine, &clients);
+    (engine, fp)
+}
 
+/// Every event traced, timers included, and telemetry on.
+fn engine_config(mode: Option<CodecKind>, sharding: ShardingKind) -> EngineConfig {
+    EngineConfig {
+        trace: TraceConfig {
+            capacity: 400_000,
+            include_timers: true,
+            ..TraceConfig::all()
+        },
+        metrics: true,
+        wire_codec: mode,
+        sharding,
+        ..Default::default()
+    }
+}
+
+/// What a finished run shows: its trace, the final views of `clients`,
+/// its telemetry and its traffic totals.
+fn fingerprint(engine: &Engine, clients: &[DirectoryClient]) -> Fingerprint {
     let views = clients
         .iter()
         .map(|c| {
@@ -131,7 +153,7 @@ fn run_with(
         })
         .collect();
     let t = engine.stats().totals();
-    let fp = Fingerprint {
+    Fingerprint {
         trace: engine.trace_log().records().map(TraceLog::render).collect(),
         total_recorded: engine.trace_log().total_recorded(),
         views,
@@ -143,8 +165,55 @@ fn run_with(
             t.recv_bytes,
             t.dropped_pkts,
         ),
+    }
+}
+
+/// The service plane: the two-DC search deployment (per DC a gateway,
+/// two proxies, and three replicas of every index and doc partition),
+/// each gateway fanning every query out to all doc partitions after
+/// polling two replicas, with one doc provider killed long enough to be
+/// removed and then revived. `views` holds the gateways' directories;
+/// every other host's view shows in what it sends. The deployment is
+/// `n` = 36 hosts.
+fn run_search(n: usize, seed: u64, mode: Option<CodecKind>) -> Fingerprint {
+    let opts = SearchOptions {
+        seed,
+        ..SearchOptions::default()
     };
-    (engine, fp)
+    let tiers = [
+        (INDEX_PARTITIONS, opts.index_time),
+        (DOC_PARTITIONS, opts.doc_time),
+    ];
+    let engine = engine_config(mode, ShardingKind::Sequential);
+    let mut gateways = Vec::new();
+    let mut s = search::deploy(&opts, tiers, engine, |_, me, membership| {
+        let cfg = GatewayConfig {
+            lb: LoadBalance::PollTwo,
+            ..GatewayConfig::new(
+                membership.clone(),
+                Workflow::search_engine(true),
+                opts.arrival_period,
+            )
+        };
+        let gw = GatewayNode::new(me, cfg);
+        gateways.push(gw.directory_client());
+        let (probe, timeline) = (gw.probe(), gw.role().timeline());
+        (Box::new(gw), probe, timeline)
+    });
+    assert_eq!(s.engine.topology().num_hosts(), n);
+    let victim = s.doc_providers[0][0];
+    s.engine.schedule(5 * SECS, Control::Kill(victim));
+    s.engine.schedule(12 * SECS, Control::Revive(victim));
+    s.engine.start();
+    s.engine.run_until(15 * SECS);
+    let fp = fingerprint(&s.engine, &gateways);
+    let served = |kind: &str| fp.trace.iter().any(|r| r.contains(kind));
+    assert!(
+        served("svc-resp") && served("proxy-summary"),
+        "an idle plane"
+    );
+    assert_eq!(fp.total_recorded, fp.trace.len() as u64, "trace overflowed");
+    fp
 }
 
 /// Run every (seed, mode) pair of `protocol` for one size across a
@@ -225,6 +294,11 @@ fn alltoall_codec_modes_indistinguishable_n20() {
 #[test]
 fn alltoall_codec_modes_indistinguishable_n60() {
     assert_identical_all(Protocol::AllToAll, 60, SEEDS.take(5));
+}
+
+#[test]
+fn search_plane_codec_modes_indistinguishable() {
+    assert_identical_all(Protocol::Search, 36, SEEDS.take(4));
 }
 
 /// Shard and codec together: cross-shard sends travel as descriptors
