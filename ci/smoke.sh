@@ -206,6 +206,10 @@ job_baselines() {
     done
     exp chaos --strict --seed 4 --protocol swim
     exp chaos --strict --seed 4 --protocol tamp-rapid
+    # The two columns whose sweeps remove several members at one instant.
+    for p in alltoall gossip; do
+        exp chaos --strict --scenario scenarios/partition-heal.chaos --protocol $p
+    done
 }
 
 # Wire-codec fuzz smoke: the proptest fuzz/differential layer that locks

@@ -7,11 +7,13 @@
 //! functions independently and it provides the best fault isolation.
 //! Unfortunately, this simple scheme is not scalable."
 
-use std::collections::HashMap;
-use tamp_directory::{DirectoryClient, Provenance, SharedDirectory};
-use tamp_netsim::{Actor, ChannelId, Context, Nanos, PacketMeta, MILLIS, SECS};
-use tamp_wire::{Heartbeat, Message, NodeId, NodeRecord, RecordPayload, ServiceDecl};
+use crate::column::{take_due, Baseline, Column, Profile, Shell};
+use std::collections::BTreeMap;
+use tamp_netsim::{ChannelId, Context, Nanos, PacketMeta, MILLIS, SECS};
+use tamp_wire::{Heartbeat, Message, MessageView, NodeId, ServiceDecl};
 
+/// Telemetry namespace of the column's counters.
+pub const NAMESPACE: &str = "alltoall";
 /// The single cluster-wide multicast channel.
 pub const CHANNEL: ChannelId = ChannelId(0);
 /// TTL that reaches the whole cluster.
@@ -46,133 +48,73 @@ impl Default for AllToAllConfig {
     }
 }
 
-const T_HEARTBEAT: u64 = 1;
-const T_SWEEP: u64 = 2;
-
 /// One node of the all-to-all baseline.
-pub struct AllToAllNode {
-    cfg: AllToAllConfig,
-    me: NodeId,
-    incarnation: u64,
-    crashed: bool,
-    record: NodeRecord,
+pub type AllToAllNode = Baseline<AllToAll>;
+
+/// The all-to-all column: everyone monitors everyone through one
+/// multicast heartbeat.
+#[derive(Default)]
+pub struct AllToAll {
+    heartbeat_period: Nanos,
     seq: u64,
-    directory: SharedDirectory,
-    last_heard: HashMap<NodeId, Nanos>,
+    last_heard: BTreeMap<NodeId, Nanos>,
 }
 
-impl AllToAllNode {
-    pub fn new(me: NodeId, cfg: AllToAllConfig) -> Self {
-        let mut n = AllToAllNode {
-            record: NodeRecord::new(me, 0),
-            me,
-            incarnation: 0,
-            crashed: false,
-            seq: 0,
-            directory: SharedDirectory::new(),
-            last_heard: HashMap::new(),
-            cfg,
-        };
-        n.rebuild_record();
-        n
-    }
-
-    /// Yellow-page read handle.
-    pub fn directory_client(&self) -> DirectoryClient {
-        self.directory.client()
-    }
-
-    fn rebuild_record(&mut self) {
-        let mut r = NodeRecord::new(self.me, self.incarnation);
-        r.services = self.cfg.services.clone();
-        if self.cfg.pad_heartbeat_to > 0 {
-            r.pad_to_encoded_size(self.cfg.pad_heartbeat_to);
-        }
-        self.record = r;
-    }
-
+impl AllToAll {
     fn timeout(&self) -> Nanos {
-        MAX_LOSS as u64 * self.cfg.heartbeat_period
+        MAX_LOSS as u64 * self.heartbeat_period
     }
 
-    /// A heartbeat from `from`, carrying the record of `node` at
-    /// `incarnation`: note the sender alive and join or refresh its row.
-    /// `make_record` and `same` are [`tamp_directory::Directory::apply_join_with`]'s
-    /// — a clone and an equality for an owned message, a materialization
-    /// and a borrowed comparison for a wire view.
-    fn on_heartbeat(
-        &mut self,
-        ctx: &mut Context,
-        from: NodeId,
-        node: NodeId,
-        incarnation: u64,
-        make_record: impl FnOnce() -> NodeRecord,
-        same: impl FnOnce(&RecordPayload) -> bool,
-    ) {
-        if from == self.me {
-            return;
+    /// Note a heartbeat from `from` heard now; false if it is our own.
+    fn heard(&mut self, shell: &Shell, ctx: &Context, from: NodeId) -> bool {
+        if from == shell.me() {
+            return false;
         }
-        let now = ctx.now();
-        self.last_heard.insert(from, now);
-        let (was, applied) = self.directory.update(|d| {
-            let was = d.contains(from);
-            let (a, _) = d.apply_join_with(
-                node,
-                incarnation,
-                Provenance::Direct,
-                now,
-                make_record,
-                same,
-            );
-            (a.changed(), (was, a))
-        });
-        if applied.changed() && !was {
-            ctx.observe_added(from);
-        }
+        self.last_heard.insert(from, ctx.now());
+        true
     }
 }
 
-impl Actor for AllToAllNode {
-    fn on_start(&mut self, ctx: &mut Context) {
-        if self.crashed {
-            self.crashed = false;
-            self.last_heard.clear();
-            self.seq = 0;
-            self.directory.update(|d| {
-                *d = tamp_directory::Directory::new();
-                (true, ())
-            });
-        }
-        self.incarnation += 1;
-        self.rebuild_record();
-        let rec = self.record.clone();
-        let now = ctx.now();
-        self.directory
-            .update(|d| (d.apply_join(rec, Provenance::Local, now).changed(), ()));
+impl Column for AllToAll {
+    type Config = AllToAllConfig;
+    const NAMESPACE: &'static str = NAMESPACE;
+
+    fn new(cfg: AllToAllConfig) -> (Self, Profile) {
+        let column = AllToAll {
+            heartbeat_period: cfg.heartbeat_period,
+            ..AllToAll::default()
+        };
+        let profile = Profile {
+            services: cfg.services,
+            pad_to: cfg.pad_heartbeat_to,
+            startup_jitter: STARTUP_JITTER,
+            period: cfg.heartbeat_period,
+            sweep_period: SWEEP_PERIOD,
+        };
+        (column, profile)
+    }
+
+    fn reset(&mut self) {
+        self.last_heard.clear();
+        self.seq = 0;
+    }
+
+    fn on_start(&mut self, _shell: &mut Shell, ctx: &mut Context) {
         ctx.subscribe(CHANNEL);
-        let phase = ctx.jitter(STARTUP_JITTER);
-        ctx.set_timer(phase + self.cfg.heartbeat_period, T_HEARTBEAT);
-        ctx.set_timer(SWEEP_PERIOD, T_SWEEP);
     }
 
-    fn on_crash(&mut self) {
-        self.crashed = true;
-        self.directory.update(|d| {
-            *d = tamp_directory::Directory::new();
-            (true, ())
-        });
-    }
-
-    fn on_packet(&mut self, ctx: &mut Context, _meta: PacketMeta, msg: &Message) {
+    fn on_packet(&mut self, shell: &mut Shell, ctx: &mut Context, _: PacketMeta, msg: &Message) {
         let Message::Heartbeat(hb) = msg else { return };
-        self.on_heartbeat(
-            ctx,
-            hb.from,
-            hb.record.node,
-            hb.record.incarnation,
-            || hb.record.clone(),
-            |held| *hb.record == *held,
-        );
+        let rec = &hb.record;
+        if self.heard(shell, ctx, hb.from) {
+            shell.admit(
+                ctx,
+                rec.node,
+                rec.incarnation,
+                || rec.clone(),
+                |held| **rec == *held,
+            );
+        }
     }
 
     /// Zero-copy receive: the protocol is heartbeat-only, and on the
@@ -181,65 +123,49 @@ impl Actor for AllToAllNode {
     /// join compares through the borrowed view.
     fn on_packet_view(
         &mut self,
+        shell: &mut Shell,
         ctx: &mut Context,
-        _meta: PacketMeta,
-        view: &tamp_wire::MessageView<'_>,
+        _: PacketMeta,
+        view: &MessageView<'_>,
     ) {
         let Some(hb) = view.as_heartbeat() else {
             return;
         };
-        self.on_heartbeat(
-            ctx,
-            hb.from,
-            hb.record.node,
-            hb.record.incarnation,
-            || hb.record.to_record(),
-            |held| hb.record.same_payload(held),
+        let rec = &hb.record;
+        if self.heard(shell, ctx, hb.from) {
+            shell.admit(
+                ctx,
+                rec.node,
+                rec.incarnation,
+                || rec.to_record(),
+                |held| rec.same_payload(held),
+            );
+        }
+    }
+
+    fn on_tick(&mut self, shell: &mut Shell, ctx: &mut Context) {
+        self.seq += 1;
+        ctx.count(NAMESPACE, "heartbeats_sent", 1);
+        ctx.send_multicast(
+            CHANNEL,
+            TTL,
+            Message::Heartbeat(Heartbeat {
+                from: shell.me(),
+                level: 0,
+                seq: self.seq,
+                is_leader: false,
+                backup: None,
+                latest_update_seq: 0,
+                record: shell.record().clone(),
+            }),
         );
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, token: u64) {
-        match token {
-            T_HEARTBEAT => {
-                self.seq += 1;
-                ctx.count("alltoall", "heartbeats_sent", 1);
-                ctx.send_multicast(
-                    CHANNEL,
-                    TTL,
-                    Message::Heartbeat(Heartbeat {
-                        from: self.me,
-                        level: 0,
-                        seq: self.seq,
-                        is_leader: false,
-                        backup: None,
-                        latest_update_seq: 0,
-                        record: self.record.clone(),
-                    }),
-                );
-                ctx.set_timer(self.cfg.heartbeat_period, T_HEARTBEAT);
-            }
-            T_SWEEP => {
-                let now = ctx.now();
-                let timeout = self.timeout();
-                let dead: Vec<NodeId> = self
-                    .last_heard
-                    .iter()
-                    .filter(|(_, &t)| now.saturating_sub(t) >= timeout)
-                    .map(|(&n, _)| n)
-                    .collect();
-                for n in dead {
-                    self.last_heard.remove(&n);
-                    let inc = self.directory.read(|d| d.get(n).map(|e| e.incarnation));
-                    if let Some(inc) = inc {
-                        self.directory
-                            .update(|d| (d.apply_leave(n, inc, now).changed(), ()));
-                        ctx.count("alltoall", "deaths_declared", 1);
-                        ctx.observe_removed(n);
-                    }
-                }
-                ctx.set_timer(SWEEP_PERIOD, T_SWEEP);
-            }
-            _ => {}
+    fn on_sweep(&mut self, shell: &mut Shell, ctx: &mut Context) {
+        let now = ctx.now();
+        let timeout = self.timeout();
+        for n in take_due(&mut self.last_heard, |&t| now.saturating_sub(t) >= timeout) {
+            shell.remove_held(ctx, n);
         }
     }
 }
@@ -252,13 +178,13 @@ mod tests {
     fn record_padded_to_configured_size() {
         let node = AllToAllNode::new(NodeId(1), AllToAllConfig::default());
         let msg = Message::Heartbeat(Heartbeat {
-            from: node.me,
+            from: node.shell.me(),
             level: 0,
             seq: 0,
             is_leader: false,
             backup: None,
             latest_update_seq: 0,
-            record: node.record.clone(),
+            record: node.shell.record().clone(),
         });
         assert_eq!(tamp_wire::codec::encoded_len(&msg), 228);
     }
@@ -266,6 +192,6 @@ mod tests {
     #[test]
     fn timeout_is_max_loss_periods() {
         let node = AllToAllNode::new(NodeId(1), AllToAllConfig::default());
-        assert_eq!(node.timeout(), 5 * SECS);
+        assert_eq!(node.column.timeout(), 5 * SECS);
     }
 }

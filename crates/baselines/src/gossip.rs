@@ -13,10 +13,13 @@
 //! a LAN (Figs. 12–13) while its per-round traffic is the largest
 //! (Fig. 11).
 
-use std::collections::HashMap;
-use tamp_directory::{DirectoryClient, Provenance, SharedDirectory};
-use tamp_netsim::{Actor, Context, Nanos, PacketMeta, ProtocolEvent, SECS};
-use tamp_wire::{Gossip, GossipEntry, Message, NodeId, NodeRecord, ServiceDecl};
+use crate::column::{take_due, Baseline, Column, Profile, Shell, Tombstones};
+use std::collections::BTreeMap;
+use tamp_netsim::{Context, Nanos, PacketMeta, ProtocolEvent, SECS};
+use tamp_wire::{GossipEntry, Message, NodeId, ServiceDecl};
+
+/// Telemetry namespace of the column's counters.
+pub const NAMESPACE: &str = "gossip";
 
 /// Tunables for one gossip node.
 #[derive(Debug, Clone)]
@@ -80,21 +83,19 @@ impl GossipConfig {
     }
 }
 
-const T_ROUND: u64 = 1;
-const T_SWEEP: u64 = 2;
-
 struct MemberState {
     counter: u64,
     last_increase: Nanos,
 }
 
 /// One node of the gossip baseline.
-pub struct GossipNode {
+pub type GossipNode = Baseline<Gossip>;
+
+/// The gossip column: heartbeat counters, spread by sending the whole
+/// view to `fanout` random peers a round.
+#[derive(Default)]
+pub struct Gossip {
     cfg: GossipConfig,
-    me: NodeId,
-    incarnation: u64,
-    crashed: bool,
-    record: NodeRecord,
     my_counter: u64,
     /// When the last gossip message arrived. Failure staleness is
     /// measured against this, not against `now`: while nothing at all is
@@ -103,46 +104,19 @@ pub struct GossipNode {
     /// on wall-clock time lets one quiet stretch mass-remove the whole
     /// live view.
     last_rx: Nanos,
-    members: HashMap<NodeId, MemberState>,
-    /// Failed members and when they may be forgotten.
-    blacklist: HashMap<NodeId, Nanos>,
-    directory: SharedDirectory,
+    members: BTreeMap<NodeId, MemberState>,
+    /// Failed members, until they may be forgotten. The entries keep no
+    /// record: what a blacklisted member's news is weighed against is
+    /// the incarnation the yellow pages hold.
+    blacklist: Tombstones<()>,
 }
 
-impl GossipNode {
-    pub fn new(me: NodeId, cfg: GossipConfig) -> Self {
-        let mut n = GossipNode {
-            record: NodeRecord::new(me, 0),
-            me,
-            incarnation: 0,
-            crashed: false,
-            my_counter: 0,
-            last_rx: 0,
-            members: HashMap::new(),
-            blacklist: HashMap::new(),
-            directory: SharedDirectory::new(),
-            cfg,
-        };
-        n.rebuild_record();
-        n
-    }
-
-    pub fn directory_client(&self) -> DirectoryClient {
-        self.directory.client()
-    }
-
-    fn rebuild_record(&mut self) {
-        let mut r = NodeRecord::new(self.me, self.incarnation);
-        r.services = self.cfg.services.clone();
-        r.pad_to_encoded_size(PAD_ENTRY_TO);
-        self.record = r;
-    }
-
+impl Gossip {
     /// Build the full view this node would gossip.
-    fn view(&self) -> Vec<GossipEntry> {
-        let mut entries: Vec<GossipEntry> = self.directory.read(|d| {
+    fn view(&self, shell: &Shell) -> Vec<GossipEntry> {
+        let mut entries: Vec<GossipEntry> = shell.read(|d| {
             d.entries()
-                .filter(|e| e.node != self.me)
+                .filter(|e| e.node != shell.me())
                 .map(|e| GossipEntry {
                     record: e.record(),
                     heartbeat_counter: self.members.get(&e.node).map_or(0, |m| m.counter),
@@ -150,7 +124,7 @@ impl GossipNode {
                 .collect()
         });
         entries.push(GossipEntry {
-            record: self.record.clone(),
+            record: shell.record().clone(),
             heartbeat_counter: self.my_counter,
         });
         entries.sort_by_key(|e| e.record.node);
@@ -159,13 +133,13 @@ impl GossipNode {
 
     /// Pick `fanout` random gossip targets among known live members and
     /// seeds.
-    fn targets(&self, ctx: &mut Context) -> Vec<NodeId> {
+    fn targets(&self, me: NodeId, ctx: &mut Context) -> Vec<NodeId> {
         let mut candidates: Vec<NodeId> = self
             .members
             .keys()
             .copied()
             .chain(self.cfg.seeds.iter().copied())
-            .filter(|&n| n != self.me && !self.blacklist.contains_key(&n))
+            .filter(|&n| n != me && !self.blacklist.contains_key(&n))
             .collect();
         candidates.sort();
         candidates.dedup();
@@ -178,54 +152,48 @@ impl GossipNode {
     }
 }
 
-impl Actor for GossipNode {
-    fn on_start(&mut self, ctx: &mut Context) {
-        if self.crashed {
-            self.crashed = false;
-            self.members.clear();
-            self.blacklist.clear();
-            self.my_counter = 0;
-            self.last_rx = 0;
-            self.directory.update(|d| {
-                *d = tamp_directory::Directory::new();
-                (true, ())
-            });
-        }
-        self.incarnation += 1;
-        self.rebuild_record();
-        let rec = self.record.clone();
-        let now = ctx.now();
-        self.directory
-            .update(|d| (d.apply_join(rec, Provenance::Local, now).changed(), ()));
-        let phase = ctx.jitter(self.cfg.startup_jitter);
-        ctx.set_timer(phase + self.cfg.period, T_ROUND);
-        ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
+impl Column for Gossip {
+    type Config = GossipConfig;
+    const NAMESPACE: &'static str = NAMESPACE;
+
+    fn new(mut cfg: GossipConfig) -> (Self, Profile) {
+        let profile = Profile {
+            services: std::mem::take(&mut cfg.services),
+            pad_to: PAD_ENTRY_TO,
+            startup_jitter: cfg.startup_jitter,
+            period: cfg.period,
+            sweep_period: cfg.sweep_period,
+        };
+        let column = Gossip {
+            cfg,
+            ..Gossip::default()
+        };
+        (column, profile)
     }
 
-    fn on_crash(&mut self) {
-        self.crashed = true;
-        self.directory.update(|d| {
-            *d = tamp_directory::Directory::new();
-            (true, ())
-        });
+    fn reset(&mut self) {
+        self.members.clear();
+        self.blacklist.clear();
+        self.my_counter = 0;
+        self.last_rx = 0;
     }
 
-    fn on_packet(&mut self, ctx: &mut Context, _meta: PacketMeta, msg: &Message) {
+    fn on_packet(&mut self, shell: &mut Shell, ctx: &mut Context, _: PacketMeta, msg: &Message) {
         let Message::Gossip(g) = msg else { return };
-        if g.from == self.me {
+        if g.from == shell.me() {
             return;
         }
         let now = ctx.now();
         self.last_rx = now;
         for e in &g.entries {
             let node = e.record.node;
-            if node == self.me {
+            if node == shell.me() {
                 continue;
             }
             // The blacklist wins over stale counters, but a *higher
             // incarnation* means a genuine restart: let it through.
-            if let Some(&until) = self.blacklist.get(&node) {
-                let known_inc = self.directory.read(|d| d.get(node).map(|e| e.incarnation));
+            if let Some(&((), until)) = self.blacklist.get(&node) {
+                let known_inc = shell.read(|d| d.get(node).map(|e| e.incarnation));
                 let restarted = known_inc.is_none_or(|inc| e.record.incarnation > inc);
                 if now < until && !restarted {
                     continue;
@@ -234,7 +202,7 @@ impl Actor for GossipNode {
                     // A higher incarnation overrode an active blacklist
                     // entry: the presumed death was refuted by a genuine
                     // restart — gossip's analogue of a refutation.
-                    ctx.count("gossip", "suspicions_refuted", 1);
+                    ctx.count(NAMESPACE, "suspicions_refuted", 1);
                     ctx.emit(ProtocolEvent::SuspicionRefuted { subject: node.0 });
                 }
                 self.blacklist.remove(&node);
@@ -243,70 +211,55 @@ impl Actor for GossipNode {
                 counter: 0,
                 last_increase: now,
             });
-            if e.heartbeat_counter > m.counter || !self.directory.read(|d| d.contains(node)) {
+            if e.heartbeat_counter > m.counter || !shell.read(|d| d.contains(node)) {
                 if e.heartbeat_counter > m.counter {
                     m.counter = e.heartbeat_counter;
                     m.last_increase = now;
                 }
-                let (was, applied) = self.directory.update(|d| {
-                    let was = d.contains(node);
-                    let a = d.apply_join(e.record.clone(), Provenance::Direct, now);
-                    (a.changed(), (was, a))
-                });
-                if applied.changed() && !was {
-                    ctx.observe_added(node);
-                }
+                let rec = &e.record;
+                shell.admit(
+                    ctx,
+                    node,
+                    rec.incarnation,
+                    || rec.clone(),
+                    |held| **rec == *held,
+                );
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, token: u64) {
-        match token {
-            T_ROUND => {
-                self.my_counter += 1;
-                let entries = self.view();
-                for t in self.targets(ctx) {
-                    ctx.count("gossip", "rounds_sent", 1);
-                    ctx.send_unicast(
-                        t,
-                        Message::Gossip(Gossip {
-                            from: self.me,
-                            entries: entries.clone(),
-                        }),
-                    );
-                }
-                ctx.set_timer(self.cfg.period, T_ROUND);
-            }
-            T_SWEEP => {
-                let now = ctx.now();
-                let t_fail = self.cfg.t_fail();
-                let t_cleanup = self.cfg.t_cleanup();
-                // Staleness is `last_rx − last_increase`: how much
-                // *received* information failed to advance the member's
-                // counter. Using `now` here would convict every member
-                // during an inbound-starvation gap.
-                let failed: Vec<NodeId> = self
-                    .members
-                    .iter()
-                    .filter(|(_, m)| self.last_rx.saturating_sub(m.last_increase) >= t_fail)
-                    .map(|(&n, _)| n)
-                    .collect();
-                for n in failed {
-                    self.members.remove(&n);
-                    self.blacklist.insert(n, now + t_cleanup);
-                    let inc = self.directory.read(|d| d.get(n).map(|e| e.incarnation));
-                    if let Some(inc) = inc {
-                        self.directory
-                            .update(|d| (d.apply_leave(n, inc, now).changed(), ()));
-                        ctx.count("gossip", "deaths_declared", 1);
-                        ctx.observe_removed(n);
-                    }
-                }
-                self.blacklist.retain(|_, &mut until| now < until);
-                ctx.set_timer(self.cfg.sweep_period, T_SWEEP);
-            }
-            _ => {}
+    fn on_tick(&mut self, shell: &mut Shell, ctx: &mut Context) {
+        self.my_counter += 1;
+        let entries = self.view(shell);
+        for t in self.targets(shell.me(), ctx) {
+            ctx.count(NAMESPACE, "rounds_sent", 1);
+            ctx.send_unicast(
+                t,
+                Message::Gossip(tamp_wire::Gossip {
+                    from: shell.me(),
+                    entries: entries.clone(),
+                }),
+            );
         }
+    }
+
+    fn on_sweep(&mut self, shell: &mut Shell, ctx: &mut Context) {
+        let now = ctx.now();
+        let t_fail = self.cfg.t_fail();
+        let until = now + self.cfg.t_cleanup();
+        // Staleness is `last_rx − last_increase`: how much *received*
+        // information failed to advance the member's counter. Using
+        // `now` here would convict every member during an
+        // inbound-starvation gap.
+        let last_rx = self.last_rx;
+        let failed = take_due(&mut self.members, |m| {
+            last_rx.saturating_sub(m.last_increase) >= t_fail
+        });
+        for n in failed {
+            self.blacklist.insert(n, ((), until));
+            shell.remove_held(ctx, n);
+        }
+        self.blacklist.expire(now);
     }
 }
 
@@ -341,9 +294,9 @@ mod tests {
     #[test]
     fn view_contains_self_with_counter() {
         let mut n = GossipNode::new(NodeId(3), GossipConfig::default());
-        n.my_counter = 7;
+        n.column.my_counter = 7;
         // Before start, directory is empty — the view still carries self.
-        let v = n.view();
+        let v = n.column.view(&n.shell);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].record.node, NodeId(3));
         assert_eq!(v[0].heartbeat_counter, 7);
@@ -354,10 +307,10 @@ mod tests {
         // One entry ≈ one 228-byte heartbeat record (+ counter): a full
         // view of n members costs ≈ n × s bytes, the paper's Θ(n·s).
         let mut node = GossipNode::new(NodeId(1), GossipConfig::default());
-        node.my_counter = 1;
-        let msg = Message::Gossip(Gossip {
+        node.column.my_counter = 1;
+        let msg = Message::Gossip(tamp_wire::Gossip {
             from: NodeId(1),
-            entries: node.view(),
+            entries: node.column.view(&node.shell),
         });
         let one = tamp_wire::codec::encoded_len(&msg);
         assert!((200..300).contains(&one), "single-entry gossip: {one}");

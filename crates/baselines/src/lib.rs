@@ -24,12 +24,15 @@
 //!   refutation. Constant per-node probe load, `O(log n)` dissemination
 //!   latency, bounded worst-case detection time.
 //!
-//! All implement the same sans-io [`tamp_netsim::Actor`] interface as
-//! the hierarchical node, publish the same [`tamp_directory`] yellow
-//! pages, and emit the same add/remove observations, so the experiment
-//! harness can swap protocols behind one interface.
+//! All three are one actor, [`column::Baseline`], over a
+//! [`column::Column`] that holds only the protocol's monitoring relation
+//! and dissemination: the shell owns identity, restart, timers and the
+//! [`tamp_directory`] yellow-page writes with their add/remove
+//! observations, so the experiment harness can swap protocols behind
+//! one [`tamp_netsim::Actor`] interface.
 
 pub mod alltoall;
+pub mod column;
 pub mod gossip;
 pub mod swim;
 

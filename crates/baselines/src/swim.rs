@@ -23,12 +23,15 @@
 //! add/remove/suspect/refute observations as the other baselines, so it
 //! drops into every harness surface as one more protocol column.
 
+use crate::column::{Baseline, Column, Profile, Shell, Tombstones};
 use std::collections::{BTreeMap, HashMap};
-use tamp_directory::{DirectoryClient, Provenance, SharedDirectory};
-use tamp_netsim::{Actor, Context, Nanos, PacketMeta, ProtocolEvent, MILLIS, SECS};
+use tamp_netsim::{Context, Nanos, PacketMeta, ProtocolEvent, MILLIS, SECS};
 use tamp_wire::{
     Message, NodeId, NodeRecord, ServiceDecl, SwimAck, SwimPing, SwimPingReq, SwimState, SwimUpdate,
 };
+
+/// Telemetry namespace of the column's counters.
+pub const NAMESPACE: &str = "swim";
 
 // The protocol's constants (defaults per SNIPPETS.md ADR-001).
 
@@ -81,21 +84,12 @@ pub struct SwimConfig {
     pub services: Vec<ServiceDecl>,
 }
 
-const T_PROBE: u64 = 1;
-const T_SWEEP: u64 = 2;
-
 /// Per-member state: where it sits on the Alive < Suspect lattice (a
 /// Confirm removes the member outright) and the record we last merged.
 struct Member {
     state: SwimState,
     record: NodeRecord,
     /// When `state` last changed (suspicions age against this).
-    since: Nanos,
-}
-
-/// A confirmed death kept on the books for `cleanup_window`.
-struct DeadEntry {
-    record: NodeRecord,
     since: Nanos,
 }
 
@@ -124,15 +118,17 @@ struct QueuedUpdate {
 }
 
 /// One node of the SWIM baseline.
-pub struct SwimNode {
-    cfg: SwimConfig,
-    me: NodeId,
-    incarnation: u64,
-    crashed: bool,
-    record: NodeRecord,
-    directory: SharedDirectory,
+pub type SwimNode = Baseline<Swim>;
+
+/// The SWIM column: one random probe a period plus `k` indirect ones,
+/// news piggybacked on the probes.
+#[derive(Default)]
+pub struct Swim {
+    seeds: Vec<NodeId>,
     members: BTreeMap<NodeId, Member>,
-    dead: BTreeMap<NodeId, DeadEntry>,
+    /// Confirmed deaths, kept for [`CLEANUP_WINDOW`] with the record
+    /// echoed back to a dead-listed node that pings.
+    dead: Tombstones<NodeRecord>,
     /// Current randomized probe permutation and the cursor into it.
     order: Vec<NodeId>,
     order_pos: usize,
@@ -145,41 +141,7 @@ pub struct SwimNode {
     periods_since_reconnect: u32,
 }
 
-impl SwimNode {
-    pub fn new(me: NodeId, cfg: SwimConfig) -> Self {
-        let mut n = SwimNode {
-            record: NodeRecord::new(me, 0),
-            me,
-            incarnation: 0,
-            crashed: false,
-            directory: SharedDirectory::new(),
-            members: BTreeMap::new(),
-            dead: BTreeMap::new(),
-            order: Vec::new(),
-            order_pos: 0,
-            seq: 0,
-            pending: None,
-            proxied: HashMap::new(),
-            queue: Vec::new(),
-            periods_since_reconnect: 0,
-            cfg,
-        };
-        n.rebuild_record();
-        n
-    }
-
-    /// Yellow-page read handle.
-    pub fn directory_client(&self) -> DirectoryClient {
-        self.directory.client()
-    }
-
-    fn rebuild_record(&mut self) {
-        let mut r = NodeRecord::new(self.me, self.incarnation);
-        r.services = self.cfg.services.clone();
-        r.pad_to_encoded_size(PAD_RECORD_TO);
-        self.record = r;
-    }
-
+impl Swim {
     /// Per-update retransmission budget: `λ·⌈log₂(n+1)⌉`, n = current
     /// view size including self.
     fn budget(&self) -> u32 {
@@ -233,7 +195,7 @@ impl SwimNode {
     /// Updates to ride on the next outgoing message: our own alive
     /// record always leads, then the freshest-budget queued updates up
     /// to [`PIGGYBACK_MAX`], each spending one unit of budget.
-    fn select_updates(&mut self) -> Vec<SwimUpdate> {
+    fn select_updates(&mut self, shell: &Shell) -> Vec<SwimUpdate> {
         self.queue.sort_by(|a, b| {
             b.remaining
                 .cmp(&a.remaining)
@@ -253,7 +215,7 @@ impl SwimNode {
         let mut out = Vec::with_capacity(take + 1);
         out.push(SwimUpdate {
             state: SwimState::Alive,
-            record: self.record.clone(),
+            record: shell.record().clone(),
         });
         for q in self.queue.iter_mut().take(take) {
             out.push(q.update.clone());
@@ -273,9 +235,7 @@ impl SwimNode {
             if m.state == SwimState::Suspect {
                 m.state = SwimState::Alive;
                 m.since = now;
-                ctx.count("swim", "suspicions_refuted", 1);
-                ctx.emit(ProtocolEvent::SuspicionRefuted { subject: from.0 });
-                ctx.observe_refuted(from);
+                refuted(ctx, from);
             }
         }
     }
@@ -284,13 +244,23 @@ impl SwimNode {
     /// piggybacked retransmission — true for gossip (`updates`), false
     /// for join-time state transfer (`sync`), which every receiver
     /// already re-serves to its own joiners and must not re-flood.
-    fn apply_updates(&mut self, ctx: &mut Context, updates: &[SwimUpdate], disseminate: bool) {
+    fn apply_updates(
+        &mut self,
+        shell: &mut Shell,
+        ctx: &mut Context,
+        updates: &[SwimUpdate],
+        disseminate: bool,
+    ) {
         for u in updates {
-            self.apply_update(ctx, u, disseminate);
+            if self.absorb(shell, ctx, u) && disseminate {
+                self.queue_update(u.clone());
+            }
         }
     }
 
-    fn apply_update(&mut self, ctx: &mut Context, upd: &SwimUpdate, disseminate: bool) {
+    /// Merge one update into the books; true if it moved them, so that
+    /// it is worth passing on.
+    fn absorb(&mut self, shell: &mut Shell, ctx: &mut Context, upd: &SwimUpdate) -> bool {
         let subject = upd.record.node;
         let inc = upd.record.incarnation;
         let now = ctx.now();
@@ -298,167 +268,106 @@ impl SwimNode {
         // An accusation naming us is a false positive: refute by
         // re-incarnating — only a strictly higher incarnation beats the
         // suspicion at nodes that already adopted it.
-        if subject == self.me {
-            if upd.state != SwimState::Alive && inc >= self.incarnation {
-                self.incarnation = inc + 1;
-                self.rebuild_record();
-                let rec = self.record.clone();
-                self.directory
-                    .update(|d| (d.apply_join(rec, Provenance::Local, now).changed(), ()));
-                ctx.count("swim", "self_refutes", 1);
+        if subject == shell.me() {
+            if upd.state != SwimState::Alive && inc >= shell.incarnation() {
+                shell.refute(ctx, inc);
                 let own = SwimUpdate {
                     state: SwimState::Alive,
-                    record: self.record.clone(),
+                    record: shell.record().clone(),
                 };
                 self.queue_update(own);
             }
-            return;
+            return false;
         }
 
         // The dead list wins over stale state, but a higher incarnation
         // is a genuine rebirth.
-        if let Some(d) = self.dead.get(&subject) {
-            if !(upd.state == SwimState::Alive && inc > d.record.incarnation) {
-                return;
+        if self.dead.contains_key(&subject) {
+            if upd.state != SwimState::Alive || self.dead.blocks(subject, inc) {
+                return false;
             }
             self.dead.remove(&subject);
         }
 
-        match self.members.get_mut(&subject) {
-            None => {
-                match upd.state {
-                    SwimState::Confirm => {
-                        // Death of a node we never met: remember the
-                        // verdict (and pass it on) so its stale alive
-                        // updates cannot introduce it later.
-                        self.dead.insert(
-                            subject,
-                            DeadEntry {
-                                record: upd.record.clone(),
-                                since: now,
-                            },
-                        );
-                        self.directory
-                            .update(|d| (d.apply_leave(subject, inc, now).changed(), ()));
-                        if disseminate {
-                            self.queue_update(upd.clone());
-                        }
-                    }
-                    state => {
-                        self.members.insert(
-                            subject,
-                            Member {
-                                state,
-                                record: upd.record.clone(),
-                                since: now,
-                            },
-                        );
-                        let rec = upd.record.clone();
-                        self.directory
-                            .update(|d| (d.apply_join(rec, Provenance::Direct, now).changed(), ()));
-                        ctx.observe_added(subject);
-                        if state == SwimState::Suspect {
-                            ctx.count("swim", "suspicions_raised", 1);
-                            ctx.emit(ProtocolEvent::SuspicionArmed { subject: subject.0 });
-                            ctx.observe_suspected(subject);
-                        }
-                        if disseminate {
-                            self.queue_update(upd.clone());
-                        }
-                    }
+        let Some(m) = self.members.get_mut(&subject) else {
+            if upd.state == SwimState::Confirm {
+                // Death of a node we never met: remember the verdict (and
+                // pass it on) so its stale alive updates cannot introduce
+                // it later.
+                let until = now + CLEANUP_WINDOW;
+                self.dead.insert(subject, (upd.record.clone(), until));
+                shell.withdraw(now, subject, inc);
+            } else {
+                let member = Member {
+                    state: upd.state,
+                    record: upd.record.clone(),
+                    since: now,
+                };
+                self.members.insert(subject, member);
+                shell.introduce(ctx, upd.record.clone());
+                if upd.state == SwimState::Suspect {
+                    raised(ctx, subject);
                 }
             }
-            Some(m) => {
-                let old = (m.state, m.record.incarnation);
-                if !Self::overrides((upd.state, inc), old) {
-                    // Same-incarnation alive updates may still carry
-                    // content changes (service registration): merge the
-                    // record without treating it as a state transition.
-                    if upd.state == SwimState::Alive
-                        && m.state == SwimState::Alive
-                        && inc == m.record.incarnation
-                    {
-                        m.record = upd.record.clone();
-                        let rec = upd.record.clone();
-                        self.directory
-                            .update(|d| (d.apply_join(rec, Provenance::Direct, now).changed(), ()));
-                    }
-                    return;
+            return true;
+        };
+        if !Self::overrides((upd.state, inc), (m.state, m.record.incarnation)) {
+            // Same-incarnation alive updates may still carry content
+            // changes (service registration): merge the record without
+            // treating it as a state transition.
+            if upd.state == SwimState::Alive
+                && m.state == SwimState::Alive
+                && inc == m.record.incarnation
+            {
+                m.record = upd.record.clone();
+                shell.join(now, upd.record.clone());
+            }
+            return false;
+        }
+        let was = m.state;
+        match upd.state {
+            SwimState::Alive => {
+                m.state = SwimState::Alive;
+                m.record = upd.record.clone();
+                m.since = now;
+                shell.join(now, upd.record.clone());
+                if was == SwimState::Suspect {
+                    refuted(ctx, subject);
                 }
-                match upd.state {
-                    SwimState::Alive => {
-                        let was_suspect = m.state == SwimState::Suspect;
-                        m.state = SwimState::Alive;
-                        m.record = upd.record.clone();
-                        m.since = now;
-                        let rec = upd.record.clone();
-                        self.directory
-                            .update(|d| (d.apply_join(rec, Provenance::Direct, now).changed(), ()));
-                        if was_suspect {
-                            ctx.count("swim", "suspicions_refuted", 1);
-                            ctx.emit(ProtocolEvent::SuspicionRefuted { subject: subject.0 });
-                            ctx.observe_refuted(subject);
-                        }
-                        if disseminate {
-                            self.queue_update(upd.clone());
-                        }
-                    }
-                    SwimState::Suspect => {
-                        let was_alive = m.state == SwimState::Alive;
-                        m.state = SwimState::Suspect;
-                        if inc > m.record.incarnation {
-                            m.record = upd.record.clone();
-                        }
-                        m.since = now;
-                        if was_alive {
-                            ctx.count("swim", "suspicions_raised", 1);
-                            ctx.emit(ProtocolEvent::SuspicionArmed { subject: subject.0 });
-                            ctx.observe_suspected(subject);
-                        }
-                        if disseminate {
-                            self.queue_update(upd.clone());
-                        }
-                    }
-                    SwimState::Confirm => {
-                        let was_suspect = m.state == SwimState::Suspect;
-                        self.remove_member(ctx, subject, inc, now, was_suspect);
-                        if disseminate {
-                            self.queue_update(upd.clone());
-                        }
-                    }
+            }
+            SwimState::Suspect => {
+                m.state = SwimState::Suspect;
+                if inc > m.record.incarnation {
+                    m.record = upd.record.clone();
                 }
+                m.since = now;
+                if was == SwimState::Alive {
+                    raised(ctx, subject);
+                }
+            }
+            SwimState::Confirm => {
+                self.remove_member(shell, ctx, subject, inc, was == SwimState::Suspect);
             }
         }
+        true
     }
 
     /// Apply a confirmed death: drop the member, tombstone it on the
     /// dead list, and withdraw it from the yellow pages.
     fn remove_member(
         &mut self,
+        shell: &Shell,
         ctx: &mut Context,
         subject: NodeId,
         inc: u64,
-        now: Nanos,
         was_suspect: bool,
     ) {
         let Some(m) = self.members.remove(&subject) else {
             return;
         };
-        self.dead.insert(
-            subject,
-            DeadEntry {
-                record: m.record,
-                since: now,
-            },
-        );
-        self.directory
-            .update(|d| (d.apply_leave(subject, inc, now).changed(), ()));
-        ctx.count("swim", "deaths_declared", 1);
-        if was_suspect {
-            ctx.count("swim", "suspicions_confirmed", 1);
-            ctx.emit(ProtocolEvent::SuspicionConfirmed { subject: subject.0 });
-        }
-        ctx.observe_removed(subject);
+        let until = ctx.now() + CLEANUP_WINDOW;
+        self.dead.insert(subject, (m.record, until));
+        shell.remove(ctx, subject, inc, was_suspect);
     }
 
     /// Our probe (direct + indirect) got no answer: suspect the target.
@@ -476,9 +385,7 @@ impl SwimNode {
             state: SwimState::Suspect,
             record: m.record.clone(),
         };
-        ctx.count("swim", "suspicions_raised", 1);
-        ctx.emit(ProtocolEvent::SuspicionArmed { subject: target.0 });
-        ctx.observe_suspected(target);
+        raised(ctx, target);
         self.queue_update(upd);
     }
 
@@ -488,10 +395,8 @@ impl SwimNode {
     /// first — SWIM's join protocol stands in for dedicated anti-entropy
     /// here; without it, simultaneously booting nodes can pair off into
     /// islands whose piggyback queues dry up before the views merge.
-    fn next_probe_target(&mut self, ctx: &mut Context) -> Option<NodeId> {
-        let me = self.me;
+    fn next_probe_target(&mut self, me: NodeId, ctx: &mut Context) -> Option<NodeId> {
         let unseen: Vec<NodeId> = self
-            .cfg
             .seeds
             .iter()
             .copied()
@@ -535,49 +440,82 @@ impl SwimNode {
         }
         out
     }
+
+    /// Send a ping to `target` under the next sequence number, counted
+    /// as `kind`; returns the sequence number.
+    fn ping(
+        &mut self,
+        shell: &Shell,
+        ctx: &mut Context,
+        target: NodeId,
+        kind: &'static str,
+    ) -> u64 {
+        self.seq += 1;
+        let seq = self.seq;
+        let updates = self.select_updates(shell);
+        ctx.count(NAMESPACE, kind, 1);
+        ctx.send_unicast(
+            target,
+            Message::SwimPing(SwimPing {
+                from: shell.me(),
+                seq,
+                updates,
+            }),
+        );
+        seq
+    }
 }
 
-impl Actor for SwimNode {
-    fn on_start(&mut self, ctx: &mut Context) {
-        if self.crashed {
-            self.crashed = false;
-            self.members.clear();
-            self.dead.clear();
-            self.order.clear();
-            self.order_pos = 0;
-            self.pending = None;
-            self.proxied.clear();
-            self.queue.clear();
-            self.periods_since_reconnect = 0;
-            self.directory.update(|d| {
-                *d = tamp_directory::Directory::new();
-                (true, ())
-            });
-        }
-        self.incarnation += 1;
-        self.rebuild_record();
-        let rec = self.record.clone();
-        let now = ctx.now();
-        self.directory
-            .update(|d| (d.apply_join(rec, Provenance::Local, now).changed(), ()));
-        let phase = ctx.jitter(STARTUP_JITTER);
-        ctx.set_timer(phase + PROBE_PERIOD, T_PROBE);
-        ctx.set_timer(SWEEP_PERIOD, T_SWEEP);
+/// Report that this node now suspects `subject`.
+fn raised(ctx: &mut Context, subject: NodeId) {
+    ctx.count(NAMESPACE, "suspicions_raised", 1);
+    ctx.emit(ProtocolEvent::SuspicionArmed { subject: subject.0 });
+    ctx.observe_suspected(subject);
+}
+
+/// Report that this node stopped suspecting `subject`.
+fn refuted(ctx: &mut Context, subject: NodeId) {
+    ctx.count(NAMESPACE, "suspicions_refuted", 1);
+    ctx.emit(ProtocolEvent::SuspicionRefuted { subject: subject.0 });
+    ctx.observe_refuted(subject);
+}
+
+impl Column for Swim {
+    type Config = SwimConfig;
+    const NAMESPACE: &'static str = NAMESPACE;
+
+    fn new(cfg: SwimConfig) -> (Self, Profile) {
+        let column = Swim {
+            seeds: cfg.seeds,
+            ..Swim::default()
+        };
+        let profile = Profile {
+            services: cfg.services,
+            pad_to: PAD_RECORD_TO,
+            startup_jitter: STARTUP_JITTER,
+            period: PROBE_PERIOD,
+            sweep_period: SWEEP_PERIOD,
+        };
+        (column, profile)
     }
 
-    fn on_crash(&mut self) {
-        self.crashed = true;
-        self.directory.update(|d| {
-            *d = tamp_directory::Directory::new();
-            (true, ())
-        });
+    fn reset(&mut self) {
+        self.members.clear();
+        self.dead.clear();
+        self.order.clear();
+        self.order_pos = 0;
+        self.pending = None;
+        self.proxied.clear();
+        self.queue.clear();
+        self.periods_since_reconnect = 0;
     }
 
-    fn on_packet(&mut self, ctx: &mut Context, _meta: PacketMeta, msg: &Message) {
+    fn on_packet(&mut self, shell: &mut Shell, ctx: &mut Context, _: PacketMeta, msg: &Message) {
         let now = ctx.now();
+        let me = shell.me();
         match msg {
             Message::SwimPing(p) => {
-                if p.from == self.me {
+                if p.from == me {
                     return;
                 }
                 // A ping from a node we have never heard of is a join:
@@ -587,8 +525,8 @@ impl Actor for SwimNode {
                 let newcomer =
                     !self.members.contains_key(&p.from) && !self.dead.contains_key(&p.from);
                 self.mark_alive(ctx, p.from, now);
-                self.apply_updates(ctx, &p.updates, true);
-                let updates = self.select_updates();
+                self.apply_updates(shell, ctx, &p.updates, true);
+                let updates = self.select_updates(shell);
                 // Join-time state transfer rides in `sync`, not
                 // `updates`: the receiver applies it without a
                 // dissemination budget, so n pairwise first contacts at
@@ -608,18 +546,18 @@ impl Actor for SwimNode {
                 // confirmed dead means the confirmation never reached it
                 // — echo it back so the node re-incarnates and its next
                 // alive update resurrects it everywhere.
-                if let Some(d) = self.dead.get(&p.from) {
+                if let Some((record, _)) = self.dead.get(&p.from) {
                     sync.push(SwimUpdate {
                         state: SwimState::Confirm,
-                        record: d.record.clone(),
+                        record: record.clone(),
                     });
                 }
-                ctx.count("swim", "acks_sent", 1);
+                ctx.count(NAMESPACE, "acks_sent", 1);
                 ctx.send_unicast(
                     p.from,
                     Message::SwimAck(SwimAck {
-                        from: self.me,
-                        subject: self.me,
+                        from: me,
+                        subject: me,
                         seq: p.seq,
                         updates,
                         sync,
@@ -627,50 +565,40 @@ impl Actor for SwimNode {
                 );
             }
             Message::SwimPingReq(r) => {
-                if r.from == self.me || r.target == self.me {
+                if r.from == me || r.target == me {
                     return;
                 }
                 self.mark_alive(ctx, r.from, now);
-                self.apply_updates(ctx, &r.updates, true);
+                self.apply_updates(shell, ctx, &r.updates, true);
                 // Probe the target on the requester's behalf; the ack
                 // comes back to us and is forwarded below.
-                self.seq += 1;
+                let seq = self.ping(shell, ctx, r.target, "indirect_probes_sent");
                 self.proxied.insert(
-                    self.seq,
+                    seq,
                     ProxyEntry {
                         requester: r.from,
                         orig_seq: r.seq,
                         expires: now + DIRECT_TIMEOUT + INDIRECT_TIMEOUT,
                     },
                 );
-                let updates = self.select_updates();
-                ctx.count("swim", "indirect_probes_sent", 1);
-                ctx.send_unicast(
-                    r.target,
-                    Message::SwimPing(SwimPing {
-                        from: self.me,
-                        seq: self.seq,
-                        updates,
-                    }),
-                );
             }
             Message::SwimAck(a) => {
-                if a.from == self.me {
+                if a.from == me {
                     return;
                 }
                 self.mark_alive(ctx, a.from, now);
-                self.apply_updates(ctx, &a.updates, true);
-                self.apply_updates(ctx, &a.sync, false);
+                self.apply_updates(shell, ctx, &a.updates, true);
+                self.apply_updates(shell, ctx, &a.sync, false);
                 // The ack vouches for its subject (== from for a direct
                 // ack; the probed target when forwarded by a helper).
                 self.mark_alive(ctx, a.subject, now);
                 if let Some(proxy) = self.proxied.remove(&a.seq) {
-                    let updates = self.select_updates();
-                    ctx.count("swim", "acks_forwarded", 1);
+                    let updates = self.select_updates(shell);
+                    ctx.count(NAMESPACE, "acks_forwarded", 1);
                     ctx.send_unicast(
                         proxy.requester,
                         Message::SwimAck(SwimAck {
-                            from: self.me,
+                            from: me,
                             subject: a.subject,
                             seq: proxy.orig_seq,
                             updates,
@@ -688,123 +616,96 @@ impl Actor for SwimNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context, token: u64) {
+    fn on_tick(&mut self, shell: &mut Shell, ctx: &mut Context) {
         let now = ctx.now();
-        match token {
-            T_PROBE => {
-                if let Some(target) = self.next_probe_target(ctx) {
-                    self.seq += 1;
-                    let seq = self.seq;
-                    let updates = self.select_updates();
-                    ctx.count("swim", "probes_sent", 1);
-                    ctx.send_unicast(
-                        target,
-                        Message::SwimPing(SwimPing {
-                            from: self.me,
-                            seq,
-                            updates,
-                        }),
-                    );
+        if let Some(target) = self.next_probe_target(shell.me(), ctx) {
+            let seq = self.ping(shell, ctx, target, "probes_sent");
+            self.pending = Some(PendingProbe {
+                target,
+                seq,
+                sent_at: now,
+                indirect_at: None,
+            });
+        }
+        // Serf-style reconnect: fire-and-forget ping at one random
+        // dead-listed node (no pending entry — a missed ack must not
+        // re-suspect an already-confirmed death).
+        self.periods_since_reconnect += 1;
+        if self.periods_since_reconnect >= RECONNECT_EVERY && !self.dead.is_empty() {
+            self.periods_since_reconnect = 0;
+            let i = ctx.rand_below(self.dead.len() as u64) as usize;
+            let target = *self.dead.keys().nth(i).expect("index < len");
+            self.ping(shell, ctx, target, "reconnect_probes_sent");
+        }
+    }
+
+    fn on_sweep(&mut self, shell: &mut Shell, ctx: &mut Context) {
+        let now = ctx.now();
+        // Probe deadlines: direct miss escalates to ping-req, indirect
+        // miss turns into a suspicion.
+        if let Some(p) = self.pending {
+            if p.indirect_at.is_none() && now >= p.sent_at + DIRECT_TIMEOUT {
+                let helpers = self.indirect_helpers(ctx, p.target);
+                if helpers.is_empty() {
+                    self.pending = None;
+                    self.suspect(ctx, p.target);
+                } else {
+                    for h in helpers {
+                        let updates = self.select_updates(shell);
+                        ctx.count(NAMESPACE, "ping_reqs_sent", 1);
+                        ctx.send_unicast(
+                            h,
+                            Message::SwimPingReq(SwimPingReq {
+                                from: shell.me(),
+                                target: p.target,
+                                seq: p.seq,
+                                updates,
+                            }),
+                        );
+                    }
                     self.pending = Some(PendingProbe {
-                        target,
-                        seq,
-                        sent_at: now,
-                        indirect_at: None,
+                        indirect_at: Some(now),
+                        ..p
                     });
                 }
-                // Serf-style reconnect: fire-and-forget ping at one
-                // random dead-listed node (no pending entry — a missed
-                // ack must not re-suspect an already-confirmed death).
-                self.periods_since_reconnect += 1;
-                if self.periods_since_reconnect >= RECONNECT_EVERY && !self.dead.is_empty() {
-                    self.periods_since_reconnect = 0;
-                    let i = ctx.rand_below(self.dead.len() as u64) as usize;
-                    let target = *self.dead.keys().nth(i).expect("index < len");
-                    self.seq += 1;
-                    let seq = self.seq;
-                    let updates = self.select_updates();
-                    ctx.count("swim", "reconnect_probes_sent", 1);
-                    ctx.send_unicast(
-                        target,
-                        Message::SwimPing(SwimPing {
-                            from: self.me,
-                            seq,
-                            updates,
-                        }),
-                    );
-                }
-                ctx.set_timer(PROBE_PERIOD, T_PROBE);
+            } else if p.indirect_at.is_some_and(|t0| now >= t0 + INDIRECT_TIMEOUT) {
+                self.pending = None;
+                self.suspect(ctx, p.target);
             }
-            T_SWEEP => {
-                // Probe deadlines: direct miss escalates to ping-req,
-                // indirect miss turns into a suspicion.
-                if let Some(p) = self.pending {
-                    if p.indirect_at.is_none() && now >= p.sent_at + DIRECT_TIMEOUT {
-                        let helpers = self.indirect_helpers(ctx, p.target);
-                        if helpers.is_empty() {
-                            self.pending = None;
-                            self.suspect(ctx, p.target);
-                        } else {
-                            for h in helpers {
-                                let updates = self.select_updates();
-                                ctx.count("swim", "ping_reqs_sent", 1);
-                                ctx.send_unicast(
-                                    h,
-                                    Message::SwimPingReq(SwimPingReq {
-                                        from: self.me,
-                                        target: p.target,
-                                        seq: p.seq,
-                                        updates,
-                                    }),
-                                );
-                            }
-                            self.pending = Some(PendingProbe {
-                                indirect_at: Some(now),
-                                ..p
-                            });
-                        }
-                    } else if p.indirect_at.is_some_and(|t0| now >= t0 + INDIRECT_TIMEOUT) {
-                        self.pending = None;
-                        self.suspect(ctx, p.target);
-                    }
-                }
-                // Unrefuted suspicions confirm after the window
-                // (BTreeMap order keeps this deterministic).
-                let due: Vec<(NodeId, u64)> = self
-                    .members
-                    .iter()
-                    .filter(|(_, m)| {
-                        m.state == SwimState::Suspect
-                            && now.saturating_sub(m.since) >= SUSPECT_TIMEOUT
-                    })
-                    .map(|(&n, m)| (n, m.record.incarnation))
-                    .collect();
-                for (n, inc) in due {
-                    self.remove_member(ctx, n, inc, now, true);
-                    let rec = self.dead.get(&n).map(|d| d.record.clone());
-                    if let Some(record) = rec {
-                        self.queue_update(SwimUpdate {
-                            state: SwimState::Confirm,
-                            record,
-                        });
-                    }
-                }
-                self.proxied.retain(|_, p| now < p.expires);
-                self.dead
-                    .retain(|_, d| now.saturating_sub(d.since) < CLEANUP_WINDOW);
-                ctx.set_timer(SWEEP_PERIOD, T_SWEEP);
-            }
-            _ => {}
         }
+        // Unrefuted suspicions confirm after the window, in id order.
+        // One at a time: each removal shrinks the budget the next
+        // confirmation is queued with.
+        let due: Vec<(NodeId, u64)> = self
+            .members
+            .iter()
+            .filter(|(_, m)| {
+                m.state == SwimState::Suspect && now.saturating_sub(m.since) >= SUSPECT_TIMEOUT
+            })
+            .map(|(&n, m)| (n, m.record.incarnation))
+            .collect();
+        for (n, inc) in due {
+            self.remove_member(shell, ctx, n, inc, true);
+            if let Some((record, _)) = self.dead.get(&n) {
+                let record = record.clone();
+                self.queue_update(SwimUpdate {
+                    state: SwimState::Confirm,
+                    record,
+                });
+            }
+        }
+        self.proxied.retain(|_, p| now < p.expires);
+        self.dead.expire(now);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::{T_SWEEP, T_TICK as T_PROBE};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tamp_netsim::{collect_effects, Destination, Effect};
+    use tamp_netsim::{collect_effects, Actor, Destination, Effect};
     use tamp_topology::HostId;
 
     fn sends(effects: &[Effect]) -> Vec<(&Destination, &Message)> {
@@ -836,12 +737,14 @@ mod tests {
 
         fn timer(&mut self, now: u64, token: u64) -> Vec<Effect> {
             let (node, rng) = (&mut self.node, &mut self.rng);
-            collect_effects(now, HostId(node.me.0), rng, |ctx| node.on_timer(ctx, token))
+            collect_effects(now, HostId(node.shell.me().0), rng, |ctx| {
+                node.on_timer(ctx, token)
+            })
         }
 
         fn packet(&mut self, now: u64, from: u32, msg: Message) -> Vec<Effect> {
             let (node, rng) = (&mut self.node, &mut self.rng);
-            collect_effects(now, HostId(node.me.0), rng, |ctx| {
+            collect_effects(now, HostId(node.shell.me().0), rng, |ctx| {
                 node.on_packet(ctx, PacketMeta::unicast(HostId(from), 100), &msg)
             })
         }
@@ -890,7 +793,7 @@ mod tests {
         };
         assert_eq!((a.from, a.subject, a.seq), (NodeId(1), NodeId(1), 41));
         // The piggybacked alive update introduced node 2.
-        assert!(h.node.members.contains_key(&NodeId(2)));
+        assert!(h.node.column.members.contains_key(&NodeId(2)));
     }
 
     #[test]
@@ -933,19 +836,19 @@ mod tests {
         // Indirect deadline passes silently: target suspected.
         let _ = h.timer(2 * SECS + direct + indirect, T_SWEEP);
         assert_eq!(
-            h.node.members.get(&target).map(|m| m.state),
+            h.node.column.members.get(&target).map(|m| m.state),
             Some(SwimState::Suspect)
         );
         // Unrefuted for suspect_timeout: confirmed dead + dead-listed.
         let _ = h.timer(20 * SECS, T_SWEEP);
-        assert!(!h.node.members.contains_key(&target));
-        assert!(h.node.dead.contains_key(&target));
+        assert!(!h.node.column.members.contains_key(&target));
+        assert!(h.node.column.dead.contains_key(&target));
     }
 
     #[test]
     fn suspicion_of_self_re_incarnates() {
         let mut h = Harness::new(1, SwimConfig::default());
-        let inc0 = h.node.incarnation;
+        let inc0 = h.node.shell.incarnation();
         let ping = Message::SwimPing(SwimPing {
             from: NodeId(2),
             seq: 1,
@@ -958,9 +861,13 @@ mod tests {
             ],
         });
         let _ = h.packet(SECS, 2, ping);
-        assert_eq!(h.node.incarnation, inc0 + 1, "refutes by re-incarnating");
+        assert_eq!(
+            h.node.shell.incarnation(),
+            inc0 + 1,
+            "refutes by re-incarnating"
+        );
         // The refutation is queued for dissemination.
-        assert!(h.node.queue.iter().any(|q| {
+        assert!(h.node.column.queue.iter().any(|q| {
             q.update.record.node == NodeId(1)
                 && q.update.state == SwimState::Alive
                 && q.update.record.incarnation == inc0 + 1
@@ -993,7 +900,7 @@ mod tests {
             }),
         );
         assert_eq!(
-            h.node.members.get(&NodeId(3)).map(|m| m.state),
+            h.node.column.members.get(&NodeId(3)).map(|m| m.state),
             Some(SwimState::Suspect)
         );
         // Alive at the same incarnation does NOT clear it...
@@ -1007,7 +914,7 @@ mod tests {
             }),
         );
         assert_eq!(
-            h.node.members.get(&NodeId(3)).map(|m| m.state),
+            h.node.column.members.get(&NodeId(3)).map(|m| m.state),
             Some(SwimState::Suspect),
             "same-incarnation alive loses to suspect on the lattice"
         );
@@ -1022,7 +929,7 @@ mod tests {
             }),
         );
         assert_eq!(
-            h.node.members.get(&NodeId(3)).map(|m| m.state),
+            h.node.column.members.get(&NodeId(3)).map(|m| m.state),
             Some(SwimState::Alive)
         );
     }
@@ -1051,8 +958,8 @@ mod tests {
                 }],
             }),
         );
-        assert!(!h.node.members.contains_key(&NodeId(3)));
-        assert!(h.node.dead.contains_key(&NodeId(3)));
+        assert!(!h.node.column.members.contains_key(&NodeId(3)));
+        assert!(h.node.column.dead.contains_key(&NodeId(3)));
         // Stale alive at the confirmed incarnation bounces off.
         let _ = h.packet(
             3 * SECS,
@@ -1063,7 +970,7 @@ mod tests {
                 updates: vec![alive(3, 1)],
             }),
         );
-        assert!(!h.node.members.contains_key(&NodeId(3)));
+        assert!(!h.node.column.members.contains_key(&NodeId(3)));
         // A rebirth at a higher incarnation resurrects.
         let _ = h.packet(
             4 * SECS,
@@ -1074,8 +981,8 @@ mod tests {
                 updates: vec![alive(3, 2)],
             }),
         );
-        assert!(h.node.members.contains_key(&NodeId(3)));
-        assert!(!h.node.dead.contains_key(&NodeId(3)));
+        assert!(h.node.column.members.contains_key(&NodeId(3)));
+        assert!(!h.node.column.dead.contains_key(&NodeId(3)));
     }
 
     #[test]
@@ -1139,16 +1046,16 @@ mod tests {
                 updates: vec![alive(2, 1), alive(3, 1)],
             }),
         );
-        let budget = h.node.budget();
+        let budget = h.node.column.budget();
         assert!(budget >= 3, "λ=3 × ⌈log₂(n+1)⌉ ≥ 3");
         // Each select spends one unit per queued update; the queue
         // eventually dries up.
         let mut carried = 0;
         for _ in 0..(budget + 2) {
-            let upds = h.node.select_updates();
+            let upds = h.node.column.select_updates(&h.node.shell);
             carried += upds.len() - 1; // minus the always-on self record
         }
-        assert!(h.node.queue.is_empty(), "budget exhausted");
+        assert!(h.node.column.queue.is_empty(), "budget exhausted");
         assert!(carried > 0);
     }
 }

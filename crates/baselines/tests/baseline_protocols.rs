@@ -4,7 +4,7 @@ use tamp_baselines::{
     AllToAllConfig, AllToAllNode, GossipConfig, GossipNode, SwimConfig, SwimNode,
 };
 use tamp_directory::DirectoryClient;
-use tamp_netsim::{Control, Engine, EngineConfig, SECS};
+use tamp_netsim::{Actor, Control, Engine, EngineConfig, Observation, ObservationKind, SECS};
 use tamp_topology::{generators, HostId};
 use tamp_wire::NodeId;
 
@@ -250,24 +250,93 @@ fn swim_probe_traffic_is_constant_per_node() {
     );
 }
 
-#[test]
-fn deterministic_swim() {
-    let run = |seed: u64| {
-        let (mut engine, clients) = swim_cluster(10, seed);
-        engine.schedule(20 * SECS, Control::Kill(HostId(3)));
-        engine.run_until(45 * SECS);
-        let counts: Vec<_> = clients.iter().map(|c| c.member_count()).collect();
-        (counts, engine.stats().totals().sent_bytes)
-    };
-    assert_eq!(run(42), run(42));
+/// What one run leaves behind: every observation in the order the
+/// engine recorded it, the traffic totals, and each host's final view.
+type Outcome = (Vec<Observation>, String, Vec<Vec<NodeId>>);
+
+/// 30 hosts on one segment; hosts 20–29 die together at 10 s, so every
+/// survivor's sweep finds several members due at the same instant. Runs
+/// to 60 s.
+fn mass_failure(
+    seed: u64,
+    node: impl Fn(NodeId, &[NodeId]) -> (DirectoryClient, Box<dyn Actor>),
+) -> Outcome {
+    let topo = generators::star_of_segments(1, 30);
+    let mut engine = Engine::new(topo, EngineConfig::default(), seed);
+    let ids: Vec<NodeId> = engine.hosts().iter().map(|h| NodeId(h.0)).collect();
+    let mut clients = Vec::new();
+    for h in engine.hosts() {
+        let (client, actor) = node(NodeId(h.0), &ids);
+        clients.push(client);
+        engine.add_actor(h, actor);
+    }
+    engine.start();
+    for h in 20..30 {
+        engine.schedule(10 * SECS, Control::Kill(HostId(h)));
+    }
+    engine.run_until(60 * SECS);
+    let views = clients
+        .iter()
+        .map(|c| c.read(|d| d.entries().map(|e| e.node).collect()))
+        .collect();
+    let stats = engine.stats();
+    (
+        stats.observations().to_vec(),
+        format!("{:?}", stats.totals()),
+        views,
+    )
+}
+
+/// Two runs at one seed in one process must agree on everything they
+/// report: a book iterated in hash order would reorder simultaneous
+/// removals between the runs.
+fn assert_same_twice(node: impl Fn(NodeId, &[NodeId]) -> (DirectoryClient, Box<dyn Actor>)) {
+    let (obs_a, totals_a, views_a) = mass_failure(2005, &node);
+    let (obs_b, totals_b, views_b) = mass_failure(2005, &node);
+    assert!(obs_a
+        .iter()
+        .any(|o| matches!(o.kind, ObservationKind::Removed(_))));
+    let first_diff = (0..obs_a.len().max(obs_b.len())).find(|&i| obs_a.get(i) != obs_b.get(i));
+    if let Some(i) = first_diff {
+        panic!(
+            "observation {i} differs between same-seed runs: {:?} vs {:?}",
+            obs_a.get(i),
+            obs_b.get(i)
+        );
+    }
+    assert_eq!(totals_a, totals_b);
+    assert_eq!(views_a, views_b);
 }
 
 #[test]
-fn deterministic_baselines() {
-    let run = |seed: u64| {
-        let (mut engine, clients) = gossip_cluster(10, seed);
-        engine.run_until(25 * SECS);
-        clients.iter().map(|c| c.member_count()).collect::<Vec<_>>()
-    };
-    assert_eq!(run(42), run(42));
+fn deterministic_alltoall() {
+    assert_same_twice(|me, _| {
+        let node = AllToAllNode::new(me, AllToAllConfig::default());
+        (node.directory_client(), Box::new(node))
+    });
+}
+
+#[test]
+fn deterministic_gossip() {
+    assert_same_twice(|me, ids| {
+        let cfg = GossipConfig {
+            expected_cluster_size: ids.len(),
+            seeds: ids.to_vec(),
+            ..Default::default()
+        };
+        let node = GossipNode::new(me, cfg);
+        (node.directory_client(), Box::new(node))
+    });
+}
+
+#[test]
+fn deterministic_swim() {
+    assert_same_twice(|me, ids| {
+        let cfg = SwimConfig {
+            seeds: ids.to_vec(),
+            ..Default::default()
+        };
+        let node = SwimNode::new(me, cfg);
+        (node.directory_client(), Box::new(node))
+    });
 }

@@ -67,9 +67,9 @@ impl Protocol {
     pub fn counter_namespace(self) -> &'static str {
         match self {
             Protocol::Tamp | Protocol::TampRapid => "membership",
-            Protocol::AllToAll => "alltoall",
-            Protocol::Gossip => "gossip",
-            Protocol::Swim => "swim",
+            Protocol::AllToAll => tamp_baselines::alltoall::NAMESPACE,
+            Protocol::Gossip => tamp_baselines::gossip::NAMESPACE,
+            Protocol::Swim => tamp_baselines::swim::NAMESPACE,
         }
     }
 }
