@@ -20,7 +20,8 @@ exp() { ./target/release/tamp-exp "$@"; }
 
 # same_at_any_width <tag> [file-or-dir written under results/ ...] -- <tamp-exp args>
 # Run the command at --jobs 1 and at --jobs $(nproc); stdout and every
-# named export must be byte-identical (docs/PERFORMANCE.md contract).
+# named export must be byte-identical (docs/PERFORMANCE.md, "The
+# determinism contract").
 # A failing command fails the job at the first width.
 same_at_any_width() {
     local tag=$1 outs=()

@@ -139,9 +139,9 @@ impl Applied {
 }
 
 /// Rows a key page holds at most. 16, 32 and 64 were measured
-/// (docs/PERFORMANCE.md, "Shared key pages"): smaller pages make the one
-/// page a holder writes cheaper, larger ones make the page table and the
-/// per-page overhead smaller.
+/// (docs/PERFORMANCE.md, "Directory: columns and shared key pages"):
+/// smaller pages make the one page a holder writes cheaper, larger ones
+/// make the page table and the per-page overhead smaller.
 const PAGE_ROWS: usize = 32;
 
 /// Low bits of a row hint that hold the row's offset in its page.

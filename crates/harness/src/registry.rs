@@ -1,17 +1,22 @@
-//! The `tamp-exp` command table. [`EXPERIMENTS`] is the one list of
+//! The `tamp-exp` command line. [`EXPERIMENTS`] is the one list of
 //! subcommands: `main` dispatches through it, `all` walks it, `--help`
-//! prints it, and the tests regenerate `results/` from it.
+//! prints it, and the tests regenerate `results/` from it. [`FLAGS`] is
+//! the one list of options: [`Args::parse`] reads it, `--help` prints
+//! it, and the doc lock (`tests/doc_paths.rs`) checks every documented
+//! command line against it.
 
 use crate::grid::{self, Grid};
 use crate::{
     ablations, adversarial, analysis_tables, bandwidth, baselines_grid, chaos, common, detection,
     fig14, fig2, load, metrics_tool, scale, slo_gate, topo_tool, trace_tool,
 };
+use std::fmt::Write;
+use std::str::FromStr;
 use tamp_chaos::Protocol;
 use tamp_par::Pool;
 
 /// Everything `tamp-exp` reads off its command line: the one options
-/// struct every subcommand takes (`--help` says what each flag does).
+/// struct every subcommand takes ([`FLAGS`] says what each flag does).
 pub struct Args {
     pub seed: u64,
     pub quick: bool,
@@ -70,7 +75,257 @@ impl Default for Args {
     }
 }
 
+/// How a flag takes its value.
+pub enum Set {
+    /// A switch: the flag alone sets it.
+    Switch(fn(&mut Args)),
+    /// The next argument, handed to the setter. A value that is missing,
+    /// or that the setter refuses with `Err(None)`, is reported as
+    /// "`<flag>` needs `<what>`"; `Err(Some(message))` is reported as is.
+    Value(
+        &'static str,
+        fn(&mut Args, &str) -> Result<(), Option<String>>,
+    ),
+}
+
+/// One `tamp-exp` option.
+pub struct Flag {
+    pub name: &'static str,
+    /// What `--help` shows after the name; empty for a switch.
+    pub metavar: &'static str,
+    /// The `--help` text, one entry a line.
+    pub help: &'static [&'static str],
+    /// The `--help` section: `options` for every command, else the
+    /// command that reads the flag.
+    pub section: &'static str,
+    pub set: Set,
+}
+
+/// A value that must parse as `T`.
+fn num<T: FromStr>(v: &str) -> Result<T, Option<String>> {
+    v.parse().map_err(|_| None)
+}
+
+/// A count that must be at least 1.
+fn count<T: FromStr + Default + PartialEq>(v: &str) -> Result<T, Option<String>> {
+    num(v).and_then(|n| if n == T::default() { Err(None) } else { Ok(n) })
+}
+
+/// Every `tamp-exp` option, in `--help` order.
+pub const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--seed",
+        metavar: "<u64>",
+        help: &["deterministic seed (default 2005)"],
+        section: "options",
+        set: Set::Value("a number", |a, v| num(v).map(|n| a.seed = n)),
+    },
+    Flag {
+        name: "--quick",
+        metavar: "",
+        help: &["smaller sweeps for smoke runs"],
+        section: "options",
+        set: Set::Switch(|a| a.quick = true),
+    },
+    Flag {
+        name: "--protocol",
+        metavar: "<p>",
+        help: &[
+            "tamp | tamp-rapid | alltoall | gossip | swim",
+            "(figures/baselines: one column; chaos: the cluster)",
+        ],
+        section: "options",
+        set: Set::Value(
+            "a name (tamp, tamp-rapid, alltoall, gossip, swim)",
+            |a, v| {
+                let p = Protocol::parse(v).ok_or_else(|| {
+                    Some(format!(
+                        "unknown protocol {v:?} (want one of {:?})",
+                        tamp_chaos::PROTOCOLS
+                    ))
+                })?;
+                a.protocol = Some(p);
+                Ok(())
+            },
+        ),
+    },
+    Flag {
+        name: "--nodes",
+        metavar: "<n>",
+        help: &["scale: one run at ~n nodes (default sweep 1000/4000/10000)"],
+        section: "options",
+        set: Set::Value("a number", |a, v| num(v).map(|n| a.nodes = Some(n))),
+    },
+    Flag {
+        name: "--trials",
+        metavar: "<n>",
+        help: &["fig12/fig13: statistics over n seeds"],
+        section: "options",
+        set: Set::Value("a number", |a, v| num(v).map(|n| a.trials = n)),
+    },
+    Flag {
+        name: "--jobs",
+        metavar: "<n>",
+        help: &[
+            "worker threads for sweeps/grids (default: cores;",
+            "output is byte-identical at any width)",
+        ],
+        section: "options",
+        set: Set::Value("a worker count >= 1", |a, v| count(v).map(|n| a.jobs = n)),
+    },
+    Flag {
+        name: "--shards",
+        metavar: "<n>",
+        help: &[
+            "scale/chaos/load: split the *simulation itself* into",
+            "n topology shards run concurrently (default 1 =",
+            "sequential; output is byte-identical)",
+        ],
+        section: "options",
+        set: Set::Value("a shard count (1 = sequential)", |a, v| {
+            num(v).map(|n| a.shards = Some(n))
+        }),
+    },
+    Flag {
+        name: "--scenario",
+        metavar: "<f>",
+        help: &["run a fault-scenario DSL file"],
+        section: "chaos",
+        set: Set::Value("a file path", |a, v| num(v).map(|f| a.scenario = Some(f))),
+    },
+    Flag {
+        name: "--sweep",
+        metavar: "<n>",
+        help: &["sweep n seeds, shrink first failure (--proxy too)"],
+        section: "chaos",
+        set: Set::Value("a seed count >= 1", |a, v| {
+            count(v).map(|n| a.sweep = Some(n))
+        }),
+    },
+    Flag {
+        name: "--proxy",
+        metavar: "",
+        help: &[
+            "two-DC proxy deployment; its generator draws",
+            "kills/revives/loss over 16 hosts, no partitions",
+            "(not with --adversarial or another --protocol)",
+        ],
+        section: "chaos",
+        set: Set::Switch(|a| a.proxy = true),
+    },
+    Flag {
+        name: "--strict",
+        metavar: "",
+        help: &["strict oracle: no excuses, suspicion ordering"],
+        section: "chaos",
+        set: Set::Switch(|a| a.strict = true),
+    },
+    Flag {
+        name: "--adversarial",
+        metavar: "",
+        help: &["gray/rack/churn/skew/router generator on the ring"],
+        section: "chaos",
+        set: Set::Switch(|a| a.adversarial = true),
+    },
+    Flag {
+        name: "--broken",
+        metavar: "",
+        help: &["MAX_LOSS=0 demo (oracle must fail)"],
+        section: "chaos",
+        set: Set::Switch(|a| a.broken = true),
+    },
+    Flag {
+        name: "--trace",
+        metavar: "",
+        help: &["interleave faults with packet trace"],
+        section: "chaos",
+        set: Set::Switch(|a| a.trace = true),
+    },
+    Flag {
+        name: "--users",
+        metavar: "<n>",
+        help: &["synthetic user population (default 1000000)"],
+        section: "load",
+        set: Set::Value("a number", |a, v| num(v).map(|n| a.users = n)),
+    },
+    Flag {
+        name: "--skew",
+        metavar: "<s>",
+        help: &["uniform | zipf:<exponent> (default zipf:1.1)"],
+        section: "load",
+        set: Set::Value("uniform or zipf:<s>", |a, v| num(v).map(|s| a.skew = s)),
+    },
+    Flag {
+        name: "--datacenters",
+        metavar: "<n>",
+        help: &["cluster spread (default 3)"],
+        section: "load",
+        set: Set::Value("a count >= 1", |a, v| count(v).map(|n| a.datacenters = n)),
+    },
+    Flag {
+        name: "--open",
+        metavar: "",
+        help: &["open-loop arrivals (default closed-loop)"],
+        section: "load",
+        set: Set::Switch(|a| a.open = true),
+    },
+    Flag {
+        name: "--campaign",
+        metavar: "",
+        help: &[
+            "chaos-under-load: leader-death, proxy-failover,",
+            "wan-partition (or --scenario <f>) while loaded",
+        ],
+        section: "load",
+        set: Set::Switch(|a| a.campaign = true),
+    },
+    Flag {
+        name: "--update",
+        metavar: "",
+        help: &["rewrite ci/slo-goldens.csv from this run"],
+        section: "slo-gate",
+        set: Set::Switch(|a| a.update = true),
+    },
+];
+
+/// The command [`Args::parse`] returns when help was asked for; no
+/// registered command starts with `-`.
+pub const HELP: &str = "--help";
+
 impl Args {
+    /// Reads a `tamp-exp` command line (program name left off) through
+    /// [`FLAGS`]: the command (`all` if none is named, [`HELP`] at
+    /// `--help` or `-h`, which ends the parse) and the options. `Err` is
+    /// the diagnostic for a bad command line.
+    pub fn parse(argv: &[String]) -> Result<(String, Args), String> {
+        let mut cmd = String::from("all");
+        let mut args = Args::default();
+        let mut it = argv.iter();
+        while let Some(a) = it.next() {
+            if a == "--help" || a == "-h" {
+                return Ok((HELP.to_string(), args));
+            }
+            match FLAGS.iter().find(|f| f.name == a).map(|f| &f.set) {
+                Some(Set::Switch(set)) => set(&mut args),
+                Some(Set::Value(what, set)) => {
+                    let value = it.next().ok_or(None);
+                    if let Err(e) = value.and_then(|v| set(&mut args, v)) {
+                        return Err(e.unwrap_or_else(|| format!("{a} needs {what}")));
+                    }
+                }
+                None if !a.starts_with('-') => {
+                    if cmd == "topo" && args.topo_file.is_none() {
+                        args.topo_file = Some(a.clone());
+                    } else {
+                        cmd = a.clone();
+                    }
+                }
+                None => return Err(format!("unknown option {a}")),
+            }
+        }
+        Ok((cmd, args))
+    }
+
     /// `--protocol` narrows the figure sweeps to one column; the default
     /// is all five (the paper's three plus swim and tamp-rapid).
     fn protocols(&self) -> Vec<Protocol> {
@@ -249,8 +504,46 @@ pub fn names() -> impl Iterator<Item = &'static str> {
     EXPERIMENTS.iter().flat_map(|c| c.names.iter().copied())
 }
 
-/// Run subcommand `name`; `None` if no command has that name.
+/// The `--help` text: the registered commands, then [`FLAGS`] under
+/// their sections.
+pub fn help() -> String {
+    let mut out = String::from("tamp-exp — regenerate the paper's evaluation\n\ncommands:");
+    let mut width = 0;
+    for name in names() {
+        if width + name.len() > 64 {
+            out.push_str("\n         ");
+            width = 0;
+        }
+        out.push(' ');
+        out.push_str(name);
+        width += name.len() + 1;
+    }
+    out.push_str("\n          (topo takes a file: topo <file.topo>; no command means all)\n");
+    let mut section = "";
+    for f in FLAGS {
+        let label = if f.section == section {
+            String::new()
+        } else {
+            format!("{}:", f.section)
+        };
+        section = f.section;
+        let usage = format!("{} {}", f.name, f.metavar);
+        let (first, more) = f.help.split_first().expect("every flag has help");
+        let _ = writeln!(out, "{label:<10}{:<14}  {first}", usage.trim_end());
+        for line in more {
+            let _ = writeln!(out, "{:26}{line}", "");
+        }
+    }
+    out
+}
+
+/// Run subcommand `name` ([`HELP`] prints [`help`]); `None` if no
+/// command has that name.
 pub fn dispatch(name: &str, args: &Args) -> Option<i32> {
+    if name == HELP {
+        print!("{}", help());
+        return Some(0);
+    }
     EXPERIMENTS.iter().find_map(|command| {
         let name = command.names.iter().find(|n| **n == name)?;
         Some(command.execute(args, &[name]))

@@ -149,8 +149,8 @@ impl<T> DerefMut for EventQueue<T> {
 // for 10 % more ticks opened and 19 % more relinks than 2^10. A slot is
 // a `u32` and opening one copies nothing, so the fourth level the finer
 // tick needs costs one more relink per far timer and nothing per tick.
-// docs/PERFORMANCE.md ("Event queue: one entry per packet in flight")
-// has the whole table.
+// docs/PERFORMANCE.md ("Scheduler: the slab timer wheel") has the whole
+// table.
 const SLOT_BITS: u32 = 8;
 const SLOTS: usize = 1 << SLOT_BITS;
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;

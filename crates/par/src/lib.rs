@@ -35,8 +35,9 @@
 //! environment has no registry access and the vendored crates are
 //! stubs, so this is deliberately dependency-free.
 //!
-//! See `docs/PERFORMANCE.md` for the full determinism contract and when
-//! `--jobs 1` is still required.
+//! The full contract, and when `--jobs 1` is still required:
+//! (docs/PERFORMANCE.md, "The determinism contract", "When `--jobs 1` is
+//! required").
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;

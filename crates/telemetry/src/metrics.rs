@@ -408,7 +408,7 @@ impl MetricsSnapshot {
     /// only one side is kept as-is. The combiner is associative and
     /// commutative, which is what lets parallel sweeps merge per-run
     /// snapshots in submission order and still equal the sequential
-    /// fold (see `docs/PERFORMANCE.md`).
+    /// fold (docs/PERFORMANCE.md, "Merge associativity").
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, v) in &other.entries {
             match self.entries.entry(k.clone()) {
