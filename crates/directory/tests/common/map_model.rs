@@ -1,7 +1,7 @@
 //! The directory as it was before the columns: a `BTreeMap<NodeId,
 //! Entry>` plus a second, incrementally maintained digest `Vec`, moved
 //! here verbatim (the type renamed, the regex lookup left behind) as the
-//! reference model. `common/columns.rs` drives it and the columnar
+//! reference model. `columns.rs` drives it and the columnar
 //! [`tamp_directory::Directory`] with the same scripts and compares
 //! everything either can be asked.
 

@@ -1,9 +1,7 @@
 //! Differential lock for request routing: [`Directory::providers`] (the
 //! typed literal query routers use, answered from the directory's kept
 //! answers) against `lookup_service` (the regex pattern API it replaced
-//! on that path). Shared by this crate's
-//! `model.rs` (wide) and the workspace root's `tests/` (fixed-budget
-//! tier-1 slice), which include it by `#[path]`.
+//! on that path). `model.rs` runs it at 512 cases.
 
 use proptest::prelude::*;
 use tamp_directory::{Directory, Provenance};

@@ -154,14 +154,14 @@ pub const FLAGS: &[Flag] = &[
         metavar: "<n>",
         help: &["scale: one run at ~n nodes (default sweep 1000/4000/10000)"],
         section: "options",
-        set: Set::Value("a number", |a, v| num(v).map(|n| a.nodes = Some(n))),
+        set: Set::Value("a count >= 1", |a, v| count(v).map(|n| a.nodes = Some(n))),
     },
     Flag {
         name: "--trials",
         metavar: "<n>",
         help: &["fig12/fig13: statistics over n seeds"],
         section: "options",
-        set: Set::Value("a number", |a, v| num(v).map(|n| a.trials = n)),
+        set: Set::Value("a count >= 1", |a, v| count(v).map(|n| a.trials = n)),
     },
     Flag {
         name: "--jobs",
@@ -246,7 +246,7 @@ pub const FLAGS: &[Flag] = &[
         metavar: "<n>",
         help: &["synthetic user population (default 1000000)"],
         section: "load",
-        set: Set::Value("a number", |a, v| num(v).map(|n| a.users = n)),
+        set: Set::Value("a count >= 1", |a, v| count(v).map(|n| a.users = n)),
     },
     Flag {
         name: "--skew",

@@ -346,12 +346,8 @@ mod tests {
     /// Same-seed golden for the A9 sweep's first size: two n=1000 runs
     /// with seed 2005 must agree on every measured quantity (wall clock
     /// excluded) — and reusing one [`SizeSetup`] across runs must change
-    /// nothing. Release-only — the run is debug-prohibitive.
+    /// nothing.
     #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "release-only: ~1s release, minutes in debug"
-    )]
     fn scale_n1000_seed2005_is_reproducible() {
         let fields = |r: &ScaleRow| {
             (

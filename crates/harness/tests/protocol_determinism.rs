@@ -81,8 +81,6 @@ fn single_scenario_runs_are_reproducible_for_new_protocols() {
 /// as a mini-sweep over the same file.
 #[test]
 fn checked_in_regression_scenarios_pass_strict_for_new_protocols() {
-    // Embedded relative to this file, so the root suite's `#[path]`
-    // include finds them too.
     for (file, text) in [
         (
             "swim-restart.chaos",

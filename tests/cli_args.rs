@@ -100,6 +100,18 @@ fn bad_command_lines_keep_their_diagnostics() {
     );
     assert_eq!(error(&["--jobs", "0"]), "--jobs needs a worker count >= 1");
     assert_eq!(
+        error(&["load", "--quick", "--users", "0", "--datacenters", "2"]),
+        "--users needs a count >= 1"
+    );
+    assert_eq!(
+        error(&["fig12", "--quick", "--trials", "0"]),
+        "--trials needs a count >= 1"
+    );
+    assert_eq!(
+        error(&["scale", "--nodes", "0"]),
+        "--nodes needs a count >= 1"
+    );
+    assert_eq!(
         error(&["--shards", "x"]),
         "--shards needs a shard count (1 = sequential)"
     );
