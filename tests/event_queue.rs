@@ -1,7 +1,7 @@
-//! Tier-1 run of the event-queue locks: `cargo test -q` at the workspace
-//! root runs only this package's suites, and the simulator's determinism
-//! rests on the `(time, key, seq)` order of one queue. The three suites
-//! live with the netsim crate and are taken here as they stand:
+//! The event-queue locks under their root test ids. Tier-1 also runs the
+//! three netsim suites themselves as a workspace default member; this
+//! copy keeps the ids the root package has always reported until
+//! ROADMAP item 13 retires them. Taken as they stand:
 //!
 //! * `timer_wheel_props` — the timer wheel against an ordered-set model,
 //!   step by step;

@@ -1,12 +1,9 @@
-//! Tier-1 run of the codec lock: `cargo test -q` at the workspace root
-//! runs only this package's suites, and the two decoders' agreement —
-//! same values, same `DecodeError`s, `encoded_len == encode().len()` —
-//! is what lets the engine size a packet without encoding it and lets
-//! the decoder hand one payload to every holder. The suite lives with
-//! the wire crate, where `ci/smoke.sh wire-fuzz` runs it at 512 cases;
-//! here the file is taken as it stands, at its own default budget (its
-//! generators are private to it, and nine properties over frames of a
-//! few hundred bytes cost a fraction of a second).
+//! The codec lock under its root test ids (`fuzz_codec::…`): the two
+//! decoders' agreement — same values, same `DecodeError`s,
+//! `encoded_len == encode().len()`. Tier-1 also runs the wire crate's
+//! `tests/fuzz_codec.rs` itself as a workspace default member; this copy
+//! keeps the ids the root package has always reported until ROADMAP
+//! item 13 retires them. Taken as it stands, at its own default budget.
 
 #[path = "../crates/wire/tests/fuzz_codec.rs"]
 mod fuzz_codec;
