@@ -107,16 +107,27 @@ job_shard() {
 
 # Bounded chaos smoke: fixed seed set on the small two-segment topology,
 # a lax two-datacenter proxy sweep at both pool widths, plus the oracle
-# bite check (MAX_LOSS=0 must fail with a shrunk repro).
+# bite check (MAX_LOSS=0 must fail with a shrunk repro, exit 1) under a
+# memory ceiling. The pool runs every seed it started speculatively, so
+# the peak grows with the pool width until all three seeds run at once:
+# CEILING_MB is the largest peak measured at widths 1-8 on a 2-core host
+# (95 MB at 4 and 8 workers, 74 MB at 2) plus 20 %.
 job_chaos() {
     build
     exp chaos --seed 0 --sweep 20
     exp chaos --seed 3 --proxy
     same_at_any_width proxy -- chaos --proxy --seed 0 --sweep 10
-    if exp chaos --seed 1 --sweep 3 --broken; then
-        echo "broken config unexpectedly passed the oracle" >&2
-        return 1
-    fi
+    python3 - <<'EOF'
+import resource, subprocess, sys
+CEILING_MB = 114
+run = subprocess.run(["./target/release/tamp-exp", "chaos", "--seed", "1", "--sweep", "3",
+                      "--broken"], timeout=300)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"chaos --broken: exit {run.returncode}, peak RSS {peak_mb:.0f} MB, ceiling {CEILING_MB} MB")
+if run.returncode != 1:
+    print("the broken config did not fail the oracle with exit 1", file=sys.stderr)
+sys.exit(int(run.returncode != 1 or peak_mb > CEILING_MB))
+EOF
 }
 
 # Telemetry smoke: same-seed exports are byte-identical, then schema

@@ -16,8 +16,9 @@
 //! 4. **Proxy consistency** — in multi-datacenter runs, every proxy's
 //!    remote view matches the services actually alive in other DCs.
 
+use crate::cluster::Protocol;
 use crate::truth::GroundTruth;
-use tamp_baselines::{alltoall, swim};
+use tamp_baselines::{alltoall, swim, AllToAllConfig, GossipConfig};
 use tamp_directory::DirectoryClient;
 use tamp_membership::config::{
     CUT_BATCH_DELAY, CUT_REPORT_TTL, DEGRADE_MAX_STRETCH, FLAP_SCORE_CAP, LEVEL_TIMEOUT_FACTOR,
@@ -27,16 +28,18 @@ use tamp_netsim::{Observation, ObservationKind};
 use tamp_topology::{HostId, Nanos, Topology};
 use tamp_wire::NodeId;
 
-/// Tunables for the oracle's judgement.
+/// Uniform loss at or above this rate excuses lax-mode removals during
+/// (and shortly after) the burst: at ≥ 0.25, `max_loss` consecutive
+/// heartbeat misses become likely enough over a whole cluster that
+/// removals cannot be called protocol bugs.
+pub const LOSS_EXCUSE_RATE: f64 = 0.25;
+
+/// Tunables for the oracle's judgement, sized by [`OracleConfig::of`].
 #[derive(Debug, Clone)]
 pub struct OracleConfig {
     /// A removal at time `t` is justified by faults inside `[t - window,
-    /// t)`. Derive it from the protocol's own detection bound with
-    /// [`OracleConfig::for_membership`].
+    /// t)`: the protocol's own worst-case detection bound.
     pub removal_window: Nanos,
-    /// Elevated loss at or above this rate excuses removals during (and
-    /// shortly after) the burst: heartbeats genuinely cannot get through.
-    pub loss_excuse_rate: f64,
     /// Extra window for *representative disruption*: a dead host may have
     /// been the leader representing its whole segment at upper hierarchy
     /// levels. The protocol purges a dead member's subtree at the parent
@@ -53,131 +56,93 @@ pub struct OracleConfig {
     pub strict: bool,
     /// Strict mode ordering check: every removal must be preceded (in
     /// observation order, by *some* observer) by a suspicion of the same
-    /// node. Off when the protocol runs with `suspicion_window = 0`.
+    /// node. Read only under `strict`.
     pub require_suspicion: bool,
 }
 
 impl OracleConfig {
-    /// Window sized to the protocol's worst-case detection timeout: the
-    /// level-ℓ timeout is `max_loss × heartbeat × (1 + ℓ × factor)`, so
-    /// any *correct* removal fires within that of the underlying fault.
-    /// `max_level` is the deepest hierarchy level the topology can form.
-    pub fn for_membership(cfg: &MembershipConfig, max_level: u8) -> Self {
-        let base = cfg.heartbeat_period * cfg.max_loss as u64;
-        let worst = base + (base as f64 * max_level as f64 * LEVEL_TIMEOUT_FACTOR) as u64;
-        // The robustness extensions delay a *correct* removal further:
-        // the suspicion window (scaled by the flap-damping cap), both
-        // timeout and suspicion stretched under measured distress, and a
-        // quarantine hold for relayed subtrees. The window must cover
-        // the slowest legitimate confirmation or the oracle would flag
-        // correct-but-deliberate removals.
-        let stretch = DEGRADE_MAX_STRETCH;
-        let flap_cap = 1.0 + FLAP_SCORE_CAP;
-        let suspicion_worst = (cfg.suspicion(max_level) as f64 * flap_cap * stretch) as u64;
-        let detect_worst = (worst as f64 * stretch) as u64 + suspicion_worst;
+    /// The oracle for `protocol` on a `hosts`-host cluster whose deepest
+    /// hierarchy level is `max_level`, strict or lax. Each protocol's
+    /// windows come from its own detection bound; the hierarchical node
+    /// reads `m`, the baselines run their defaults.
+    pub fn of(
+        protocol: Protocol,
+        m: &MembershipConfig,
+        hosts: usize,
+        max_level: u8,
+        strict: bool,
+    ) -> Self {
+        let (removal_window, repair_window, require_suspicion) = match protocol {
+            Protocol::Tamp | Protocol::TampRapid => {
+                // The level-ℓ timeout is `max_loss × heartbeat × (1 + ℓ ×
+                // factor)`, so any *correct* removal fires within that of
+                // the underlying fault.
+                let base = m.heartbeat_period * m.max_loss as u64;
+                let worst = base + (base as f64 * max_level as f64 * LEVEL_TIMEOUT_FACTOR) as u64;
+                // The robustness extensions delay a correct removal
+                // further: the suspicion window (scaled by the
+                // flap-damping cap), both timeout and suspicion stretched
+                // under measured distress, and a quarantine hold for
+                // relayed subtrees.
+                let stretch = DEGRADE_MAX_STRETCH;
+                let flap_cap = 1.0 + FLAP_SCORE_CAP;
+                let suspicion_worst = (m.suspicion(max_level) as f64 * flap_cap * stretch) as u64;
+                let detect_worst = (worst as f64 * stretch) as u64 + suspicion_worst;
+                // Slack for propagation of the removal itself (relay up
+                // the tree + fan-out down), and for sweep granularity.
+                let mut window =
+                    detect_worst + m.quarantine_window + 3 * m.heartbeat_period + m.sweep_period;
+                // Cut detection confirms only once the vote pattern is
+                // stable: reports live for `CUT_REPORT_TTL` and the batch
+                // fires after `CUT_BATCH_DELAY` of quiescence. Every cut
+                // is preceded by an advisory suspicion at the reporters.
+                let rapid = protocol == Protocol::TampRapid;
+                if rapid {
+                    window += CUT_REPORT_TTL + CUT_BATCH_DELAY;
+                }
+                // Subtree repair: re-election, level re-join, plus one
+                // full anti-entropy round to re-seed remote directories.
+                let repair = m.anti_entropy_period + worst;
+                (window, repair, strict && (rapid || m.suspicion_window > 0))
+            }
+            // Within `max_loss` missed heartbeats of the fault, plus sweep
+            // granularity and a little heartbeat phase slack.
+            Protocol::AllToAll => {
+                let period = AllToAllConfig::default().heartbeat_period;
+                let window = period * (alltoall::MAX_LOSS as u64 + 3) + alltoall::SWEEP_PERIOD;
+                (window, 2 * period, false)
+            }
+            // Staleness is judged against `T_fail`, the blacklist holds
+            // entries until `T_cleanup = 2×T_fail`, and the removal itself
+            // still has to gossip out.
+            Protocol::Gossip => {
+                let g = GossipConfig {
+                    expected_cluster_size: hosts,
+                    ..Default::default()
+                };
+                let window = g.t_cleanup() + 4 * g.period + g.sweep_period;
+                (window, g.t_fail(), false)
+            }
+            // Up to one full probe lap before the dead member's turn, the
+            // direct + indirect probe phases, the refutable suspicion
+            // window, and piggybacked dissemination of the confirmation
+            // (`O(log n)` probe periods; budgeted generously). SWIM
+            // suspects before it confirms.
+            Protocol::Swim => {
+                let window = swim::PROBE_PERIOD * hosts as u64
+                    + 15 * swim::PROBE_PERIOD
+                    + swim::DIRECT_TIMEOUT
+                    + swim::INDIRECT_TIMEOUT
+                    + swim::SUSPECT_TIMEOUT
+                    + swim::SWEEP_PERIOD;
+                (window, swim::SUSPECT_TIMEOUT, true)
+            }
+        };
         OracleConfig {
-            // Slack for propagation of the removal itself (relay up the
-            // tree + fan-out down), and for sweep granularity.
-            removal_window: detect_worst
-                + cfg.quarantine_window
-                + 3 * cfg.heartbeat_period
-                + cfg.sweep_period,
-            // At ≥ 0.25 uniform loss, `max_loss` consecutive heartbeat
-            // misses become likely enough over a whole cluster that
-            // removals during a burst cannot be called protocol bugs.
-            loss_excuse_rate: 0.25,
-            // Subtree repair: re-election, level re-join, plus one full
-            // anti-entropy round to re-seed remote directories.
-            repair_window: cfg.anti_entropy_period + worst,
-            strict: false,
-            require_suspicion: false,
-        }
-    }
-
-    /// Strict variant: same window sizing, but the excuse model is off
-    /// (see [`OracleConfig::strict`]) and, when the protocol runs with a
-    /// suspicion window, every removal must have been preceded by a
-    /// suspicion somewhere in the cluster.
-    pub fn strict_for_membership(cfg: &MembershipConfig, max_level: u8) -> Self {
-        OracleConfig {
-            strict: true,
-            require_suspicion: cfg.suspicion_window > 0,
-            ..OracleConfig::for_membership(cfg, max_level)
-        }
-    }
-
-    /// Window for the Rapid-style cut-detection discipline: detection
-    /// still starts from the timeout machinery, but confirmation waits
-    /// for the vote pattern to stabilize — reports live for
-    /// `CUT_REPORT_TTL` and the batch fires only after `CUT_BATCH_DELAY`
-    /// of quiescence, so a correct removal can trail the fault by that
-    /// much more than in timeout mode.
-    pub fn for_cut_detection(cfg: &MembershipConfig, max_level: u8) -> Self {
-        let base = OracleConfig::for_membership(cfg, max_level);
-        OracleConfig {
-            removal_window: base.removal_window + CUT_REPORT_TTL + CUT_BATCH_DELAY,
-            ..base
-        }
-    }
-
-    /// Strict cut-detection variant. Every confirmed cut is preceded by
-    /// an advisory suspicion at the reporting observers, so the
-    /// suspect-before-remove ordering check stays on.
-    pub fn strict_for_cut_detection(cfg: &MembershipConfig, max_level: u8) -> Self {
-        OracleConfig {
-            strict: true,
-            require_suspicion: true,
-            ..OracleConfig::for_cut_detection(cfg, max_level)
-        }
-    }
-
-    /// Window for the all-to-all baseline: a correct removal fires
-    /// within `max_loss` missed heartbeats of the fault, plus sweep
-    /// granularity and a little heartbeat phase slack. No suspicion
-    /// machinery exists, so strict runs don't require the ordering.
-    pub fn for_alltoall(cfg: &tamp_baselines::AllToAllConfig) -> Self {
-        OracleConfig {
-            removal_window: cfg.heartbeat_period * (alltoall::MAX_LOSS as u64 + 3)
-                + alltoall::SWEEP_PERIOD,
-            loss_excuse_rate: 0.25,
-            repair_window: 2 * cfg.heartbeat_period,
-            strict: false,
-            require_suspicion: false,
-        }
-    }
-
-    /// Window for the gossip baseline: staleness is judged against
-    /// `T_fail`, the blacklist holds entries until `T_cleanup = 2×T_fail`,
-    /// and the removal itself still has to gossip out.
-    pub fn for_gossip(cfg: &tamp_baselines::GossipConfig) -> Self {
-        OracleConfig {
-            removal_window: cfg.t_cleanup() + 4 * cfg.period + cfg.sweep_period,
-            loss_excuse_rate: 0.25,
-            repair_window: cfg.t_fail(),
-            strict: false,
-            require_suspicion: false,
-        }
-    }
-
-    /// Window for the SWIM baseline on an `n`-host cluster: up to one
-    /// full probe lap before the dead member's turn comes up, the
-    /// direct + indirect probe phases, the refutable suspicion window,
-    /// and piggybacked dissemination of the confirmation (`O(log n)`
-    /// probe periods; budgeted generously). SWIM suspects before it
-    /// confirms, so strict runs keep the ordering check.
-    pub fn for_swim(n_hosts: usize) -> Self {
-        let lap = swim::PROBE_PERIOD * n_hosts as u64;
-        OracleConfig {
-            removal_window: lap
-                + 15 * swim::PROBE_PERIOD
-                + swim::DIRECT_TIMEOUT
-                + swim::INDIRECT_TIMEOUT
-                + swim::SUSPECT_TIMEOUT
-                + swim::SWEEP_PERIOD,
-            loss_excuse_rate: 0.25,
-            repair_window: swim::SUSPECT_TIMEOUT,
-            strict: false,
-            require_suspicion: true,
+            removal_window,
+            repair_window,
+            strict,
+            require_suspicion,
         }
     }
 }
@@ -308,7 +273,7 @@ impl std::fmt::Display for Violation {
 /// * `o` was down (a restarted observer rebuilds its view and may
 ///   briefly remove everyone it has not re-learned), or
 /// * the segments of `n` and `o` were partitioned, or
-/// * elevated loss at ≥ `loss_excuse_rate` was in effect within the
+/// * elevated loss at ≥ [`LOSS_EXCUSE_RATE`] was in effect within the
 ///   extended `removal_window + repair_window` — heavy loss can cost a
 ///   group its leader, and the resulting purge/re-register churn
 ///   surfaces removals well after the burst itself ends, or
@@ -422,7 +387,7 @@ pub fn check_removals(
             .time
             .saturating_sub(cfg.removal_window + cfg.repair_window);
         let justified = core_justified
-            || truth.max_loss_in(repair_from, to) >= cfg.loss_excuse_rate
+            || truth.max_loss_in(repair_from, to) >= LOSS_EXCUSE_RATE
             || topo
                 .hosts_on(node_seg)
                 .iter()
@@ -444,18 +409,25 @@ pub fn check_removals(
     out
 }
 
-/// Invariant 2: at quiescence every live host's view equals the live
-/// set. `clients[i]` must belong to host `i`. Skipped (returns empty)
-/// while a partition — symmetric or gray — is still active: divided
-/// halves cannot converge, and a one-way link starves one side's
+/// Invariant 2: at quiescence every live host of `domain` (the hosts of
+/// one membership domain, in id order) sees exactly the domain's live
+/// set. `clients[h]` must read host `h`'s directory. Skipped (returns
+/// empty) while a partition — symmetric or gray — is still active:
+/// divided halves cannot converge, and a one-way link starves one side's
 /// updates. A *healed* router fault does not skip: re-formation must
 /// converge to a single consistent view within the settle window.
-pub fn check_convergence(clients: &[DirectoryClient], truth: &GroundTruth) -> Vec<Violation> {
+pub fn check_convergence(
+    domain: &[HostId],
+    clients: &[DirectoryClient],
+    truth: &GroundTruth,
+) -> Vec<Violation> {
     if truth.any_partition_active() || truth.any_gray_active() {
         return Vec::new();
     }
-    let live: Vec<u32> = (0..clients.len() as u32)
-        .filter(|&i| truth.is_alive(i))
+    let live: Vec<u32> = domain
+        .iter()
+        .map(|h| h.0)
+        .filter(|&h| truth.is_alive(h))
         .collect();
     let mut out = Vec::new();
     for &i in &live {
@@ -532,7 +504,6 @@ mod tests {
     fn cfg() -> OracleConfig {
         OracleConfig {
             removal_window: 10 * SECS,
-            loss_excuse_rate: 0.5,
             repair_window: 15 * SECS,
             strict: false,
             require_suspicion: false,
@@ -570,10 +541,65 @@ mod tests {
     }
 
     #[test]
+    fn one_constructor_sizes_every_protocol_lax_and_strict() {
+        // Ten hosts on two segments (`ScenarioConfig::two_segments`), so
+        // the deepest level is 2. Per protocol: removal and repair
+        // windows, then whether lax / strict runs require a suspicion.
+        let table = [
+            (
+                Protocol::Tamp,
+                91_100_000_000,
+                20_000_000_000,
+                [false, true],
+            ),
+            (
+                Protocol::TampRapid,
+                100_100_000_000,
+                20_000_000_000,
+                [false, true],
+            ),
+            (
+                Protocol::AllToAll,
+                8_100_000_000,
+                2_000_000_000,
+                [false, false],
+            ),
+            (
+                Protocol::Gossip,
+                20_709_640_474,
+                8_304_820_237,
+                [false, false],
+            ),
+            (Protocol::Swim, 30_800_000_000, 5_000_000_000, [true, true]),
+        ];
+        let m = MembershipConfig::default();
+        for (protocol, removal, repair, require) in table {
+            for strict in [false, true] {
+                let o = OracleConfig::of(protocol, &m, 10, 2, strict);
+                assert_eq!(
+                    (
+                        o.removal_window,
+                        o.repair_window,
+                        o.strict,
+                        o.require_suspicion
+                    ),
+                    (removal, repair, strict, require[strict as usize]),
+                    "{} strict={strict}",
+                    protocol.name()
+                );
+            }
+        }
+    }
+
+    fn tamp_window(m: &MembershipConfig, max_level: u8) -> Nanos {
+        OracleConfig::of(Protocol::Tamp, m, 10, max_level, false).removal_window
+    }
+
+    #[test]
     fn removal_window_scales_with_hierarchy_depth() {
         let m = MembershipConfig::default();
-        let shallow = OracleConfig::for_membership(&m, 0).removal_window;
-        let deep = OracleConfig::for_membership(&m, 3).removal_window;
+        let shallow = tamp_window(&m, 0);
+        let deep = tamp_window(&m, 3);
         assert!(deep > shallow);
         // Level-0 detection is max_loss × heartbeat; the window must
         // exceed it to tolerate correct detections at the bound.
@@ -583,16 +609,15 @@ mod tests {
     #[test]
     fn removal_window_covers_suspicion_and_quarantine() {
         let m = MembershipConfig::default();
-        let with = OracleConfig::for_membership(&m, 2).removal_window;
-        let without = OracleConfig::for_membership(
+        let with = tamp_window(&m, 2);
+        let without = tamp_window(
             &MembershipConfig {
                 suspicion_window: 0,
                 quarantine_window: 0,
                 ..MembershipConfig::default()
             },
             2,
-        )
-        .removal_window;
+        );
         assert!(
             with >= without + m.quarantine_window,
             "window {with} must absorb suspicion + quarantine over {without}"

@@ -3,13 +3,12 @@
 //! oracle. Everything is deterministic in `(topology, schedule, seed)` —
 //! the same inputs produce a byte-identical [`ScenarioRun::report`].
 
-use crate::cluster::{build_cluster, Protocol};
+use crate::cluster::{build_cluster, Cluster, Protocol};
 use crate::oracle::{self, OracleConfig, Violation};
 use crate::schedule::{fmt_duration, Action, Schedule, ScheduledFault, Target};
 use crate::truth::GroundTruth;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tamp_baselines::{AllToAllConfig, GossipConfig};
 use tamp_membership::{MembershipConfig, Probe};
 use tamp_netsim::telemetry::{MetricsSnapshot, CLUSTER};
 use tamp_netsim::{Engine, EngineConfig, TraceRecord};
@@ -519,14 +518,18 @@ pub fn run_scenario(cfg: &ScenarioConfig, schedule: &Schedule) -> ScenarioRun {
     let topo = schedule
         .topo
         .map_or_else(|| cfg.topo.clone(), |spec| spec.build());
-    let (segments, hosts) = (topo.num_segments(), topo.num_hosts());
+    let topo_desc = format!(
+        "{} segments, {} hosts",
+        topo.num_segments(),
+        topo.num_hosts()
+    );
     // A `protocol` directive in the scenario wins, like `topology`.
     let protocol = schedule.protocol.unwrap_or(cfg.protocol);
     // Chaos runs always meter the network and the protocol: a failing
     // report must be able to explain itself without a re-run.
     let mut engine_cfg = cfg.engine.clone();
     engine_cfg.metrics = true;
-    let mut cluster = build_cluster(
+    let cluster = build_cluster(
         topo,
         engine_cfg,
         cfg.seed,
@@ -534,72 +537,62 @@ pub fn run_scenario(cfg: &ScenarioConfig, schedule: &Schedule) -> ScenarioRun {
         &cfg.membership,
         |_| cfg.membership.services.clone(),
     );
+    let domain = vec![cluster.engine.hosts()];
+    play_and_judge(cfg, schedule, protocol, cluster, &domain, topo_desc, |_| {
+        Vec::new()
+    })
+}
+
+/// The one judge both runners share: play `schedule` on `cluster` to its
+/// horizon, then hold the run to the oracle sized for `protocol` —
+/// removals against ground truth, convergence within each of `domains`
+/// (host sets that keep separate views), leader agreement when every
+/// host has a probe, and last the runner's own `extra` check.
+pub(crate) fn play_and_judge(
+    cfg: &ScenarioConfig,
+    schedule: Schedule,
+    protocol: Protocol,
+    mut cluster: Cluster,
+    domains: &[Vec<HostId>],
+    topo_desc: String,
+    extra: impl FnOnce(&GroundTruth) -> Vec<Violation>,
+) -> ScenarioRun {
+    let engine = &mut cluster.engine;
     let mut truth = GroundTruth::new();
     let resolved = apply_schedule(
-        &mut cluster.engine,
+        engine,
         &cluster.probes,
         &schedule,
         cfg.seed,
         cfg.engine.loss.rate,
         &mut truth,
     );
-
     let horizon = schedule.horizon();
-    cluster.engine.run_until(horizon);
+    engine.run_until(horizon);
 
-    // Oracle pass, with the removal window sized to the protocol's own
-    // detection bound.
-    let max_level = (usize::BITS - segments.leading_zeros()) as u8;
-    let mut ocfg = match protocol {
-        Protocol::Tamp => {
-            if cfg.strict {
-                OracleConfig::strict_for_membership(&cfg.membership, max_level)
-            } else {
-                OracleConfig::for_membership(&cfg.membership, max_level)
-            }
-        }
-        Protocol::TampRapid => {
-            if cfg.strict {
-                OracleConfig::strict_for_cut_detection(&cfg.membership, max_level)
-            } else {
-                OracleConfig::for_cut_detection(&cfg.membership, max_level)
-            }
-        }
-        Protocol::AllToAll => OracleConfig::for_alltoall(&AllToAllConfig::default()),
-        Protocol::Gossip => OracleConfig::for_gossip(&GossipConfig {
-            expected_cluster_size: hosts,
-            ..Default::default()
-        }),
-        Protocol::Swim => OracleConfig::for_swim(hosts),
-    };
-    if cfg.strict && !protocol.is_hierarchical() {
-        // The baselines keep their lax-sized windows (already derived
-        // from their own detection bounds) but lose the excuse model.
-        ocfg.strict = true;
+    let topo = engine.topology();
+    let max_level = (usize::BITS - topo.num_segments().leading_zeros()) as u8;
+    let ocfg = OracleConfig::of(
+        protocol,
+        &cfg.membership,
+        topo.num_hosts(),
+        max_level,
+        cfg.strict,
+    );
+    let mut violations = oracle::check_removals(engine.stats().observations(), &truth, topo, &ocfg);
+    for domain in domains {
+        violations.extend(oracle::check_convergence(domain, &cluster.clients, &truth));
     }
-    let mut violations = Vec::new();
-    violations.extend(oracle::check_removals(
-        cluster.engine.stats().observations(),
-        &truth,
-        cluster.engine.topology(),
-        &ocfg,
-    ));
-    violations.extend(oracle::check_convergence(&cluster.clients, &truth));
     // Leader agreement only means something for the hierarchical node.
     let leader_probes: Vec<Probe> = cluster.probes.iter().flatten().cloned().collect();
     if leader_probes.len() == cluster.probes.len() {
-        violations.extend(oracle::check_leaders(
-            &leader_probes,
-            &truth,
-            cluster.engine.topology(),
-        ));
+        violations.extend(oracle::check_leaders(&leader_probes, &truth, topo));
     }
+    violations.extend(extra(&truth));
 
     let live: Vec<u32> = (0..cluster.clients.len() as u32)
         .filter(|&h| truth.is_alive(h))
         .collect();
-    let trace = cluster.engine.trace_log().records().cloned().collect();
-    let metrics = cluster.engine.registry().snapshot();
     ScenarioRun {
         seed: cfg.seed,
         schedule,
@@ -607,10 +600,10 @@ pub fn run_scenario(cfg: &ScenarioConfig, schedule: &Schedule) -> ScenarioRun {
         violations,
         live,
         horizon,
-        trace,
-        metrics,
+        trace: engine.trace_log().records().cloned().collect(),
+        metrics: engine.registry().snapshot(),
         protocol,
-        topo_desc: format!("{segments} segments, {hosts} hosts"),
+        topo_desc,
     }
 }
 

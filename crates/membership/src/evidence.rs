@@ -82,7 +82,10 @@ pub(crate) struct Evidence {
     flap: HashMap<NodeId, (f64, Nanos)>,
     /// The loss-degradation stretch stays engaged until this instant.
     distress_until: Nanos,
-    /// How long a refutation is remembered: the longest detection span.
+    /// How long a refutation is remembered: the longest detection span,
+    /// and never less than two heartbeat periods — at `max_loss: 0` the
+    /// span is zero, and a Leave-blocker that holds for no time answers
+    /// and re-relays every copy of the `Leave` it meets.
     hold: Nanos,
     /// How long one raw-positive distress reading holds the latch.
     latch: Nanos,
@@ -91,7 +94,7 @@ pub(crate) struct Evidence {
 impl Evidence {
     pub(crate) fn new(cfg: &MembershipConfig) -> Self {
         Evidence {
-            hold: cfg.timeout(cfg.top_level()),
+            hold: cfg.timeout(cfg.top_level()).max(2 * cfg.heartbeat_period),
             latch: 3 * cfg.heartbeat_period,
             ..Evidence::default()
         }
@@ -297,6 +300,20 @@ mod tests {
         assert!(e.recently_refuted(N, 5, 4 * SECS));
         assert!(e.recently_refuted(N, 4, 4 * SECS), "covers earlier lives");
         assert!(!e.recently_refuted(N, 6, 4 * SECS));
+    }
+
+    #[test]
+    fn a_proof_is_remembered_for_a_heartbeat_period_even_at_zero_max_loss() {
+        let cfg = MembershipConfig {
+            max_loss: 0,
+            ..MembershipConfig::default()
+        };
+        assert_eq!(cfg.timeout(cfg.top_level()), 0);
+        let mut e = Evidence::new(&cfg);
+        e.remember_proof(N, 2, 10 * SECS);
+        let later = 10 * SECS + cfg.heartbeat_period;
+        e.sweep(later, 1.0);
+        assert!(e.recently_refuted(N, 2, later), "Leave-blocker let go");
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //!
 //! [`UpdateLog`] is the sender side: it assigns sequence numbers to events
 //! and produces outgoing windows of the newest event plus up to
-//! `window - 1` predecessors. The receiver replays whatever subset of the
-//! window it has not yet applied (using a `SeqTracker`), and escalates to
-//! a sync poll only when the gap exceeds the window.
+//! `window - 1` predecessors. The receiver replays the whole window with
+//! no staleness gate: relay paths of different lengths can reorder one
+//! origin's updates, so the incarnation-ordered directory deduplicates
+//! (a replayed event changes nothing and is not relayed on). Sequence
+//! numbers, kept per origin in the receiver's `SeqTracker`, serve gap
+//! detection only: the receiver escalates to a sync poll when even the
+//! oldest event of the window leaves a gap.
 
 use crate::messages::{MemberEvent, SeqEvent};
 use std::collections::VecDeque;

@@ -15,7 +15,7 @@ use tamp::prelude::*;
 /// An arbitrary fault action on a two-segment, `n_hosts`-node cluster.
 ///
 /// Loss rates stay ≥ 0.30 (a burst mild enough to be sub-excusable is a
-/// different test's job — see the oracle's `loss_excuse_rate`), and the
+/// different test's job — see the oracle's `LOSS_EXCUSE_RATE`), and the
 /// only partition pair is (0, 1) because the topology has two segments.
 fn arb_action(n_hosts: u32) -> impl Strategy<Value = Action> {
     prop_oneof![
