@@ -63,9 +63,8 @@ impl Provenance {
     }
 }
 
-/// A [`Provenance`] in four bytes, as the directory stores it per
-/// holder: the relayer's id, or one of the two ids at the top of the
-/// range. Node ids are host numbers; a relayer id up there (a corrupt
+/// A [`Provenance`] in four bytes, as a row stores it: the relayer's
+/// id, or one of the two ids at the top of the range. Node ids are host numbers; a relayer id up there (a corrupt
 /// frame's) is held as the highest one left, `u32::MAX - 2`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Packed(u32);
@@ -93,9 +92,8 @@ impl Packed {
     }
 }
 
-/// One directory entry: a row borrowed from the [`Directory`]'s key
-/// pages and its own columns. Services and attributes are reachable
-/// through `Deref`.
+/// One directory entry: a row of the [`Directory`]'s key pages, read
+/// out. Services and attributes are reachable through `Deref`.
 #[derive(Debug, Clone, Copy)]
 pub struct Entry<'a> {
     pub node: NodeId,
@@ -139,7 +137,7 @@ impl Applied {
 }
 
 /// Rows a key page holds at most. 16, 32 and 64 were measured
-/// (docs/PERFORMANCE.md, "Directory: columns and shared key pages"):
+/// (docs/PERFORMANCE.md, "Directory: copy-on-write key pages"):
 /// smaller pages make the one page a holder writes cheaper, larger ones
 /// make the page table and the per-page overhead smaller.
 const PAGE_ROWS: usize = 32;
@@ -147,23 +145,35 @@ const PAGE_ROWS: usize = 32;
 /// Low bits of a row hint that hold the row's offset in its page.
 const OFFSET_BITS: u32 = 8;
 const _: () = assert!(PAGE_ROWS < 1 << OFFSET_BITS);
+/// The digest merge marks a page's rows to refresh in one `u64`.
+const _: () = assert!(PAGE_ROWS <= 64);
 
-/// The part of a row every holder of the same record agrees on.
+/// One entry as a directory holds it. The key and payload pointer say
+/// the same at every holder of the record; `provenance` and
+/// `last_refresh` are this holder's, but most holders agree on them
+/// too, so the row sits in a page they share until one of them writes
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 struct Row {
-    key: DigestEntry,
+    node: NodeId,
+    provenance: Packed,
+    incarnation: u64,
+    /// Last time a heartbeat or update touched this entry.
+    last_refresh: Nanos,
     /// Services and attributes, shared with every other holder of the
     /// same record; `None` only in a page's unused slots.
     payload: Option<Arc<RecordPayload>>,
 }
 
+const _: () = assert!(std::mem::size_of::<Row>() == 32);
+
 impl Row {
     /// What a page's unused slot holds.
     const VACANT: Row = Row {
-        key: DigestEntry {
-            node: NodeId(0),
-            incarnation: 0,
-        },
+        node: NodeId(0),
+        provenance: Packed(0),
+        incarnation: 0,
+        last_refresh: 0,
         payload: None,
     };
 
@@ -172,20 +182,36 @@ impl Row {
         self.payload.as_ref().expect("a held row has a payload")
     }
 
+    #[inline]
+    fn key(&self) -> DigestEntry {
+        DigestEntry {
+            node: self.node,
+            incarnation: self.incarnation,
+        }
+    }
+
+    #[inline]
+    fn entry(&self) -> Entry<'_> {
+        Entry {
+            node: self.node,
+            incarnation: self.incarnation,
+            payload: self.payload(),
+            provenance: self.provenance.get(),
+            last_refresh: self.last_refresh,
+        }
+    }
+
     fn vacate(&mut self) -> Row {
         std::mem::replace(self, Row::VACANT)
     }
 }
 
-/// A key page as one directory holds it: where it sits in that
-/// directory's table, and the slots that hold the rows.
+/// A key page as one directory holds it: the first row's id, the row
+/// count, and the slots that hold the rows.
 #[derive(Debug, Clone)]
 struct Page {
     /// The first row's node id, which a search bisects.
     first: NodeId,
-    /// Rows in the pages before this one: the column index of its first
-    /// row.
-    start: u32,
     /// Slots `..len` hold the rows, ascending by node id; the rest are
     /// vacant. Never 0.
     len: u32,
@@ -198,20 +224,14 @@ struct Page {
 }
 
 impl Page {
-    /// A page of `rows` (ascending, at least one) with room for `cap`,
-    /// whose first row is column `start`.
-    fn new(start: u32, rows: Vec<Row>, cap: usize) -> Page {
-        let (first, len) = (rows[0].key.node, rows.len() as u32);
+    /// A page of `rows` (ascending, at least one) with room for `cap`.
+    fn new(rows: Vec<Row>, cap: usize) -> Page {
+        let (first, len) = (rows[0].node, rows.len() as u32);
         let mut rows = rows.into_iter();
         let slots = (0..cap)
             .map(|_| rows.next().unwrap_or(Row::VACANT))
             .collect();
-        Page {
-            first,
-            start,
-            len,
-            slots,
-        }
+        Page { first, len, slots }
     }
 
     #[inline]
@@ -226,7 +246,7 @@ impl Page {
 
     #[inline]
     fn search(&self, node: NodeId) -> Result<usize, usize> {
-        self.rows().binary_search_by_key(&node, |r| r.key.node)
+        self.rows().binary_search_by_key(&node, |r| r.node)
     }
 
     /// The slots, to write: copied first if another directory shares
@@ -237,7 +257,7 @@ impl Page {
 
     /// The first row's node id, after a write.
     fn reset_first(&mut self) {
-        self.first = self.slots[0].key.node;
+        self.first = self.slots[0].node;
     }
 
     /// All the rows, moved out (copied, if another directory shares
@@ -257,7 +277,7 @@ impl Page {
         if len == self.slots.len() {
             let mut rows = self.take();
             rows.insert(off, row);
-            *self = Page::new(self.start, rows, (len + 8).min(PAGE_ROWS));
+            *self = Page::new(rows, (len + 8).min(PAGE_ROWS));
             return;
         }
         let slots = self.write();
@@ -287,8 +307,8 @@ impl Page {
     }
 }
 
-/// The shared half of a table's rows, page after page: ascending by node
-/// id, and as long as the table.
+/// A table's rows, page after page: ascending by node id, and as long
+/// as the table.
 #[derive(Clone)]
 struct Rows<'a> {
     pages: std::slice::Iter<'a, Page>,
@@ -304,18 +324,6 @@ impl<'a> Rows<'a> {
             page,
             left: len,
         }
-    }
-
-    /// The next row, if `take` accepts it.
-    #[inline]
-    fn next_if(&mut self, take: impl FnOnce(&Row) -> bool) -> Option<&'a Row> {
-        while self.page.as_slice().is_empty() {
-            self.page = self.pages.next()?.rows().iter();
-        }
-        let row = self.page.as_slice().first().filter(|r| take(r))?;
-        self.page.next();
-        self.left -= 1;
-        Some(row)
     }
 }
 
@@ -367,27 +375,27 @@ impl Pos {
 ///
 /// Every node holds every other node's entry (§3), so a simulated
 /// cluster holds n² rows, and most of them say the same thing at every
-/// holder. A row's key and payload pointer (24 bytes) live in sorted
-/// key pages of at most 32 rows, behind an `Arc`: a cloned
-/// directory shares every page with its source until it writes one
-/// (`Arc::make_mut`). What differs per holder — `last_refresh`, which
-/// every heartbeat moves, and `provenance` (12 bytes) — sits in two
-/// dense columns, row `i` being the `i`-th row of the pages in order.
+/// holder. A row — key, provenance, `last_refresh` and payload pointer,
+/// 32 bytes — lives in sorted key pages of at most 32 rows, behind an
+/// `Arc`: a cloned directory shares every page with its source until it
+/// writes one (`Arc::make_mut`). A member only ever refreshes its own
+/// group's rows (§4), so a warm-started holder writes the one or two
+/// pages that hold them and shares the rest.
 ///
 /// A lookup is a binary search over the pages' first keys and one
 /// within the page; the heartbeat refresh, given its hint, is a store
-/// into `last_refresh` and writes no page; the expiry, relayer and
-/// digest scans walk the pages in order beside the columns.
+/// into its row, skipped when it would store what the row holds; the
+/// expiry, relayer and digest scans walk the pages in order.
 #[derive(Debug, Clone)]
 pub struct Directory {
-    /// The key column, page after page: strictly ascending by node id
-    /// across page boundaries. It is the anti-entropy digest itself;
+    /// The rows, page after page: strictly ascending by node id across
+    /// page boundaries. Their keys are the anti-entropy digest itself;
     /// ascending order is a determinism requirement, not a convenience:
     /// it reaches digests, relay cascades and expiry scans, and must not
     /// vary by process or thread.
     pages: Vec<Page>,
-    last_refresh: Vec<Nanos>,
-    provenance: Vec<Packed>,
+    /// Rows the pages hold.
+    len: usize,
     /// Incarnations known dead: `dead[n]` is the highest incarnation of
     /// `n` declared dead plus when it was declared. Records must exceed
     /// the incarnation to be accepted while the tombstone is fresh.
@@ -436,8 +444,7 @@ impl Default for Directory {
     fn default() -> Self {
         Directory {
             pages: Vec::new(),
-            last_refresh: Vec::new(),
-            provenance: Vec::new(),
+            len: 0,
             dead: BTreeMap::new(),
             tombstone_ttl: DEFAULT_TOMBSTONE_TTL,
             answers: Answers::default(),
@@ -449,9 +456,7 @@ impl Default for Directory {
 /// their page boundaries.
 impl PartialEq for Directory {
     fn eq(&self, other: &Self) -> bool {
-        self.last_refresh == other.last_refresh
-            && self.provenance == other.provenance
-            && self.rows().eq(other.rows())
+        self.rows().eq(other.rows())
             && self.dead == other.dead
             && self.tombstone_ttl == other.tombstone_ttl
     }
@@ -476,13 +481,13 @@ impl<'a> DigestView<'a> {
 
     /// The entries, ascending by node id.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = DigestEntry> + Clone + 'a {
-        Rows::new(self.pages, self.len).map(|r| r.key)
+        Rows::new(self.pages, self.len).map(Row::key)
     }
 
     pub fn to_vec(&self) -> Vec<DigestEntry> {
         let mut out = Vec::with_capacity(self.len);
         for page in self.pages {
-            out.extend(page.rows().iter().map(|r| r.key));
+            out.extend(page.rows().iter().map(Row::key));
         }
         out
     }
@@ -506,21 +511,21 @@ impl Directory {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.last_refresh.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.last_refresh.is_empty()
+        self.len == 0
     }
 
-    /// The shared half of every row, in `NodeId` order.
+    /// Every row, in `NodeId` order.
     fn rows(&self) -> Rows<'_> {
-        Rows::new(&self.pages, self.len())
+        Rows::new(&self.pages, self.len)
     }
 
     /// Live node ids, in `NodeId` order (see [`Directory::entries`]).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.rows().map(|r| r.key.node)
+        self.rows().map(|r| r.node)
     }
 
     /// `node`'s position, or the one it would be inserted at. Between
@@ -554,26 +559,16 @@ impl Directory {
         }
     }
 
-    /// Column index of the row at `pos`.
-    #[inline]
-    fn index(&self, pos: Pos) -> usize {
-        self.pages[pos.page].start as usize + pos.off
-    }
-
     #[inline]
     fn row(&self, pos: Pos) -> &Row {
         &self.pages[pos.page].rows()[pos.off]
     }
 
+    /// The row at `pos`, to write: its page is copied first if another
+    /// directory shares it.
     #[inline]
-    fn entry<'a>(&'a self, row: &'a Row, i: usize) -> Entry<'a> {
-        Entry {
-            node: row.key.node,
-            incarnation: row.key.incarnation,
-            payload: row.payload(),
-            provenance: self.provenance[i].get(),
-            last_refresh: self.last_refresh[i],
-        }
+    fn row_mut(&mut self, pos: Pos) -> &mut Row {
+        &mut self.pages[pos.page].write()[pos.off]
     }
 
     /// Put `row` in at `pos` (as [`Directory::find`] gave it). A full
@@ -583,21 +578,16 @@ impl Directory {
     /// lower is still full). Rows put in ascending order — a template, a
     /// sync image — fill their pages, and anywhere else a page keeps at
     /// least half. Returns where the row went.
-    fn insert_row(&mut self, pos: Pos, row: Row, now: Nanos, provenance: Provenance) -> Pos {
+    fn insert_row(&mut self, pos: Pos, row: Row) -> Pos {
         self.answers.clear();
+        self.len += 1;
         let Pos { page, off } = pos;
-        let i = self.pages.get(page).map_or(0, |p| p.start as usize + off);
-        self.last_refresh.insert(i, now);
-        self.provenance.insert(i, Packed::new(provenance));
         let Some(lower) = self.pages.get_mut(page) else {
-            self.pages.push(Page::new(0, vec![row], 1));
+            self.pages.push(Page::new(vec![row], 1));
             return pos;
         };
         if lower.len() < PAGE_ROWS {
             lower.insert(off, row);
-            for p in &mut self.pages[page + 1..] {
-                p.start += 1;
-            }
             return pos;
         }
         let cut = off.max(PAGE_ROWS / 2);
@@ -612,39 +602,30 @@ impl Directory {
                 off: 0,
             }
         };
-        let start = lower.start + lower.len() as u32;
         let cap = upper.len();
-        self.pages.insert(page + 1, Page::new(start, upper, cap));
-        for p in &mut self.pages[page + 2..] {
-            p.start += 1;
-        }
+        self.pages.insert(page + 1, Page::new(upper, cap));
         at
     }
 
     /// Take the row at `pos` out; a page it empties leaves the table.
     fn remove_row(&mut self, pos: Pos) -> NodeRecord {
         self.answers.clear();
-        let i = self.index(pos);
-        self.last_refresh.remove(i);
-        self.provenance.remove(i);
-        let (row, shifted) = if self.pages[pos.page].len() == 1 {
-            (self.pages.remove(pos.page).rows()[0].clone(), pos.page)
+        self.len -= 1;
+        let row = if self.pages[pos.page].len() == 1 {
+            self.pages.remove(pos.page).rows()[0].clone()
         } else {
-            (self.pages[pos.page].remove(pos.off), pos.page + 1)
+            self.pages[pos.page].remove(pos.off)
         };
-        for p in &mut self.pages[shifted..] {
-            p.start -= 1;
-        }
         let payload = row.payload.expect("a held row has a payload");
-        NodeRecord::from_shared(row.key.node, row.key.incarnation, payload)
+        NodeRecord::from_shared(row.node, row.incarnation, payload)
     }
 
-    /// True iff the pages and the columns describe one table: every
-    /// page's first `len` slots held and the rest vacant, `len` not 0,
-    /// no page over [`PAGE_ROWS`] slots, node ids strictly ascending
-    /// within and across pages, every page's `first` and `start` its
-    /// first row and the running row count, and the columns as long as
-    /// the pages hold rows. Checked after every mutation in debug builds.
+    /// True iff the pages describe one table: every page's first `len`
+    /// slots held and the rest vacant, `len` not 0, no page over
+    /// [`PAGE_ROWS`] slots, node ids strictly ascending within and
+    /// across pages, every page's `first` its first row, and the row
+    /// count the sum of the pages'. Checked after every mutation in
+    /// debug builds.
     fn pages_hold(&self) -> bool {
         let mut rows = 0;
         let mut prev = None;
@@ -654,46 +635,44 @@ impl Directory {
                 || page.slots.len() > PAGE_ROWS
                 || held.iter().any(|r| r.payload.is_none())
                 || vacant.iter().any(|r| *r != Row::VACANT)
-                || held[0].key.node != page.first
-                || page.start as usize != rows
+                || held[0].node != page.first
             {
                 return false;
             }
             for r in held {
-                if prev.is_some_and(|p| p >= r.key.node) {
+                if prev.is_some_and(|p| p >= r.node) {
                     return false;
                 }
-                prev = Some(r.key.node);
+                prev = Some(r.node);
             }
             rows += page.len();
         }
-        self.last_refresh.len() == rows && self.provenance.len() == rows
+        self.len == rows
     }
 
     fn debug_assert_pages(&self) {
         debug_assert!(
             self.pages_hold(),
-            "key pages no longer describe the table: (first, start, rows) = {:?}, columns {}",
+            "key pages no longer describe the table: (first, rows) = {:?}, {} rows in all",
             self.pages
                 .iter()
-                .map(|p| (p.first, p.start, p.len()))
+                .map(|p| (p.first, p.len()))
                 .collect::<Vec<_>>(),
-            self.last_refresh.len()
+            self.len
         );
     }
 
     /// Nodes held as `Relayed(relayer)`, in `NodeId` order.
     fn relayed_by(&self, relayer: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let held = Packed::new(Provenance::Relayed(relayer));
-        (self.rows().zip(&self.provenance))
-            .filter(move |(_, &provenance)| provenance == held)
-            .map(|(r, _)| r.key.node)
+        self.rows()
+            .filter(move |r| r.provenance == held)
+            .map(|r| r.node)
     }
 
     /// Look up one entry.
     pub fn get(&self, node: NodeId) -> Option<Entry<'_>> {
-        let pos = self.find(node).ok()?;
-        Some(self.entry(self.row(pos), self.index(pos)))
+        Some(self.row(self.find(node).ok()?).entry())
     }
 
     pub fn contains(&self, node: NodeId) -> bool {
@@ -702,15 +681,7 @@ impl Directory {
 
     /// All entries, in `NodeId` order.
     pub fn entries(&self) -> impl ExactSizeIterator<Item = Entry<'_>> {
-        (self.rows().zip(&self.last_refresh))
-            .zip(&self.provenance)
-            .map(|((row, &last_refresh), &provenance)| Entry {
-                node: row.key.node,
-                incarnation: row.key.incarnation,
-                payload: row.payload(),
-                provenance: provenance.get(),
-                last_refresh,
-            })
+        self.rows().map(Row::entry)
     }
 
     /// Insert or refresh a record.
@@ -720,8 +691,9 @@ impl Directory {
     /// 2. accepted as [`Applied::Changed`] if the node is unknown or the
     ///    incarnation is newer, or (same incarnation) the record content
     ///    differs (a node republished its services via `update_value`);
-    /// 3. otherwise refreshes `last_refresh` (and upgrades provenance
-    ///    from relayed to direct if we now hear it ourselves) but reports
+    /// 3. otherwise, at the incarnation held, refreshes `last_refresh`
+    ///    (never moving it back) and upgrades provenance from relayed to
+    ///    direct if we now hear it ourselves, but reports
     ///    [`Applied::Ignored`].
     pub fn apply_join(
         &mut self,
@@ -788,7 +760,9 @@ impl Directory {
     /// that row still holds `node`; otherwise `node` is searched for as
     /// usual. Either way `*hint` leaves as [`Directory::hint_for`]`(node)`
     /// — where `node` is now, or would go — so the refresh of a settled
-    /// directory is a few array accesses, no search, and no page write.
+    /// directory is a few array accesses and no search. It writes the
+    /// row's page only if the row changes, copying it only if another
+    /// directory shares it.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_join_hinted(
         &mut self,
@@ -806,7 +780,7 @@ impl Directory {
             .get(hinted.page)
             .and_then(|p| p.rows().get(hinted.off))
         {
-            Some(r) if r.key.node == node => Ok(hinted),
+            Some(r) if r.node == node => Ok(hinted),
             _ => self.find(node),
         };
         let (Ok(pos) | Err(pos)) = slot;
@@ -824,39 +798,49 @@ impl Directory {
         };
         let applied = match slot {
             Err(pos) => {
-                let key = DigestEntry { node, incarnation };
                 let row = Row {
-                    key,
+                    node,
+                    provenance: Packed::new(provenance),
+                    incarnation,
+                    last_refresh: now,
                     payload: Some(materialize()),
                 };
-                *hint = self.insert_row(pos, row, now, provenance).hint();
+                *hint = self.insert_row(pos, row).hint();
                 Applied::Changed
             }
             Ok(pos) => {
-                let i = self.index(pos);
                 let held = self.row(pos);
-                let held_inc = held.key.incarnation;
+                let held_inc = held.incarnation;
                 if incarnation > held_inc || (incarnation == held_inc && !same(held.payload())) {
                     self.answers.clear();
-                    let row = &mut self.pages[pos.page].write()[pos.off];
-                    row.key.incarnation = incarnation;
+                    let row = self.row_mut(pos);
+                    row.incarnation = incarnation;
                     row.payload = Some(materialize());
-                    self.last_refresh[i] = now;
-                    self.provenance[i] = Packed::new(provenance);
+                    row.last_refresh = now;
+                    row.provenance = Packed::new(provenance);
                     Applied::Changed
                 } else {
                     if incarnation == held_inc {
-                        self.last_refresh[i] = now;
                         // Provenance re-stamping: relayed knowledge may
                         // be upgraded to direct, or re-attributed to a
                         // new relayer (the takeover leader re-announcing
                         // its directory). Direct knowledge never
                         // downgrades to relayed — we keep detecting the
                         // failure ourselves.
-                        if matches!(self.provenance[i].get(), Provenance::Relayed(_))
-                            && !matches!(provenance, Provenance::Local)
-                        {
-                            self.provenance[i] = Packed::new(provenance);
+                        let restamp = matches!(held.provenance.get(), Provenance::Relayed(_))
+                            && !matches!(provenance, Provenance::Local);
+                        let provenance = if restamp {
+                            Packed::new(provenance)
+                        } else {
+                            held.provenance
+                        };
+                        let last_refresh = held.last_refresh.max(now);
+                        // Write only a change: the page may be shared,
+                        // and a write copies it.
+                        if (provenance, last_refresh) != (held.provenance, held.last_refresh) {
+                            let row = self.row_mut(pos);
+                            row.provenance = provenance;
+                            row.last_refresh = last_refresh;
                         }
                     }
                     return (Applied::Ignored, was_known);
@@ -882,7 +866,7 @@ impl Directory {
             *dead = (incarnation, now);
         }
         match self.find(node) {
-            Ok(pos) if self.row(pos).key.incarnation <= incarnation => {
+            Ok(pos) if self.row(pos).incarnation <= incarnation => {
                 self.remove_row(pos);
                 self.debug_assert_pages();
                 Applied::Changed
@@ -945,9 +929,8 @@ impl Directory {
     pub fn refresh(&mut self, node: NodeId, now: Nanos) -> bool {
         match self.find(node) {
             Ok(pos) => {
-                let i = self.index(pos);
-                if now > self.last_refresh[i] {
-                    self.last_refresh[i] = now;
+                if now > self.row(pos).last_refresh {
+                    self.row_mut(pos).last_refresh = now;
                 }
                 true
             }
@@ -1072,7 +1055,7 @@ impl Directory {
     pub fn digest(&self) -> DigestView<'_> {
         DigestView {
             pages: &self.pages,
-            len: self.len(),
+            len: self.len,
         }
     }
 }
@@ -1080,6 +1063,7 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tamp_wire::{PartitionSet, ServiceDecl};
 
     fn rec(id: u32, inc: u64) -> NodeRecord {
@@ -1363,22 +1347,13 @@ mod tests {
         assert_eq!(d.get(NodeId(1)).unwrap().record(), rec(1, 3));
     }
 
-    /// Pages of `d` that are not one of `template`'s.
-    fn private_pages(d: &Directory, template: &Directory) -> usize {
-        let shared = |p: &Page| {
-            template
-                .pages
-                .iter()
-                .any(|t| Arc::ptr_eq(&p.slots, &t.slots))
-        };
-        d.pages.iter().filter(|p| !shared(p)).count()
-    }
-
     /// The A9 warm start: one template per segment, cloned into each of
     /// its holders, each of which takes its own row out and puts it back
-    /// as `Local` (`preload_directory`, then `install_own_record`). Every
-    /// holder must write one page at most and share the rest, and a
-    /// heartbeat refresh or a provenance re-stamp must write none.
+    /// as `Local` (`preload_directory`, then `install_own_record`). A
+    /// holder copies only the pages holding rows it changes: its own at
+    /// the install, its segment peers' at their first heartbeats. A
+    /// write into a page it already holds alone copies nothing, and a
+    /// write that would store what the row holds is not made.
     #[test]
     fn warm_start_holders_share_all_but_one_page() {
         // 196 segments of 20 ids, every 20th id a leader. The template
@@ -1397,15 +1372,58 @@ mod tests {
         };
         let mut template = Directory::new();
         for &i in &ids {
-            template.apply_join(rec(i, 1), provenance(i), 0);
+            template.apply_join(rec(i, 1), provenance(i), 10);
         }
         let (last, full) = template.pages.split_last().unwrap();
         assert!(full.iter().all(|p| p.len() == PAGE_ROWS) && last.len() <= PAGE_ROWS);
 
-        for me in segment.clone() {
+        let page_of = |d: &Directory, i: u32| d.find(NodeId(i)).unwrap().page;
+        let segment_pages: Vec<usize> = segment.clone().map(|i| page_of(&template, i)).collect();
+        let segment_pages = BTreeSet::from_iter(segment_pages);
+        assert_eq!(segment_pages.len(), 2);
+        // Pages of `d` (as many as the template's) that are not the
+        // template's.
+        let private = |d: &Directory| -> BTreeSet<usize> {
+            assert_eq!(d.pages.len(), template.pages.len());
+            (d.pages.iter().zip(&template.pages).enumerate())
+                .filter(|(_, (p, t))| !Arc::ptr_eq(&p.slots, &t.slots))
+                .map(|(i, _)| i)
+                .collect()
+        };
+        let install = |me: u32| {
             let mut d = template.clone();
             d.remove(NodeId(me));
-            d.apply_join(rec(me, 1), Provenance::Local, 0);
+            d.apply_join(rec(me, 1), Provenance::Local, 10);
+            d
+        };
+        // A same-content heartbeat from every segment peer of `me`.
+        let heartbeats = |d: &mut Directory, me: u32, now: Nanos| {
+            for peer in segment.clone().filter(|&p| p != me) {
+                let mut hint = d.hint_for(NodeId(peer));
+                let applied = d.apply_join_hinted(
+                    &mut hint,
+                    NodeId(peer),
+                    1,
+                    Provenance::Direct,
+                    now,
+                    || unreachable!("a refresh must not materialize"),
+                    |_| true,
+                );
+                assert_eq!(applied, (Applied::Ignored, true));
+            }
+        };
+        let refreshed = |d: &Directory, me: u32| -> Vec<Nanos> {
+            (segment.clone().filter(|&p| p != me))
+                .map(|p| d.get(NodeId(p)).unwrap().last_refresh)
+                .collect()
+        };
+        // Where `d`'s pages are: holding clones of them would share them.
+        let addresses = |d: &Directory| -> Vec<*const [Row]> {
+            d.pages.iter().map(|p| Arc::as_ptr(&p.slots)).collect()
+        };
+
+        for me in segment.clone() {
+            let mut d = install(me);
             let rows: Vec<_> = d.entries().map(|e| (e.record(), e.provenance)).collect();
             let want: Vec<_> = ids
                 .iter()
@@ -1421,38 +1439,46 @@ mod tests {
                 })
                 .collect();
             assert_eq!(rows, want, "holder {me}");
-            assert_eq!(d.pages.len(), template.pages.len(), "holder {me}");
-            assert!(private_pages(&d, &template) <= 1, "holder {me}");
+            assert_eq!(
+                private(&d),
+                BTreeSet::from([page_of(&d, me)]),
+                "holder {me}"
+            );
 
-            // A same-content heartbeat from every segment peer, and a
-            // leader's relayed row re-stamped as heard directly.
-            let before = d.pages.clone();
-            for peer in segment.clone().filter(|&p| p != me) {
-                let mut hint = d.hint_for(NodeId(peer));
-                let applied = d.apply_join_hinted(
-                    &mut hint,
-                    NodeId(peer),
-                    1,
-                    Provenance::Direct,
-                    5,
-                    || unreachable!("a refresh must not materialize"),
-                    |_| true,
-                );
-                assert_eq!(applied, (Applied::Ignored, true));
-            }
-            assert!(!d.apply_join(rec(20, 1), Provenance::Direct, 6).changed());
+            // The first round copies the pages holding the peers' rows,
+            // and no other directory sees it.
+            let sibling = install(if me == leader.0 { me + 1 } else { leader.0 });
+            let sibling_pages = addresses(&sibling);
+            heartbeats(&mut d, me, 15);
+            assert_eq!(private(&d), segment_pages, "holder {me}");
+            assert!(refreshed(&d, me).iter().all(|&t| t == 15));
+            assert!(refreshed(&template, me).iter().all(|&t| t == 10));
+            assert!(refreshed(&sibling, me).iter().all(|&t| t == 10));
+            assert_eq!(addresses(&sibling), sibling_pages, "holder {me}");
+
+            // A second round writes in place; a refresh stamped earlier
+            // than the one held, and a re-stamp to the provenance held,
+            // write nothing: no page is copied.
+            let before = addresses(&d);
+            heartbeats(&mut d, me, 20);
+            heartbeats(&mut d, me, 12);
+            assert!(refreshed(&d, me).iter().all(|&t| t == 20));
+            assert!(d.refresh(NodeId(20), 10) && d.refresh(NodeId(me), 5));
+            assert!(!d
+                .apply_join(rec(20, 1), Provenance::Relayed(leader), 10)
+                .changed());
+            assert_eq!(addresses(&d), before, "holder {me}: a no-op copied a page");
+
+            // A leader's relayed row re-stamped as heard directly copies
+            // the one page that holds it.
+            assert!(!d.apply_join(rec(20, 1), Provenance::Direct, 10).changed());
             assert_eq!(d.get(NodeId(20)).unwrap().provenance, Provenance::Direct);
-            assert!(segment.clone().filter(|&p| p != me).all(|p| d
-                .get(NodeId(p))
-                .unwrap()
-                .last_refresh
-                == 5));
-            assert!(
-                d.pages
-                    .iter()
-                    .zip(&before)
-                    .all(|(a, b)| Arc::ptr_eq(&a.slots, &b.slots)),
-                "holder {me}: a refresh wrote a page"
+            let mut want = segment_pages.clone();
+            want.insert(page_of(&d, 20));
+            assert_eq!(private(&d), want, "holder {me}");
+            assert_eq!(
+                template.get(NodeId(20)).unwrap().provenance,
+                Provenance::Relayed(leader)
             );
         }
     }
@@ -1486,7 +1512,7 @@ mod tests {
         assert_eq!(d.pages.len(), 4);
         assert!(d.pages_hold());
         // Emptying a page removes it from the table.
-        let first: Vec<NodeId> = d.pages[0].rows().iter().map(|r| r.key.node).collect();
+        let first: Vec<NodeId> = d.pages[0].rows().iter().map(|r| r.node).collect();
         for n in first {
             d.remove(n);
         }

@@ -158,7 +158,7 @@ impl Directory {
             for s in row.payload().services.iter().filter(|s| s.name == service) {
                 declared = true;
                 if partition.is_none_or(|p| s.partitions.contains(p)) {
-                    found.push(row.key.node);
+                    found.push(row.node);
                 }
             }
         }

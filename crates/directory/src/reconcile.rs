@@ -12,7 +12,7 @@
 //! stays as the path for digests that are not sorted and as the model
 //! the merge is checked against ([`Directory::reconcile_digest_per_entry`]).
 
-use crate::{Directory, Nanos, Packed, Provenance, Rows};
+use crate::{Directory, Nanos, Packed, Provenance, Row};
 use std::collections::HashSet;
 use tamp_wire::{DigestEntry, NodeId};
 
@@ -81,6 +81,10 @@ impl Directory {
     /// The merge behind [`Directory::reconcile_digest`]. `None` when
     /// `entries` turns out not to be strictly ascending; the refreshes
     /// made up to that point are ones the per-entry path makes too.
+    ///
+    /// A page's refreshes are marked while its rows are walked and made
+    /// after, so a page is written (copied, if shared) once or not at
+    /// all.
     fn merge_digest(
         &mut self,
         me: NodeId,
@@ -91,45 +95,19 @@ impl Directory {
         stale_before: Nanos,
     ) -> Option<Reconcile> {
         let held = Packed::new(Provenance::Relayed(from));
-        let orphaned = |provenance: Packed, last_refresh: Nanos| {
-            provenance == held && last_refresh <= stale_before
-        };
-        let mut out = Reconcile::default();
-        // The rows, walked in step with the digest; `i` is the column
-        // index of the next.
-        let mut rows = Rows::new(&self.pages, self.len());
-        let mut i = 0;
-        let mut prev = None;
-        for listed in entries {
-            if prev.is_some_and(|p| p >= listed.node) {
-                return None;
-            }
-            prev = Some(listed.node);
-            // Everything held below the listed id is unlisted.
-            while let Some(row) = rows.next_if(|row| row.key.node < listed.node) {
-                if orphaned(self.provenance[i], self.last_refresh[i]) {
-                    out.orphans.push(row.key.node);
-                }
-                i += 1;
-            }
-            let held_inc = rows.next_if(|row| row.key.node == listed.node).map(|row| {
-                let inc = row.key.incarnation;
-                if inc == listed.incarnation && now > self.last_refresh[i] {
-                    self.last_refresh[i] = now;
-                }
-                i += 1;
-                inc
-            });
+        let orphaned = |row: &Row| row.provenance == held && row.last_refresh <= stale_before;
+        // What a listed entry adds to the answer, given the incarnation
+        // held (`None`: lacked). Only a lacked entry, or one held at an
+        // older incarnation, consults the tombstones.
+        let (dead, tombstone_ttl) = (&self.dead, self.tombstone_ttl);
+        let settle = |out: &mut Reconcile, listed: DigestEntry, held_inc: Option<u64>| {
             if held_inc.is_some_and(|inc| inc >= listed.incarnation) {
-                continue;
+                return;
             }
-            // Lacked, or held at an older incarnation: the only cases
-            // that consult the tombstones.
-            let fresh = self
-                .dead
+            let fresh = dead
                 .get(&listed.node)
                 .map(|&(inc, at)| (inc, now.saturating_sub(at)))
-                .filter(|&(_, age)| age < self.tombstone_ttl);
+                .filter(|&(_, age)| age < tombstone_ttl);
             if let (None, Some((dead_inc, age))) = (held_inc, fresh) {
                 if dead_inc >= listed.incarnation && age >= settled {
                     out.dead_listed.push((listed.node, dead_inc));
@@ -139,11 +117,53 @@ impl Directory {
             {
                 out.missing = true;
             }
-        }
-        for (row, i) in rows.zip(i..) {
-            if orphaned(self.provenance[i], self.last_refresh[i]) {
-                out.orphans.push(row.key.node);
+        };
+        let mut out = Reconcile::default();
+        let mut entries = entries.peekable();
+        let mut prev = None;
+        let mut ascending = |listed: &DigestEntry| {
+            let ok = prev.is_none_or(|p| p < listed.node);
+            prev = Some(listed.node);
+            ok
+        };
+        for page in &mut self.pages {
+            // Offsets of the rows to refresh.
+            let mut stale = 0u64;
+            for (off, row) in page.rows().iter().enumerate() {
+                // Everything listed below this row is lacked.
+                while let Some(listed) = entries.next_if(|l| l.node < row.node) {
+                    if !ascending(&listed) {
+                        return None;
+                    }
+                    settle(&mut out, listed, None);
+                }
+                match entries.next_if(|l| l.node == row.node) {
+                    Some(listed) => {
+                        if !ascending(&listed) {
+                            return None;
+                        }
+                        if row.incarnation == listed.incarnation && now > row.last_refresh {
+                            stale |= 1 << off;
+                        }
+                        settle(&mut out, listed, Some(row.incarnation));
+                    }
+                    None if orphaned(row) => out.orphans.push(row.node),
+                    None => {}
+                }
             }
+            if stale != 0 {
+                let slots = page.write();
+                while stale != 0 {
+                    slots[stale.trailing_zeros() as usize].last_refresh = now;
+                    stale &= stale - 1;
+                }
+            }
+        }
+        for listed in entries {
+            if !ascending(&listed) {
+                return None;
+            }
+            settle(&mut out, listed, None);
         }
         Some(out)
     }

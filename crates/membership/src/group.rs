@@ -134,6 +134,13 @@ impl PeerTable {
         match self.ids.binary_search(&peer) {
             Ok(i) => (i, false),
             Err(i) => {
+                // Grow by eight rows, like a directory key page: a
+                // 20-host segment's 19 peers take 24 slots, not 32.
+                if self.ids.len() == self.ids.capacity() {
+                    self.ids.reserve_exact(8);
+                    self.states.reserve_exact(8);
+                    self.dir_slots.reserve_exact(8);
+                }
                 self.ids.insert(i, peer);
                 self.states.insert(i, fresh);
                 self.dir_slots.insert(i, u32::MAX);

@@ -95,6 +95,20 @@ pub struct ProbeState {
 /// Cloneable handle to a node's [`ProbeState`].
 pub type Probe = Arc<Mutex<ProbeState>>;
 
+/// What the probe carries, copied without allocating, so that a sweep
+/// can tell whether it moved: the incarnation and, per level, the
+/// group's leader if the level is active (`None` if not).
+#[derive(PartialEq)]
+struct ProbeMark {
+    incarnation: u64,
+    levels: [Option<Option<NodeId>>; ProbeMark::LEVELS],
+}
+
+impl ProbeMark {
+    /// Levels a mark holds; a node of more has none taken.
+    const LEVELS: usize = 8;
+}
+
 /// A deferred mutation of this node's published record, applied on the
 /// next sweep — how application code calls the paper's
 /// `register_service` / `update_value` / `delete_value` *while the
@@ -371,11 +385,27 @@ impl MembershipNode {
         })
     }
 
+    /// What the probe carries now; `None` on a node of more levels than
+    /// a mark holds.
+    fn probe_mark(&self) -> Option<ProbeMark> {
+        if self.groups.len() > ProbeMark::LEVELS {
+            return None;
+        }
+        let mut levels = [None; ProbeMark::LEVELS];
+        for (mark, g) in levels.iter_mut().zip(&self.groups) {
+            *mark = g.as_ref().map(|g| g.leader);
+        }
+        Some(ProbeMark {
+            incarnation: self.incarnation,
+            levels,
+        })
+    }
+
     pub(crate) fn update_probe(&self) {
         let mut p = self.probe.lock();
-        // Reuse the probe's buffers: this runs every sweep on every node
-        // and after every packet that moved something the probe carries,
-        // and fresh allocations here show up at 10k-node scale.
+        // Reuse the probe's buffers: this runs after every sweep and
+        // packet that moved something the probe carries, and fresh
+        // allocations here show up at 10k-node scale.
         p.leaders.clear();
         p.leaders.extend(
             self.groups
@@ -580,6 +610,7 @@ impl MembershipNode {
     /// open a quarantine that the same sweep already looks at), the
     /// leadership invariant, elections, and the catch-all expiry.
     fn sweep(&mut self, ctx: &mut Context) {
+        let before = self.probe_mark();
         if self.apply_commands(ctx) {
             return; // left gracefully
         }
@@ -590,7 +621,12 @@ impl MembershipNode {
         self.enforce_leadership_invariant(ctx);
         self.run_elections(ctx);
         self.expire_uncovered(ctx);
-        self.update_probe();
+        // Publish only what moved: an idle sweep republishing the probe
+        // would be a lock and two buffer refills for an identical
+        // snapshot.
+        if before.is_none() || self.probe_mark() != before {
+            self.update_probe();
+        }
     }
 
     /// Apply deferred application commands; an actual change is
@@ -1101,6 +1137,46 @@ pub(crate) mod tests {
         // A lower-id rival takes the group over from the leader we follow.
         hear(&mut node, 60_000 * MILLIS, 2, true, 0);
         assert_eq!(truthful_probe(&node).leaders[0], Some(NodeId(2)));
+    }
+
+    #[test]
+    fn sweeps_publish_the_probe_when_and_only_when_it_moved() {
+        use tamp_topology::MILLIS;
+        let mut node = MembershipNode::new(NodeId(5), MembershipConfig::default());
+        drive(&mut node, 0, |n, ctx| n.on_start(ctx));
+        let sweep = |node: &mut MembershipNode, now: u64| {
+            drive(node, now, |n, ctx| n.sweep(ctx));
+        };
+        // Leader 3, and member 2: below our id, so losing the leader
+        // makes us no candidate whose own step would publish the loss.
+        hear(&mut node, MILLIS, 3, true, 0);
+        hear(&mut node, MILLIS, 2, false, 0);
+        let p = truthful_probe(&node);
+        assert_eq!(p.leaders[0], Some(NodeId(3)));
+
+        // Idle sweeps between heartbeats: nothing the probe carries
+        // moves, so nothing is published (the marker survives).
+        node.probe.lock().incarnation = u64::MAX;
+        let mut now = MILLIS;
+        for _ in 0..50 {
+            now += 100 * MILLIS;
+            hear(&mut node, now, 3, true, 0);
+            hear(&mut node, now, 2, false, 0);
+            sweep(&mut node, now);
+        }
+        assert_eq!(node.probe.lock().incarnation, u64::MAX);
+        node.probe.lock().incarnation = node.incarnation;
+        assert_eq!(truthful_probe(&node), p);
+
+        // The leader falls silent: the sweep that times it out publishes
+        // the loss.
+        let lost = (0..200).find(|_| {
+            now += 100 * MILLIS;
+            hear(&mut node, now, 2, false, 0);
+            sweep(&mut node, now);
+            truthful_probe(&node).leaders[0] != Some(NodeId(3))
+        });
+        assert!(lost.is_some(), "the silent leader was never timed out");
     }
 
     #[test]
