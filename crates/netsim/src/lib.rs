@@ -37,7 +37,7 @@
 //! |---|---|
 //! | `engine` | the public facade: [`EngineConfig`], [`Control`], [`Engine`] (builds the shards, routes controls, runs the clock) |
 //! | `shard` | the packet loop: event queue, packet arena, actors and their RNGs, NIC queues, clock skew; send → roll → launch → deliver |
-//! | `shard::fabric` | the network state a packet is judged by (liveness and epochs, subscriptions, loss, routers, partitions), its fan-out cache, and the rewind/replay journal: each transition one entry with one forward and one inverse |
+//! | `shard::fabric` | the network state a packet is judged by (liveness and the life count, subscriptions, loss, routers, partitions), its fan-out cache, and the rewind/replay journal: each transition one entry with one forward and one inverse |
 //! | `shard::ledger` | where records land: a send, a delivery and a drop each recorded by one method into [`Stats`], telemetry meters and the trace |
 //! | `shard::multi` | everything only the multi-shard epoch protocol uses: descriptors, expansion under journal replay, receiver-count patches, drain and merge |
 //! | [`scheduler`] | the timer wheel, the engine's only event queue |

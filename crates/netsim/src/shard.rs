@@ -28,6 +28,15 @@
 //! costs while it is in flight: one queue entry, not one per listener
 //! (`crates/netsim/tests/fanout_golden.rs` holds the bytes to constants
 //! recorded from the eager engine).
+//!
+//! A waiting delivery is its receiver's id, 4 B. Its time is re-derived
+//! when it is queued, by the one arrival formula the send rolled it with
+//! ([`arrival`]), from what the cell keeps once per packet: departure
+//! time, the packet's half of the jitter hash, and the routes of the
+//! send instant. Whether the receiver still hears it is judged by the
+//! fabric's life count at the send instant, also kept once per packet
+//! (`fabric`, "Lives"): neither a waiting receiver nor a `Deliver`
+//! event carries an epoch.
 
 mod fabric;
 mod ledger;
@@ -105,13 +114,13 @@ pub(crate) struct Tag {
 pub(crate) enum EventKind {
     Deliver {
         to: HostId,
-        epoch: u32,
         /// Handle into the packet arena.
         pkt: u32,
     },
     Timer {
         host: HostId,
-        epoch: u32,
+        /// The fabric's life count when the timer was armed.
+        life: u32,
         token: u64,
     },
     Control(Control),
@@ -135,23 +144,31 @@ struct Pkt {
     sent_at: SimTime,
 }
 
-/// One rolled delivery of a packet: when, to whom, and the receiver's
-/// epoch *at send time* (a receiver that has died since — even if it is
-/// alive again — must not hear a packet addressed to its previous life).
-#[derive(Debug, Clone, Copy)]
-struct Hop {
-    at: SimTime,
-    to: HostId,
-    epoch: u32,
-}
-
-/// An arena cell: the packet, and its deliveries that are not in the
-/// event queue yet — latest first, so the next one to queue is `pop()`.
+/// An arena cell: the packet, what its send fixed for every receiver,
+/// and the receivers whose deliveries are not in the event queue yet —
+/// latest first, so the next one to queue is `pop()`. A pending delivery
+/// is its receiver's id alone: its time is re-derived by [`arrival`] from
+/// the fields below, exactly as the send rolled it.
 #[derive(Debug, Default)]
 struct PktSlot {
     pkt: Option<Pkt>,
-    rest: Vec<Hop>,
+    /// The fabric's life count at the send instant
+    /// ([`Fabric::hears`](fabric::Fabric::hears)).
+    life: u32,
+    /// When the packet left the sender's NIC (send instant + queueing +
+    /// serialization).
+    depart: SimTime,
+    /// The packet's half of the jitter hash ([`Shard::packet_mix`]).
+    mix: u64,
+    /// The routes of the send instant, while receivers are left: a
+    /// router change during the flight re-scopes the fabric's copy, and
+    /// a time re-derived from that copy would move.
+    topo: Option<Arc<Topology>>,
+    rest: Vec<HostId>,
 }
+
+// A pending delivery costs one receiver id.
+const _: () = assert!(std::mem::size_of::<HostId>() == 4);
 
 /// Packet arena: one send interns its payload once and every scheduled
 /// delivery holds a `u32` handle instead of an `Arc` clone. A packet has
@@ -168,26 +185,37 @@ struct PktArena {
 }
 
 impl PktArena {
-    /// Intern `pkt` with its deliveries still to queue, latest first.
-    fn insert(&mut self, pkt: Pkt, rest: impl Iterator<Item = Hop>) -> u32 {
+    /// A free cell, its `rest` list empty.
+    fn alloc(&mut self) -> u32 {
         let id = self.free.pop().unwrap_or_else(|| {
             self.slots.push(PktSlot::default());
             (self.slots.len() - 1) as u32
         });
-        let slot = &mut self.slots[id as usize];
-        debug_assert!(slot.pkt.is_none() && slot.rest.is_empty());
-        slot.pkt = Some(pkt);
-        slot.rest.extend(rest);
+        debug_assert!({
+            let slot = &self.slots[id as usize];
+            slot.pkt.is_none() && slot.rest.is_empty() && slot.topo.is_none()
+        });
         id
     }
 
     /// Move the packet out for one delivery (the shard needs it by
     /// value so the actor callback can borrow the shard mutably),
-    /// together with the delivery to queue next, if any is left.
-    fn checkout(&mut self, id: u32) -> (Pkt, Option<Hop>) {
+    /// together with its life count and the delivery to queue next, if
+    /// any is left: `(arrival, receiver)`.
+    fn checkout(&mut self, id: u32, jitter_span: SimTime) -> (Pkt, u32, Option<(SimTime, HostId)>) {
         let slot = &mut self.slots[id as usize];
         let pkt = slot.pkt.take().expect("packet checked out twice");
-        (pkt, slot.rest.pop())
+        let next = slot.rest.pop().map(|to| {
+            let topo = slot.topo.as_deref().expect("receivers left without routes");
+            (
+                arrival(topo, jitter_span, slot.depart, slot.mix, pkt.src, to),
+                to,
+            )
+        });
+        if slot.rest.is_empty() {
+            slot.topo = None;
+        }
+        (pkt, slot.life, next)
     }
 
     /// Return the packet after a delivery, or — after its last one —
@@ -199,6 +227,39 @@ impl PktArena {
             self.slots[id as usize].pkt = Some(pkt);
         }
     }
+}
+
+/// When a packet that left `src`'s NIC at `depart` reaches `to` over
+/// `topo`: the route's latency plus the receiver's share of jitter, drawn
+/// from the packet's hash half `mix`. The one arrival formula: the send
+/// rolls every receiver with it ([`Shard::roll_delivery`]) and the arena
+/// re-derives each pending one with it ([`PktArena::checkout`]).
+#[inline]
+fn arrival(
+    topo: &Topology,
+    jitter_span: SimTime,
+    depart: SimTime,
+    mix: u64,
+    src: HostId,
+    to: HostId,
+) -> SimTime {
+    let jitter = if jitter_span > 0 {
+        noise(mix, to, SALT_JITTER) % jitter_span
+    } else {
+        0
+    };
+    depart + topo.latency(src, to) + jitter
+}
+
+/// The loss or jitter hash of one receiver of a packet.
+#[inline]
+fn noise(mix: u64, to: HostId, salt: u64) -> u64 {
+    mix64(mix ^ ((to.0 as u64) << 8) ^ salt)
+}
+
+/// Uniform in `[0, 1)` from 53 hash bits.
+fn noise_f64(mix: u64, to: HostId, salt: u64) -> f64 {
+    (noise(mix, to, salt) >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
 }
 
 // --------------------------------------------------------------- shard
@@ -386,9 +447,9 @@ impl Shard {
 
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Deliver { to, epoch, pkt } => self.deliver(to, epoch, pkt),
-            EventKind::Timer { host, epoch, token } => {
-                if !self.fabric.hears(host, epoch) {
+            EventKind::Deliver { to, pkt } => self.deliver(to, pkt),
+            EventKind::Timer { host, life, token } => {
+                if !self.fabric.hears(host, life) {
                     return;
                 }
                 self.ledger
@@ -424,59 +485,69 @@ impl Shard {
         }
     }
 
-    fn deliver(&mut self, to: HostId, epoch: u32, pkt_id: u32) {
+    fn deliver(&mut self, to: HostId, pkt_id: u32) {
         // Move the packet out of the arena for the duration of the
         // callback (the shard must stay mutably borrowable); the last
         // delivery recycles the cell.
-        let (mut pkt, next) = self.arena.checkout(pkt_id);
+        let (mut pkt, life, next) = self.arena.checkout(pkt_id, self.latency_jitter);
         // The packet's next receiver enters the queue before this one
         // runs, under the same seq. It sorts strictly after the current
         // event and nothing later has been popped yet, so it fires
         // exactly where an event pushed at send time would have.
-        if let Some(hop) = next {
-            self.queue_hop(pkt_id, self.cur.seq, hop);
+        if let Some((at, next_to)) = next {
+            self.queue_delivery(pkt_id, self.cur.seq, at, next_to);
         }
         let last = next.is_none();
-        self.deliver_pkt(to, epoch, &mut pkt, last);
+        self.deliver_pkt(to, life, &mut pkt, last);
         self.arena.restore(pkt_id, pkt, last);
     }
 
-    fn queue_hop(&mut self, pkt: u32, seq: u64, hop: Hop) {
+    fn queue_delivery(&mut self, pkt: u32, seq: u64, at: SimTime, to: HostId) {
         self.queue.push(Scheduled {
-            time: hop.at,
-            key: hop.to.0 + 1,
+            time: at,
+            key: to.0 + 1,
             seq,
-            payload: EventKind::Deliver {
-                to: hop.to,
-                epoch: hop.epoch,
-                pkt,
-            },
+            payload: EventKind::Deliver { to, pkt },
         });
     }
 
     /// Put a rolled packet in flight: intern it, queue its earliest
-    /// delivery, and park the others with it in `(deliver_at, receiver)`
-    /// order for [`Shard::deliver`] to queue one at a time. Every
-    /// receiver is stamped with its epoch as of now — the send instant
-    /// (during descriptor expansion: the replayed state of the send
-    /// instant). `rolled` comes back empty.
-    fn launch(&mut self, pkt: Pkt, seq: u64, rolled: &mut Vec<(SimTime, HostId)>) {
+    /// delivery, and park the other receivers with it in `(deliver_at,
+    /// receiver)` order for [`Shard::deliver`] to queue one at a time.
+    /// The cell records the life count of now — the send instant (during
+    /// descriptor expansion: the replayed state of the send instant) —
+    /// and, when receivers are left, the routes of now. `rolled` comes
+    /// back empty.
+    fn launch(
+        &mut self,
+        pkt: Pkt,
+        seq: u64,
+        depart: SimTime,
+        mix: u64,
+        rolled: &mut Vec<(SimTime, HostId)>,
+    ) {
         rolled.sort_unstable();
-        let mut hops = rolled.drain(..).map(|(at, to)| Hop {
-            at,
-            to,
-            epoch: self.fabric.epoch_of(to),
-        });
-        let Some(first) = hops.next() else {
+        let Some((&(first_at, first), later)) = rolled.split_first() else {
             return;
         };
-        let id = self.arena.insert(pkt, hops.rev());
-        self.queue_hop(id, seq, first);
+        let id = self.arena.alloc();
+        let slot = &mut self.arena.slots[id as usize];
+        slot.pkt = Some(pkt);
+        slot.life = self.fabric.life();
+        slot.depart = depart;
+        slot.mix = mix;
+        if !later.is_empty() {
+            slot.topo = Some(Arc::clone(&self.fabric.topo));
+            slot.rest.extend(later.iter().rev().map(|&(_, to)| to));
+        }
+        rolled.clear();
+        self.queue_delivery(id, seq, first_at, first);
     }
 
-    /// Run one delivery of `pkt`; `last` when no other is left to come.
-    fn deliver_pkt(&mut self, to: HostId, epoch: u32, pkt: &mut Pkt, last: bool) {
-        let dropped = if !self.fabric.hears(to, epoch) {
+    /// Run one delivery of `pkt`, sent at life count `life`; `last` when
+    /// no other is left to come.
+    fn deliver_pkt(&mut self, to: HostId, life: u32, pkt: &mut Pkt, last: bool) {
+        let dropped = if !self.fabric.hears(to, life) {
             Some(DropReason::DeadHost)
         } else {
             self.fabric.severed(pkt.src, to)
@@ -574,13 +645,13 @@ impl Shard {
             Effect::Send { dest, msg } => self.send(host, dest, msg),
             Effect::SetTimer { delay, token } => {
                 let act = self.bump_act(host);
-                let epoch = self.fabric.epoch_of(host);
+                let life = self.fabric.life();
                 let delay = self.skewed_delay(host, delay);
                 self.queue.push(Scheduled {
                     time: self.clock + delay,
                     key: host.0 + 1,
                     seq: seq_of(host, act),
-                    payload: EventKind::Timer { host, epoch, token },
+                    payload: EventKind::Timer { host, life, token },
                 });
             }
             Effect::Subscribe(c) => self.fabric.subscribe(self.cur, host, c, true),
@@ -617,8 +688,10 @@ impl Shard {
     ) {
         let mut rolled = std::mem::take(&mut self.deliver_buf);
         debug_assert!(rolled.is_empty());
+        let depart = pkt.sent_at + serialize;
+        let mix = self.packet_mix(pkt.src, act);
         for to in receivers {
-            if let Some(at) = self.roll_delivery(&pkt, act, serialize, to) {
+            if let Some(at) = self.roll_delivery(&pkt, depart, mix, to) {
                 // Strictly after now; for a cross-shard send, after the
                 // epoch it was sent in (THE conservative-lookahead safety
                 // invariant), or this shard may already have run past
@@ -633,18 +706,19 @@ impl Shard {
             }
         }
         let seq = seq_of(pkt.src, act);
-        self.launch(pkt, seq, &mut rolled);
+        self.launch(pkt, seq, depart, mix, &mut rolled);
         self.deliver_buf = rolled;
     }
 
-    /// Roll loss and jitter for one receiver; returns the delivery time,
-    /// or `None` when the packet drops at send time (the drop is recorded
+    /// Roll loss and jitter for one receiver of a packet that departs at
+    /// `depart` with hash half `mix`; returns the delivery time, or
+    /// `None` when the packet drops at send time (the drop is recorded
     /// tagged `sub = to + 1`).
     fn roll_delivery(
         &mut self,
         pkt: &Pkt,
-        act: u32,
-        serialize: SimTime,
+        depart: SimTime,
+        mix: u64,
         to: HostId,
     ) -> Option<SimTime> {
         let src = pkt.src;
@@ -654,7 +728,7 @@ impl Shard {
             Some(DropReason::Unroutable)
         } else {
             let p = self.fabric.loss();
-            (p > 0.0 && self.noise_f64(src, act, to, SALT_LOSS) < p).then_some(DropReason::Loss)
+            (p > 0.0 && noise_f64(mix, to, SALT_LOSS) < p).then_some(DropReason::Loss)
         };
         if let Some(reason) = dropped {
             let at = Tag {
@@ -666,22 +740,20 @@ impl Shard {
             self.ledger.dropped(at, src, to, channel, kind, reason);
             return None;
         }
-        let jitter = if self.latency_jitter > 0 {
-            self.noise(src, act, to, SALT_JITTER) % self.latency_jitter
-        } else {
-            0
-        };
-        Some(pkt.sent_at + serialize + self.fabric.topo.latency(src, to) + jitter)
+        Some(arrival(
+            &self.fabric.topo,
+            self.latency_jitter,
+            depart,
+            mix,
+            src,
+            to,
+        ))
     }
 
-    fn noise(&self, src: HostId, act: u32, to: HostId, salt: u64) -> u64 {
-        let a = mix64(self.seed ^ mix64(((src.0 as u64) << 32) | act as u64));
-        mix64(a ^ ((to.0 as u64) << 8) ^ salt)
-    }
-
-    /// Uniform in `[0, 1)` from 53 hash bits.
-    fn noise_f64(&self, src: HostId, act: u32, to: HostId, salt: u64) -> f64 {
-        (self.noise(src, act, to, salt) >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
+    /// The per-packet half of the loss and jitter hashes of `src`'s
+    /// `act`-th action; [`noise`] adds the receiver.
+    fn packet_mix(&self, src: HostId, act: u32) -> u64 {
+        mix64(self.seed ^ mix64(((src.0 as u64) << 32) | act as u64))
     }
 
     fn send(&mut self, src: HostId, dest: Destination, msg: Message) {
@@ -789,6 +861,106 @@ mod tests {
         // must sort after them at the same (time, key).
         assert!(seq_of(HostId(0), 0) > 0);
         assert!(seq_of(HostId(1), 0) > seq_of(HostId(0), u32::MAX - 1));
+    }
+
+    /// Host 0 multicasts one beacon (TTL 2) a second in; every host
+    /// listens.
+    struct OneBeacon;
+
+    impl Actor for OneBeacon {
+        fn on_start(&mut self, ctx: &mut Context) {
+            ctx.subscribe(ChannelId(0));
+            if ctx.me() == HostId(0) {
+                ctx.set_timer(crate::SECS, 0);
+            }
+        }
+        fn on_packet(&mut self, _: &mut Context, _: PacketMeta, _: &Message) {}
+        fn on_timer(&mut self, ctx: &mut Context, _: u64) {
+            let from = ctx.node_id();
+            ctx.send_multicast(
+                ChannelId(0),
+                2,
+                Message::SyncRequest(tamp_wire::SyncRequest { from, since_seq: 1 }),
+            );
+        }
+    }
+
+    #[test]
+    fn a_receiver_killed_and_revived_at_one_instant_misses_the_packet() {
+        use crate::engine::{Engine, ShardingKind};
+        use crate::trace::{TraceConfig, TraceRecord};
+        let run = |sharding, bounce: Option<(SimTime, HostId)>| {
+            let cfg = EngineConfig {
+                trace: TraceConfig::all(),
+                sharding,
+                shard_jobs: Some(1),
+                ..EngineConfig::default()
+            };
+            let topo = tamp_topology::generators::star_of_segments(2, 4);
+            let mut eng = Engine::new(topo, cfg, 7);
+            let width = match sharding {
+                ShardingKind::Sequential => 1,
+                ShardingKind::Sharded(k) => k,
+            };
+            assert_eq!(eng.effective_shards(), width);
+            for h in eng.hosts() {
+                eng.add_actor(h, Box::new(OneBeacon));
+            }
+            eng.start();
+            if let Some((t, victim)) = bounce {
+                eng.run_until(t);
+                eng.control_now(Control::Kill(victim));
+                eng.revive_now(victim);
+                assert!(eng.is_alive(victim));
+            }
+            eng.run_until(2 * crate::SECS);
+            let trace: Vec<TraceRecord> = eng.trace_log().records().cloned().collect();
+            trace
+        };
+        let beacon = |trace: &[TraceRecord]| -> Vec<(SimTime, HostId, bool)> {
+            let mut got: Vec<_> = trace
+                .iter()
+                .filter_map(|r| match r.event {
+                    TraceEvent::Deliver {
+                        src: HostId(0),
+                        dst,
+                        ..
+                    } => Some((r.time, dst, true)),
+                    TraceEvent::Drop {
+                        src: HostId(0),
+                        dst,
+                        ..
+                    } => Some((r.time, dst, false)),
+                    _ => None,
+                })
+                .collect();
+            got.sort_unstable();
+            got
+        };
+        let clean = beacon(&run(ShardingKind::Sequential, None));
+        assert_eq!(clean.len(), 7);
+        assert!(clean.iter().all(|&(_, _, heard)| heard));
+        // Between the first and the second delivery, the last receiver
+        // dies and comes back at one instant.
+        let (first, _, _) = clean[0];
+        let (_, victim, _) = clean[6];
+        assert!(first < clean[1].0);
+        for sharding in [ShardingKind::Sequential, ShardingKind::Sharded(2)] {
+            let trace = run(sharding, Some((first, victim)));
+            let got = beacon(&trace);
+            let want: Vec<_> = clean
+                .iter()
+                .map(|&(t, to, _)| (t, to, to != victim))
+                .collect();
+            assert_eq!(got, want, "{sharding:?}");
+            assert!(
+                trace.iter().any(|r| matches!(
+                    r.event,
+                    TraceEvent::Drop { dst, reason: DropReason::DeadHost, .. } if dst == victim
+                )),
+                "{sharding:?}: the victim's delivery must drop as DeadHost"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,17 @@
 //! The fabric: the network state a packet is judged by — host liveness
-//! and epochs, channel subscriptions, the loss rate, router health (kept
-//! in the shard's copy of the topology) and segment partitions — plus
-//! the fan-out lists derived from it.
+//! and the life count, channel subscriptions, the loss rate, router
+//! health (kept in the shard's copy of the topology) and segment
+//! partitions — plus the fan-out lists derived from it.
+//!
+//! # Lives
+//!
+//! A packet or a timer belongs to the life of its receiver that was
+//! current when it was sent or armed: a host that has died since — even
+//! if it is alive again — must not hear it. The fabric counts the kills
+//! and revives it has applied ([`Fabric::life`]) and marks each host with
+//! the count of its last one, so a send records one number for all its
+//! receivers, and a receiver hears it if and only if it is alive and its
+//! mark is no later than that number ([`Fabric::hears`]).
 //!
 //! # The journal
 //!
@@ -44,8 +54,9 @@ pub(super) enum JEntry {
     Loss { old: f64, new: f64 },
     /// Router went down (`down`) or came back up.
     Router { r: u16, down: bool },
-    /// Host was killed (`killed`) or revived; bumps its epoch.
-    LifeCycle { h: HostId, killed: bool },
+    /// Host was killed (`killed`) or revived: one more life change,
+    /// and `h`'s mark moves from `prev` to the new count.
+    LifeCycle { h: HostId, killed: bool, prev: u32 },
 }
 
 pub(super) struct Fabric {
@@ -56,8 +67,10 @@ pub(super) struct Fabric {
     /// shard).
     shard_of_seg: Arc<Vec<u32>>,
     alive: Vec<bool>,
-    /// Bumped on every kill/revive; stale events are discarded by epoch.
-    epoch: Vec<u32>,
+    /// Kills and revives applied so far.
+    lives: u32,
+    /// Per host: `lives` right after its last kill or revive (0 if none).
+    marks: Vec<u32>,
     /// Channel subscribers, indexed by the segment they sit on: a
     /// fan-out list is built from the segments inside the TTL only, not
     /// by filtering the channel's cluster-wide membership.
@@ -101,7 +114,8 @@ impl Fabric {
             topo,
             shard_of_seg,
             alive: vec![true; n],
-            epoch: vec![0; n],
+            lives: 0,
+            marks: vec![0; n],
             subs: BTreeMap::new(),
             fanout: IntMap::default(),
             reach: IntMap::default(),
@@ -124,7 +138,15 @@ impl Fabric {
                 if self.alive[h.index()] == alive {
                     return false;
                 }
-                self.commit(at, JEntry::LifeCycle { h, killed: !alive });
+                let prev = self.marks[h.index()];
+                self.commit(
+                    at,
+                    JEntry::LifeCycle {
+                        h,
+                        killed: !alive,
+                        prev,
+                    },
+                );
                 if !alive {
                     // A killed host leaves every channel it listened on.
                     let seg = self.topo.segment_of(h);
@@ -191,9 +213,10 @@ impl Fabric {
             JEntry::Sub { ch, h, added } => self.set_sub(ch, h, added),
             JEntry::Loss { new, .. } => self.loss = new,
             JEntry::Router { r, down } => self.set_router_state(r, down),
-            JEntry::LifeCycle { h, killed } => {
+            JEntry::LifeCycle { h, killed, .. } => {
                 self.alive[h.index()] = !killed;
-                self.epoch[h.index()] += 1;
+                self.lives += 1;
+                self.marks[h.index()] = self.lives;
             }
         }
     }
@@ -204,9 +227,10 @@ impl Fabric {
             JEntry::Sub { ch, h, added } => self.set_sub(ch, h, !added),
             JEntry::Loss { old, .. } => self.loss = old,
             JEntry::Router { r, down } => self.set_router_state(r, !down),
-            JEntry::LifeCycle { h, killed } => {
+            JEntry::LifeCycle { h, killed, prev } => {
                 self.alive[h.index()] = killed;
-                self.epoch[h.index()] -= 1;
+                self.lives -= 1;
+                self.marks[h.index()] = prev;
             }
         }
     }
@@ -239,15 +263,18 @@ impl Fabric {
         self.alive[h.index()]
     }
 
+    /// The life count now: what a send or a timer records for
+    /// [`Fabric::hears`].
     #[inline]
-    pub(super) fn epoch_of(&self, h: HostId) -> u32 {
-        self.epoch[h.index()]
+    pub(super) fn life(&self) -> u32 {
+        self.lives
     }
 
-    /// Is `h` alive and still in its life `epoch`?
+    /// Is `h` alive, and has it neither died nor revived since the life
+    /// count read `life`?
     #[inline]
-    pub(super) fn hears(&self, h: HostId, epoch: u32) -> bool {
-        self.alive[h.index()] && self.epoch[h.index()] == epoch
+    pub(super) fn hears(&self, h: HostId, life: u32) -> bool {
+        self.alive[h.index()] && self.marks[h.index()] <= life
     }
 
     /// Is `b` currently routable from `a` (routers permitting)?
@@ -377,7 +404,8 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct Snapshot {
         alive: Vec<bool>,
-        epoch: Vec<u32>,
+        lives: u32,
+        marks: Vec<u32>,
         subs: Vec<(SegmentId, ChannelId, HostId)>,
         loss: f64,
         routers_up: Vec<bool>,
@@ -397,7 +425,8 @@ mod tests {
             .collect();
         Snapshot {
             alive: f.alive.clone(),
-            epoch: f.epoch.clone(),
+            lives: f.lives,
+            marks: f.marks.clone(),
             subs: f
                 .subs
                 .iter()
@@ -431,8 +460,12 @@ mod tests {
             f.subscribe(at(), HostId(h), ch, true);
         }
         f.control(at(), Control::SetLoss(0.1));
+        // A life change before the epoch, so an undo must restore a mark
+        // that is not the initial zero.
+        f.control(at(), Control::Kill(HostId(5)));
         f.journal.as_mut().unwrap().clear();
         let start = snapshot(&mut f);
+        assert_eq!((start.lives, start.marks[5]), (1, 1));
 
         // The epoch: every journaled transition, live, with the state
         // between the subscription changes and the rest kept too.
@@ -446,9 +479,11 @@ mod tests {
             assert!(f.control(at(), c), "{c:?} changed nothing");
         }
         let (mid_tag, mid) = (at(), snapshot(&mut f));
+        assert_eq!((mid.lives, &mid.marks[..2]), (4, &[4, 3][..]));
         for c in [
             Control::SetLoss(0.5),
             Control::RouterDown(0),
+            Control::Revive(HostId(5)),
             Control::RouterUp(0),
             Control::RouterDown(0),
         ] {
@@ -456,6 +491,14 @@ mod tests {
         }
         let live = snapshot(&mut f);
         assert_ne!(live, start);
+        assert_eq!((live.lives, live.marks[5]), (5, 5));
+        // What a packet sent mid-epoch is judged by: host 1 (revived
+        // before the send) hears it, host 5 (revived after) does not, nor
+        // does host 0 (dead).
+        assert!(f.hears(HostId(1), mid.lives));
+        assert!(!f.hears(HostId(5), mid.lives));
+        assert!(!f.hears(HostId(0), mid.lives));
+        assert!(f.hears(HostId(5), live.lives));
 
         let journal = std::mem::take(f.journal.as_mut().unwrap());
         let kinds: BTreeSet<_> = journal

@@ -262,9 +262,10 @@ impl Shard {
     fn expand_one(&mut self, d: Descriptor, patches: &mut Vec<(u64, u32)>) {
         // Records emitted here carry the *sending event's* tag, so the
         // merged trace interleaves them exactly where the sequential
-        // engine would have put them. The hops are stamped with the
-        // receivers' epochs as of the send time, which the journal replay
-        // of LifeCycle entries restores, matching the sequential stamp.
+        // engine would have put them. The packet records the life count
+        // and the routes as of the send time, which the journal replay
+        // of LifeCycle and Router entries restores, matching the
+        // sequential send.
         self.cur = d.tag;
         match d.dest {
             Destination::Unicast(to) => {

@@ -23,8 +23,15 @@
 //!   constant);
 //! * a partition raised while packets are in flight;
 //! * a receiver killed and revived between two deliveries of one
-//!   multicast — its own delivery must drop as `DeadHost` by the epoch
-//!   stamped at send time, and later receivers must still get theirs.
+//!   multicast — its own delivery must drop as `DeadHost` by the life
+//!   count recorded at send time, and later receivers must still get
+//!   theirs;
+//! * a router taken down a few µs after a burst and brought back while
+//!   its deliveries are pending, on a ring of segments where the router
+//!   re-routes instead of cutting — every delivery must arrive when the
+//!   send rolled it, on the routes of the send instant (its constant is
+//!   younger too: recorded from commit `9a261c0`, whose arena still kept
+//!   each waiting receiver's time).
 //!
 //! The last test is the count the change was made for: a flood of 1 000
 //! multicasts to 20 listeners peaks at 1 001 queue entries, not 20 000
@@ -37,7 +44,7 @@ use tamp_netsim::{
     Actor, ChannelId, Context, Control, DropReason, Engine, EngineConfig, LossModel, PacketMeta,
     ShardingKind, SimTime, TraceConfig, TraceEvent, TraceRecord, MILLIS, SECS,
 };
-use tamp_topology::{generators, HostId, SegmentId};
+use tamp_topology::{generators, HostId, SegmentId, Topology};
 use tamp_wire::{Message, NodeId, SyncRequest, SyncResponse};
 
 const PERIOD: SimTime = 500 * MILLIS;
@@ -119,6 +126,7 @@ impl Actor for Flooder {
 #[derive(Clone)]
 struct Scenario {
     name: &'static str,
+    topo: fn() -> Topology,
     jitter: SimTime,
     loss: f64,
     burst: u64,
@@ -130,6 +138,7 @@ impl Scenario {
     fn new(name: &'static str) -> Self {
         Scenario {
             name,
+            topo: || generators::star_of_segments(3, 4),
             jitter: EngineConfig::default().latency_jitter,
             loss: 0.0,
             burst: 3,
@@ -151,7 +160,7 @@ fn run(sc: &Scenario, sharding: ShardingKind) -> Engine {
         shard_jobs: Some(2),
         ..Default::default()
     };
-    let mut eng = Engine::new(generators::star_of_segments(3, 4), cfg, SEED);
+    let mut eng = Engine::new((sc.topo)(), cfg, SEED);
     for h in eng.hosts() {
         eng.add_actor(
             h,
@@ -401,6 +410,43 @@ fn receiver_killed_and_revived_mid_fanout() {
             );
         }
     }
+}
+
+#[test]
+fn router_down_and_up_in_flight() {
+    // A ring of four segments: router r joins segment r to r + 1, so
+    // taking router 0 down re-routes 0 ↔ 1 the long way round instead of
+    // cutting it, and every latency across it grows.
+    let mut sc = Scenario {
+        topo: || generators::ring_of_segments(4, 4),
+        ..Scenario::new("router_down_and_up_in_flight")
+    };
+    let clean = probe(&sc);
+    // A burst from segment 0 reaches segments 1 and 3 (TTL 2). Router 0
+    // goes down a few µs after the first send, before any delivery, and
+    // comes back while the burst's later deliveries are still pending:
+    // each must arrive when it was rolled to at send time, on the route
+    // of the send instant, not on the route that holds when it fires.
+    let (sent, src, deliveries) = first_multicast(&clean, SECS, |h| h.0 < 4);
+    let (down, up) = (sent + 5_000, sent + 250_000);
+    assert!(deliveries.iter().all(|&(t, _)| t > down));
+    sc.script = vec![(down, Control::RouterDown(0)), (up, Control::RouterUp(0))];
+    let trace = check(&sc, 0x1a45_26ab_db34_495c);
+    let across = |lo: SimTime, hi: SimTime| {
+        trace
+            .iter()
+            .filter(|r| r.time > lo && r.time < hi)
+            .filter(|r| {
+                matches!(r.event, TraceEvent::Deliver { src: s, dst, channel: Some(_), .. }
+                    if s == src && (4..8).contains(&dst.0))
+            })
+            .count()
+    };
+    assert!(
+        across(down, up) > 0 && across(up, sent + PERIOD / 2) > 0,
+        "no delivery across router 0 was pending over both changes: \
+         the scenario lost its point"
+    );
 }
 
 // ----------------------------------------------------------- queue depth

@@ -31,9 +31,10 @@
 //! * `jobs == 1` short-circuits to a plain inline loop: today's exact
 //!   sequential code path, no threads, no `catch_unwind`.
 //!
-//! The pool is std-only (`std::thread::scope` + `mpsc`): the build
-//! environment has no registry access and the vendored crates are
-//! stubs, so this is deliberately dependency-free.
+//! The pool is std-only (`std::thread::scope`, `mpsc`, and park/unpark
+//! handoffs for [`Pool::rendezvous`]): the build environment has no
+//! registry access and the vendored crates are stubs, so this is
+//! deliberately dependency-free.
 //!
 //! The full contract, and when `--jobs 1` is still required:
 //! (docs/PERFORMANCE.md, "The determinism contract", "When `--jobs 1` is
@@ -43,7 +44,9 @@ use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, OnceLock, PoisonError};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// The worker count used when the user doesn't pass `--jobs`: the
 /// `TAMP_JOBS` environment variable if set to a positive integer, else
@@ -202,7 +205,12 @@ impl Pool {
     /// against them. Built for barrier-style engines (the sharded netsim
     /// epoch loop) where per-round thread spawning would dominate: the
     /// workers persist across every [`Rounds::round`] call that `drive`
-    /// makes, each owning its `&mut` chunk for the whole session.
+    /// makes, each owning its `&mut` chunk for the whole rendezvous. The
+    /// calling thread works the first chunk itself, so `jobs` workers
+    /// are `jobs − 1` spawned threads plus the caller. A round hands
+    /// requests and replies over one-slot handoffs whose taker spins
+    /// briefly before it parks (when every thread has a core): a round
+    /// shorter than the spin costs no sleep and no wake-up syscall.
     ///
     /// Per round, request `i` is handed to the worker owning `items[i]`
     /// as `work(i, &mut items[i], req)`, and the replies come back as a
@@ -243,55 +251,73 @@ impl Pool {
         type Caught<R> = Result<R, Box<dyn std::any::Any + Send + 'static>>;
         let workers = self.jobs.min(n);
         let chunk = n.div_ceil(workers);
-        let (reply_tx, reply_rx) = mpsc::channel::<(usize, Caught<R>)>();
+        let (own, rest) = items.split_at_mut(chunk);
+        // Spinning pays only while every thread of the rendezvous has a
+        // core of its own; oversubscribed, a spinner steals the time of
+        // the thread it waits for.
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let spin = if workers <= cores {
+            SPIN
+        } else {
+            Duration::ZERO
+        };
+        // One request and one reply handoff per spawned worker; the
+        // calling thread works the first chunk itself.
+        let links: Vec<Link<Q, Caught<R>>> = rest
+            .chunks(chunk)
+            .map(|_| Link {
+                req: Handoff::new(),
+                reply: Handoff::for_current_thread(),
+            })
+            .collect();
+        let work = &work;
         std::thread::scope(|s| {
-            let mut req_txs = Vec::with_capacity(workers);
-            for (w, chunk_items) in items.chunks_mut(chunk).enumerate() {
-                let base = w * chunk;
-                let (tx, rx) = mpsc::channel::<Vec<(usize, Q)>>();
-                req_txs.push(tx);
-                let reply_tx = reply_tx.clone();
-                let work = &work;
-                s.spawn(move || {
-                    while let Ok(batch) = rx.recv() {
-                        for (local, q) in batch {
-                            // Catch instead of unwinding the worker so
-                            // the round still completes (every reply
-                            // arrives) and the *lowest* panicking index
-                            // is the one re-raised, as sequentially.
-                            let r = catch_unwind(AssertUnwindSafe(|| {
-                                work(base + local, &mut chunk_items[local], q)
-                            }));
-                            if reply_tx.send((base + local, r)).is_err() {
-                                return; // driver gone (unwinding)
-                            }
-                        }
+            // Closes every request handoff when `drive` returns or
+            // anything here unwinds (a failed spawn included); the scope
+            // then joins the workers.
+            let _close = Close(&links);
+            for (w, chunk_items) in rest.chunks_mut(chunk).enumerate() {
+                let base = (w + 1) * chunk;
+                let Link { req, reply } = &links[w];
+                let worker = s.spawn(move || {
+                    while let Some(batch) = req.take(spin) {
+                        // Catch instead of unwinding the worker so the
+                        // round still completes (every reply arrives)
+                        // and the *lowest* panicking index is the one
+                        // re-raised, as sequentially.
+                        let out = batch
+                            .into_iter()
+                            .enumerate()
+                            .map(|(local, q)| {
+                                catch_unwind(AssertUnwindSafe(|| {
+                                    work(base + local, &mut chunk_items[local], q)
+                                }))
+                            })
+                            .collect();
+                        reply.put(out);
                     }
                 });
+                req.wake(worker.thread().clone());
             }
-            drop(reply_tx);
             let mut rounds = Rounds {
                 inner: RoundsInner::Threaded {
-                    dispatch: Box::new(move |reqs: Vec<Q>| {
+                    dispatch: Box::new(|reqs: Vec<Q>| {
                         assert_eq!(reqs.len(), n, "rendezvous round size mismatch");
-                        let mut batches: Vec<Vec<(usize, Q)>> =
-                            (0..req_txs.len()).map(|_| Vec::new()).collect();
-                        for (i, q) in reqs.into_iter().enumerate() {
-                            batches[i / chunk].push((i % chunk, q));
+                        let mut reqs = reqs.into_iter();
+                        let mine: Vec<Q> = reqs.by_ref().take(chunk).collect();
+                        for link in &links {
+                            link.req.put(Some(reqs.by_ref().take(chunk).collect()));
                         }
-                        for (w, batch) in batches.into_iter().enumerate() {
-                            req_txs[w]
-                                .send(batch)
-                                .expect("rendezvous worker exited early");
-                        }
-                        let mut out: Vec<Option<Caught<R>>> = (0..n).map(|_| None).collect();
-                        for _ in 0..n {
-                            let (i, r) = reply_rx.recv().expect("rendezvous worker lost");
-                            out[i] = Some(r);
+                        let mut caught: Vec<Caught<R>> = Vec::with_capacity(n);
+                        caught.extend(mine.into_iter().enumerate().map(|(i, q)| {
+                            catch_unwind(AssertUnwindSafe(|| work(i, &mut own[i], q)))
+                        }));
+                        for link in &links {
+                            caught.extend(link.reply.take(spin));
                         }
                         let mut results = Vec::with_capacity(n);
-                        for (i, slot) in out.into_iter().enumerate() {
-                            match slot.expect("duplicate rendezvous reply") {
+                        for (i, r) in caught.into_iter().enumerate() {
+                            match r {
                                 Ok(v) => results.push(v),
                                 Err(payload) => rethrow(i, payload),
                             }
@@ -301,9 +327,94 @@ impl Pool {
                 },
             };
             drive(&mut rounds)
-            // `rounds` drops here, closing the request channels; the
-            // scope then joins every worker (they exit on recv error).
         })
+    }
+}
+
+/// How long a rendezvous handoff's taker spins before it parks: above
+/// the 30–44 µs a barrier round takes on two cores, so a round that
+/// comes back in time costs neither a sleep nor a wake-up syscall.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// A one-value handoff to one thread: [`Handoff::put`] stores the value
+/// and unparks the taker; [`Handoff::take`] spins for a bounded time,
+/// then parks until the value is there. Puts and takes alternate.
+struct Handoff<V> {
+    full: AtomicBool,
+    value: Mutex<Option<V>>,
+    taker: OnceLock<Thread>,
+}
+
+impl<V> Handoff<V> {
+    fn new() -> Self {
+        Handoff {
+            full: AtomicBool::new(false),
+            value: Mutex::new(None),
+            taker: OnceLock::new(),
+        }
+    }
+
+    /// A handoff the calling thread takes from.
+    fn for_current_thread() -> Self {
+        let h = Handoff::new();
+        h.wake(std::thread::current());
+        h
+    }
+
+    /// Name the taker (before the first put).
+    fn wake(&self, taker: Thread) {
+        let _ = self.taker.set(taker);
+    }
+
+    // The slot is only ever replaced or emptied whole, so a guard
+    // recovered from a poisoned lock holds a valid `Option`. `full` is
+    // stored with `Release` after the value and loaded with `Acquire`
+    // before it is read; the taker's reset needs no ordering of its own,
+    // because the next put comes only after the taker's reply, which is
+    // a `Release`/`Acquire` handoff of its own.
+    fn put(&self, v: V) {
+        *self.value.lock().unwrap_or_else(PoisonError::into_inner) = Some(v);
+        self.full.store(true, Ordering::Release);
+        // No taker yet only when a close reaches a worker that was never
+        // spawned.
+        if let Some(taker) = self.taker.get() {
+            taker.unpark();
+        }
+    }
+
+    fn take(&self, spin: Duration) -> V {
+        let start = Instant::now();
+        while !self.full.load(Ordering::Acquire) {
+            if start.elapsed() < spin {
+                std::hint::spin_loop();
+            } else {
+                std::thread::park();
+            }
+        }
+        self.full.store(false, Ordering::Relaxed);
+        self.value
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("handoff flagged full without a value")
+    }
+}
+
+/// A spawned rendezvous worker's two handoffs: a round's requests in
+/// (`None` closes the rendezvous), its replies out.
+struct Link<Q, R> {
+    req: Handoff<Option<Vec<Q>>>,
+    reply: Handoff<Vec<R>>,
+}
+
+/// Closes a rendezvous's request handoffs on drop.
+struct Close<'a, Q, R>(&'a [Link<Q, R>]);
+
+impl<Q, R> Drop for Close<'_, Q, R> {
+    fn drop(&mut self) {
+        for link in self.0 {
+            link.req.put(None);
+        }
     }
 }
 
