@@ -149,7 +149,11 @@ job_telemetry() {
     head -1 "$csv" | grep -qx 'subsystem,name,node,kind,value,count,sum,p50,p90,p99,max'
     grep -q '^{"t":[0-9]*,"type":"' "$jsonl"
     grep -q '^net,sent_bytes.heartbeat,cluster,counter,' "$csv"
-    grep -q '^membership,heartbeats_sent,' "$csv"
+    grep -q '^events,heartbeat-sent,' "$csv"
+    # The removal chain: a removal kind counted, and a removal traced
+    # with the subject's incarnation.
+    grep -q '^events,death-declared,' "$csv"
+    grep -q '"type":"death-declared",.*"incarnation":[0-9]' "$jsonl"
     grep -q '^harness,detection_ns,cluster,histogram,' "$csv"
 }
 

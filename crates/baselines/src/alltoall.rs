@@ -9,11 +9,9 @@
 
 use crate::column::{take_due, Baseline, Column, Profile, Shell};
 use std::collections::BTreeMap;
-use tamp_netsim::{ChannelId, Context, Nanos, PacketMeta, MILLIS, SECS};
+use tamp_netsim::{ChannelId, Context, Nanos, PacketMeta, ProtocolEvent, MILLIS, SECS};
 use tamp_wire::{Heartbeat, Message, MessageView, NodeId, ServiceDecl};
 
-/// Telemetry namespace of the column's counters.
-pub const NAMESPACE: &str = "alltoall";
 /// The single cluster-wide multicast channel.
 pub const CHANNEL: ChannelId = ChannelId(0);
 /// TTL that reaches the whole cluster.
@@ -77,7 +75,6 @@ impl AllToAll {
 
 impl Column for AllToAll {
     type Config = AllToAllConfig;
-    const NAMESPACE: &'static str = NAMESPACE;
 
     fn new(cfg: AllToAllConfig) -> (Self, Profile) {
         let column = AllToAll {
@@ -145,7 +142,7 @@ impl Column for AllToAll {
 
     fn on_tick(&mut self, shell: &mut Shell, ctx: &mut Context) {
         self.seq += 1;
-        ctx.count(NAMESPACE, "heartbeats_sent", 1);
+        ctx.emit(ProtocolEvent::HeartbeatSent { level: 0 });
         ctx.send_multicast(
             CHANNEL,
             TTL,

@@ -13,8 +13,8 @@
 //!   the period, the sweep every sweep period; each re-arms after its
 //!   handler.
 //! * **Reports.** Every yellow-page write a column makes goes through a
-//!   [`Shell`] method, and the writes that are reported issue their
-//!   observation and counters there: `Shell::admit`, `Shell::remove`,
+//!   [`Shell`] method, and the writes that are reported emit their
+//!   event there: `Shell::admit`, `Shell::introduce`, `Shell::remove`,
 //!   `Shell::refute`.
 //!
 //! A column keeps its own books. Those whose iteration reaches an effect
@@ -25,6 +25,7 @@
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use tamp_directory::{Directory, DirectoryClient, Provenance, SharedDirectory};
+use tamp_netsim::telemetry::Declared;
 use tamp_netsim::{Actor, Context, Nanos, PacketMeta, ProtocolEvent};
 use tamp_wire::{Message, MessageView, NodeId, NodeRecord, RecordPayload, ServiceDecl};
 
@@ -46,8 +47,6 @@ pub struct Profile {
 /// for every yellow-page write.
 pub trait Column: Send + Sized {
     type Config;
-    /// Telemetry namespace of every counter the node writes.
-    const NAMESPACE: &'static str;
 
     fn new(cfg: Self::Config) -> (Self, Profile);
 
@@ -84,7 +83,6 @@ pub struct Shell {
     record: NodeRecord,
     directory: SharedDirectory,
     profile: Profile,
-    namespace: &'static str,
 }
 
 impl Shell {
@@ -147,16 +145,22 @@ impl Shell {
             (a.changed(), (a, was))
         });
         if applied.changed() && !was {
-            ctx.observe_added(node);
+            ctx.emit(ProtocolEvent::MemberAdded {
+                subject: node.0,
+                incarnation: inc,
+            });
         }
     }
 
     /// [`Shell::admit`] for a member the column's own book just gained:
     /// announced whatever the yellow pages answer.
     pub(crate) fn introduce(&self, ctx: &mut Context, record: NodeRecord) {
-        let node = record.node;
+        let event = ProtocolEvent::MemberAdded {
+            subject: record.node.0,
+            incarnation: record.incarnation,
+        };
         self.join(ctx.now(), record);
-        ctx.observe_added(node);
+        ctx.emit(event);
     }
 
     /// Join or refresh `record` as heard directly, without a report.
@@ -172,16 +176,21 @@ impl Shell {
             .update(|d| (d.apply_leave(node, incarnation, now).changed(), ()));
     }
 
-    /// Declare `node` dead at `incarnation` and report it; a death that
-    /// `confirms` a suspicion is reported as that too.
+    /// Declare `node` dead at `incarnation` on the column's own
+    /// evidence and report it; a death that `confirms` a suspicion is
+    /// reported as that too. The column's book has lost `node`, so the
+    /// death is a removal whatever the yellow pages held.
     pub(crate) fn remove(&self, ctx: &mut Context, node: NodeId, incarnation: u64, confirms: bool) {
         self.withdraw(ctx.now(), node, incarnation);
-        ctx.count(self.namespace, "deaths_declared", 1);
         if confirms {
-            ctx.count(self.namespace, "suspicions_confirmed", 1);
             ctx.emit(ProtocolEvent::SuspicionConfirmed { subject: node.0 });
         }
-        ctx.observe_removed(node);
+        ctx.emit(ProtocolEvent::DeathDeclared {
+            subject: node.0,
+            incarnation,
+            evidence: Declared::Detector,
+            removed: true,
+        });
     }
 
     /// [`Shell::remove`] at the incarnation the yellow pages hold; a
@@ -197,7 +206,9 @@ impl Shell {
     pub(crate) fn refute(&mut self, ctx: &mut Context, accused: u64) {
         self.incarnation = accused + 1;
         self.publish(ctx.now());
-        ctx.count(self.namespace, "self_refutes", 1);
+        ctx.emit(ProtocolEvent::SelfRefuted {
+            incarnation: self.incarnation,
+        });
     }
 }
 
@@ -269,7 +280,6 @@ impl<C: Column> Baseline<C> {
             record: NodeRecord::new(me, 0),
             directory: SharedDirectory::new(),
             profile,
-            namespace: C::NAMESPACE,
         };
         shell.rebuild();
         Baseline {
@@ -348,7 +358,6 @@ mod tests {
 
     impl Column for Listener {
         type Config = ();
-        const NAMESPACE: &'static str = "listener";
 
         fn new(_: ()) -> (Self, Profile) {
             let profile = Profile {
@@ -473,11 +482,42 @@ mod tests {
         let removed: Vec<NodeId> = fx
             .iter()
             .filter_map(|e| match e {
-                Effect::Observe(ObservationKind::Removed(n)) => Some(*n),
+                Effect::Emit(ev) => match ObservationKind::of(ev) {
+                    Some(ObservationKind::Removed(n)) => Some(n),
+                    _ => None,
+                },
                 _ => None,
             })
             .collect();
         assert_eq!(removed, [3, 4, 5, 9].map(NodeId));
+        assert_eq!(h.node.directory_client().member_count(), 1);
+    }
+
+    #[test]
+    fn a_removal_is_a_death_on_the_columns_own_evidence() {
+        let mut h = Harness::new();
+        h.start(0);
+        h.heartbeat(SECS, 5);
+        let fx = h.run(2 * SECS, |n, ctx| n.shell.remove(ctx, NodeId(5), 1, true));
+        let events: Vec<ProtocolEvent> = fx
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Emit(ev) => Some(*ev),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            events,
+            [
+                ProtocolEvent::SuspicionConfirmed { subject: 5 },
+                ProtocolEvent::DeathDeclared {
+                    subject: 5,
+                    incarnation: 1,
+                    evidence: Declared::Detector,
+                    removed: true,
+                },
+            ]
+        );
         assert_eq!(h.node.directory_client().member_count(), 1);
     }
 

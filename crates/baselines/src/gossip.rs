@@ -18,9 +18,6 @@ use std::collections::BTreeMap;
 use tamp_netsim::{Context, Nanos, PacketMeta, ProtocolEvent, SECS};
 use tamp_wire::{GossipEntry, Message, NodeId, ServiceDecl};
 
-/// Telemetry namespace of the column's counters.
-pub const NAMESPACE: &str = "gossip";
-
 /// Tunables for one gossip node.
 #[derive(Debug, Clone)]
 pub struct GossipConfig {
@@ -154,7 +151,6 @@ impl Gossip {
 
 impl Column for Gossip {
     type Config = GossipConfig;
-    const NAMESPACE: &'static str = NAMESPACE;
 
     fn new(mut cfg: GossipConfig) -> (Self, Profile) {
         let profile = Profile {
@@ -202,8 +198,10 @@ impl Column for Gossip {
                     // A higher incarnation overrode an active blacklist
                     // entry: the presumed death was refuted by a genuine
                     // restart — gossip's analogue of a refutation.
-                    ctx.count(NAMESPACE, "suspicions_refuted", 1);
-                    ctx.emit(ProtocolEvent::SuspicionRefuted { subject: node.0 });
+                    ctx.emit(ProtocolEvent::BlacklistOverridden {
+                        subject: node.0,
+                        incarnation: e.record.incarnation,
+                    });
                 }
                 self.blacklist.remove(&node);
             }
@@ -232,7 +230,7 @@ impl Column for Gossip {
         self.my_counter += 1;
         let entries = self.view(shell);
         for t in self.targets(shell.me(), ctx) {
-            ctx.count(NAMESPACE, "rounds_sent", 1);
+            ctx.emit(ProtocolEvent::GossipRound { peer: t.0 });
             ctx.send_unicast(
                 t,
                 Message::Gossip(tamp_wire::Gossip {

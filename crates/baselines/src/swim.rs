@@ -25,13 +25,11 @@
 
 use crate::column::{Baseline, Column, Profile, Shell, Tombstones};
 use std::collections::{BTreeMap, HashMap};
+use tamp_netsim::telemetry::Ping;
 use tamp_netsim::{Context, Nanos, PacketMeta, ProtocolEvent, MILLIS, SECS};
 use tamp_wire::{
     Message, NodeId, NodeRecord, ServiceDecl, SwimAck, SwimPing, SwimPingReq, SwimState, SwimUpdate,
 };
-
-/// Telemetry namespace of the column's counters.
-pub const NAMESPACE: &str = "swim";
 
 // The protocol's constants (defaults per SNIPPETS.md ADR-001).
 
@@ -441,19 +439,16 @@ impl Swim {
         out
     }
 
-    /// Send a ping to `target` under the next sequence number, counted
-    /// as `kind`; returns the sequence number.
-    fn ping(
-        &mut self,
-        shell: &Shell,
-        ctx: &mut Context,
-        target: NodeId,
-        kind: &'static str,
-    ) -> u64 {
+    /// Send a ping to `target` under the next sequence number, recorded
+    /// as sent for `purpose`; returns the sequence number.
+    fn ping(&mut self, shell: &Shell, ctx: &mut Context, target: NodeId, purpose: Ping) -> u64 {
         self.seq += 1;
         let seq = self.seq;
         let updates = self.select_updates(shell);
-        ctx.count(NAMESPACE, kind, 1);
+        ctx.emit(ProtocolEvent::PingSent {
+            target: target.0,
+            purpose,
+        });
         ctx.send_unicast(
             target,
             Message::SwimPing(SwimPing {
@@ -468,21 +463,16 @@ impl Swim {
 
 /// Report that this node now suspects `subject`.
 fn raised(ctx: &mut Context, subject: NodeId) {
-    ctx.count(NAMESPACE, "suspicions_raised", 1);
     ctx.emit(ProtocolEvent::SuspicionArmed { subject: subject.0 });
-    ctx.observe_suspected(subject);
 }
 
 /// Report that this node stopped suspecting `subject`.
 fn refuted(ctx: &mut Context, subject: NodeId) {
-    ctx.count(NAMESPACE, "suspicions_refuted", 1);
     ctx.emit(ProtocolEvent::SuspicionRefuted { subject: subject.0 });
-    ctx.observe_refuted(subject);
 }
 
 impl Column for Swim {
     type Config = SwimConfig;
-    const NAMESPACE: &'static str = NAMESPACE;
 
     fn new(cfg: SwimConfig) -> (Self, Profile) {
         let column = Swim {
@@ -552,7 +542,7 @@ impl Column for Swim {
                         record: record.clone(),
                     });
                 }
-                ctx.count(NAMESPACE, "acks_sent", 1);
+                ctx.emit(ProtocolEvent::AckSent { peer: p.from.0 });
                 ctx.send_unicast(
                     p.from,
                     Message::SwimAck(SwimAck {
@@ -572,7 +562,7 @@ impl Column for Swim {
                 self.apply_updates(shell, ctx, &r.updates, true);
                 // Probe the target on the requester's behalf; the ack
                 // comes back to us and is forwarded below.
-                let seq = self.ping(shell, ctx, r.target, "indirect_probes_sent");
+                let seq = self.ping(shell, ctx, r.target, Ping::Indirect);
                 self.proxied.insert(
                     seq,
                     ProxyEntry {
@@ -594,7 +584,9 @@ impl Column for Swim {
                 self.mark_alive(ctx, a.subject, now);
                 if let Some(proxy) = self.proxied.remove(&a.seq) {
                     let updates = self.select_updates(shell);
-                    ctx.count(NAMESPACE, "acks_forwarded", 1);
+                    ctx.emit(ProtocolEvent::AckForwarded {
+                        peer: proxy.requester.0,
+                    });
                     ctx.send_unicast(
                         proxy.requester,
                         Message::SwimAck(SwimAck {
@@ -619,7 +611,7 @@ impl Column for Swim {
     fn on_tick(&mut self, shell: &mut Shell, ctx: &mut Context) {
         let now = ctx.now();
         if let Some(target) = self.next_probe_target(shell.me(), ctx) {
-            let seq = self.ping(shell, ctx, target, "probes_sent");
+            let seq = self.ping(shell, ctx, target, Ping::Probe);
             self.pending = Some(PendingProbe {
                 target,
                 seq,
@@ -635,7 +627,7 @@ impl Column for Swim {
             self.periods_since_reconnect = 0;
             let i = ctx.rand_below(self.dead.len() as u64) as usize;
             let target = *self.dead.keys().nth(i).expect("index < len");
-            self.ping(shell, ctx, target, "reconnect_probes_sent");
+            self.ping(shell, ctx, target, Ping::Reconnect);
         }
     }
 
@@ -652,7 +644,10 @@ impl Column for Swim {
                 } else {
                     for h in helpers {
                         let updates = self.select_updates(shell);
-                        ctx.count(NAMESPACE, "ping_reqs_sent", 1);
+                        ctx.emit(ProtocolEvent::PingReqSent {
+                            helper: h.0,
+                            target: p.target.0,
+                        });
                         ctx.send_unicast(
                             h,
                             Message::SwimPingReq(SwimPingReq {

@@ -62,16 +62,6 @@ impl Protocol {
     pub fn is_hierarchical(self) -> bool {
         matches!(self, Protocol::Tamp | Protocol::TampRapid)
     }
-
-    /// Telemetry counter namespace the protocol's actors write.
-    pub fn counter_namespace(self) -> &'static str {
-        match self {
-            Protocol::Tamp | Protocol::TampRapid => "membership",
-            Protocol::AllToAll => tamp_baselines::alltoall::NAMESPACE,
-            Protocol::Gossip => tamp_baselines::gossip::NAMESPACE,
-            Protocol::Swim => tamp_baselines::swim::NAMESPACE,
-        }
-    }
 }
 
 /// A started cluster of one protocol, one actor per host.

@@ -10,7 +10,7 @@ use crate::truth::GroundTruth;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tamp_membership::{MembershipConfig, Probe};
-use tamp_netsim::telemetry::{MetricsSnapshot, CLUSTER};
+use tamp_netsim::telemetry::{MetricsSnapshot, CLUSTER, REFUTATION_KINDS};
 use tamp_netsim::{Engine, EngineConfig, TraceRecord};
 use tamp_topology::{HostId, RouterId, SegmentId, Topology};
 
@@ -88,8 +88,8 @@ impl ScenarioRun {
     /// where packets went missing and what the failure detector did.
     fn diagnostics(&self) -> String {
         let drop = |name: &str| self.metrics.counter(CLUSTER, "net", name);
-        let ns = self.protocol.counter_namespace();
-        let mem = |name: &str| self.metrics.counter_total(ns, name);
+        let ev = |kind: &str| self.metrics.counter_total("events", kind);
+        let refuted: u64 = REFUTATION_KINDS.iter().map(|k| ev(k)).sum();
         let mut out = String::new();
         out.push_str("telemetry:\n");
         out.push_str(&format!(
@@ -102,32 +102,32 @@ impl ScenarioRun {
         ));
         out.push_str(&format!(
             "  suspicions: raised {} refuted {} confirmed {}\n",
-            mem("suspicions_raised"),
-            mem("suspicions_refuted"),
-            mem("suspicions_confirmed"),
+            ev("suspicion-armed"),
+            refuted,
+            ev("suspicion-confirmed"),
         ));
         if self.protocol.is_hierarchical() {
             out.push_str(&format!(
                 "  deaths declared {} / elections started {} / leaderships claimed {}\n",
-                mem("deaths_declared"),
-                mem("elections_started"),
-                mem("leaderships_claimed"),
+                ev("death-declared"),
+                ev("election-round"),
+                ev("leadership-claimed"),
             ));
             out.push_str(&format!(
                 "  quarantines: armed {} lifted {} purged {}\n",
-                mem("subtrees_quarantined"),
-                mem("quarantines_lifted"),
-                mem("quarantine_purged"),
+                ev("subtree-quarantined"),
+                ev("quarantine-lifted"),
+                ev("removed-quarantine"),
             ));
             if self.protocol == Protocol::TampRapid {
                 out.push_str(&format!(
                     "  cut detection: reports {} batches {}\n",
-                    mem("cut_reports"),
-                    mem("cut_batches"),
+                    ev("cut-report"),
+                    ev("cut-batch"),
                 ));
             }
         } else {
-            out.push_str(&format!("  deaths declared {}\n", mem("deaths_declared")));
+            out.push_str(&format!("  deaths declared {}\n", ev("death-declared")));
         }
         out
     }
@@ -840,8 +840,8 @@ mod tests {
         assert_eq!(run.live.len(), 10);
         // The death went through SWIM's suspicion machinery, not a
         // silent drop.
-        assert!(run.metrics.counter_total("swim", "suspicions_raised") > 0);
-        assert!(run.metrics.counter_total("swim", "deaths_declared") > 0);
+        assert!(run.metrics.counter_total("events", "suspicion-armed") > 0);
+        assert!(run.metrics.counter_total("events", "death-declared") > 0);
     }
 
     #[test]
@@ -859,8 +859,8 @@ mod tests {
         assert_eq!(run.protocol, Protocol::TampRapid);
         assert!(run.passed(), "{}", run.report());
         // The removal was an aggregated cut, not a lone-observer timeout.
-        assert!(run.metrics.counter_total("membership", "cut_reports") >= 2);
-        assert!(run.metrics.counter_total("membership", "cut_batches") > 0);
+        assert!(run.metrics.counter_total("events", "cut-report") >= 2);
+        assert!(run.metrics.counter_total("events", "cut-batch") > 0);
     }
 
     #[test]
@@ -889,7 +889,7 @@ mod tests {
         let run = run_scenario(&cfg, &schedule);
         assert!(run.passed(), "{}", run.report());
         assert_eq!(
-            run.metrics.counter_total("membership", "deaths_declared"),
+            run.metrics.counter_total("events", "death-declared"),
             0,
             "a one-way cut must not kill anyone under cut detection"
         );

@@ -11,6 +11,7 @@
 use crate::common::{churn_then_kill, figure_cluster, paper_topology};
 use crate::grid::{product, Column, Experiment, Verdict};
 use tamp_chaos::{Detection, Protocol};
+use tamp_netsim::telemetry::REFUTATION_KINDS;
 use tamp_netsim::{EngineConfig, LossModel, SECS};
 
 /// One (protocol, loss-rate) cell.
@@ -22,10 +23,10 @@ pub struct BaselineCell {
     /// Removal observations before anyone actually died — every one a
     /// false positive.
     pub false_removals: usize,
-    /// Cluster-wide `suspicions_refuted` counter (0 for protocols
-    /// without a refutation path).
+    /// Cluster-wide refutation events (`REFUTATION_KINDS`; 0 for
+    /// protocols without a refutation path).
     pub refutations: usize,
-    /// Cluster-wide `deaths_declared` counter at the end of the run.
+    /// Cluster-wide `death-declared` events at the end of the run.
     pub deaths_declared: u64,
     /// The kill's detection probe (complete protocols: n−1 observers).
     pub probe: Detection,
@@ -44,14 +45,14 @@ pub fn measure(protocol: Protocol, n: usize, rate: f64, seed: u64) -> BaselineCe
     // starts; give every protocol the same generous window.
     let churn = churn_then_kill(&mut c, 60 * SECS);
     let snap = c.engine.registry().snapshot();
-    let ns = protocol.counter_namespace();
+    let ev = |kind: &str| snap.counter_total("events", kind);
     BaselineCell {
         protocol,
         loss_pct: rate * 100.0,
         accuracy: churn.accuracy,
         false_removals: churn.false_removals,
-        refutations: snap.counter_total(ns, "suspicions_refuted") as usize,
-        deaths_declared: snap.counter_total(ns, "deaths_declared"),
+        refutations: REFUTATION_KINDS.iter().map(|k| ev(k)).sum::<u64>() as usize,
+        deaths_declared: ev("death-declared"),
         probe: churn.probe,
     }
 }

@@ -2,6 +2,7 @@
 
 use tamp_chaos::{build_cluster, dsl, Cluster, Detection, Protocol, Schedule};
 use tamp_membership::MembershipConfig;
+use tamp_netsim::telemetry::REMOVAL_KINDS;
 use tamp_netsim::{
     Engine, EngineConfig, ObservationKind, ShardingKind, SimTime, TraceConfig, SECS,
 };
@@ -85,6 +86,25 @@ pub fn read_scenario(path: &str) -> Schedule {
         eprintln!("tamp-exp: {e}");
         std::process::exit(2);
     })
+}
+
+/// The protocol-event kinds of the removal chain, suspicion to removal:
+/// traced beside the control traffic, they show who removed a node and
+/// on what evidence.
+pub fn removal_chain() -> impl Iterator<Item = &'static str> {
+    [
+        "suspicion-armed",
+        "suspicion-refuted",
+        "suspicion-confirmed",
+        "subtree-quarantined",
+        "quarantine-suspected",
+        "quarantine-lifted",
+        "quarantine-cleared",
+        "cut-report",
+        "cut-batch",
+    ]
+    .into_iter()
+    .chain(REMOVAL_KINDS)
 }
 
 /// Trace configuration used whenever a subcommand wants the fault

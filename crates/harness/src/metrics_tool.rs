@@ -9,27 +9,27 @@
 //! metric dump land under `results/telemetry/` — both byte-identical
 //! across same-seed runs, so tests and CI diff them directly.
 
-use crate::common::{figure_cluster, paper_topology, view_accuracy, FIGURE_ORDER, SETTLE};
+use crate::common::{
+    figure_cluster, paper_topology, removal_chain, view_accuracy, FIGURE_ORDER, SETTLE,
+};
 use tamp_chaos::{Cluster, Protocol};
 use tamp_netsim::telemetry::{
     events_to_jsonl, snapshot_to_csv, summary_table, EventRecord, MetricsSnapshot, CLUSTER,
+    REFUTATION_KINDS,
 };
 use tamp_netsim::{EngineConfig, TraceConfig, MILLIS, SECS};
 use tamp_topology::HostId;
 use tamp_wire::NodeId;
 
-/// Message kinds worth keeping in the exported event trace (heartbeats
-/// dominate the packet stream and would flush everything else out of
-/// the ring buffer).
+/// Message and event kinds worth keeping in the exported event trace,
+/// besides the removal chain (heartbeats dominate the packet stream and
+/// would flush everything else out of the ring buffer).
 const TRACED_KINDS: &[&str] = &[
     "update",
     "sync-req",
     "sync-resp",
     "election",
     "digest",
-    "suspicion-armed",
-    "suspicion-refuted",
-    "suspicion-confirmed",
     "election-round",
     "leadership-claimed",
 ];
@@ -62,14 +62,18 @@ impl MetricsRun {
 }
 
 /// The engine configuration `collect` runs under: metrics on, event
-/// trace on with the control-plane kinds.
+/// trace on with the control-plane kinds and the removal chain.
 pub fn instrumented_config() -> EngineConfig {
     EngineConfig {
         metrics: true,
         trace: TraceConfig {
             enabled: true,
             capacity: 200_000,
-            kinds: TRACED_KINDS.to_vec(),
+            kinds: TRACED_KINDS
+                .iter()
+                .copied()
+                .chain(removal_chain())
+                .collect(),
             ..Default::default()
         },
         ..Default::default()
@@ -219,12 +223,12 @@ fn render_dashboard(
     }
     out.push_str(&lat.render());
 
-    let mem = |name: &str| snap.counter_total("membership", name);
+    let ev = |kind: &str| snap.counter_total("events", kind);
     out.push_str(&format!(
         "\nsuspicions: raised {} / refuted {} (false positives) / confirmed {}\n",
-        mem("suspicions_raised"),
-        mem("suspicions_refuted"),
-        mem("suspicions_confirmed"),
+        ev("suspicion-armed"),
+        ev("suspicion-refuted"),
+        ev("suspicion-confirmed"),
     ));
     out.push_str(&format!(
         "drops: loss {} / dead-host {} / partition {} / gray {} / unroutable {}\n",
@@ -239,8 +243,8 @@ fn render_dashboard(
 
 /// Per-protocol counter comparison: one small instrumented cluster per
 /// protocol, a kill at steady state, and the shared suspicion/removal
-/// counter vocabulary read from each protocol's namespace. Stand-alone so
-/// the golden-pinned [`collect`] exports are untouched.
+/// event counters. Stand-alone so the golden-pinned [`collect`] exports
+/// are untouched.
 pub fn protocol_comparison(n: usize, seed: u64) -> String {
     let mut t = crate::report::Table::new(
         format!("protocol comparison (n={n}, one kill at steady state)"),
@@ -266,13 +270,14 @@ pub fn protocol_comparison(n: usize, seed: u64) -> String {
         c.engine.run_until(SETTLE);
         let detect = c.kill_and_measure(HostId(n as u32 - 1), 60 * SECS).detect_s;
         let snap = c.engine.registry().snapshot();
-        let ns = protocol.counter_namespace();
+        let ev = |kind: &str| snap.counter_total("events", kind);
+        let refuted: u64 = REFUTATION_KINDS.iter().map(|k| ev(k)).sum();
         t.row(vec![
             protocol.name().to_string(),
-            snap.counter_total(ns, "deaths_declared").to_string(),
-            snap.counter_total(ns, "suspicions_raised").to_string(),
-            snap.counter_total(ns, "suspicions_refuted").to_string(),
-            snap.counter_total(ns, "suspicions_confirmed").to_string(),
+            ev("death-declared").to_string(),
+            ev("suspicion-armed").to_string(),
+            refuted.to_string(),
+            ev("suspicion-confirmed").to_string(),
             format!("{detect:.2}"),
         ]);
     }

@@ -1,27 +1,35 @@
 //! `tamp-exp trace` — render an annotated timeline of one failure
 //! detection: a small cluster runs, one node dies, and every update /
-//! sync / election packet around the event is shown.
+//! sync / election packet around the event is shown, with the removal
+//! chain's events: who suspected the node, who removed it and on what
+//! evidence.
 
-use tamp_chaos::{build_cluster, Protocol};
+use crate::common::removal_chain;
+use tamp_chaos::{build_cluster, Cluster, Protocol};
 use tamp_membership::MembershipConfig;
 use tamp_netsim::{EngineConfig, TraceConfig, TraceEvent, TraceLog, TraceRecord, SECS};
 use tamp_topology::{generators, HostId};
 
-pub fn run(seed: u64) {
+/// The timeline's cluster: 2 racks × 3 nodes, traced but for the
+/// heartbeats, run to t = 20 s.
+fn settled_cluster(seed: u64) -> Cluster {
     let topo = generators::star_of_segments(2, 3);
     let cfg = EngineConfig {
         trace: TraceConfig {
             enabled: true,
             capacity: 200_000,
             // Heartbeats dominate; show the interesting traffic.
-            kinds: vec![
+            kinds: [
                 "update",
                 "sync-req",
                 "sync-resp",
                 "election",
                 "dir-exchange",
                 "digest",
-            ],
+            ]
+            .into_iter()
+            .chain(removal_chain())
+            .collect(),
             ..Default::default()
         },
         ..Default::default()
@@ -29,6 +37,11 @@ pub fn run(seed: u64) {
     let membership = MembershipConfig::default();
     let mut c = build_cluster(topo, cfg, seed, Protocol::Tamp, &membership, |_| Vec::new());
     c.engine.run_until(20 * SECS);
+    c
+}
+
+pub fn run(seed: u64) {
+    let mut c = settled_cluster(seed);
 
     println!("2 racks × 3 nodes; killing n5 at t=20 s\n");
     let detect = c.kill_and_measure(HostId(5), 10 * SECS).detect_s;
@@ -46,7 +59,7 @@ pub fn run(seed: u64) {
         }
     }
     println!(
-        "\n{} control packets traced in total ({} retained).",
+        "\n{} control packets and removal-chain events traced in total ({} retained).",
         log.total_recorded(),
         log.len()
     );
@@ -89,6 +102,7 @@ pub fn print_chaos_trace(trace: &[TraceRecord]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tamp_netsim::telemetry::Value;
 
     #[test]
     fn trace_captures_detection_traffic() {
@@ -121,5 +135,37 @@ mod tests {
         }
         assert!(saw_kill, "kill fault not traced");
         assert!(saw_update_after_kill, "death updates not traced");
+    }
+
+    #[test]
+    fn the_timeline_names_who_removed_the_victim_and_why() {
+        let mut c = settled_cluster(1);
+        c.kill_and_measure(HostId(5), 10 * SECS);
+        let removals: Vec<String> = c
+            .engine
+            .trace_log()
+            .records()
+            .filter_map(|r| match r.event {
+                TraceEvent::Protocol { node, event } => match event.fields()[..] {
+                    [("subject", Value::Node(5)), _, ("evidence", Value::Word(why)), ..] => {
+                        Some(format!("{node} {} {why}", event.name()))
+                    }
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        // Every survivor removed n5: its rack-mates on their own
+        // detectors, the other rack on a relayed `Leave`.
+        assert_eq!(
+            removals,
+            [
+                "h3 death-declared detector",
+                "h4 death-declared detector",
+                "h0 removed-leave leave",
+                "h2 removed-leave leave",
+                "h1 removed-leave leave",
+            ],
+        );
     }
 }

@@ -88,7 +88,6 @@ impl MembershipNode {
 
     fn become_leader(&mut self, ctx: &mut Context, level: u8) {
         let salt = ctx.rand_below(u64::MAX);
-        ctx.count("membership", "leaderships_claimed", 1);
         ctx.emit(ProtocolEvent::LeadershipClaimed { level });
         let g = self.groups[level as usize].as_mut().unwrap();
         // An initial claim (no predecessor known on this channel) on a
@@ -155,7 +154,6 @@ impl MembershipNode {
                     g.election = Election::Candidate {
                         deadline: now + self.cfg.election_timeout,
                     };
-                    ctx.count("membership", "elections_started", 1);
                     ctx.emit(ProtocolEvent::ElectionRound { level });
                     let candidacy = ElectionMsg::Election { from: me, level };
                     self.multicast(ctx, level, Message::Election(candidacy));

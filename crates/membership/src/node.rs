@@ -444,7 +444,10 @@ impl MembershipNode {
             (applied.changed(), (applied, was_known))
         });
         if applied.changed() && !was_known {
-            ctx.observe_added(record.node());
+            ctx.emit(ProtocolEvent::MemberAdded {
+                subject: record.node().0,
+                incarnation: record.incarnation(),
+            });
         }
         applied.changed()
     }
@@ -536,7 +539,6 @@ impl MembershipNode {
         let n_events = window.len() as u32;
         let msg = self.update_msg(window);
         for l in levels {
-            ctx.count("membership", "updates_sent", 1);
             ctx.emit(ProtocolEvent::UpdateRelayed {
                 level: l,
                 events: n_events,
@@ -569,7 +571,6 @@ impl MembershipNode {
                 continue;
             }
             let msg = self.next_heartbeat(l);
-            ctx.count("membership", "heartbeats_sent", 1);
             ctx.emit(ProtocolEvent::HeartbeatSent { level: l });
             self.multicast(ctx, l, msg);
         }
@@ -1030,6 +1031,38 @@ pub(crate) mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// The protocol events among `effects` whose kind is one of
+    /// `kinds`, in emission order.
+    pub(crate) fn emitted(effects: &[tamp_netsim::Effect], kinds: &[&str]) -> Vec<ProtocolEvent> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                tamp_netsim::Effect::Emit(ev) if kinds.contains(&ev.name()) => Some(*ev),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `events` as an update multicast by [`LEADER`] into level 0.
+    pub(crate) fn update(
+        node: &mut MembershipNode,
+        now: u64,
+        first_seq: u64,
+        events: Vec<tamp_wire::MemberEvent>,
+    ) -> Vec<tamp_netsim::Effect> {
+        let events = events
+            .into_iter()
+            .zip(first_seq..)
+            .map(|(event, seq)| tamp_wire::SeqEvent { seq, event })
+            .collect();
+        let msg = Message::Update(tamp_wire::UpdateMsg {
+            origin: LEADER,
+            events,
+        });
+        let meta = from_leader(Some(ChannelId(0)));
+        drive(node, now, |n, ctx| n.on_packet(ctx, meta, &msg))
     }
 
     pub(crate) const LEADER: NodeId = NodeId(3);

@@ -22,6 +22,7 @@ use crate::node::{MembershipNode, OnTimeout};
 use crate::quarantine::Settled;
 use std::collections::HashSet;
 use tamp_directory::Provenance;
+use tamp_netsim::telemetry::{Cause, Declared};
 use tamp_netsim::{Context, ProtocolEvent};
 use tamp_wire::{MemberEvent, NodeId, NodeRecord};
 
@@ -29,7 +30,8 @@ impl MembershipNode {
     // ------------------------------------------------ cross-book rules
 
     /// Arm a suspicion of `subject` (if the evidence book takes it) and
-    /// make it visible: counter, event, oracle observation.
+    /// make it visible: one event, which is also the oracle's
+    /// observation.
     pub(crate) fn arm(
         &mut self,
         ctx: &mut Context,
@@ -41,9 +43,7 @@ impl MembershipNode {
         if !self.evidence.arm(subject, inc, level, ctx.now(), by) {
             return false;
         }
-        ctx.count("membership", "suspicions_raised", 1);
         ctx.emit(ProtocolEvent::SuspicionArmed { subject: subject.0 });
-        ctx.observe_suspected(subject);
         true
     }
 
@@ -69,9 +69,7 @@ impl MembershipNode {
         if refuted.decisive {
             self.cuts.forget(node);
         }
-        ctx.count("membership", "suspicions_refuted", 1);
         ctx.emit(ProtocolEvent::SuspicionRefuted { subject: node.0 });
-        ctx.observe_refuted(node);
         true
     }
 
@@ -86,11 +84,10 @@ impl MembershipNode {
     }
 
     /// An unrefuted suspicion (or a stable cut) becomes a removal.
-    fn confirm(&mut self, ctx: &mut Context, peer: NodeId, level: u8) {
+    fn confirm(&mut self, ctx: &mut Context, peer: NodeId, level: u8, evidence: Declared) {
         self.evidence.close(peer);
-        ctx.count("membership", "suspicions_confirmed", 1);
         ctx.emit(ProtocolEvent::SuspicionConfirmed { subject: peer.0 });
-        self.declare_peer_dead(ctx, peer, level);
+        self.declare_peer_dead(ctx, peer, level, evidence);
     }
 
     /// Record one cut-detection vote; returns whether it was new (worth
@@ -107,7 +104,11 @@ impl MembershipNode {
         if !self.cuts.record(vote, reporter, ctx.now()) {
             return false;
         }
-        ctx.count("membership", "cut_reports", 1);
+        ctx.emit(ProtocolEvent::CutReport {
+            subject: vote.subject.0,
+            incarnation: vote.incarnation,
+            reporter: reporter.0,
+        });
         self.arm(
             ctx,
             vote.subject,
@@ -135,7 +136,7 @@ impl MembershipNode {
         // catch-all eligible, so re-arm the throttled scan.
         self.next_catchall = 0;
         match self.on_timeout {
-            OnTimeout::Remove => self.declare_peer_dead(ctx, peer, level),
+            OnTimeout::Remove => self.declare_peer_dead(ctx, peer, level, Declared::Detector),
             OnTimeout::Suspect => self.raise_suspicion(ctx, peer, level),
             OnTimeout::Vote => self.report_cut(ctx, peer, level),
         }
@@ -198,24 +199,34 @@ impl MembershipNode {
 
     /// Confirmed death of `peer` (suspicion window expired unrefuted, a
     /// stable cut, or the suspicion layer is disabled): remove it, and
-    /// deal with the subtree it may have been relaying.
-    fn declare_peer_dead(&mut self, ctx: &mut Context, peer: NodeId, level: u8) {
-        ctx.count("membership", "deaths_declared", 1);
-
+    /// deal with the subtree it may have been relaying. The death is
+    /// recorded whether or not the directory still held `peer`.
+    fn declare_peer_dead(
+        &mut self,
+        ctx: &mut Context,
+        peer: NodeId,
+        level: u8,
+        evidence: Declared,
+    ) {
         let now = ctx.now();
         let mut events: Vec<MemberEvent> = Vec::new();
 
         // Direct death: remove from the directory.
         let inc = self.directory.read(|d| d.get(peer).map(|e| e.incarnation));
-        if let Some(inc) = inc {
-            let applied = self.directory.update(|d| {
-                let a = d.apply_leave(peer, inc, now);
-                (a.changed(), a)
-            });
-            if applied.changed() {
-                ctx.observe_removed(peer);
-                events.push(MemberEvent::Leave(peer, inc));
-            }
+        let removed = inc.is_some_and(|inc| {
+            self.directory.update(|d| {
+                let changed = d.apply_leave(peer, inc, now).changed();
+                (changed, changed)
+            })
+        });
+        ctx.emit(ProtocolEvent::DeathDeclared {
+            subject: peer.0,
+            incarnation: inc.unwrap_or(0),
+            evidence,
+            removed,
+        });
+        if let (true, Some(inc)) = (removed, inc) {
+            events.push(MemberEvent::Leave(peer, inc));
         }
 
         // Timeout protocol: a dead node detected at level > 0 used to
@@ -229,7 +240,12 @@ impl MembershipNode {
                 self.quarantine_subtree(ctx, peer);
             } else {
                 for r in self.purge_relayed_by(peer) {
-                    ctx.observe_removed(r.node);
+                    ctx.emit(ProtocolEvent::Removed {
+                        subject: r.node.0,
+                        incarnation: r.incarnation,
+                        cause: Cause::Relayer,
+                        source: Some(peer.0),
+                    });
                     events.push(MemberEvent::Leave(r.node, r.incarnation));
                     self.seqs.forget(r.node);
                 }
@@ -262,10 +278,17 @@ impl MembershipNode {
         if members.is_empty() {
             return;
         }
-        ctx.count("membership", "subtrees_quarantined", 1);
+        ctx.emit(ProtocolEvent::SubtreeQuarantined {
+            relayer: relayer.0,
+            members: members.len() as u32,
+        });
         let mut events = Vec::with_capacity(members.len());
         for &(m, inc) in &members {
-            ctx.observe_suspected(m);
+            ctx.emit(ProtocolEvent::QuarantineSuspected {
+                subject: m.0,
+                incarnation: inc,
+                relayer: relayer.0,
+            });
             events.push(MemberEvent::Suspect(m, inc));
         }
         self.quarantine.escrow(
@@ -298,7 +321,7 @@ impl MembershipNode {
                 Some(inc) if self.heard_anywhere(peer) || inc > incarnation => {
                     self.refute(ctx, peer, inc.max(incarnation), true);
                 }
-                Some(_) => self.confirm(ctx, peer, level),
+                Some(_) => self.confirm(ctx, peer, level, Declared::Detector),
             }
         }
     }
@@ -341,10 +364,12 @@ impl MembershipNode {
         if ready.is_empty() {
             return;
         }
-        ctx.count("membership", "cut_batches", 1);
+        ctx.emit(ProtocolEvent::CutBatch {
+            subjects: ready.len() as u32,
+        });
         for (n, level) in ready {
             self.cuts.forget(n);
-            self.confirm(ctx, n, level);
+            self.confirm(ctx, n, level, Declared::Cut);
         }
     }
 
@@ -361,7 +386,10 @@ impl MembershipNode {
             let (members, purged) = match self.quarantine.settle(relayer, back, now) {
                 None => continue,
                 Some(Settled::Lifted(members)) => {
-                    ctx.count("membership", "quarantines_lifted", 1);
+                    ctx.emit(ProtocolEvent::QuarantineLifted {
+                        relayer: relayer.0,
+                        members: members.len() as u32,
+                    });
                     (members, Vec::new())
                 }
                 Some(Settled::Expired(members)) => (members, self.purge_relayed_by(relayer)),
@@ -369,15 +397,23 @@ impl MembershipNode {
             let purged_ids: HashSet<NodeId> = purged.iter().map(|r| r.node).collect();
             let mut events = Vec::new();
             for r in &purged {
-                ctx.count("membership", "quarantine_purged", 1);
-                ctx.observe_removed(r.node);
+                ctx.emit(ProtocolEvent::Removed {
+                    subject: r.node.0,
+                    incarnation: r.incarnation,
+                    cause: Cause::Quarantine,
+                    source: Some(relayer.0),
+                });
                 events.push(MemberEvent::Leave(r.node, r.incarnation));
                 self.seqs.forget(r.node);
                 self.evidence.close(r.node);
             }
             for m in members {
                 if !purged_ids.contains(&m) && self.directory.read(|d| d.contains(m)) {
-                    ctx.observe_refuted(m); // never orphaned, or re-vouched
+                    // Never orphaned, or re-vouched.
+                    ctx.emit(ProtocolEvent::QuarantineCleared {
+                        subject: m.0,
+                        relayer: relayer.0,
+                    });
                 }
             }
             let levels = self.relay_levels_all();
@@ -432,7 +468,12 @@ impl MembershipNode {
             .max(now.saturating_add(self.cfg.sweep_period));
         let mut events = Vec::new();
         for r in removed {
-            ctx.observe_removed(r.node);
+            ctx.emit(ProtocolEvent::Removed {
+                subject: r.node.0,
+                incarnation: r.incarnation,
+                cause: Cause::Expiry,
+                source: None,
+            });
             events.push(MemberEvent::Leave(r.node, r.incarnation));
         }
         let levels = self.relay_levels(u8::MAX); // lateral only: groups we lead
@@ -445,27 +486,134 @@ mod tests {
     use super::*;
     use crate::config::{MembershipConfig, RemovalDiscipline};
     use crate::node::tests::{
-        drive, from_leader, hear, sync_response, synced_node, synced_node_with, LEADER,
+        drive, emitted, from_leader, hear, sync_response, synced_node, synced_node_with, update,
+        LEADER,
     };
-    use tamp_netsim::{Actor, ChannelId};
+    use tamp_netsim::telemetry::REMOVAL_KINDS;
+    use tamp_netsim::Actor;
     use tamp_topology::SECS;
-    use tamp_wire::{Message, SeqEvent, SyncResponse, UpdateMsg};
+    use tamp_wire::{Message, SyncResponse};
 
     const DEAD: NodeId = NodeId(8);
 
-    /// `events` as an update multicast by [`LEADER`] into level 0.
-    fn update(node: &mut MembershipNode, now: u64, first_seq: u64, events: Vec<MemberEvent>) {
-        let events = events
-            .into_iter()
-            .zip(first_seq..)
-            .map(|(event, seq)| SeqEvent { seq, event })
-            .collect();
-        let msg = Message::Update(UpdateMsg {
-            origin: LEADER,
-            events,
+    /// What `synced_node` holds on [`LEADER`]'s word.
+    const RELAYED: [u32; 6] = [1, 2, 4, 6, 7, 8];
+
+    fn removed(subject: u32, cause: Cause, source: Option<NodeId>) -> ProtocolEvent {
+        ProtocolEvent::Removed {
+            subject,
+            incarnation: 1,
+            cause,
+            source: source.map(|n| n.0),
+        }
+    }
+
+    fn death(subject: NodeId, evidence: Declared) -> ProtocolEvent {
+        ProtocolEvent::DeathDeclared {
+            subject: subject.0,
+            incarnation: 1,
+            evidence,
+            removed: true,
+        }
+    }
+
+    #[test]
+    fn an_unrefuted_suspicion_is_a_death_on_own_evidence() {
+        let mut node = synced_node();
+        drive(&mut node, 10 * SECS, |n, ctx| {
+            n.handle_peer_timeout(ctx, DEAD, 0)
         });
-        let meta = from_leader(Some(ChannelId(0)));
-        drive(node, now, |n, ctx| n.on_packet(ctx, meta, &msg));
+        let fx = drive(&mut node, 15 * SECS, |n, ctx| n.process_suspicions(ctx));
+        assert_eq!(
+            emitted(&fx, &REMOVAL_KINDS),
+            [death(DEAD, Declared::Detector)]
+        );
+        // A second word on a death the directory no longer holds is
+        // still a declaration, and no removal.
+        let fx = drive(&mut node, 16 * SECS, |n, ctx| {
+            n.declare_peer_dead(ctx, DEAD, 0, Declared::Detector)
+        });
+        let again = ProtocolEvent::DeathDeclared {
+            subject: DEAD.0,
+            incarnation: 0,
+            evidence: Declared::Detector,
+            removed: false,
+        };
+        assert_eq!(emitted(&fx, &REMOVAL_KINDS), [again]);
+    }
+
+    #[test]
+    fn a_stable_cut_is_a_death_on_the_cut_batch() {
+        let mut node = synced_node_with(MembershipConfig {
+            removal_discipline: RemovalDiscipline::CutDetection,
+            ..MembershipConfig::default()
+        });
+        let fx = update(&mut node, SECS, 1, vec![alert(3), alert(4)]);
+        let report = |reporter| ProtocolEvent::CutReport {
+            subject: DEAD.0,
+            incarnation: 1,
+            reporter,
+        };
+        assert_eq!(emitted(&fx, &["cut-report"]), [report(3), report(4)]);
+        let fx = drive(&mut node, 3 * SECS, |n, ctx| n.process_cuts(ctx));
+        assert_eq!(
+            emitted(&fx, &["cut-batch", "death-declared"]),
+            [
+                ProtocolEvent::CutBatch { subjects: 1 },
+                death(DEAD, Declared::Cut)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_dead_relayer_without_quarantine_takes_its_subtree_with_it() {
+        let mut node = synced_node_with(MembershipConfig {
+            quarantine_window: 0,
+            ..MembershipConfig::default()
+        });
+        let fx = drive(&mut node, 10 * SECS, |n, ctx| {
+            n.declare_peer_dead(ctx, LEADER, 1, Declared::Detector)
+        });
+        let mut want = vec![death(LEADER, Declared::Detector)];
+        want.extend(RELAYED.map(|m| removed(m, Cause::Relayer, Some(LEADER))));
+        assert_eq!(emitted(&fx, &REMOVAL_KINDS), want);
+        assert!(holds(&node, &[5]));
+    }
+
+    #[test]
+    fn an_expired_quarantine_removes_on_the_relayers_account() {
+        let mut node = synced_node();
+        let window = node.cfg.quarantine_window;
+        let fx = drive(&mut node, 10 * SECS, |n, ctx| {
+            n.declare_peer_dead(ctx, LEADER, 1, Declared::Detector)
+        });
+        let doubted = RELAYED.map(|m| ProtocolEvent::QuarantineSuspected {
+            subject: m,
+            incarnation: 1,
+            relayer: LEADER.0,
+        });
+        assert_eq!(emitted(&fx, &["quarantine-suspected"]), doubted);
+        let fx = drive(&mut node, 10 * SECS + window, |n, ctx| {
+            n.process_quarantines(ctx)
+        });
+        let want = RELAYED.map(|m| removed(m, Cause::Quarantine, Some(LEADER)));
+        assert_eq!(emitted(&fx, &REMOVAL_KINDS), want);
+    }
+
+    #[test]
+    fn an_entry_nobody_re_vouches_for_expires() {
+        let mut node = synced_node();
+        let rot = 6 * node.cfg.anti_entropy_period;
+        let fx = drive(&mut node, 1 + rot, |n, ctx| n.expire_uncovered(ctx));
+        // LEADER's own entry is direct and outside any group: it rots on
+        // the catch-all's shorter clock, before its subtree does.
+        let mut want = vec![removed(LEADER.0, Cause::Expiry, None)];
+        want.extend(RELAYED.map(|m| removed(m, Cause::Expiry, None)));
+        want.sort_by_key(|e| match e {
+            ProtocolEvent::Removed { subject, .. } => *subject,
+            _ => unreachable!(),
+        });
+        assert_eq!(emitted(&fx, &REMOVAL_KINDS), want);
     }
 
     fn alert(reporter: u32) -> MemberEvent {
@@ -521,7 +669,7 @@ mod tests {
         let mut node = synced_node();
         let window = node.cfg.quarantine_window;
         drive(&mut node, 10 * SECS, |n, ctx| {
-            n.declare_peer_dead(ctx, LEADER, 1)
+            n.declare_peer_dead(ctx, LEADER, 1, Declared::Detector)
         });
         assert!(holds(&node, &[1, 2, 4, 5, 6, 7, 8]), "held in escrow");
         // A successor re-vouches for 6 and 7 (and itself).
@@ -556,7 +704,7 @@ mod tests {
     fn a_quarantine_lifts_untouched_when_the_relayer_is_back() {
         let mut node = synced_node();
         drive(&mut node, 10 * SECS, |n, ctx| {
-            n.declare_peer_dead(ctx, LEADER, 1)
+            n.declare_peer_dead(ctx, LEADER, 1, Declared::Detector)
         });
         // A fast restart: the tombstone yields to the next incarnation.
         let reborn = MemberEvent::Join(tamp_wire::NodeRecord::new(LEADER, 2));
@@ -571,7 +719,7 @@ mod tests {
         let mut node = synced_node();
         update(&mut node, SECS, 1, vec![alert(3)]);
         drive(&mut node, 2 * SECS, |n, ctx| {
-            n.declare_peer_dead(ctx, LEADER, 1);
+            n.declare_peer_dead(ctx, LEADER, 1, Declared::Detector);
             n.distress_stretch(ctx.now());
         });
         node.evidence.stretch(true, 2 * SECS);

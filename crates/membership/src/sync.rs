@@ -17,6 +17,7 @@
 
 use crate::node::MembershipNode;
 use tamp_directory::{Provenance, Reconcile};
+use tamp_netsim::telemetry::Cause;
 use tamp_netsim::{Context, PacketMeta, ProtocolEvent};
 use tamp_wire::{
     DigestEntry, DigestMsg, DirectoryExchange, MemberEvent, Message, NodeId, RecordSource,
@@ -36,7 +37,6 @@ impl MembershipNode {
             return;
         }
         self.sync_polls.insert(peer, now);
-        ctx.count("membership", "sync_polls_sent", 1);
         ctx.emit(ProtocolEvent::SyncPoll { peer: peer.0 });
         let since_seq = self.seqs.last_applied(peer).unwrap_or(0);
         ctx.send_unicast(
@@ -78,7 +78,7 @@ impl MembershipNode {
         let entries: Vec<DigestEntry> = self.own_digest_entries();
         for l in 0..self.groups.len() as u8 {
             if self.am_leader(l) {
-                ctx.count("membership", "digests_sent", 1);
+                ctx.emit(ProtocolEvent::DigestSent { level: l });
                 self.multicast(ctx, l, self.digest_msg(l, entries.clone()));
             }
         }
@@ -161,7 +161,12 @@ impl MembershipNode {
                     (r.is_some(), r)
                 });
                 if let Some(rec) = removed {
-                    ctx.observe_removed(n);
+                    ctx.emit(ProtocolEvent::Removed {
+                        subject: n.0,
+                        incarnation: rec.incarnation,
+                        cause: Cause::Orphan,
+                        source: Some(from.0),
+                    });
                     events.push(MemberEvent::Leave(n, rec.incarnation));
                 }
             }
@@ -219,7 +224,10 @@ impl MembershipNode {
                 );
                 if let Some(rec) = stored {
                     if !was_known {
-                        ctx.observe_added(node);
+                        ctx.emit(ProtocolEvent::MemberAdded {
+                            subject: node.0,
+                            incarnation: rr.incarnation(),
+                        });
                     }
                     fresh.push(MemberEvent::Join(rec));
                 }
@@ -280,12 +288,12 @@ impl MembershipNode {
         if q.since_seq < self.log.latest_seq() && self.log.can_backfill(q.since_seq, now) {
             let events = self.log.events_after(q.since_seq, now);
             if !events.is_empty() {
-                ctx.count("membership", "backfills_served", 1);
+                ctx.emit(ProtocolEvent::BackfillServed { peer: q.from.0 });
                 ctx.send_unicast(q.from, self.update_msg(events));
                 return;
             }
         }
-        ctx.count("membership", "full_syncs_served", 1);
+        ctx.emit(ProtocolEvent::FullSyncServed { peer: q.from.0 });
         let records = self.directory.read(|d| d.snapshot());
         ctx.send_unicast(
             q.from,
@@ -315,9 +323,40 @@ impl MembershipNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::tests::{drive, from_leader, sent, sync_response, synced_node, LEADER};
+    use crate::node::tests::{
+        drive, emitted, from_leader, sent, sync_response, synced_node, LEADER,
+    };
+    use tamp_netsim::telemetry::REMOVAL_KINDS;
     use tamp_netsim::{Actor, ChannelId};
+    use tamp_topology::SECS;
     use tamp_wire::NodeRecord;
+
+    #[test]
+    fn an_entry_the_leaders_digest_drops_is_an_orphan_of_that_leader() {
+        let mut node = synced_node();
+        // LEADER vouches for everything it relayed to us but node 8.
+        let entries = (1..=7)
+            .map(|i| DigestEntry {
+                node: NodeId(i),
+                incarnation: 1,
+            })
+            .collect();
+        let digest = Message::Digest(DigestMsg {
+            from: LEADER,
+            level: 0,
+            entries,
+        });
+        let fx = drive(&mut node, 10 * SECS, |n, ctx| {
+            n.on_packet(ctx, from_leader(Some(ChannelId(0))), &digest)
+        });
+        let want = ProtocolEvent::Removed {
+            subject: 8,
+            incarnation: 1,
+            cause: Cause::Orphan,
+            source: Some(LEADER.0),
+        };
+        assert_eq!(emitted(&fx, &REMOVAL_KINDS), [want]);
+    }
 
     #[test]
     fn a_sync_bumps_the_directory_version_once_or_not_at_all() {

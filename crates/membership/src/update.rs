@@ -11,7 +11,8 @@ use crate::cuts::Vote;
 use crate::evidence::Raiser;
 use crate::node::MembershipNode;
 use tamp_directory::Provenance;
-use tamp_netsim::{Context, PacketMeta};
+use tamp_netsim::telemetry::Cause;
+use tamp_netsim::{Context, PacketMeta, ProtocolEvent};
 use tamp_wire::{MemberEvent, NodeId, UpdateMsg};
 
 /// The subject and incarnation an event accuses, if it is an accusation.
@@ -95,11 +96,18 @@ impl MembershipNode {
                 effective.push(ev.clone());
             }
             if changed {
-                match ev {
-                    MemberEvent::Leave(..) => ctx.observe_removed(ev.subject()),
-                    MemberEvent::Join(_) | MemberEvent::Refute(_) if !was_known => {
-                        ctx.observe_added(ev.subject())
-                    }
+                match *ev {
+                    MemberEvent::Leave(n, incarnation) => ctx.emit(ProtocolEvent::Removed {
+                        subject: n.0,
+                        incarnation,
+                        cause: Cause::Leave,
+                        source: Some(relayer.0),
+                    }),
+                    MemberEvent::Join(ref r) | MemberEvent::Refute(ref r) if !was_known => ctx
+                        .emit(ProtocolEvent::MemberAdded {
+                            subject: r.node.0,
+                            incarnation: r.incarnation,
+                        }),
                     _ => {}
                 }
             }
@@ -263,5 +271,35 @@ impl MembershipNode {
     fn held_at_or_before(&self, n: NodeId, inc: u64) -> bool {
         let known_at = self.directory.read(|d| d.get(n).map(|e| e.incarnation));
         known_at.is_some_and(|k| k <= inc)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::node::tests::{emitted, synced_node, update, LEADER};
+    use tamp_netsim::telemetry::{Cause, REMOVAL_KINDS};
+    use tamp_netsim::ProtocolEvent;
+    use tamp_topology::SECS;
+    use tamp_wire::{MemberEvent, NodeId};
+
+    #[test]
+    fn a_relayed_leave_removes_on_the_relayers_word() {
+        let mut node = synced_node();
+        let fx = update(&mut node, SECS, 1, vec![MemberEvent::Leave(NodeId(8), 1)]);
+        let want = ProtocolEvent::Removed {
+            subject: 8,
+            incarnation: 1,
+            cause: Cause::Leave,
+            source: Some(LEADER.0),
+        };
+        assert_eq!(emitted(&fx, &REMOVAL_KINDS), [want]);
+        // The replay changes nothing and records nothing.
+        let fx = update(
+            &mut node,
+            SECS + 1,
+            1,
+            vec![MemberEvent::Leave(NodeId(8), 1)],
+        );
+        assert!(emitted(&fx, &REMOVAL_KINDS).is_empty());
     }
 }

@@ -493,18 +493,15 @@ fn protocol_counters_reflect_activity() {
     // Node 0 (segment leader + root): claimed leaderships, sent updates
     // and digests.
     let snap = c.engine.registry().snapshot();
-    let p0 = |name| snap.counter(0, "membership", name);
-    assert!(p0("leaderships_claimed") >= 2, "{snap:?}");
-    assert!(p0("updates_sent") > 0, "{snap:?}");
-    assert!(p0("digests_sent") > 0, "{snap:?}");
-    assert_eq!(p0("deaths_declared"), 0, "{snap:?}");
+    let p0 = |kind| snap.counter(0, "events", kind);
+    assert!(p0("leadership-claimed") >= 2, "{snap:?}");
+    assert!(p0("update-relayed") > 0, "{snap:?}");
+    assert!(p0("digest-sent") > 0, "{snap:?}");
+    assert_eq!(p0("death-declared"), 0, "{snap:?}");
 
     // Kill a node: survivors record the death.
     c.engine.schedule(40 * SECS, Control::Kill(HostId(9)));
     c.engine.run_until(60 * SECS);
     let snap = c.engine.registry().snapshot();
-    assert!(
-        snap.counter(5, "membership", "deaths_declared") >= 1,
-        "{snap:?}"
-    );
+    assert!(snap.counter(5, "events", "death-declared") >= 1, "{snap:?}");
 }

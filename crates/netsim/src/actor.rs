@@ -71,20 +71,16 @@ pub enum Effect {
     },
     Subscribe(ChannelId),
     Unsubscribe(ChannelId),
-    Observe(crate::stats::ObservationKind),
     /// Add `n` to the telemetry counter `(me, subsystem, name)`.
     Count {
         subsystem: &'static str,
         name: &'static str,
         n: u64,
     },
-    /// Record `value` into the telemetry histogram `(me, subsystem, name)`.
-    Record {
-        subsystem: &'static str,
-        name: &'static str,
-        value: u64,
-    },
-    /// Emit a typed protocol event into the telemetry event log.
+    /// Record one protocol fact. The driver derives everything else
+    /// from it: the counter `events/<kind>`, the trace record, the
+    /// observation ([`crate::ObservationKind::of`]) and the event's
+    /// histogram sample ([`tamp_telemetry::ProtocolEvent::histogram`]).
     Emit(tamp_telemetry::ProtocolEvent),
 }
 
@@ -164,60 +160,18 @@ impl<'a> Context<'a> {
         self.effects.push(Effect::Unsubscribe(channel));
     }
 
-    /// Record that this host's directory gained a member — consumed by
-    /// the experiment harness to compute view-convergence times.
-    pub fn observe_added(&mut self, member: NodeId) {
-        self.effects
-            .push(Effect::Observe(crate::stats::ObservationKind::Added(
-                member,
-            )));
-    }
-
-    /// Record that this host's directory lost a member — consumed by the
-    /// harness to compute failure-detection times.
-    pub fn observe_removed(&mut self, member: NodeId) {
-        self.effects
-            .push(Effect::Observe(crate::stats::ObservationKind::Removed(
-                member,
-            )));
-    }
-
-    /// Record that this host started suspecting `member` — consumed by
-    /// the chaos oracle's strict mode ("suspicion precedes removal").
-    pub fn observe_suspected(&mut self, member: NodeId) {
-        self.effects
-            .push(Effect::Observe(crate::stats::ObservationKind::Suspected(
-                member,
-            )));
-    }
-
-    /// Record that this host cleared a suspicion of `member` after proof
-    /// of life ("refutation always wins").
-    pub fn observe_refuted(&mut self, member: NodeId) {
-        self.effects
-            .push(Effect::Observe(crate::stats::ObservationKind::Refuted(
-                member,
-            )));
-    }
-
-    /// Add `n` to this host's telemetry counter `subsystem/name`.
-    /// No-op when the driver runs without a metrics registry.
+    /// Add `n` to this host's telemetry counter `subsystem/name`: a
+    /// tally that is no membership fact (the load generator's request
+    /// counts). Facts are [`Context::emit`]ted. No-op when the driver
+    /// runs without a metrics registry.
     pub fn count(&mut self, subsystem: &'static str, name: &'static str, n: u64) {
         self.effects.push(Effect::Count { subsystem, name, n });
     }
 
-    /// Record `value` into this host's telemetry histogram
-    /// `subsystem/name`.
-    pub fn record(&mut self, subsystem: &'static str, name: &'static str, value: u64) {
-        self.effects.push(Effect::Record {
-            subsystem,
-            name,
-            value,
-        });
-    }
-
-    /// Emit a typed protocol event (heartbeat sent, suspicion armed,
-    /// election round, …) into the driver's telemetry event log.
+    /// Record a protocol fact (heartbeat sent, suspicion armed, member
+    /// removed and why, …): the one recording call a protocol makes.
+    /// The driver counts it as `events/<kind>`, traces it, and turns
+    /// it into an observation where it is one.
     pub fn emit(&mut self, event: tamp_telemetry::ProtocolEvent) {
         self.effects.push(Effect::Emit(event));
     }

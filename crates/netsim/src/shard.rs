@@ -49,7 +49,7 @@ use crate::actor::{Actor, Context, Effect};
 use crate::engine::{Control, EngineConfig, HEADER_OVERHEAD, WIRE_TIME_PER_BYTE};
 use crate::packet::{ChannelId, Destination, PacketMeta};
 use crate::scheduler::{Scheduled, TimerWheel};
-use crate::stats::{Observation, Stats};
+use crate::stats::Stats;
 use crate::trace::{DropReason, TraceEvent, TraceLog};
 use crate::SimTime;
 use rand::rngs::StdRng;
@@ -656,21 +656,8 @@ impl Shard {
             }
             Effect::Subscribe(c) => self.fabric.subscribe(self.cur, host, c, true),
             Effect::Unsubscribe(c) => self.fabric.subscribe(self.cur, host, c, false),
-            Effect::Observe(kind) => {
-                let ob = Observation {
-                    time: self.clock,
-                    observer: host,
-                    kind,
-                };
-                self.ledger.observe(self.cur, ob);
-            }
             Effect::Count { subsystem, name, n } => self.ledger.count(host, subsystem, name, n),
-            Effect::Record {
-                subsystem,
-                name,
-                value,
-            } => self.ledger.record(host, subsystem, name, value),
-            Effect::Emit(event) => self.ledger.emit(self.cur, host, event),
+            Effect::Emit(event) => self.ledger.emit(self.cur, self.clock, host, event),
         }
     }
 

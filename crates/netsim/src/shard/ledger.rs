@@ -2,8 +2,10 @@
 //! send, a delivery, a drop — is recorded by one method, which updates
 //! [`Stats`], marks the host for the multi-shard delta drain, counts into
 //! the telemetry meters and writes the trace record, so the four views
-//! cannot disagree. Actor samples (`Effect::Count`, `Record`, `Emit`,
-//! `Observe`) and fault records land here too.
+//! cannot disagree. Protocol events are recorded the same way: one
+//! `Effect::Emit` is its `events/<kind>` counter, its histogram sample,
+//! its observation and its trace record. The load generator's tallies
+//! (`Effect::Count`) and fault records land here too.
 //!
 //! With one shard, records go straight to the stats and the trace log.
 //! With several they wait in a [`Pending`] with their [`Tag`] for the
@@ -14,8 +16,9 @@ use super::{Pkt, Tag};
 use crate::engine::{Control, EngineConfig, CPU_PER_BYTE, CPU_PER_PACKET};
 use crate::hash::IntMap;
 use crate::packet::ChannelId;
-use crate::stats::{Observation, Stats};
+use crate::stats::{Observation, ObservationKind, Stats};
 use crate::trace::{DropReason, ProtocolEvent, TraceConfig, TraceEvent, TraceLog};
+use crate::SimTime;
 use std::collections::BTreeMap;
 use tamp_telemetry::{Counter, Histogram, Registry, CLUSTER};
 use tamp_topology::HostId;
@@ -52,8 +55,8 @@ struct NetMeters {
     drop_unroutable: Counter,
     /// Send→deliver latency in ns, cluster-wide.
     delivery_ns: Histogram,
-    /// Handles for the actors' own samples (`Effect::Count` / `Emit`
-    /// and `Effect::Record`), by `(host, subsystem, name)`: fetched
+    /// Handles for the actors' own samples (`Effect::Count` and what
+    /// `Effect::Emit` derives), by `(host, subsystem, name)`: fetched
     /// from the registry — a `String` key, its lock, a map walk — the
     /// first time a host reports a metric, not on every sample.
     actor_counters: IntMap<ActorMetric, Counter>,
@@ -176,7 +179,7 @@ impl Ledger {
     }
 
     #[inline]
-    pub(super) fn observe(&mut self, at: Tag, ob: Observation) {
+    fn observe(&mut self, at: Tag, ob: Observation) {
         match &mut self.pending {
             Some(p) => p.obs.push((at, ob)),
             None => self.stats.observe(ob),
@@ -321,13 +324,7 @@ impl Ledger {
     }
 
     #[inline]
-    pub(super) fn record(
-        &mut self,
-        host: HostId,
-        subsystem: &'static str,
-        name: &'static str,
-        value: u64,
-    ) {
+    fn record(&mut self, host: HostId, subsystem: &'static str, name: &'static str, value: u64) {
         if let Some(m) = &mut self.meters {
             m.actor_histograms
                 .entry((host.0, subsystem, name))
@@ -336,9 +333,22 @@ impl Ledger {
         }
     }
 
+    /// One protocol fact reported by `node` at `now`, and everything
+    /// derived from it.
     #[inline]
-    pub(super) fn emit(&mut self, at: Tag, node: HostId, event: ProtocolEvent) {
+    pub(super) fn emit(&mut self, at: Tag, now: SimTime, node: HostId, event: ProtocolEvent) {
         self.count(node, "events", event.name(), 1);
+        if let Some((subsystem, name, value)) = event.histogram() {
+            self.record(node, subsystem, name, value);
+        }
+        if let Some(kind) = ObservationKind::of(&event) {
+            let ob = Observation {
+                time: now,
+                observer: node,
+                kind,
+            };
+            self.observe(at, ob);
+        }
         self.trace(at, TraceEvent::Protocol { node, event });
     }
 }

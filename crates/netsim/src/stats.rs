@@ -2,6 +2,7 @@
 //! observations.
 
 use crate::SimTime;
+use tamp_telemetry::ProtocolEvent;
 use tamp_topology::HostId;
 use tamp_wire::{NodeId, KINDS};
 
@@ -36,6 +37,34 @@ pub enum ObservationKind {
     Suspected(NodeId),
     /// Observer cleared a suspicion of `member` after proof of life.
     Refuted(NodeId),
+}
+
+impl ObservationKind {
+    /// The observation a protocol event makes, if it is one: the
+    /// membership transitions (added, removed) and the suspicion
+    /// transitions (suspected, refuted) the harness and the chaos
+    /// oracle read. A death declaration is a removal only when it
+    /// changed the directory.
+    pub fn of(event: &ProtocolEvent) -> Option<Self> {
+        use ProtocolEvent as E;
+        let kind = match *event {
+            E::MemberAdded { subject, .. } => ObservationKind::Added(NodeId(subject)),
+            E::DeathDeclared {
+                subject,
+                removed: true,
+                ..
+            }
+            | E::Removed { subject, .. } => ObservationKind::Removed(NodeId(subject)),
+            E::SuspicionArmed { subject } | E::QuarantineSuspected { subject, .. } => {
+                ObservationKind::Suspected(NodeId(subject))
+            }
+            E::SuspicionRefuted { subject } | E::QuarantineCleared { subject, .. } => {
+                ObservationKind::Refuted(NodeId(subject))
+            }
+            _ => return None,
+        };
+        Some(kind)
+    }
 }
 
 /// A timestamped protocol observation by one host.

@@ -18,21 +18,34 @@ mod common;
 
 use common::fingerprint;
 use proptest::prelude::*;
+use tamp_netsim::telemetry::Histogram;
 use tamp_netsim::{
-    Actor, ChannelId, Context, Control, Engine, EngineConfig, LossModel, PacketMeta, ShardingKind,
-    TraceConfig, MILLIS, SECS,
+    Actor, ChannelId, Context, Control, Engine, EngineConfig, LossModel, PacketMeta, ProtocolEvent,
+    ShardingKind, TraceConfig, MILLIS, SECS,
 };
 use tamp_topology::{generators, sharding::plan_shards, HostId, SegmentId, Topology};
 use tamp_wire::{Message, NodeId, SyncRequest, SyncResponse};
 
 /// A busy little protocol: beacons a TTL-2 multicast every second
 /// (timer cadence jittered through the per-host RNG), unicasts a reply
-/// to every third beacon it hears, and reports membership observations
-/// and telemetry counters — so every output channel of the engine
-/// carries data the fingerprint can disagree about.
+/// to every third beacon it hears, and reports protocol events (which
+/// are membership observations), telemetry counters and a histogram of
+/// its own — so every output channel of the engine carries data the
+/// fingerprint can disagree about.
 struct Chatter {
     seq: u64,
     heard: u64,
+    ack_seq: Histogram,
+}
+
+impl Chatter {
+    fn new(eng: &Engine, h: HostId) -> Box<Self> {
+        Box::new(Chatter {
+            seq: 0,
+            heard: 0,
+            ack_seq: eng.registry().histogram(h.0, "diff", "ack_seq"),
+        })
+    }
 }
 
 impl Actor for Chatter {
@@ -58,11 +71,14 @@ impl Actor for Chatter {
                 }
             }
             Message::SyncResponse(rs) => {
-                ctx.record("diff", "ack_seq", rs.latest_seq);
+                self.ack_seq.record(rs.latest_seq);
                 if self.heard.is_multiple_of(5) {
-                    ctx.observe_added(rs.from);
+                    ctx.emit(ProtocolEvent::MemberAdded {
+                        subject: rs.from.0,
+                        incarnation: rs.latest_seq,
+                    });
                 } else if self.heard.is_multiple_of(7) {
-                    ctx.observe_suspected(rs.from);
+                    ctx.emit(ProtocolEvent::SuspicionArmed { subject: rs.from.0 });
                 }
             }
             _ => {}
@@ -103,7 +119,7 @@ fn run_scripted(topo: Topology, seed: u64, sharding: ShardingKind, jobs: usize) 
     let skewed = hs[hs.len() - 1];
     eng.control_now(Control::SetSkew(skewed, 150_000));
     for &h in &hs {
-        eng.add_actor(h, Box::new(Chatter { seq: 0, heard: 0 }));
+        eng.add_actor(h, Chatter::new(&eng, h));
     }
     eng.start();
     eng.schedule(4 * SECS + 500 * MILLIS, Control::Kill(victim));
@@ -175,7 +191,7 @@ fn wan_partition_matches_sequential() {
             let near_seg = topo.segment_of(groups[0][0]);
             let mut eng = Engine::new(topo, config(sharding, jobs), seed);
             for h in eng.hosts() {
-                eng.add_actor(h, Box::new(Chatter { seq: 0, heard: 0 }));
+                eng.add_actor(h, Chatter::new(&eng, h));
             }
             eng.start();
             eng.schedule(
@@ -208,7 +224,7 @@ fn single_segment_collapses_to_sequential() {
     let run = |sharding| {
         let mut eng = Engine::new(generators::single_segment(6), config(sharding, 4), 7);
         for h in eng.hosts() {
-            eng.add_actor(h, Box::new(Chatter { seq: 0, heard: 0 }));
+            eng.add_actor(h, Chatter::new(&eng, h));
         }
         eng.start();
         eng.run_until(10 * SECS);
@@ -232,7 +248,7 @@ fn fully_killed_shard_stays_in_lockstep() {
         let doomed: Vec<HostId> = topo.hosts_on(SegmentId(1)).to_vec();
         let mut eng = Engine::new(topo, config(sharding, jobs), 21);
         for h in eng.hosts() {
-            eng.add_actor(h, Box::new(Chatter { seq: 0, heard: 0 }));
+            eng.add_actor(h, Chatter::new(&eng, h));
         }
         eng.start();
         for &h in &doomed {
@@ -261,7 +277,7 @@ fn controls_at_epoch_boundaries_apply_once_everywhere() {
             5,
         );
         for h in eng.hosts() {
-            eng.add_actor(h, Box::new(Chatter { seq: 0, heard: 0 }));
+            eng.add_actor(h, Chatter::new(&eng, h));
         }
         eng.start();
         // Same-instant stack: ordering is fixed by the driver sequence.

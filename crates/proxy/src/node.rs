@@ -4,7 +4,7 @@
 use crate::view::{RemoteView, VipTable};
 use std::collections::HashMap;
 use tamp_membership::{Hosted, MembershipConfig, MembershipNode, Role};
-use tamp_netsim::{ChannelId, Context, Nanos, PacketMeta, MILLIS, SECS};
+use tamp_netsim::{ChannelId, Context, Nanos, PacketMeta, ProtocolEvent, MILLIS, SECS};
 use tamp_wire::{
     DcId, Heartbeat, Message, NodeId, PartitionSet, ProxySummary, ProxyUpdate, ServiceAvail,
     ServiceDecl, ServiceRequest, ServiceResponse, SummaryEvent,
@@ -171,8 +171,7 @@ impl ProxyNode {
             let Some(vip) = self.vips.get(dc) else {
                 continue;
             };
-            ctx.count("proxy", "summaries_sent", 1);
-            ctx.emit(tamp_netsim::ProtocolEvent::ProxySummary {
+            ctx.emit(ProtocolEvent::ProxySummary {
                 services: summary.len() as u32,
                 dc: dc.0,
             });
@@ -218,7 +217,10 @@ impl ProxyNode {
             let Some(vip) = self.vips.get(dc) else {
                 continue;
             };
-            ctx.count("proxy", "updates_sent", 1);
+            ctx.emit(ProtocolEvent::ProxyUpdate {
+                events: events.len() as u32,
+                dc: dc.0,
+            });
             ctx.send_unicast(
                 vip,
                 Message::ProxyUpdate(ProxyUpdate {
@@ -291,6 +293,8 @@ impl ProxyNode {
     /// 2 = fresh from a local consumer, 1 = arrived from a remote proxy.
     fn handle_request(&mut self, daemon: &MembershipNode, ctx: &mut Context, req: &ServiceRequest) {
         let now = ctx.now();
+        // The issuing node: the high half of the request id.
+        let origin = (req.id >> 32) as u32;
         if req.hops_left >= 2 {
             // Step (2): find a data center that has the service and
             // forward to its proxy VIP.
@@ -298,12 +302,12 @@ impl ProxyNode {
             let target = candidates.into_iter().find_map(|dc| self.vips.get(dc));
             match target {
                 Some(vip) => {
-                    ctx.count("proxy", "requests_forwarded", 1);
+                    ctx.emit(ProtocolEvent::RequestForwarded { origin });
                     self.pending.insert(
                         req.id,
                         Pending {
                             reply_to: req.from,
-                            origin: (req.id >> 32) as u32,
+                            origin,
                             at: now,
                         },
                     );
@@ -315,7 +319,7 @@ impl ProxyNode {
                 None => {
                     // "If it cannot find an appropriate data center, the
                     // request will be rejected."
-                    ctx.count("proxy", "requests_rejected", 1);
+                    ctx.emit(ProtocolEvent::RequestRejected { origin });
                     ctx.send_unicast(
                         req.from,
                         Message::ServiceResponse(ServiceResponse {
@@ -340,12 +344,12 @@ impl ProxyNode {
             };
             match target {
                 Some(node) => {
-                    ctx.count("proxy", "requests_forwarded", 1);
+                    ctx.emit(ProtocolEvent::RequestForwarded { origin });
                     self.pending.insert(
                         req.id,
                         Pending {
                             reply_to: req.from,
-                            origin: (req.id >> 32) as u32,
+                            origin,
                             at: now,
                         },
                     );
@@ -355,7 +359,7 @@ impl ProxyNode {
                     ctx.send_unicast(node, Message::ServiceRequest(fwd));
                 }
                 None => {
-                    ctx.count("proxy", "requests_rejected", 1);
+                    ctx.emit(ProtocolEvent::RequestRejected { origin });
                     ctx.send_unicast(
                         req.from,
                         Message::ServiceResponse(ServiceResponse {
@@ -378,11 +382,9 @@ impl ProxyNode {
         // the metrics dashboard can split proxy-path time out of the
         // end-to-end latency the consumer sees.
         if let Some(p) = self.pending.remove(&resp.id) {
-            let hop = ctx.now().saturating_sub(p.at);
-            ctx.record("proxy", "hop_latency_ns", hop);
-            ctx.emit(tamp_netsim::ProtocolEvent::ProxyForwarded {
+            ctx.emit(ProtocolEvent::ProxyForwarded {
                 origin: p.origin,
-                hop_latency_us: (hop / 1_000).min(u64::from(u32::MAX)) as u32,
+                hop_ns: ctx.now().saturating_sub(p.at),
             });
             let mut fwd = resp.clone();
             fwd.from = self.me;
@@ -580,16 +582,16 @@ mod tests {
         })
     }
 
-    fn counted(effects: &[Effect], counter: &str) -> bool {
-        effects.iter().any(
-            |e| matches!(e, Effect::Count { subsystem: "proxy", name, .. } if *name == counter),
-        )
+    fn counted(effects: &[Effect], kind: &str) -> bool {
+        effects
+            .iter()
+            .any(|e| matches!(e, Effect::Emit(ev) if ev.name() == kind))
     }
 
     #[test]
     fn step3_forwards_a_literal_service_name() {
         let effects = step3("index");
-        assert!(counted(&effects, "requests_forwarded"));
+        assert!(counted(&effects, "request-forwarded"));
         assert!(effects.iter().any(|e| matches!(
             e,
             Effect::Send {
@@ -603,8 +605,8 @@ mod tests {
     fn step3_never_reads_a_wire_service_name_as_a_pattern() {
         for service in ["ind.x", ".*", "(index|doc)", "("] {
             let effects = step3(service);
-            assert!(counted(&effects, "requests_rejected"), "{service:?}");
-            assert!(!counted(&effects, "requests_forwarded"), "{service:?}");
+            assert!(counted(&effects, "request-rejected"), "{service:?}");
+            assert!(!counted(&effects, "request-forwarded"), "{service:?}");
             assert!(
                 !effects.iter().any(|e| matches!(
                     e,

@@ -455,29 +455,29 @@ fn apply(
             }
             Effect::Subscribe(ch) => fabric.subscribe(host, ch),
             Effect::Unsubscribe(ch) => fabric.unsubscribe(host, ch),
-            Effect::Observe(_) => {} // observations are a simulation-side tool
             Effect::Count { subsystem, name, n } => meters.registry.apply(
                 meters.node,
                 tamp_netsim::telemetry::Sample::Count { subsystem, name, n },
             ),
-            Effect::Record {
-                subsystem,
-                name,
-                value,
-            } => meters.registry.apply(
-                meters.node,
-                tamp_netsim::telemetry::Sample::Record {
-                    subsystem,
-                    name,
-                    value,
-                },
-            ),
-            // No event log at real-time rates: fold protocol events into
-            // per-kind counters instead.
-            Effect::Emit(ev) => meters
-                .registry
-                .counter(meters.node, "events", ev.name())
-                .inc(),
+            // No event log and no observation log at real-time rates:
+            // a protocol event is its per-kind counter and its
+            // histogram sample.
+            Effect::Emit(ev) => {
+                meters
+                    .registry
+                    .counter(meters.node, "events", ev.name())
+                    .inc();
+                if let Some((subsystem, name, value)) = ev.histogram() {
+                    meters.registry.apply(
+                        meters.node,
+                        tamp_netsim::telemetry::Sample::Record {
+                            subsystem,
+                            name,
+                            value,
+                        },
+                    );
+                }
+            }
         }
     }
 }

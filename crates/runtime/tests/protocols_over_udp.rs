@@ -46,6 +46,7 @@ fn gossip_over_live_udp_converges() {
 #[test]
 fn live_partition_splits_and_heals() {
     use tamp_membership::{MembershipConfig, MembershipNode};
+    use tamp_netsim::telemetry::REMOVAL_KINDS;
     use tamp_topology::SegmentId;
 
     let cfg = MembershipConfig {
@@ -91,6 +92,15 @@ fn live_partition_splits_and_heals() {
     rt.fabric()
         .set_segments_blocked(SegmentId(0), SegmentId(1), true);
     wait_views(&clients, 3, "split detection");
+    // Every node recorded why its view shrank.
+    let snap = rt.metrics();
+    for h in rt.hosts() {
+        let removals: u64 = REMOVAL_KINDS
+            .iter()
+            .map(|kind| snap.counter(h.0, "events", kind))
+            .sum();
+        assert!(removals >= 1, "{h:?} counted no removal event");
+    }
 
     // Heal; full views must return (tombstones age out at 800 ms).
     rt.fabric()

@@ -1,7 +1,7 @@
 //! The structured event-trace layer: one typed schema for network
-//! events (send/deliver/drop/fault) *and* protocol events (heartbeat
-//! sent, update relayed, suspicion armed/refuted, election round, proxy
-//! summary, sync poll), held in a bounded ring buffer.
+//! events (send/deliver/drop/fault) *and* protocol events
+//! ([`ProtocolEvent`], defined in [`crate::protocol`]), held in a
+//! bounded ring buffer.
 //!
 //! This is the single event schema for the whole stack: the simulator
 //! (`tamp-netsim`) records network events here, actors emit
@@ -11,6 +11,8 @@
 //! (virtual ns in the simulator, wall-clock ns in the UDP runtime) —
 //! this crate never reads a clock.
 
+pub use crate::protocol::ProtocolEvent;
+use crate::protocol::Value;
 use tamp_topology::HostId;
 
 /// Event timestamp in nanoseconds (virtual or wall-clock, driver's
@@ -56,56 +58,6 @@ pub enum Event {
     Net(&'static str, String),
     /// A protocol-level event emitted by the actor running on `node`.
     Protocol { node: HostId, event: ProtocolEvent },
-}
-
-/// A typed protocol-level event. Emitted by actors via
-/// `Context::emit`; node ids are raw `u32`s (`NodeId.0`) so this crate
-/// stays independent of the wire crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolEvent {
-    /// A periodic heartbeat went out on hierarchy level `level`.
-    HeartbeatSent { level: u8 },
-    /// Piggybacked membership updates were relayed up/down a level.
-    UpdateRelayed { level: u8, events: u32 },
-    /// A suspicion timer was armed against `subject`.
-    SuspicionArmed { subject: u32 },
-    /// A suspicion of `subject` was refuted by proof of life.
-    SuspicionRefuted { subject: u32 },
-    /// A suspicion of `subject` matured into a death declaration.
-    SuspicionConfirmed { subject: u32 },
-    /// An election round started on hierarchy level `level`.
-    ElectionRound { level: u8 },
-    /// This node claimed leadership of hierarchy level `level`.
-    LeadershipClaimed { level: u8 },
-    /// A proxy pushed a service summary (`services` entries) to remote
-    /// data centre `dc`.
-    ProxySummary { services: u32, dc: u16 },
-    /// A proxy unwound a forwarded request's response. `origin` is the
-    /// node that issued the original request (the high half of the
-    /// request id, which rides the whole forwarding chain unchanged), so
-    /// proxy-path latency can be attributed back to its source.
-    ProxyForwarded { origin: u32, hop_latency_us: u32 },
-    /// An anti-entropy sync poll was sent to `peer`.
-    SyncPoll { peer: u32 },
-}
-
-impl ProtocolEvent {
-    /// Stable kind string, used by [`EventFilter::kinds`] and the JSONL
-    /// exporter.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ProtocolEvent::HeartbeatSent { .. } => "heartbeat-sent",
-            ProtocolEvent::UpdateRelayed { .. } => "update-relayed",
-            ProtocolEvent::SuspicionArmed { .. } => "suspicion-armed",
-            ProtocolEvent::SuspicionRefuted { .. } => "suspicion-refuted",
-            ProtocolEvent::SuspicionConfirmed { .. } => "suspicion-confirmed",
-            ProtocolEvent::ElectionRound { .. } => "election-round",
-            ProtocolEvent::LeadershipClaimed { .. } => "leadership-claimed",
-            ProtocolEvent::ProxySummary { .. } => "proxy-summary",
-            ProtocolEvent::ProxyForwarded { .. } => "proxy-forwarded",
-            ProtocolEvent::SyncPoll { .. } => "sync-poll",
-        }
-    }
 }
 
 /// Why a delivery was dropped.
@@ -293,26 +245,18 @@ impl EventLog {
             Event::Fault(what, host) => format!("{t:11.6}  ==== {what} {host} ===="),
             Event::Net(what, detail) => format!("{t:11.6}  ==== net {what} {detail} ===="),
             Event::Protocol { node, event } => {
-                let detail = match event {
-                    ProtocolEvent::HeartbeatSent { level } => format!("level {level}"),
-                    ProtocolEvent::UpdateRelayed { level, events } => {
-                        format!("level {level}, {events} events")
-                    }
-                    ProtocolEvent::SuspicionArmed { subject }
-                    | ProtocolEvent::SuspicionRefuted { subject }
-                    | ProtocolEvent::SuspicionConfirmed { subject } => format!("n{subject}"),
-                    ProtocolEvent::ElectionRound { level }
-                    | ProtocolEvent::LeadershipClaimed { level } => format!("level {level}"),
-                    ProtocolEvent::ProxySummary { services, dc } => {
-                        format!("{services} services → dc{dc}")
-                    }
-                    ProtocolEvent::SyncPoll { peer } => format!("peer n{peer}"),
-                    ProtocolEvent::ProxyForwarded {
-                        origin,
-                        hop_latency_us,
-                    } => format!("origin n{origin}, {hop_latency_us} us"),
-                };
-                format!("{t:11.6}  {node:>5} ⋄ {} {detail}", event.name())
+                let mut line = format!("{t:11.6}  {node:>5} ⋄ {}", event.name());
+                for (name, value) in event.fields() {
+                    let value = match value {
+                        Value::Int(v) => v.to_string(),
+                        Value::Node(n) | Value::Peer(Some(n)) => format!("n{n}"),
+                        Value::Peer(None) => "-".to_string(),
+                        Value::Word(w) => w.to_string(),
+                        Value::Flag(f) => f.to_string(),
+                    };
+                    line.push_str(&format!(" {name}={value}"));
+                }
+                line
             }
         }
     }

@@ -7,8 +7,9 @@
 //! serializer, no HashMap iteration). Same seed → same bytes, so the
 //! exports double as regression oracles in tests and CI.
 
-use crate::events::{Event, EventRecord, ProtocolEvent};
+use crate::events::{Event, EventRecord};
 use crate::metrics::{MetricValue, MetricsSnapshot, CLUSTER};
+use crate::protocol::Value;
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 fn json_escape(s: &str) -> String {
@@ -102,27 +103,21 @@ pub fn event_to_json(r: &EventRecord) -> String {
             json_escape(detail)
         ),
         Event::Protocol { node, event } => {
-            let fields = match event {
-                ProtocolEvent::HeartbeatSent { level } => format!("\"level\":{level}"),
-                ProtocolEvent::UpdateRelayed { level, events } => {
-                    format!("\"level\":{level},\"events\":{events}")
-                }
-                ProtocolEvent::SuspicionArmed { subject }
-                | ProtocolEvent::SuspicionRefuted { subject }
-                | ProtocolEvent::SuspicionConfirmed { subject } => {
-                    format!("\"subject\":{subject}")
-                }
-                ProtocolEvent::ElectionRound { level }
-                | ProtocolEvent::LeadershipClaimed { level } => format!("\"level\":{level}"),
-                ProtocolEvent::ProxySummary { services, dc } => {
-                    format!("\"services\":{services},\"dc\":{dc}")
-                }
-                ProtocolEvent::ProxyForwarded {
-                    origin,
-                    hop_latency_us,
-                } => format!("\"origin\":{origin},\"hop_latency_us\":{hop_latency_us}"),
-                ProtocolEvent::SyncPoll { peer } => format!("\"peer\":{peer}"),
-            };
+            let fields: Vec<String> = event
+                .fields()
+                .into_iter()
+                .map(|(name, value)| {
+                    let value = match value {
+                        Value::Int(v) => v.to_string(),
+                        Value::Node(n) | Value::Peer(Some(n)) => n.to_string(),
+                        Value::Peer(None) => "null".to_string(),
+                        Value::Word(w) => format!("\"{w}\""),
+                        Value::Flag(f) => f.to_string(),
+                    };
+                    format!("\"{name}\":{value}")
+                })
+                .collect();
+            let fields = fields.join(",");
             format!(
                 "{{\"t\":{t},\"type\":\"{}\",\"node\":{},{fields}}}",
                 event.name(),
@@ -254,6 +249,7 @@ pub fn summary_table(snap: &MetricsSnapshot) -> String {
 mod tests {
     use super::*;
     use crate::metrics::Registry;
+    use crate::ProtocolEvent;
     use tamp_topology::HostId;
 
     #[test]

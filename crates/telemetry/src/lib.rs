@@ -14,9 +14,11 @@
 //!   virtual time and the UDP runtime's wall clock;
 //! * a **structured event-trace layer** ([`Event`], [`EventLog`]) — one
 //!   typed schema for network events (send/deliver/drop/fault) *and*
-//!   protocol events (heartbeat sent, update relayed, suspicion
-//!   armed/refuted, election round, proxy summary, sync poll), held in a
-//!   bounded ring buffer with virtual-time timestamps;
+//!   protocol events ([`ProtocolEvent`]: heartbeat sent, suspicion
+//!   armed, member removed and why, …), held in a bounded ring buffer
+//!   with virtual-time timestamps. A protocol event is the one record
+//!   of its fact: drivers derive its counter, trace record and
+//!   observation from it;
 //! * **exporters** ([`export`]) — canonical JSONL traces and CSV /
 //!   summary-table metric dumps.
 //!
@@ -29,10 +31,12 @@
 pub mod events;
 pub mod export;
 pub mod metrics;
+pub mod protocol;
 
-pub use events::{DropReason, Event, EventFilter, EventLog, EventRecord, ProtocolEvent};
+pub use events::{DropReason, Event, EventFilter, EventLog, EventRecord};
 pub use export::{events_to_jsonl, snapshot_to_csv, summary_table};
 pub use metrics::{
     Counter, Histogram, HistogramSnapshot, Key, MetricValue, MetricsSnapshot, Registry, Sample,
     CLUSTER,
 };
+pub use protocol::{Cause, Declared, Ping, ProtocolEvent, Value, REFUTATION_KINDS, REMOVAL_KINDS};
