@@ -159,12 +159,13 @@ job_telemetry() {
 
 # Strict-oracle smoke: no loss or repair-window excuses, removals must
 # follow the suspicion state machine (docs/ROBUSTNESS.md). The
-# checked-in regression scenarios plus seeded sweeps (2000..2049, and
-# the two-datacenter proxy sweep 2005..2024).
+# checked-in regression scenarios under tamp and tamp-rapid, plus seeded
+# sweeps (2000..2049, and the two-datacenter proxy sweep 2005..2024).
 job_chaos_strict() {
     build
     for f in scenarios/*.chaos; do
         exp chaos --scenario "$f" --strict
+        exp chaos --scenario "$f" --strict --protocol tamp-rapid
     done
     same_at_any_width sweep -- chaos --strict --seed 2000 --sweep 50
     same_at_any_width proxy -- chaos --strict --proxy --seed 2005 --sweep 20

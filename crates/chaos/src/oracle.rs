@@ -20,9 +20,7 @@ use crate::cluster::Protocol;
 use crate::truth::GroundTruth;
 use tamp_baselines::{alltoall, swim, AllToAllConfig, GossipConfig};
 use tamp_directory::DirectoryClient;
-use tamp_membership::config::{
-    CUT_BATCH_DELAY, CUT_REPORT_TTL, DEGRADE_MAX_STRETCH, FLAP_SCORE_CAP, LEVEL_TIMEOUT_FACTOR,
-};
+use tamp_membership::config::{CUT_BATCH_DELAY, CUT_REPORT_TTL, DEGRADE_MAX_STRETCH};
 use tamp_membership::{MembershipConfig, Probe};
 use tamp_netsim::{Observation, ObservationKind};
 use tamp_topology::{HostId, Nanos, Topology};
@@ -74,19 +72,15 @@ impl OracleConfig {
     ) -> Self {
         let (removal_window, repair_window, require_suspicion) = match protocol {
             Protocol::Tamp | Protocol::TampRapid => {
-                // The level-ℓ timeout is `max_loss × heartbeat × (1 + ℓ ×
-                // factor)`, so any *correct* removal fires within that of
-                // the underlying fault.
-                let base = m.heartbeat_period * m.max_loss as u64;
-                let worst = base + (base as f64 * max_level as f64 * LEVEL_TIMEOUT_FACTOR) as u64;
+                // Any *correct* removal fires within the deepest level's
+                // timeout of the underlying fault.
+                let worst = m.timeout(max_level);
                 // The robustness extensions delay a correct removal
-                // further: the suspicion window (scaled by the
-                // flap-damping cap), both timeout and suspicion stretched
-                // under measured distress, and a quarantine hold for
-                // relayed subtrees.
+                // further: the suspicion window, both timeout and
+                // suspicion stretched under measured distress, and a
+                // quarantine hold for relayed subtrees.
                 let stretch = DEGRADE_MAX_STRETCH;
-                let flap_cap = 1.0 + FLAP_SCORE_CAP;
-                let suspicion_worst = (m.suspicion(max_level) as f64 * flap_cap * stretch) as u64;
+                let suspicion_worst = (m.suspicion(max_level) as f64 * stretch) as u64;
                 let detect_worst = (worst as f64 * stretch) as u64 + suspicion_worst;
                 // Slack for propagation of the removal itself (relay up
                 // the tree + fan-out down), and for sweep granularity.
@@ -548,13 +542,13 @@ mod tests {
         let table = [
             (
                 Protocol::Tamp,
-                91_100_000_000,
+                55_100_000_000,
                 20_000_000_000,
                 [false, true],
             ),
             (
                 Protocol::TampRapid,
-                100_100_000_000,
+                64_100_000_000,
                 20_000_000_000,
                 [false, true],
             ),

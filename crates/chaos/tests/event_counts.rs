@@ -2,8 +2,9 @@
 //! one `events/<kind>` counter. Each row below names a legacy counter
 //! (`<namespace>/<name>`, deleted), the event kind that replaced it, and
 //! the total it read at seed 7 under the strict oracle, recorded from
-//! the code that still kept both counters. Counters a protocol wrote
-//! that read 0 there are listed without a total; their kinds must
+//! the code that still kept both counters (the kill-and-revive totals,
+//! from the code that still kept flap damping). Counters a protocol
+//! wrote that read 0 there are listed without a total; their kinds must
 //! read 0 too.
 
 use tamp_chaos::{dsl, run_scenario, Protocol, ScenarioConfig};
@@ -170,10 +171,86 @@ const LOSS_BURST: Recorded = [
     ),
 ];
 
-fn check(file: &str, recorded: &Recorded) {
+/// A host (not a leader) killed and revived: unlike `kill leader`, this
+/// names a victim under every protocol, so each one's death count is
+/// pinned above zero.
+const KILL_REVIVE_SCHEDULE: &str = "settle 45s
+at 30s kill host 3
+at 60s revive host 3
+";
+
+const KILL_REVIVE: Recorded = [
+    (
+        Protocol::Tamp,
+        &[
+            ("membership/backfills_served", 14),
+            ("membership/deaths_declared", 4),
+            ("membership/digests_sent", 50),
+            ("membership/elections_started", 9),
+            ("membership/full_syncs_served", 1),
+            ("membership/heartbeats_sent", 1410),
+            ("membership/leaderships_claimed", 5),
+            ("membership/suspicions_confirmed", 4),
+            ("membership/suspicions_raised", 9),
+            ("membership/sync_polls_sent", 15),
+            ("membership/updates_sent", 19),
+        ],
+    ),
+    (
+        Protocol::TampRapid,
+        &[
+            ("membership/backfills_served", 17),
+            ("membership/cut_batches", 9),
+            ("membership/cut_reports", 36),
+            ("membership/deaths_declared", 9),
+            ("membership/digests_sent", 50),
+            ("membership/elections_started", 9),
+            ("membership/full_syncs_served", 1),
+            ("membership/heartbeats_sent", 1410),
+            ("membership/leaderships_claimed", 5),
+            ("membership/suspicions_confirmed", 9),
+            ("membership/suspicions_raised", 9),
+            ("membership/sync_polls_sent", 18),
+            ("membership/updates_sent", 34),
+        ],
+    ),
+    (
+        Protocol::AllToAll,
+        &[
+            ("alltoall/deaths_declared", 9),
+            ("alltoall/heartbeats_sent", 1009),
+        ],
+    ),
+    (
+        Protocol::Gossip,
+        &[
+            ("gossip/deaths_declared", 9),
+            ("gossip/rounds_sent", 1009),
+            ("gossip/suspicions_refuted", 12),
+        ],
+    ),
+    (
+        Protocol::Swim,
+        &[
+            ("swim/acks_sent", 1009),
+            ("swim/deaths_declared", 9),
+            ("swim/indirect_probes_sent", 18),
+            ("swim/ping_reqs_sent", 18),
+            ("swim/probes_sent", 1009),
+            ("swim/reconnect_probes_sent", 51),
+            ("swim/suspicions_confirmed", 9),
+            ("swim/suspicions_raised", 9),
+        ],
+    ),
+];
+
+fn scenario_file(file: &str) -> String {
     let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let schedule = dsl::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+fn check(label: &str, text: &str, recorded: &Recorded) {
+    let schedule = dsl::parse(text).unwrap_or_else(|e| panic!("{label}: {e}"));
     for &(protocol, totals) in recorded {
         let cfg = ScenarioConfig {
             strict: true,
@@ -184,7 +261,7 @@ fn check(file: &str, recorded: &Recorded) {
         for &(name, _) in totals {
             assert!(
                 legacy(protocol).iter().any(|&(n, _)| n == name),
-                "{file}: {name} is no {} counter",
+                "{label}: {name} is no {} counter",
                 protocol.name()
             );
         }
@@ -196,7 +273,7 @@ fn check(file: &str, recorded: &Recorded) {
             assert_eq!(
                 run.metrics.counter_total("events", kind),
                 want,
-                "{file} under {}: events/{kind} against {name}",
+                "{label} under {}: events/{kind} against {name}",
                 protocol.name()
             );
         }
@@ -204,7 +281,7 @@ fn check(file: &str, recorded: &Recorded) {
         for key in run.metrics.entries.keys() {
             assert!(
                 ["net", "events"].contains(&key.subsystem),
-                "{file} under {}: {}/{} outside `events`",
+                "{label} under {}: {}/{} outside `events`",
                 protocol.name(),
                 key.subsystem,
                 key.name
@@ -215,10 +292,23 @@ fn check(file: &str, recorded: &Recorded) {
 
 #[test]
 fn leader_death_counts_every_legacy_fact_as_its_event() {
-    check("leader-death.chaos", &LEADER_DEATH);
+    check(
+        "leader-death.chaos",
+        &scenario_file("leader-death.chaos"),
+        &LEADER_DEATH,
+    );
 }
 
 #[test]
 fn loss_burst_counts_every_legacy_fact_as_its_event() {
-    check("loss-burst.chaos", &LOSS_BURST);
+    check(
+        "loss-burst.chaos",
+        &scenario_file("loss-burst.chaos"),
+        &LOSS_BURST,
+    );
+}
+
+#[test]
+fn host_kill_and_revive_counts_every_legacy_fact_as_its_event() {
+    check("kill-revive", KILL_REVIVE_SCHEDULE, &KILL_REVIVE);
 }

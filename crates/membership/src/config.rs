@@ -48,14 +48,6 @@ pub enum RemovalDiscipline {
 /// with larger timeout values" so a lower group can re-elect before
 /// the higher group purges its subtree.
 pub const LEVEL_TIMEOUT_FACTOR: f64 = 0.5;
-/// Flap damping à la Rapid: each *refuted* suspicion of a node adds
-/// one unit of instability, decaying with this half-life. A node with
-/// instability `u` gets its suspicion window scaled by
-/// `1 + min(u, FLAP_SCORE_CAP)`.
-pub const FLAP_HALF_LIFE: Nanos = 30 * SECS;
-/// Upper bound on the flap-damping multiplier increment, so a
-/// persistently flapping node's confirmation latency stays bounded.
-pub const FLAP_SCORE_CAP: f64 = 3.0;
 /// Graceful degradation under measured heavy loss: a peer whose EWMA
 /// inter-arrival estimate (the A7 detector signal) or current heartbeat
 /// silence exceeds this multiple of the heartbeat period looks late;
@@ -131,8 +123,9 @@ pub struct MembershipConfig {
     pub adaptive_timeout: bool,
     /// Base suspicion window (docs/ROBUSTNESS.md): a timed-out member is
     /// held in a refutable `Suspect` state this long before the suspicion
-    /// is confirmed as a `Leave`. Level-scaled like `timeout`, and
-    /// stretched per node by flap damping. 0 disables the suspicion layer
+    /// is confirmed as a `Leave`. Level-scaled like `timeout`
+    /// ([`MembershipConfig::suspicion`]), and stretched only by the
+    /// loss-degradation factor. 0 disables the suspicion layer
     /// (timed-out members are removed immediately, the paper's behavior).
     pub suspicion_window: Nanos,
     /// How long a dead leader's relayed subtree is quarantined (kept in

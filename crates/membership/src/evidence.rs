@@ -1,7 +1,7 @@
 //! The evidence book: everything this node holds *against* a member
 //! short of removing it, and everything it holds in the member's favour.
 //!
-//! Four pieces of state, all private to this module and written only
+//! Three pieces of state, all private to this module and written only
 //! here (docs/ROBUSTNESS.md):
 //!
 //! * **suspicions** — subject timed out (own detector) or was named by a
@@ -9,8 +9,6 @@
 //!   confirmed by the node when an own-detector one outlives its window;
 //! * **refutation memory** — "we saw it alive at incarnation ≥ i, this
 //!   recently": the Leave-blocker that makes refutation always win;
-//! * **flap scores** — refuted own-detector suspicions per subject,
-//!   decaying, stretching that subject's next window;
 //! * **the distress latch** — keeps the loss-degradation stretch engaged
 //!   across the raw signal's duty cycle.
 //!
@@ -18,7 +16,7 @@
 //! answers into counters, events and relays, and carries a decisive
 //! refutation over to the cut book.
 
-use crate::config::{MembershipConfig, DEGRADE_MAX_STRETCH, FLAP_HALF_LIFE, FLAP_SCORE_CAP};
+use crate::config::{MembershipConfig, DEGRADE_MAX_STRETCH};
 use std::collections::HashMap;
 use tamp_topology::Nanos;
 use tamp_wire::NodeId;
@@ -26,19 +24,16 @@ use tamp_wire::NodeId;
 /// One active suspicion: the subject timed out (or a relayed accusation
 /// named it) but has not yet been removed. A refutation — proof of life
 /// at `incarnation` or higher — cancels it; only an unrefuted
-/// own-detector suspicion that survives its window is confirmed.
+/// own-detector suspicion that survives its level's window is confirmed.
 #[derive(Debug, Clone, Copy)]
 struct Suspicion {
     /// The incarnation under suspicion. Evidence at a lower incarnation
     /// neither confirms nor refutes.
     incarnation: u64,
-    /// Group level whose detector raised it (scales the window and picks
-    /// the relay set on confirmation).
+    /// Group level whose detector raised it (picks the window and the
+    /// relay set on confirmation).
     level: u8,
     since: Nanos,
-    /// Confirmation window (already flap-scaled; the loss-degradation
-    /// stretch is applied at check time so it tracks *current* distress).
-    window: Nanos,
     /// Adopted from a relayed `Suspect` / `Alert` rather than our own
     /// detector: we track it for refutation bookkeeping but never confirm
     /// it ourselves — confirmation is the origin group's call.
@@ -48,10 +43,9 @@ struct Suspicion {
 /// Who is arming a suspicion.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Raiser {
-    /// Our own failure detector, with the level's base window (which
-    /// flap damping stretches). Replaces whatever suspicion is held: the
-    /// caller has checked [`Evidence::own_open`].
-    OwnDetector(Nanos),
+    /// Our own failure detector. Replaces whatever suspicion is held:
+    /// the caller has checked [`Evidence::own_open`].
+    OwnDetector,
     /// A relayed accusation, adopted as advisory. Refused when the
     /// subject is already suspected at this incarnation or a later one.
     Relayed,
@@ -78,8 +72,6 @@ pub(crate) struct Evidence {
     suspicions: HashMap<NodeId, Suspicion>,
     /// Subject → (refuted-at incarnation, when).
     refuted: HashMap<NodeId, (u64, Nanos)>,
-    /// Subject → (instability score, last bump).
-    flap: HashMap<NodeId, (f64, Nanos)>,
     /// The loss-degradation stretch stays engaged until this instant.
     distress_until: Nanos,
     /// How long a refutation is remembered: the longest detection span,
@@ -89,6 +81,10 @@ pub(crate) struct Evidence {
     hold: Nanos,
     /// How long one raw-positive distress reading holds the latch.
     latch: Nanos,
+    /// Confirmation window per detector level,
+    /// [`MembershipConfig::suspicion`]; the loss-degradation stretch is
+    /// applied at check time so it tracks *current* distress.
+    windows: Vec<Nanos>,
 }
 
 impl Evidence {
@@ -96,6 +92,7 @@ impl Evidence {
         Evidence {
             hold: cfg.timeout(cfg.top_level()).max(2 * cfg.heartbeat_period),
             latch: 3 * cfg.heartbeat_period,
+            windows: (0..=cfg.top_level()).map(|l| cfg.suspicion(l)).collect(),
             ..Evidence::default()
         }
     }
@@ -105,14 +102,9 @@ impl Evidence {
         *self = Evidence {
             hold: self.hold,
             latch: self.latch,
+            windows: std::mem::take(&mut self.windows),
             ..Evidence::default()
         };
-    }
-
-    fn decayed_flap(&self, node: NodeId, now: Nanos) -> f64 {
-        self.flap.get(&node).map_or(0.0, |&(score, at)| {
-            score * 0.5f64.powf(now.saturating_sub(at) as f64 / FLAP_HALF_LIFE as f64)
-        })
     }
 
     /// Is `peer` under a suspicion our own detector raised?
@@ -131,13 +123,10 @@ impl Evidence {
         by: Raiser,
     ) -> bool {
         let held = self.suspicions.get(&subject);
-        let (window, advisory) = match by {
-            Raiser::OwnDetector(base) => {
-                let flap = self.decayed_flap(subject, now).min(FLAP_SCORE_CAP);
-                ((base as f64 * (1.0 + flap)) as Nanos, false)
-            }
+        let advisory = match by {
+            Raiser::OwnDetector => false,
             Raiser::Relayed if held.is_some_and(|s| s.incarnation >= inc) => return false,
-            Raiser::Relayed => (0, true),
+            Raiser::Relayed => true,
         };
         self.suspicions.insert(
             subject,
@@ -145,7 +134,6 @@ impl Evidence {
                 incarnation: inc,
                 level,
                 since: now,
-                window,
                 advisory,
             },
         );
@@ -155,8 +143,7 @@ impl Evidence {
     /// Resolve an open suspicion of `node` by proof of life at `inc`;
     /// `None` when there is none, or the proof is stale (an older
     /// incarnation's liveness). `fresh`: direct liveness or an explicit
-    /// `Refute`, as opposed to a relayed record vouching. A refuted
-    /// own-detector suspicion counts as one flap.
+    /// `Refute`, as opposed to a relayed record vouching.
     pub(crate) fn refute(
         &mut self,
         node: NodeId,
@@ -172,10 +159,6 @@ impl Evidence {
         let decisive = fresh || inc > s.incarnation;
         if decisive {
             self.refuted.insert(node, (inc, now));
-        }
-        if !s.advisory {
-            let score = self.decayed_flap(node, now) + 1.0;
-            self.flap.insert(node, (score, now));
         }
         Some(Refuted { decisive })
     }
@@ -255,7 +238,10 @@ impl Evidence {
             .suspicions
             .iter()
             .filter(|(_, s)| !s.advisory)
-            .filter(|(_, s)| now.saturating_sub(s.since) >= (s.window as f64 * stretch) as u64)
+            .filter(|(_, s)| {
+                let window = self.windows[s.level as usize];
+                now.saturating_sub(s.since) >= (window as f64 * stretch) as u64
+            })
             .map(|(&peer, s)| (peer, s.incarnation, s.level))
             .collect();
         due.sort_unstable_by_key(|&(peer, ..)| peer);
@@ -289,7 +275,7 @@ mod tests {
         assert!(e.is_idle());
 
         // An own-detector suspicion is not the relayer's call…
-        assert!(e.arm(N, 4, 0, 3 * SECS, Raiser::OwnDetector(2 * SECS)));
+        assert!(e.arm(N, 4, 0, 3 * SECS, Raiser::OwnDetector));
         assert!(!e.vouches(N, 4));
         // …but a rebirth refutes it, decisively.
         assert!(e.vouches(N, 5));
@@ -319,7 +305,7 @@ mod tests {
     #[test]
     fn stale_proof_refutes_nothing() {
         let mut e = book();
-        assert!(e.arm(N, 4, 0, SECS, Raiser::OwnDetector(2 * SECS)));
+        assert!(e.arm(N, 4, 0, SECS, Raiser::OwnDetector));
         assert!(!e.vouches(N, 3));
         assert_eq!(e.refute(N, 3, true, 2 * SECS), None);
         assert!(e.own_open(N), "an earlier life's heartbeat cleared it");
@@ -329,41 +315,16 @@ mod tests {
 
     #[test]
     fn only_a_refuted_own_detector_suspicion_counts_as_a_flap() {
-        let window = |e: &Evidence| e.suspicions[&N].window;
         let mut e = book();
-        // Advisory suspicions, refuted: no instability.
-        for t in 1..=3 {
-            assert!(e.arm(N, 1, 0, t * SECS, Raiser::Relayed));
-            assert!(e.refute(N, 1, true, t * SECS).is_some());
-        }
-        assert!(e.arm(N, 1, 0, 4 * SECS, Raiser::OwnDetector(2 * SECS)));
-        assert_eq!(window(&e), 2 * SECS);
+        assert!(e.arm(N, 1, 0, 4 * SECS, Raiser::OwnDetector));
         // An advisory arm at the suspected incarnation is refused.
         assert!(e.own_open(N));
         assert!(!e.arm(N, 1, 0, 4 * SECS, Raiser::Relayed));
-        // It flapped: the next window doubles, the one after triples…
-        assert!(e.refute(N, 1, true, 4 * SECS).is_some());
-        assert!(e.arm(N, 1, 0, 4 * SECS, Raiser::OwnDetector(2 * SECS)));
-        assert_eq!(window(&e), 4 * SECS);
-        assert!(e.refute(N, 1, true, 4 * SECS).is_some());
-        assert!(e.arm(N, 1, 0, 4 * SECS, Raiser::OwnDetector(2 * SECS)));
-        assert_eq!(window(&e), 6 * SECS);
-        // …up to the cap, and one half-life later the score has halved.
-        for _ in 0..5 {
-            assert!(e.refute(N, 1, true, 4 * SECS).is_some());
-            assert!(e.arm(N, 1, 0, 4 * SECS, Raiser::OwnDetector(2 * SECS)));
-        }
-        assert_eq!(window(&e), 2 * SECS * (1 + FLAP_SCORE_CAP as u64));
-        e.close(N);
-        e.flap.insert(N, (2.0, 4 * SECS));
-        let later = 4 * SECS + FLAP_HALF_LIFE;
-        assert!(e.arm(N, 1, 0, later, Raiser::OwnDetector(2 * SECS)));
-        assert_eq!(window(&e), 4 * SECS);
         // An own-detector arm takes over an advisory suspicion.
         e.close(N);
-        assert!(e.arm(N, 1, 2, later, Raiser::Relayed));
+        assert!(e.arm(N, 1, 2, 4 * SECS, Raiser::Relayed));
         assert!(!e.own_open(N));
-        assert!(e.arm(N, 1, 0, later, Raiser::OwnDetector(0)));
+        assert!(e.arm(N, 1, 0, 4 * SECS, Raiser::OwnDetector));
         assert!(e.own_open(N));
     }
 
@@ -386,19 +347,19 @@ mod tests {
         let mut e = book();
         let hold = e.hold;
         for id in [9, 3, 5] {
-            assert!(e.arm(NodeId(id), 1, 1, 0, Raiser::OwnDetector(2 * SECS)));
+            assert!(e.arm(NodeId(id), 1, 1, 0, Raiser::OwnDetector));
         }
         assert!(e.arm(N, 1, 0, 0, Raiser::Relayed));
-        assert!(e.sweep(2 * SECS - 1, 1.0).is_empty());
-        let due: Vec<u32> = e.sweep(2 * SECS, 1.0).iter().map(|d| d.0 .0).collect();
+        assert!(e.sweep(3 * SECS - 1, 1.0).is_empty());
+        let due: Vec<u32> = e.sweep(3 * SECS, 1.0).iter().map(|d| d.0 .0).collect();
         assert_eq!(
             due,
             vec![3, 5, 9],
             "advisory ones are never ours to confirm"
         );
         // Distress stretches the window at check time.
-        assert!(e.sweep(2 * SECS, DEGRADE_MAX_STRETCH).is_empty());
-        assert_eq!(e.sweep(6 * SECS, DEGRADE_MAX_STRETCH).len(), 3);
+        assert!(e.sweep(3 * SECS, DEGRADE_MAX_STRETCH).is_empty());
+        assert_eq!(e.sweep(9 * SECS, DEGRADE_MAX_STRETCH).len(), 3);
         // Refutation memory lasts the longest detection span; an
         // unresolved advisory suspicion six of them.
         assert!(e.refute(NodeId(3), 1, true, 6 * SECS).is_some());

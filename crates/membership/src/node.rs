@@ -30,8 +30,8 @@
 //!
 //! The node is a dispatcher: it owns the directory, the groups and the
 //! update log, and routes packets and sweep ticks to the books that own
-//! the rest — `evidence.rs` (suspicions, refutation memory, flap
-//! scores, distress latch), `cuts.rs` (cut-detection votes) and
+//! the rest — `evidence.rs` (suspicions, refutation memory, distress
+//! latch), `cuts.rs` (cut-detection votes) and
 //! `quarantine.rs` (escrowed subtrees). Its own methods are split
 //! by sub-protocol: election in `election.rs`, anti-entropy and loss
 //! repair in `sync.rs`, timeout → suspicion → removal in `removal.rs`,

@@ -161,8 +161,7 @@ impl MembershipNode {
         let Some(inc) = self.accusable(peer) else {
             return;
         };
-        let window = self.cfg.suspicion(level);
-        self.arm(ctx, peer, inc, level, Raiser::OwnDetector(window));
+        self.arm(ctx, peer, inc, level, Raiser::OwnDetector);
         let levels = self.relay_levels(level);
         self.relay_events(ctx, vec![MemberEvent::Suspect(peer, inc)], levels);
     }
