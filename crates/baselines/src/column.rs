@@ -105,12 +105,13 @@ impl Shell {
     }
 
     fn rebuild(&mut self) {
-        let mut r = NodeRecord::new(self.me, self.incarnation);
-        r.services = self.profile.services.clone();
-        if self.profile.pad_to > 0 {
-            r.pad_to_encoded_size(self.profile.pad_to);
-        }
-        self.record = r;
+        self.record = NodeRecord::build(
+            self.me,
+            self.incarnation,
+            self.profile.services.clone(),
+            Vec::new(),
+            self.profile.pad_to,
+        );
     }
 
     /// Rebuild the record at the current incarnation and publish it.

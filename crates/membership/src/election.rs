@@ -74,8 +74,8 @@ impl MembershipNode {
     /// Multicast our `Coordinator` claim (with the current backup) into
     /// the level-`level` group we lead.
     pub(crate) fn announce_leadership(&mut self, ctx: &mut Context, level: u8) {
-        let backup = self.groups[level as usize]
-            .as_ref()
+        let backup = self
+            .group(level)
             .expect("announcing on an inactive level")
             .backup;
         let claim = ElectionMsg::Coordinator {
@@ -89,7 +89,11 @@ impl MembershipNode {
     fn become_leader(&mut self, ctx: &mut Context, level: u8) {
         let salt = ctx.rand_below(u64::MAX);
         ctx.emit(ProtocolEvent::LeadershipClaimed { level });
-        let g = self.groups[level as usize].as_mut().unwrap();
+        let g = self
+            .groups
+            .get_mut(level as usize)
+            .and_then(Option::as_mut)
+            .unwrap();
         // An initial claim (no predecessor known on this channel) on a
         // warm-started node has nothing to re-stamp: every member was
         // pre-seeded with the same provenance this exchange would carry.
@@ -125,7 +129,11 @@ impl MembershipNode {
     pub(crate) fn start_or_progress_election(&mut self, ctx: &mut Context, level: u8) {
         let now = ctx.now();
         let me = self.me;
-        let g = self.groups[level as usize].as_mut().unwrap();
+        let g = self
+            .groups
+            .get_mut(level as usize)
+            .and_then(Option::as_mut)
+            .unwrap();
         if g.leader_present(me) {
             return;
         }
@@ -182,13 +190,10 @@ impl MembershipNode {
     /// next sweep. Only iteration ℓ can activate ℓ+1, so sampling ℓ+1
     /// just before it is that snapshot without allocating it.
     pub(crate) fn run_elections(&mut self, ctx: &mut Context) {
-        let mut active = self.groups[0].is_some();
+        let mut active = self.group(0).is_some();
         for level in 0..self.groups.len() as u8 {
             let was_active = active;
-            active = self
-                .groups
-                .get(level as usize + 1)
-                .is_some_and(|g| g.is_some());
+            active = self.group(level + 1).is_some();
             if !was_active {
                 continue;
             }
@@ -196,7 +201,7 @@ impl MembershipNode {
             // A leader whose backup died picks a fresh one.
             if self.am_leader(level) {
                 let salt = ctx.rand_below(u64::MAX);
-                let g = self.groups[level as usize].as_mut().unwrap();
+                let g = self.group_mut(level).unwrap();
                 let backup_alive = g.backup.is_some_and(|b| g.peers().contains_key(&b));
                 if !backup_alive && !g.peers().is_empty() {
                     g.backup = g.pick_backup(salt);
@@ -213,7 +218,7 @@ impl MembershipNode {
                 if from == me {
                     return;
                 }
-                let Some(g) = self.groups.get_mut(level as usize).and_then(|g| g.as_mut()) else {
+                let Some(g) = self.group_mut(level) else {
                     return;
                 };
                 g.heard(from, now, false, 0);
@@ -242,7 +247,7 @@ impl MembershipNode {
                 }
             }
             ElectionMsg::Alive { from, level } => {
-                let Some(g) = self.groups.get_mut(level as usize).and_then(|g| g.as_mut()) else {
+                let Some(g) = self.group_mut(level) else {
                     return;
                 };
                 g.heard(from, now, false, 0);
@@ -258,7 +263,7 @@ impl MembershipNode {
                 if from == me {
                     return;
                 }
-                let Some(g) = self.groups.get_mut(level as usize).and_then(|g| g.as_mut()) else {
+                let Some(g) = self.group_mut(level) else {
                     return;
                 };
                 g.heard(from, now, true, 0);

@@ -157,7 +157,10 @@ pub struct MembershipNode {
     pub(crate) log: UpdateLog,
     /// Highest applied update seq per origin.
     pub(crate) seqs: SeqTracker<NodeId>,
-    /// `groups[ℓ]` = state of our level-ℓ group, if active.
+    /// `groups[ℓ]` = state of our level-ℓ group, if active. Slots run
+    /// from level 0 to the highest level we were last active on, not to
+    /// `cfg.top_level()`: most nodes only ever sit at level 0, so every
+    /// reader goes through `get` and [`Self::activate_level`] grows it.
     pub(crate) groups: Vec<Option<GroupState>>,
     /// Last time we sync-polled each peer (suppresses duplicate polls
     /// while a response is in flight).
@@ -178,7 +181,6 @@ pub struct MembershipNode {
 
 impl MembershipNode {
     pub fn new(me: NodeId, cfg: MembershipConfig) -> Self {
-        let levels = cfg.top_level() as usize + 1;
         let mut node = MembershipNode {
             record: NodeRecord::new(me, 0),
             me,
@@ -187,7 +189,7 @@ impl MembershipNode {
             directory: SharedDirectory::new(),
             log: fresh_log(&cfg),
             seqs: SeqTracker::new(),
-            groups: (0..levels).map(|_| None).collect(),
+            groups: Vec::new(),
             sync_polls: std::collections::HashMap::new(),
             evidence: Evidence::new(&cfg),
             cuts: CutBook::default(),
@@ -245,13 +247,13 @@ impl MembershipNode {
     }
 
     fn make_record(&self, incarnation: u64) -> NodeRecord {
-        let mut r = NodeRecord::new(self.me, incarnation);
-        r.services = self.cfg.services.clone();
-        r.attrs = self.cfg.attrs.clone();
-        if self.cfg.pad_heartbeat_to > 0 {
-            r.pad_to_encoded_size(self.cfg.pad_heartbeat_to);
-        }
-        r
+        NodeRecord::build(
+            self.me,
+            incarnation,
+            self.cfg.services.clone(),
+            self.cfg.attrs.clone(),
+            self.cfg.pad_heartbeat_to,
+        )
     }
 
     pub(crate) fn rebuild_record(&mut self) {
@@ -352,9 +354,17 @@ impl MembershipNode {
     }
 
     pub(crate) fn am_leader(&self, level: u8) -> bool {
-        self.groups[level as usize]
-            .as_ref()
-            .is_some_and(|g| g.leader == Some(self.me))
+        self.group(level).is_some_and(|g| g.leader == Some(self.me))
+    }
+
+    /// Our level-`level` group, if active.
+    pub(crate) fn group(&self, level: u8) -> Option<&GroupState> {
+        self.groups.get(level as usize)?.as_ref()
+    }
+
+    /// Our level-`level` group, if active, to edit.
+    pub(crate) fn group_mut(&mut self, level: u8) -> Option<&mut GroupState> {
+        self.groups.get_mut(level as usize)?.as_mut()
     }
 
     /// Is `peer` currently a member of any group we sit in?
@@ -406,12 +416,11 @@ impl MembershipNode {
         // Reuse the probe's buffers: this runs after every sweep and
         // packet that moved something the probe carries, and fresh
         // allocations here show up at 10k-node scale.
+        // One entry per level the config has, whether or not we hold
+        // a slot for it.
         p.leaders.clear();
-        p.leaders.extend(
-            self.groups
-                .iter()
-                .map(|g| g.as_ref().and_then(|g| g.leader)),
-        );
+        p.leaders
+            .extend((0..=self.cfg.top_level()).map(|l| self.group(l).and_then(|g| g.leader)));
         p.active_levels.clear();
         p.active_levels.extend(self.active_levels());
         p.incarnation = self.incarnation;
@@ -549,8 +558,11 @@ impl MembershipNode {
 
     /// Our next heartbeat on `level`'s channel (which must be active).
     fn next_heartbeat(&mut self, level: u8) -> Message {
-        let g = self.groups[level as usize]
-            .as_mut()
+        // The field, not `group_mut`: the message below reads `self`.
+        let g = self
+            .groups
+            .get_mut(level as usize)
+            .and_then(Option::as_mut)
             .expect("heartbeat on an inactive level");
         g.hb_seq += 1;
         let is_leader = g.leader == Some(self.me);
@@ -567,7 +579,7 @@ impl MembershipNode {
 
     pub(crate) fn send_heartbeats(&mut self, ctx: &mut Context) {
         for l in 0..self.groups.len() as u8 {
-            if self.groups[l as usize].is_none() {
+            if self.group(l).is_none() {
                 continue;
             }
             let msg = self.next_heartbeat(l);
@@ -577,8 +589,16 @@ impl MembershipNode {
     }
 
     pub(crate) fn activate_level(&mut self, ctx: &mut Context, level: u8) {
-        if self.groups[level as usize].is_some() {
+        debug_assert!(level <= self.cfg.top_level());
+        if self.group(level).is_some() {
             return;
+        }
+        let slots = level as usize + 1;
+        if self.groups.len() < slots {
+            // Exactly the slots needed: growing a small vector rounds
+            // its capacity up to four.
+            self.groups.reserve_exact(slots - self.groups.len());
+            self.groups.resize_with(slots, || None);
         }
         let mut group = GroupState::new(level, ctx.now());
         // A warm-started node's directory was pre-seeded; pulling the
@@ -595,10 +615,10 @@ impl MembershipNode {
     /// Leave every level above `level` (used when we lose leadership of
     /// `level`'s lower group, or crash).
     pub(crate) fn deactivate_above(&mut self, ctx: &mut Context, level: u8) {
-        for l in (level as usize + 1)..self.groups.len() {
-            if self.groups[l].is_some() {
-                self.groups[l] = None;
-                ctx.unsubscribe(self.cfg.channel(l as u8));
+        let above = self.groups.len().min(level as usize + 1);
+        for (l, g) in self.groups.drain(above..).enumerate() {
+            if g.is_some() {
+                ctx.unsubscribe(self.cfg.channel((above + l) as u8));
             }
         }
     }
@@ -668,9 +688,7 @@ impl MembershipNode {
             ctx.unsubscribe(self.cfg.channel(l));
         }
         self.on_crash(); // a future on_start is a fresh life
-        for g in &mut self.groups {
-            *g = None;
-        }
+        self.groups.clear();
         self.update_probe();
     }
 
@@ -697,7 +715,7 @@ impl MembershipNode {
         let now = ctx.now();
         let stretch = self.distress_stretch(now);
         for level in 0..self.groups.len() as u8 {
-            let Some(g) = self.groups[level as usize].as_mut() else {
+            let Some(g) = self.groups.get_mut(level as usize).and_then(Option::as_mut) else {
                 continue;
             };
             let timeout = (self.cfg.timeout(level) as f64 * stretch) as u64;
@@ -719,14 +737,14 @@ impl MembershipNode {
 
     /// Leadership invariant: we sit at level ℓ+1 only while leading ℓ.
     fn enforce_leadership_invariant(&mut self, ctx: &mut Context) {
-        for level in 1..self.groups.len() as u8 {
-            if self.groups[level as usize].is_some() && !self.am_leader(level - 1) {
-                self.groups[level as usize] = None;
-                ctx.unsubscribe(self.cfg.channel(level));
-                // Entries only that group covered may now be catch-all
-                // eligible: re-arm the throttled scan.
-                self.next_catchall = 0;
-            }
+        let broken = (1..self.groups.len() as u8)
+            .find(|&level| self.group(level).is_some() && !self.am_leader(level - 1));
+        if let Some(level) = broken {
+            // Every level from there up goes: each sat on the one below.
+            self.deactivate_above(ctx, level - 1);
+            // Entries only those groups covered may now be catch-all
+            // eligible: re-arm the throttled scan.
+            self.next_catchall = 0;
         }
     }
 
@@ -750,7 +768,7 @@ impl MembershipNode {
         let Some(g) = self
             .groups
             .get_mut(hb.level as usize)
-            .and_then(|g| g.as_mut())
+            .and_then(Option::as_mut)
         else {
             return;
         };
@@ -788,7 +806,7 @@ impl MembershipNode {
         let mut slot = dir_slot;
         let changed = self.apply_direct_with(ctx, &record, &mut slot);
         if slot != dir_slot {
-            if let Some(g) = self.groups[level as usize].as_mut() {
+            if let Some(g) = self.group_mut(level) {
                 g.set_dir_slot(hb.from, slot);
             }
         }
@@ -847,9 +865,7 @@ impl Actor for MembershipNode {
             self.cuts.reset();
             self.quarantine.reset();
             self.next_catchall = 0;
-            for g in &mut self.groups {
-                *g = None;
-            }
+            self.groups.clear();
         }
         self.incarnation += 1;
         self.rebuild_record();
@@ -970,7 +986,7 @@ impl Actor for MembershipNode {
                 self.send_digests(ctx);
                 ctx.set_timer(self.cfg.anti_entropy_period, T_DIGEST);
             }
-            T_ELECTION if self.groups.get(level as usize).is_some_and(|g| g.is_some()) => {
+            T_ELECTION if self.group(level).is_some() => {
                 self.start_or_progress_election(ctx, level);
                 self.update_probe();
             }
@@ -1213,6 +1229,42 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn boot_records_of_equal_content_share_one_payload() {
+        let a = MembershipNode::new(NodeId(1), MembershipConfig::default());
+        let b = MembershipNode::new(NodeId(2), MembershipConfig::default());
+        assert!(a.boot_record().shares_payload_with(&b.boot_record()));
+        assert!(a.record.shares_payload_with(&b.boot_record()));
+        assert_ne!(a.boot_record(), b.boot_record());
+    }
+
+    #[test]
+    fn group_slots_run_to_the_highest_active_level() {
+        let cfg = MembershipConfig::default();
+        let levels = cfg.top_level() as usize + 1;
+        assert!(levels > 2);
+        let after_listen = cfg.listen_period + 1;
+        let mut node = MembershipNode::new(NodeId(5), cfg);
+        let leaders = |node: &MembershipNode| node.probe.lock().leaders.len();
+        drive(&mut node, 0, |n, ctx| n.on_start(ctx));
+        assert_eq!(node.groups.len(), 1);
+        assert_eq!(leaders(&node), levels);
+
+        // Alone on level 0, we win it and join level 1: one more slot.
+        drive(&mut node, after_listen, |n, ctx| n.sweep(ctx));
+        assert!(node.am_leader(0));
+        assert_eq!(node.groups.len(), 2);
+        assert_eq!(node.active_levels().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(leaders(&node), levels);
+        assert_eq!(truthful_probe(&node).leaders[1], None);
+
+        // A lower id claims level 0: we follow it and leave level 1.
+        hear(&mut node, after_listen + 1, 2, true, 0);
+        assert_eq!(node.groups.len(), 1);
+        assert_eq!(truthful_probe(&node).leaders[0], Some(NodeId(2)));
+        assert_eq!(leaders(&node), levels);
+    }
+
+    #[test]
     fn register_service_and_update_value_rebuild_record() {
         let mut node = MembershipNode::new(NodeId(1), MembershipConfig::default());
         node.register_service(tamp_wire::ServiceDecl::new(
@@ -1268,9 +1320,9 @@ pub(crate) mod tests {
     fn relay_levels_excludes_arrival_and_respects_roles() {
         let mut node = MembershipNode::new(NodeId(1), MembershipConfig::default());
         // Manually wire: active at 0 (member), 1 (leader of 0), leader at 1 too.
-        node.groups[0] = Some(GroupState::new(0, 0));
+        node.groups.push(Some(GroupState::new(0, 0)));
         node.groups[0].as_mut().unwrap().leader = Some(NodeId(1));
-        node.groups[1] = Some(GroupState::new(1, 0));
+        node.groups.push(Some(GroupState::new(1, 0)));
         node.groups[1].as_mut().unwrap().leader = Some(NodeId(0));
         // Event arrived at level 1: relay into level 0 (we lead it), not
         // level 1 (arrival), nothing above.

@@ -357,7 +357,7 @@ impl MembershipNode {
             return; // aggregation hygiene only; removal stays timeout-driven
         }
         let ready = self.cuts.stable_cut(now, |level| {
-            let peers = self.groups.get(level as usize).and_then(|g| g.as_ref());
+            let peers = self.group(level);
             1 + peers.map_or(0, |g| g.peers().len())
         });
         if ready.is_empty() {

@@ -101,7 +101,7 @@ impl MembershipNode {
             return;
         }
         let now = ctx.now();
-        if let Some(g) = self.groups.get_mut(level as usize).and_then(|g| g.as_mut()) {
+        if let Some(g) = self.group_mut(level) {
             g.heard(from, now, false, 0);
         }
         let me = self.me;

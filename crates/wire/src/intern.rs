@@ -1,19 +1,24 @@
-//! One payload per content: the decoder's table of live payloads.
+//! One payload per content: the table of live payloads.
 //!
 //! Every node holds every other node's record, so a cluster that learns
-//! its records over the wire decodes each of them once per holder. The
+//! its records over the wire decodes each of them once per holder, and
+//! a simulation that builds its nodes in one process builds every equal
+//! record (the same services and padding) once per node. The
 //! payloads are immutable behind their `Arc` (a holder that edits one
 //! splits it off first, see `NodeRecord`'s `DerefMut`), so holders on
-//! one thread can share the first decode: the table maps an encoded
-//! payload section to a `Weak` of the payload it decoded to, and a later
-//! decode of the same bytes gets that allocation back instead of
-//! building its own. Sharing is invisible to protocol code — equal
+//! one thread can share the first one: the table maps an encoded
+//! payload section to a `Weak` of the payload it decodes to, and a later
+//! decode of the same bytes, or a later record built to the same
+//! content, gets that allocation back instead of keeping its own.
+//! Sharing is invisible to protocol code — equal
 //! content either way — and costs a holder nothing it could observe: a
 //! `Weak` keeps no payload alive and `Arc::make_mut` detaches one.
 //!
 //! The table is thread-local: engine shards and sweep workers each keep
 //! their own and never take a lock. There is no handle to it and no way
-//! around it; [`crate::codec::payload_of`] is its one caller.
+//! around it; its two callers are [`crate::codec::payload_of`] (every
+//! decoded payload) and [`crate::NodeRecord::build`] (every record a
+//! node publishes).
 
 use crate::messages::RecordPayload;
 use std::cell::RefCell;
@@ -41,7 +46,8 @@ thread_local! {
 }
 
 /// The live payload that `section` decodes to, or `build()` — which
-/// must be that decode — remembered for the next caller.
+/// must be that decode, or a payload whose own section is `section` —
+/// remembered for the next caller.
 pub(crate) fn share(section: &[u8], build: impl FnOnce() -> RecordPayload) -> Arc<RecordPayload> {
     let hit = TABLE.with(|t| t.borrow().live.get(section).and_then(Weak::upgrade));
     if let Some(p) = hit {

@@ -182,10 +182,12 @@ impl RecordPayload {
 }
 
 impl PartialEq for RecordPayload {
-    // Same allocation first: a holder that stores the payload apart
-    // from its record (the directory's columns) compares plain
-    // references, and the shared case is the common one — worth
-    // answering without a call.
+    // Same allocation first: equal payloads on one thread are one
+    // allocation (decoded and built alike, see `crate::intern`), so a
+    // holder comparing what it stores with what it heard — the
+    // directory's key pages keep the payload apart from its record —
+    // usually compares a reference with itself, worth answering
+    // without a call.
     #[inline]
     fn eq(&self, other: &Self) -> bool {
         std::ptr::eq(self, other) || self.same_content(other)
@@ -284,9 +286,9 @@ impl NodeRecord {
     }
 
     /// Split into identity and the shared payload, for a holder that
-    /// keeps the two in separate columns. The payload's encoded section
-    /// is only dropped by mutation through a `NodeRecord`: do not edit
-    /// one through the `Arc`.
+    /// stores the two apart (the directory's key pages). The payload's
+    /// encoded section is only dropped by mutation through a
+    /// `NodeRecord`: do not edit one through the `Arc`.
     pub fn into_parts(self) -> (NodeId, u64, std::sync::Arc<RecordPayload>) {
         (self.node, self.incarnation, self.payload)
     }
@@ -301,6 +303,32 @@ impl NodeRecord {
             node,
             incarnation,
             payload,
+        }
+    }
+
+    /// A node's own record: `services` and `attrs`, padded with
+    /// [`NodeRecord::pad_to_encoded_size`] when `pad_to` is not 0, its
+    /// payload shared with every live payload of the same content on
+    /// this thread, the way the decoder shares them. The one
+    /// constructor for records a node publishes: a template's boot
+    /// record, the node's own record and every row holding either are
+    /// one allocation.
+    pub fn build(
+        node: NodeId,
+        incarnation: u64,
+        services: Vec<ServiceDecl>,
+        attrs: Vec<(String, String)>,
+        pad_to: usize,
+    ) -> Self {
+        let mut r = NodeRecord::from_parts(node, incarnation, services, attrs);
+        if pad_to > 0 {
+            r.pad_to_encoded_size(pad_to);
+        }
+        let payload = std::sync::Arc::unwrap_or_clone(r.payload);
+        let section = payload.wire().clone();
+        NodeRecord {
+            payload: crate::intern::share(&section, || payload),
+            ..r
         }
     }
 
@@ -324,7 +352,9 @@ impl NodeRecord {
     /// reaches `target` bytes. Used by the harness to match the paper's
     /// measured 228-byte heartbeat packets.
     pub fn pad_to_encoded_size(&mut self, target: usize) {
-        let probe = Message::Heartbeat(Heartbeat {
+        // The probe is a temporary: gone before the push below, so the
+        // push edits this record's payload instead of copying it.
+        let cur = crate::codec::encoded_len(&Message::Heartbeat(Heartbeat {
             from: self.node,
             level: 0,
             seq: 0,
@@ -332,8 +362,7 @@ impl NodeRecord {
             backup: None,
             latest_update_seq: 0,
             record: self.clone(),
-        });
-        let cur = crate::codec::encoded_len(&probe);
+        }));
         if cur + 5 <= target {
             // key "pad" + value of the needed length; 4+3 + 4+len bytes of
             // framing per the codec's string layout.

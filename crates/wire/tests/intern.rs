@@ -1,6 +1,6 @@
-//! The decoder shares payloads by content (`src/intern.rs`); nothing a
-//! caller can observe may depend on whether a decode found its payload
-//! in the table or built it.
+//! The decoder and `NodeRecord::build` share payloads by content
+//! (`src/intern.rs`); nothing a caller can observe may depend on whether
+//! a decode or a build found its payload in the table or kept its own.
 //!
 //! `fuzz_codec.rs` draws every payload at random, so almost every one of
 //! its decodes is a miss. The strategies here draw payloads from a pool
@@ -221,6 +221,30 @@ fn an_edit_stays_with_the_holder_that_made_it() {
     only.services.clear();
     assert_ne!(only, sent);
     assert_eq!(record_of(&frame), sent);
+}
+
+#[test]
+fn records_built_apart_share_one_payload_until_one_is_edited() {
+    let build = |node| {
+        let svc = ServiceDecl::new("index", PartitionSet::from_iter([1, 2]));
+        let attrs = vec![("rack".to_string(), "r1".to_string())];
+        NodeRecord::build(NodeId(node), 1, vec![svc], attrs, 228)
+    };
+    let (a, mut b, c) = (build(1), build(2), build(3));
+    assert!(a.shares_payload_with(&b) && a.shares_payload_with(&c));
+    assert_eq!(heartbeat(a.clone()).len(), 228);
+    // The decoder finds the built payload.
+    assert!(record_of(&heartbeat(a.clone())).shares_payload_with(&a));
+
+    // An edit splits only the edited copy; the others keep their
+    // content and their sharing, and later builds find theirs.
+    let before = c.clone();
+    b.attrs.push(("load".into(), "0.3".into()));
+    assert!(!b.shares_payload_with(&a));
+    assert!(a.shares_payload_with(&c));
+    assert_eq!(c, before);
+    assert_eq!(b.attrs.len(), a.attrs.len() + 1);
+    assert!(build(4).shares_payload_with(&a));
 }
 
 /// `decode` and `parse` on `data`, on a thread of its own: an empty
