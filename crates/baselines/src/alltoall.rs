@@ -7,7 +7,7 @@
 //! functions independently and it provides the best fault isolation.
 //! Unfortunately, this simple scheme is not scalable."
 
-use crate::column::{take_due, Baseline, Column, Profile, Shell};
+use crate::column::{Baseline, Column, Floor, Profile, Shell};
 use std::collections::BTreeMap;
 use tamp_netsim::{ChannelId, Context, Nanos, PacketMeta, ProtocolEvent, MILLIS, SECS};
 use tamp_wire::{Heartbeat, Message, MessageView, NodeId, ServiceDecl};
@@ -56,6 +56,7 @@ pub struct AllToAll {
     heartbeat_period: Nanos,
     seq: u64,
     last_heard: BTreeMap<NodeId, Nanos>,
+    heard_floor: Floor,
 }
 
 impl AllToAll {
@@ -69,6 +70,7 @@ impl AllToAll {
             return false;
         }
         self.last_heard.insert(from, ctx.now());
+        self.heard_floor.note(ctx.now());
         true
     }
 }
@@ -93,6 +95,7 @@ impl Column for AllToAll {
 
     fn reset(&mut self) {
         self.last_heard.clear();
+        self.heard_floor = Floor::default();
         self.seq = 0;
     }
 
@@ -159,9 +162,11 @@ impl Column for AllToAll {
     }
 
     fn on_sweep(&mut self, shell: &mut Shell, ctx: &mut Context) {
-        let now = ctx.now();
-        let timeout = self.timeout();
-        for n in take_due(&mut self.last_heard, |&t| now.saturating_sub(t) >= timeout) {
+        let (now, timeout) = (ctx.now(), self.timeout());
+        for n in self
+            .heard_floor
+            .take_due(&mut self.last_heard, now, timeout, |&t| Some(t))
+        {
             shell.remove_held(ctx, n);
         }
     }
@@ -170,6 +175,20 @@ impl Column for AllToAll {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::tests::Harness;
+    use tamp_wire::NodeRecord;
+
+    fn heartbeat(from: u32) -> Message {
+        Message::Heartbeat(Heartbeat {
+            from: NodeId(from),
+            level: 0,
+            seq: 1,
+            is_leader: false,
+            backup: None,
+            latest_update_seq: 0,
+            record: NodeRecord::new(NodeId(from), 1),
+        })
+    }
 
     #[test]
     fn record_padded_to_configured_size() {
@@ -190,5 +209,21 @@ mod tests {
     fn timeout_is_max_loss_periods() {
         let node = AllToAllNode::new(NodeId(1), AllToAllConfig::default());
         assert_eq!(node.column.timeout(), 5 * SECS);
+    }
+
+    #[test]
+    fn a_silence_falls_due_exactly_at_the_timeout() {
+        let mut h = Harness::new(AllToAllNode::new(NodeId(1), AllToAllConfig::default()));
+        h.start(0);
+        let timeout = h.node.column.timeout();
+        for from in [5, 3] {
+            h.packet(SECS, from, heartbeat(from));
+        }
+        h.packet(2 * SECS, 4, heartbeat(4));
+        assert_eq!(h.sweep(SECS + timeout - 1), [], "one nanosecond early");
+        assert_eq!(h.sweep(SECS + timeout), [NodeId(3), NodeId(5)]);
+        assert_eq!(h.sweep(2 * SECS + timeout - 1), []);
+        assert_eq!(h.sweep(2 * SECS + timeout), [NodeId(4)]);
+        assert!(h.node.column.last_heard.is_empty());
     }
 }

@@ -18,9 +18,10 @@
 //!   `Shell::refute`.
 //!
 //! A column keeps its own books. Those whose iteration reaches an effect
-//! are ordered by [`NodeId`] (`take_due`, `Tombstones`), so
+//! are ordered by [`NodeId`] (`Floor::due`, `Tombstones`), so
 //! simultaneous removals leave in ascending id order and a seed replays
-//! exactly.
+//! exactly. A book its sweep ages carries a [`Floor`], so a sweep with
+//! nothing due costs one comparison.
 
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
@@ -213,17 +214,67 @@ impl Shell {
     }
 }
 
-/// Remove from `book` every member `due` picks, in ascending id order.
-pub(crate) fn take_due<V>(book: &mut BTreeMap<NodeId, V>, due: impl Fn(&V) -> bool) -> Vec<NodeId> {
-    let ids: Vec<NodeId> = book
-        .iter()
-        .filter(|(_, v)| due(v))
-        .map(|(&n, _)| n)
-        .collect();
-    for n in &ids {
-        book.remove(n);
+/// A lower bound on the stamps a sweep ages a book by: the device
+/// `GroupState::expired_peers` uses. The book notes the stamp of each
+/// entry that enters it; refreshing or removing an entry can only
+/// loosen the bound. A sweep walks the book only once the bound is a
+/// whole window old, and the walk sets it to the exact minimum of the
+/// stamps it leaves. `None`: no entry the sweep ages.
+#[derive(Default)]
+pub(crate) struct Floor(Option<Nanos>);
+
+impl Floor {
+    /// An entry stamped `t` entered the book.
+    pub(crate) fn note(&mut self, t: Nanos) {
+        self.0 = Some(self.0.map_or(t, |f| f.min(t)));
     }
-    ids
+
+    /// The members of `book` whose stamp is `window` old at `now`, in
+    /// ascending id order; `stamp` is `None` for an entry the sweep does
+    /// not age. The caller removes every member named.
+    pub(crate) fn due<V>(
+        &mut self,
+        book: &BTreeMap<NodeId, V>,
+        now: Nanos,
+        window: Nanos,
+        stamp: impl Fn(&V) -> Option<Nanos>,
+    ) -> Vec<NodeId> {
+        let old = |t: Nanos| now.saturating_sub(t) >= window;
+        if !self.0.is_some_and(old) {
+            debug_assert!(
+                book.values().filter_map(&stamp).all(|t| !old(t)),
+                "sweep gate skipped a due entry: floor={:?} now={now} window={window}",
+                self.0
+            );
+            return Vec::new();
+        }
+        self.0 = None;
+        let mut ids = Vec::new();
+        for (&n, v) in book {
+            match stamp(v) {
+                Some(t) if old(t) => ids.push(n),
+                Some(t) => self.note(t),
+                None => {}
+            }
+        }
+        ids
+    }
+
+    /// Remove from `book` every member [`Floor::due`] names, in
+    /// ascending id order.
+    pub(crate) fn take_due<V>(
+        &mut self,
+        book: &mut BTreeMap<NodeId, V>,
+        now: Nanos,
+        window: Nanos,
+        stamp: impl Fn(&V) -> Option<Nanos>,
+    ) -> Vec<NodeId> {
+        let ids = self.due(book, now, window, stamp);
+        for n in &ids {
+            book.remove(n);
+        }
+        ids
+    }
 }
 
 /// Members declared dead, in id order, each with what the column keeps
@@ -341,7 +392,7 @@ impl<C: Column> Actor for Baseline<C> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -355,6 +406,7 @@ mod tests {
     struct Listener {
         resets: u32,
         heard: BTreeMap<NodeId, Nanos>,
+        floor: Floor,
     }
 
     impl Column for Listener {
@@ -374,6 +426,7 @@ mod tests {
         fn reset(&mut self) {
             self.resets += 1;
             self.heard.clear();
+            self.floor = Floor::default();
         }
 
         fn on_packet(
@@ -385,6 +438,7 @@ mod tests {
         ) {
             let Message::Heartbeat(hb) = msg else { return };
             self.heard.insert(hb.from, ctx.now());
+            self.floor.note(ctx.now());
             let rec = &hb.record;
             shell.admit(
                 ctx,
@@ -398,36 +452,46 @@ mod tests {
         fn on_tick(&mut self, _: &mut Shell, _: &mut Context) {}
 
         fn on_sweep(&mut self, shell: &mut Shell, ctx: &mut Context) {
-            for n in take_due(&mut self.heard, |_| true) {
+            for n in self
+                .floor
+                .take_due(&mut self.heard, ctx.now(), 0, |&t| Some(t))
+            {
                 shell.remove_held(ctx, n);
             }
         }
     }
 
-    struct Harness {
-        node: Baseline<Listener>,
+    /// One baseline node driven outside an engine.
+    pub(crate) struct Harness<C: Column> {
+        pub(crate) node: Baseline<C>,
         rng: StdRng,
     }
 
-    impl Harness {
-        fn new() -> Self {
+    impl<C: Column> Harness<C> {
+        pub(crate) fn new(node: Baseline<C>) -> Self {
             Harness {
-                node: Baseline::new(NodeId(1), ()),
+                node,
                 rng: StdRng::seed_from_u64(1),
             }
         }
 
-        fn run(
+        pub(crate) fn run(
             &mut self,
             now: Nanos,
-            f: impl FnOnce(&mut Baseline<Listener>, &mut Context),
+            f: impl FnOnce(&mut Baseline<C>, &mut Context),
         ) -> Vec<Effect> {
             let node = &mut self.node;
-            collect_effects(now, HostId(1), &mut self.rng, |ctx| f(node, ctx))
+            let me = HostId(node.shell.me().0);
+            collect_effects(now, me, &mut self.rng, |ctx| f(node, ctx))
         }
 
-        fn start(&mut self, now: Nanos) {
+        pub(crate) fn start(&mut self, now: Nanos) {
             self.run(now, |n, ctx| n.on_start(ctx));
+        }
+
+        pub(crate) fn packet(&mut self, now: Nanos, from: u32, msg: Message) {
+            let meta = PacketMeta::unicast(HostId(from), 100);
+            self.run(now, |n, ctx| n.on_packet(ctx, meta, &msg));
         }
 
         fn heartbeat(&mut self, now: Nanos, from: u32) {
@@ -440,14 +504,32 @@ mod tests {
                 latest_update_seq: 0,
                 record: NodeRecord::new(NodeId(from), 1),
             });
-            let meta = PacketMeta::unicast(HostId(from), 100);
-            self.run(now, |n, ctx| n.on_packet(ctx, meta, &msg));
+            self.packet(now, from, msg);
         }
+
+        /// The members one sweep at `now` removed, in the order it
+        /// reported them.
+        pub(crate) fn sweep(&mut self, now: Nanos) -> Vec<NodeId> {
+            let fx = self.run(now, |n, ctx| n.on_timer(ctx, T_SWEEP));
+            fx.iter()
+                .filter_map(|e| match e {
+                    Effect::Emit(ev) => match ObservationKind::of(ev) {
+                        Some(ObservationKind::Removed(n)) => Some(n),
+                        _ => None,
+                    },
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    fn listener() -> Harness<Listener> {
+        Harness::new(Baseline::new(NodeId(1), ()))
     }
 
     #[test]
     fn restart_after_a_crash_resets_the_column_once_and_clears_the_directory() {
-        let mut h = Harness::new();
+        let mut h = listener();
         let client = h.node.directory_client();
         h.start(0);
         h.heartbeat(SECS, 2);
@@ -474,29 +556,19 @@ mod tests {
 
     #[test]
     fn due_removals_leave_in_ascending_id_order() {
-        let mut h = Harness::new();
+        let mut h = listener();
         h.start(0);
         for from in [5, 3, 9, 4] {
             h.heartbeat(SECS, from);
         }
-        let fx = h.run(2 * SECS, |n, ctx| n.on_timer(ctx, T_SWEEP));
-        let removed: Vec<NodeId> = fx
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Emit(ev) => match ObservationKind::of(ev) {
-                    Some(ObservationKind::Removed(n)) => Some(n),
-                    _ => None,
-                },
-                _ => None,
-            })
-            .collect();
+        let removed = h.sweep(2 * SECS);
         assert_eq!(removed, [3, 4, 5, 9].map(NodeId));
         assert_eq!(h.node.directory_client().member_count(), 1);
     }
 
     #[test]
     fn a_removal_is_a_death_on_the_columns_own_evidence() {
-        let mut h = Harness::new();
+        let mut h = listener();
         h.start(0);
         h.heartbeat(SECS, 5);
         let fx = h.run(2 * SECS, |n, ctx| n.shell.remove(ctx, NodeId(5), 1, true));

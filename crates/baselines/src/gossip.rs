@@ -13,7 +13,7 @@
 //! a LAN (Figs. 12–13) while its per-round traffic is the largest
 //! (Fig. 11).
 
-use crate::column::{take_due, Baseline, Column, Profile, Shell, Tombstones};
+use crate::column::{Baseline, Column, Floor, Profile, Shell, Tombstones};
 use std::collections::BTreeMap;
 use tamp_netsim::{Context, Nanos, PacketMeta, ProtocolEvent, SECS};
 use tamp_wire::{GossipEntry, Message, NodeId, ServiceDecl};
@@ -102,6 +102,8 @@ pub struct Gossip {
     /// live view.
     last_rx: Nanos,
     members: BTreeMap<NodeId, MemberState>,
+    /// Bounds the members' `last_increase` from below.
+    increase_floor: Floor,
     /// Failed members, until they may be forgotten. The entries keep no
     /// record: what a blacklisted member's news is weighed against is
     /// the incarnation the yellow pages hold.
@@ -169,6 +171,7 @@ impl Column for Gossip {
 
     fn reset(&mut self) {
         self.members.clear();
+        self.increase_floor = Floor::default();
         self.blacklist.clear();
         self.my_counter = 0;
         self.last_rx = 0;
@@ -205,9 +208,12 @@ impl Column for Gossip {
                 }
                 self.blacklist.remove(&node);
             }
-            let m = self.members.entry(node).or_insert(MemberState {
-                counter: 0,
-                last_increase: now,
+            let m = self.members.entry(node).or_insert_with(|| {
+                self.increase_floor.note(now);
+                MemberState {
+                    counter: 0,
+                    last_increase: now,
+                }
             });
             if e.heartbeat_counter > m.counter || !shell.read(|d| d.contains(node)) {
                 if e.heartbeat_counter > m.counter {
@@ -249,10 +255,11 @@ impl Column for Gossip {
         // information failed to advance the member's counter. Using
         // `now` here would convict every member during an
         // inbound-starvation gap.
-        let last_rx = self.last_rx;
-        let failed = take_due(&mut self.members, |m| {
-            last_rx.saturating_sub(m.last_increase) >= t_fail
-        });
+        let failed = self
+            .increase_floor
+            .take_due(&mut self.members, self.last_rx, t_fail, |m| {
+                Some(m.last_increase)
+            });
         for n in failed {
             self.blacklist.insert(n, ((), until));
             shell.remove_held(ctx, n);
@@ -264,6 +271,22 @@ impl Column for Gossip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::tests::Harness;
+    use tamp_wire::NodeRecord;
+
+    /// A gossip message from node 9 carrying `(node, counter)` entries.
+    fn gossip(entries: &[(u32, u64)]) -> Message {
+        Message::Gossip(tamp_wire::Gossip {
+            from: NodeId(9),
+            entries: entries
+                .iter()
+                .map(|&(n, c)| GossipEntry {
+                    record: NodeRecord::new(NodeId(n), 1),
+                    heartbeat_counter: c,
+                })
+                .collect(),
+        })
+    }
 
     #[test]
     fn t_fail_grows_logarithmically() {
@@ -312,5 +335,32 @@ mod tests {
         });
         let one = tamp_wire::codec::encoded_len(&msg);
         assert!((200..300).contains(&one), "single-entry gossip: {one}");
+    }
+
+    /// Staleness runs on received gossip: node 9 keeps gossiping, so
+    /// `last_rx` advances while the counters of 3, 5 and then 4 stand
+    /// still.
+    #[test]
+    fn a_stale_counter_falls_due_exactly_at_t_fail() {
+        let mut h = Harness::new(GossipNode::new(NodeId(1), GossipConfig::default()));
+        h.start(0);
+        let t_fail = h.node.column.cfg.t_fail();
+        h.packet(SECS, 9, gossip(&[(5, 1), (3, 1), (9, 1)]));
+        h.packet(2 * SECS, 9, gossip(&[(4, 1), (9, 2)]));
+        let mut counter = 2;
+        let mut hear_at = |h: &mut Harness<Gossip>, t: Nanos| {
+            counter += 1;
+            h.packet(t, 9, gossip(&[(9, counter)]));
+        };
+        hear_at(&mut h, SECS + t_fail - 1);
+        assert_eq!(h.sweep(SECS + t_fail), [], "one nanosecond early");
+        hear_at(&mut h, SECS + t_fail);
+        assert_eq!(h.sweep(SECS + t_fail), [NodeId(3), NodeId(5)]);
+        hear_at(&mut h, 2 * SECS + t_fail - 1);
+        assert_eq!(h.sweep(2 * SECS + t_fail), []);
+        hear_at(&mut h, 2 * SECS + t_fail);
+        assert_eq!(h.sweep(2 * SECS + t_fail), [NodeId(4)]);
+        let left: Vec<NodeId> = h.node.column.members.keys().copied().collect();
+        assert_eq!(left, [NodeId(9)]);
     }
 }

@@ -23,7 +23,7 @@
 //! add/remove/suspect/refute observations as the other baselines, so it
 //! drops into every harness surface as one more protocol column.
 
-use crate::column::{Baseline, Column, Profile, Shell, Tombstones};
+use crate::column::{Baseline, Column, Floor, Profile, Shell, Tombstones};
 use std::collections::{BTreeMap, HashMap};
 use tamp_netsim::telemetry::Ping;
 use tamp_netsim::{Context, Nanos, PacketMeta, ProtocolEvent, MILLIS, SECS};
@@ -124,6 +124,8 @@ pub type SwimNode = Baseline<Swim>;
 pub struct Swim {
     seeds: Vec<NodeId>,
     members: BTreeMap<NodeId, Member>,
+    /// Bounds the `since` of the suspects among `members` from below.
+    suspect_floor: Floor,
     /// Confirmed deaths, kept for [`CLEANUP_WINDOW`] with the record
     /// echoed back to a dead-listed node that pings.
     dead: Tombstones<NodeRecord>,
@@ -304,6 +306,7 @@ impl Swim {
                 self.members.insert(subject, member);
                 shell.introduce(ctx, upd.record.clone());
                 if upd.state == SwimState::Suspect {
+                    self.suspect_floor.note(now);
                     raised(ctx, subject);
                 }
             }
@@ -339,6 +342,7 @@ impl Swim {
                     m.record = upd.record.clone();
                 }
                 m.since = now;
+                self.suspect_floor.note(now);
                 if was == SwimState::Alive {
                     raised(ctx, subject);
                 }
@@ -379,6 +383,7 @@ impl Swim {
         }
         m.state = SwimState::Suspect;
         m.since = now;
+        self.suspect_floor.note(now);
         let upd = SwimUpdate {
             state: SwimState::Suspect,
             record: m.record.clone(),
@@ -491,6 +496,7 @@ impl Column for Swim {
 
     fn reset(&mut self) {
         self.members.clear();
+        self.suspect_floor = Floor::default();
         self.dead.clear();
         self.order.clear();
         self.order_pos = 0;
@@ -671,15 +677,13 @@ impl Column for Swim {
         // Unrefuted suspicions confirm after the window, in id order.
         // One at a time: each removal shrinks the budget the next
         // confirmation is queued with.
-        let due: Vec<(NodeId, u64)> = self
-            .members
-            .iter()
-            .filter(|(_, m)| {
-                m.state == SwimState::Suspect && now.saturating_sub(m.since) >= SUSPECT_TIMEOUT
-            })
-            .map(|(&n, m)| (n, m.record.incarnation))
-            .collect();
-        for (n, inc) in due {
+        let due = self
+            .suspect_floor
+            .due(&self.members, now, SUSPECT_TIMEOUT, |m| {
+                (m.state == SwimState::Suspect).then_some(m.since)
+            });
+        for n in due {
+            let inc = self.members[&n].record.incarnation;
             self.remove_member(shell, ctx, n, inc, true);
             if let Some((record, _)) = self.dead.get(&n) {
                 let record = record.clone();
@@ -1052,5 +1056,46 @@ mod tests {
         }
         assert!(h.node.column.queue.is_empty(), "budget exhausted");
         assert!(carried > 0);
+    }
+
+    #[test]
+    fn a_suspicion_falls_due_exactly_at_the_suspect_timeout() {
+        let mut h = Harness::new(1, SwimConfig::default());
+        let suspect = |id| SwimUpdate {
+            state: SwimState::Suspect,
+            record: NodeRecord::new(NodeId(id), 1),
+        };
+        let ping = |seq, updates| {
+            Message::SwimPing(SwimPing {
+                from: NodeId(2),
+                seq,
+                updates,
+            })
+        };
+        let updates = [2, 3, 4, 5].map(|id| alive(id, 1)).to_vec();
+        let _ = h.packet(SECS / 2, 2, ping(1, updates));
+        let _ = h.packet(SECS, 2, ping(2, vec![suspect(5), suspect(3)]));
+        let _ = h.packet(2 * SECS, 2, ping(3, vec![suspect(4)]));
+        let mut confirmed = |now| -> Vec<NodeId> {
+            h.timer(now, T_SWEEP)
+                .iter()
+                .filter_map(|e| match e {
+                    Effect::Emit(ProtocolEvent::SuspicionConfirmed { subject }) => {
+                        Some(NodeId(*subject))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(
+            confirmed(SECS + SUSPECT_TIMEOUT - 1),
+            [],
+            "one nanosecond early"
+        );
+        assert_eq!(confirmed(SECS + SUSPECT_TIMEOUT), [NodeId(3), NodeId(5)]);
+        assert_eq!(confirmed(2 * SECS + SUSPECT_TIMEOUT - 1), []);
+        assert_eq!(confirmed(2 * SECS + SUSPECT_TIMEOUT), [NodeId(4)]);
+        let left: Vec<NodeId> = h.node.column.members.keys().copied().collect();
+        assert_eq!(left, [NodeId(2)]);
     }
 }

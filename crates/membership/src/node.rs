@@ -45,6 +45,7 @@ use crate::evidence::Evidence;
 use crate::group::GroupState;
 use crate::quarantine::QuarantineBook;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tamp_directory::{Provenance, SharedDirectory};
 use tamp_netsim::{Actor, ChannelId, Context, PacketMeta, ProtocolEvent};
@@ -126,8 +127,41 @@ pub enum ServiceCommand {
     GracefulLeave,
 }
 
-/// Cloneable command queue attached to a running node.
-pub type ControlHandle = Arc<Mutex<Vec<ServiceCommand>>>;
+/// Cloneable command mailbox attached to a running node. The node
+/// looks at it on every sweep; while nothing is pending, that look is
+/// one atomic load and takes no lock.
+#[derive(Clone, Default)]
+pub struct ControlHandle(Arc<Mailbox>);
+
+#[derive(Default)]
+struct Mailbox {
+    /// Set under the lock by a push, cleared under it by a take. It
+    /// only says whether to lock: the mutex publishes the commands. A
+    /// push's `Release` store pairs with a take's `Acquire` load, so a
+    /// take that sees the flag set finds the push's command under the
+    /// lock.
+    pending: AtomicBool,
+    commands: Mutex<Vec<ServiceCommand>>,
+}
+
+impl ControlHandle {
+    /// Queue `cmd` for the node's next sweep.
+    pub fn push(&self, cmd: ServiceCommand) {
+        let mut commands = self.0.commands.lock();
+        commands.push(cmd);
+        self.0.pending.store(true, Ordering::Release);
+    }
+
+    /// Every command queued since the last take, oldest first.
+    fn take(&self) -> Vec<ServiceCommand> {
+        if !self.0.pending.load(Ordering::Acquire) {
+            return Vec::new();
+        }
+        let mut commands = self.0.commands.lock();
+        self.0.pending.store(false, Ordering::Relaxed);
+        std::mem::take(&mut *commands)
+    }
+}
 
 /// What this node's own failure detector timing a peer out turns into —
 /// the one place [`RemovalDiscipline`] is decided.
@@ -200,7 +234,7 @@ impl MembershipNode {
                 RemovalDiscipline::Timeout => OnTimeout::Suspect,
             },
             next_catchall: 0,
-            control: Arc::new(Mutex::new(Vec::new())),
+            control: ControlHandle::default(),
             probe: Arc::new(Mutex::new(ProbeState::default())),
             cfg,
         };
@@ -238,7 +272,7 @@ impl MembershipNode {
     /// attributes at runtime (applied on the next sweep, announced on
     /// the heartbeat that follows).
     pub fn control_handle(&self) -> ControlHandle {
-        Arc::clone(&self.control)
+        self.control.clone()
     }
 
     /// The node's identity.
@@ -654,7 +688,7 @@ impl MembershipNode {
     /// announced immediately (peers apply it as a same-incarnation
     /// content update and relay it on). Returns whether the node left.
     fn apply_commands(&mut self, ctx: &mut Context) -> bool {
-        let cmds: Vec<ServiceCommand> = std::mem::take(&mut *self.control.lock());
+        let cmds = self.control.take();
         if cmds.is_empty() {
             return false;
         }
@@ -1226,6 +1260,47 @@ pub(crate) mod tests {
             truthful_probe(&node).leaders[0] != Some(NodeId(3))
         });
         assert!(lost.is_some(), "the silent leader was never timed out");
+    }
+
+    #[test]
+    fn a_command_pushed_between_sweeps_is_applied_at_the_next_one() {
+        use tamp_topology::MILLIS;
+        let heartbeats = |fx: &[tamp_netsim::Effect]| {
+            fx.iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        tamp_netsim::Effect::Send {
+                            msg: Message::Heartbeat(_),
+                            ..
+                        }
+                    )
+                })
+                .count()
+        };
+        let mut node = MembershipNode::new(NodeId(1), MembershipConfig::default());
+        let control = node.control_handle();
+        drive(&mut node, 0, |n, ctx| n.on_start(ctx));
+        drive(&mut node, 100 * MILLIS, |n, ctx| n.sweep(ctx));
+        let before = node.record.clone();
+
+        control.push(ServiceCommand::UpdateValue("ready".into(), "yes".into()));
+        assert!(control.0.pending.load(Ordering::Relaxed));
+        assert_eq!(node.record, before, "a push applies nothing by itself");
+        let fx = drive(&mut node, 200 * MILLIS, |n, ctx| n.sweep(ctx));
+        assert!(node
+            .record
+            .attrs
+            .iter()
+            .any(|(k, v)| k == "ready" && v == "yes"));
+        assert!(heartbeats(&fx) > 0, "the change is announced at once");
+        assert!(!control.0.pending.load(Ordering::Relaxed));
+        assert!(control.0.commands.lock().is_empty());
+
+        let applied = node.record.clone();
+        let fx = drive(&mut node, 300 * MILLIS, |n, ctx| n.sweep(ctx));
+        assert_eq!(node.record, applied, "nothing pending, nothing applied");
+        assert_eq!(heartbeats(&fx), 0);
     }
 
     #[test]

@@ -291,15 +291,11 @@ fn runtime_service_commands_propagate() {
 
     // Node 5 (different segment from node 0) registers a service and a
     // status value *while running* — the paper's update_value flow.
-    controls[5]
-        .lock()
-        .push(ServiceCommand::Register(ServiceDecl::new(
-            "late",
-            PartitionSet::from_iter([7]),
-        )));
-    controls[5]
-        .lock()
-        .push(ServiceCommand::UpdateValue("ready".into(), "yes".into()));
+    controls[5].push(ServiceCommand::Register(ServiceDecl::new(
+        "late",
+        PartitionSet::from_iter([7]),
+    )));
+    controls[5].push(ServiceCommand::UpdateValue("ready".into(), "yes".into()));
     engine.run_until(30 * SECS);
 
     // Every node across segments sees the new service + value.
@@ -311,9 +307,7 @@ fn runtime_service_commands_propagate() {
     }
 
     // And deletion propagates too.
-    controls[5]
-        .lock()
-        .push(ServiceCommand::Unregister("late".into()));
+    controls[5].push(ServiceCommand::Unregister("late".into()));
     engine.run_until(40 * SECS);
     for (i, c) in clients.iter().enumerate() {
         assert!(
@@ -459,7 +453,7 @@ fn graceful_leave_removes_immediately() {
 
     // Node 7 leaves gracefully at t=20s: the cluster converges in about
     // one propagation time, not the 5 s failure timeout.
-    controls[7].lock().push(ServiceCommand::GracefulLeave);
+    controls[7].push(ServiceCommand::GracefulLeave);
     engine.run_until(22 * SECS);
     for (i, c) in clients.iter().enumerate().take(7) {
         assert_eq!(

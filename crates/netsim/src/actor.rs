@@ -99,6 +99,7 @@ impl<'a> Context<'a> {
     /// Construct a context over caller-provided buffers. Public so that
     /// actor unit tests and alternative drivers (`tamp-runtime`) can
     /// drive actors without an [`crate::Engine`].
+    #[inline]
     pub fn new(
         now: SimTime,
         me: HostId,
@@ -114,21 +115,25 @@ impl<'a> Context<'a> {
     }
 
     /// Current virtual (or real, under `tamp-runtime`) time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// This host's id.
+    #[inline]
     pub fn me(&self) -> HostId {
         self.me
     }
 
     /// This host's protocol identity (numerically identical to `me`).
+    #[inline]
     pub fn node_id(&self) -> NodeId {
         NodeId(self.me.0)
     }
 
     /// Send a unicast message.
+    #[inline]
     pub fn send_unicast(&mut self, to: NodeId, msg: Message) {
         self.effects.push(Effect::Send {
             dest: Destination::Unicast(HostId(to.0)),
@@ -137,6 +142,7 @@ impl<'a> Context<'a> {
     }
 
     /// Send a TTL-scoped multicast on `channel`.
+    #[inline]
     pub fn send_multicast(&mut self, channel: ChannelId, ttl: u8, msg: Message) {
         self.effects.push(Effect::Send {
             dest: Destination::Multicast { channel, ttl },
@@ -145,17 +151,20 @@ impl<'a> Context<'a> {
     }
 
     /// Arrange for [`Actor::on_timer`] to fire with `token` after `delay`.
+    #[inline]
     pub fn set_timer(&mut self, delay: SimTime, token: u64) {
         self.effects.push(Effect::SetTimer { delay, token });
     }
 
     /// Join a multicast channel (start receiving packets whose TTL covers
     /// the distance from their sender to this host).
+    #[inline]
     pub fn subscribe(&mut self, channel: ChannelId) {
         self.effects.push(Effect::Subscribe(channel));
     }
 
     /// Leave a multicast channel.
+    #[inline]
     pub fn unsubscribe(&mut self, channel: ChannelId) {
         self.effects.push(Effect::Unsubscribe(channel));
     }
@@ -164,6 +173,7 @@ impl<'a> Context<'a> {
     /// tally that is no membership fact (the load generator's request
     /// counts). Facts are [`Context::emit`]ted. No-op when the driver
     /// runs without a metrics registry.
+    #[inline]
     pub fn count(&mut self, subsystem: &'static str, name: &'static str, n: u64) {
         self.effects.push(Effect::Count { subsystem, name, n });
     }
@@ -172,11 +182,13 @@ impl<'a> Context<'a> {
     /// removed and why, …): the one recording call a protocol makes.
     /// The driver counts it as `events/<kind>`, traces it, and turns
     /// it into an observation where it is one.
+    #[inline]
     pub fn emit(&mut self, event: tamp_telemetry::ProtocolEvent) {
         self.effects.push(Effect::Emit(event));
     }
 
     /// Deterministic uniform random in `[0, n)`.
+    #[inline]
     pub fn rand_below(&mut self, n: u64) -> u64 {
         if n == 0 {
             0
@@ -187,6 +199,7 @@ impl<'a> Context<'a> {
 
     /// Jitter helper: uniform in `[0, max)`, or 0 when `max == 0`. Used
     /// to desynchronize heartbeat phases across nodes.
+    #[inline]
     pub fn jitter(&mut self, max: SimTime) -> SimTime {
         self.rand_below(max)
     }

@@ -25,8 +25,10 @@
 //!   that independence is what lets the sharded engine reproduce the
 //!   sequential event order exactly.
 //!
-//! There is no way to withdraw an event: the engine stamps events with
-//! the target host's epoch, and a stale event is inert when it fires.
+//! There is no way to withdraw an event: the engine stamps each timer
+//! and each packet cell with the fabric's life count when it is armed or
+//! sent, and an event whose receiver has died or revived since is inert
+//! when it fires (`shard/fabric.rs`, "Lives").
 //!
 //! # The access pattern the wheel is built for
 //!

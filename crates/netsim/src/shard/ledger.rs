@@ -20,7 +20,7 @@ use crate::stats::{Observation, ObservationKind, Stats};
 use crate::trace::{DropReason, ProtocolEvent, TraceConfig, TraceEvent, TraceLog};
 use crate::SimTime;
 use std::collections::BTreeMap;
-use tamp_telemetry::{Counter, Histogram, Registry, CLUSTER};
+use tamp_telemetry::{Counter, Histogram, Registry, CLUSTER, EVENT_KINDS};
 use tamp_topology::HostId;
 use tamp_wire::KINDS;
 
@@ -55,15 +55,21 @@ struct NetMeters {
     drop_unroutable: Counter,
     /// Send→deliver latency in ns, cluster-wide.
     delivery_ns: Histogram,
-    /// Handles for the actors' own samples (`Effect::Count` and what
-    /// `Effect::Emit` derives), by `(host, subsystem, name)`: fetched
-    /// from the registry — a `String` key, its lock, a map walk — the
-    /// first time a host reports a metric, not on every sample.
+    /// `events/<kind>` per host, at the kind's place in [`EVENT_KINDS`]:
+    /// a host's row is made at its first `Effect::Emit`, each handle at
+    /// the first event of its kind.
+    events: Vec<Option<Box<EventRow>>>,
+    /// Handles for the actors' other samples (`Effect::Count`, and the
+    /// histogram an `Effect::Emit` may carry), by `(host, subsystem,
+    /// name)`: fetched from the registry — a `String` key, its lock, a
+    /// map walk — the first time a host reports a metric, not on every
+    /// sample.
     actor_counters: IntMap<ActorMetric, Counter>,
     actor_histograms: IntMap<ActorMetric, Histogram>,
 }
 
 type ActorMetric = (u32, &'static str, &'static str);
+type EventRow = [Option<Counter>; EVENT_KINDS.len()];
 
 impl NetMeters {
     fn new(registry: &Registry, n: usize) -> Self {
@@ -89,6 +95,7 @@ impl NetMeters {
             drop_gray: registry.counter(CLUSTER, "net", "drop.gray"),
             drop_unroutable: registry.counter(CLUSTER, "net", "drop.unroutable"),
             delivery_ns: registry.histogram(CLUSTER, "net", "delivery_ns"),
+            events: (0..n).map(|_| None).collect(),
             actor_counters: IntMap::default(),
             actor_histograms: IntMap::default(),
         }
@@ -98,6 +105,11 @@ impl NetMeters {
         self.actor_counters
             .entry(key)
             .or_insert_with(|| registry.counter(key.0, key.1, key.2))
+    }
+
+    fn event_counter(&mut self, registry: &Registry, host: HostId, kind: usize) -> &Counter {
+        let row = self.events[host.index()].get_or_insert_with(|| Box::new([const { None }; _]));
+        row[kind].get_or_insert_with(|| registry.counter(host.0, "events", EVENT_KINDS[kind]))
     }
 }
 
@@ -337,7 +349,10 @@ impl Ledger {
     /// derived from it.
     #[inline]
     pub(super) fn emit(&mut self, at: Tag, now: SimTime, node: HostId, event: ProtocolEvent) {
-        self.count(node, "events", event.name(), 1);
+        if let Some(m) = &mut self.meters {
+            m.event_counter(&self.registry, node, event.kind_index())
+                .inc();
+        }
         if let Some((subsystem, name, value)) = event.histogram() {
             self.record(node, subsystem, name, value);
         }

@@ -122,15 +122,18 @@ impl EventFilter {
         }
     }
 
+    #[inline]
     fn wants_host(&self, h: HostId) -> bool {
         self.hosts.is_empty() || self.hosts.contains(&h)
     }
 
+    #[inline]
     fn wants_kind(&self, k: &str) -> bool {
         self.kinds.is_empty() || self.kinds.contains(&k)
     }
 
     /// Would this filter record `ev`?
+    #[inline]
     pub fn wants(&self, ev: &Event) -> bool {
         if !self.enabled {
             return false;

@@ -39,4 +39,6 @@ pub use metrics::{
     Counter, Histogram, HistogramSnapshot, Key, MetricValue, MetricsSnapshot, Registry, Sample,
     CLUSTER,
 };
-pub use protocol::{Cause, Declared, Ping, ProtocolEvent, Value, REFUTATION_KINDS, REMOVAL_KINDS};
+pub use protocol::{
+    Cause, Declared, Ping, ProtocolEvent, Value, EVENT_KINDS, REFUTATION_KINDS, REMOVAL_KINDS,
+};

@@ -39,17 +39,6 @@ pub enum Cause {
 }
 
 impl Cause {
-    /// The event kind of a removal for this cause.
-    pub fn kind(self) -> &'static str {
-        match self {
-            Cause::Leave => "removed-leave",
-            Cause::Relayer => "removed-relayer",
-            Cause::Quarantine => "removed-quarantine",
-            Cause::Expiry => "removed-expiry",
-            Cause::Orphan => "removed-orphan",
-        }
-    }
-
     fn word(self) -> &'static str {
         match self {
             Cause::Leave => "leave",
@@ -72,15 +61,66 @@ pub enum Ping {
     Reconnect,
 }
 
-/// Every kind that records a death declaration or a removal — the
-/// removal chain's last links.
-pub const REMOVAL_KINDS: [&str; 6] = [
+/// Every event kind, each at the place [`ProtocolEvent::kind_index`]
+/// gives it: the stable strings of [`ProtocolEvent::name`], and the
+/// slots the simulator counts `events/<kind>` in.
+pub const EVENT_KINDS: [&str; 38] = [
+    "heartbeat-sent",
+    "update-relayed",
+    "suspicion-armed",
+    "suspicion-refuted",
+    "suspicion-confirmed",
+    "election-round",
+    "leadership-claimed",
+    "proxy-summary",
+    "proxy-forwarded",
+    "sync-poll",
+    "digest-sent",
+    "backfill-served",
+    "full-sync-served",
+    "cut-report",
+    "cut-batch",
+    // REMOVAL_KINDS, in `Cause` order after the first.
     "death-declared",
     "removed-leave",
     "removed-relayer",
     "removed-quarantine",
     "removed-expiry",
     "removed-orphan",
+    "subtree-quarantined",
+    "quarantine-suspected",
+    "quarantine-lifted",
+    "quarantine-cleared",
+    "member-added",
+    "self-refuted",
+    "blacklist-overridden",
+    "gossip-round",
+    // `PingSent`, in `Ping` order.
+    "probe-sent",
+    "indirect-probe-sent",
+    "reconnect-probe-sent",
+    "ack-sent",
+    "ack-forwarded",
+    "ping-req-sent",
+    "proxy-update",
+    "request-forwarded",
+    "request-rejected",
+];
+
+/// Where `death-declared` and the removals start in [`EVENT_KINDS`].
+const DEATH: usize = 15;
+/// Where the `PingSent` kinds start in [`EVENT_KINDS`].
+const PING: usize = 29;
+
+/// Every kind that records a death declaration or a removal — the
+/// removal chain's last links.
+pub const REMOVAL_KINDS: [&str; 6] = [
+    EVENT_KINDS[DEATH],
+    EVENT_KINDS[DEATH + 1],
+    EVENT_KINDS[DEATH + 2],
+    EVENT_KINDS[DEATH + 3],
+    EVENT_KINDS[DEATH + 4],
+    EVENT_KINDS[DEATH + 5],
 ];
 
 /// Every kind that records a refutation: a suspicion cleared by proof
@@ -209,48 +249,49 @@ pub enum Value {
 }
 
 impl ProtocolEvent {
+    /// This event's place in [`EVENT_KINDS`].
+    pub fn kind_index(&self) -> usize {
+        use ProtocolEvent::*;
+        match self {
+            HeartbeatSent { .. } => 0,
+            UpdateRelayed { .. } => 1,
+            SuspicionArmed { .. } => 2,
+            SuspicionRefuted { .. } => 3,
+            SuspicionConfirmed { .. } => 4,
+            ElectionRound { .. } => 5,
+            LeadershipClaimed { .. } => 6,
+            ProxySummary { .. } => 7,
+            ProxyForwarded { .. } => 8,
+            SyncPoll { .. } => 9,
+            DigestSent { .. } => 10,
+            BackfillServed { .. } => 11,
+            FullSyncServed { .. } => 12,
+            CutReport { .. } => 13,
+            CutBatch { .. } => 14,
+            DeathDeclared { .. } => DEATH,
+            Removed { cause, .. } => DEATH + 1 + *cause as usize,
+            SubtreeQuarantined { .. } => 21,
+            QuarantineSuspected { .. } => 22,
+            QuarantineLifted { .. } => 23,
+            QuarantineCleared { .. } => 24,
+            MemberAdded { .. } => 25,
+            SelfRefuted { .. } => 26,
+            BlacklistOverridden { .. } => 27,
+            GossipRound { .. } => 28,
+            PingSent { purpose, .. } => PING + *purpose as usize,
+            AckSent { .. } => 32,
+            AckForwarded { .. } => 33,
+            PingReqSent { .. } => 34,
+            ProxyUpdate { .. } => 35,
+            RequestForwarded { .. } => 36,
+            RequestRejected { .. } => 37,
+        }
+    }
+
     /// Stable kind string: the `events/<kind>` counter name, the JSONL
     /// `type`, and what [`crate::EventFilter::kinds`] matches.
     pub fn name(&self) -> &'static str {
-        use ProtocolEvent::*;
-        match self {
-            HeartbeatSent { .. } => "heartbeat-sent",
-            UpdateRelayed { .. } => "update-relayed",
-            SuspicionArmed { .. } => "suspicion-armed",
-            SuspicionRefuted { .. } => "suspicion-refuted",
-            SuspicionConfirmed { .. } => "suspicion-confirmed",
-            ElectionRound { .. } => "election-round",
-            LeadershipClaimed { .. } => "leadership-claimed",
-            ProxySummary { .. } => "proxy-summary",
-            ProxyForwarded { .. } => "proxy-forwarded",
-            SyncPoll { .. } => "sync-poll",
-            DigestSent { .. } => "digest-sent",
-            BackfillServed { .. } => "backfill-served",
-            FullSyncServed { .. } => "full-sync-served",
-            CutReport { .. } => "cut-report",
-            CutBatch { .. } => "cut-batch",
-            DeathDeclared { .. } => "death-declared",
-            Removed { cause, .. } => cause.kind(),
-            SubtreeQuarantined { .. } => "subtree-quarantined",
-            QuarantineSuspected { .. } => "quarantine-suspected",
-            QuarantineLifted { .. } => "quarantine-lifted",
-            QuarantineCleared { .. } => "quarantine-cleared",
-            MemberAdded { .. } => "member-added",
-            SelfRefuted { .. } => "self-refuted",
-            BlacklistOverridden { .. } => "blacklist-overridden",
-            GossipRound { .. } => "gossip-round",
-            PingSent { purpose, .. } => match purpose {
-                Ping::Probe => "probe-sent",
-                Ping::Indirect => "indirect-probe-sent",
-                Ping::Reconnect => "reconnect-probe-sent",
-            },
-            AckSent { .. } => "ack-sent",
-            AckForwarded { .. } => "ack-forwarded",
-            PingReqSent { .. } => "ping-req-sent",
-            ProxyUpdate { .. } => "proxy-update",
-            RequestForwarded { .. } => "request-forwarded",
-            RequestRejected { .. } => "request-rejected",
-        }
+        EVENT_KINDS[self.kind_index()]
     }
 
     /// The event's fields in the order every exporter writes them.
@@ -423,5 +464,149 @@ mod tests {
             hop_ns: u64::MAX,
         };
         assert_eq!(slow.fields()[1].1, Value::Int(u64::from(u32::MAX)));
+    }
+
+    /// One event of every kind with the name it must have: `Removed`
+    /// under each cause, `PingSent` under each purpose.
+    fn one_of_each() -> Vec<(ProtocolEvent, &'static str)> {
+        use ProtocolEvent::*;
+        let mut all = vec![
+            (HeartbeatSent { level: 0 }, "heartbeat-sent"),
+            (
+                UpdateRelayed {
+                    level: 0,
+                    events: 1,
+                },
+                "update-relayed",
+            ),
+            (SuspicionArmed { subject: 1 }, "suspicion-armed"),
+            (SuspicionRefuted { subject: 1 }, "suspicion-refuted"),
+            (SuspicionConfirmed { subject: 1 }, "suspicion-confirmed"),
+            (ElectionRound { level: 0 }, "election-round"),
+            (LeadershipClaimed { level: 0 }, "leadership-claimed"),
+            (ProxySummary { services: 1, dc: 0 }, "proxy-summary"),
+            (
+                ProxyForwarded {
+                    origin: 1,
+                    hop_ns: 1,
+                },
+                "proxy-forwarded",
+            ),
+            (SyncPoll { peer: 1 }, "sync-poll"),
+            (DigestSent { level: 0 }, "digest-sent"),
+            (BackfillServed { peer: 1 }, "backfill-served"),
+            (FullSyncServed { peer: 1 }, "full-sync-served"),
+            (
+                CutReport {
+                    subject: 1,
+                    incarnation: 1,
+                    reporter: 2,
+                },
+                "cut-report",
+            ),
+            (CutBatch { subjects: 1 }, "cut-batch"),
+            (
+                DeathDeclared {
+                    subject: 1,
+                    incarnation: 1,
+                    evidence: Declared::Cut,
+                    removed: false,
+                },
+                "death-declared",
+            ),
+            (
+                SubtreeQuarantined {
+                    relayer: 1,
+                    members: 1,
+                },
+                "subtree-quarantined",
+            ),
+            (
+                QuarantineSuspected {
+                    subject: 1,
+                    incarnation: 1,
+                    relayer: 2,
+                },
+                "quarantine-suspected",
+            ),
+            (
+                QuarantineLifted {
+                    relayer: 1,
+                    members: 1,
+                },
+                "quarantine-lifted",
+            ),
+            (
+                QuarantineCleared {
+                    subject: 1,
+                    relayer: 2,
+                },
+                "quarantine-cleared",
+            ),
+            (
+                MemberAdded {
+                    subject: 1,
+                    incarnation: 1,
+                },
+                "member-added",
+            ),
+            (SelfRefuted { incarnation: 1 }, "self-refuted"),
+            (
+                BlacklistOverridden {
+                    subject: 1,
+                    incarnation: 1,
+                },
+                "blacklist-overridden",
+            ),
+            (GossipRound { peer: 1 }, "gossip-round"),
+            (AckSent { peer: 1 }, "ack-sent"),
+            (AckForwarded { peer: 1 }, "ack-forwarded"),
+            (
+                PingReqSent {
+                    helper: 1,
+                    target: 2,
+                },
+                "ping-req-sent",
+            ),
+            (ProxyUpdate { events: 1, dc: 0 }, "proxy-update"),
+            (RequestForwarded { origin: 1 }, "request-forwarded"),
+            (RequestRejected { origin: 1 }, "request-rejected"),
+        ];
+        for (cause, name) in [
+            (Cause::Leave, "removed-leave"),
+            (Cause::Relayer, "removed-relayer"),
+            (Cause::Quarantine, "removed-quarantine"),
+            (Cause::Expiry, "removed-expiry"),
+            (Cause::Orphan, "removed-orphan"),
+        ] {
+            let ev = Removed {
+                subject: 1,
+                incarnation: 1,
+                cause,
+                source: None,
+            };
+            all.push((ev, name));
+        }
+        for (purpose, name) in [
+            (Ping::Probe, "probe-sent"),
+            (Ping::Indirect, "indirect-probe-sent"),
+            (Ping::Reconnect, "reconnect-probe-sent"),
+        ] {
+            all.push((PingSent { target: 1, purpose }, name));
+        }
+        all
+    }
+
+    #[test]
+    fn every_kind_reads_its_name_from_its_own_place_in_the_table() {
+        let all = one_of_each();
+        for (ev, name) in &all {
+            assert_eq!(ev.name(), *name, "{ev:?}");
+            assert_eq!(EVENT_KINDS[ev.kind_index()], *name, "{ev:?}");
+        }
+        let mut places: Vec<usize> = all.iter().map(|(ev, _)| ev.kind_index()).collect();
+        places.sort_unstable();
+        let every: Vec<usize> = (0..EVENT_KINDS.len()).collect();
+        assert_eq!(places, every, "one kind per place, every place taken");
     }
 }

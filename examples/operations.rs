@@ -36,7 +36,7 @@ fn main() {
 
     // Drain a node before maintenance: mark it, then leave gracefully.
     println!("\n-- maintenance on node 7 --");
-    controls[7].lock().push(ServiceCommand::UpdateValue(
+    controls[7].push(ServiceCommand::UpdateValue(
         "state".into(),
         "draining".into(),
     ));
@@ -49,7 +49,7 @@ fn main() {
         .unwrap_or(false);
     println!("peers see node 7 as draining: {draining}");
 
-    controls[7].lock().push(ServiceCommand::GracefulLeave);
+    controls[7].push(ServiceCommand::GracefulLeave);
     engine.run_for(2 * SECS);
     println!(
         "after graceful leave (2 s later): views = {} members, no timeout wait",
@@ -74,9 +74,7 @@ fn main() {
     // Roll the remaining nodes of segment 1 one by one.
     println!("\n-- rolling the rest of rack 1 --");
     for node in [5u32, 6] {
-        controls[node as usize]
-            .lock()
-            .push(ServiceCommand::GracefulLeave);
+        controls[node as usize].push(ServiceCommand::GracefulLeave);
         engine.run_for(2 * SECS);
         engine.kill_now(HostId(node));
         engine.schedule(engine.now() + 4 * SECS, Control::Revive(HostId(node)));

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Turn the raw stacks sampler.so wrote into profile tables.
 
-    symbolize.py BINARY PREFIX [--self | --incl | --children-of RE | --under RE]
-                 [--top N] [--min PCT]
+    symbolize.py BINARY PREFIX [--self | --incl | --children-of RE | --under RE
+                                | --lines RE] [--top N] [--min PCT]
 
 Reads every PREFIX.<pid>.raw / PREFIX.<pid>.maps pair whose process ran
 BINARY (other processes — the shell, the benchmark's parent — are
@@ -18,6 +18,10 @@ own and counts as the caller. Shares are of all samples read.
                      was the one running)
   --under RE         for the same stacks: --incl over the frames below
                      the innermost match only
+  --lines RE         for samples whose running function matches RE: the
+                     source line it was at, inlined frames included
+                     (`addr2line -i`), with the line of the function's
+                     own body the inlined code sits in
 """
 
 import argparse
@@ -72,6 +76,30 @@ def read_stacks(path):
         pos += 8 * depth
 
 
+def source_lines(binary, offsets):
+    """{offset: [(function, file:line)]} for OFFSETS in BINARY, innermost
+    inlined frame first, through one `addr2line -i` run (addresses on its
+    stdin, so a large profile fits no command line limit)."""
+    out = subprocess.run(
+        ["addr2line", "-i", "-f", "-C", "-a", "-e", binary],
+        input="".join(f"{o:#x}\n" for o in offsets),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    lines, at = {}, None
+    rows = iter(out.splitlines())
+    for row in rows:
+        if row.startswith("0x"):
+            at = int(row, 16)
+            lines[at] = []
+            continue
+        where = next(rows, "??:0")
+        # Keep the file and its directory (`ptr/mod.rs` is not
+        # `vec/mod.rs`); drop any " (discriminator N)".
+        where = "/".join(where.split(" ")[0].split("/")[-2:])
+        lines[at].append((re.sub(r"::h[0-9a-f]{16}$", "", row), where))
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -82,6 +110,7 @@ def main():
     view.add_argument("--incl", dest="view", action="store_const", const="incl")
     view.add_argument("--children-of", metavar="RE")
     view.add_argument("--under", metavar="RE")
+    view.add_argument("--lines", metavar="RE")
     ap.add_argument("--top", type=int, default=40)
     ap.add_argument("--min", type=float, default=0.0, metavar="PCT")
     args = ap.parse_args()
@@ -100,7 +129,9 @@ def main():
                 return names[i] if i >= 0 else "[?]"
         return "[?]"
 
-    stacks = []
+    # Per stack, the running instruction's offset in BINARY (meaningful
+    # only where the leaf frame lies in BINARY).
+    stacks, leaves = [], []
     for raw in sorted(glob.glob(glob.escape(args.prefix) + ".*.raw")):
         maps = load_maps(raw[:-4] + ".maps")
         # A PIE's symbol values are offsets from where its first
@@ -120,16 +151,30 @@ def main():
             # Leaf first. Drop the handler and the signal trampoline: the
             # sampler's own frames and the libc frame that follows them.
             cut = max((i for i, f in enumerate(frames) if f == "[sampler.so]"), default=-1)
-            frames = frames[cut + 2:]
+            frames, addrs = frames[cut + 2:], addrs[cut + 2:]
             if frames:
                 stacks.append(frames)
+                leaves.append(addrs[0] - base)
     total = len(stacks)
     if total == 0:
         sys.exit("no samples")
 
     counts = collections.Counter()
     pattern = args.children_of or args.under
-    if pattern:
+    if args.lines:
+        rx = re.compile(args.lines)
+        picked = [leaves[i] for i, frames in enumerate(stacks) if rx.search(frames[0])]
+        where = source_lines(binary, sorted(set(picked)))
+        for offset in picked:
+            chain = where.get(offset) or [("??", "??:0")]
+            func, line = chain[0]
+            row = f"{line:<32} {func}"
+            if len(chain) > 1:
+                row += f"  [in {chain[-1][1]}]"
+            counts[row] += 1
+        print(f"{len(picked)} of {total} samples ({100 * len(picked) / total:.1f} %) "
+              f"ran in a function matching {args.lines!r}")
+    elif pattern:
         rx = re.compile(pattern)
         held = 0
         for frames in stacks:
@@ -150,7 +195,7 @@ def main():
         for frames in stacks:
             counts[frames[0]] += 1
 
-    if not pattern:
+    if not (pattern or args.lines):
         print(f"{total} samples")
     for name, n in counts.most_common(args.top):
         share = 100 * n / total
