@@ -7,8 +7,9 @@
 //! functions independently and it provides the best fault isolation.
 //! Unfortunately, this simple scheme is not scalable."
 
-use crate::column::{Baseline, Column, Floor, Profile, Shell};
+use crate::column::{Baseline, Column, Profile, Shell};
 use std::collections::BTreeMap;
+use tamp_membership::detector::Floor;
 use tamp_netsim::{ChannelId, Context, Nanos, PacketMeta, ProtocolEvent, MILLIS, SECS};
 use tamp_wire::{Heartbeat, Message, MessageView, NodeId, ServiceDecl};
 

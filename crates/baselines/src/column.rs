@@ -17,14 +17,13 @@
 //!   event there: `Shell::admit`, `Shell::introduce`, `Shell::remove`,
 //!   `Shell::refute`.
 //!
-//! A column keeps its own books. Those whose iteration reaches an effect
+//! A column keeps its own books on the failure detector's devices,
+//! [`tamp_membership::detector`]. Those whose iteration reaches an effect
 //! are ordered by [`NodeId`] (`Floor::due`, `Tombstones`), so
 //! simultaneous removals leave in ascending id order and a seed replays
-//! exactly. A book its sweep ages carries a [`Floor`], so a sweep with
+//! exactly. A book its sweep ages carries a `Floor`, so a sweep with
 //! nothing due costs one comparison.
 
-use std::collections::BTreeMap;
-use std::ops::{Deref, DerefMut};
 use tamp_directory::{Directory, DirectoryClient, Provenance, SharedDirectory};
 use tamp_netsim::telemetry::Declared;
 use tamp_netsim::{Actor, Context, Nanos, PacketMeta, ProtocolEvent};
@@ -214,105 +213,6 @@ impl Shell {
     }
 }
 
-/// A lower bound on the stamps a sweep ages a book by: the device
-/// `GroupState::expired_peers` uses. The book notes the stamp of each
-/// entry that enters it; refreshing or removing an entry can only
-/// loosen the bound. A sweep walks the book only once the bound is a
-/// whole window old, and the walk sets it to the exact minimum of the
-/// stamps it leaves. `None`: no entry the sweep ages.
-#[derive(Default)]
-pub(crate) struct Floor(Option<Nanos>);
-
-impl Floor {
-    /// An entry stamped `t` entered the book.
-    pub(crate) fn note(&mut self, t: Nanos) {
-        self.0 = Some(self.0.map_or(t, |f| f.min(t)));
-    }
-
-    /// The members of `book` whose stamp is `window` old at `now`, in
-    /// ascending id order; `stamp` is `None` for an entry the sweep does
-    /// not age. The caller removes every member named.
-    pub(crate) fn due<V>(
-        &mut self,
-        book: &BTreeMap<NodeId, V>,
-        now: Nanos,
-        window: Nanos,
-        stamp: impl Fn(&V) -> Option<Nanos>,
-    ) -> Vec<NodeId> {
-        let old = |t: Nanos| now.saturating_sub(t) >= window;
-        if !self.0.is_some_and(old) {
-            debug_assert!(
-                book.values().filter_map(&stamp).all(|t| !old(t)),
-                "sweep gate skipped a due entry: floor={:?} now={now} window={window}",
-                self.0
-            );
-            return Vec::new();
-        }
-        self.0 = None;
-        let mut ids = Vec::new();
-        for (&n, v) in book {
-            match stamp(v) {
-                Some(t) if old(t) => ids.push(n),
-                Some(t) => self.note(t),
-                None => {}
-            }
-        }
-        ids
-    }
-
-    /// Remove from `book` every member [`Floor::due`] names, in
-    /// ascending id order.
-    pub(crate) fn take_due<V>(
-        &mut self,
-        book: &mut BTreeMap<NodeId, V>,
-        now: Nanos,
-        window: Nanos,
-        stamp: impl Fn(&V) -> Option<Nanos>,
-    ) -> Vec<NodeId> {
-        let ids = self.due(book, now, window, stamp);
-        for n in &ids {
-            book.remove(n);
-        }
-        ids
-    }
-}
-
-/// Members declared dead, in id order, each with what the column keeps
-/// of it and the time it may be forgotten. Expiry runs on the sweep: an
-/// entry stands until the first sweep at or after its time.
-#[derive(Default)]
-pub(crate) struct Tombstones<R>(BTreeMap<NodeId, (R, Nanos)>);
-
-impl<R> Deref for Tombstones<R> {
-    type Target = BTreeMap<NodeId, (R, Nanos)>;
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl<R> DerefMut for Tombstones<R> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.0
-    }
-}
-
-impl<R> Tombstones<R> {
-    /// Forget every entry whose time has come.
-    pub(crate) fn expire(&mut self, now: Nanos) {
-        self.0.retain(|_, &mut (_, until)| now < until);
-    }
-}
-
-impl Tombstones<NodeRecord> {
-    /// Does the tombstone of `node` turn away a record at `incarnation`?
-    /// Only a higher incarnation than the buried record's passes.
-    pub(crate) fn blocks(&self, node: NodeId, incarnation: u64) -> bool {
-        self.0
-            .get(&node)
-            .is_some_and(|(r, _)| incarnation <= r.incarnation)
-    }
-}
-
 pub(crate) const T_TICK: u64 = 1;
 pub(crate) const T_SWEEP: u64 = 2;
 
@@ -396,6 +296,8 @@ pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
+    use tamp_membership::detector::{Floor, Tombstones};
     use tamp_netsim::{collect_effects, Effect, ObservationKind, MILLIS, SECS};
     use tamp_topology::HostId;
     use tamp_wire::Heartbeat;
@@ -489,9 +391,13 @@ pub(crate) mod tests {
             self.run(now, |n, ctx| n.on_start(ctx));
         }
 
-        pub(crate) fn packet(&mut self, now: Nanos, from: u32, msg: Message) {
+        pub(crate) fn packet(&mut self, now: Nanos, from: u32, msg: Message) -> Vec<Effect> {
             let meta = PacketMeta::unicast(HostId(from), 100);
-            self.run(now, |n, ctx| n.on_packet(ctx, meta, &msg));
+            self.run(now, |n, ctx| n.on_packet(ctx, meta, &msg))
+        }
+
+        pub(crate) fn timer(&mut self, now: Nanos, token: u64) -> Vec<Effect> {
+            self.run(now, |n, ctx| n.on_timer(ctx, token))
         }
 
         fn heartbeat(&mut self, now: Nanos, from: u32) {
@@ -510,8 +416,8 @@ pub(crate) mod tests {
         /// The members one sweep at `now` removed, in the order it
         /// reported them.
         pub(crate) fn sweep(&mut self, now: Nanos) -> Vec<NodeId> {
-            let fx = self.run(now, |n, ctx| n.on_timer(ctx, T_SWEEP));
-            fx.iter()
+            self.timer(now, T_SWEEP)
+                .iter()
                 .filter_map(|e| match e {
                     Effect::Emit(ev) => match ObservationKind::of(ev) {
                         Some(ObservationKind::Removed(n)) => Some(n),

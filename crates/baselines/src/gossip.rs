@@ -5,16 +5,18 @@
 //! increments its own counter and sends its **entire membership view**
 //! (records + counters, Θ(n·s) bytes) to `fanout` random peers, who merge
 //! by taking the per-member maximum. A member whose counter has not
-//! advanced for `T_fail` is declared failed; it stays blacklisted for
-//! another `T_cleanup` so stale gossip cannot resurrect it.
+//! advanced for `T_fail` is declared failed, withdrawn, and blacklisted
+//! for `T_cleanup`: no gossip goes to it. Any entry naming it lifts the
+//! blacklist; only the yellow pages' tombstone turns a stale record away.
 //!
 //! `T_fail` grows with `log n` for a fixed mistake probability — which is
 //! exactly why the paper finds gossip the slowest of the three schemes on
 //! a LAN (Figs. 12–13) while its per-round traffic is the largest
 //! (Fig. 11).
 
-use crate::column::{Baseline, Column, Floor, Profile, Shell, Tombstones};
+use crate::column::{Baseline, Column, Profile, Shell};
 use std::collections::BTreeMap;
+use tamp_membership::detector::{Floor, Tombstones};
 use tamp_netsim::{Context, Nanos, PacketMeta, ProtocolEvent, SECS};
 use tamp_wire::{GossipEntry, Message, NodeId, ServiceDecl};
 
@@ -104,9 +106,9 @@ pub struct Gossip {
     members: BTreeMap<NodeId, MemberState>,
     /// Bounds the members' `last_increase` from below.
     increase_floor: Floor,
-    /// Failed members, until they may be forgotten. The entries keep no
-    /// record: what a blacklisted member's news is weighed against is
-    /// the incarnation the yellow pages hold.
+    /// Failed members, kept out of the gossip targets until they may be
+    /// forgotten. The entries keep no record: a blacklisted member holds
+    /// no row, so the yellow pages' tombstone weighs its news.
     blacklist: Tombstones<()>,
 }
 
@@ -189,24 +191,21 @@ impl Column for Gossip {
             if node == shell.me() {
                 continue;
             }
-            // The blacklist wins over stale counters, but a *higher
-            // incarnation* means a genuine restart: let it through.
-            if let Some(&((), until)) = self.blacklist.get(&node) {
-                let known_inc = shell.read(|d| d.get(node).map(|e| e.incarnation));
-                let restarted = known_inc.is_none_or(|inc| e.record.incarnation > inc);
-                if now < until && !restarted {
-                    continue;
-                }
-                if restarted && now < until {
-                    // A higher incarnation overrode an active blacklist
-                    // entry: the presumed death was refuted by a genuine
-                    // restart — gossip's analogue of a refutation.
+            // Any entry lifts the blacklist: the declaration that set it
+            // withdrew the row, and only `admit` below writes one back,
+            // past the directory's tombstone. Inside the span the lift is
+            // gossip's analogue of a refutation.
+            if let Some(((), until)) = self.blacklist.remove(&node) {
+                debug_assert!(
+                    !shell.read(|d| d.contains(node)),
+                    "blacklisted member {node:?} holds a directory row"
+                );
+                if now < until {
                     ctx.emit(ProtocolEvent::BlacklistOverridden {
                         subject: node.0,
                         incarnation: e.record.incarnation,
                     });
                 }
-                self.blacklist.remove(&node);
             }
             let m = self.members.entry(node).or_insert_with(|| {
                 self.increase_floor.note(now);

@@ -23,8 +23,9 @@
 //! add/remove/suspect/refute observations as the other baselines, so it
 //! drops into every harness surface as one more protocol column.
 
-use crate::column::{Baseline, Column, Floor, Profile, Shell, Tombstones};
-use std::collections::{BTreeMap, HashMap};
+use crate::column::{Baseline, Column, Profile, Shell};
+use std::collections::BTreeMap;
+use tamp_membership::detector::{Floor, Tombstones};
 use tamp_netsim::telemetry::Ping;
 use tamp_netsim::{Context, Nanos, PacketMeta, ProtocolEvent, MILLIS, SECS};
 use tamp_wire::{
@@ -135,7 +136,7 @@ pub struct Swim {
     seq: u64,
     pending: Option<PendingProbe>,
     /// Proxy pings we issued for ping-req requesters, keyed by our seq.
-    proxied: HashMap<u64, ProxyEntry>,
+    proxied: BTreeMap<u64, ProxyEntry>,
     queue: Vec<QueuedUpdate>,
     /// Protocol periods since the last dead-list reconnect ping.
     periods_since_reconnect: u32,
@@ -677,11 +678,11 @@ impl Column for Swim {
         // Unrefuted suspicions confirm after the window, in id order.
         // One at a time: each removal shrinks the budget the next
         // confirmation is queued with.
-        let due = self
-            .suspect_floor
-            .due(&self.members, now, SUSPECT_TIMEOUT, |m| {
-                (m.state == SwimState::Suspect).then_some(m.since)
-            });
+        let suspects = self.members.iter().map(|(&n, m)| {
+            let suspected = m.state == SwimState::Suspect;
+            (n, suspected.then_some(m.since))
+        });
+        let due = self.suspect_floor.due(suspects, now, SUSPECT_TIMEOUT);
         for n in due {
             let inc = self.members[&n].record.incarnation;
             self.remove_member(shell, ctx, n, inc, true);
@@ -701,10 +702,9 @@ impl Column for Swim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::tests::Harness;
     use crate::column::{T_SWEEP, T_TICK as T_PROBE};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tamp_netsim::{collect_effects, Actor, Destination, Effect};
+    use tamp_netsim::{Destination, Effect};
     use tamp_topology::HostId;
 
     fn sends(effects: &[Effect]) -> Vec<(&Destination, &Message)> {
@@ -717,36 +717,11 @@ mod tests {
             .collect()
     }
 
-    struct Harness {
-        node: SwimNode,
-        rng: StdRng,
-    }
-
-    impl Harness {
-        fn new(id: u32, cfg: SwimConfig) -> Self {
-            let mut h = Harness {
-                node: SwimNode::new(NodeId(id), cfg),
-                rng: StdRng::seed_from_u64(9),
-            };
-            let me = HostId(id);
-            let (node, rng) = (&mut h.node, &mut h.rng);
-            let _ = collect_effects(0, me, rng, |ctx| node.on_start(ctx));
-            h
-        }
-
-        fn timer(&mut self, now: u64, token: u64) -> Vec<Effect> {
-            let (node, rng) = (&mut self.node, &mut self.rng);
-            collect_effects(now, HostId(node.shell.me().0), rng, |ctx| {
-                node.on_timer(ctx, token)
-            })
-        }
-
-        fn packet(&mut self, now: u64, from: u32, msg: Message) -> Vec<Effect> {
-            let (node, rng) = (&mut self.node, &mut self.rng);
-            collect_effects(now, HostId(node.shell.me().0), rng, |ctx| {
-                node.on_packet(ctx, PacketMeta::unicast(HostId(from), 100), &msg)
-            })
-        }
+    /// A started SWIM node.
+    fn swim(id: u32, cfg: SwimConfig) -> Harness<Swim> {
+        let mut h = Harness::new(SwimNode::new(NodeId(id), cfg));
+        h.start(0);
+        h
     }
 
     fn alive(id: u32, inc: u64) -> SwimUpdate {
@@ -762,7 +737,7 @@ mod tests {
             seeds: vec![NodeId(1), NodeId(2), NodeId(3)],
             ..Default::default()
         };
-        let mut h = Harness::new(1, cfg);
+        let mut h = swim(1, cfg);
         let fx = h.timer(SECS, T_PROBE);
         let s = sends(&fx);
         assert_eq!(s.len(), 1);
@@ -778,7 +753,7 @@ mod tests {
 
     #[test]
     fn ping_is_acked_with_matching_seq() {
-        let mut h = Harness::new(1, SwimConfig::default());
+        let mut h = swim(1, SwimConfig::default());
         let ping = Message::SwimPing(SwimPing {
             from: NodeId(2),
             seq: 41,
@@ -798,7 +773,7 @@ mod tests {
     #[test]
     fn missed_direct_ack_escalates_to_ping_req_then_suspicion() {
         let (direct, indirect) = (DIRECT_TIMEOUT, INDIRECT_TIMEOUT);
-        let mut h = Harness::new(1, SwimConfig::default());
+        let mut h = swim(1, SwimConfig::default());
         // Introduce members 2..=5.
         for id in 2..=5 {
             let ping = Message::SwimPing(SwimPing {
@@ -846,7 +821,7 @@ mod tests {
 
     #[test]
     fn suspicion_of_self_re_incarnates() {
-        let mut h = Harness::new(1, SwimConfig::default());
+        let mut h = swim(1, SwimConfig::default());
         let inc0 = h.node.shell.incarnation();
         let ping = Message::SwimPing(SwimPing {
             from: NodeId(2),
@@ -875,7 +850,7 @@ mod tests {
 
     #[test]
     fn higher_incarnation_alive_refutes_suspicion() {
-        let mut h = Harness::new(1, SwimConfig::default());
+        let mut h = swim(1, SwimConfig::default());
         let _ = h.packet(
             SECS,
             2,
@@ -935,7 +910,7 @@ mod tests {
 
     #[test]
     fn confirm_tombstones_until_higher_incarnation() {
-        let mut h = Harness::new(1, SwimConfig::default());
+        let mut h = swim(1, SwimConfig::default());
         let _ = h.packet(
             SECS,
             2,
@@ -986,7 +961,7 @@ mod tests {
 
     #[test]
     fn ping_req_proxies_and_forwards_the_ack() {
-        let mut h = Harness::new(2, SwimConfig::default());
+        let mut h = swim(2, SwimConfig::default());
         let _ = h.packet(
             SECS,
             1,
@@ -1035,7 +1010,7 @@ mod tests {
 
     #[test]
     fn dissemination_budget_caps_retransmissions() {
-        let mut h = Harness::new(1, SwimConfig::default());
+        let mut h = swim(1, SwimConfig::default());
         let _ = h.packet(
             SECS,
             2,
@@ -1060,7 +1035,7 @@ mod tests {
 
     #[test]
     fn a_suspicion_falls_due_exactly_at_the_suspect_timeout() {
-        let mut h = Harness::new(1, SwimConfig::default());
+        let mut h = swim(1, SwimConfig::default());
         let suspect = |id| SwimUpdate {
             state: SwimState::Suspect,
             record: NodeRecord::new(NodeId(id), 1),

@@ -17,7 +17,7 @@
 //! refutation over to the cut book.
 
 use crate::config::{MembershipConfig, DEGRADE_MAX_STRETCH};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tamp_topology::Nanos;
 use tamp_wire::NodeId;
 
@@ -69,9 +69,9 @@ pub(crate) struct Refuted {
 
 #[derive(Default)]
 pub(crate) struct Evidence {
-    suspicions: HashMap<NodeId, Suspicion>,
+    suspicions: BTreeMap<NodeId, Suspicion>,
     /// Subject → (refuted-at incarnation, when).
-    refuted: HashMap<NodeId, (u64, Nanos)>,
+    refuted: BTreeMap<NodeId, (u64, Nanos)>,
     /// The loss-degradation stretch stays engaged until this instant.
     distress_until: Nanos,
     /// How long a refutation is remembered: the longest detection span,
@@ -225,27 +225,22 @@ impl Evidence {
     /// advisory suspicions nobody ever resolved (the `Refute` / `Leave`
     /// was lost, or the origin died too) after a generous hold, and
     /// report the own-detector suspicions whose (`stretch`ed) window has
-    /// passed, as `(peer, suspected incarnation, detector level)` — in
-    /// `NodeId` order: hash-map iteration order is seeded per thread, and
-    /// what the node does with them emits messages.
+    /// passed, as `(peer, suspected incarnation, detector level)` in
+    /// `NodeId` order.
     pub(crate) fn sweep(&mut self, now: Nanos, stretch: f64) -> Vec<(NodeId, u64, u8)> {
         let hold = self.hold;
         self.refuted
             .retain(|_, &mut (_, at)| now.saturating_sub(at) <= hold);
         self.suspicions
             .retain(|_, s| !(s.advisory && now.saturating_sub(s.since) > 6 * hold));
-        let mut due: Vec<_> = self
-            .suspicions
+        self.suspicions
             .iter()
-            .filter(|(_, s)| !s.advisory)
             .filter(|(_, s)| {
                 let window = self.windows[s.level as usize];
-                now.saturating_sub(s.since) >= (window as f64 * stretch) as u64
+                !s.advisory && now.saturating_sub(s.since) >= (window as f64 * stretch) as u64
             })
             .map(|(&peer, s)| (peer, s.incarnation, s.level))
-            .collect();
-        due.sort_unstable_by_key(|&(peer, ..)| peer);
-        due
+            .collect()
     }
 }
 

@@ -8,6 +8,7 @@
 //! representation because each node only ever sees the members within its
 //! own TTL horizon.
 
+use crate::detector::Floor;
 use tamp_topology::Nanos;
 use tamp_wire::NodeId;
 
@@ -163,15 +164,15 @@ pub struct GroupState {
     pub level: u8,
     /// Peers currently heard on this channel (not including ourselves).
     peers: PeerTable,
-    /// Sweep floors: `heard_floor ≤` every peer's `last_heard`,
-    /// `hb_floor ≤` every non-zero `last_heartbeat`, `max_ewma ≥` every
+    /// Sweep floors: `heard_floor` bounds every peer's `last_heard`,
+    /// `hb_floor` every non-zero `last_heartbeat`, and `max_ewma ≥` every
     /// `ewma_interval`. They let the 100 ms sweep prove "no peer can be
     /// expired / late yet" without walking the table. They stay valid
     /// between scans because per-peer times only grow, a new peer enters
     /// at the time it was heard, and a removal only loosens a bound; a
     /// scan that does run recomputes them exactly.
-    heard_floor: Nanos,
-    hb_floor: Nanos,
+    heard_floor: Floor,
+    hb_floor: Floor,
     max_ewma: f64,
     /// Current believed leader (may be ourselves).
     pub leader: Option<NodeId>,
@@ -193,8 +194,8 @@ impl GroupState {
         GroupState {
             level,
             peers: PeerTable::default(),
-            heard_floor: Nanos::MAX,
-            hb_floor: Nanos::MAX,
+            heard_floor: Floor::default(),
+            hb_floor: Floor::default(),
             max_ewma: 0.0,
             leader: None,
             backup: None,
@@ -217,7 +218,7 @@ impl GroupState {
     pub fn heard(&mut self, peer: NodeId, now: Nanos, claims_leader: bool, incarnation: u64) {
         let (i, inserted) = self.peers.entry(peer, PeerState::first_heard(now));
         if inserted {
-            self.heard_floor = self.heard_floor.min(now);
+            self.heard_floor.note(now);
         }
         let e = &mut self.peers.states[i];
         e.last_heard = e.last_heard.max(now);
@@ -243,7 +244,7 @@ impl GroupState {
     ) -> u32 {
         let (i, inserted) = self.peers.entry(peer, PeerState::first_heard(now));
         if inserted {
-            self.heard_floor = self.heard_floor.min(now);
+            self.heard_floor.note(now);
         }
         let e = &mut self.peers.states[i];
         if e.last_heartbeat > 0 && now > e.last_heartbeat {
@@ -261,7 +262,7 @@ impl GroupState {
             if e.last_heartbeat == 0 {
                 // First heartbeat from this peer: a new time enters the
                 // cadence column (later ones only move an old one up).
-                self.hb_floor = self.hb_floor.min(now);
+                self.hb_floor.note(now);
             }
             e.last_heartbeat = now;
         }
@@ -293,31 +294,12 @@ impl GroupState {
         self.peers.remove(peer)
     }
 
-    fn expired_scan(&self, now: Nanos, timeout: Nanos) -> impl Iterator<Item = NodeId> + '_ {
-        self.peers
-            .iter()
-            .filter(move |(_, p)| now.saturating_sub(p.last_heard) >= timeout)
-            .map(|(n, _)| n)
-    }
-
-    /// Peers whose last contact is older than `timeout` at `now`. Walks
+    /// Peers whose last contact is older than `timeout` at `now`, in id
+    /// order; the caller removes every one named ([`Floor::due`]). Walks
     /// the table only once the oldest contact it could hold is that old.
     pub fn expired_peers(&mut self, now: Nanos, timeout: Nanos) -> Vec<NodeId> {
-        if now.saturating_sub(self.heard_floor) < timeout {
-            debug_assert!(
-                self.expired_scan(now, timeout).next().is_none(),
-                "expiry gate skipped a due scan: floor={} now={now} timeout={timeout}",
-                self.heard_floor
-            );
-            return Vec::new();
-        }
-        self.heard_floor = self
-            .peers
-            .values()
-            .map(|p| p.last_heard)
-            .min()
-            .unwrap_or(Nanos::MAX);
-        self.expired_scan(now, timeout).collect()
+        let heard = self.peers.iter().map(|(n, p)| (n, Some(p.last_heard)));
+        self.heard_floor.due(heard, now, timeout)
     }
 
     /// Like [`GroupState::expired_peers`], but each peer gets its own
@@ -366,21 +348,22 @@ impl GroupState {
         if len < 3 {
             return false;
         }
-        if self.max_ewma <= late_after && now.saturating_sub(self.hb_floor) as f64 <= late_after {
+        let silence = self.hb_floor.age(now).unwrap_or(0);
+        if self.max_ewma <= late_after && silence as f64 <= late_after {
             debug_assert_eq!(
                 self.late_peers(now, late_after),
                 0,
-                "distress gate skipped a scan with late peers: hb_floor={} max_ewma={} now={now}",
+                "distress gate skipped a scan with late peers: hb_floor={:?} max_ewma={} now={now}",
                 self.hb_floor,
                 self.max_ewma
             );
             return false;
         }
-        self.hb_floor = Nanos::MAX;
+        self.hb_floor = Floor::default();
         self.max_ewma = 0.0;
         for p in self.peers.values() {
             if p.last_heartbeat > 0 {
-                self.hb_floor = self.hb_floor.min(p.last_heartbeat);
+                self.hb_floor.note(p.last_heartbeat);
             }
             self.max_ewma = self.max_ewma.max(p.ewma_interval);
         }
@@ -392,8 +375,8 @@ impl GroupState {
     /// debug builds, and by the model tests.
     pub fn floors_hold(&self) -> bool {
         self.peers.values().all(|p| {
-            self.heard_floor <= p.last_heard
-                && (p.last_heartbeat == 0 || self.hb_floor <= p.last_heartbeat)
+            self.heard_floor.bounds(p.last_heard)
+                && (p.last_heartbeat == 0 || self.hb_floor.bounds(p.last_heartbeat))
                 && self.max_ewma >= p.ewma_interval
         })
     }
@@ -401,7 +384,7 @@ impl GroupState {
     fn debug_assert_floors(&self) {
         debug_assert!(
             self.floors_hold(),
-            "sweep floors no longer bound the peer table: heard_floor={} hb_floor={} max_ewma={} peers={:?}",
+            "sweep floors no longer bound the peer table: heard_floor={:?} hb_floor={:?} max_ewma={} peers={:?}",
             self.heard_floor,
             self.hb_floor,
             self.max_ewma,
@@ -522,7 +505,7 @@ mod tests {
         let b = s.pick_backup(42).unwrap();
         assert_eq!(a, b);
         // Different salts should usually pick different peers; check a few.
-        let picks: std::collections::HashSet<_> = (0..20u64)
+        let picks: std::collections::BTreeSet<_> = (0..20u64)
             .map(|salt| s.pick_backup(salt).unwrap())
             .collect();
         assert!(picks.len() > 1, "backup choice never varies");

@@ -10,11 +10,11 @@
 //!
 //! | Paper §       | Here |
 //! |---------------|------|
-//! | §3.1.1 group formation, heartbeats, failure detection | [`MembershipNode`] (`node.rs`: construction, API, dispatch, the sweep's order), [`group::GroupState`] (peers heard per channel, sweep floors) |
+//! | §3.1.1 group formation, heartbeats, failure detection | [`MembershipNode`] (`node.rs`: construction, API, dispatch, the sweep's order), [`group::GroupState`] (peers heard per channel, sweep floors), [`detector`] (the aging devices, [`detector::Floor`] and [`detector::Tombstones`], that `GroupState` and the three baselines' detectors share) |
 //! | §3.1.1 leader election | `election.rs` — writes the groups' `leader` / `backup` / `election` |
 //! | §3.1.2 bootstrap, loss repair, anti-entropy | `sync.rs` — digests, sync polls, directory exchanges |
 //! | §3.1.2 update propagation | `update.rs` — the update handler, one arm per event kind |
-//! | §3.1.2 timeout protocol + the robustness extensions | `removal.rs` (timeout → suspect / vote → confirm → remove, quarantine, catch-all expiry) over three books that each own their state: `evidence.rs` (suspicions, refutation memory, distress latch), `cuts.rs` (cut-detection votes), `quarantine.rs` (escrowed subtrees) |
+//! | §3.1.2 timeout protocol + the robustness extensions | `removal.rs` (timeout → suspect / vote → confirm → remove, quarantine, catch-all expiry; every removal reported by one method) over three books that each own their state: `evidence.rs` (suspicions, refutation memory, distress latch), `cuts.rs` (cut-detection votes), `quarantine.rs` (escrowed subtrees) |
 //! | §5 configuration file + `MService`/`MClient` API | [`MembershipConfig::parse`], [`MService`], [`MClient`] |
 //! | §5 a service process beside its daemon, §3.2 proxies as members | [`Hosted`] runs a [`Role`] (proxy, provider, gateway, load generator) next to a [`MembershipNode`]: restart, timer tokens and packet ownership, once (`hosted.rs`) |
 //!
@@ -45,6 +45,7 @@
 //! ```
 
 pub mod config;
+pub mod detector;
 pub mod group;
 pub mod hosted;
 pub mod node;

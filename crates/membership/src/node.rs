@@ -198,7 +198,7 @@ pub struct MembershipNode {
     pub(crate) groups: Vec<Option<GroupState>>,
     /// Last time we sync-polled each peer (suppresses duplicate polls
     /// while a response is in flight).
-    pub(crate) sync_polls: std::collections::HashMap<NodeId, u64>,
+    pub(crate) sync_polls: std::collections::BTreeMap<NodeId, u64>,
     pub(crate) evidence: Evidence,
     pub(crate) cuts: CutBook,
     pub(crate) quarantine: QuarantineBook,
@@ -224,7 +224,7 @@ impl MembershipNode {
             log: fresh_log(&cfg),
             seqs: SeqTracker::new(),
             groups: Vec::new(),
-            sync_polls: std::collections::HashMap::new(),
+            sync_polls: std::collections::BTreeMap::new(),
             evidence: Evidence::new(&cfg),
             cuts: CutBook::default(),
             quarantine: QuarantineBook::default(),

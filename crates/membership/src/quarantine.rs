@@ -8,7 +8,7 @@
 //! the deadline is purged. The book keeps the deadlines and the subtree
 //! snapshots; the directory reads and the purge are the node's.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tamp_topology::Nanos;
 use tamp_wire::NodeId;
 
@@ -33,7 +33,7 @@ pub(crate) enum Settled {
 
 #[derive(Default)]
 pub(crate) struct QuarantineBook {
-    held: HashMap<NodeId, Escrow>,
+    held: BTreeMap<NodeId, Escrow>,
 }
 
 impl QuarantineBook {
@@ -51,13 +51,9 @@ impl QuarantineBook {
         self.held.insert(relayer, Escrow { deadline, members });
     }
 
-    /// The quarantined relayers in `NodeId` order: hash-map iteration
-    /// order is seeded per thread, and settling emits messages whose
-    /// order must not depend on which thread runs the simulation.
+    /// The quarantined relayers in `NodeId` order.
     pub(crate) fn relayers(&self) -> Vec<NodeId> {
-        let mut relayers: Vec<NodeId> = self.held.keys().copied().collect();
-        relayers.sort_unstable();
-        relayers
+        self.held.keys().copied().collect()
     }
 
     /// Sweep-time verdict on `relayer`'s quarantine, given whether it is

@@ -20,7 +20,6 @@ use crate::cuts::Vote;
 use crate::evidence::Raiser;
 use crate::node::{MembershipNode, OnTimeout};
 use crate::quarantine::Settled;
-use std::collections::HashSet;
 use tamp_directory::Provenance;
 use tamp_netsim::telemetry::{Cause, Declared};
 use tamp_netsim::{Context, ProtocolEvent};
@@ -117,6 +116,26 @@ impl MembershipNode {
             Raiser::Relayed,
         );
         true
+    }
+
+    /// Report that `node` at `incarnation` left this node's directory
+    /// for `cause`, on `source`'s word where one is named; returns the
+    /// `Leave` that tells the tree.
+    pub(crate) fn report_removal(
+        &self,
+        ctx: &mut Context,
+        node: NodeId,
+        incarnation: u64,
+        cause: Cause,
+        source: Option<NodeId>,
+    ) -> MemberEvent {
+        ctx.emit(ProtocolEvent::Removed {
+            subject: node.0,
+            incarnation,
+            cause,
+            source: source.map(|n| n.0),
+        });
+        MemberEvent::Leave(node, incarnation)
     }
 
     // ------------------------------------------------- local detection
@@ -239,13 +258,8 @@ impl MembershipNode {
                 self.quarantine_subtree(ctx, peer);
             } else {
                 for r in self.purge_relayed_by(peer) {
-                    ctx.emit(ProtocolEvent::Removed {
-                        subject: r.node.0,
-                        incarnation: r.incarnation,
-                        cause: Cause::Relayer,
-                        source: Some(peer.0),
-                    });
-                    events.push(MemberEvent::Leave(r.node, r.incarnation));
+                    let cause = Cause::Relayer;
+                    events.push(self.report_removal(ctx, r.node, r.incarnation, cause, Some(peer)));
                     self.seqs.forget(r.node);
                 }
             }
@@ -393,22 +407,17 @@ impl MembershipNode {
                 }
                 Some(Settled::Expired(members)) => (members, self.purge_relayed_by(relayer)),
             };
-            let purged_ids: HashSet<NodeId> = purged.iter().map(|r| r.node).collect();
             let mut events = Vec::new();
             for r in &purged {
-                ctx.emit(ProtocolEvent::Removed {
-                    subject: r.node.0,
-                    incarnation: r.incarnation,
-                    cause: Cause::Quarantine,
-                    source: Some(relayer.0),
-                });
-                events.push(MemberEvent::Leave(r.node, r.incarnation));
+                let cause = Cause::Quarantine;
+                events.push(self.report_removal(ctx, r.node, r.incarnation, cause, Some(relayer)));
                 self.seqs.forget(r.node);
                 self.evidence.close(r.node);
             }
             for m in members {
-                if !purged_ids.contains(&m) && self.directory.read(|d| d.contains(m)) {
-                    // Never orphaned, or re-vouched.
+                if self.directory.read(|d| d.contains(m)) {
+                    // Never orphaned, or re-vouched: the purge took the
+                    // rest out of the directory.
                     ctx.emit(ProtocolEvent::QuarantineCleared {
                         subject: m.0,
                         relayer: relayer.0,
@@ -432,12 +441,6 @@ impl MembershipNode {
             return;
         }
         let top_timeout = 2 * self.cfg.timeout(self.cfg.top_level());
-        let in_groups: std::collections::HashSet<NodeId> = self
-            .groups
-            .iter()
-            .flatten()
-            .flat_map(|g| g.peers().keys().copied())
-            .collect();
         // Relayed entries must be re-vouched by *somebody's* digest
         // within a few anti-entropy periods, or they rot: the last line
         // of defense against ghost members that no live node actually
@@ -453,7 +456,7 @@ impl MembershipNode {
                 Provenance::Local => u64::MAX,
                 Provenance::Relayed(_) => relayed_rot,
                 Provenance::Direct => {
-                    if in_groups.contains(&e.node) {
+                    if self.heard_anywhere(e.node) {
                         u64::MAX // group sweeps own this entry
                     } else {
                         top_timeout
@@ -465,16 +468,10 @@ impl MembershipNode {
         self.next_catchall = next_due
             .min(now.saturating_add(top_timeout))
             .max(now.saturating_add(self.cfg.sweep_period));
-        let mut events = Vec::new();
-        for r in removed {
-            ctx.emit(ProtocolEvent::Removed {
-                subject: r.node.0,
-                incarnation: r.incarnation,
-                cause: Cause::Expiry,
-                source: None,
-            });
-            events.push(MemberEvent::Leave(r.node, r.incarnation));
-        }
+        let events = removed
+            .iter()
+            .map(|r| self.report_removal(ctx, r.node, r.incarnation, Cause::Expiry, None))
+            .collect();
         let levels = self.relay_levels(u8::MAX); // lateral only: groups we lead
         self.relay_events(ctx, events, levels);
     }
@@ -613,6 +610,21 @@ mod tests {
             _ => unreachable!(),
         });
         assert_eq!(emitted(&fx, &REMOVAL_KINDS), want);
+    }
+
+    #[test]
+    fn the_catch_all_leaves_a_direct_entry_to_the_groups_that_hear_it() {
+        let mut node = synced_node();
+        hear(&mut node, 2, LEADER.0, true, 0);
+        let late = 3 + 2 * node.cfg.timeout(node.cfg.top_level());
+        let expired = |node: &mut MembershipNode| {
+            let fx = drive(node, late, |n, ctx| n.expire_uncovered(ctx));
+            emitted(&fx, &REMOVAL_KINDS).contains(&removed(LEADER.0, Cause::Expiry, None))
+        };
+        assert!(!expired(&mut node), "a group still hears it");
+        node.group_mut(0).unwrap().remove_peer(LEADER);
+        node.next_catchall = 0;
+        assert!(expired(&mut node), "no group hears it");
     }
 
     fn alert(reporter: u32) -> MemberEvent {

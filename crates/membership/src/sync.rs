@@ -161,13 +161,8 @@ impl MembershipNode {
                     (r.is_some(), r)
                 });
                 if let Some(rec) = removed {
-                    ctx.emit(ProtocolEvent::Removed {
-                        subject: n.0,
-                        incarnation: rec.incarnation,
-                        cause: Cause::Orphan,
-                        source: Some(from.0),
-                    });
-                    events.push(MemberEvent::Leave(n, rec.incarnation));
+                    let inc = rec.incarnation;
+                    events.push(self.report_removal(ctx, n, inc, Cause::Orphan, Some(from)));
                 }
             }
             let levels = self.relay_levels(level);

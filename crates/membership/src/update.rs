@@ -97,12 +97,9 @@ impl MembershipNode {
             }
             if changed {
                 match *ev {
-                    MemberEvent::Leave(n, incarnation) => ctx.emit(ProtocolEvent::Removed {
-                        subject: n.0,
-                        incarnation,
-                        cause: Cause::Leave,
-                        source: Some(relayer.0),
-                    }),
+                    MemberEvent::Leave(n, incarnation) => {
+                        self.report_removal(ctx, n, incarnation, Cause::Leave, Some(relayer));
+                    }
                     MemberEvent::Join(ref r) | MemberEvent::Refute(ref r) if !was_known => ctx
                         .emit(ProtocolEvent::MemberAdded {
                             subject: r.node.0,
